@@ -497,7 +497,7 @@ def inter_cluster_analysis(
 ) -> str:
     """Synthesis of cross-cluster differences, citing only substrate papers.
 
-    Marks that stay unresolvable after one retry are stripped with a
+    Marks still unresolvable on the third attempt are stripped with a
     monitor event rather than failing the stage.
     """
     if len(clusters) < 2:
@@ -518,31 +518,36 @@ def inter_cluster_analysis(
             + f"Clusters:\n{overview}"
         )
 
+    def unknown(key: str) -> bool:
+        return (
+            resolve_key(key, resolver, CitationStyle.TITLE) is None
+            and resolve_key(key, id_resolver, CitationStyle.ID) is None
+        )
+
     def parse(reply: str) -> str:
         if not reply.strip():
             raise ValueError("empty synthesis")
         for key in extract_mark_keys(reply):
-            if resolve_key(key, resolver, CitationStyle.TITLE) is None and resolve_key(
-                key, id_resolver, CitationStyle.ID
-            ) is None:
+            if unknown(key):
                 raise ValueError(f"synthesis cites unknown paper '{key}'")
         return reply
 
-    try:
-        text, _, _ = request_validated(
-            gateway, build, parse, tag="analysis.inter_cluster", max_retries=1
-        )
-        return text
-    except MalformedOutputError:
-        # Retry exhausted: strip the offending marks and keep the synthesis.
-        reply = gateway.complete_text(build(ErrorMemory(), 2), tag="analysis.inter_cluster")
+    def strip_unknown(reply: str) -> str:
         for key in extract_mark_keys(reply):
-            if resolve_key(key, resolver, CitationStyle.TITLE) is None and resolve_key(
-                key, id_resolver, CitationStyle.ID
-            ) is None:
+            if unknown(key):
                 runlog.attribution_event("analysis.inter_cluster", "synthesis", key)
                 reply = reply.replace(f"<{key}>", "")
         return reply
+
+    text, _, _ = request_validated(
+        gateway,
+        build,
+        parse,
+        last_parse=strip_unknown,
+        tag="analysis.inter_cluster",
+        max_retries=2,
+    )
+    return text
 
 
 def analyze_cluster(

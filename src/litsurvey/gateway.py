@@ -54,7 +54,6 @@ class CompletionRequest:
 @dataclass
 class BackendProfile:
     context_window: int = 512_000
-    retryable_statuses: frozenset[int] = RETRYABLE_STATUSES
     max_attempts: int = 10
     backoff_bounds: tuple[float, float] = (1.0, 300.0)
 
@@ -81,7 +80,38 @@ class EmbeddingBackend(Protocol):
 
 
 class TransientBackendError(Exception):
-    """Raised by embedding backends for failures worth retrying."""
+    """A backend failure worth retrying; ``status`` is the HTTP status when
+    the failure has one."""
+
+    def __init__(self, message: str, status: Optional[int] = None):
+        super().__init__(message)
+        self.status = status
+
+
+def with_backoff(
+    call: Callable[[], T],
+    profile: BackendProfile,
+    sleeper: Callable[[float], None],
+) -> T:
+    """Run ``call`` until it returns, sleeping between tries with a
+    delay that starts at the profile's lower bound and doubles up to its
+    upper bound.
+
+    ``call`` raises TransientBackendError for a retryable failure; any
+    other exception propagates at once. After ``profile.max_attempts``
+    transient failures this raises ExhaustionError, chained to the last one.
+    """
+    delay, delay_max = profile.backoff_bounds
+    for attempt in range(1, profile.max_attempts + 1):
+        try:
+            return call()
+        except TransientBackendError as exc:
+            last = exc
+        if attempt < profile.max_attempts:
+            sleeper(delay)
+            delay = min(delay * 2, delay_max)
+    status = last.status if last.status is not None else str(last)
+    raise ExhaustionError(profile.max_attempts, status) from last
 
 
 class HttpChatTransport:
@@ -161,7 +191,7 @@ class HttpEmbedder:
         except requests.RequestException as exc:
             raise TransientBackendError(str(exc)) from exc
         if resp.status_code in RETRYABLE_STATUSES:
-            raise TransientBackendError(f"status {resp.status_code}")
+            raise TransientBackendError(f"status {resp.status_code}", resp.status_code)
         if resp.status_code != 200:
             raise BackendError(f"embedding backend status {resp.status_code}", resp.status_code)
         return [item["embedding"] for item in resp.json()["data"]]
@@ -211,7 +241,7 @@ class Gateway:
         cached = self._cache_get(key)
         if cached is not None:
             return cached
-        text = self._send_with_retry(request, profile)
+        text = with_backoff(lambda: self._send_once(request), profile, self.sleeper)
         self._cache_set(key, text)
         return text
 
@@ -249,25 +279,15 @@ class Gateway:
         if self._disk is not None:
             self._disk.set(key, value)
 
-    def _send_with_retry(self, request: CompletionRequest, profile: BackendProfile) -> str:
-        delay_min, delay_max = profile.backoff_bounds
-        delay = delay_min
-        last_status = None
-        for attempt in range(1, profile.max_attempts + 1):
-            response = self.transport.send(request)
-            with self._lock:
-                self.transport_calls += 1
-            if response.status == 200:
-                return response.text
-            if response.status not in profile.retryable_statuses:
-                raise BackendError(
-                    f"backend returned status {response.status}", response.status
-                )
-            last_status = response.status
-            if attempt < profile.max_attempts:
-                self.sleeper(delay)
-                delay = min(delay * 2, delay_max)
-        raise ExhaustionError(profile.max_attempts, last_status)
+    def _send_once(self, request: CompletionRequest) -> str:
+        response = self.transport.send(request)
+        with self._lock:
+            self.transport_calls += 1
+        if response.status == 200:
+            return response.text
+        if response.status in RETRYABLE_STATUSES:
+            raise TransientBackendError(f"status {response.status}", response.status)
+        raise BackendError(f"backend returned status {response.status}", response.status)
 
     # -- embeddings ------------------------------------------------------
 
@@ -290,7 +310,10 @@ class Gateway:
                 missing.append((i, text))
         for start in range(0, len(missing), self.embed_batch_size):
             batch = missing[start : start + self.embed_batch_size]
-            vectors = self._encode_with_retry([t for _, t in batch])
+            batch_texts = [t for _, t in batch]
+            vectors = with_backoff(
+                lambda: self._encode_once(batch_texts), self.profile, self.sleeper
+            )
             for (i, text), vector in zip(batch, vectors):
                 unit = _normalize(vector)
                 key = cache_key("embed", text)
@@ -300,21 +323,10 @@ class Gateway:
                 results[i] = unit
         return [results[i] for i in range(len(texts))]
 
-    def _encode_with_retry(self, texts: list[str]) -> list[list[float]]:
-        delay_min, delay_max = self.profile.backoff_bounds
-        delay = delay_min
-        last_error = None
-        for attempt in range(1, self.profile.max_attempts + 1):
-            with self._lock:
-                self.transport_calls += 1
-            try:
-                return self.embedder.encode(texts)
-            except TransientBackendError as exc:
-                last_error = exc
-                if attempt < self.profile.max_attempts:
-                    self.sleeper(delay)
-                    delay = min(delay * 2, delay_max)
-        raise ExhaustionError(self.profile.max_attempts, str(last_error))
+    def _encode_once(self, texts: list[str]) -> list[list[float]]:
+        with self._lock:
+            self.transport_calls += 1
+        return self.embedder.encode(texts)
 
 
 def _normalize(vector: Sequence[float]) -> list[float]:
@@ -369,34 +381,42 @@ def request_validated(
     memory: ErrorMemory = ErrorMemory(),
     max_retries: int = 3,
     error_factory: Callable[[str], Exception] = MalformedOutputError,
+    last_parse: Optional[Callable[[str], T]] = None,
+    on_retry: Optional[Callable[[int, list[str]], None]] = None,
 ) -> tuple[T, ErrorMemory, int]:
     """Call the backend until ``parse`` accepts the reply.
 
-    ``parse`` signals a violation by raising ValueError; the message is
-    recorded into error memory and echoed into the retry prompt (retry
-    prompts also carry the attempt number, so they never collide with the
-    cached failing request). Returns (value, memory, calls_made).
+    ``parse`` signals a violation by raising ValueError; each message in its
+    args is recorded, in order, as its own error-memory entry and echoed
+    into the retry prompt (retry prompts also carry the attempt number, so
+    they never collide with the cached failing request). ``last_parse``,
+    when given, replaces ``parse`` on the final attempt, e.g. a lenient
+    reading that keeps what it can. ``on_retry(attempt, problems)`` runs
+    after every rejected reply. Returns (value, memory, calls_made).
     """
-    calls = 0
-    last_error = "no attempt made"
+    problems = ["no attempt made"]
     for attempt in range(max_retries + 1):
-        prompt = build_prompt(memory, attempt)
         reply = gateway.complete(
             CompletionRequest(
-                prompt=prompt,
+                prompt=build_prompt(memory, attempt),
                 temperature=temperature,
                 max_output_tokens=max_output_tokens,
                 tag=tag,
             ),
             profile,
         )
-        calls += 1
+        accept = last_parse if last_parse is not None and attempt == max_retries else parse
         try:
-            return parse(reply), memory, calls
+            return accept(reply), memory, attempt + 1
         except ValueError as exc:
-            last_error = str(exc)
-            memory = memory.record(last_error)
-    raise error_factory(f"output still invalid after {calls} attempts: {last_error}")
+            problems = [str(a) for a in exc.args] if len(exc.args) > 1 else [str(exc)]
+        for problem in problems:
+            memory = memory.record(problem)
+        if on_retry is not None:
+            on_retry(attempt, problems)
+    raise error_factory(
+        f"output still invalid after {max_retries + 1} attempts: {'; '.join(problems)}"
+    )
 
 
 def retry_preamble(memory: ErrorMemory, attempt: int) -> str:

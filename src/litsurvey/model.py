@@ -444,10 +444,6 @@ class ErrorMemory:
         return len(self.entries)
 
 
-def error_memory_record(mem: ErrorMemory, msg: str) -> ErrorMemory:
-    return mem.record(msg)
-
-
 @dataclass
 class KnowledgeSubstrate:
     """The three-level store: paper / cluster / survey artifacts, linked by id.

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, MalformedOutputError
 from .gateway import (
     BackendProfile,
     Gateway,
@@ -211,13 +211,12 @@ def review_skill(
     return verdict
 
 
-def _revise_once(
+def _revision_prompt(
     ctx: RefinementContext,
     unit: DraftUnit,
     instructions: str,
     suggestions: list[str],
     evidence: str,
-    temperature: float,
     error_memory: ErrorMemory,
 ) -> str:
     hint = (
@@ -229,7 +228,7 @@ def _revise_once(
         if unit.granularity is Granularity.SURVEY
         else "; no '#' characters"
     )
-    prompt = (
+    return (
         error_memory.render()
         + f"Revise this {unit.granularity.value} draft.\n"
         + (f"Instructions: {instructions}\n" if instructions else "")
@@ -238,9 +237,6 @@ def _revise_once(
         + f"Keep every claim supported; {hint}; cite only papers already "
         + f"available to this unit{anchor_rule}.\n\n"
         + f"Draft:\n{unit.text}"
-    )
-    return ctx.gateway.complete_text(
-        prompt, tag="refine.revise", temperature=temperature, profile=ctx.profile
     )
 
 
@@ -260,30 +256,44 @@ def _try_revision(
     # The composed survey body carries heading anchors by design; unit
     # bodies must stay free of them.
     ban_anchor = unit.granularity is not Granularity.SURVEY
-    error_memory = ErrorMemory()
-    for attempt in range(2):
-        revised = _revise_once(
-            ctx, unit, instructions, suggestions, evidence, temperature, error_memory
-        )
+
+    def parse(revised: str) -> DraftUnit:
         verdict = verify_citations(revised, assigned, ctx.style)
-        if verdict.ok and not (ban_anchor and "#" in revised):
-            memory.record(round_no, "revise", "revision accepted")
-            return DraftUnit(
-                node_path=unit.node_path,
-                text=revised,
-                citations=verdict.marks,
-                granularity=unit.granularity,
-            )
+        problems = []
         for key in verdict.violations:
-            error_memory = error_memory.record(
-                f"revision cited out-of-set paper '{key}'"
-            )
+            problems.append(f"revision cited out-of-set paper '{key}'")
             ctx.runlog.attribution_event("refine.revise", "revision", key)
         if ban_anchor and "#" in revised:
-            error_memory = error_memory.record("revision contains '#'")
-    memory.record(round_no, "revise", "revision rejected; original retained")
-    ctx.runlog.add("revision_rejected", node=" > ".join(unit.node_path), round=round_no)
-    return unit
+            problems.append("revision contains '#'")
+        if problems:
+            raise ValueError(*problems)
+        return DraftUnit(
+            node_path=unit.node_path,
+            text=revised,
+            citations=verdict.marks,
+            granularity=unit.granularity,
+        )
+
+    try:
+        # A rejected reply always adds error memory, which keeps the retry
+        # prompt distinct from the cached failure without an attempt marker.
+        revised, _, _ = request_validated(
+            ctx.gateway,
+            lambda mem, _attempt: _revision_prompt(
+                ctx, unit, instructions, suggestions, evidence, mem
+            ),
+            parse,
+            tag="refine.revise",
+            temperature=temperature,
+            profile=ctx.profile,
+            max_retries=1,
+        )
+    except MalformedOutputError:
+        memory.record(round_no, "revise", "revision rejected; original retained")
+        ctx.runlog.add("revision_rejected", node=" > ".join(unit.node_path), round=round_no)
+        return unit
+    memory.record(round_no, "revise", "revision accepted")
+    return revised
 
 
 def _parse_plan(reply: str) -> list[dict]:

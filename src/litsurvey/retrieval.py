@@ -26,7 +26,6 @@ class RetrievalConfig:
     coarse_similarity_threshold: float = 0.35  # recall-biased on purpose
     judge_batch_size: int = 20
     judge_max_retries: int = 3
-    query_variants: int = 0  # extra judge-generated queries; extension point
 
     def __post_init__(self):
         if self.max_seed_papers <= 0 or self.per_seed_cap <= 0:
@@ -50,31 +49,23 @@ def search_seeds(
     cfg: RetrievalConfig,
     source: PaperSource,
     fallback: Optional[PaperSource] = None,
-    gateway: Optional[Gateway] = None,
     runlog: Optional[RunLog] = None,
 ) -> list[PaperRecord]:
     """Collect at most ``max_seed_papers`` deduplicated seeds for a topic.
 
     When the primary source fails or returns nothing, the preprint-archive
-    fallback supplements the pool (flagged in the log). Optional judge-made
-    query variants widen the net by one extra query round.
+    fallback supplements the pool (flagged in the log).
     """
     if not topic:
         raise RetrievalError("topic must be non-empty")
     runlog = runlog or RunLog()
-    queries = [topic]
-    if cfg.query_variants > 0 and gateway is not None:
-        queries += _query_variants(topic, cfg.query_variants, gateway)
-
     hits: list[PaperRecord] = []
     primary_error: Optional[Exception] = None
-    for query in queries:
-        try:
-            hits.extend(source.search(query, cfg.max_seed_papers))
-        except SurveyError as exc:
-            primary_error = exc
-            runlog.add("source_failure", query=query, error=str(exc))
-            break
+    try:
+        hits = source.search(topic, cfg.max_seed_papers)
+    except SurveyError as exc:
+        primary_error = exc
+        runlog.add("source_failure", query=topic, error=str(exc))
 
     if not hits:
         if fallback is None:
@@ -90,28 +81,6 @@ def search_seeds(
         runlog.add("fallback_source_used", topic=topic, hits=len(hits))
 
     return _dedup(hits)[: cfg.max_seed_papers]
-
-
-def _query_variants(topic: str, count: int, gateway: Gateway) -> list[str]:
-    def build(memory: ErrorMemory, attempt: int) -> str:
-        return (
-            retry_preamble(memory, attempt)
-            + f"Propose {count} alternative search queries for the research topic "
-            f"'{topic}'. Reply with a JSON list of strings only."
-        )
-
-    def parse(reply: str) -> list[str]:
-        from .gateway import extract_json_payload
-
-        payload = extract_json_payload(reply)
-        if not isinstance(payload, list) or not all(isinstance(q, str) for q in payload):
-            raise ValueError("expected a JSON list of query strings")
-        return payload[:count]
-
-    variants, _, _ = request_validated(
-        gateway, build, parse, tag="retrieval.query_variants", error_factory=JudgeError
-    )
-    return variants
 
 
 def _judge_verdicts(
@@ -293,7 +262,7 @@ def run_retrieval(
 ) -> list[PaperRecord]:
     """Full Stage-1 pass; deterministic for a fixed source and judge."""
     runlog = runlog or RunLog()
-    seeds = search_seeds(topic, cfg, source, fallback, gateway, runlog)
+    seeds = search_seeds(topic, cfg, source, fallback, runlog)
     seeds = judge_filter(seeds, topic, gateway, cfg, runlog)
     expanded = expand_graph(seeds, cfg, source, runlog)
     passed = coarse_filter(expanded, topic, cfg, gateway)

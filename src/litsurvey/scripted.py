@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -35,6 +36,7 @@ class ScriptedTransport:
         self._rules: list[tuple[re.Pattern, list[CannedReply]]] = []
         self.default = default
         self.calls: list[CompletionRequest] = []
+        self._lock = threading.Lock()  # concurrent sends share the reply queues
 
     def add(self, pattern: str, *replies: CannedReply | str) -> "ScriptedTransport":
         queue = [r if isinstance(r, CannedReply) else CannedReply(r) for r in replies]
@@ -47,11 +49,12 @@ class ScriptedTransport:
         return self.add(pattern, *(json.dumps(p, ensure_ascii=False) for p in payloads))
 
     def send(self, request: CompletionRequest) -> TransportResponse:
-        self.calls.append(request)
-        for pattern, queue in self._rules:
-            if pattern.search(request.prompt):
-                reply = queue.pop(0) if len(queue) > 1 else queue[0]
-                return TransportResponse(reply.status, reply.text)
+        with self._lock:
+            self.calls.append(request)
+            for pattern, queue in self._rules:
+                if pattern.search(request.prompt):
+                    reply = queue.pop(0) if len(queue) > 1 else queue[0]
+                    return TransportResponse(reply.status, reply.text)
         if self.default is not None:
             return TransportResponse(200, self.default)
         raise ScriptError(

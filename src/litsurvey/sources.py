@@ -1,4 +1,4 @@
-"""Paper-source clients: search, citation links, and record lookup.
+"""Paper-source clients: search and citation links.
 
 Three implementations share one interface: the academic-graph HTTP API,
 the preprint-archive API (fallback), and a fixture-file source for
@@ -15,7 +15,8 @@ from typing import Optional, Protocol, Sequence
 
 import requests
 
-from .errors import RetrievalError
+from .errors import ExhaustionError, RetrievalError
+from .gateway import RETRYABLE_STATUSES, BackendProfile, TransientBackendError, with_backoff
 from .model import IdSource, PaperId, PaperRecord, unify_paper_id
 
 
@@ -25,8 +26,6 @@ class PaperSource(Protocol):
     def citations(self, paper_id: PaperId, limit: int) -> list[PaperRecord]: ...
 
     def references(self, paper_id: PaperId, limit: int) -> list[PaperRecord]: ...
-
-    def lookup(self, paper_id: PaperId) -> Optional[PaperRecord]: ...
 
 
 class FixtureSource:
@@ -72,9 +71,6 @@ class FixtureSource:
         found = [self.records[p.canonical] for p in record.out_citations if p.canonical in self.records]
         return found[:limit]
 
-    def lookup(self, paper_id: PaperId) -> Optional[PaperRecord]:
-        return self.records.get(paper_id.canonical)
-
     @classmethod
     def from_file(cls, path: str | Path) -> "FixtureSource":
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -119,35 +115,34 @@ class AcademicGraphSource:
         base_url: str = "https://api.semanticscholar.org/graph/v1",
         api_key: str = "",
         timeout: float = 30.0,
-        max_attempts: int = 5,
         sleeper=time.sleep,
     ):
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.timeout = timeout
-        self.max_attempts = max_attempts
+        self.profile = BackendProfile(max_attempts=5)
         self.sleeper = sleeper
 
     def _get(self, path: str, params: dict) -> dict:
         headers = {"x-api-key": self.api_key} if self.api_key else {}
-        delay = 1.0
-        last = None
-        for attempt in range(1, self.max_attempts + 1):
+
+        def attempt() -> dict:
             try:
                 resp = requests.get(
                     f"{self.base_url}/{path}", params=params, headers=headers, timeout=self.timeout
                 )
-                if resp.status_code == 200:
-                    return resp.json()
-                last = f"status {resp.status_code}"
-                if resp.status_code not in (408, 429, 500, 502, 503, 504):
-                    break
             except requests.RequestException as exc:
-                last = str(exc)
-            if attempt < self.max_attempts:
-                self.sleeper(delay)
-                delay = min(delay * 2, 300.0)
-        raise RetrievalError(f"graph API {path} failed: {last}")
+                raise TransientBackendError(str(exc)) from exc
+            if resp.status_code == 200:
+                return resp.json()
+            if resp.status_code in RETRYABLE_STATUSES:
+                raise TransientBackendError(f"status {resp.status_code}", resp.status_code)
+            raise RetrievalError(f"graph API {path} failed: status {resp.status_code}")
+
+        try:
+            return with_backoff(attempt, self.profile, self.sleeper)
+        except ExhaustionError as exc:
+            raise RetrievalError(f"graph API {path} failed: {exc.__cause__}") from exc
 
     def search(self, query: str, limit: int) -> list[PaperRecord]:
         doc = self._get("paper/search", {"query": query, "limit": limit, "fields": _GRAPH_FIELDS})
@@ -166,13 +161,6 @@ class AcademicGraphSource:
             {"limit": limit, "fields": _GRAPH_FIELDS},
         )
         return [parse_graph_record(e["citedPaper"]) for e in doc.get("data", []) if e.get("citedPaper")]
-
-    def lookup(self, paper_id: PaperId) -> Optional[PaperRecord]:
-        try:
-            doc = self._get(f"paper/{self._api_id(paper_id)}", {"fields": _GRAPH_FIELDS})
-        except RetrievalError:
-            return None
-        return parse_graph_record(doc)
 
     @staticmethod
     def _api_id(paper_id: PaperId) -> str:
@@ -236,6 +224,3 @@ class PreprintSource:
 
     def references(self, paper_id: PaperId, limit: int) -> list[PaperRecord]:
         return []
-
-    def lookup(self, paper_id: PaperId) -> Optional[PaperRecord]:
-        return None

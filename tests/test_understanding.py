@@ -15,7 +15,6 @@ from litsurvey.understanding import (
     fallback_keynote,
     run_understanding,
     split_document,
-    validate_pdf,
 )
 
 from conftest import make_paper, scripted_gateway
@@ -121,29 +120,6 @@ class TestFallbackKeynote:
         record = make_paper("p1", abstract="", tldr="")
         with pytest.raises(PaperSkipped):
             fallback_keynote(record)
-
-
-class TestValidatePdf:
-    def test_valid_fixture(self, tmp_path):
-        path = tmp_path / "ok.pdf"
-        path.write_bytes(b"%PDF-1.4\n1 0 obj\nendobj\ntrailer\n%%EOF\n")
-        assert validate_pdf(path) is True
-        assert path.exists()
-
-    def test_truncated_file_removed(self, tmp_path):
-        path = tmp_path / "broken.pdf"
-        path.write_bytes(b"%PDF-1.4\nhalf a file")
-        assert validate_pdf(path) is False
-        assert not path.exists()
-
-    def test_zero_byte_file(self, tmp_path):
-        path = tmp_path / "empty.pdf"
-        path.write_bytes(b"")
-        assert validate_pdf(path) is False
-
-    def test_missing_file_is_io_error(self, tmp_path):
-        with pytest.raises(OSError):
-            validate_pdf(tmp_path / "nope.pdf")
 
 
 class TestRunUnderstanding:
