@@ -60,11 +60,9 @@ class DiskCache:
     def get(self, key: str) -> Optional[Any]:
         path = self._path(key)
         with self._lock:
-            if not path.exists():
-                return None
             try:
                 doc = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
+            except (OSError, json.JSONDecodeError):  # missing, unreadable or corrupt
                 return None
         if self.expiry_seconds is not None:
             if time.time() - doc.get("created", 0) > self.expiry_seconds:

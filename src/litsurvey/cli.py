@@ -168,7 +168,8 @@ def cache():
 @cache.command("clear")
 @click.option("--workdir", type=click.Path(), default="litsurvey-run")
 def cache_clear(workdir):
-    """Drop the api-tier disk cache for a run directory."""
+    """Drop the api-tier disk cache of a run directory: every cached chat
+    reply, embedding and paper-source response."""
     cache_dir = Path(workdir) / "cache"
     if cache_dir.exists():
         shutil.rmtree(cache_dir)

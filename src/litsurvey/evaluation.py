@@ -37,6 +37,7 @@ class ClaimRecord:
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 _NUMERIC_MARK = re.compile(r"\[([^\[\]]*)\]")
 _REFERENCES_HEADING = re.compile(r"^#+\s*References\s*$", re.I | re.M)
+_FRONT_MATTER = re.compile(r"\A---\n.*?\n---\n\n?", re.S)
 
 
 def survey_body(text: str) -> str:
@@ -44,6 +45,12 @@ def survey_body(text: str) -> str:
     not claim-bearing prose."""
     match = _REFERENCES_HEADING.search(text)
     return text[: match.start()] if match else text
+
+
+def strip_front_matter(text: str) -> str:
+    """The survey without its leading ``---`` metadata block (topic,
+    generation time, config hash)."""
+    return _FRONT_MATTER.sub("", text, count=1)
 
 
 def _sentence_candidates(text: str) -> Iterable[str]:
@@ -516,11 +523,15 @@ def evaluate_survey(
         report.metric_errors["valid_ratio"] = str(exc)
 
     if gateway is not None and judge_rounds > 0:
+        # The judge scores the survey, not its metadata; the front matter's
+        # timestamp would also keep a rerun of an unchanged survey from
+        # hitting the cache.
+        judged = strip_front_matter(survey_text)
         totals = []
         try:
             for round_no in range(judge_rounds):
                 scores = score_content(
-                    f"(scoring round {round_no + 1})\n{survey_text}" if round_no else survey_text,
+                    f"(scoring round {round_no + 1})\n{judged}" if round_no else judged,
                     gateway,
                     explanations=explanations,
                 )

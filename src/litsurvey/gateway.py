@@ -238,12 +238,9 @@ class Gateway:
         key = cache_key(
             "complete", request.tag, request.temperature, request.max_output_tokens, request.prompt
         )
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
-        text = with_backoff(lambda: self._send_once(request), profile, self.sleeper)
-        self._cache_set(key, text)
-        return text
+        return self.cached(
+            key, lambda: with_backoff(lambda: self._send_once(request), profile, self.sleeper)
+        )
 
     def complete_text(
         self,
@@ -263,7 +260,20 @@ class Gateway:
             profile,
         )
 
-    def _cache_get(self, key: str) -> Optional[str]:
+    def cached(self, key: str, produce: Callable[[], T]) -> T:
+        """Get-or-compute on the api tier: the runtime cache, then the disk
+        cache, else ``produce()``, whose value is stored in both.
+
+        The value must be JSON-serializable and never None. Nothing is
+        stored when ``produce`` raises, so the next lookup tries again.
+        """
+        value = self._cache_get(key)
+        if value is None:
+            value = produce()
+            self._cache_set(key, value)
+        return value
+
+    def _cache_get(self, key: str) -> Optional[Any]:
         value = self._runtime.get(key)
         if value is None and self._disk is not None:
             value = self._disk.get(key)
@@ -274,7 +284,7 @@ class Gateway:
                 self.cache_hits += 1
         return value
 
-    def _cache_set(self, key: str, value: str) -> None:
+    def _cache_set(self, key: str, value: Any) -> None:
         self._runtime.set(key, value)
         if self._disk is not None:
             self._disk.set(key, value)
@@ -298,13 +308,8 @@ class Gateway:
         results: dict[int, list[float]] = {}
         missing: list[tuple[int, str]] = []
         for i, text in enumerate(texts):
-            key = cache_key("embed", text)
-            cached = self._runtime.get(key)
-            if cached is None and self._disk is not None:
-                cached = self._disk.get(key)
+            cached = self._cache_get(cache_key("embed", text))
             if cached is not None:
-                with self._lock:
-                    self.cache_hits += 1
                 results[i] = cached
             else:
                 missing.append((i, text))
@@ -316,10 +321,7 @@ class Gateway:
             )
             for (i, text), vector in zip(batch, vectors):
                 unit = _normalize(vector)
-                key = cache_key("embed", text)
-                self._runtime.set(key, unit)
-                if self._disk is not None:
-                    self._disk.set(key, unit)
+                self._cache_set(cache_key("embed", text), unit)
                 results[i] = unit
         return [results[i] for i in range(len(texts))]
 

@@ -40,7 +40,13 @@ from .model import (
 )
 from .runlog import RunLog
 from .scripted import ConstantNli, HashNli, ScriptedTransport
-from .sources import AcademicGraphSource, FixtureSource, PaperSource, PreprintSource
+from .sources import (
+    AcademicGraphSource,
+    CachedSource,
+    FixtureSource,
+    PaperSource,
+    PreprintSource,
+)
 from .substrate import substrate_load, substrate_save
 from .understanding import ParsedDocument
 
@@ -183,12 +189,21 @@ def _discover_docs(config: PipelineConfig, substrate: KnowledgeSubstrate) -> dic
 
 
 def _stage_retrieval(config, substrate, backends, runlog):
+    # Sources are wrapped here rather than in build_backends so that
+    # caller-built backends get the cache too. The scope names the endpoint,
+    # never the workdir, so a cache copied to another run still hits.
+    cfg = config.source
+    endpoint = cfg.fixture_path if cfg.kind == "fixture" else cfg.base_url
+    source = CachedSource(backends.source, backends.gateway, f"{cfg.kind} {endpoint}")
+    fallback = None
+    if backends.fallback is not None:
+        fallback = CachedSource(backends.fallback, backends.gateway, f"preprint {cfg.preprint_url}")
     papers = retrieval_mod.run_retrieval(
         config.topic,
         config.retrieval,
-        backends.source,
+        source,
         backends.gateway,
-        fallback=backends.fallback,
+        fallback=fallback,
         runlog=runlog,
     )
     substrate.papers = {p.id.canonical: p for p in papers}

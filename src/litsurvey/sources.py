@@ -2,7 +2,8 @@
 
 Three implementations share one interface: the academic-graph HTTP API,
 the preprint-archive API (fallback), and a fixture-file source for
-hermetic runs.
+hermetic runs. ``CachedSource`` wraps any of them so that its answers are
+kept in the gateway's api tier.
 """
 
 from __future__ import annotations
@@ -11,12 +12,19 @@ import json
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
-from typing import Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol, Sequence
 
 import requests
 
+from .caching import cache_key
 from .errors import ExhaustionError, RetrievalError
-from .gateway import RETRYABLE_STATUSES, BackendProfile, TransientBackendError, with_backoff
+from .gateway import (
+    RETRYABLE_STATUSES,
+    BackendProfile,
+    Gateway,
+    TransientBackendError,
+    with_backoff,
+)
 from .model import IdSource, PaperId, PaperRecord, unify_paper_id
 
 
@@ -26,6 +34,43 @@ class PaperSource(Protocol):
     def citations(self, paper_id: PaperId, limit: int) -> list[PaperRecord]: ...
 
     def references(self, paper_id: PaperId, limit: int) -> list[PaperRecord]: ...
+
+
+class CachedSource:
+    """A paper source whose answers are get-or-compute entries in the
+    gateway's api tier, so a rerun over a warm cache makes no source call.
+
+    ``scope`` names the source behind ``inner`` (its kind and endpoint) and
+    keeps the entries of different sources apart; it must not name the run
+    directory, so a copied cache still hits. Records are rebuilt from their
+    stored form on a miss as on a hit, so both build identical objects. An
+    error raised by ``inner`` is not cached: the next lookup asks again.
+    """
+
+    def __init__(self, inner: PaperSource, gateway: Gateway, scope: str):
+        self.inner = inner
+        self.gateway = gateway
+        self.scope = scope
+
+    def _lookup(
+        self, method: str, subject: str, limit: int, fetch: Callable[[], list[PaperRecord]]
+    ) -> list[PaperRecord]:
+        key = cache_key("source", self.scope, method, subject, limit)
+        stored = self.gateway.cached(key, lambda: [r.to_dict() for r in fetch()])
+        return [PaperRecord.from_dict(d) for d in stored]
+
+    def search(self, query: str, limit: int) -> list[PaperRecord]:
+        return self._lookup("search", query, limit, lambda: self.inner.search(query, limit))
+
+    def citations(self, paper_id: PaperId, limit: int) -> list[PaperRecord]:
+        return self._lookup(
+            "citations", paper_id.canonical, limit, lambda: self.inner.citations(paper_id, limit)
+        )
+
+    def references(self, paper_id: PaperId, limit: int) -> list[PaperRecord]:
+        return self._lookup(
+            "references", paper_id.canonical, limit, lambda: self.inner.references(paper_id, limit)
+        )
 
 
 class FixtureSource:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from litsurvey.errors import RetrievalError
 from litsurvey.gateway import BackendProfile, Gateway
 from litsurvey.model import (
     IdSource,
@@ -84,6 +85,32 @@ def scripted_gateway(
         sleeper=lambda _s: None,
         **kwargs,
     )
+
+
+class CountingSource:
+    """Paper source that records each call it passes on to ``inner``; the
+    first ``failures`` calls raise RetrievalError instead."""
+
+    def __init__(self, inner, failures: int = 0):
+        self.inner = inner
+        self.failures = failures
+        self.calls: list[str] = []
+
+    def _call(self, method: str, *args):
+        self.calls.append(method)
+        if self.failures:
+            self.failures -= 1
+            raise RetrievalError("source unreachable")
+        return getattr(self.inner, method)(*args)
+
+    def search(self, query, limit):
+        return self._call("search", query, limit)
+
+    def citations(self, paper_id, limit):
+        return self._call("citations", paper_id, limit)
+
+    def references(self, paper_id, limit):
+        return self._call("references", paper_id, limit)
 
 
 def build_substrate(papers, keynotes=None) -> KnowledgeSubstrate:

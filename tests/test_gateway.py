@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from litsurvey.caching import DiskCache
 from litsurvey.errors import (
     BackendError,
     BudgetError,
@@ -155,6 +156,19 @@ class TestEmbeddings:
         gw.embed(["a"])
         gw.embed(["a"])
         assert embedder.calls == 1
+
+    def test_disk_hit_is_promoted_to_the_runtime_tier(self, tmp_path, monkeypatch):
+        embedder = FixtureEmbedder({"a": [1.0, 0.0]})
+        Gateway(SequenceTransport(["x"]), embedder=embedder, cache_dir=str(tmp_path)).embed(["a"])
+        reads: list[str] = []
+        disk_get = DiskCache.get
+        monkeypatch.setattr(DiskCache, "get", lambda cache, key: reads.append(key) or disk_get(cache, key))
+        gw = Gateway(SequenceTransport(["x"]), embedder=embedder, cache_dir=str(tmp_path))
+        first = gw.embed(["a"])
+        assert gw.embed(["a"]) == first
+        assert len(reads) == 1
+        assert embedder.calls == 1
+        assert gw.cache_hits == 2
 
     def test_batches_keep_input_order(self):
         embedder = FixtureEmbedder({t: [1.0, float(i)] for i, t in enumerate("abcde")})

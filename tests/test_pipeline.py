@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -11,9 +12,11 @@ from litsurvey.errors import ConfigError
 from litsurvey.evaluation import extract_claims
 from litsurvey.model import Granularity
 from litsurvey.pipeline import Checkpoint, build_backends, evaluate_run, run_pipeline
+from litsurvey.sources import FixtureSource
 from litsurvey.substrate import substrate_load
 from litsurvey.writing import check_evidence_locality
 
+from conftest import CountingSource
 from e2e_fixture import TOPIC, enable_code_analysis, make_config
 
 
@@ -199,6 +202,58 @@ class TestCheckpointResume:
         assert checkpoint.topic == TOPIC
 
 
+def counted_backends(config):
+    backends = build_backends(config)
+    backends.source = CountingSource(backends.source)
+    return backends
+
+
+class TestSourceCache:
+    def test_rerun_makes_no_source_call_and_writes_identical_papers(self, tmp_path):
+        config = make_config(tmp_path)
+        cold = counted_backends(config)
+        run_pipeline(config, backends=cold)
+        assert cold.source.calls
+        papers = (config.substrate_dir / "papers.json").read_bytes()
+        warm = counted_backends(config)
+        run_pipeline(config, backends=warm)  # no resume: every stage runs again
+        assert warm.source.calls == []
+        assert warm.gateway.transport_calls == 0
+        assert (config.substrate_dir / "papers.json").read_bytes() == papers
+
+    def test_cache_copied_into_a_new_workdir_still_hits(self, tmp_path):
+        config = make_config(tmp_path)
+        run_pipeline(config, backends=build_backends(config))
+        moved = make_config(tmp_path, workdir=tmp_path / "moved")
+        shutil.copytree(config.cache_dir, moved.cache_dir)
+        backends = counted_backends(moved)
+        run_pipeline(moved, backends=backends)
+        assert backends.source.calls == []
+        assert backends.gateway.transport_calls == 0
+
+    def test_fallback_answers_are_cached_apart_from_the_primary(self, tmp_path):
+        config = make_config(tmp_path)
+        config.source.kind = "academic-graph"  # primary plus preprint fallback
+        fixture = FixtureSource.from_file(config.source.fixture_path)
+
+        def backends_with_fallback():
+            backends = build_backends(config)
+            # The primary finds nothing for the topic but serves the links.
+            backends.source = CountingSource(
+                FixtureSource(list(fixture.records.values()), search_results={TOPIC: []})
+            )
+            backends.fallback = CountingSource(fixture)
+            return backends
+
+        cold = backends_with_fallback()
+        run_pipeline(config, backends=cold)
+        assert cold.fallback.calls == ["search"]
+        warm = backends_with_fallback()
+        result = run_pipeline(config, backends=warm)
+        assert warm.source.calls == [] and warm.fallback.calls == []
+        assert result.runlog.of_kind("fallback_source_used")
+
+
 class TestEvaluateRun:
     def test_report_files_written(self, tmp_path):
         config, backends, result = fresh_run(tmp_path)
@@ -209,6 +264,20 @@ class TestEvaluateRun:
         base = str(result.survey_path).removesuffix(".md")
         assert Path(f"{base}.report.json").exists()
         assert Path(f"{base}.report.tsv").exists()
+
+    def test_front_matter_stays_out_of_the_judge_prompt(self, tmp_path):
+        config, _, result = fresh_run(tmp_path)
+        first = build_backends(config)
+        evaluate_run(config, result.survey_path, backends=first)
+        assert first.gateway.transport_calls > 0
+        survey = result.survey_path.read_text()
+        survey = re.sub(r"^generated: .*$", "generated: 2000-01-01T00:00:00Z", survey, 1, re.M)
+        survey = re.sub(r"^config: .*$", "config: 0123456789abcdef", survey, 1, re.M)
+        result.survey_path.write_text(survey)
+        second = build_backends(config)
+        report = evaluate_run(config, result.survey_path, backends=second)
+        assert second.gateway.transport_calls == 0
+        assert report.weighted_total is not None
 
     def test_missing_sidecar_is_error(self, tmp_path):
         config, backends, result = fresh_run(tmp_path)

@@ -7,12 +7,13 @@ from litsurvey.errors import RetrievalError
 from litsurvey.model import IdSource, PaperId
 from litsurvey.sources import (
     AcademicGraphSource,
+    CachedSource,
     FixtureSource,
     parse_graph_record,
     parse_preprint_feed,
 )
 
-from conftest import make_paper
+from conftest import CountingSource, make_paper, scripted_gateway
 
 
 class TestGraphRecordParsing:
@@ -155,3 +156,51 @@ class TestFixtureSource:
         source = FixtureSource.from_file(path)
         assert [r.id.canonical for r in source.search("q", 10)] == ["b", "a"]
         assert [r.id.canonical for r in source.search("other", 10)] == ["a", "b"]
+
+
+def canonical_ids(records) -> list[str]:
+    return [r.id.canonical for r in records]
+
+
+class TestCachedSource:
+    def test_hit_rebuilds_equal_records_without_a_call(self, tmp_path):
+        a = make_paper("a", in_cits=["b"], out_cits=["b"], tldr="short")
+        b = make_paper("b")
+        fixture = FixtureSource([a, b])
+        cold = CachedSource(fixture, scripted_gateway(cache_dir=str(tmp_path)), "fixture f")
+        assert cold.search("q", 10) == [a, b]
+        # A new gateway over the same directory reads the disk tier.
+        inner = CountingSource(fixture)
+        warm = CachedSource(inner, scripted_gateway(cache_dir=str(tmp_path)), "fixture f")
+        assert warm.search("q", 10) == [a, b]
+        assert inner.calls == []
+
+    def test_failure_is_not_cached(self):
+        inner = CountingSource(FixtureSource([make_paper("a")]), failures=1)
+        source = CachedSource(inner, scripted_gateway(), "fixture f")
+        with pytest.raises(RetrievalError):
+            source.search("q", 10)
+        assert canonical_ids(source.search("q", 10)) == ["a"]
+        assert canonical_ids(source.search("q", 10)) == ["a"]
+        assert inner.calls == ["search", "search"]
+
+    def test_empty_result_is_served_from_the_cache(self):
+        inner = CountingSource(FixtureSource([make_paper("a")]))
+        source = CachedSource(inner, scripted_gateway(), "fixture f")
+        ghost = PaperId("ghost", IdSource.PREPRINT)
+        assert source.citations(ghost, 10) == []
+        assert source.citations(ghost, 10) == []
+        assert inner.calls == ["citations"]
+
+    def test_method_limit_and_scope_partition_the_cache(self):
+        a = make_paper("a", in_cits=["b"], out_cits=["c"])
+        gateway = scripted_gateway()
+        inner = CountingSource(FixtureSource([a, make_paper("b"), make_paper("c")]))
+        primary = CachedSource(inner, gateway, "academic-graph https://graph")
+        assert canonical_ids(primary.citations(a.id, 10)) == ["b"]
+        assert canonical_ids(primary.references(a.id, 10)) == ["c"]
+        assert canonical_ids(primary.search("q", 1)) == ["a"]
+        assert canonical_ids(primary.search("q", 2)) == ["a", "b"]
+        fallback = CachedSource(FixtureSource([make_paper("z")]), gateway, "preprint https://archive")
+        assert canonical_ids(fallback.search("q", 2)) == ["z"]
+        assert inner.calls == ["citations", "references", "search", "search"]
