@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import time
+import uuid
 from pathlib import Path
 from typing import Any, Optional
 
@@ -46,41 +48,44 @@ class MemoryCache:
 
 
 class DiskCache:
-    """One JSON file per entry; writes are atomic (tmp + replace)."""
+    """One JSON file per entry. Each write goes to a temporary file of its
+    own in the same directory and is renamed over the entry, so readers see
+    a whole entry or none, and any number of instances, threads or
+    processes may share the directory without a lock."""
 
     def __init__(self, directory: str | Path, expiry_seconds: Optional[float] = None):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.expiry_seconds = expiry_seconds
-        self._lock = threading.RLock()
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
     def get(self, key: str) -> Optional[Any]:
-        path = self._path(key)
-        with self._lock:
-            try:
-                doc = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):  # missing, unreadable or corrupt
-                return None
+        try:
+            doc = json.loads(self._path(key).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError):  # missing, unreadable or corrupt
+            return None
         if self.expiry_seconds is not None:
             if time.time() - doc.get("created", 0) > self.expiry_seconds:
                 return None
         return doc.get("value")
 
     def set(self, key: str, value: Any) -> None:
-        path = self._path(key)
         doc = {"created": time.time(), "value": value}
-        with self._lock:
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
-            tmp.replace(path)
+        # A name no other writer uses; mode "x" creates it under the umask.
+        tmp = self.directory / f"{key}.{uuid.uuid4().hex}.tmp"
+        try:
+            with open(tmp, "x", encoding="utf-8") as handle:
+                handle.write(json.dumps(doc, ensure_ascii=False))
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def clear(self) -> int:
         removed = 0
-        with self._lock:
-            for path in self.directory.glob("*.json"):
-                path.unlink(missing_ok=True)
-                removed += 1
+        for path in self.directory.glob("*.json"):
+            path.unlink(missing_ok=True)
+            removed += 1
         return removed

@@ -3,7 +3,8 @@
 Config files are YAML; secrets never live in them (only the names of the
 environment variables that hold them). The config hash covers everything
 that changes pipeline behavior, so checkpoints can refuse a resume under a
-different configuration.
+different configuration; fields that leave the outputs unchanged
+(``stage_workers``) are left out of it.
 """
 
 from __future__ import annotations
@@ -80,7 +81,11 @@ class PipelineConfig:
     stages: tuple[str, ...] = STAGES
     code_analysis_enabled: bool = False
     use_skill_loop_fallback: bool = False
-    stage_workers: int = 1  # bounded pool width for per-paper/per-cluster work
+    # Pool width for the independent per-unit chat-backend calls (papers,
+    # clusters, repositories, drafts, refinement units); the graph expansion
+    # stays serial. Outputs do not depend on it, so it stays out of the
+    # config hash.
+    stage_workers: int = 1
     parsed_docs_dir: str = ""
     repos_dir: str = ""
     backend: BackendConfig = field(default_factory=BackendConfig)
@@ -99,6 +104,12 @@ class PipelineConfig:
         if unknown:
             raise ConfigError(f"unknown stages: {unknown}")
         self.stages = tuple(self.stages)
+        if (
+            isinstance(self.stage_workers, bool)
+            or not isinstance(self.stage_workers, int)
+            or self.stage_workers < 1
+        ):
+            raise ConfigError(f"stage_workers must be an integer >= 1, got {self.stage_workers!r}")
 
     # Paths all hang off the workdir unless overridden by the caller.
     @property
@@ -134,9 +145,9 @@ class PipelineConfig:
         return out
 
     def config_hash(self) -> str:
-        return hashlib.sha256(
-            json.dumps(_plain(self), sort_keys=True).encode("utf-8")
-        ).hexdigest()[:16]
+        plain = _plain(self)
+        del plain["stage_workers"]  # never changes what a run computes
+        return hashlib.sha256(json.dumps(plain, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
 def _plain(obj):

@@ -13,6 +13,7 @@ import json
 import re
 import threading
 import time
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Protocol, Sequence, TypeVar
 
@@ -200,9 +201,10 @@ class HttpEmbedder:
 class Gateway:
     """Shared entry point for completions and embeddings.
 
-    Thread-safe: the caches take their own locks and retries keep all
-    state on the stack. ``sleeper`` is injectable so tests run with a
-    deterministic clock (jitter is deliberately disabled).
+    Thread-safe: the caches take their own locks, retries keep all state
+    on the stack, and identical requests in flight at once share one
+    backend call (see :meth:`cached`). ``sleeper`` is injectable so tests
+    run with a deterministic clock (jitter is deliberately disabled).
     """
 
     def __init__(
@@ -223,6 +225,7 @@ class Gateway:
         self._runtime = MemoryCache()
         self._disk = DiskCache(f"{cache_dir}/api", cache_expiry) if cache_dir else None
         self._lock = threading.RLock()
+        self._in_flight: dict[str, threading.Event] = {}
         self.transport_calls = 0
         self.cache_hits = 0
 
@@ -264,14 +267,36 @@ class Gateway:
         """Get-or-compute on the api tier: the runtime cache, then the disk
         cache, else ``produce()``, whose value is stored in both.
 
-        The value must be JSON-serializable and never None. Nothing is
-        stored when ``produce`` raises, so the next lookup tries again.
+        The value must be JSON-serializable and never None. Single-flight:
+        while one caller runs ``produce()`` for a key, other callers with
+        that key wait for it and then read the stored value. Nothing is
+        stored when ``produce`` raises; the error goes to that caller alone,
+        and a waiting caller (or the next lookup) runs ``produce()`` itself.
         """
-        value = self._cache_get(key)
-        if value is None:
+        while True:
+            value = self._cache_get(key)
+            if value is not None:
+                return value
+            with self._lock:
+                flight = self._in_flight.get(key)
+                if flight is None:
+                    # A leader that finished since the miss above stored
+                    # its value before leaving the in-flight table.
+                    value = self._runtime.get(key)
+                    if value is not None:
+                        self.cache_hits += 1
+                        return value
+                    flight = self._in_flight[key] = threading.Event()
+                    break
+            flight.wait()
+        try:
             value = produce()
             self._cache_set(key, value)
-        return value
+            return value
+        finally:
+            with self._lock:
+                del self._in_flight[key]
+            flight.set()
 
     def _cache_get(self, key: str) -> Optional[Any]:
         value = self._runtime.get(key)
@@ -431,10 +456,17 @@ def retry_preamble(memory: ErrorMemory, attempt: int) -> str:
 
 def map_bounded(fn: Callable[[Any], Any], items: Sequence[Any], workers: int = 1) -> list[Any]:
     """Apply ``fn`` over items with a bounded worker pool; results keep the
-    input order so downstream merging stays deterministic."""
+    input order so downstream merging stays deterministic.
+
+    Fails like the serial loop: once an item raises, items not yet started
+    are cancelled, and the error of the first failing item in input order
+    is re-raised after the running ones finish. Items start in input order,
+    so every cancelled item comes after every failed one.
+    """
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        pool.shutdown(cancel_futures=True)
+    return [future.result() for future in futures]

@@ -267,11 +267,15 @@ def _stage_code_analysis(config, substrate, backends, runlog):
                         substrate.papers[canonical].id, repo_dir
                     )
                 )
-    pseudocodes = []
-    for repo in repos:
-        pseudocode, _trace = code_mod.run_pseudocode_loop(
+    loops = map_bounded(
+        lambda repo: code_mod.run_pseudocode_loop(
             repo, backends.gateway, config.code_analysis, runlog=runlog
-        )
+        ),
+        repos,
+        config.stage_workers,
+    )
+    pseudocodes = []
+    for repo, (pseudocode, _trace) in zip(repos, loops):
         config_listing = ", ".join(sorted(repo.config_files)) or "no configuration found"
         substrate.code_reports[repo.paper_id.canonical] = CodeReportPair(
             code_report=pseudocode,
@@ -311,7 +315,7 @@ def _stage_writing(config, substrate, backends, runlog):
     mapping = writing_mod.assign_citations(ctx, outline)
     writing_mod.apply_assignment(outline, mapping)
     substrate.outline = outline
-    substrate.drafts = writing_mod.draft_all_units(ctx, outline)
+    substrate.drafts = writing_mod.draft_all_units(ctx, outline, config.stage_workers)
     substrate.log_event("stage_completed", stage="writing", drafts=len(substrate.drafts))
 
 
@@ -335,6 +339,7 @@ def _stage_refinement(config, substrate, backends, runlog):
         ctx,
         survey_unit=survey_unit,
         use_fallback_loop=config.use_skill_loop_fallback,
+        workers=config.stage_workers,
     )
     substrate.drafts = units
     if survey_unit is not None:

@@ -17,6 +17,7 @@ from .gateway import (
     BackendProfile,
     Gateway,
     extract_json_payload,
+    map_bounded,
     request_validated,
     retry_preamble,
 )
@@ -434,24 +435,27 @@ def refine_all(
     ctx: RefinementContext,
     survey_unit: Optional[DraftUnit] = None,
     use_fallback_loop: bool = False,
+    workers: int = 1,
 ) -> tuple[list[DraftUnit], Optional[DraftUnit]]:
     """Multi-granularity pass: each enabled level exactly once, in the
-    configured order. Section and subsection levels refine their units;
-    the survey level refines the composed body when one is supplied."""
+    configured order. Section and subsection levels refine their units,
+    which are independent within a level, on ``workers`` threads; the
+    survey level refines the composed body when one is supplied."""
     units = list(drafts)
     refined_survey = survey_unit
 
+    def refine_one(unit: DraftUnit, granularity: Granularity) -> DraftUnit:
+        if use_fallback_loop:
+            return skill_loop_fallback(unit, ctx, granularity)
+        return refine(unit, ctx, granularity)[0]
+
     def pass_units(granularity: Granularity) -> None:
-        nonlocal units
-        out = []
-        for unit in units:
-            if unit.granularity is granularity:
-                if use_fallback_loop:
-                    unit = skill_loop_fallback(unit, ctx, granularity)
-                else:
-                    unit, _ = refine(unit, ctx, granularity)
-            out.append(unit)
-        units = out
+        at_level = [i for i, unit in enumerate(units) if unit.granularity is granularity]
+        refined = map_bounded(
+            lambda unit: refine_one(unit, granularity), [units[i] for i in at_level], workers
+        )
+        for i, unit in zip(at_level, refined):
+            units[i] = unit
 
     for level_name in ctx.cfg.order:
         if level_name not in ctx.cfg.enabled:
@@ -461,8 +465,5 @@ def refine_all(
         elif level_name == "subsection":
             pass_units(Granularity.SUBSECTION)
         elif level_name == "survey" and refined_survey is not None:
-            if use_fallback_loop:
-                refined_survey = skill_loop_fallback(refined_survey, ctx, Granularity.SURVEY)
-            else:
-                refined_survey, _ = refine(refined_survey, ctx, Granularity.SURVEY)
+            refined_survey = refine_one(refined_survey, Granularity.SURVEY)
     return units, refined_survey

@@ -19,6 +19,7 @@ from .gateway import (
     Gateway,
     cosine,
     extract_json_payload,
+    map_bounded,
     request_validated,
     retry_preamble,
 )
@@ -513,16 +514,28 @@ def draft_section(
     )
 
 
-def draft_all_units(ctx: WritingContext, outline: OutlineNode) -> list[DraftUnit]:
-    """Bottom-up pass: subsections first, then their section preambles."""
+def draft_all_units(
+    ctx: WritingContext, outline: OutlineNode, workers: int = 1
+) -> list[DraftUnit]:
+    """Bottom-up pass: subsections first, then their section preambles.
+
+    Every unit sees only its own evidence, so all subsections draft in one
+    pass and all preambles in a second, each on ``workers`` threads. The
+    result lists each section's subsections, then that section.
+    """
+    sections = outline.children
+    leaves = [(section, sub) for section in sections for sub in section.children]
+    drafted = iter(
+        map_bounded(lambda leaf: draft_subsection(ctx, *leaf, outline), leaves, workers)
+    )
+    children = [[next(drafted) for _ in section.children] for section in sections]
+    preambles = map_bounded(
+        lambda pair: draft_section(ctx, *pair, outline), list(zip(sections, children)), workers
+    )
     drafts: list[DraftUnit] = []
-    for section in outline.children:
-        children = []
-        for subsection in section.children:
-            unit = draft_subsection(ctx, section, subsection, outline)
-            children.append(unit)
-            drafts.append(unit)
-        drafts.append(draft_section(ctx, section, children, outline))
+    for units, preamble in zip(children, preambles):
+        drafts.extend(units)
+        drafts.append(preamble)
     return drafts
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import threading
 import time
 
@@ -19,8 +20,10 @@ from litsurvey.gateway import (
     BackendProfile,
     CompletionRequest,
     Gateway,
+    TransportResponse,
     extract_chat_text,
     extract_json_payload,
+    map_bounded,
     request_validated,
     retry_preamble,
 )
@@ -141,6 +144,164 @@ class TestCaching:
         gw2 = Gateway(transport2, embedder=FixtureEmbedder(), cache_dir=str(tmp_path), sleeper=lambda s: None)
         assert gw2.complete(req("cached prompt")) == "persisted"
         assert len(transport2.calls) == 0
+
+    def test_disk_caches_sharing_a_directory_write_one_key_concurrently(self, tmp_path):
+        caches = [DiskCache(tmp_path), DiskCache(tmp_path)]
+        start = threading.Barrier(8)
+        errors: list[Exception] = []
+
+        def write(writer: int):
+            start.wait(timeout=10)
+            try:
+                for i in range(50):
+                    caches[writer % 2].set("shared", {"writer": writer, "i": i})
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(w,)) for w in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        final = caches[0].get("shared")
+        assert final is not None and final["i"] == 49
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["shared.json"]
+
+    def test_disk_cache_entries_take_the_mode_of_a_plainly_created_file(self, tmp_path):
+        # Entries follow the umask like any other file, so a cache directory
+        # shared between users stays readable to them.
+        DiskCache(tmp_path).set("entry", {"v": 1})
+        plain = tmp_path / "plain.json"
+        plain.write_text("{}")
+        mode = lambda path: path.stat().st_mode & 0o777
+        assert mode(tmp_path / "entry.json") == mode(plain)
+
+
+class BlockingTransport:
+    """Holds every send until ``release`` is set, then answers from
+    ``replies`` in order (the last one sticky)."""
+
+    def __init__(self, *replies: CannedReply):
+        self.replies = list(replies)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.sends = 0
+        self._lock = threading.Lock()
+
+    def send(self, request):
+        self.entered.set()
+        assert self.release.wait(timeout=10), "transport never released"
+        with self._lock:
+            reply = self.replies[min(self.sends, len(self.replies) - 1)]
+            self.sends += 1
+        return TransportResponse(reply.status, reply.text)
+
+
+def send_concurrently(gw, transport, callers=8):
+    """``callers`` threads complete one identical request while the first
+    send is held; returns (replies, errors)."""
+    replies: list[str] = []
+    errors: list[Exception] = []
+
+    def call():
+        try:
+            replies.append(gw.complete(req("shared prompt")))
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=call) for _ in range(callers)]
+    for thread in threads:
+        thread.start()
+    assert transport.entered.wait(timeout=10)
+    time.sleep(0.05)  # let the other callers reach the in-flight wait
+    transport.release.set()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    return replies, errors
+
+
+class TestSingleFlight:
+    def test_concurrent_identical_requests_make_one_call(self):
+        transport = BlockingTransport(CannedReply("shared answer"))
+        gw, _ = recording_gateway(transport)
+        replies, errors = send_concurrently(gw, transport)
+        assert errors == []
+        assert gw.transport_calls == 1
+        assert replies == ["shared answer"] * 8
+
+    def test_leader_error_reaches_the_leader_alone_and_a_waiter_retries(self):
+        transport = BlockingTransport(CannedReply("bad request", 400), CannedReply("answer"))
+        gw, _ = recording_gateway(transport)
+        replies, errors = send_concurrently(gw, transport)
+        assert [type(e) for e in errors] == [BackendError]
+        assert gw.transport_calls == 2
+        assert replies == ["answer"] * 7
+
+    def test_each_key_produced_once_under_contention(self):
+        gw, _ = recording_gateway(SequenceTransport(["unused"]))
+        produced: dict[str, int] = {}
+        lock = threading.Lock()
+        start = threading.Barrier(16)
+        results: list[tuple[str, str]] = []
+
+        def produce(key: str) -> str:
+            with lock:
+                produced[key] = produced.get(key, 0) + 1
+            time.sleep(0.001)
+            return f"value of {key}"
+
+        def caller(offset: int):
+            start.wait(timeout=10)
+            for i in range(40):
+                key = f"k{(i + offset) % 10}"
+                results.append((key, gw.cached(key, lambda: produce(key))))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(n,)) for n in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert produced == {f"k{i}": 1 for i in range(10)}
+        assert len(results) == 16 * 40
+        assert all(value == f"value of {key}" for key, value in results)
+
+
+class TestMapBounded:
+    def test_results_keep_input_order(self):
+        assert map_bounded(lambda i: i * i, list(range(20)), workers=4) == [
+            i * i for i in range(20)
+        ]
+
+    def test_first_failure_cancels_unstarted_items_and_raises_the_earliest(self):
+        started: list[int] = []
+        later_failed = threading.Event()
+
+        def fn(i):
+            started.append(i)
+            if i == 0:
+                # Fails after item 1, but comes first in input order.
+                later_failed.wait(timeout=10)
+                time.sleep(0.5)
+                raise ValueError("item 0")
+            if i == 1:
+                later_failed.set()
+                raise ValueError("item 1")
+            time.sleep(0.02)
+            return i
+
+        with pytest.raises(ValueError, match="item 0"):
+            map_bounded(fn, list(range(100)), workers=2)
+        assert {0, 1} <= set(started)
+        assert len(started) < 10
 
 
 class TestEmbeddings:

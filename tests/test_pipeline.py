@@ -3,13 +3,15 @@ from __future__ import annotations
 import json
 import re
 import shutil
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 
+from litsurvey import gateway as gateway_mod
 from litsurvey.config import PipelineConfig, default_config, dump_config, load_config
-from litsurvey.errors import ConfigError
-from litsurvey.evaluation import extract_claims
+from litsurvey.errors import ConfigError, DraftingError, StageError
+from litsurvey.evaluation import extract_claims, strip_front_matter
 from litsurvey.model import Granularity
 from litsurvey.pipeline import Checkpoint, build_backends, evaluate_run, run_pipeline
 from litsurvey.sources import FixtureSource
@@ -18,6 +20,31 @@ from litsurvey.writing import check_evidence_locality
 
 from conftest import CountingSource
 from e2e_fixture import TOPIC, enable_code_analysis, make_config
+
+
+class InlineExecutor:
+    """Stands in for ThreadPoolExecutor: runs each task as it is submitted,
+    on the calling thread, so a multi-worker run starts no thread."""
+
+    def __init__(self, max_workers: int):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False):
+        pass
 
 
 def fresh_run(tmp_path: Path, **kwargs):
@@ -95,13 +122,51 @@ class TestEndToEnd:
         assert [c for c in transport.calls if "Review this" in c.prompt]
 
     def test_bounded_workers_match_serial_output(self, tmp_path):
-        serial_cfg = make_config(tmp_path / "serial")
-        serial = run_pipeline(serial_cfg, backends=build_backends(serial_cfg))
-        parallel_cfg = make_config(tmp_path / "parallel")
-        parallel_cfg.stage_workers = 4
-        parallel = run_pipeline(parallel_cfg, backends=build_backends(parallel_cfg))
-        assert parallel.substrate.keynotes == serial.substrate.keynotes
-        assert parallel.substrate.analyses == serial.substrate.analyses
+        def run(variant: str, workers: int):
+            root = tmp_path / variant / f"workers{workers}"
+            config = make_config(root)
+            if variant == "code_analysis":
+                enable_code_analysis(config, root)
+            config.use_skill_loop_fallback = variant == "skill_loop"
+            config.stage_workers = workers
+            backends = build_backends(config)
+            result = run_pipeline(config, backends=backends)
+            return config, result, sorted(c.prompt for c in backends.gateway.transport.calls)
+
+        for variant in ("plain", "code_analysis", "skill_loop"):
+            serial_cfg, serial, serial_prompts = run(variant, 1)
+            parallel_cfg, parallel, parallel_prompts = run(variant, 8)
+            assert parallel_prompts == serial_prompts, variant
+            assert parallel.substrate.drafts == serial.substrate.drafts, variant
+            assert parallel.substrate.code_reports == serial.substrate.code_reports, variant
+            assert parallel.substrate == serial.substrate, variant
+            assert (variant == "code_analysis") == bool(serial.substrate.code_reports)
+            assert parallel_cfg.sidecar_path.read_bytes() == serial_cfg.sidecar_path.read_bytes()
+            assert strip_front_matter(parallel_cfg.survey_path.read_text()) == strip_front_matter(
+                serial_cfg.survey_path.read_text()
+            ), variant
+
+    def test_drafting_failure_under_workers_matches_the_serial_error(self, tmp_path):
+        def run(workers: int) -> StageError:
+            config = make_config(tmp_path / f"workers{workers}")
+            rules_path = Path(config.backend.rules_path)
+            doc = json.loads(rules_path.read_text())
+            for rule in doc["rules"]:
+                if rule["pattern"] == FAILING_SUBSECTION:
+                    rule["replies"] = ["far too short"]
+            rules_path.write_text(json.dumps(doc))
+            config.stage_workers = workers
+            with pytest.raises(StageError) as err:
+                run_pipeline(config, backends=build_backends(config))
+            return err.value
+
+        serial, parallel = run(1), run(4)
+        assert serial.stage == parallel.stage == "writing"
+        assert isinstance(parallel.cause, DraftingError)
+        assert str(parallel) == str(serial)
+
+
+FAILING_SUBSECTION = "Write the body of subsection 'Scoped Drafting'"
 
 
 class TestCodeAnalysisVariant:
@@ -192,6 +257,19 @@ class TestCheckpointResume:
             if not l.startswith(("generated:", "config:"))
         )
         assert strip(straight_doc) == strip(resumed_doc)
+
+    def test_resume_with_other_stage_workers_is_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gateway_mod, "ThreadPoolExecutor", InlineExecutor)
+        config = make_config(tmp_path)
+        run_pipeline(config, backends=build_backends(config), stop_after="analysis")
+        widened = make_config(tmp_path)
+        widened.stage_workers = 4
+        assert widened.config_hash() == config.config_hash()
+        result = run_pipeline(widened, backends=build_backends(widened), resume=True)
+        assert result.survey_path is not None
+        assert result.runlog.of_kind("resumed")[0]["completed"] == [
+            "retrieval", "understanding", "analysis",
+        ]
 
     def test_checkpoint_file_shape(self, tmp_path):
         config = make_config(tmp_path)
@@ -300,6 +378,18 @@ class TestConfig:
         loaded = load_config(path)
         assert loaded.config_hash() == config.config_hash()
         assert loaded.retrieval.max_seed_papers == config.retrieval.max_seed_papers
+
+    @pytest.mark.parametrize("workers", [0, -1, "two", 2.0, True])
+    def test_stage_workers_must_be_a_positive_int(self, workers):
+        with pytest.raises(ConfigError, match="stage_workers"):
+            PipelineConfig(topic="t", stage_workers=workers)
+
+    @pytest.mark.parametrize("value", ["0", "two"])
+    def test_stage_workers_checked_when_loading_yaml(self, tmp_path, value):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"topic: x\nstage_workers: {value}\n")
+        with pytest.raises(ConfigError, match="stage_workers"):
+            load_config(path)
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
