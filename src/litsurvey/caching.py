@@ -38,14 +38,6 @@ class MemoryCache:
         with self._lock:
             self._data[key] = value
 
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._data
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
 
 class DiskCache:
     """One JSON file per entry. Each write goes to a temporary file of its
@@ -82,10 +74,3 @@ class DiskCache:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-
-    def clear(self) -> int:
-        removed = 0
-        for path in self.directory.glob("*.json"):
-            path.unlink(missing_ok=True)
-            removed += 1
-        return removed

@@ -381,7 +381,6 @@ def batch_code_report(
     gateway: Gateway,
     cfg: Optional[CodeAnalysisConfig] = None,
     runlog: Optional[RunLog] = None,
-    profile=None,
 ) -> str:
     """Integrated code report over (paper id, pseudocode) pairs.
 
@@ -395,7 +394,6 @@ def batch_code_report(
         raise InvalidInputError("no pseudocode to report on")
     cfg = cfg or CodeAnalysisConfig()
     runlog = runlog or RunLog()
-    profile = profile or gateway.profile
     known = {pid for pid, _ in pseudocodes}
 
     batch_reports = []
@@ -415,7 +413,7 @@ def batch_code_report(
             )
         )
 
-    merged = _merge_reports(batch_reports, topic, gateway, profile, runlog)
+    merged = _merge_reports(batch_reports, topic, gateway, runlog)
     for key in extract_mark_keys(merged):
         if key not in known:
             runlog.attribution_event("code.report", "integrated report", key)
@@ -423,16 +421,16 @@ def batch_code_report(
     return merged
 
 
-def _merge_reports(reports: list[str], topic: str, gateway: Gateway, profile, runlog: RunLog) -> str:
+def _merge_reports(reports: list[str], topic: str, gateway: Gateway, runlog: RunLog) -> str:
     def integrate(parts: list[str]) -> str:
         prompt_core = (
             f"Integrate these code-analysis reports for '{topic}' into one "
             "coherent report, keeping the <paper id> attributions intact.\n\n"
         )
         body = "\n\n---\n\n".join(parts)
-        if estimate_tokens(prompt_core + body) > profile.context_window:
+        if estimate_tokens(prompt_core + body) > gateway.profile.context_window:
             raise ReportError("integration input exceeds the window")
-        return gateway.complete_text(prompt_core + body, tag="code.integrate", profile=profile)
+        return gateway.complete_text(prompt_core + body, tag="code.integrate")
 
     try:
         return integrate(reports)

@@ -183,7 +183,7 @@ _NESTED = {
     },
 }
 
-_TUPLE_FIELDS = {"stages", "order", "enabled", "backoff_bounds"}
+_TUPLE_FIELDS = {"stages", "enabled", "backoff_bounds"}
 
 
 def _build(cls, data: dict):

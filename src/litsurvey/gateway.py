@@ -231,18 +231,17 @@ class Gateway:
 
     # -- completions -----------------------------------------------------
 
-    def complete(self, request: CompletionRequest, profile: Optional[BackendProfile] = None) -> str:
-        profile = profile or self.profile
-        if estimate_tokens(request.prompt) > profile.context_window:
+    def complete(self, request: CompletionRequest) -> str:
+        if estimate_tokens(request.prompt) > self.profile.context_window:
             raise BudgetError(
                 f"prompt of ~{estimate_tokens(request.prompt)} tokens exceeds the "
-                f"{profile.context_window}-token context window"
+                f"{self.profile.context_window}-token context window"
             )
         key = cache_key(
             "complete", request.tag, request.temperature, request.max_output_tokens, request.prompt
         )
         return self.cached(
-            key, lambda: with_backoff(lambda: self._send_once(request), profile, self.sleeper)
+            key, lambda: with_backoff(lambda: self._send_once(request), self.profile, self.sleeper)
         )
 
     def complete_text(
@@ -251,7 +250,6 @@ class Gateway:
         tag: str,
         temperature: float = 0.0,
         max_output_tokens: int = 4096,
-        profile: Optional[BackendProfile] = None,
     ) -> str:
         return self.complete(
             CompletionRequest(
@@ -259,8 +257,7 @@ class Gateway:
                 temperature=temperature,
                 max_output_tokens=max_output_tokens,
                 tag=tag,
-            ),
-            profile,
+            )
         )
 
     def cached(self, key: str, produce: Callable[[], T]) -> T:
@@ -404,7 +401,6 @@ def request_validated(
     tag: str,
     temperature: float = 0.0,
     max_output_tokens: int = 4096,
-    profile: Optional[BackendProfile] = None,
     memory: ErrorMemory = ErrorMemory(),
     max_retries: int = 3,
     error_factory: Callable[[str], Exception] = MalformedOutputError,
@@ -429,8 +425,7 @@ def request_validated(
                 temperature=temperature,
                 max_output_tokens=max_output_tokens,
                 tag=tag,
-            ),
-            profile,
+            )
         )
         accept = last_parse if last_parse is not None and attempt == max_retries else parse
         try:

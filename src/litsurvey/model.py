@@ -465,9 +465,6 @@ class KnowledgeSubstrate:
     drafts: list[DraftUnit] = field(default_factory=list)
     revision_log: list[dict] = field(default_factory=list)
 
-    def add_paper(self, record: PaperRecord) -> None:
-        self.papers[record.id.canonical] = record
-
     def log_event(self, kind: str, **detail: Any) -> None:
         self.revision_log.append({"seq": len(self.revision_log), "kind": kind, **detail})
 

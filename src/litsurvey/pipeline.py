@@ -32,12 +32,7 @@ from .gateway import (
     HttpEmbedder,
     map_bounded,
 )
-from .model import (
-    CodeReportPair,
-    DraftUnit,
-    Granularity,
-    KnowledgeSubstrate,
-)
+from .model import CodeReportPair, KnowledgeSubstrate
 from .runlog import RunLog
 from .scripted import ConstantNli, HashNli, ScriptedTransport
 from .sources import (
@@ -47,7 +42,7 @@ from .sources import (
     PaperSource,
     PreprintSource,
 )
-from .substrate import substrate_load, substrate_save
+from .substrate import _dump, substrate_load, substrate_save
 from .understanding import ParsedDocument
 
 
@@ -75,7 +70,7 @@ class Checkpoint:
 
     def save(self, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
+        _dump(path, self.to_dict())
 
 
 @dataclass
@@ -327,37 +322,12 @@ def _stage_refinement(config, substrate, backends, runlog):
         style=config.writing.citation_style,
         runlog=runlog,
     )
-    body = writing_mod.compose_body(substrate.outline, substrate.drafts)
-    survey_unit = DraftUnit(
-        node_path=(substrate.outline.title,),
-        text=body,
-        citations=[],
-        granularity=Granularity.SURVEY,
-    )
-    units, survey_unit = refinement_mod.refine_all(
+    substrate.drafts = refinement_mod.refine_all(
         substrate.drafts,
         ctx,
-        survey_unit=survey_unit,
         use_fallback_loop=config.use_skill_loop_fallback,
         workers=config.stage_workers,
     )
-    substrate.drafts = units
-    if survey_unit is not None:
-        # Re-extract the survey body's marks so the stored unit validates.
-        from .marks import verify_citations
-
-        verdict = verify_citations(
-            survey_unit.text,
-            substrate.papers.values(),
-            config.writing.citation_style,
-        )
-        survey_unit = DraftUnit(
-            node_path=survey_unit.node_path,
-            text=survey_unit.text,
-            citations=verdict.marks,
-            granularity=Granularity.SURVEY,
-        )
-        substrate.drafts = units + [survey_unit]
     substrate.log_event("stage_completed", stage="refinement")
 
 
@@ -369,24 +339,6 @@ _STAGE_FUNCTIONS = {
     "writing": _stage_writing,
     "refinement": _stage_refinement,
 }
-
-
-def assemble_from_substrate(
-    substrate: KnowledgeSubstrate, config: PipelineConfig, generated_at: str
-) -> writing_mod.AssembledSurvey:
-    survey_units = [d for d in substrate.drafts if d.granularity is Granularity.SURVEY]
-    body = survey_units[-1].text if survey_units else None
-    units = [d for d in substrate.drafts if d.granularity is not Granularity.SURVEY]
-    return writing_mod.assemble_survey(
-        substrate.outline,
-        units,
-        substrate.papers,
-        config.writing.citation_style,
-        topic=config.topic,
-        generated_at=generated_at,
-        config_hash=config.config_hash(),
-        body=body,
-    )
 
 
 def run_pipeline(
@@ -450,7 +402,15 @@ def run_pipeline(
     survey_path: Optional[Path] = None
     all_done = all(s in checkpoint.completed_stages for s in config.enabled_stages())
     if all_done and substrate.outline is not None:
-        assembled = assemble_from_substrate(substrate, config, checkpoint.created_at)
+        assembled = writing_mod.assemble_survey(
+            substrate.outline,
+            substrate.drafts,
+            substrate.papers,
+            config.writing.citation_style,
+            topic=config.topic,
+            generated_at=checkpoint.created_at,
+            config_hash=config_hash,
+        )
         config.survey_path.write_text(assembled.document, encoding="utf-8")
         config.sidecar_path.write_text(assembled.sidecar_json(), encoding="utf-8")
         survey_path = config.survey_path
@@ -467,7 +427,7 @@ def run_pipeline(
         "cache_hits": backends.gateway.cache_hits,
         "attribution_events": len(runlog.attribution_events()),
     }
-    config.manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    _dump(config.manifest_path, manifest)
     return RunResult(
         survey_path=survey_path,
         substrate=substrate,

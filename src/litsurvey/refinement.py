@@ -14,7 +14,6 @@ from typing import Optional
 
 from .errors import InvalidInputError, MalformedOutputError
 from .gateway import (
-    BackendProfile,
     Gateway,
     extract_json_payload,
     map_bounded,
@@ -34,6 +33,7 @@ from .model import (
 )
 from .runlog import RunLog
 from .tokens import compress_context, estimate_tokens
+from .writing import compose_body
 
 SKILLS = ("read_keynotes", "review", "revise", "finish")
 
@@ -59,7 +59,6 @@ class RefinementConfig:
     survey: LevelConfig = field(
         default_factory=lambda: LevelConfig(5, 0.7, 1.0, 0.5)
     )
-    order: tuple[str, ...] = ("section", "subsection", "survey")
     enabled: tuple[str, ...] = ("section", "subsection", "survey")
     evidence_budget: int = 8000
     max_retries: int = 3
@@ -104,7 +103,6 @@ class RefinementContext:
     style: CitationStyle = CitationStyle.TITLE
     code_reports: dict = field(default_factory=dict)
     runlog: RunLog = field(default_factory=RunLog)
-    profile: Optional[BackendProfile] = None
 
     @classmethod
     def from_substrate(
@@ -201,7 +199,6 @@ def review_skill(
         tag="refine.review",
         temperature=temperature,
         max_retries=ctx.cfg.max_retries,
-        profile=ctx.profile,
     )
     if previous_scores:
         shared = set(previous_scores) & set(verdict["scores"])
@@ -286,7 +283,6 @@ def _try_revision(
             parse,
             tag="refine.revise",
             temperature=temperature,
-            profile=ctx.profile,
             max_retries=1,
         )
     except MalformedOutputError:
@@ -353,7 +349,6 @@ def refine(
             tag="refine.plan",
             temperature=level.planner_temperature,
             max_retries=ctx.cfg.max_retries,
-            profile=ctx.profile,
         )
         finished = False
         for step in plan:
@@ -433,37 +428,36 @@ def skill_loop_fallback(
 def refine_all(
     drafts: list[DraftUnit],
     ctx: RefinementContext,
-    survey_unit: Optional[DraftUnit] = None,
     use_fallback_loop: bool = False,
     workers: int = 1,
-) -> tuple[list[DraftUnit], Optional[DraftUnit]]:
-    """Multi-granularity pass: each enabled level exactly once, in the
-    configured order. Section and subsection levels refine their units,
-    which are independent within a level, on ``workers`` threads; the
-    survey level refines the composed body when one is supplied."""
+) -> list[DraftUnit]:
+    """Multi-granularity pass: each enabled level exactly once, in the order
+    section, subsection, survey. Units within a level are independent and
+    refine on ``workers`` threads. The survey level refines the body
+    composed from the refined units; that unit comes last in the result."""
     units = list(drafts)
-    refined_survey = survey_unit
 
     def refine_one(unit: DraftUnit, granularity: Granularity) -> DraftUnit:
         if use_fallback_loop:
             return skill_loop_fallback(unit, ctx, granularity)
         return refine(unit, ctx, granularity)[0]
 
-    def pass_units(granularity: Granularity) -> None:
+    for granularity in (Granularity.SECTION, Granularity.SUBSECTION):
+        if granularity.value not in ctx.cfg.enabled:
+            continue
         at_level = [i for i, unit in enumerate(units) if unit.granularity is granularity]
         refined = map_bounded(
             lambda unit: refine_one(unit, granularity), [units[i] for i in at_level], workers
         )
         for i, unit in zip(at_level, refined):
             units[i] = unit
-
-    for level_name in ctx.cfg.order:
-        if level_name not in ctx.cfg.enabled:
-            continue
-        if level_name == "section":
-            pass_units(Granularity.SECTION)
-        elif level_name == "subsection":
-            pass_units(Granularity.SUBSECTION)
-        elif level_name == "survey" and refined_survey is not None:
-            refined_survey = refine_one(refined_survey, Granularity.SURVEY)
-    return units, refined_survey
+    if Granularity.SURVEY.value in ctx.cfg.enabled:
+        body = compose_body(ctx.outline, units)
+        survey = DraftUnit(
+            node_path=(ctx.outline.title,),
+            text=body,
+            citations=verify_citations(body, ctx.papers.values(), ctx.style).marks,
+            granularity=Granularity.SURVEY,
+        )
+        units.append(refine_one(survey, Granularity.SURVEY))
+    return units

@@ -45,9 +45,6 @@ class ScriptedTransport:
         self._rules.append((re.compile(pattern, re.S), queue))
         return self
 
-    def add_json(self, pattern: str, *payloads) -> "ScriptedTransport":
-        return self.add(pattern, *(json.dumps(p, ensure_ascii=False) for p in payloads))
-
     def send(self, request: CompletionRequest) -> TransportResponse:
         with self._lock:
             self.calls.append(request)

@@ -13,7 +13,6 @@ stable key ordering and UTF-8 so diffs and hashes are reproducible.
 from __future__ import annotations
 
 import json
-import shutil
 from pathlib import Path
 from typing import Optional
 
@@ -49,11 +48,18 @@ INDEX_FILES = (
 
 
 def _dump(path: Path, payload: dict) -> None:
+    """Atomic write: a temporary file renamed over ``path``. A file that
+    already holds the same text is left alone; renaming over an existing
+    file costs about twice as much as creating one on ext4."""
+    text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    try:
+        if path.read_text(encoding="utf-8") == text:
+            return
+    except (OSError, UnicodeDecodeError):
+        pass  # missing or unreadable: write it
     try:
         tmp = path.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-        )
+        tmp.write_text(text, encoding="utf-8")
         tmp.replace(path)
     except OSError as exc:
         raise PersistenceError(path, exc) from exc
@@ -74,12 +80,8 @@ def substrate_save(substrate: KnowledgeSubstrate, directory: str | Path) -> None
     substrate.validate()
     root = Path(directory)
     try:
-        root.mkdir(parents=True, exist_ok=True)
         for sub in ("keynotes", "code_reports"):
-            subdir = root / sub
-            if subdir.exists():
-                shutil.rmtree(subdir)
-            subdir.mkdir()
+            (root / sub).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise PersistenceError(root, exc) from exc
 
@@ -114,17 +116,24 @@ def substrate_save(substrate: KnowledgeSubstrate, directory: str | Path) -> None
     _dump(root / "drafts.json", {"drafts": [d.to_dict() for d in substrate.drafts]})
     _dump(root / "revision_log.json", {"events": substrate.revision_log})
 
+    written: set[Path] = set()
     for canonical in sorted(substrate.keynotes):
-        _dump(
-            root / "keynotes" / f"{paper_hash(canonical)}.json",
-            substrate.keynotes[canonical].to_dict(),
-        )
+        path = root / "keynotes" / f"{paper_hash(canonical)}.json"
+        _dump(path, substrate.keynotes[canonical].to_dict())
+        written.add(path)
     for canonical in sorted(substrate.code_reports):
-        pair = substrate.code_reports[canonical]
-        _dump(
-            root / "code_reports" / f"{paper_hash(canonical)}.json",
-            {"paper_id": canonical, **pair.to_dict()},
-        )
+        path = root / "code_reports" / f"{paper_hash(canonical)}.json"
+        _dump(path, {"paper_id": canonical, **substrate.code_reports[canonical].to_dict()})
+        written.add(path)
+    # Stale files go only once every current one is written, so a crash
+    # part-way through a save never leaves fewer artifacts than it found.
+    try:
+        for sub in ("keynotes", "code_reports"):
+            for path in (root / sub).glob("*.json"):
+                if path not in written:
+                    path.unlink()
+    except OSError as exc:
+        raise PersistenceError(root, exc) from exc
 
 
 def _resolve(canonical: str, registry: dict[str, PaperId], where: str) -> PaperId:

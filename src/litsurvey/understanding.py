@@ -14,7 +14,6 @@ from typing import Optional
 
 from .errors import InvalidInputError, KeynoteError, PaperSkipped
 from .gateway import (
-    BackendProfile,
     Gateway,
     extract_json_payload,
     map_bounded,
@@ -114,7 +113,6 @@ _KEYNOTE_SCHEMA = (
 def extract_keynote(
     doc: ParsedDocument,
     gateway: Gateway,
-    profile: Optional[BackendProfile] = None,
     runlog: Optional[RunLog] = None,
     max_retries: int = 3,
 ) -> Keynote:
@@ -125,9 +123,9 @@ def extract_keynote(
     error memory before giving up.
     """
     runlog = runlog or RunLog()
-    profile = profile or gateway.profile
+    window = gateway.profile.context_window
     overhead = 600  # instructions, memory preamble, ids
-    chunk_budget = max(256, profile.context_window - overhead)
+    chunk_budget = max(256, window - overhead)
     chunks = split_document(doc.markdown, chunk_budget)
 
     if len(chunks) == 1:
@@ -140,7 +138,6 @@ def extract_keynote(
                 f"{doc.paper_id.canonical} into the facts a survey writer needs "
                 f"(contributions, methods, experiments, limitations):\n\n{chunk}",
                 tag="understanding.chunk",
-                profile=profile,
             )
             digests.append(reply)
         runlog.add("document_chunked", paper=doc.paper_id.canonical, chunks=len(chunks))
@@ -153,7 +150,7 @@ def extract_keynote(
             + _KEYNOTE_SCHEMA
             + "\n\nPaper text:\n"
         )
-        return compress_context(core, body, profile.context_window)
+        return compress_context(core, body, window)
 
     keynote, _, calls = request_validated(
         gateway,
@@ -161,7 +158,6 @@ def extract_keynote(
         lambda reply: parse_keynote_payload(reply, doc.paper_id),
         tag="understanding.keynote",
         max_retries=max_retries,
-        profile=profile,
         error_factory=KeynoteError,
     )
     runlog.add("keynote_extracted", paper=doc.paper_id.canonical, calls=calls)
@@ -187,7 +183,6 @@ def run_understanding(
     docs: dict[str, ParsedDocument],
     gateway: Gateway,
     runlog: Optional[RunLog] = None,
-    profile: Optional[BackendProfile] = None,
     workers: int = 1,
 ) -> dict[str, Keynote]:
     """Every evidence paper ends with exactly one keynote or one logged
@@ -201,7 +196,7 @@ def run_understanding(
         doc = docs.get(canonical)
         try:
             if doc is not None:
-                return canonical, extract_keynote(doc, gateway, profile, runlog)
+                return canonical, extract_keynote(doc, gateway, runlog)
             if record.full_text_ref:
                 runlog.add("full_text_unavailable", paper=canonical)
             return canonical, fallback_keynote(record)

@@ -15,7 +15,6 @@ from typing import Optional
 
 from .errors import AssemblyError, DraftingError, InvalidInputError
 from .gateway import (
-    BackendProfile,
     Gateway,
     cosine,
     extract_json_payload,
@@ -81,7 +80,6 @@ class WritingContext:
     cfg: WritingConfig
     gateway: Gateway
     runlog: RunLog = field(default_factory=RunLog)
-    profile: Optional[BackendProfile] = None
     extra_context: str = ""  # e.g. code/environment overviews when enabled
 
     def analyses_digest(self, limit: int = 4000) -> str:
@@ -159,7 +157,6 @@ def draft_outline(
     echoed into error memory on retry."""
     cfg = ctx.cfg
     retries = max_retries if max_retries is not None else cfg.max_citation_retries
-    profile = ctx.profile or ctx.gateway.profile
     current: Optional[OutlineNode] = None
     memory = ErrorMemory()
     keys = sorted(ctx.keynotes)
@@ -188,7 +185,7 @@ def draft_outline(
                 f"Cluster landscape:\n{ctx.analyses_digest()}\n\n"
                 + f"Paper keynotes:\n{keynote_lines}\n"
             )
-            prompt = compress_context(core, aux, profile.context_window)
+            prompt = compress_context(core, aux, ctx.gateway.profile.context_window)
             if len(prompt) < len(core) + len(aux):
                 ctx.runlog.add("context_compressed", stage="writing.outline")
             return prompt
@@ -199,7 +196,6 @@ def draft_outline(
             lambda reply: _parse_outline(reply, topic),
             tag="writing.outline",
             temperature=cfg.outline_temperature,
-            profile=profile,
             memory=memory,
             max_retries=retries,
         )
@@ -294,7 +290,6 @@ def assign_citations(
         lambda reply: _parse_assignment_reply(reply, outline, known, strict=True),
         last_parse=lambda reply: _parse_assignment_reply(reply, outline, known, strict=False),
         tag="writing.assign",
-        profile=ctx.profile,
         max_retries=retries,
         on_retry=lambda attempt, problems: ctx.runlog.add(
             "assignment_retry", attempt=attempt + 1, error="; ".join(problems)
@@ -415,7 +410,6 @@ def _draft_with_verification(
         parse,
         tag=tag,
         temperature=temperature,
-        profile=ctx.profile,
         max_retries=cfg.max_citation_retries,
         error_factory=lambda reason: DraftingError(node_path, reason),
         on_retry=lambda attempt, problems: ctx.runlog.add(
@@ -581,13 +575,14 @@ def assemble_survey(
     topic: str,
     generated_at: str = "",
     config_hash: str = "",
-    body: Optional[str] = None,
 ) -> AssembledSurvey:
     """Final document: front matter, heading hierarchy mirroring the
     outline, numeric in-text references and a first-appearance bibliography.
+    The body is the last survey-level draft when there is one, otherwise it
+    is composed from the unit drafts.
     Deterministic: identical inputs produce identical bytes."""
-    if body is None:
-        body = compose_body(outline, drafts)
+    surveys = [d for d in drafts if d.granularity is Granularity.SURVEY]
+    body = surveys[-1].text if surveys else compose_body(outline, drafts)
     try:
         rewritten, order = rewrite_to_numeric(body, papers.values(), style)
     except KeyError as exc:

@@ -268,9 +268,7 @@ class TestBatchReports:
         )
         gw = scripted_gateway(transport, profile=profile)
         runlog = RunLog()
-        report = batch_code_report(
-            self._pseudocodes(15), "topic", gw, runlog=runlog, profile=profile
-        )
+        report = batch_code_report(self._pseudocodes(15), "topic", gw, runlog=runlog)
         assert report == "merged"
         assert runlog.of_kind("pairwise_merge_fallback")
 

@@ -106,17 +106,17 @@ class TestRetry:
     def test_backoff_doubles_and_caps(self):
         transport = SequenceTransport([503] * 30)
         profile = BackendProfile(max_attempts=12, backoff_bounds=(1.0, 300.0))
-        gw, delays = recording_gateway(transport)
+        gw, delays = recording_gateway(transport, profile=profile)
         with pytest.raises(ExhaustionError):
-            gw.complete(req(), profile)
+            gw.complete(req())
         assert delays[:9] == [1, 2, 4, 8, 16, 32, 64, 128, 256]
         assert all(d <= 300.0 for d in delays)
 
     def test_prompt_over_window_is_budget_error(self):
-        gw, _ = recording_gateway(SequenceTransport(["x"]))
         small = BackendProfile(context_window=4)
+        gw, _ = recording_gateway(SequenceTransport(["x"]), profile=small)
         with pytest.raises(BudgetError):
-            gw.complete(req("a" * 100), small)
+            gw.complete(req("a" * 100))
 
 
 class TestCaching:

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from litsurvey import gateway as gateway_mod
+from litsurvey import substrate as substrate_mod
 from litsurvey.config import PipelineConfig, default_config, dump_config, load_config
-from litsurvey.errors import ConfigError, DraftingError, StageError
+from litsurvey.errors import ConfigError, DraftingError, PersistenceError, StageError
 from litsurvey.evaluation import extract_claims, strip_front_matter
 from litsurvey.model import Granularity
 from litsurvey.pipeline import Checkpoint, build_backends, evaluate_run, run_pipeline
@@ -169,6 +170,58 @@ class TestEndToEnd:
 FAILING_SUBSECTION = "Write the body of subsection 'Scoped Drafting'"
 
 
+def script_marked_revisions(config: PipelineConfig) -> list[str]:
+    """Script one accepted revision per section and subsection draft, each
+    appending a unique marker to the drafted text; returns the markers."""
+    rules_path = Path(config.backend.rules_path)
+    doc = json.loads(rules_path.read_text())
+    prefixes = {
+        "Write the body of subsection": "subsection",
+        "opening preamble of section": "section",
+    }
+    revisions, markers = [], []
+    for rule in doc["rules"]:
+        for prefix, granularity in prefixes.items():
+            if rule["pattern"].startswith(prefix):
+                text = rule["replies"][0]
+                markers.append(f"REVMARK{len(markers):02d}")
+                revisions.append({
+                    "pattern": f"Revise this {granularity} draft.*Draft:\n{re.escape(text)}",
+                    "replies": [f"{text} {markers[-1]}."],
+                })
+    first_round = {
+        "pattern": r"coordinate refinement of a (?:sub)?section draft \(round 1/",
+        "replies": [json.dumps([{"skill": "revise", "instructions": "add the marker"}])],
+    }
+    doc["rules"] = [first_round, *revisions, *doc["rules"]]
+    rules_path.write_text(json.dumps(doc))
+    return markers
+
+
+class TestRefinedSurvey:
+    def test_every_accepted_unit_revision_reaches_the_survey(self, tmp_path):
+        config = make_config(tmp_path)
+        markers = script_marked_revisions(config)
+        assert len(markers) == 7 + 4  # subsections + sections
+        result = run_pipeline(config, backends=build_backends(config))
+        units = [d for d in result.substrate.drafts if d.granularity is not Granularity.SURVEY]
+        assert sorted(m for d in units for m in re.findall(r"REVMARK\d+", d.text)) == markers
+        survey = result.survey_path.read_text()
+        assert [m for m in markers if m not in survey] == []
+        assert result.substrate.drafts[-1].granularity is Granularity.SURVEY
+
+    def test_without_the_survey_level_the_refined_units_are_assembled(self, tmp_path):
+        config = make_config(tmp_path)
+        config.refinement.enabled = ("section", "subsection")
+        markers = script_marked_revisions(config)
+        backends = build_backends(config)
+        result = run_pipeline(config, backends=backends)
+        assert not [d for d in result.substrate.drafts if d.granularity is Granularity.SURVEY]
+        survey = result.survey_path.read_text()
+        assert [m for m in markers if m not in survey] == []
+        assert not backends.gateway.transport.calls_matching("refinement of a survey")
+
+
 class TestCodeAnalysisVariant:
     def test_disabled_by_default(self, tmp_path):
         config = make_config(tmp_path)
@@ -270,6 +323,64 @@ class TestCheckpointResume:
         assert result.runlog.of_kind("resumed")[0]["completed"] == [
             "retrieval", "understanding", "analysis",
         ]
+
+    def test_crash_inside_the_analysis_save_keeps_every_keynote(self, tmp_path, monkeypatch):
+        real_dump = substrate_mod._dump
+
+        class Crash(Exception):
+            pass
+
+        crash_points = 0
+        while True:
+            crash_points += 1
+            config = make_config(tmp_path / f"crash{crash_points}")
+            run_pipeline(config, backends=build_backends(config), stop_after="understanding")
+            dumps = 0
+
+            def crashing_dump(path, payload):
+                nonlocal dumps
+                dumps += 1
+                if dumps == crash_points:
+                    raise Crash(path)
+                real_dump(path, payload)
+
+            monkeypatch.setattr(substrate_mod, "_dump", crashing_dump)
+            try:
+                run_pipeline(
+                    config, backends=build_backends(config), resume=True, stop_after="analysis"
+                )
+                crashed = False
+            except Crash:
+                crashed = True
+            monkeypatch.setattr(substrate_mod, "_dump", real_dump)
+            if not crashed:
+                break
+            result = run_pipeline(config, backends=build_backends(config), resume=True)
+            assert result.survey_path is not None, crash_points
+            assert len(substrate_load(config.substrate_dir).keynotes) == 12, crash_points
+        assert crash_points - 1 == 6 + 12  # index files + keynotes
+
+    @pytest.mark.parametrize("name", ["checkpoint", "manifest"])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, name):
+        config = make_config(tmp_path)
+        run_pipeline(config, backends=build_backends(config), stop_after="retrieval")
+        target = Path(config.workdir) / f"{name}.json"
+        before = json.loads(target.read_text())
+        real_write = Path.write_text
+
+        def torn_write(self, data, *args, **kwargs):
+            if self.name.startswith(f"{name}."):
+                real_write(self, data[: len(data) // 2], *args, **kwargs)
+                raise OSError("disk full")
+            return real_write(self, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(PersistenceError):
+            run_pipeline(config, backends=build_backends(config), resume=True)
+        monkeypatch.setattr(Path, "write_text", real_write)
+        assert json.loads(target.read_text()) == before
+        result = run_pipeline(config, backends=build_backends(config), resume=True)
+        assert result.survey_path is not None
 
     def test_checkpoint_file_shape(self, tmp_path):
         config = make_config(tmp_path)

@@ -227,6 +227,13 @@ class TestSkillLoopFallback:
         assert result.text == unit_for().text
 
 
+def section_for() -> DraftUnit:
+    return DraftUnit(
+        node_path=("Methods",), text="Sec <Delta Benchmarks>.", citations=[],
+        granularity=Granularity.SECTION,
+    )
+
+
 class TestRefineAll:
     def test_each_level_applied_once_in_order(self, papers, keynotes):
         seen_tags: list[str] = []
@@ -239,30 +246,44 @@ class TestRefineAll:
 
         transport = Tracker().add("coordinate refinement", plan("finish"))
         ctx = ctx_for(papers, keynotes, transport)
-        section_unit = DraftUnit(
-            node_path=("Methods",), text="Sec <Delta Benchmarks>.", citations=[],
-            granularity=Granularity.SECTION,
-        )
-        survey_unit = DraftUnit(
-            node_path=("Survey",), text="## Methods\nAll <Alpha Methods>.",
-            citations=[], granularity=Granularity.SURVEY,
-        )
-        units, refined_survey = refine_all(
-            [unit_for(), section_unit], ctx, survey_unit=survey_unit
-        )
+        units = refine_all([unit_for(), section_for()], ctx)
         assert seen_tags == ["section", "subsection", "survey"]
-        assert len(units) == 2 and refined_survey is not None
+        assert [u.granularity for u in units] == [
+            Granularity.SUBSECTION, Granularity.SECTION, Granularity.SURVEY,
+        ]
+        assert units[-1].node_path == ("Survey",)
+
+    def test_survey_unit_composed_from_refined_units(self, papers, keynotes):
+        revised = "Revised draft citing <Alpha Methods>."
+        transport = (
+            ScriptedTransport()
+            .add(
+                "coordinate refinement of a subsection",
+                plan({"skill": "revise", "instructions": "x"}),
+                plan("finish"),
+            )
+            .add("coordinate refinement", plan("finish"))
+            .add("Revise this subsection draft", revised)
+        )
+        ctx = ctx_for(papers, keynotes, transport)
+        units = refine_all([unit_for(), section_for()], ctx)
+        survey = units[-1]
+        assert units[0].text == revised
+        assert survey.text == (
+            "## Methods\n\nSec <Delta Benchmarks>.\n\n### Graph Methods\n\n" + revised
+        )
+        assert [m.key for m in survey.citations] == ["Delta Benchmarks", "Alpha Methods"]
+        survey_plans = transport.calls_matching("coordinate refinement of a survey")
+        assert survey_plans and all(revised in c.prompt for c in survey_plans)
 
     def test_levels_removable_via_config(self, papers, keynotes):
         transport = ScriptedTransport().add("coordinate refinement", plan("finish"))
         cfg = RefinementConfig(enabled=("survey",))
         ctx = ctx_for(papers, keynotes, transport, cfg=cfg)
-        survey_unit = DraftUnit(
-            node_path=("Survey",), text="## Methods\nAll <Alpha Methods>.",
-            citations=[], granularity=Granularity.SURVEY,
-        )
-        refine_all([unit_for()], ctx, survey_unit=survey_unit)
+        units = refine_all([unit_for(), section_for()], ctx)
         assert len(transport.calls_matching("coordinate refinement")) == 1
+        assert units[:2] == [unit_for(), section_for()]
+        assert units[-1].granularity is Granularity.SURVEY
 
 
 def test_memory_render_compresses_but_keeps_recent_rounds():
@@ -279,4 +300,3 @@ def test_default_level_parameters():
     assert cfg.survey == LevelConfig(5, 0.7, 1.0, 0.5)
     assert cfg.section == LevelConfig(3, 0.7, 1.0, 0.5)
     assert cfg.subsection == LevelConfig(3, 0.1, 0.1, 0.1)
-    assert cfg.order == ("section", "subsection", "survey")

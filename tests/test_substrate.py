@@ -114,6 +114,29 @@ class TestRoundTrip:
         substrate_save(substrate, tmp_path / "s")
         assert len(list((tmp_path / "s" / "keynotes").glob("*.json"))) == 2
 
+    def test_resave_drops_the_files_of_removed_papers(self, tmp_path):
+        from conftest import make_keynote
+
+        papers = {k: make_paper(k) for k in ("a1", "a2")}
+        substrate = build_substrate(papers, {k: make_keynote(r) for k, r in papers.items()})
+        substrate_save(substrate, tmp_path / "s")
+        del substrate.papers["a2"], substrate.keynotes["a2"]
+        substrate_save(substrate, tmp_path / "s")
+        assert [p.name for p in (tmp_path / "s" / "keynotes").glob("*.json")] == [
+            f"{paper_hash('a1')}.json"
+        ]
+        assert substrate_load(tmp_path / "s") == substrate
+
+    def test_resave_replaces_only_changed_files(self, papers, keynotes, tmp_path):
+        substrate = full_substrate(papers, keynotes)
+        substrate_save(substrate, tmp_path / "s")
+        inodes = {p: p.stat().st_ino for p in (tmp_path / "s").rglob("*.json")}
+        substrate.log_event("stage_completed", stage="refinement")
+        substrate_save(substrate, tmp_path / "s")
+        replaced = {p.name for p, ino in inodes.items() if p.stat().st_ino != ino}
+        assert replaced == {"revision_log.json"}
+        assert substrate_load(tmp_path / "s") == substrate
+
     def test_save_is_deterministic_bytes(self, papers, keynotes, tmp_path):
         substrate = full_substrate(papers, keynotes)
         substrate_save(substrate, tmp_path / "a")

@@ -74,7 +74,7 @@ class TestExtractKeynote:
         )
         gw = scripted_gateway(transport, profile=profile)
         runlog = RunLog()
-        keynote = extract_keynote(doc(markdown=big), gw, profile=profile, runlog=runlog)
+        keynote = extract_keynote(doc(markdown=big), gw, runlog=runlog)
         chunk_calls = transport.calls_matching("Condense this part")
         assert len(chunk_calls) >= 2, "oversized document needs several calls"
         assert keynote.sections["tldr"]

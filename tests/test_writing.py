@@ -68,7 +68,6 @@ def context(papers, keynotes, transport=None, cfg=None, embedder=None, profile=N
             transport or ScriptedTransport(), embedder=embedder, profile=profile
         ),
         runlog=RunLog(),
-        profile=profile,
     )
 
 
