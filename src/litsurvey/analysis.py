@@ -59,9 +59,6 @@ class AssignmentVerdict:
     missing: set[str] = field(default_factory=set)
     hallucinated: set[str] = field(default_factory=set)
 
-    def clean(self) -> bool:
-        return not self.missing and not self.hallucinated
-
 
 def _keynote_digest(keynote: Keynote, limit: int = 500) -> str:
     return keynote.tldr[:limit]
@@ -96,17 +93,15 @@ def design_clusters(
     keynotes: dict[str, Keynote],
     gateway: Gateway,
     cfg: Optional[AnalysisConfig] = None,
-    prior: Optional[ClusterProposal] = None,
     runlog: Optional[RunLog] = None,
 ) -> ClusterProposal:
     """Fold keynote batches into an evolving cluster proposal.
 
     Batches of 20 keynotes in paper-id order; the agent may merge, split or
-    add clusters at each step. Starting from an empty prior means creating
-    the proposal from scratch.
+    add clusters at each step, starting from an empty proposal.
     """
     cfg = cfg or AnalysisConfig()
-    proposal = prior or ClusterProposal()
+    proposal = ClusterProposal()
     ordered = [keynotes[k] for k in sorted(keynotes)]
     memory = ErrorMemory()
     for batch in _batched(ordered, cfg.design_batch_size):
@@ -226,23 +221,22 @@ def verify_and_repair(
     keynotes: dict[str, Keynote],
     gateway: Gateway,
     cfg: Optional[AnalysisConfig] = None,
-    max_rounds: Optional[int] = None,
     runlog: Optional[RunLog] = None,
 ) -> list[Cluster]:
     """Correct missing and hallucinated assignments.
 
     Hallucinated ids are removed outright; missing papers are re-offered to
     the partitioning agent each round. Papers still missing after
-    ``max_rounds`` attach to the cluster whose summary is nearest to their
-    keynote by embedding cosine (ties to the lower cluster id), logged.
+    ``cfg.verify_max_rounds`` rounds attach to the cluster whose summary is
+    nearest to their keynote by embedding cosine (ties to the lower cluster
+    id), logged.
     """
     cfg = cfg or AnalysisConfig()
-    rounds = max_rounds if max_rounds is not None else cfg.verify_max_rounds
-    if rounds < 1:
+    if cfg.verify_max_rounds < 1:
         raise InvalidInputError("verification needs at least one round")
     runlog = runlog or RunLog()
 
-    for round_no in range(1, rounds + 1):
+    for round_no in range(1, cfg.verify_max_rounds + 1):
         verdict = compute_verdict(clusters, keynotes)
         for ghost in sorted(verdict.hallucinated):
             for cluster in clusters:
@@ -270,9 +264,10 @@ def verify_and_repair(
     if verdict.missing:
         summaries = [c.summary for c in clusters]
         summary_vecs = gateway.embed(summaries)
-        for paper_key in sorted(verdict.missing):
+        leftover = sorted(verdict.missing)
+        leftover_vecs = gateway.embed([keynotes[k].tldr for k in leftover])
+        for paper_key, vec in zip(leftover, leftover_vecs):
             keynote = keynotes[paper_key]
-            vec = gateway.embed([keynote.tldr])[0]
             scores = [cosine(vec, sv) for sv in summary_vecs]
             best = max(range(len(clusters)), key=lambda i: (scores[i], -clusters[i].cluster_id))
             clusters[best].members.add(keynote.paper_id)

@@ -1,7 +1,7 @@
 """Command-line entry points: generate, evaluate, inspect, cache.
 
-Exit codes: 0 success, 2 configuration error, 3 stage failure,
-4 evaluation failure.
+Exit codes: 0 success, 2 configuration error or broken run directory,
+3 stage failure, 4 evaluation failure.
 """
 
 from __future__ import annotations
@@ -62,13 +62,13 @@ def generate(topic, config_path, workdir, enable_code_analysis, resume, stop_aft
         sys.exit(EXIT_CONFIG)
     try:
         result = run_pipeline(config, resume=resume, stop_after=stop_after)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
     except StageError as exc:
         click.echo(f"stage failure: {exc}", err=True)
         click.echo(f"checkpoint preserved at {config.checkpoint_path}", err=True)
         sys.exit(EXIT_STAGE)
+    except SurveyError as exc:  # a bad config, or a run directory it cannot resume
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
     click.echo(f"completed stages: {', '.join(result.checkpoint.completed_stages)}")
     if result.survey_path:
         click.echo(f"survey: {result.survey_path}")

@@ -10,7 +10,6 @@ creation, and a hard round cap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -475,7 +474,3 @@ def environment_report(
         + "\n\n".join(entries),
         tag="code.environment",
     )
-
-
-def expected_batch_calls(n_inputs: int, batch_size: int = 5) -> int:
-    return math.ceil(n_inputs / batch_size)

@@ -22,7 +22,6 @@ from typing import Iterable, Optional, Protocol, Sequence
 from .errors import EvaluationError, InvalidInputError
 from .gateway import Gateway, extract_json_payload, request_validated, retry_preamble
 from .model import ErrorMemory
-from .runlog import RunLog
 
 # -- claims ------------------------------------------------------------------
 
@@ -253,8 +252,6 @@ def score_content(
     survey_text: str,
     gateway: Gateway,
     explanations: bool = False,
-    temperature: float = 0.0,
-    max_retries: int = 3,
 ) -> ContentScores:
     """Rubric judge pass. Default is no-explanation mode: the judge emits
     scores only, which measurably stabilizes repeated runs."""
@@ -305,14 +302,7 @@ def score_content(
             sub_scores=sub_scores,
         )
 
-    scores, _, _ = request_validated(
-        gateway,
-        build,
-        parse,
-        tag="evaluation.judge",
-        temperature=temperature,
-        max_retries=max_retries,
-    )
+    scores, _, _ = request_validated(gateway, build, parse, tag="evaluation.judge")
     return scores
 
 
@@ -493,11 +483,9 @@ def evaluate_survey(
     gateway: Optional[Gateway] = None,
     judge_rounds: int = 1,
     explanations: bool = False,
-    runlog: Optional[RunLog] = None,
 ) -> EvaluationReport:
     """Full metric pass; backend failures degrade to per-metric error
     markers instead of sinking the whole report."""
-    runlog = runlog or RunLog()
     report = EvaluationReport()
     claims = extract_claims(survey_text, citation_map)
     report.n_claims = len(claims)

@@ -159,8 +159,7 @@ class HashEmbedder:
     thresholded cosine filtering in offline runs and tests.
     """
 
-    def __init__(self, dim: int = 32):
-        self.dim = dim
+    dim = 32
 
     def encode(self, texts: Sequence[str]) -> list[list[float]]:
         out = []
@@ -244,21 +243,8 @@ class Gateway:
             key, lambda: with_backoff(lambda: self._send_once(request), self.profile, self.sleeper)
         )
 
-    def complete_text(
-        self,
-        prompt: str,
-        tag: str,
-        temperature: float = 0.0,
-        max_output_tokens: int = 4096,
-    ) -> str:
-        return self.complete(
-            CompletionRequest(
-                prompt=prompt,
-                temperature=temperature,
-                max_output_tokens=max_output_tokens,
-                tag=tag,
-            )
-        )
+    def complete_text(self, prompt: str, tag: str, temperature: float = 0.0) -> str:
+        return self.complete(CompletionRequest(prompt=prompt, temperature=temperature, tag=tag))
 
     def cached(self, key: str, produce: Callable[[], T]) -> T:
         """Get-or-compute on the api tier: the runtime cache, then the disk
@@ -400,7 +386,6 @@ def request_validated(
     *,
     tag: str,
     temperature: float = 0.0,
-    max_output_tokens: int = 4096,
     memory: ErrorMemory = ErrorMemory(),
     max_retries: int = 3,
     error_factory: Callable[[str], Exception] = MalformedOutputError,
@@ -423,7 +408,6 @@ def request_validated(
             CompletionRequest(
                 prompt=build_prompt(memory, attempt),
                 temperature=temperature,
-                max_output_tokens=max_output_tokens,
                 tag=tag,
             )
         )

@@ -240,13 +240,13 @@ class ComparisonTable:
             ],
         }
 
-    def to_delimited(self, papers: dict[str, "PaperRecord"], sep: str = "\t") -> str:
-        """Flat export for human inspection (one line per member paper)."""
-        header = sep.join(["paper", *self.columns])
+    def to_delimited(self, papers: dict[str, "PaperRecord"]) -> str:
+        """Tab-separated export for human inspection (one line per member paper)."""
+        header = "\t".join(["paper", *self.columns])
         lines = [header]
         for row in self.rows:
             title = papers[row.paper.canonical].title if row.paper.canonical in papers else row.paper.canonical
-            lines.append(sep.join([title, *(row.cells.get(c, "") for c in self.columns)]))
+            lines.append("\t".join([title, *(row.cells.get(c, "") for c in self.columns)]))
         return "\n".join(lines) + "\n"
 
 

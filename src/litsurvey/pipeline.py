@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -22,7 +22,7 @@ from . import retrieval as retrieval_mod
 from . import understanding as understanding_mod
 from . import writing as writing_mod
 from .config import PipelineConfig
-from .errors import ConfigError, StageError, SurveyError
+from .errors import ConfigError, LoadError, StageError, SurveyError
 from .evaluation import EvaluationReport, evaluate_survey
 from .gateway import (
     BackendProfile,
@@ -54,23 +54,17 @@ class Checkpoint:
     topic: str
     created_at: str
 
-    def to_dict(self) -> dict:
-        return {
-            "completed_stages": list(self.completed_stages),
-            "substrate_dir": self.substrate_dir,
-            "config_hash": self.config_hash,
-            "topic": self.topic,
-            "created_at": self.created_at,
-        }
-
     @classmethod
     def from_file(cls, path: Path) -> "Checkpoint":
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        return cls(**doc)
+        """Raises LoadError for an unreadable, torn or incomplete file."""
+        try:
+            return cls(**json.loads(path.read_text(encoding="utf-8")))
+        except (OSError, ValueError, TypeError) as exc:
+            raise LoadError(path, str(exc)) from exc
 
     def save(self, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        _dump(path, self.to_dict())
+        _dump(path, asdict(self))
 
 
 @dataclass

@@ -130,12 +130,10 @@ class RefinementContext:
         return [self.papers[p.canonical] for p in sorted(ids, key=lambda p: p.canonical)]
 
 
-def read_keynotes_skill(
-    ctx: RefinementContext, ids: list[str], budget: Optional[int] = None
-) -> str:
-    """Evidence bundle for the requested papers, compressed to budget.
-    Unknown ids are skipped with a monitor event."""
-    budget = budget or ctx.cfg.evidence_budget
+def read_keynotes_skill(ctx: RefinementContext, ids: list[str]) -> str:
+    """Evidence bundle for the requested papers, compressed to the
+    evidence budget. Unknown ids are skipped with a monitor event."""
+    budget = ctx.cfg.evidence_budget
     parts = []
     for key in ids:
         keynote = ctx.keynotes.get(key)
@@ -308,17 +306,12 @@ def _parse_plan(reply: str) -> list[dict]:
 
 
 def refine(
-    unit: DraftUnit,
-    ctx: RefinementContext,
-    granularity: Optional[Granularity] = None,
-    max_rounds: Optional[int] = None,
+    unit: DraftUnit, ctx: RefinementContext
 ) -> tuple[DraftUnit, RefinementMemory]:
     """Planner loop: inspect draft/outline/memory, dispatch skills, stop on
     finish or round exhaustion. Returns the refined unit and its memory."""
-    granularity = granularity or unit.granularity
-    level = ctx.cfg.level(granularity)
-    rounds_cap = max_rounds if max_rounds is not None else level.max_rounds
-    if rounds_cap < 1:
+    level = ctx.cfg.level(unit.granularity)
+    if level.max_rounds < 1:
         raise InvalidInputError("refinement needs at least one round")
     memory = RefinementMemory()
     current = unit
@@ -326,14 +319,14 @@ def refine(
     last_scores: Optional[dict] = None
     last_suggestions: list[str] = []
 
-    for round_no in range(1, rounds_cap + 1):
+    for round_no in range(1, level.max_rounds + 1):
         outline_digest = json.dumps(ctx.outline.to_dict(), ensure_ascii=False)[:2000]
 
         def build(mem: ErrorMemory, attempt: int) -> str:
             return (
                 retry_preamble(mem, attempt)
-                + f"You coordinate refinement of a {granularity.value} draft "
-                + f"(round {round_no}/{rounds_cap}).\n"
+                + f"You coordinate refinement of a {unit.granularity.value} draft "
+                + f"(round {round_no}/{level.max_rounds}).\n"
                 + f"Outline: {outline_digest}\n"
                 + f"History:\n{memory.render()}\n\nDraft:\n{current.text}\n\n"
                 + "Dispatch skills in order: read_keynotes (with paper_ids), "
@@ -389,24 +382,17 @@ def refine(
     return current, memory
 
 
-def skill_loop_fallback(
-    unit: DraftUnit,
-    ctx: RefinementContext,
-    granularity: Optional[Granularity] = None,
-    rounds: Optional[int] = None,
-) -> DraftUnit:
+def skill_loop_fallback(unit: DraftUnit, ctx: RefinementContext) -> DraftUnit:
     """Planner-free alternation of review and revise for weaker backbones.
     The reviewer may end the loop early by judging the draft satisfactory;
     the citation re-verification contract is identical to :func:`refine`."""
-    granularity = granularity or unit.granularity
-    level = ctx.cfg.level(granularity)
-    total = rounds if rounds is not None else level.max_rounds
-    if total < 1:
+    level = ctx.cfg.level(unit.granularity)
+    if level.max_rounds < 1:
         raise InvalidInputError("the skill loop needs at least one round")
     memory = RefinementMemory()
     current = unit
     last_scores: Optional[dict] = None
-    for round_no in range(1, total + 1):
+    for round_no in range(1, level.max_rounds + 1):
         verdict = review_skill(ctx, current, memory, level.reviewer_temperature, last_scores)
         last_scores = verdict["scores"]
         memory.record(
@@ -431,26 +417,28 @@ def refine_all(
     use_fallback_loop: bool = False,
     workers: int = 1,
 ) -> list[DraftUnit]:
-    """Multi-granularity pass: each enabled level exactly once, in the order
-    section, subsection, survey. Units within a level are independent and
-    refine on ``workers`` threads. The survey level refines the body
-    composed from the refined units; that unit comes last in the result."""
+    """Multi-granularity pass: each enabled level exactly once, the survey
+    level last. Section and subsection units are independent of each other,
+    so both levels refine in one fan-out on ``workers`` threads, sections
+    first. The survey level refines the body composed from the refined
+    units; that unit comes last in the result."""
     units = list(drafts)
 
-    def refine_one(unit: DraftUnit, granularity: Granularity) -> DraftUnit:
+    def refine_one(unit: DraftUnit) -> DraftUnit:
         if use_fallback_loop:
-            return skill_loop_fallback(unit, ctx, granularity)
-        return refine(unit, ctx, granularity)[0]
+            return skill_loop_fallback(unit, ctx)
+        return refine(unit, ctx)[0]
 
-    for granularity in (Granularity.SECTION, Granularity.SUBSECTION):
-        if granularity.value not in ctx.cfg.enabled:
-            continue
-        at_level = [i for i, unit in enumerate(units) if unit.granularity is granularity]
-        refined = map_bounded(
-            lambda unit: refine_one(unit, granularity), [units[i] for i in at_level], workers
-        )
-        for i, unit in zip(at_level, refined):
-            units[i] = unit
+    at_unit_levels = [
+        i
+        for granularity in (Granularity.SECTION, Granularity.SUBSECTION)
+        if granularity.value in ctx.cfg.enabled
+        for i, unit in enumerate(units)
+        if unit.granularity is granularity
+    ]
+    refined = map_bounded(lambda i: refine_one(units[i]), at_unit_levels, workers)
+    for i, unit in zip(at_unit_levels, refined):
+        units[i] = unit
     if Granularity.SURVEY.value in ctx.cfg.enabled:
         body = compose_body(ctx.outline, units)
         survey = DraftUnit(
@@ -459,5 +447,5 @@ def refine_all(
             citations=verify_citations(body, ctx.papers.values(), ctx.style).marks,
             granularity=Granularity.SURVEY,
         )
-        units.append(refine_one(survey, Granularity.SURVEY))
+        units.append(refine_one(survey))
     return units

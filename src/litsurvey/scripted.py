@@ -1,4 +1,6 @@
-"""Deterministic scripted backends for hermetic runs and tests.
+"""Deterministic scripted backends for hermetic runs: the transport
+behind ``backend.kind: scripted`` and the ``constant`` and ``hash`` NLI
+kinds.
 
 The transport matches prompts against an ordered rule table (regex ->
 queue of canned replies); every request is recorded so tests can count
@@ -16,9 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .gateway import CompletionRequest, TransientBackendError, TransportResponse
+from .gateway import CompletionRequest, TransportResponse
 
 
 @dataclass
@@ -64,10 +64,10 @@ class ScriptedTransport:
         return [c for c in self.calls if rx.search(c.prompt)]
 
     @classmethod
-    def from_rules_file(cls, path: str | Path, default: Optional[str] = None) -> "ScriptedTransport":
+    def from_rules_file(cls, path: str | Path) -> "ScriptedTransport":
         """Load rules from JSON: {"rules": [{"pattern", "replies": [str|{text,status}]}], "default"?}."""
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        transport = cls(default=doc.get("default", default))
+        transport = cls(default=doc.get("default"))
         for rule in doc["rules"]:
             replies = [
                 CannedReply(r["text"], r.get("status", 200)) if isinstance(r, dict) else CannedReply(r)
@@ -75,62 +75,6 @@ class ScriptedTransport:
             ]
             transport.add(rule["pattern"], *replies)
         return transport
-
-
-class SequenceTransport:
-    """Replies with a fixed status/text sequence regardless of the prompt;
-    the minimal double for retry/backoff behavior."""
-
-    def __init__(self, responses: Sequence[CannedReply | str | int]):
-        self.responses = [
-            r if isinstance(r, CannedReply)
-            else CannedReply(r) if isinstance(r, str)
-            else CannedReply("", r)
-            for r in responses
-        ]
-        self.calls: list[CompletionRequest] = []
-
-    def send(self, request: CompletionRequest) -> TransportResponse:
-        self.calls.append(request)
-        index = min(len(self.calls) - 1, len(self.responses) - 1)
-        reply = self.responses[index]
-        return TransportResponse(reply.status, reply.text)
-
-
-class FixtureEmbedder:
-    """Hand-set vectors per exact text, hash-based fallback otherwise."""
-
-    def __init__(self, mapping: Optional[dict[str, Sequence[float]]] = None, dim: int = 8):
-        self.mapping = dict(mapping or {})
-        self.dim = dim
-        self.calls = 0
-
-    def encode(self, texts: Sequence[str]) -> list[list[float]]:
-        self.calls += 1
-        out = []
-        for text in texts:
-            if text in self.mapping:
-                out.append([float(x) for x in self.mapping[text]])
-            else:
-                seed = int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-                rng = np.random.default_rng(seed)
-                out.append(rng.standard_normal(self.dim).tolist())
-        return out
-
-
-class FlakyEmbedder:
-    """Fails transiently a fixed number of times, then delegates."""
-
-    def __init__(self, inner, failures: int):
-        self.inner = inner
-        self.failures = failures
-        self.attempts = 0
-
-    def encode(self, texts: Sequence[str]) -> list[list[float]]:
-        self.attempts += 1
-        if self.attempts <= self.failures:
-            raise TransientBackendError(f"scripted transient failure {self.attempts}")
-        return self.inner.encode(texts)
 
 
 class ConstantNli:
@@ -143,19 +87,6 @@ class ConstantNli:
     def entails(self, claim: str, premises: Sequence[str]) -> bool:
         self.calls += 1
         return self.verdict
-
-
-class FixtureNli:
-    """Verdicts scripted per (claim text, frozen premise set)."""
-
-    def __init__(self, table: dict[tuple[str, frozenset[str]], bool], default: bool = False):
-        self.table = dict(table)
-        self.default = default
-        self.calls = 0
-
-    def entails(self, claim: str, premises: Sequence[str]) -> bool:
-        self.calls += 1
-        return self.table.get((claim, frozenset(premises)), self.default)
 
 
 class HashNli:

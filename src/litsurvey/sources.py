@@ -84,17 +84,11 @@ class FixtureSource:
         self,
         records: Sequence[PaperRecord],
         search_results: Optional[dict[str, list[str]]] = None,
-        fail: bool = False,
     ):
         self.records = {r.id.canonical: r for r in records}
         self.search_results = search_results or {}
-        self.fail = fail
-        self.search_calls = 0
 
     def search(self, query: str, limit: int) -> list[PaperRecord]:
-        self.search_calls += 1
-        if self.fail:
-            raise RetrievalError("scripted source failure")
         if query in self.search_results:
             keys = self.search_results[query]
         else:

@@ -114,7 +114,6 @@ def extract_keynote(
     doc: ParsedDocument,
     gateway: Gateway,
     runlog: Optional[RunLog] = None,
-    max_retries: int = 3,
 ) -> Keynote:
     """Digest one parsed paper into a keynote (provenance=full_text).
 
@@ -157,7 +156,6 @@ def extract_keynote(
         build,
         lambda reply: parse_keynote_payload(reply, doc.paper_id),
         tag="understanding.keynote",
-        max_retries=max_retries,
         error_factory=KeynoteError,
     )
     runlog.add("keynote_extracted", paper=doc.paper_id.canonical, calls=calls)

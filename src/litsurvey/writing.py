@@ -146,17 +146,12 @@ def _parse_outline(reply: str, topic: str) -> OutlineNode:
     return root
 
 
-def draft_outline(
-    ctx: WritingContext,
-    topic: str,
-    max_retries: Optional[int] = None,
-) -> OutlineNode:
+def draft_outline(ctx: WritingContext, topic: str) -> OutlineNode:
     """Generate the outline from the cluster structure, then refine it
     against keynote batches. Structural requirements (conclusion section,
     future-work node, per-node descriptions, depth cap) are enforced and
     echoed into error memory on retry."""
     cfg = ctx.cfg
-    retries = max_retries if max_retries is not None else cfg.max_citation_retries
     current: Optional[OutlineNode] = None
     memory = ErrorMemory()
     keys = sorted(ctx.keynotes)
@@ -197,7 +192,7 @@ def draft_outline(
             tag="writing.outline",
             temperature=cfg.outline_temperature,
             memory=memory,
-            max_retries=retries,
+            max_retries=cfg.max_citation_retries,
         )
     return current
 
@@ -255,9 +250,7 @@ def _parse_assignment_reply(
 
 
 def assign_citations(
-    ctx: WritingContext,
-    outline: OutlineNode,
-    max_retries: Optional[int] = None,
+    ctx: WritingContext, outline: OutlineNode
 ) -> dict[tuple[str, ...], set[PaperId]]:
     """Explicitly anchor every evidence paper to outline nodes.
 
@@ -267,8 +260,6 @@ def assign_citations(
     the leaf with the nearest description by embedding cosine (logged).
     Fabricated ids are dropped with a monitor event.
     """
-    cfg = ctx.cfg
-    retries = max_retries if max_retries is not None else cfg.max_citation_retries
     outline.validate()
     known = set(ctx.keynotes)
     outline_json = json.dumps(outline.to_dict(), ensure_ascii=False)
@@ -290,7 +281,7 @@ def assign_citations(
         lambda reply: _parse_assignment_reply(reply, outline, known, strict=True),
         last_parse=lambda reply: _parse_assignment_reply(reply, outline, known, strict=False),
         tag="writing.assign",
-        max_retries=retries,
+        max_retries=ctx.cfg.max_citation_retries,
         on_retry=lambda attempt, problems: ctx.runlog.add(
             "assignment_retry", attempt=attempt + 1, error="; ".join(problems)
         ),
@@ -315,8 +306,8 @@ def assign_citations(
         ]
         descriptions = [node.description for _, node in leaves]
         desc_vecs = ctx.gateway.embed(descriptions)
-        for paper_key in residual:
-            vec = ctx.gateway.embed([ctx.keynotes[paper_key].tldr])[0]
+        residual_vecs = ctx.gateway.embed([ctx.keynotes[k].tldr for k in residual])
+        for paper_key, vec in zip(residual, residual_vecs):
             scores = [cosine(vec, dv) for dv in desc_vecs]
             best = max(range(len(leaves)), key=lambda i: (scores[i], -i))
             path = leaves[best][0]

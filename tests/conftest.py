@@ -12,7 +12,9 @@ from litsurvey.model import (
     PaperRecord,
     Provenance,
 )
-from litsurvey.scripted import FixtureEmbedder, ScriptedTransport
+from litsurvey.scripted import ScriptedTransport
+
+from doubles import FixtureEmbedder
 
 
 def make_paper(

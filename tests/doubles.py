@@ -1,0 +1,90 @@
+"""Test doubles: backends and helpers that only the tests use.
+
+The backends the pipeline itself can run (``ScriptedTransport``,
+``ConstantNli``, ``HashNli``) live in ``litsurvey.scripted``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+from typing import Optional, Sequence
+
+import numpy as np
+
+from litsurvey.gateway import CompletionRequest, TransientBackendError, TransportResponse
+from litsurvey.scripted import CannedReply
+
+
+class SequenceTransport:
+    """Replies with a fixed status/text sequence regardless of the prompt;
+    the minimal double for retry/backoff behavior."""
+
+    def __init__(self, responses: Sequence[CannedReply | str | int]):
+        self.responses = [
+            r if isinstance(r, CannedReply)
+            else CannedReply(r) if isinstance(r, str)
+            else CannedReply("", r)
+            for r in responses
+        ]
+        self.calls: list[CompletionRequest] = []
+
+    def send(self, request: CompletionRequest) -> TransportResponse:
+        self.calls.append(request)
+        index = min(len(self.calls) - 1, len(self.responses) - 1)
+        reply = self.responses[index]
+        return TransportResponse(reply.status, reply.text)
+
+
+class FixtureEmbedder:
+    """Hand-set vectors per exact text, hash-based fallback otherwise."""
+
+    def __init__(self, mapping: Optional[dict[str, Sequence[float]]] = None, dim: int = 8):
+        self.mapping = dict(mapping or {})
+        self.dim = dim
+        self.calls = 0
+
+    def encode(self, texts: Sequence[str]) -> list[list[float]]:
+        self.calls += 1
+        out = []
+        for text in texts:
+            if text in self.mapping:
+                out.append([float(x) for x in self.mapping[text]])
+            else:
+                seed = int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+                rng = np.random.default_rng(seed)
+                out.append(rng.standard_normal(self.dim).tolist())
+        return out
+
+
+class FlakyEmbedder:
+    """Fails transiently a fixed number of times, then delegates."""
+
+    def __init__(self, inner, failures: int):
+        self.inner = inner
+        self.failures = failures
+        self.attempts = 0
+
+    def encode(self, texts: Sequence[str]) -> list[list[float]]:
+        self.attempts += 1
+        if self.attempts <= self.failures:
+            raise TransientBackendError(f"scripted transient failure {self.attempts}")
+        return self.inner.encode(texts)
+
+
+class FixtureNli:
+    """Verdicts scripted per (claim text, frozen premise set)."""
+
+    def __init__(self, table: dict[tuple[str, frozenset[str]], bool], default: bool = False):
+        self.table = dict(table)
+        self.default = default
+        self.calls = 0
+
+    def entails(self, claim: str, premises: Sequence[str]) -> bool:
+        self.calls += 1
+        return self.table.get((claim, frozenset(premises)), self.default)
+
+
+def expected_batch_calls(n_inputs: int, batch_size: int = 5) -> int:
+    """Backend calls the code report makes for ``n_inputs`` pseudocodes."""
+    return math.ceil(n_inputs / batch_size)

@@ -29,13 +29,14 @@ from litsurvey.gateway import CompletionRequest, Gateway
 from litsurvey.model import CitationStyle, Granularity
 from litsurvey.pipeline import build_backends, run_pipeline
 from litsurvey.retrieval import RetrievalConfig, expand_graph
-from litsurvey.scripted import FixtureEmbedder, ScriptedTransport, SequenceTransport
+from litsurvey.scripted import ScriptedTransport
 from litsurvey.sources import FixtureSource
 from litsurvey.substrate import substrate_load
 from litsurvey.tokens import compress_context, estimate_tokens
 from litsurvey.writing import check_evidence_locality
 
 from conftest import make_paper, scripted_gateway
+from doubles import FixtureEmbedder, SequenceTransport
 from e2e_fixture import make_config
 from test_evaluation import oracle_precision, oracle_recall, random_instance
 
@@ -337,9 +338,9 @@ def test_criterion_9_code_analysis_legality():
     from litsurvey.code_analysis import (
         RepoSnapshot,
         batch_code_report,
-        expected_batch_calls,
         run_pseudocode_loop,
     )
+    from doubles import expected_batch_calls
     from litsurvey.model import PaperId
     from litsurvey.runlog import RunLog
 

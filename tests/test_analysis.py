@@ -21,9 +21,10 @@ from litsurvey.analysis import (
 from litsurvey.errors import InvalidInputError
 from litsurvey.model import Cluster
 from litsurvey.runlog import RunLog
-from litsurvey.scripted import FixtureEmbedder, ScriptedTransport
+from litsurvey.scripted import ScriptedTransport
 
 from conftest import scripted_gateway
+from doubles import FixtureEmbedder
 
 
 def proposal_json(*names):
@@ -81,7 +82,7 @@ class TestAssignPapers:
         one = next(c for c in clusters if c.name == "One")
         three = next(c for c in clusters if c.name == "Three")
         assert "p1" in one.member_keys() and "p1" in three.member_keys()
-        assert verdict.clean()
+        assert verdict.missing == set() and verdict.hallucinated == set()
 
     def test_omitted_paper_reported_missing(self, keynotes):
         proposal = ClusterProposal([{"name": "One", "summary": "s"}])
@@ -167,11 +168,23 @@ class TestVerifyAndRepair:
         runlog = RunLog()
         out = verify_and_repair(
             clusters, keynotes, scripted_gateway(transport, embedder=embedder),
-            max_rounds=2, runlog=runlog,
+            AnalysisConfig(verify_max_rounds=2), runlog=runlog,
         )
         near = next(c for c in out if c.name == "Near")
         assert "p2" in near.member_keys()
         assert runlog.of_kind("fallback_attachment")
+
+    def test_leftover_papers_embed_in_one_call(self, keynotes):
+        clusters = self._clusters(keynotes, exclude=("p2", "p3", "p6"))
+        embedder = FixtureEmbedder()
+        runlog = RunLog()
+        verify_and_repair(
+            clusters, keynotes,
+            scripted_gateway(ScriptedTransport(default="[]"), embedder=embedder),
+            runlog=runlog,
+        )
+        assert [e["paper"] for e in runlog.of_kind("fallback_attachment")] == ["p2", "p3", "p6"]
+        assert embedder.calls == 2  # the cluster summaries, then every leftover paper
 
     def test_verdict_arithmetic(self, keynotes):
         clusters = self._clusters(keynotes, exclude=("p5",))

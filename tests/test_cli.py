@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -62,6 +63,42 @@ class TestGenerate:
         assert result.exit_code == 3
         assert "stage failure" in result.output
         assert (tmp_path / "run" / "checkpoint.json").exists()
+
+
+class TestResumeBrokenRunDirectory:
+    """A run directory that cannot be resumed exits 2 with one line."""
+
+    def _stopped(self, tmp_path) -> tuple[Path, Path]:
+        config_path = write_config_yaml(tmp_path)
+        first = invoke("generate", "--config", str(config_path), "--stop-after", "understanding")
+        assert first.exit_code == 0, first.output
+        return config_path, tmp_path / "run"
+
+    def _resume_fails_cleanly(self, config_path):
+        result = invoke("generate", "--config", str(config_path), "--resume")
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert len(result.output.strip().splitlines()) == 1
+        assert "cannot load" in result.output
+
+    def test_deleted_substrate(self, tmp_path):
+        config_path, workdir = self._stopped(tmp_path)
+        shutil.rmtree(workdir / "substrate")
+        self._resume_fails_cleanly(config_path)
+
+    def test_torn_checkpoint(self, tmp_path):
+        config_path, workdir = self._stopped(tmp_path)
+        checkpoint = workdir / "checkpoint.json"
+        checkpoint.write_text(checkpoint.read_text()[:40])
+        self._resume_fails_cleanly(config_path)
+
+    def test_checkpoint_missing_fields(self, tmp_path):
+        config_path, workdir = self._stopped(tmp_path)
+        checkpoint = workdir / "checkpoint.json"
+        doc = json.loads(checkpoint.read_text())
+        del doc["config_hash"]
+        checkpoint.write_text(json.dumps(doc))
+        self._resume_fails_cleanly(config_path)
 
 
 class TestEvaluate:

@@ -11,7 +11,6 @@ from litsurvey.code_analysis import (
     RepoSnapshot,
     batch_code_report,
     environment_report,
-    expected_batch_calls,
     run_pseudocode_loop,
 )
 from litsurvey.errors import InvalidInputError
@@ -21,6 +20,7 @@ from litsurvey.runlog import RunLog
 from litsurvey.scripted import ScriptedTransport
 
 from conftest import scripted_gateway
+from doubles import expected_batch_calls
 
 
 def repo(files=None) -> RepoSnapshot:

@@ -25,9 +25,10 @@ from litsurvey.evaluation import (
     valid_citation_ratio,
     weighted_content_score,
 )
-from litsurvey.scripted import ConstantNli, FixtureNli, ScriptedTransport, SequenceTransport
+from litsurvey.scripted import ConstantNli, ScriptedTransport
 
 from conftest import scripted_gateway
+from doubles import FixtureNli, SequenceTransport
 
 # -- independent brute-force oracle for the citation formulas ----------------
 

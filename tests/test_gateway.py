@@ -28,15 +28,10 @@ from litsurvey.gateway import (
     retry_preamble,
 )
 from litsurvey.model import ErrorMemory
-from litsurvey.scripted import (
-    CannedReply,
-    FixtureEmbedder,
-    FlakyEmbedder,
-    ScriptedTransport,
-    SequenceTransport,
-)
+from litsurvey.scripted import CannedReply, ScriptedTransport
 
 from conftest import scripted_gateway
+from doubles import FixtureEmbedder, FlakyEmbedder, SequenceTransport
 
 
 def recording_gateway(transport, **kwargs):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -70,6 +71,11 @@ def ctx_for(papers, keynotes, transport, cfg=None) -> RefinementContext:
     )
 
 
+def subsection_rounds(n: int) -> RefinementConfig:
+    """Default config whose subsection level runs ``n`` rounds."""
+    return RefinementConfig(subsection=LevelConfig(n, 0.1, 0.1, 0.1))
+
+
 def plan(*skills) -> str:
     return json.dumps([s if isinstance(s, dict) else {"skill": s} for s in skills])
 
@@ -87,8 +93,8 @@ class TestRefine:
             .add("Review this subsection draft", REVIEW_6)
             .add("Revise this subsection draft", "Deeper draft citing <Alpha Methods>.")
         )
-        ctx = ctx_for(papers, keynotes, transport)
-        refined, memory = refine(unit_for(), ctx, max_rounds=5)
+        ctx = ctx_for(papers, keynotes, transport, cfg=subsection_rounds(5))
+        refined, memory = refine(unit_for(), ctx)
         assert refined.text == "Deeper draft citing <Alpha Methods>."
         skills = [e["skill"] for e in memory.events]
         assert skills == ["review", "revise", "finish"]
@@ -100,9 +106,9 @@ class TestRefine:
             .add("coordinate refinement", plan({"skill": "revise", "instructions": "x"}), plan("finish"))
             .add("Revise this subsection draft", bad)  # sticky: fails twice
         )
-        ctx = ctx_for(papers, keynotes, transport)
+        ctx = ctx_for(papers, keynotes, transport, cfg=subsection_rounds(5))
         original = unit_for()
-        refined, memory = refine(original, ctx, max_rounds=5)
+        refined, memory = refine(original, ctx)
         assert refined.text == original.text, "original retained"
         rejecting = [e for e in memory.events if "rejected" in e["summary"]]
         assert rejecting, "rejection event recorded in memory"
@@ -116,8 +122,8 @@ class TestRefine:
             .add("coordinate refinement", plan("review"))  # sticky, never finish
             .add("Review this", REVIEW_6)
         )
-        ctx = ctx_for(papers, keynotes, transport)
-        _, memory = refine(unit_for(), ctx, max_rounds=5)
+        ctx = ctx_for(papers, keynotes, transport, cfg=subsection_rounds(5))
+        _, memory = refine(unit_for(), ctx)
         assert len(transport.calls_matching("coordinate refinement")) == 5
         assert max(e["round"] for e in memory.events) == 5
 
@@ -138,9 +144,9 @@ class TestRefine:
         assert len(transport.calls_matching("coordinate refinement")) == 5
 
     def test_zero_rounds_invalid(self, papers, keynotes):
-        ctx = ctx_for(papers, keynotes, ScriptedTransport())
+        ctx = ctx_for(papers, keynotes, ScriptedTransport(), cfg=subsection_rounds(0))
         with pytest.raises(InvalidInputError):
-            refine(unit_for(), ctx, max_rounds=0)
+            refine(unit_for(), ctx)
 
 
 class TestReviewSkill:
@@ -186,8 +192,9 @@ class TestReadKeynotes:
 
         for keynote in keynotes.values():
             keynote.sections["methodology"] = "waffle " * 500
-        ctx = ctx_for(papers, keynotes, ScriptedTransport())
-        bundle = read_keynotes_skill(ctx, sorted(keynotes), budget=500)
+        cfg = RefinementConfig(evidence_budget=500)
+        ctx = ctx_for(papers, keynotes, ScriptedTransport(), cfg=cfg)
+        bundle = read_keynotes_skill(ctx, sorted(keynotes))
         assert estimate_tokens(bundle) <= 500
         assert ctx.runlog.of_kind("evidence_compressed")
 
@@ -199,8 +206,8 @@ class TestSkillLoopFallback:
             .add("Review this", REVIEW_6)
             .add("Revise this", "Better draft citing <Alpha Methods>.")
         )
-        ctx = ctx_for(papers, keynotes, transport)
-        skill_loop_fallback(unit_for(), ctx, rounds=2)
+        ctx = ctx_for(papers, keynotes, transport, cfg=subsection_rounds(2))
+        skill_loop_fallback(unit_for(), ctx)
         assert len(transport.calls_matching("Review this")) == 2
         assert len(transport.calls_matching("Revise this")) <= 2
 
@@ -211,7 +218,7 @@ class TestSkillLoopFallback:
             .add("Revise this", "should never be called")
         )
         ctx = ctx_for(papers, keynotes, transport)
-        result = skill_loop_fallback(unit_for(), ctx, rounds=3)
+        result = skill_loop_fallback(unit_for(), ctx)
         assert len(transport.calls_matching("Review this")) == 1
         assert len(transport.calls_matching("Revise this")) == 0
         assert result.text == unit_for().text
@@ -222,8 +229,8 @@ class TestSkillLoopFallback:
             .add("Review this", REVIEW_6)
             .add("Revise this", "Broken <Phantom Paper> twice.")
         )
-        ctx = ctx_for(papers, keynotes, transport)
-        result = skill_loop_fallback(unit_for(), ctx, rounds=1)
+        ctx = ctx_for(papers, keynotes, transport, cfg=subsection_rounds(1))
+        result = skill_loop_fallback(unit_for(), ctx)
         assert result.text == unit_for().text
 
 
@@ -252,6 +259,26 @@ class TestRefineAll:
             Granularity.SUBSECTION, Granularity.SECTION, Granularity.SURVEY,
         ]
         assert units[-1].node_path == ("Survey",)
+
+    def test_unit_levels_share_one_fan_out(self, papers, keynotes):
+        # With two workers the subsection unit must not wait for the section
+        # level to finish: its planner call arrives while the section's is
+        # still in flight.
+        subsection_arrived = threading.Event()
+        overlapped: list[bool] = []
+
+        class Gate(ScriptedTransport):
+            def send(self, request):
+                if "coordinate refinement of a section" in request.prompt:
+                    overlapped.append(subsection_arrived.wait(timeout=2))
+                elif "coordinate refinement of a subsection" in request.prompt:
+                    subsection_arrived.set()
+                return super().send(request)
+
+        transport = Gate().add("coordinate refinement", plan("finish"))
+        ctx = ctx_for(papers, keynotes, transport)
+        refine_all([unit_for(), section_for()], ctx, workers=2)
+        assert overlapped == [True]
 
     def test_survey_unit_composed_from_refined_units(self, papers, keynotes):
         revised = "Revised draft citing <Alpha Methods>."

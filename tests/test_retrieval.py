@@ -16,10 +16,11 @@ from litsurvey.retrieval import (
     search_seeds,
 )
 from litsurvey.runlog import RunLog
-from litsurvey.scripted import FixtureEmbedder, ScriptedTransport
+from litsurvey.scripted import ScriptedTransport
 from litsurvey.sources import FixtureSource
 
-from conftest import make_paper, scripted_gateway
+from conftest import CountingSource, make_paper, scripted_gateway
+from doubles import FixtureEmbedder
 
 
 def accept_all_judge() -> ScriptedTransport:
@@ -75,7 +76,7 @@ class TestSearchSeeds:
         assert len(seeds) == 3
 
     def test_fallback_source_used_on_failure(self):
-        primary = FixtureSource([], fail=True)
+        primary = CountingSource(FixtureSource([]), failures=1)
         fallback = FixtureSource([make_paper(f"f{i}") for i in range(5)])
         runlog = RunLog()
         seeds = search_seeds("topic", RetrievalConfig(), primary, fallback, runlog=runlog)
@@ -84,7 +85,7 @@ class TestSearchSeeds:
 
     def test_failure_without_fallback_raises(self):
         with pytest.raises(RetrievalError):
-            search_seeds("topic", RetrievalConfig(), FixtureSource([], fail=True))
+            search_seeds("topic", RetrievalConfig(), CountingSource(FixtureSource([]), failures=1))
 
     def test_duplicates_across_hits_removed(self):
         p = make_paper("dup")

@@ -62,7 +62,8 @@ class TestExtractKeynote:
         transport = ScriptedTransport(default=json.dumps(incomplete))
         gw = scripted_gateway(transport)
         with pytest.raises(KeynoteError):
-            extract_keynote(doc(), gw, max_retries=1)
+            extract_keynote(doc(), gw)
+        assert len(transport.calls) == 4  # the first attempt and 3 retries
 
     def test_long_document_chunks_then_consolidates(self):
         profile = BackendProfile(context_window=400)

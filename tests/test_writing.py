@@ -8,7 +8,7 @@ from litsurvey.errors import DraftingError, InvalidInputError
 from litsurvey.gateway import BackendProfile
 from litsurvey.model import CitationStyle, DraftUnit, Granularity, OutlineNode
 from litsurvey.runlog import RunLog
-from litsurvey.scripted import FixtureEmbedder, ScriptedTransport
+from litsurvey.scripted import ScriptedTransport
 from litsurvey.writing import (
     WritingConfig,
     WritingContext,
@@ -23,6 +23,7 @@ from litsurvey.writing import (
 )
 
 from conftest import scripted_gateway
+from doubles import FixtureEmbedder
 
 SKELETON = {
     "title": "A Survey of Alpha Methods",
@@ -199,8 +200,10 @@ class TestAssignCitations:
                 keynotes["p1"].tldr: [0.2, 0.98],
             }
         )
-        ctx = context(papers, keynotes, transport, embedder=embedder)
-        mapping = assign_citations(ctx, outline, max_retries=2)
+        ctx = context(
+            papers, keynotes, transport, cfg=small_cfg(max_citation_retries=2), embedder=embedder
+        )
+        mapping = assign_citations(ctx, outline)
         assert len(transport.calls) == 3  # strict, strict, lenient
         fallback_events = ctx.runlog.of_kind("assignment_fallback")
         assert [e["paper"] for e in fallback_events] == ["p1"]
@@ -228,10 +231,12 @@ class TestAssignCitations:
         outline = build_outline()
         reply = assignment_reply({k: {"Methods": ["Graph Methods"]} for k in ("p1", "p2")})
         transport = ScriptedTransport().add("Assign every paper", reply)
-        ctx = context(papers, keynotes, transport)
+        embedder = FixtureEmbedder()
+        ctx = context(papers, keynotes, transport, embedder=embedder)
         mapping = assign_citations(ctx, outline)
         placed = {p.canonical for ids in mapping.values() for p in ids}
         assert placed == set(papers)
+        assert embedder.calls == 2  # the leaf descriptions, then every leftover paper
 
 
 class TestDraftSubsection:
