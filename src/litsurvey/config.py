@@ -2,9 +2,11 @@
 
 Config files are YAML; secrets never live in them (only the names of the
 environment variables that hold them). The config hash covers everything
-that changes pipeline behavior, so checkpoints can refuse a resume under a
-different configuration; fields that leave the outputs unchanged
-(``stage_workers``) are left out of it.
+that changes what a run computes, so checkpoints can refuse a resume under
+a different configuration. Fields that only say where a run lives, how
+wide it fans out or how long it waits (``workdir``, ``stage_workers``,
+``cache_expiry_seconds`` and the backend's timeout and backoff bounds) are
+left out of it, so a moved run directory or a new timeout still resumes.
 """
 
 from __future__ import annotations
@@ -21,12 +23,10 @@ import yaml
 from .analysis import AnalysisConfig
 from .code_analysis import CodeAnalysisConfig
 from .errors import ConfigError
-from .model import CitationStyle
+from .model import STAGES, CitationStyle
 from .refinement import LevelConfig, RefinementConfig
 from .retrieval import RetrievalConfig
 from .writing import WritingConfig
-
-STAGES = ("retrieval", "understanding", "analysis", "code_analysis", "writing", "refinement")
 
 
 @dataclass
@@ -146,7 +146,12 @@ class PipelineConfig:
 
     def config_hash(self) -> str:
         plain = _plain(self)
-        del plain["stage_workers"]  # never changes what a run computes
+        # Where a run lives, how wide it fans out and how long it waits
+        # never change what it computes.
+        for name in ("workdir", "stage_workers", "cache_expiry_seconds"):
+            del plain[name]
+        for name in ("request_timeout", "backoff_min", "backoff_max"):
+            del plain["backend"][name]
         return hashlib.sha256(json.dumps(plain, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 

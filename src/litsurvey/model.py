@@ -52,6 +52,10 @@ def unify_paper_id(preprint_id: Optional[str], graph_id: Optional[str]) -> Paper
     raise InvalidInputError("unify_paper_id needs at least one identifier")
 
 
+#: Pipeline stages in run order; each one owns its part of the substrate.
+STAGES = ("retrieval", "understanding", "analysis", "code_analysis", "writing", "refinement")
+
+
 def paper_hash(canonical: str) -> str:
     """Stable filename-safe hash used for per-paper artifact files."""
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

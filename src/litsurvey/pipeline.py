@@ -1,8 +1,11 @@
 """Five-stage pipeline driver with checkpoint/resume and the run manifest.
 
-Each completed stage persists the substrate and advances the checkpoint,
-so an interrupted run resumes from the last completed stage without
-re-issuing any backend call for finished work. A resume under a different
+Each completed stage commits the substrate files it owns (see
+``substrate``), and that commit record alone says which stages are done,
+so an interrupted run resumes after the last committed stage without
+re-issuing any backend call for finished work. ``checkpoint.json`` holds
+the config hash, topic and start time of the run, plus a copy of the
+committed stage list for readers; a resume under a different
 configuration is refused (config hash mismatch).
 """
 
@@ -42,14 +45,19 @@ from .sources import (
     PaperSource,
     PreprintSource,
 )
-from .substrate import _dump, substrate_load, substrate_save
+from .substrate import (
+    _dump,
+    committed_stages,
+    substrate_load,
+    substrate_reset,
+    substrate_save,
+)
 from .understanding import ParsedDocument
 
 
 @dataclass
 class Checkpoint:
     completed_stages: list[str]
-    substrate_dir: str
     config_hash: str
     topic: str
     created_at: str
@@ -335,6 +343,26 @@ _STAGE_FUNCTIONS = {
 }
 
 
+def _write_manifest(config, backends, runlog, checkpoint, stage_seconds, failed=None) -> dict:
+    """``stage_seconds`` covers every committed stage, this run's and those
+    a resume found in the commit record; ``failed`` names a failed stage."""
+    manifest = {
+        "topic": config.topic,
+        "config_hash": checkpoint.config_hash,
+        "backend": {"kind": config.backend.kind, "model": config.backend.model},
+        "embedding": config.embedding.kind,
+        "source": config.source.kind,
+        "completed_stages": list(checkpoint.completed_stages),
+        "failed_stage": failed,
+        "stage_seconds": dict(stage_seconds),
+        "transport_calls": backends.gateway.transport_calls,
+        "cache_hits": backends.gateway.cache_hits,
+        "attribution_events": len(runlog.attribution_events()),
+    }
+    _dump(config.manifest_path, manifest)
+    return manifest
+
+
 def run_pipeline(
     config: PipelineConfig,
     backends: Optional[Backends] = None,
@@ -357,6 +385,7 @@ def run_pipeline(
 
     checkpoint: Optional[Checkpoint] = None
     substrate = KnowledgeSubstrate()
+    stage_seconds: dict[str, float] = {}
     if resume and config.checkpoint_path.exists():
         checkpoint = Checkpoint.from_file(config.checkpoint_path)
         if checkpoint.config_hash != config_hash:
@@ -364,18 +393,22 @@ def run_pipeline(
                 "refusing to resume: the configuration changed since the "
                 f"checkpoint was written (was {checkpoint.config_hash}, now {config_hash})"
             )
-        substrate = substrate_load(checkpoint.substrate_dir)
+        stage_seconds = committed_stages(config.substrate_dir)
+        substrate = substrate_load(config.substrate_dir)
+        checkpoint.completed_stages = list(stage_seconds)
         runlog.add("resumed", completed=list(checkpoint.completed_stages))
     if checkpoint is None:
+        # The old record goes before the new config hash is written, so no
+        # checkpoint ever vouches for stages run under another configuration.
+        substrate_reset(config.substrate_dir)
         checkpoint = Checkpoint(
             completed_stages=[],
-            substrate_dir=str(config.substrate_dir),
             config_hash=config_hash,
             topic=config.topic,
             created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         )
+        checkpoint.save(config.checkpoint_path)
 
-    stage_timings: dict[str, float] = {}
     for stage in config.enabled_stages():
         if stage in checkpoint.completed_stages:
             runlog.add("stage_skipped", stage=stage)
@@ -384,10 +417,10 @@ def run_pipeline(
         try:
             _STAGE_FUNCTIONS[stage](config, substrate, backends, runlog)
         except SurveyError as exc:
-            checkpoint.save(config.checkpoint_path)
+            _write_manifest(config, backends, runlog, checkpoint, stage_seconds, failed=stage)
             raise StageError(stage, exc) from exc
-        stage_timings[stage] = round(time.monotonic() - started, 3)
-        substrate_save(substrate, config.substrate_dir)
+        stage_seconds[stage] = round(time.monotonic() - started, 3)
+        substrate_save(substrate, config.substrate_dir, stage, stage_seconds[stage])
         checkpoint.completed_stages.append(stage)
         checkpoint.save(config.checkpoint_path)
         if stop_after == stage:
@@ -409,19 +442,7 @@ def run_pipeline(
         config.sidecar_path.write_text(assembled.sidecar_json(), encoding="utf-8")
         survey_path = config.survey_path
 
-    manifest = {
-        "topic": config.topic,
-        "config_hash": config_hash,
-        "backend": {"kind": config.backend.kind, "model": config.backend.model},
-        "embedding": config.embedding.kind,
-        "source": config.source.kind,
-        "completed_stages": list(checkpoint.completed_stages),
-        "stage_seconds": stage_timings,
-        "transport_calls": backends.gateway.transport_calls,
-        "cache_hits": backends.gateway.cache_hits,
-        "attribution_events": len(runlog.attribution_events()),
-    }
-    _dump(config.manifest_path, manifest)
+    manifest = _write_manifest(config, backends, runlog, checkpoint, stage_seconds)
     return RunResult(
         survey_path=survey_path,
         substrate=substrate,

@@ -174,15 +174,15 @@ def expand_graph(
     seeds: list[PaperRecord],
     cfg: RetrievalConfig,
     source: PaperSource,
-    runlog: Optional[RunLog] = None,
 ) -> list[PaperRecord]:
     """Breadth-first bidirectional expansion to ``expansion_depth``.
 
     Per expanded paper at most ``per_seed_cap`` neighbors are retained,
     ranked by :func:`neighbor_priority`. New papers are appended in sorted
-    id order so the merge is deterministic.
+    id order so the merge is deterministic. A neighbor fetch that still
+    fails after the source's own retries raises RetrievalError naming the
+    paper, rather than leaving the evidence set short of its neighbors.
     """
-    runlog = runlog or RunLog()
     collected = {p.id.canonical: p for p in seeds}
     result = list(seeds)
     frontier = list(seeds)
@@ -194,8 +194,9 @@ def expand_graph(
                     paper.id, cfg.per_seed_cap * 2
                 )
             except SurveyError as exc:
-                runlog.add("neighbor_unreachable", paper=paper.id.canonical, error=str(exc))
-                continue
+                raise RetrievalError(
+                    f"neighbor fetch for paper '{paper.id.canonical}' failed: {exc}"
+                ) from exc
             unique: dict[str, PaperRecord] = {}
             for n in neighbors:
                 unique.setdefault(n.id.canonical, n)
@@ -264,6 +265,6 @@ def run_retrieval(
     runlog = runlog or RunLog()
     seeds = search_seeds(topic, cfg, source, fallback, runlog)
     seeds = judge_filter(seeds, topic, gateway, cfg, runlog)
-    expanded = expand_graph(seeds, cfg, source, runlog)
+    expanded = expand_graph(seeds, cfg, source)
     passed = coarse_filter(expanded, topic, cfg, gateway)
     return llm_rerank_filter(passed, topic, gateway, cfg, runlog)

@@ -1,23 +1,48 @@
 """Persist/load the knowledge substrate as a directory of JSON files.
 
-Layout::
+Layout, by the stage that writes each file::
 
-    papers.json  clusters.json  analyses.json  outline.json  drafts.json
-    revision_log.json  keynotes/<hash>.json  code_reports/<hash>.json
+    commit.json                   the commit record (below)
+    papers.json                   retrieval
+    keynotes/<hash>.json          understanding
+    clusters.json analyses.json   analysis
+    code_reports/<hash>.json      code analysis, with code_overview.json
+    outline.json drafts.json      writing
+    refined_drafts.json           refinement
 
-Per-paper artifact files are named by a stable hash of the canonical paper
-id so they can be reused across sessions regardless of source. Writes use
-stable key ordering and UTF-8 so diffs and hashes are reproducible.
+Per-paper files are named by a stable hash of the canonical paper id so
+they can be reused across sessions regardless of source. Writes use stable
+key ordering and UTF-8 so diffs and hashes are reproducible.
+
+``substrate_save(substrate, directory, stage)`` writes only the files that
+``stage`` owns, each through a temporary file renamed over its target, and
+then replaces ``commit.json`` the same way. The record lists the committed
+stages in run order, each with its seconds, the sha256 of each of its files
+and the revision-log events it owns (those logged since the stage before
+it); committing a stage drops it and every later stage from the record.
+Only the record says which stages are complete. A crash before the record
+is replaced leaves the previous record, and no stage writes a file another
+stage owns, so the files it lists are intact and the stage simply runs
+again on resume; refinement's drafts go to a file of their own so that
+writing's survive a crash in refinement's save. ``substrate_load`` reads
+only the files the record lists (writing's drafts only while refinement
+has not committed), checks each against its sha256 and raises LoadError
+naming a file that is missing or altered; files the record does not list
+are ignored. ``substrate_reset`` commits an empty record; a run that does
+not resume starts with it, so nothing an earlier run left in the directory
+is loaded.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import IntegrityError, LoadError, PersistenceError
 from .model import (
+    STAGES,
     Cluster,
     ClusterAnalysis,
     CitationMark,
@@ -37,100 +62,159 @@ from .model import (
     paper_hash,
 )
 
-INDEX_FILES = (
-    "papers.json",
-    "clusters.json",
-    "analyses.json",
-    "outline.json",
-    "drafts.json",
-    "revision_log.json",
-)
+COMMIT_FILE = "commit.json"
+_ENTRY_KEYS = {"stage", "seconds", "events", "files"}
+
+#: per-paper directories: made before the stage writes, and cleared of the
+#: files its new record entry does not list once that entry is committed
+_PAPER_DIRS = {"understanding": "keynotes", "code_analysis": "code_reports"}
 
 
-def _dump(path: Path, payload: dict) -> None:
-    """Atomic write: a temporary file renamed over ``path``. A file that
-    already holds the same text is left alone; renaming over an existing
-    file costs about twice as much as creating one on ext4."""
+def _dump(path: Path, payload: dict) -> str:
+    """Atomic write: a temporary file renamed over ``path``; returns the
+    sha256 of the text. A file that already holds the same text is left
+    alone: renaming over an existing file costs about twice as much as
+    creating one on ext4, and a zero-work resume rewrites an unchanged
+    manifest."""
     text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     try:
         if path.read_text(encoding="utf-8") == text:
-            return
+            return digest
     except (OSError, UnicodeDecodeError):
         pass  # missing or unreadable: write it
     try:
         tmp = path.with_suffix(".tmp")
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8", newline="")
         tmp.replace(path)
     except OSError as exc:
         raise PersistenceError(path, exc) from exc
+    return digest
 
 
-def _read(path: Path) -> dict:
-    if not path.exists():
-        raise LoadError(path, "file missing")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise LoadError(path, str(exc)) from exc
+def _drafts(drafts: list[DraftUnit]) -> dict:
+    return {"drafts": [d.to_dict() for d in drafts]}
 
 
-def substrate_save(substrate: KnowledgeSubstrate, directory: str | Path) -> None:
-    """Write the substrate; integrity is verified first so nothing is
-    written for a substrate with dangling references."""
-    substrate.validate()
-    root = Path(directory)
-    try:
-        for sub in ("keynotes", "code_reports"):
-            (root / sub).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise PersistenceError(root, exc) from exc
-
-    _dump(
-        root / "papers.json",
-        {"papers": [substrate.papers[k].to_dict() for k in sorted(substrate.papers)]},
-    )
-    _dump(
-        root / "clusters.json",
-        {
+def _owned_files(stage: str, substrate: KnowledgeSubstrate) -> Iterator[tuple[str, dict]]:
+    """(path in the directory, payload) of every file ``stage`` owns, one at
+    a time so that a stage's payloads are never all held at once."""
+    if stage == "retrieval":
+        papers = substrate.papers
+        yield "papers.json", {"papers": [papers[k].to_dict() for k in sorted(papers)]}
+    elif stage == "understanding":
+        for k in sorted(substrate.keynotes):
+            yield f"keynotes/{paper_hash(k)}.json", substrate.keynotes[k].to_dict()
+    elif stage == "analysis":
+        yield "clusters.json", {
             "clusters": [
                 c.to_dict() for c in sorted(substrate.clusters, key=lambda c: c.cluster_id)
             ]
-        },
-    )
-    _dump(
-        root / "analyses.json",
-        {
+        }
+        yield "analyses.json", {
             "analyses": [
-                a.to_dict()
-                for a in sorted(substrate.analyses, key=lambda a: a.cluster_id)
+                a.to_dict() for a in sorted(substrate.analyses, key=lambda a: a.cluster_id)
             ],
             "inter_cluster": substrate.inter_cluster,
+        }
+    elif stage == "code_analysis":
+        for k in sorted(substrate.code_reports):
+            yield f"code_reports/{paper_hash(k)}.json", {
+                "paper_id": k, **substrate.code_reports[k].to_dict()
+            }
+        yield "code_overview.json", {
             "code_overview": substrate.code_overview,
             "environment_overview": substrate.environment_overview,
-        },
-    )
-    _dump(
-        root / "outline.json",
-        {"outline": substrate.outline.to_dict() if substrate.outline else None},
-    )
-    _dump(root / "drafts.json", {"drafts": [d.to_dict() for d in substrate.drafts]})
-    _dump(root / "revision_log.json", {"events": substrate.revision_log})
+        }
+    elif stage == "writing":
+        yield "outline.json", {
+            "outline": substrate.outline.to_dict() if substrate.outline else None
+        }
+        yield "drafts.json", _drafts(substrate.drafts)
+    else:
+        yield "refined_drafts.json", _drafts(substrate.drafts)
 
-    written: set[Path] = set()
-    for canonical in sorted(substrate.keynotes):
-        path = root / "keynotes" / f"{paper_hash(canonical)}.json"
-        _dump(path, substrate.keynotes[canonical].to_dict())
-        written.add(path)
-    for canonical in sorted(substrate.code_reports):
-        path = root / "code_reports" / f"{paper_hash(canonical)}.json"
-        _dump(path, {"paper_id": canonical, **substrate.code_reports[canonical].to_dict()})
-        written.add(path)
-    # Stale files go only once every current one is written, so a crash
-    # part-way through a save never leaves fewer artifacts than it found.
+
+def _record(root: Path) -> list[dict]:
+    """The committed stages, in run order."""
+    path = root / COMMIT_FILE
     try:
-        for sub in ("keynotes", "code_reports"):
+        entries = json.loads(path.read_bytes())["stages"]
+        for e in entries:
+            if not (
+                set(e) == _ENTRY_KEYS
+                and e["stage"] in STAGES
+                and isinstance(e["files"], dict)
+                and isinstance(e["events"], list)
+            ):
+                raise ValueError(f"malformed stage entry {e!r}")
+    except FileNotFoundError as exc:
+        raise LoadError(path, "file missing") from exc
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise LoadError(path, str(exc)) from exc
+    return entries
+
+
+def substrate_reset(directory: str | Path) -> None:
+    """Commit an empty record: no stage is complete, and every file an
+    earlier run left in ``directory`` is ignored until a stage rewrites it."""
+    root = Path(directory)
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise PersistenceError(root, exc) from exc
+    _dump(root / COMMIT_FILE, {"stages": []})
+
+
+def committed_stages(directory: str | Path) -> dict[str, float]:
+    """Seconds of each committed stage, in run order, from the record."""
+    return {e["stage"]: e["seconds"] for e in _record(Path(directory))}
+
+
+def substrate_save(
+    substrate: KnowledgeSubstrate,
+    directory: str | Path,
+    stage: Optional[str] = None,
+    seconds: float = 0.0,
+) -> None:
+    """Write the files ``stage`` owns, then commit them on top of the stages
+    before it in the existing record. Without a stage, write every stage's
+    files and commit them all at once, replacing any record. Integrity is
+    verified first, so nothing is written for a substrate with dangling
+    references."""
+    if stage is not None and stage not in STAGES:
+        raise ValueError(f"unknown stage '{stage}'")
+    substrate.validate()
+    root = Path(directory)
+    if stage is None:
+        stages, entries = STAGES, []
+    else:
+        stages = (stage,)
+        earlier = STAGES[: STAGES.index(stage)]
+        entries = [e for e in _record(root) if e["stage"] in earlier]
+    for name in stages:
+        try:
+            (root / _PAPER_DIRS.get(name, "")).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise PersistenceError(root, exc) from exc
+        entries.append({
+            "stage": name,
+            "seconds": seconds,
+            "files": {
+                path: _dump(root / path, doc) for path, doc in _owned_files(name, substrate)
+            },
+            "events": substrate.revision_log[sum(len(e["events"]) for e in entries) :],
+        })
+    _dump(root / COMMIT_FILE, {"stages": entries})
+    # Files of papers no longer in the substrate go only once the record
+    # that stops listing them is in place.
+    try:
+        for entry in entries[-len(stages) :]:
+            sub = _PAPER_DIRS.get(entry["stage"])
+            if sub is None:
+                continue
             for path in (root / sub).glob("*.json"):
-                if path not in written:
+                if f"{sub}/{path.name}" not in entry["files"]:
                     path.unlink()
     except OSError as exc:
         raise PersistenceError(root, exc) from exc
@@ -194,14 +278,80 @@ def _load_analysis(d: dict, registry: dict[str, PaperId]) -> ClusterAnalysis:
     )
 
 
+def _read(path: Path, digest: str) -> dict:
+    """Parse a listed file, checking the bytes read against the record."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError as exc:
+        raise LoadError(path, "file missing") from exc
+    except OSError as exc:
+        raise LoadError(path, str(exc)) from exc
+    if hashlib.sha256(data).hexdigest() != digest:
+        raise LoadError(path, "contents differ from the commit record")
+    try:
+        return json.loads(data)
+    except ValueError as exc:
+        raise LoadError(path, str(exc)) from exc
+
+
+def _load_draft(d: dict, registry: dict[str, PaperId]) -> DraftUnit:
+    where = f"draft {' > '.join(d['node_path'])}"
+    return DraftUnit(
+        node_path=tuple(d["node_path"]),
+        text=d["text"],
+        citations=[
+            CitationMark(
+                style=CitationStyle(m["style"]),
+                key=m["key"],
+                paper=_resolve(m["paper"], registry, where),
+            )
+            for m in d["citations"]
+        ],
+        granularity=Granularity(d["granularity"]),
+    )
+
+
 def substrate_load(directory: str | Path) -> KnowledgeSubstrate:
-    """Load a saved substrate; referential integrity is re-verified."""
+    """Load the committed stages of a saved substrate; referential
+    integrity is re-verified."""
     root = Path(directory)
-    papers_doc = _read(root / "papers.json")
-    papers = {r["id"]["canonical"]: PaperRecord.from_dict(r) for r in papers_doc["papers"]}
+    entries = _record(root)
+    refined = any(e["stage"] == "refinement" for e in entries)
+    papers: dict[str, PaperRecord] = {}
+    keynotes: dict[str, Keynote] = {}
+    code_reports: dict[str, CodeReportPair] = {}
+    docs: dict[str, dict] = {}
+    # Per-paper files become objects as they are read, so their parsed
+    # JSON is never held all at once; papers.json (retrieval) comes first.
+    for entry in entries:
+        for name, digest in entry["files"].items():
+            if name == "drafts.json" and refined:
+                continue
+            doc = _read(root / name, digest)
+            if name == "papers.json":
+                papers = {r["id"]["canonical"]: PaperRecord.from_dict(r) for r in doc["papers"]}
+            elif name.startswith("keynotes/"):
+                keynote = Keynote.from_dict(doc)
+                canonical = keynote.paper_id.canonical
+                if canonical not in papers:
+                    raise IntegrityError(
+                        f"keynote file {name} references unknown paper '{canonical}'"
+                    )
+                keynotes[canonical] = keynote
+            elif name.startswith("code_reports/"):
+                canonical = doc["paper_id"]
+                if canonical not in papers:
+                    raise IntegrityError(
+                        f"code report {name} references unknown paper '{canonical}'"
+                    )
+                code_reports[canonical] = CodeReportPair(
+                    code_report=doc.get("code_report", ""),
+                    environment_report=doc.get("environment_report", ""),
+                )
+            else:
+                docs[name] = doc
     registry = {k: rec.id for k, rec in papers.items()}
 
-    clusters_doc = _read(root / "clusters.json")
     clusters = [
         Cluster(
             cluster_id=c["cluster_id"],
@@ -211,77 +361,25 @@ def substrate_load(directory: str | Path) -> KnowledgeSubstrate:
                 _resolve(m, registry, f"cluster {c['cluster_id']}") for m in c["members"]
             },
         )
-        for c in clusters_doc["clusters"]
+        for c in docs.get("clusters.json", {"clusters": []})["clusters"]
     ]
-
-    analyses_doc = _read(root / "analyses.json")
-    analyses = [_load_analysis(a, registry) for a in analyses_doc["analyses"]]
-
-    outline_doc = _read(root / "outline.json")
-    outline = _load_outline(outline_doc["outline"], registry)
-
-    drafts_doc = _read(root / "drafts.json")
-    drafts = []
-    for d in drafts_doc["drafts"]:
-        where = f"draft {' > '.join(d['node_path'])}"
-        drafts.append(
-            DraftUnit(
-                node_path=tuple(d["node_path"]),
-                text=d["text"],
-                citations=[
-                    CitationMark(
-                        style=CitationStyle(m["style"]),
-                        key=m["key"],
-                        paper=_resolve(m["paper"], registry, where),
-                    )
-                    for m in d["citations"]
-                ],
-                granularity=Granularity(d["granularity"]),
-            )
-        )
-
-    log_doc = _read(root / "revision_log.json")
-
-    keynotes: dict[str, Keynote] = {}
-    keynote_dir = root / "keynotes"
-    if keynote_dir.is_dir():
-        for path in sorted(keynote_dir.glob("*.json")):
-            doc = _read(path)
-            keynote = Keynote.from_dict(doc)
-            canonical = keynote.paper_id.canonical
-            if canonical not in papers:
-                raise IntegrityError(
-                    f"keynote file {path.name} references unknown paper '{canonical}'"
-                )
-            keynotes[canonical] = keynote
-
-    code_reports: dict[str, CodeReportPair] = {}
-    reports_dir = root / "code_reports"
-    if reports_dir.is_dir():
-        for path in sorted(reports_dir.glob("*.json")):
-            doc = _read(path)
-            canonical = doc["paper_id"]
-            if canonical not in papers:
-                raise IntegrityError(
-                    f"code report {path.name} references unknown paper '{canonical}'"
-                )
-            code_reports[canonical] = CodeReportPair(
-                code_report=doc.get("code_report", ""),
-                environment_report=doc.get("environment_report", ""),
-            )
+    analyses_doc = docs.get("analyses.json", {"analyses": []})
+    overview_doc = docs.get("code_overview.json", {})
+    outline_doc = docs.get("outline.json", {"outline": None})
+    drafts_doc = docs.get("refined_drafts.json") or docs.get("drafts.json", {"drafts": []})
 
     substrate = KnowledgeSubstrate(
         papers=papers,
         keynotes=keynotes,
         clusters=clusters,
-        analyses=analyses,
+        analyses=[_load_analysis(a, registry) for a in analyses_doc["analyses"]],
         inter_cluster=analyses_doc.get("inter_cluster", ""),
         code_reports=code_reports,
-        code_overview=analyses_doc.get("code_overview", ""),
-        environment_overview=analyses_doc.get("environment_overview", ""),
-        outline=outline,
-        drafts=drafts,
-        revision_log=list(log_doc["events"]),
+        code_overview=overview_doc.get("code_overview", ""),
+        environment_overview=overview_doc.get("environment_overview", ""),
+        outline=_load_outline(outline_doc["outline"], registry),
+        drafts=[_load_draft(d, registry) for d in drafts_doc["drafts"]],
+        revision_log=[event for e in entries for event in e["events"]],
     )
     substrate.validate()
     return substrate

@@ -24,8 +24,6 @@ from .gateway import (
 )
 from .marks import (
     CitationVerdict,
-    build_resolver,
-    extract_mark_keys,
     rewrite_to_numeric,
     verify_citations,
 )

@@ -91,16 +91,18 @@ def scripted_gateway(
 
 class CountingSource:
     """Paper source that records each call it passes on to ``inner``; the
-    first ``failures`` calls raise RetrievalError instead."""
+    first ``failures`` calls (of the method ``failing``, when given) raise
+    RetrievalError instead."""
 
-    def __init__(self, inner, failures: int = 0):
+    def __init__(self, inner, failures: int = 0, failing: str = ""):
         self.inner = inner
         self.failures = failures
+        self.failing = failing
         self.calls: list[str] = []
 
     def _call(self, method: str, *args):
         self.calls.append(method)
-        if self.failures:
+        if self.failures and self.failing in ("", method):
             self.failures -= 1
             raise RetrievalError("source unreachable")
         return getattr(self.inner, method)(*args)

@@ -4,9 +4,12 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from litsurvey.cli import main
+from litsurvey.errors import LoadError
+from litsurvey.substrate import substrate_load
 
 from e2e_fixture import write_config_yaml
 
@@ -84,6 +87,17 @@ class TestResumeBrokenRunDirectory:
     def test_deleted_substrate(self, tmp_path):
         config_path, workdir = self._stopped(tmp_path)
         shutil.rmtree(workdir / "substrate")
+        self._resume_fails_cleanly(config_path)
+
+    def test_altered_keynote(self, tmp_path):
+        config_path, workdir = self._stopped(tmp_path)
+        keynote = sorted((workdir / "substrate" / "keynotes").glob("*.json"))[0]
+        data = bytearray(keynote.read_bytes())
+        at = next(i for i in range(len(data) // 2, len(data)) if chr(data[i]).isalpha())
+        data[at] ^= 0x20  # swap one letter's case: still valid JSON
+        keynote.write_bytes(bytes(data))
+        with pytest.raises(LoadError, match=keynote.name):
+            substrate_load(workdir / "substrate")
         self._resume_fails_cleanly(config_path)
 
     def test_torn_checkpoint(self, tmp_path):

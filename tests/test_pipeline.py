@@ -9,9 +9,17 @@ from pathlib import Path
 import pytest
 
 from litsurvey import gateway as gateway_mod
+from litsurvey import pipeline as pipeline_mod
 from litsurvey import substrate as substrate_mod
 from litsurvey.config import PipelineConfig, default_config, dump_config, load_config
-from litsurvey.errors import ConfigError, DraftingError, PersistenceError, StageError
+from litsurvey.errors import (
+    ConfigError,
+    DraftingError,
+    LoadError,
+    PersistenceError,
+    RetrievalError,
+    StageError,
+)
 from litsurvey.evaluation import extract_claims, strip_front_matter
 from litsurvey.model import Granularity
 from litsurvey.pipeline import Checkpoint, build_backends, evaluate_run, run_pipeline
@@ -149,13 +157,7 @@ class TestEndToEnd:
 
     def test_drafting_failure_under_workers_matches_the_serial_error(self, tmp_path):
         def run(workers: int) -> StageError:
-            config = make_config(tmp_path / f"workers{workers}")
-            rules_path = Path(config.backend.rules_path)
-            doc = json.loads(rules_path.read_text())
-            for rule in doc["rules"]:
-                if rule["pattern"] == FAILING_SUBSECTION:
-                    rule["replies"] = ["far too short"]
-            rules_path.write_text(json.dumps(doc))
+            config = script_drafting_failure(make_config(tmp_path / f"workers{workers}"))
             config.stage_workers = workers
             with pytest.raises(StageError) as err:
                 run_pipeline(config, backends=build_backends(config))
@@ -168,6 +170,17 @@ class TestEndToEnd:
 
 
 FAILING_SUBSECTION = "Write the body of subsection 'Scoped Drafting'"
+
+
+def script_drafting_failure(config: PipelineConfig) -> PipelineConfig:
+    """Make one subsection's drafts fail verification on every attempt."""
+    rules_path = Path(config.backend.rules_path)
+    doc = json.loads(rules_path.read_text())
+    for rule in doc["rules"]:
+        if rule["pattern"] == FAILING_SUBSECTION:
+            rule["replies"] = ["far too short"]
+    rules_path.write_text(json.dumps(doc))
+    return config
 
 
 def script_marked_revisions(config: PipelineConfig) -> list[str]:
@@ -358,7 +371,7 @@ class TestCheckpointResume:
             result = run_pipeline(config, backends=build_backends(config), resume=True)
             assert result.survey_path is not None, crash_points
             assert len(substrate_load(config.substrate_dir).keynotes) == 12, crash_points
-        assert crash_points - 1 == 6 + 12  # index files + keynotes
+        assert crash_points - 1 == 3  # clusters, analyses, the record
 
     @pytest.mark.parametrize("name", ["checkpoint", "manifest"])
     def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, name):
@@ -389,6 +402,136 @@ class TestCheckpointResume:
         assert checkpoint.completed_stages == ["retrieval"]
         assert checkpoint.config_hash == config.config_hash()
         assert checkpoint.topic == TOPIC
+
+
+EARLY_STAGE_PATTERNS = (
+    "seed_filter", "rerank", "structured keynote",
+    "thematic clusters", "one or more clusters", "technical lineage",
+)
+
+
+class TestCommitRecord:
+    @staticmethod
+    def _run_recording_writes(config, monkeypatch, crash_at=None, **kwargs):
+        """Run the pipeline and return the workdir-relative path of every
+        ``_dump``; with ``crash_at``, raise instead of making that write."""
+        real_dump = substrate_mod._dump
+        written: list[str] = []
+
+        def dump(path, payload):
+            if len(written) == crash_at:
+                raise CrashError(path)
+            written.append(str(Path(path).relative_to(config.workdir)))
+            return real_dump(path, payload)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(substrate_mod, "_dump", dump)
+            patch.setattr(pipeline_mod, "_dump", dump)
+            run_pipeline(config, backends=build_backends(config), **kwargs)
+        return written
+
+    def test_crash_at_every_write_resumes_to_the_straight_run(self, tmp_path, monkeypatch):
+        straight_cfg = make_config(tmp_path / "straight")
+        writes = self._run_recording_writes(straight_cfg, monkeypatch)
+        expected = substrate_load(straight_cfg.substrate_dir)
+        body = strip_front_matter(straight_cfg.survey_path.read_text())
+        assert "substrate/commit.json" in writes and "manifest.json" in writes
+        refused = []
+        for crash_at in range(len(writes)):
+            config = make_config(tmp_path / f"crash{crash_at}")
+            with pytest.raises(CrashError):
+                self._run_recording_writes(config, monkeypatch, crash_at=crash_at)
+            try:
+                result = run_pipeline(config, backends=build_backends(config), resume=True)
+            except (LoadError, ConfigError) as exc:  # loud, but this layout never needs it
+                refused.append((writes[crash_at], type(exc).__name__))
+                continue
+            assert result.substrate == expected, writes[crash_at]
+            assert substrate_load(config.substrate_dir) == expected, writes[crash_at]
+            drafts = result.substrate.drafts
+            assert [d.granularity for d in drafts].count(Granularity.SURVEY) == 1
+            assert strip_front_matter(config.survey_path.read_text()) == body, writes[crash_at]
+        assert refused == []
+
+    def test_full_run_writes_each_file_once_and_reads_only_the_record(self, tmp_path, monkeypatch):
+        config = enable_code_analysis(make_config(tmp_path), tmp_path)
+        stages = config.enabled_stages()
+        reads: list[str] = []
+        real_read = Path.read_bytes
+
+        def read_bytes(path):
+            if Path(config.substrate_dir) in path.parents:
+                reads.append(path.name)
+            return real_read(path)
+
+        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+        writes = self._run_recording_writes(config, monkeypatch)
+        assert reads == ["commit.json"] * len(stages)  # each commit reads only the record
+        counts = {path: writes.count(path) for path in writes}
+        assert counts.pop("substrate/commit.json") == 1 + len(stages)
+        assert counts.pop("checkpoint.json") == 1 + len(stages)
+        assert set(counts.values()) == {1}
+        assert sum(p.startswith("substrate/keynotes/") for p in counts) == 12
+        assert sum(p.startswith("substrate/code_reports/") for p in counts) == 1
+
+    def test_moved_run_resumes_under_another_timeout(self, tmp_path):
+        _, _, straight = fresh_run(tmp_path / "straight")
+        config = make_config(tmp_path / "first")
+        run_pipeline(config, backends=build_backends(config), stop_after="analysis")
+        shutil.move(config.workdir, tmp_path / "moved")
+        moved = make_config(tmp_path / "first", workdir=tmp_path / "moved")
+        moved.backend.request_timeout = 5.0
+        backends = build_backends(moved)
+        result = run_pipeline(moved, backends=backends, resume=True)
+        calls = backends.gateway.transport.calls
+        for pattern in EARLY_STAGE_PATTERNS:
+            assert not [c for c in calls if pattern in c.prompt], pattern
+        assert strip_front_matter(result.survey_path.read_text()) == strip_front_matter(
+            straight.survey_path.read_text()
+        )
+
+    def test_resumed_manifest_lists_every_stage(self, tmp_path):
+        config = enable_code_analysis(make_config(tmp_path), tmp_path)
+        run_pipeline(config, backends=build_backends(config), stop_after="analysis")
+        run_pipeline(config, backends=build_backends(config), resume=True)
+        manifest = json.loads(config.manifest_path.read_text())
+        assert list(manifest["stage_seconds"]) == list(config.enabled_stages())
+        assert len(manifest["stage_seconds"]) == 6
+        assert manifest["failed_stage"] is None
+
+    def test_failed_stage_leaves_a_manifest_naming_it(self, tmp_path):
+        config = script_drafting_failure(make_config(tmp_path))
+        with pytest.raises(StageError):
+            run_pipeline(config, backends=build_backends(config))
+        manifest = json.loads(config.manifest_path.read_text())
+        assert manifest["failed_stage"] == "writing"
+        assert manifest["completed_stages"] == ["retrieval", "understanding", "analysis"]
+        assert list(manifest["stage_seconds"]) == manifest["completed_stages"]
+        assert manifest["transport_calls"] > 0
+
+    def test_failed_neighbor_fetch_stops_retrieval_and_resume_fetches_the_rest(self, tmp_path):
+        straight_cfg = make_config(tmp_path / "straight")
+        straight = counted_backends(straight_cfg)
+        run_pipeline(straight_cfg, backends=straight, stop_after="retrieval")
+        config = make_config(tmp_path / "failed")
+        failing = build_backends(config)
+        failing.source = CountingSource(failing.source, failures=1, failing="references")
+        with pytest.raises(StageError) as err:
+            run_pipeline(config, backends=failing)
+        assert err.value.stage == "retrieval"
+        assert isinstance(err.value.cause, RetrievalError)
+        assert "neighbor fetch for paper '" in str(err.value.cause)
+        resumed = counted_backends(config)
+        run_pipeline(config, backends=resumed, resume=True, stop_after="retrieval")
+        done = len(failing.source.calls) - 1  # every call but the failed one
+        assert done and resumed.source.calls
+        assert resumed.source.calls == straight.source.calls[done:]
+        papers = (config.substrate_dir / "papers.json").read_bytes()
+        assert papers == (straight_cfg.substrate_dir / "papers.json").read_bytes()
+
+
+class CrashError(Exception):
+    pass
 
 
 def counted_backends(config):
@@ -507,6 +650,15 @@ class TestConfig:
         path.write_text("topic: x\nnot_a_field: 1\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_hash_ignores_placement_width_and_waiting(self):
+        a = default_config("t")
+        b = default_config("t", workdir="elsewhere")
+        b.stage_workers = 4
+        b.cache_expiry_seconds = 60.0
+        b.backend.request_timeout = 5.0
+        b.backend.backoff_min, b.backend.backoff_max = 0.5, 10.0
+        assert a.config_hash() == b.config_hash()
 
     def test_hash_changes_with_behavioral_fields(self):
         a = default_config("t")

@@ -13,6 +13,7 @@ from litsurvey.model import (
     ComparisonTable,
     DraftUnit,
     Granularity,
+    Keynote,
     KnowledgeSubstrate,
     OutlineNode,
     PaperId,
@@ -21,7 +22,13 @@ from litsurvey.model import (
     TableRow,
     paper_hash,
 )
-from litsurvey.substrate import substrate_load, substrate_save
+from litsurvey.substrate import (
+    COMMIT_FILE,
+    committed_stages,
+    substrate_load,
+    substrate_reset,
+    substrate_save,
+)
 
 from conftest import build_substrate, make_paper
 
@@ -92,12 +99,14 @@ class TestRoundTrip:
         root = tmp_path / "sub"
         substrate_save(substrate, root)
         for name in (
+            COMMIT_FILE,
             "papers.json",
             "clusters.json",
             "analyses.json",
+            "code_overview.json",
             "outline.json",
             "drafts.json",
-            "revision_log.json",
+            "refined_drafts.json",
         ):
             assert (root / name).exists(), name
         keynote_files = list((root / "keynotes").glob("*.json"))
@@ -134,7 +143,7 @@ class TestRoundTrip:
         substrate.log_event("stage_completed", stage="refinement")
         substrate_save(substrate, tmp_path / "s")
         replaced = {p.name for p, ino in inodes.items() if p.stat().st_ino != ino}
-        assert replaced == {"revision_log.json"}
+        assert replaced == {COMMIT_FILE}
         assert substrate_load(tmp_path / "s") == substrate
 
     def test_save_is_deterministic_bytes(self, papers, keynotes, tmp_path):
@@ -155,26 +164,27 @@ class TestIntegrity:
             substrate_save(substrate, target)
         assert not (target / "papers.json").exists()
 
-    def test_same_fixture_fails_at_load_too(self, papers, keynotes, tmp_path):
+    def test_same_fixture_fails_at_load_too(self, papers, keynotes, tmp_path, monkeypatch):
         substrate = full_substrate(papers, keynotes)
+        substrate.outline.children[0].assigned.add(make_paper("ghost").id)
         root = tmp_path / "sub"
-        substrate_save(substrate, root)
-        outline_doc = json.loads((root / "outline.json").read_text())
-        outline_doc["outline"]["children"][0]["assigned"].append("ghost")
-        (root / "outline.json").write_text(json.dumps(outline_doc))
+        monkeypatch.setattr(KnowledgeSubstrate, "validate", lambda self: None)
+        substrate_save(substrate, root)  # committed with a dangling reference
+        monkeypatch.undo()
         with pytest.raises(IntegrityError):
             substrate_load(root)
 
-    def test_keynote_for_unknown_paper_fails_load(self, papers, keynotes, tmp_path):
+    def test_keynote_for_unknown_paper_fails_load(self, papers, keynotes, tmp_path, monkeypatch):
         substrate = build_substrate(papers, keynotes)
-        root = tmp_path / "sub"
-        substrate_save(substrate, root)
-        stray = {
+        substrate.keynotes["unknown-key"] = Keynote.from_dict({
             "paper_id": {"canonical": "unknown-key", "source": "academic-graph"},
             "sections": {"tldr": "stray"},
             "provenance": "abstract_fallback",
-        }
-        (root / "keynotes" / "deadbeef00000000.json").write_text(json.dumps(stray))
+        })
+        root = tmp_path / "sub"
+        monkeypatch.setattr(KnowledgeSubstrate, "validate", lambda self: None)
+        substrate_save(substrate, root)
+        monkeypatch.undo()
         with pytest.raises(IntegrityError):
             substrate_load(root)
 
@@ -183,7 +193,7 @@ class TestLoadErrors:
     def test_empty_directory(self, tmp_path):
         with pytest.raises(LoadError) as err:
             substrate_load(tmp_path)
-        assert "papers.json" in str(err.value)
+        assert COMMIT_FILE in str(err.value)
 
     def test_corrupt_file_names_the_file(self, papers, tmp_path):
         substrate = build_substrate(papers)
@@ -193,3 +203,86 @@ class TestLoadErrors:
         with pytest.raises(LoadError) as err:
             substrate_load(root)
         assert "clusters.json" in str(err.value)
+
+    def test_altered_byte_names_the_file(self, papers, keynotes, tmp_path):
+        root = tmp_path / "sub"
+        substrate_save(build_substrate(papers, keynotes), root)
+        path = root / "keynotes" / f"{paper_hash('p2')}.json"
+        data = bytearray(path.read_bytes())
+        at = next(i for i in range(len(data) // 2, len(data)) if chr(data[i]).isalpha())
+        data[at] ^= 0x20  # swap one letter's case: still valid JSON
+        path.write_bytes(bytes(data))
+        with pytest.raises(LoadError) as err:
+            substrate_load(root)
+        assert path.name in str(err.value)
+
+    @pytest.mark.parametrize(
+        "record", ["{not json", '{"stages": [{"stage": "drafting"}]}', '{"stages": 3}']
+    )
+    def test_malformed_record_names_it(self, papers, tmp_path, record):
+        root = tmp_path / "sub"
+        substrate_save(build_substrate(papers), root)
+        (root / COMMIT_FILE).write_text(record)
+        with pytest.raises(LoadError, match=COMMIT_FILE):
+            substrate_load(root)
+
+    def test_missing_listed_file_names_the_file(self, papers, keynotes, tmp_path):
+        root = tmp_path / "sub"
+        substrate_save(full_substrate(papers, keynotes), root)
+        (root / "outline.json").unlink()
+        with pytest.raises(LoadError) as err:
+            substrate_load(root)
+        assert "outline.json" in str(err.value)
+
+
+def stage_by_stage(substrate, root, stages) -> None:
+    substrate_reset(root)
+    for seconds, stage in enumerate(stages):
+        substrate_save(substrate, root, stage, float(seconds))
+
+
+class TestCommitRecord:
+    def test_stray_file_is_ignored(self, papers, keynotes, tmp_path):
+        substrate = build_substrate(papers, keynotes)
+        root = tmp_path / "sub"
+        substrate_save(substrate, root)
+        stray = {
+            "paper_id": {"canonical": "unknown-key", "source": "academic-graph"},
+            "sections": {"tldr": "stray"},
+            "provenance": "abstract_fallback",
+        }
+        (root / "keynotes" / "deadbeef00000000.json").write_text(json.dumps(stray))
+        (root / "notes.json").write_text("{not json")
+        assert substrate_load(root) == substrate
+
+    def test_only_committed_stages_load(self, papers, keynotes, tmp_path):
+        substrate = full_substrate(papers, keynotes)
+        root = tmp_path / "sub"
+        stage_by_stage(substrate, root, ["retrieval", "understanding"])
+        (root / "clusters.json").write_text("{not json")  # never committed
+        loaded = substrate_load(root)
+        assert loaded.keynotes == substrate.keynotes
+        assert loaded.clusters == [] and loaded.outline is None
+        assert committed_stages(root) == {"retrieval": 0.0, "understanding": 1.0}
+
+    def test_commit_drops_the_stage_and_every_later_one(self, papers, keynotes, tmp_path):
+        substrate = full_substrate(papers, keynotes)
+        root = tmp_path / "sub"
+        stage_by_stage(substrate, root, ["retrieval", "understanding", "analysis"])
+        substrate_save(substrate, root, "understanding", 7.0)
+        assert committed_stages(root) == {"retrieval": 0.0, "understanding": 7.0}
+
+    def test_writing_drafts_load_until_refinement_commits(self, papers, keynotes, tmp_path):
+        substrate = full_substrate(papers, keynotes)
+        root = tmp_path / "sub"
+        stage_by_stage(substrate, root, ["retrieval", "understanding", "analysis", "writing"])
+        written = list(substrate.drafts)
+        substrate.drafts = [*written, DraftUnit(("Survey",), "Refined.", [], Granularity.SURVEY)]
+        substrate.log_event("stage_completed", stage="refinement")
+        (root / "refined_drafts.json").write_text("{not json")  # torn, never committed
+        assert substrate_load(root).drafts == written
+        substrate_save(substrate, root, "refinement")
+        (root / "drafts.json").unlink()  # writing's drafts are no longer read
+        loaded = substrate_load(root)
+        assert loaded == substrate
+        assert [e["stage"] for e in loaded.revision_log] == ["writing", "refinement"]
