@@ -69,7 +69,7 @@ def generate(topic, config_path, workdir, enable_code_analysis, resume, stop_aft
     except SurveyError as exc:  # a bad config, or a run directory it cannot resume
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    click.echo(f"completed stages: {', '.join(result.checkpoint.completed_stages)}")
+    click.echo(f"completed stages: {', '.join(result.manifest['completed_stages'])}")
     if result.survey_path:
         click.echo(f"survey: {result.survey_path}")
     click.echo(f"substrate: {config.substrate_dir}")

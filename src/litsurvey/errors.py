@@ -63,7 +63,11 @@ class JudgeError(MalformedOutputError):
 
 
 class RetrievalError(SurveyError):
-    """Seed search failed on the primary source and on the fallback."""
+    """A paper source answered with an error, or seed search found nothing."""
+
+
+class SourceUnavailableError(RetrievalError):
+    """A paper source still failed after its retries; asking later may succeed."""
 
 
 class KeynoteError(SurveyError):

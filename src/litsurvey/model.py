@@ -468,6 +468,10 @@ class KnowledgeSubstrate:
     outline: Optional[OutlineNode] = None
     drafts: list[DraftUnit] = field(default_factory=list)
     revision_log: list[dict] = field(default_factory=list)
+    #: seconds of each committed stage, in run order. Run metadata, not
+    #: content: left out of equality, so a substrate equals its saved and
+    #: loaded copy whatever the stages took.
+    stage_seconds: dict[str, float] = field(default_factory=dict, compare=False)
 
     def log_event(self, kind: str, **detail: Any) -> None:
         self.revision_log.append({"seq": len(self.revision_log), "kind": kind, **detail})

@@ -4,9 +4,9 @@ Each completed stage commits the substrate files it owns (see
 ``substrate``), and that commit record alone says which stages are done,
 so an interrupted run resumes after the last committed stage without
 re-issuing any backend call for finished work. ``checkpoint.json`` holds
-the config hash, topic and start time of the run, plus a copy of the
-committed stage list for readers; a resume under a different
-configuration is refused (config hash mismatch).
+the config hash, topic and start time of the run and is written once, when
+a run starts without resuming; a resume under a different configuration
+is refused (config hash mismatch).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .sources import (
 )
 from .substrate import (
     _dump,
-    committed_stages,
     substrate_load,
     substrate_reset,
     substrate_save,
@@ -57,7 +56,6 @@ from .understanding import ParsedDocument
 
 @dataclass
 class Checkpoint:
-    completed_stages: list[str]
     config_hash: str
     topic: str
     created_at: str
@@ -345,14 +343,14 @@ _STAGE_FUNCTIONS = {
 
 def _write_manifest(config, backends, runlog, checkpoint, stage_seconds, failed=None) -> dict:
     """``stage_seconds`` covers every committed stage, this run's and those
-    a resume found in the commit record; ``failed`` names a failed stage."""
+    a resume loaded from the commit record; ``failed`` names a failed stage."""
     manifest = {
         "topic": config.topic,
         "config_hash": checkpoint.config_hash,
         "backend": {"kind": config.backend.kind, "model": config.backend.model},
         "embedding": config.embedding.kind,
         "source": config.source.kind,
-        "completed_stages": list(checkpoint.completed_stages),
+        "completed_stages": list(stage_seconds),
         "failed_stage": failed,
         "stage_seconds": dict(stage_seconds),
         "transport_calls": backends.gateway.transport_calls,
@@ -370,7 +368,7 @@ def run_pipeline(
     stop_after: Optional[str] = None,
     runlog: Optional[RunLog] = None,
 ) -> RunResult:
-    """Execute the enabled stages, checkpointing after each.
+    """Execute the enabled stages, committing each one's substrate files.
 
     ``stop_after`` ends the run early (simulating interruption); ``resume``
     picks up from the checkpoint, refusing on a config-hash mismatch.
@@ -385,7 +383,6 @@ def run_pipeline(
 
     checkpoint: Optional[Checkpoint] = None
     substrate = KnowledgeSubstrate()
-    stage_seconds: dict[str, float] = {}
     if resume and config.checkpoint_path.exists():
         checkpoint = Checkpoint.from_file(config.checkpoint_path)
         if checkpoint.config_hash != config_hash:
@@ -393,24 +390,23 @@ def run_pipeline(
                 "refusing to resume: the configuration changed since the "
                 f"checkpoint was written (was {checkpoint.config_hash}, now {config_hash})"
             )
-        stage_seconds = committed_stages(config.substrate_dir)
         substrate = substrate_load(config.substrate_dir)
-        checkpoint.completed_stages = list(stage_seconds)
-        runlog.add("resumed", completed=list(checkpoint.completed_stages))
+        runlog.add("resumed", completed=list(substrate.stage_seconds))
     if checkpoint is None:
         # The old record goes before the new config hash is written, so no
         # checkpoint ever vouches for stages run under another configuration.
         substrate_reset(config.substrate_dir)
         checkpoint = Checkpoint(
-            completed_stages=[],
             config_hash=config_hash,
             topic=config.topic,
             created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         )
         checkpoint.save(config.checkpoint_path)
 
+    # The in-memory substrate's stage_seconds mirrors the commit record.
+    stage_seconds = substrate.stage_seconds
     for stage in config.enabled_stages():
-        if stage in checkpoint.completed_stages:
+        if stage in stage_seconds:
             runlog.add("stage_skipped", stage=stage)
             continue
         started = time.monotonic()
@@ -420,14 +416,12 @@ def run_pipeline(
             _write_manifest(config, backends, runlog, checkpoint, stage_seconds, failed=stage)
             raise StageError(stage, exc) from exc
         stage_seconds[stage] = round(time.monotonic() - started, 3)
-        substrate_save(substrate, config.substrate_dir, stage, stage_seconds[stage])
-        checkpoint.completed_stages.append(stage)
-        checkpoint.save(config.checkpoint_path)
+        substrate_save(substrate, config.substrate_dir, stage)
         if stop_after == stage:
             break
 
     survey_path: Optional[Path] = None
-    all_done = all(s in checkpoint.completed_stages for s in config.enabled_stages())
+    all_done = all(s in stage_seconds for s in config.enabled_stages())
     if all_done and substrate.outline is not None:
         assembled = writing_mod.assemble_survey(
             substrate.outline,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import JudgeError, RetrievalError, SurveyError
+from .errors import JudgeError, RetrievalError, SourceUnavailableError, SurveyError
 from .gateway import Gateway, cosine, request_validated, retry_preamble
 from .model import ErrorMemory, PaperRecord
 from .runlog import RunLog
@@ -56,9 +56,19 @@ def search_seeds(
     When the primary source fails or returns nothing, the preprint-archive
     fallback supplements the pool (flagged in the log).
     """
+    return _seed_pool(topic, cfg, source, fallback, runlog or RunLog())[0]
+
+
+def _seed_pool(
+    topic: str,
+    cfg: RetrievalConfig,
+    source: PaperSource,
+    fallback: Optional[PaperSource],
+    runlog: RunLog,
+) -> tuple[list[PaperRecord], bool]:
+    """The seeds of :func:`search_seeds`, and whether the primary failed."""
     if not topic:
         raise RetrievalError("topic must be non-empty")
-    runlog = runlog or RunLog()
     hits: list[PaperRecord] = []
     primary_error: Optional[Exception] = None
     try:
@@ -80,7 +90,7 @@ def search_seeds(
             ) from exc
         runlog.add("fallback_source_used", topic=topic, hits=len(hits))
 
-    return _dedup(hits)[: cfg.max_seed_papers]
+    return _dedup(hits)[: cfg.max_seed_papers], primary_error is not None
 
 
 def _judge_verdicts(
@@ -174,6 +184,7 @@ def expand_graph(
     seeds: list[PaperRecord],
     cfg: RetrievalConfig,
     source: PaperSource,
+    runlog: Optional[RunLog] = None,
 ) -> list[PaperRecord]:
     """Breadth-first bidirectional expansion to ``expansion_depth``.
 
@@ -181,8 +192,12 @@ def expand_graph(
     ranked by :func:`neighbor_priority`. New papers are appended in sorted
     id order so the merge is deterministic. A neighbor fetch that still
     fails after the source's own retries raises RetrievalError naming the
-    paper, rather than leaving the evidence set short of its neighbors.
+    paper, rather than leaving the evidence set short of its neighbors; a
+    resume asks again. A fetch the source refuses for good (say, a paper
+    it does not know) leaves that paper without neighbors, logged as
+    ``neighbor_fetch_refused``, since asking again would not help.
     """
+    runlog = runlog or RunLog()
     collected = {p.id.canonical: p for p in seeds}
     result = list(seeds)
     frontier = list(seeds)
@@ -193,10 +208,13 @@ def expand_graph(
                 neighbors = source.citations(paper.id, cfg.per_seed_cap * 2) + source.references(
                     paper.id, cfg.per_seed_cap * 2
                 )
-            except SurveyError as exc:
+            except SourceUnavailableError as exc:
                 raise RetrievalError(
                     f"neighbor fetch for paper '{paper.id.canonical}' failed: {exc}"
                 ) from exc
+            except SurveyError as exc:
+                runlog.add("neighbor_fetch_refused", paper=paper.id.canonical, error=str(exc))
+                continue
             unique: dict[str, PaperRecord] = {}
             for n in neighbors:
                 unique.setdefault(n.id.canonical, n)
@@ -261,10 +279,19 @@ def run_retrieval(
     fallback: Optional[PaperSource] = None,
     runlog: Optional[RunLog] = None,
 ) -> list[PaperRecord]:
-    """Full Stage-1 pass; deterministic for a fixed source and judge."""
+    """Full Stage-1 pass; deterministic for a fixed source and judge.
+
+    When the primary source failed the seed search, the seeds come from the
+    fallback and the primary is not asked for their links: the evidence set
+    is the judged seeds, and ``expansion_skipped`` is logged.
+    """
     runlog = runlog or RunLog()
-    seeds = search_seeds(topic, cfg, source, fallback, runlog)
+    seeds, primary_failed = _seed_pool(topic, cfg, source, fallback, runlog)
     seeds = judge_filter(seeds, topic, gateway, cfg, runlog)
-    expanded = expand_graph(seeds, cfg, source)
+    if primary_failed:
+        runlog.add("expansion_skipped", topic=topic, reason="primary source failed")
+        expanded = seeds
+    else:
+        expanded = expand_graph(seeds, cfg, source, runlog)
     passed = coarse_filter(expanded, topic, cfg, gateway)
     return llm_rerank_filter(passed, topic, gateway, cfg, runlog)

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Protocol, Sequence
 import requests
 
 from .caching import cache_key
-from .errors import ExhaustionError, RetrievalError
+from .errors import ExhaustionError, RetrievalError, SourceUnavailableError
 from .gateway import (
     RETRYABLE_STATUSES,
     BackendProfile,
@@ -181,7 +181,7 @@ class AcademicGraphSource:
         try:
             return with_backoff(attempt, self.profile, self.sleeper)
         except ExhaustionError as exc:
-            raise RetrievalError(f"graph API {path} failed: {exc.__cause__}") from exc
+            raise SourceUnavailableError(f"graph API {path} failed: {exc.__cause__}") from exc
 
     def search(self, query: str, limit: int) -> list[PaperRecord]:
         doc = self._get("paper/search", {"query": query, "limit": limit, "fields": _GRAPH_FIELDS})

@@ -16,21 +16,23 @@ key ordering and UTF-8 so diffs and hashes are reproducible.
 
 ``substrate_save(substrate, directory, stage)`` writes only the files that
 ``stage`` owns, each through a temporary file renamed over its target, and
-then replaces ``commit.json`` the same way. The record lists the committed
-stages in run order, each with its seconds, the sha256 of each of its files
-and the revision-log events it owns (those logged since the stage before
-it); committing a stage drops it and every later stage from the record.
-Only the record says which stages are complete. A crash before the record
-is replaced leaves the previous record, and no stage writes a file another
-stage owns, so the files it lists are intact and the stage simply runs
-again on resume; refinement's drafts go to a file of their own so that
-writing's survive a crash in refinement's save. ``substrate_load`` reads
-only the files the record lists (writing's drafts only while refinement
-has not committed), checks each against its sha256 and raises LoadError
-naming a file that is missing or altered; files the record does not list
-are ignored. ``substrate_reset`` commits an empty record; a run that does
-not resume starts with it, so nothing an earlier run left in the directory
-is loaded.
+then replaces ``commit.json`` the same way; it reads no file another stage
+owns. The record lists the committed stages in run order, each with its
+seconds (``KnowledgeSubstrate.stage_seconds``), the sha256 of each of its
+files and the revision-log events it owns (those logged since the stage
+before it); committing a stage drops it and every later stage from the
+record. Only the record says which stages are complete. A crash before
+the record is replaced leaves the previous record, and no stage writes a
+file another stage owns, so the files it lists are intact and the stage
+simply runs again on resume; refinement's drafts go to a file of their own
+so that writing's survive a crash in refinement's save. ``substrate_load``
+reads only the files the record lists (writing's drafts only while
+refinement has not committed), checks each against its sha256 and raises
+LoadError naming a file that is missing or altered; files the record does
+not list are ignored. The loaded ``stage_seconds`` lists the committed
+stages. ``substrate_reset`` commits an empty record; a run that does not
+resume starts with it, so nothing an earlier run left in the directory is
+loaded.
 """
 
 from __future__ import annotations
@@ -166,22 +168,17 @@ def substrate_reset(directory: str | Path) -> None:
     _dump(root / COMMIT_FILE, {"stages": []})
 
 
-def committed_stages(directory: str | Path) -> dict[str, float]:
-    """Seconds of each committed stage, in run order, from the record."""
-    return {e["stage"]: e["seconds"] for e in _record(Path(directory))}
-
-
 def substrate_save(
     substrate: KnowledgeSubstrate,
     directory: str | Path,
     stage: Optional[str] = None,
-    seconds: float = 0.0,
 ) -> None:
     """Write the files ``stage`` owns, then commit them on top of the stages
     before it in the existing record. Without a stage, write every stage's
-    files and commit them all at once, replacing any record. Integrity is
-    verified first, so nothing is written for a substrate with dangling
-    references."""
+    files and commit them all at once, replacing any record. Each entry
+    takes its seconds from ``substrate.stage_seconds`` (0 when absent).
+    Integrity is verified first, so nothing is written for a substrate
+    with dangling references."""
     if stage is not None and stage not in STAGES:
         raise ValueError(f"unknown stage '{stage}'")
     substrate.validate()
@@ -199,7 +196,7 @@ def substrate_save(
             raise PersistenceError(root, exc) from exc
         entries.append({
             "stage": name,
-            "seconds": seconds,
+            "seconds": substrate.stage_seconds.get(name, 0.0),
             "files": {
                 path: _dump(root / path, doc) for path, doc in _owned_files(name, substrate)
             },
@@ -312,8 +309,8 @@ def _load_draft(d: dict, registry: dict[str, PaperId]) -> DraftUnit:
 
 
 def substrate_load(directory: str | Path) -> KnowledgeSubstrate:
-    """Load the committed stages of a saved substrate; referential
-    integrity is re-verified."""
+    """Load the committed stages of a saved substrate, with each one's
+    seconds in ``stage_seconds``; referential integrity is re-verified."""
     root = Path(directory)
     entries = _record(root)
     refined = any(e["stage"] == "refinement" for e in entries)
@@ -380,6 +377,7 @@ def substrate_load(directory: str | Path) -> KnowledgeSubstrate:
         outline=_load_outline(outline_doc["outline"], registry),
         drafts=[_load_draft(d, registry) for d in drafts_doc["drafts"]],
         revision_log=[event for e in entries for event in e["events"]],
+        stage_seconds={e["stage"]: e["seconds"] for e in entries},
     )
     substrate.validate()
     return substrate

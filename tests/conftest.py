@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from litsurvey.errors import RetrievalError
+from litsurvey.errors import SourceUnavailableError
 from litsurvey.gateway import BackendProfile, Gateway
 from litsurvey.model import (
     IdSource,
@@ -92,7 +92,8 @@ def scripted_gateway(
 class CountingSource:
     """Paper source that records each call it passes on to ``inner``; the
     first ``failures`` calls (of the method ``failing``, when given) raise
-    RetrievalError instead."""
+    SourceUnavailableError instead, as a source still down after its
+    retries does."""
 
     def __init__(self, inner, failures: int = 0, failing: str = ""):
         self.inner = inner
@@ -104,7 +105,7 @@ class CountingSource:
         self.calls.append(method)
         if self.failures and self.failing in ("", method):
             self.failures -= 1
-            raise RetrievalError("source unreachable")
+            raise SourceUnavailableError("source unreachable")
         return getattr(self.inner, method)(*args)
 
     def search(self, query, limit):

@@ -252,7 +252,7 @@ class TestCodeAnalysisVariant:
         assert "requirements.txt" in pair.environment_report
         assert "integrated code report" in substrate.code_overview
         assert substrate.environment_overview
-        assert "code_analysis" in result.checkpoint.completed_stages
+        assert "code_analysis" in result.manifest["completed_stages"]
         # repository findings reach the writer context
         transport = backends.gateway.transport
         draft_calls = [c for c in transport.calls if "Write the body of subsection" in c.prompt]
@@ -266,7 +266,7 @@ class TestCheckpointResume:
         config = make_config(tmp_path)
         backends = build_backends(config)
         partial = run_pipeline(config, backends=backends, stop_after="analysis")
-        assert partial.checkpoint.completed_stages == [
+        assert partial.manifest["completed_stages"] == [
             "retrieval", "understanding", "analysis",
         ]
         assert partial.survey_path is None
@@ -387,9 +387,15 @@ class TestCheckpointResume:
                 raise OSError("disk full")
             return real_write(self, data, *args, **kwargs)
 
+        # A resume rewrites manifest.json; checkpoint.json is written only
+        # when a run starts afresh, here under another topic so its text changes.
+        rerun, resume = config, True
+        if name == "checkpoint":
+            rerun, resume = make_config(tmp_path), False
+            rerun.topic += " revisited"
         monkeypatch.setattr(Path, "write_text", torn_write)
         with pytest.raises(PersistenceError):
-            run_pipeline(config, backends=build_backends(config), resume=True)
+            run_pipeline(rerun, backends=build_backends(rerun), resume=resume)
         monkeypatch.setattr(Path, "write_text", real_write)
         assert json.loads(target.read_text()) == before
         result = run_pipeline(config, backends=build_backends(config), resume=True)
@@ -398,8 +404,9 @@ class TestCheckpointResume:
     def test_checkpoint_file_shape(self, tmp_path):
         config = make_config(tmp_path)
         run_pipeline(config, backends=build_backends(config), stop_after="retrieval")
+        fields = json.loads(config.checkpoint_path.read_text())
+        assert set(fields) == {"config_hash", "topic", "created_at"}  # the record lists stages
         checkpoint = Checkpoint.from_file(config.checkpoint_path)
-        assert checkpoint.completed_stages == ["retrieval"]
         assert checkpoint.config_hash == config.config_hash()
         assert checkpoint.topic == TOPIC
 
@@ -453,26 +460,47 @@ class TestCommitRecord:
             assert strip_front_matter(config.survey_path.read_text()) == body, writes[crash_at]
         assert refused == []
 
-    def test_full_run_writes_each_file_once_and_reads_only_the_record(self, tmp_path, monkeypatch):
+    def test_full_run_writes_each_file_once_and_reads_only_its_own(self, tmp_path, monkeypatch):
         config = enable_code_analysis(make_config(tmp_path), tmp_path)
         stages = config.enabled_stages()
-        reads: list[str] = []
-        real_read = Path.read_bytes
+        root = Path(config.substrate_dir)
+        saving: list[str] = []  # the stage being saved, while it is
+        reads: list[tuple[str, str]] = []  # (stage, file) of each read in a save
+        real_save = pipeline_mod.substrate_save
 
-        def read_bytes(path):
-            if Path(config.substrate_dir) in path.parents:
-                reads.append(path.name)
-            return real_read(path)
+        def save(substrate, directory, stage):
+            saving.append(stage)
+            try:
+                real_save(substrate, directory, stage)
+            finally:
+                saving.pop()
 
-        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+        def recording(real):
+            def read(path, *args, **kwargs):
+                if saving and root in path.parents:
+                    reads.append((saving[-1], path.relative_to(root).as_posix()))
+                return real(path, *args, **kwargs)
+
+            return read
+
+        monkeypatch.setattr(pipeline_mod, "substrate_save", save)
+        monkeypatch.setattr(Path, "read_bytes", recording(Path.read_bytes))
+        monkeypatch.setattr(Path, "read_text", recording(Path.read_text))
         writes = self._run_recording_writes(config, monkeypatch)
-        assert reads == ["commit.json"] * len(stages)  # each commit reads only the record
         counts = {path: writes.count(path) for path in writes}
         assert counts.pop("substrate/commit.json") == 1 + len(stages)
-        assert counts.pop("checkpoint.json") == 1 + len(stages)
+        assert counts.pop("checkpoint.json") == 1
         assert set(counts.values()) == {1}
         assert sum(p.startswith("substrate/keynotes/") for p in counts) == 12
         assert sum(p.startswith("substrate/code_reports/") for p in counts) == 1
+        owned = {e["stage"]: set(e["files"]) for e in json.loads((root / "commit.json").read_text())["stages"]}
+        fresh = list(reads)
+        # A rerun over the same directory finds every file already there.
+        reads.clear()
+        self._run_recording_writes(config, monkeypatch)
+        for stage, name in fresh + reads:
+            assert name == "commit.json" or name in owned[stage], (stage, name)
+        assert {name for _, name in reads} == {"commit.json"}.union(*owned.values())
 
     def test_moved_run_resumes_under_another_timeout(self, tmp_path):
         _, _, straight = fresh_run(tmp_path / "straight")
@@ -584,6 +612,19 @@ class TestSourceCache:
         result = run_pipeline(config, backends=warm)
         assert warm.source.calls == [] and warm.fallback.calls == []
         assert result.runlog.of_kind("fallback_source_used")
+
+    def test_a_primary_that_stays_down_leaves_the_fallback_seeds_unexpanded(self, tmp_path):
+        config = make_config(tmp_path)
+        config.source.kind = "academic-graph"  # primary plus preprint fallback
+        fixture = FixtureSource.from_file(config.source.fixture_path)
+        backends = build_backends(config)
+        backends.source = CountingSource(fixture, failures=10**6)
+        backends.fallback = fixture
+        result = run_pipeline(config, backends=backends, stop_after="retrieval")
+        assert backends.source.calls == ["search"]
+        assert result.runlog.of_kind("expansion_skipped")
+        seeds = set(fixture.search_results[TOPIC])
+        assert result.substrate.papers and set(result.substrate.papers) <= seeds
 
 
 class TestEvaluateRun:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+import requests
 
 from litsurvey.errors import JudgeError, RetrievalError
 from litsurvey.retrieval import (
@@ -17,7 +18,7 @@ from litsurvey.retrieval import (
 )
 from litsurvey.runlog import RunLog
 from litsurvey.scripted import ScriptedTransport
-from litsurvey.sources import FixtureSource
+from litsurvey.sources import AcademicGraphSource, FixtureSource
 
 from conftest import CountingSource, make_paper, scripted_gateway
 from doubles import FixtureEmbedder
@@ -190,6 +191,39 @@ class TestExpandGraph:
         }
         assert small <= large
 
+    def test_unavailable_neighbor_fetch_raises_naming_the_paper(self, papers):
+        source = CountingSource(FixtureSource(list(papers.values())), failures=1, failing="references")
+        with pytest.raises(RetrievalError, match="neighbor fetch for paper 'p1' failed"):
+            expand_graph([papers["p1"], papers["p2"]], RetrievalConfig(), source)
+
+    def test_paper_the_graph_does_not_know_has_no_neighbors(self, monkeypatch):
+        requested: list[str] = []
+
+        class Reply:
+            def __init__(self, status_code, doc=None):
+                self.status_code, self.doc = status_code, doc
+
+            def json(self):
+                return self.doc
+
+        def fake_get(url, **kwargs):
+            requested.append(url)
+            if "arXiv:ghost" in url:
+                return Reply(404)
+            edge = "citingPaper" if url.endswith("/citations") else "citedPaper"
+            name = url.rsplit("/", 2)[-2].removeprefix("arXiv:") + "-" + edge
+            return Reply(200, {"data": [{edge: {"paperId": name, "title": name}}]})
+
+        monkeypatch.setattr(requests, "get", fake_get)
+        source = AcademicGraphSource("http://graph", sleeper=lambda _: None)
+        runlog = RunLog()
+        out = expand_graph([make_paper("known"), make_paper("ghost")], RetrievalConfig(), source, runlog)
+        assert [p.id.canonical for p in out] == [
+            "known", "ghost", "known-citedPaper", "known-citingPaper",
+        ]
+        assert [e["paper"] for e in runlog.of_kind("neighbor_fetch_refused")] == ["ghost"]
+        assert len(requested) == 3, "a refused fetch is not retried"
+
 
 class TestCoarseFilter:
     def test_vacuous_threshold_keeps_everything(self, papers):
@@ -254,3 +288,22 @@ class TestFullStage:
             neighborhood |= {p.canonical for p in rec.in_citations}
             neighborhood |= {p.canonical for p in rec.out_citations}
         assert {p["id"]["canonical"] for p in first} <= neighborhood
+
+    def test_fallback_seeds_after_a_primary_failure_are_not_expanded(self, papers):
+        primary = CountingSource(FixtureSource(list(papers.values())), failures=99)
+        fallback = FixtureSource(list(papers.values()), search_results={"topic": ["p1", "p2"]})
+        cfg = RetrievalConfig(coarse_similarity_threshold=-1.0)
+        runlog = RunLog()
+        gw = scripted_gateway(accept_all_judge())
+        out = run_retrieval("topic", cfg, primary, gw, fallback, runlog)
+        assert [p.id.canonical for p in out] == ["p1", "p2"]
+        assert primary.calls == ["search"]
+        assert runlog.of_kind("fallback_source_used") and runlog.of_kind("expansion_skipped")
+
+    def test_fallback_seeds_after_an_empty_primary_search_are_expanded(self, papers):
+        primary = FixtureSource(list(papers.values()), search_results={"topic": []})
+        fallback = FixtureSource(list(papers.values()), search_results={"topic": ["p2"]})
+        cfg = RetrievalConfig(coarse_similarity_threshold=-1.0)
+        gw = scripted_gateway(accept_all_judge())
+        out = run_retrieval("topic", cfg, primary, gw, fallback)
+        assert [p.id.canonical for p in out] == ["p2", "p4"]

@@ -24,7 +24,6 @@ from litsurvey.model import (
 )
 from litsurvey.substrate import (
     COMMIT_FILE,
-    committed_stages,
     substrate_load,
     substrate_reset,
     substrate_save,
@@ -238,7 +237,8 @@ class TestLoadErrors:
 def stage_by_stage(substrate, root, stages) -> None:
     substrate_reset(root)
     for seconds, stage in enumerate(stages):
-        substrate_save(substrate, root, stage, float(seconds))
+        substrate.stage_seconds[stage] = float(seconds)
+        substrate_save(substrate, root, stage)
 
 
 class TestCommitRecord:
@@ -263,14 +263,15 @@ class TestCommitRecord:
         loaded = substrate_load(root)
         assert loaded.keynotes == substrate.keynotes
         assert loaded.clusters == [] and loaded.outline is None
-        assert committed_stages(root) == {"retrieval": 0.0, "understanding": 1.0}
+        assert loaded.stage_seconds == {"retrieval": 0.0, "understanding": 1.0}
 
     def test_commit_drops_the_stage_and_every_later_one(self, papers, keynotes, tmp_path):
         substrate = full_substrate(papers, keynotes)
         root = tmp_path / "sub"
         stage_by_stage(substrate, root, ["retrieval", "understanding", "analysis"])
-        substrate_save(substrate, root, "understanding", 7.0)
-        assert committed_stages(root) == {"retrieval": 0.0, "understanding": 7.0}
+        substrate.stage_seconds["understanding"] = 7.0
+        substrate_save(substrate, root, "understanding")
+        assert substrate_load(root).stage_seconds == {"retrieval": 0.0, "understanding": 7.0}
 
     def test_writing_drafts_load_until_refinement_commits(self, papers, keynotes, tmp_path):
         substrate = full_substrate(papers, keynotes)
