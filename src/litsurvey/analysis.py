@@ -17,7 +17,6 @@ from .gateway import (
     cosine,
     extract_json_payload,
     request_validated,
-    retry_preamble,
 )
 from .marks import extract_mark_keys, resolve_key, build_resolver
 from .model import (
@@ -93,7 +92,6 @@ def design_clusters(
     keynotes: dict[str, Keynote],
     gateway: Gateway,
     cfg: Optional[AnalysisConfig] = None,
-    runlog: Optional[RunLog] = None,
 ) -> ClusterProposal:
     """Fold keynote batches into an evolving cluster proposal.
 
@@ -112,23 +110,19 @@ def design_clusters(
             "\n".join(f"- {c['name']}: {c['summary']}" for c in proposal.clusters)
             or "(none yet)"
         )
-
-        def build(memory: ErrorMemory, attempt: int, listing=listing, existing=existing) -> str:
-            return (
-                retry_preamble(memory, attempt)
-                + "Curate thematic clusters for a literature survey.\n"
-                + f"Existing clusters:\n{existing}\n\n"
-                + f"New batch of paper keynotes:\n{listing}\n\n"
-                + "Update the cluster list (merge, split or add as needed; create "
-                + "from scratch when none exist) so every new paper fits at least "
-                + "one theme. A paper may sit in several clusters. Reply strictly "
-                + 'as a JSON list: [{"cluster_name": "...", "summary": "..."}]. '
-                + "Do not mention specific papers."
-            )
-
+        prompt = (
+            "Curate thematic clusters for a literature survey.\n"
+            + f"Existing clusters:\n{existing}\n\n"
+            + f"New batch of paper keynotes:\n{listing}\n\n"
+            + "Update the cluster list (merge, split or add as needed; create "
+            + "from scratch when none exist) so every new paper fits at least "
+            + "one theme. A paper may sit in several clusters. Reply strictly "
+            + 'as a JSON list: [{"cluster_name": "...", "summary": "..."}]. '
+            + "Do not mention specific papers."
+        )
         proposal, memory, _ = request_validated(
             gateway,
-            build,
+            prompt,
             _parse_proposal,
             tag="analysis.design",
             memory=memory,
@@ -176,17 +170,14 @@ def assign_papers(
     )
     themes = "\n".join(f"- {c['name']}: {c['summary']}" for c in proposal.clusters)
 
-    def build(memory: ErrorMemory, attempt: int) -> str:
-        return (
-            retry_preamble(memory, attempt)
-            + f"Assign every paper to one or more clusters. {prompt_note}\n"
-            + f"Clusters:\n{themes}\n\nPapers:\n{listing}\n\n"
-            + 'Reply strictly as JSON: [{"paper_id": "...", "clusters": ["name"]}]'
-        )
-
+    prompt = (
+        f"Assign every paper to one or more clusters. {prompt_note}\n"
+        + f"Clusters:\n{themes}\n\nPapers:\n{listing}\n\n"
+        + 'Reply strictly as JSON: [{"paper_id": "...", "clusters": ["name"]}]'
+    )
     raw, _, _ = request_validated(
         gateway,
-        build,
+        prompt,
         lambda reply: _parse_assignment(reply, names),
         tag="analysis.assign",
         max_retries=cfg.max_retries,
@@ -307,15 +298,13 @@ def build_relation_graph(
         f"- {k}: {_keynote_digest(keynotes[k])}" for k in sorted(member_keys) if k in keynotes
     )
 
-    def build(memory: ErrorMemory, attempt: int) -> str:
-        return (
-            retry_preamble(memory, attempt)
-            + f"Map the technical lineage inside cluster '{cluster.name}'.\n"
-            + f"Members:\n{listing}\n\n"
-            + "Emit directed edges typed as foundation, extension or substitution "
-            + "(other labels allowed) with a one-line description each. Reply "
-            + 'strictly as JSON: [{"from": id, "to": id, "relation": "...", "description": "..."}]'
-        )
+    prompt = (
+        f"Map the technical lineage inside cluster '{cluster.name}'.\n"
+        + f"Members:\n{listing}\n\n"
+        + "Emit directed edges typed as foundation, extension or substitution "
+        + "(other labels allowed) with a one-line description each. Reply "
+        + 'strictly as JSON: [{"from": id, "to": id, "relation": "...", "description": "..."}]'
+    )
 
     def parse(reply: str) -> list[dict]:
         payload = extract_json_payload(reply)
@@ -327,7 +316,7 @@ def build_relation_graph(
         return payload
 
     raw, _, _ = request_validated(
-        gateway, build, parse, tag="analysis.graph", max_retries=cfg.max_retries
+        gateway, prompt, parse, tag="analysis.graph", max_retries=cfg.max_retries
     )
     edges: list[RelationEdge] = []
     for item in raw:
@@ -370,15 +359,13 @@ def build_comparison_table(
         f"- {k}: {_keynote_digest(keynotes[k])}" for k in sorted(member_keys) if k in keynotes
     )
 
-    def build(memory: ErrorMemory, attempt: int) -> str:
-        return (
-            retry_preamble(memory, attempt)
-            + f"Compare the papers of cluster '{cluster.name}' along the key "
-            + "dimensions you judge most informative (at least three columns).\n"
-            + f"Members:\n{listing}\n\n"
-            + 'Reply strictly as JSON: {"columns": [...], '
-            + '"rows": [{"paper_id": "...", "cells": {"column": "text"}}]}'
-        )
+    prompt = (
+        f"Compare the papers of cluster '{cluster.name}' along the key "
+        + "dimensions you judge most informative (at least three columns).\n"
+        + f"Members:\n{listing}\n\n"
+        + 'Reply strictly as JSON: {"columns": [...], '
+        + '"rows": [{"paper_id": "...", "cells": {"column": "text"}}]}'
+    )
 
     def parse(reply: str) -> dict:
         payload = extract_json_payload(reply)
@@ -389,7 +376,7 @@ def build_comparison_table(
         return payload
 
     raw, _, _ = request_validated(
-        gateway, build, parse, tag="analysis.table", max_retries=cfg.max_retries
+        gateway, prompt, parse, tag="analysis.table", max_retries=cfg.max_retries
     )
     table = ComparisonTable(columns=[str(c) for c in raw["columns"]])
     for row in raw["rows"]:
@@ -411,7 +398,6 @@ def guided_qa(
     papers: dict[str, PaperRecord],
     gateway: Gateway,
     n_questions: int = 1,
-    cfg: Optional[AnalysisConfig] = None,
     runlog: Optional[RunLog] = None,
 ) -> list[QaItem]:
     """Cross-paper questions answered strictly from member papers.
@@ -421,7 +407,6 @@ def guided_qa(
     """
     if n_questions < 1:
         raise InvalidInputError("need at least one question")
-    cfg = cfg or AnalysisConfig()
     runlog = runlog or RunLog()
     member_keys = cluster.member_keys()
     member_records = _member_records(cluster, papers)
@@ -433,15 +418,13 @@ def guided_qa(
         if k in keynotes
     )
 
-    def build(memory: ErrorMemory, attempt: int) -> str:
-        return (
-            retry_preamble(memory, attempt)
-            + f"Pose {n_questions} high-value question(s) that cut across at least "
-            + f"two papers of cluster '{cluster.name}' and answer them from the "
-            + "member papers only, citing with <paper title> or <paper id> marks.\n"
-            + f"Members:\n{listing}\n\n"
-            + 'Reply strictly as JSON: [{"question": "...", "related": [paper ids], "answer": "..."}]'
-        )
+    prompt = (
+        f"Pose {n_questions} high-value question(s) that cut across at least "
+        + f"two papers of cluster '{cluster.name}' and answer them from the "
+        + "member papers only, citing with <paper title> or <paper id> marks.\n"
+        + f"Members:\n{listing}\n\n"
+        + 'Reply strictly as JSON: [{"question": "...", "related": [paper ids], "answer": "..."}]'
+    )
 
     def parse(reply: str) -> list[QaItem]:
         payload = extract_json_payload(reply)
@@ -472,7 +455,7 @@ def guided_qa(
 
     try:
         items, _, _ = request_validated(
-            gateway, build, parse, tag="analysis.qa", max_retries=1
+            gateway, prompt, parse, tag="analysis.qa", max_retries=1
         )
         return items
     except MalformedOutputError as exc:
@@ -487,7 +470,6 @@ def inter_cluster_analysis(
     analyses: list[ClusterAnalysis],
     papers: dict[str, PaperRecord],
     gateway: Gateway,
-    cfg: Optional[AnalysisConfig] = None,
     runlog: Optional[RunLog] = None,
 ) -> str:
     """Synthesis of cross-cluster differences, citing only substrate papers.
@@ -497,21 +479,18 @@ def inter_cluster_analysis(
     """
     if len(clusters) < 2:
         raise InvalidInputError("inter-cluster analysis needs at least two clusters")
-    cfg = cfg or AnalysisConfig()
     runlog = runlog or RunLog()
     records = [papers[k] for k in sorted(papers)]
     resolver = build_resolver(records, CitationStyle.TITLE)
     id_resolver = build_resolver(records, CitationStyle.ID)
     overview = "\n".join(f"- {c.name}: {c.summary} ({len(c.members)} papers)" for c in clusters)
 
-    def build(memory: ErrorMemory, attempt: int) -> str:
-        return (
-            retry_preamble(memory, attempt)
-            + "Contrast the clusters below: shared assumptions, diverging methods, "
-            + "open tensions. Cite evidence with <paper title> or <paper id> marks, "
-            + "using only papers from this collection.\n"
-            + f"Clusters:\n{overview}"
-        )
+    prompt = (
+        "Contrast the clusters below: shared assumptions, diverging methods, "
+        + "open tensions. Cite evidence with <paper title> or <paper id> marks, "
+        + "using only papers from this collection.\n"
+        + f"Clusters:\n{overview}"
+    )
 
     def unknown(key: str) -> bool:
         return (
@@ -536,7 +515,7 @@ def inter_cluster_analysis(
 
     text, _, _ = request_validated(
         gateway,
-        build,
+        prompt,
         parse,
         last_parse=strip_unknown,
         tag="analysis.inter_cluster",
@@ -562,7 +541,7 @@ def analyze_cluster(
         if len(cluster.members) >= 2
         else None
     )
-    qa = guided_qa(cluster, keynotes, papers, gateway, cfg.questions_per_cluster, cfg, runlog)
+    qa = guided_qa(cluster, keynotes, papers, gateway, cfg.questions_per_cluster, runlog)
     attributions: dict[str, list] = {}
     for i, item in enumerate(qa):
         attributions[f"qa:{i}"] = list(item.related)

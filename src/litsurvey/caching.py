@@ -2,7 +2,7 @@
 
 * api tier    -> DiskCache under <cache_dir>/api (optional expiry)
 * task tier   -> the substrate files themselves plus checkpoints
-* runtime tier-> MemoryCache inside the gateway instance
+* runtime tier-> a dict inside the gateway instance, under its lock
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
 import uuid
 from pathlib import Path
@@ -21,22 +20,6 @@ def cache_key(*parts: Any) -> str:
     """Deterministic key for identical inputs (order-sensitive)."""
     blob = json.dumps(parts, ensure_ascii=False, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-class MemoryCache:
-    """In-memory tier; safe for concurrent readers and writers."""
-
-    def __init__(self):
-        self._data: dict[str, Any] = {}
-        self._lock = threading.RLock()
-
-    def get(self, key: str) -> Optional[Any]:
-        with self._lock:
-            return self._data.get(key)
-
-    def set(self, key: str, value: Any) -> None:
-        with self._lock:
-            self._data[key] = value
 
 
 class DiskCache:

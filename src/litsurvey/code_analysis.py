@@ -19,10 +19,9 @@ from .gateway import (
     Gateway,
     extract_json_payload,
     request_validated,
-    retry_preamble,
 )
 from .marks import extract_mark_keys
-from .model import ErrorMemory, PaperId
+from .model import PaperId
 from .runlog import RunLog
 from .tokens import estimate_tokens
 
@@ -255,22 +254,19 @@ def _consult_planner(
         f"pseudocode exists: {state.pseudocode is not None}"
     )
 
-    def build(memory: ErrorMemory, attempt: int) -> str:
-        return (
-            retry_preamble(memory, attempt)
-            + f"You are planning repository-level pseudocode for {repo.paper_id.canonical}.\n"
-            + f"Status: {status}\nRepository files:\n{file_listing}\n\n"
-            + f"Working memory:\n{memory_text}\n\n"
-            + "Pick the next operation(s): get_source_code (with a path), create, "
-            + "revise, review, finish. Read at least three key source files before "
-            + "creating, and revise at least once every three rounds afterwards. "
-            + "You may return several steps as a sub-plan, executed in order. "
-            + 'Reply strictly as JSON: [{"op": "...", "path": "...", "rationale": "..."}]'
-        )
-
+    prompt = (
+        f"You are planning repository-level pseudocode for {repo.paper_id.canonical}.\n"
+        + f"Status: {status}\nRepository files:\n{file_listing}\n\n"
+        + f"Working memory:\n{memory_text}\n\n"
+        + "Pick the next operation(s): get_source_code (with a path), create, "
+        + "revise, review, finish. Read at least three key source files before "
+        + "creating, and revise at least once every three rounds afterwards. "
+        + "You may return several steps as a sub-plan, executed in order. "
+        + 'Reply strictly as JSON: [{"op": "...", "path": "...", "rationale": "..."}]'
+    )
     plan, _, _ = request_validated(
         gateway,
-        build,
+        prompt,
         _parse_plan,
         tag="code.plan",
         temperature=cfg.planner_temperature,
@@ -353,19 +349,16 @@ def _execute_op(
 def _review_pseudocode(
     state: LoopState, gateway: Gateway, cfg: CodeAnalysisConfig
 ) -> PseudocodeReview:
-    def build(memory: ErrorMemory, attempt: int) -> str:
-        return (
-            retry_preamble(memory, attempt)
-            + "Score this pseudocode 0-10 on conciseness, logical_structure and "
-            + "implementation_specificity, with concrete suggestions.\n"
-            + f"Pseudocode:\n{state.pseudocode or '(none)'}\n\n"
-            + 'Reply strictly as JSON: {"conciseness": n, "logical_structure": n, '
-            + '"implementation_specificity": n, "suggestions": ["..."]}'
-        )
-
+    prompt = (
+        "Score this pseudocode 0-10 on conciseness, logical_structure and "
+        + "implementation_specificity, with concrete suggestions.\n"
+        + f"Pseudocode:\n{state.pseudocode or '(none)'}\n\n"
+        + 'Reply strictly as JSON: {"conciseness": n, "logical_structure": n, '
+        + '"implementation_specificity": n, "suggestions": ["..."]}'
+    )
     review, _, _ = request_validated(
         gateway,
-        build,
+        prompt,
         _parse_review,
         tag="code.review",
         temperature=cfg.reviewer_temperature,
@@ -451,13 +444,9 @@ def _merge_reports(reports: list[str], topic: str, gateway: Gateway, runlog: Run
 def environment_report(
     repos: list[RepoSnapshot],
     gateway: Gateway,
-    cfg: Optional[CodeAnalysisConfig] = None,
-    runlog: Optional[RunLog] = None,
 ) -> str:
     """Synthesize frameworks, dependency versions and deployment patterns
     from configuration files only (manifests and readmes)."""
-    cfg = cfg or CodeAnalysisConfig()
-    runlog = runlog or RunLog()
     entries = []
     for repo in repos:
         config = repo.config_files

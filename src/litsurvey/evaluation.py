@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Protocol, Sequence
 
 from .errors import EvaluationError, InvalidInputError
-from .gateway import Gateway, extract_json_payload, request_validated, retry_preamble
-from .model import ErrorMemory
+from .gateway import Gateway, extract_json_payload, request_validated
 
 # -- claims ------------------------------------------------------------------
 
@@ -262,15 +261,13 @@ def score_content(
         else "Reply with scores only; no explanations."
     )
 
-    def build(memory: ErrorMemory, attempt: int) -> str:
-        return (
-            retry_preamble(memory, attempt)
-            + "Score this survey on a 1-10 scale per sub-dimension.\n"
-            + f"Dimensions: {dims}\n{explain}\n"
-            + 'Reply strictly as JSON: {"core": {"synthesis": n, ...}, '
-            + '"writing": {...}, "depth": {...}}\n\n'
-            + f"Survey:\n{survey_text}"
-        )
+    prompt = (
+        "Score this survey on a 1-10 scale per sub-dimension.\n"
+        + f"Dimensions: {dims}\n{explain}\n"
+        + 'Reply strictly as JSON: {"core": {"synthesis": n, ...}, '
+        + '"writing": {...}, "depth": {...}}\n\n'
+        + f"Survey:\n{survey_text}"
+    )
 
     def parse(reply: str) -> ContentScores:
         payload = extract_json_payload(reply)
@@ -302,7 +299,7 @@ def score_content(
             sub_scores=sub_scores,
         )
 
-    scores, _, _ = request_validated(gateway, build, parse, tag="evaluation.judge")
+    scores, _, _ = request_validated(gateway, prompt, parse, tag="evaluation.judge")
     return scores
 
 

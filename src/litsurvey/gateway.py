@@ -2,8 +2,11 @@
 
 Adds what every stage relies on: exponential-backoff retry on recoverable
 HTTP statuses, api-tier response caching (runtime + disk), unit-normalized
-embeddings, and a strict-parse helper that retries malformed structured
-output with error memory injected into the prompt.
+embeddings, and :func:`request_validated`, the one validate-and-retry
+protocol for structured output. A stage hands it a prompt string and,
+optionally, a context string; each request is the retry preamble (attempt
+marker and error memory), then the prompt, then the context fitted to what
+the context window has left.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Any, Callable, Optional, Protocol, Sequence, TypeVar
 import numpy as np
 import requests
 
-from .caching import DiskCache, MemoryCache, cache_key
+from .caching import DiskCache, cache_key
 from .errors import (
     BackendError,
     BudgetError,
@@ -29,7 +32,8 @@ from .errors import (
     MalformedOutputError,
 )
 from .model import ErrorMemory
-from .tokens import estimate_tokens
+from .runlog import RunLog
+from .tokens import compress_context, estimate_tokens
 
 T = TypeVar("T")
 
@@ -200,10 +204,11 @@ class HttpEmbedder:
 class Gateway:
     """Shared entry point for completions and embeddings.
 
-    Thread-safe: the caches take their own locks, retries keep all state
-    on the stack, and identical requests in flight at once share one
-    backend call (see :meth:`cached`). ``sleeper`` is injectable so tests
-    run with a deterministic clock (jitter is deliberately disabled).
+    Thread-safe: one lock guards the runtime cache, the counters and the
+    in-flight table (the disk cache needs none), retries keep all state on
+    the stack, and identical requests in flight at once share one backend
+    call (see :meth:`cached`). ``sleeper`` is injectable so tests run with
+    a deterministic clock (jitter is deliberately disabled).
     """
 
     def __init__(
@@ -221,9 +226,9 @@ class Gateway:
         self.profile = profile or BackendProfile()
         self.embed_batch_size = embed_batch_size
         self.sleeper = sleeper
-        self._runtime = MemoryCache()
+        self._runtime: dict[str, Any] = {}
         self._disk = DiskCache(f"{cache_dir}/api", cache_expiry) if cache_dir else None
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._in_flight: dict[str, threading.Event] = {}
         self.transport_calls = 0
         self.cache_hits = 0
@@ -282,18 +287,23 @@ class Gateway:
             flight.set()
 
     def _cache_get(self, key: str) -> Optional[Any]:
-        value = self._runtime.get(key)
-        if value is None and self._disk is not None:
-            value = self._disk.get(key)
+        with self._lock:
+            value = self._runtime.get(key)
             if value is not None:
-                self._runtime.set(key, value)
+                self.cache_hits += 1
+                return value
+        if self._disk is None:
+            return None
+        value = self._disk.get(key)
         if value is not None:
             with self._lock:
+                self._runtime[key] = value
                 self.cache_hits += 1
         return value
 
     def _cache_set(self, key: str, value: Any) -> None:
-        self._runtime.set(key, value)
+        with self._lock:
+            self._runtime[key] = value
         if self._disk is not None:
             self._disk.set(key, value)
 
@@ -381,10 +391,12 @@ def extract_json_payload(text: str) -> Any:
 
 def request_validated(
     gateway: Gateway,
-    build_prompt: Callable[[ErrorMemory, int], str],
+    prompt: str,
     parse: Callable[[str], T],
     *,
     tag: str,
+    context: str = "",
+    runlog: Optional[RunLog] = None,
     temperature: float = 0.0,
     memory: ErrorMemory = ErrorMemory(),
     max_retries: int = 3,
@@ -394,22 +406,28 @@ def request_validated(
 ) -> tuple[T, ErrorMemory, int]:
     """Call the backend until ``parse`` accepts the reply.
 
+    Every request is the retry preamble, then ``prompt``, then ``context``
+    cut by :func:`compress_context` to what the context window has left; a
+    cut is logged to ``runlog`` as ``context_compressed``. The preamble is
+    empty on a first attempt with empty ``memory``; otherwise it is the
+    attempt marker (from the second attempt on, so a retry never collides
+    with the cached failing request) followed by the rendered error memory.
+
     ``parse`` signals a violation by raising ValueError; each message in its
-    args is recorded, in order, as its own error-memory entry and echoed
-    into the retry prompt (retry prompts also carry the attempt number, so
-    they never collide with the cached failing request). ``last_parse``,
+    args is recorded, in order, as its own error-memory entry. ``last_parse``,
     when given, replaces ``parse`` on the final attempt, e.g. a lenient
     reading that keeps what it can. ``on_retry(attempt, problems)`` runs
     after every rejected reply. Returns (value, memory, calls_made).
     """
     problems = ["no attempt made"]
     for attempt in range(max_retries + 1):
+        marker = f"(attempt {attempt + 1})\n" if attempt else ""
+        head = marker + memory.render() + prompt
+        request = compress_context(head, context, gateway.profile.context_window)
+        if len(request) < len(head) + len(context) and runlog is not None:
+            runlog.add("context_compressed", stage=tag)
         reply = gateway.complete(
-            CompletionRequest(
-                prompt=build_prompt(memory, attempt),
-                temperature=temperature,
-                tag=tag,
-            )
+            CompletionRequest(prompt=request, temperature=temperature, tag=tag)
         )
         accept = last_parse if last_parse is not None and attempt == max_retries else parse
         try:
@@ -423,14 +441,6 @@ def request_validated(
     raise error_factory(
         f"output still invalid after {max_retries + 1} attempts: {'; '.join(problems)}"
     )
-
-
-def retry_preamble(memory: ErrorMemory, attempt: int) -> str:
-    """Standard prefix for retry prompts: error memory plus attempt marker."""
-    if attempt == 0 and not memory.entries:
-        return ""
-    marker = f"(attempt {attempt + 1})\n" if attempt else ""
-    return marker + memory.render()
 
 
 def map_bounded(fn: Callable[[Any], Any], items: Sequence[Any], workers: int = 1) -> list[Any]:

@@ -216,9 +216,7 @@ def _stage_understanding(config, substrate, backends, runlog):
 
 
 def _stage_analysis(config, substrate, backends, runlog):
-    proposal = analysis_mod.design_clusters(
-        substrate.keynotes, backends.gateway, config.analysis, runlog=runlog
-    )
+    proposal = analysis_mod.design_clusters(substrate.keynotes, backends.gateway, config.analysis)
     clusters, _ = analysis_mod.assign_papers(
         proposal, substrate.keynotes, backends.gateway, config.analysis, runlog
     )
@@ -237,8 +235,7 @@ def _stage_analysis(config, substrate, backends, runlog):
     )
     if len(clusters) >= 2:
         substrate.inter_cluster = analysis_mod.inter_cluster_analysis(
-            clusters, substrate.analyses, substrate.papers, backends.gateway,
-            config.analysis, runlog,
+            clusters, substrate.analyses, substrate.papers, backends.gateway, runlog
         )
     tables_dir = Path(config.workdir) / "tables"
     tables_dir.mkdir(parents=True, exist_ok=True)
@@ -282,9 +279,7 @@ def _stage_code_analysis(config, substrate, backends, runlog):
         substrate.code_overview = code_mod.batch_code_report(
             pseudocodes, config.topic, backends.gateway, config.code_analysis, runlog
         )
-        substrate.environment_overview = code_mod.environment_report(
-            repos, backends.gateway, config.code_analysis, runlog
-        )
+        substrate.environment_overview = code_mod.environment_report(repos, backends.gateway)
     substrate.log_event("stage_completed", stage="code_analysis", repos=len(repos))
 
 

@@ -18,13 +18,11 @@ from .gateway import (
     extract_json_payload,
     map_bounded,
     request_validated,
-    retry_preamble,
 )
 from .marks import verify_citations
 from .model import (
     CitationStyle,
     DraftUnit,
-    ErrorMemory,
     Granularity,
     Keynote,
     KnowledgeSubstrate,
@@ -164,15 +162,13 @@ def review_skill(
     """Structured quality verdict: per-dimension scores (0-10), suggestions,
     and an optional satisfactory flag. Out-of-range scores retry."""
 
-    def build(mem: ErrorMemory, attempt: int) -> str:
-        return (
-            retry_preamble(mem, attempt)
-            + f"Review this {unit.granularity.value} draft for analytical depth, "
-            + "coherence, rigor and readability.\n"
-            + f"History:\n{memory.render()}\n\nDraft:\n{unit.text}\n\n"
-            + 'Reply strictly as JSON: {"scores": {"dimension": 0-10}, '
-            + '"suggestions": ["..."], "satisfactory": false}'
-        )
+    prompt = (
+        f"Review this {unit.granularity.value} draft for analytical depth, "
+        + "coherence, rigor and readability.\n"
+        + f"History:\n{memory.render()}\n\nDraft:\n{unit.text}\n\n"
+        + 'Reply strictly as JSON: {"scores": {"dimension": 0-10}, '
+        + '"suggestions": ["..."], "satisfactory": false}'
+    )
 
     def parse(reply: str) -> dict:
         payload = extract_json_payload(reply)
@@ -192,7 +188,7 @@ def review_skill(
 
     verdict, _, _ = request_validated(
         ctx.gateway,
-        build,
+        prompt,
         parse,
         tag="refine.review",
         temperature=temperature,
@@ -213,7 +209,6 @@ def _revision_prompt(
     instructions: str,
     suggestions: list[str],
     evidence: str,
-    error_memory: ErrorMemory,
 ) -> str:
     hint = (
         "cite with <paper title> marks" if ctx.style is CitationStyle.TITLE
@@ -225,8 +220,7 @@ def _revision_prompt(
         else "; no '#' characters"
     )
     return (
-        error_memory.render()
-        + f"Revise this {unit.granularity.value} draft.\n"
+        f"Revise this {unit.granularity.value} draft.\n"
         + (f"Instructions: {instructions}\n" if instructions else "")
         + (("Reviewer suggestions:\n" + "\n".join(suggestions) + "\n") if suggestions else "")
         + (f"Evidence:\n{evidence}\n" if evidence else "")
@@ -271,13 +265,9 @@ def _try_revision(
         )
 
     try:
-        # A rejected reply always adds error memory, which keeps the retry
-        # prompt distinct from the cached failure without an attempt marker.
         revised, _, _ = request_validated(
             ctx.gateway,
-            lambda mem, _attempt: _revision_prompt(
-                ctx, unit, instructions, suggestions, evidence, mem
-            ),
+            _revision_prompt(ctx, unit, instructions, suggestions, evidence),
             parse,
             tag="refine.revise",
             temperature=temperature,
@@ -322,22 +312,19 @@ def refine(
     for round_no in range(1, level.max_rounds + 1):
         outline_digest = json.dumps(ctx.outline.to_dict(), ensure_ascii=False)[:2000]
 
-        def build(mem: ErrorMemory, attempt: int) -> str:
-            return (
-                retry_preamble(mem, attempt)
-                + f"You coordinate refinement of a {unit.granularity.value} draft "
-                + f"(round {round_no}/{level.max_rounds}).\n"
-                + f"Outline: {outline_digest}\n"
-                + f"History:\n{memory.render()}\n\nDraft:\n{current.text}\n\n"
-                + "Dispatch skills in order: read_keynotes (with paper_ids), "
-                + "review, revise (with instructions), or finish when satisfied. "
-                + 'Reply strictly as JSON: [{"skill": "...", "paper_ids": [], '
-                + '"instructions": ""}]'
-            )
-
+        prompt = (
+            f"You coordinate refinement of a {unit.granularity.value} draft "
+            + f"(round {round_no}/{level.max_rounds}).\n"
+            + f"Outline: {outline_digest}\n"
+            + f"History:\n{memory.render()}\n\nDraft:\n{current.text}\n\n"
+            + "Dispatch skills in order: read_keynotes (with paper_ids), "
+            + "review, revise (with instructions), or finish when satisfied. "
+            + 'Reply strictly as JSON: [{"skill": "...", "paper_ids": [], '
+            + '"instructions": ""}]'
+        )
         plan, _, _ = request_validated(
             ctx.gateway,
-            build,
+            prompt,
             _parse_plan,
             tag="refine.plan",
             temperature=level.planner_temperature,

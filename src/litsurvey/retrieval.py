@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import JudgeError, RetrievalError, SourceUnavailableError, SurveyError
-from .gateway import Gateway, cosine, request_validated, retry_preamble
+from .gateway import Gateway, cosine, extract_json_payload, request_validated
 from .model import ErrorMemory, PaperRecord
 from .runlog import RunLog
 from .sources import PaperSource
@@ -99,15 +99,12 @@ def _judge_verdicts(
     gateway: Gateway,
     cfg: RetrievalConfig,
     purpose: str,
-    runlog: RunLog,
 ) -> dict[str, tuple[bool, str]]:
     """Batched topical-alignment verdicts keyed by canonical id.
 
     The judge must answer for every paper in the batch in strict JSON;
     malformed replies are retried with error memory.
     """
-    from .gateway import extract_json_payload
-
     verdicts: dict[str, tuple[bool, str]] = {}
     memory = ErrorMemory()
     for start in range(0, len(papers), cfg.judge_batch_size):
@@ -117,17 +114,14 @@ def _judge_verdicts(
             f"- id: {p.id.canonical} | title: {p.title} | summary: {(p.abstract or p.tldr)[:400]}"
             for p in batch
         )
+        prompt = (
+            f"Judge topical alignment with the research topic '{topic}' ({purpose}).\n"
+            f"Papers:\n{listing}\n\n"
+            "Reply with a JSON list, one object per paper, covering every id above:\n"
+            '[{"paper_id": "...", "relevant": true, "note": "why"}]'
+        )
 
-        def build(memory: ErrorMemory, attempt: int, listing=listing) -> str:
-            return (
-                retry_preamble(memory, attempt)
-                + f"Judge topical alignment with the research topic '{topic}' ({purpose}).\n"
-                f"Papers:\n{listing}\n\n"
-                "Reply with a JSON list, one object per paper, covering every id above:\n"
-                '[{"paper_id": "...", "relevant": true, "note": "why"}]'
-            )
-
-        def parse(reply: str, ids=ids) -> dict[str, tuple[bool, str]]:
+        def parse(reply: str) -> dict[str, tuple[bool, str]]:
             payload = extract_json_payload(reply)
             if not isinstance(payload, list):
                 raise ValueError("judge verdict must be a JSON list")
@@ -143,7 +137,7 @@ def _judge_verdicts(
 
         batch_verdicts, memory, _ = request_validated(
             gateway,
-            build,
+            prompt,
             parse,
             tag=f"retrieval.{purpose}",
             memory=memory,
@@ -166,7 +160,7 @@ def judge_filter(
         return []
     cfg = cfg or RetrievalConfig()
     runlog = runlog or RunLog()
-    verdicts = _judge_verdicts(candidates, topic, gateway, cfg, "seed_filter", runlog)
+    verdicts = _judge_verdicts(candidates, topic, gateway, cfg, "seed_filter")
     kept = [p for p in candidates if verdicts[p.id.canonical][0]]
     for paper in candidates:
         relevant, note = verdicts[paper.id.canonical]
@@ -259,7 +253,7 @@ def llm_rerank_filter(
         return []
     cfg = cfg or RetrievalConfig()
     runlog = runlog or RunLog()
-    verdicts = _judge_verdicts(papers, topic, gateway, cfg, "rerank", runlog)
+    verdicts = _judge_verdicts(papers, topic, gateway, cfg, "rerank")
     kept = []
     for paper in papers:
         relevant, note = verdicts[paper.id.canonical]

@@ -18,18 +18,16 @@ from .gateway import (
     extract_json_payload,
     map_bounded,
     request_validated,
-    retry_preamble,
 )
 from .model import (
     MANDATORY_KEYNOTE_SECTIONS,
-    ErrorMemory,
     Keynote,
     PaperId,
     PaperRecord,
     Provenance,
 )
 from .runlog import RunLog
-from .tokens import compress_context, estimate_tokens
+from .tokens import estimate_tokens
 
 #: Model output may use this alternative name for the contributions field.
 _SECTION_ALIASES = {"key_contributions": "contributions", "methods": "methodology"}
@@ -142,20 +140,17 @@ def extract_keynote(
         runlog.add("document_chunked", paper=doc.paper_id.canonical, chunks=len(chunks))
         body = "\n\n".join(digests)
 
-    def build(memory: ErrorMemory, attempt: int) -> str:
-        core = (
-            retry_preamble(memory, attempt)
-            + f"Produce the structured keynote for paper id {doc.paper_id.canonical}.\n"
-            + _KEYNOTE_SCHEMA
-            + "\n\nPaper text:\n"
-        )
-        return compress_context(core, body, window)
-
+    prompt = (
+        f"Produce the structured keynote for paper id {doc.paper_id.canonical}.\n"
+        + _KEYNOTE_SCHEMA
+        + "\n\nPaper text:\n"
+    )
     keynote, _, calls = request_validated(
         gateway,
-        build,
+        prompt,
         lambda reply: parse_keynote_payload(reply, doc.paper_id),
         tag="understanding.keynote",
+        context=body,
         error_factory=KeynoteError,
     )
     runlog.add("keynote_extracted", paper=doc.paper_id.canonical, calls=calls)

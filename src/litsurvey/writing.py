@@ -20,7 +20,6 @@ from .gateway import (
     extract_json_payload,
     map_bounded,
     request_validated,
-    retry_preamble,
 )
 from .marks import (
     CitationVerdict,
@@ -40,7 +39,6 @@ from .model import (
     PaperRecord,
 )
 from .runlog import RunLog
-from .tokens import compress_context
 
 
 @dataclass
@@ -159,35 +157,28 @@ def draft_outline(ctx: WritingContext, topic: str) -> OutlineNode:
     ] or [[]]
     for batch in batches:
         current_json = json.dumps(current.to_dict(), ensure_ascii=False) if current else "(empty)"
-        keynote_lines = ctx.keynote_lines(set(batch))
-
-        def build(memory: ErrorMemory, attempt: int, current_json=current_json, keynote_lines=keynote_lines) -> str:
-            core = (
-                retry_preamble(memory, attempt)
-                + f"Draft or update the outline of a survey on '{topic}'.\n"
-                + "Requirements: multiple sections with described subsections, a "
-                + "Conclusion section, a Future Work section or subsection, tight "
-                + "topical scope, balanced structure, depth capped at "
-                + "section/subsection. Build on the current outline when present.\n"
-                + f"Current outline: {current_json}\n\n"
-                + "Reply strictly as JSON: {\"title\": str, \"sections\": "
-                + "[{\"title\": str, \"description\": str, \"subsections\": "
-                + "[{\"title\": str, \"description\": str}]}]}.\n"
-            )
-            aux = (
-                f"Cluster landscape:\n{ctx.analyses_digest()}\n\n"
-                + f"Paper keynotes:\n{keynote_lines}\n"
-            )
-            prompt = compress_context(core, aux, ctx.gateway.profile.context_window)
-            if len(prompt) < len(core) + len(aux):
-                ctx.runlog.add("context_compressed", stage="writing.outline")
-            return prompt
-
+        prompt = (
+            f"Draft or update the outline of a survey on '{topic}'.\n"
+            + "Requirements: multiple sections with described subsections, a "
+            + "Conclusion section, a Future Work section or subsection, tight "
+            + "topical scope, balanced structure, depth capped at "
+            + "section/subsection. Build on the current outline when present.\n"
+            + f"Current outline: {current_json}\n\n"
+            + "Reply strictly as JSON: {\"title\": str, \"sections\": "
+            + "[{\"title\": str, \"description\": str, \"subsections\": "
+            + "[{\"title\": str, \"description\": str}]}]}.\n"
+        )
+        context = (
+            f"Cluster landscape:\n{ctx.analyses_digest()}\n\n"
+            + f"Paper keynotes:\n{ctx.keynote_lines(set(batch))}\n"
+        )
         current, memory, _ = request_validated(
             ctx.gateway,
-            build,
+            prompt,
             lambda reply: _parse_outline(reply, topic),
             tag="writing.outline",
+            context=context,
+            runlog=ctx.runlog,
             temperature=cfg.outline_temperature,
             memory=memory,
             max_retries=cfg.max_citation_retries,
@@ -262,20 +253,17 @@ def assign_citations(
     known = set(ctx.keynotes)
     outline_json = json.dumps(outline.to_dict(), ensure_ascii=False)
 
-    def build(memory: ErrorMemory, attempt: int) -> str:
-        return (
-            retry_preamble(memory, attempt)
-            + "Assign every paper below to one or more outline nodes for citation. "
-            + "Section and subsection titles must EXACTLY match the outline.\n"
-            + f"Outline: {outline_json}\n\n"
-            + f"Papers:\n{ctx.keynote_lines()}\n\n"
-            + 'Reply strictly as JSON: [{"paper_id": "...", "assignment": '
-            + '{"Section title": ["Subsection title"]}}]'
-        )
-
+    prompt = (
+        "Assign every paper below to one or more outline nodes for citation. "
+        + "Section and subsection titles must EXACTLY match the outline.\n"
+        + f"Outline: {outline_json}\n\n"
+        + f"Papers:\n{ctx.keynote_lines()}\n\n"
+        + 'Reply strictly as JSON: [{"paper_id": "...", "assignment": '
+        + '{"Section title": ["Subsection title"]}}]'
+    )
     parsed, _, _ = request_validated(
         ctx.gateway,
-        build,
+        prompt,
         lambda reply: _parse_assignment_reply(reply, outline, known, strict=True),
         last_parse=lambda reply: _parse_assignment_reply(reply, outline, known, strict=False),
         tag="writing.assign",
@@ -370,7 +358,7 @@ def _check_unit(
 def _draft_with_verification(
     ctx: WritingContext,
     node_path: tuple[str, ...],
-    build_prompt,
+    prompt: str,
     assigned: list[PaperRecord],
     least_citations: int,
     least_words: int,
@@ -395,7 +383,7 @@ def _draft_with_verification(
 
     unit, _, _ = request_validated(
         ctx.gateway,
-        build_prompt,
+        prompt,
         parse,
         tag=tag,
         temperature=temperature,
@@ -424,24 +412,21 @@ def draft_subsection(
     keynote_ctx = ctx.keynote_lines({r.id.canonical for r in assigned})
     extra = f"\nRepository findings:\n{ctx.extra_context}\n" if ctx.extra_context else ""
 
-    def build(memory: ErrorMemory, attempt: int) -> str:
-        return (
-            retry_preamble(memory, attempt)
-            + f"Write the body of subsection '{subsection.title}' "
-            + f"(within section '{section.title}') of the survey "
-            + f"'{outline.title}'.\nScope: {subsection.description}\n"
-            + f"Assigned papers:\n{keynote_ctx}\n"
-            + f"Cluster insights:\n{ctx.analyses_digest()}\n{extra}\n"
-            + f"Rules: {_mark_hint(cfg.citation_style)}; cite at least "
-            + f"{cfg.subsection_least_citations} different assigned papers and no "
-            + f"others; at least {cfg.subsection_least_words} words; plain prose "
-            + "without any '#' characters; no heading, no reference list."
-        )
-
+    prompt = (
+        f"Write the body of subsection '{subsection.title}' "
+        + f"(within section '{section.title}') of the survey "
+        + f"'{outline.title}'.\nScope: {subsection.description}\n"
+        + f"Assigned papers:\n{keynote_ctx}\n"
+        + f"Cluster insights:\n{ctx.analyses_digest()}\n{extra}\n"
+        + f"Rules: {_mark_hint(cfg.citation_style)}; cite at least "
+        + f"{cfg.subsection_least_citations} different assigned papers and no "
+        + f"others; at least {cfg.subsection_least_words} words; plain prose "
+        + "without any '#' characters; no heading, no reference list."
+    )
     return _draft_with_verification(
         ctx,
         (section.title, subsection.title),
-        build,
+        prompt,
         assigned,
         cfg.subsection_least_citations,
         cfg.subsection_least_words,
@@ -471,23 +456,20 @@ def draft_section(
     keynote_ctx = ctx.keynote_lines({r.id.canonical for r in assigned})
     roadmap = ", ".join(c.title for c in section.children) or "(no subsections)"
 
-    def build(memory: ErrorMemory, attempt: int) -> str:
-        return (
-            retry_preamble(memory, attempt)
-            + f"Write the opening preamble of section '{section.title}' of the "
-            + f"survey '{outline.title}'. It frames scope and trends and roads "
-            + f"through: {roadmap}. Do not retell the subsections.\n"
-            + f"Scope: {section.description}\n"
-            + f"Papers available:\n{keynote_ctx}\n\n"
-            + f"Rules: {_mark_hint(cfg.citation_style)}; cite at least "
-            + f"{cfg.section_least_citations} of the listed papers and no others; "
-            + f"at least {cfg.section_least_words} words; no '#' characters."
-        )
-
+    prompt = (
+        f"Write the opening preamble of section '{section.title}' of the "
+        + f"survey '{outline.title}'. It frames scope and trends and roads "
+        + f"through: {roadmap}. Do not retell the subsections.\n"
+        + f"Scope: {section.description}\n"
+        + f"Papers available:\n{keynote_ctx}\n\n"
+        + f"Rules: {_mark_hint(cfg.citation_style)}; cite at least "
+        + f"{cfg.section_least_citations} of the listed papers and no others; "
+        + f"at least {cfg.section_least_words} words; no '#' characters."
+    )
     return _draft_with_verification(
         ctx,
         (section.title,),
-        build,
+        prompt,
         assigned,
         cfg.section_least_citations,
         cfg.section_least_words,

@@ -4,10 +4,12 @@ import math
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from litsurvey import caching as caching_mod
 from litsurvey.caching import DiskCache
 from litsurvey.errors import (
     BackendError,
@@ -25,9 +27,9 @@ from litsurvey.gateway import (
     extract_json_payload,
     map_bounded,
     request_validated,
-    retry_preamble,
 )
 from litsurvey.model import ErrorMemory
+from litsurvey.runlog import RunLog
 from litsurvey.scripted import CannedReply, ScriptedTransport
 
 from conftest import scripted_gateway
@@ -139,6 +141,23 @@ class TestCaching:
         gw2 = Gateway(transport2, embedder=FixtureEmbedder(), cache_dir=str(tmp_path), sleeper=lambda s: None)
         assert gw2.complete(req("cached prompt")) == "persisted"
         assert len(transport2.calls) == 0
+
+    @pytest.mark.parametrize("age, hit", [(59.0, True), (61.0, False)])
+    def test_disk_cache_entries_expire(self, tmp_path, monkeypatch, age, hit):
+        clock = [1000.0]
+        monkeypatch.setattr(caching_mod, "time", SimpleNamespace(time=lambda: clock[0]))
+
+        def gateway(transport):
+            return Gateway(
+                transport, embedder=FixtureEmbedder(), cache_dir=str(tmp_path),
+                cache_expiry=60.0, sleeper=lambda s: None,
+            )
+
+        gateway(SequenceTransport(["first"])).complete(req("aging prompt"))
+        clock[0] += age
+        later = SequenceTransport(["second"])
+        reply = gateway(later).complete(req("aging prompt"))
+        assert (reply, len(later.calls)) == (("first", 0) if hit else ("second", 1))
 
     def test_disk_caches_sharing_a_directory_write_one_key_concurrently(self, tmp_path):
         caches = [DiskCache(tmp_path), DiskCache(tmp_path)]
@@ -363,12 +382,8 @@ class TestStructuredOutput:
     def test_malformed_then_valid_takes_two_calls(self):
         transport = ScriptedTransport().add("verdict", "not json at all", '{"ok": true}')
         gw = scripted_gateway(transport)
-
-        def build(memory: ErrorMemory, attempt: int) -> str:
-            return retry_preamble(memory, attempt) + "verdict please"
-
         value, memory, calls = request_validated(
-            gw, build, extract_json_payload, tag="t"
+            gw, "verdict please", extract_json_payload, tag="t"
         )
         assert value == {"ok": True}
         assert calls == 2
@@ -377,12 +392,8 @@ class TestStructuredOutput:
     def test_exhausted_retries_raise(self):
         transport = ScriptedTransport(default="still not json")
         gw = scripted_gateway(transport)
-
-        def build(memory: ErrorMemory, attempt: int) -> str:
-            return retry_preamble(memory, attempt) + "verdict please"
-
         with pytest.raises(MalformedOutputError):
-            request_validated(gw, build, extract_json_payload, tag="t", max_retries=2)
+            request_validated(gw, "verdict please", extract_json_payload, tag="t", max_retries=2)
         assert len(transport.calls) == 3
 
     def test_last_parse_runs_only_on_the_final_attempt(self):
@@ -398,11 +409,8 @@ class TestStructuredOutput:
             seen.append("lenient")
             return "kept"
 
-        def build(memory: ErrorMemory, attempt: int) -> str:
-            return retry_preamble(memory, attempt) + "verdict please"
-
         value, _, calls = request_validated(
-            gw, build, strict, last_parse=lenient, tag="t", max_retries=2
+            gw, "verdict please", strict, last_parse=lenient, tag="t", max_retries=2
         )
         assert value == "kept"
         assert calls == 3
@@ -411,12 +419,7 @@ class TestStructuredOutput:
     def test_each_value_error_arg_is_one_memory_entry(self):
         transport = ScriptedTransport().add("verdict", "bad", "good")
         gw = scripted_gateway(transport)
-        prompts: list[str] = []
         retries: list[tuple[int, list[str]]] = []
-
-        def build(memory: ErrorMemory, attempt: int) -> str:
-            prompts.append(retry_preamble(memory, attempt) + "verdict please")
-            return prompts[-1]
 
         def parse(reply: str) -> str:
             if reply == "bad":
@@ -424,12 +427,44 @@ class TestStructuredOutput:
             return reply
 
         value, memory, _ = request_validated(
-            gw, build, parse, tag="t", on_retry=lambda a, p: retries.append((a, p))
+            gw, "verdict please", parse, tag="t", on_retry=lambda a, p: retries.append((a, p))
         )
         assert value == "good"
         assert memory.entries == ("first problem", "second problem")
         assert retries == [(0, ["first problem", "second problem"])]
-        assert "- first problem\n- second problem\n" in prompts[1]
+        assert "- first problem\n- second problem\n" in transport.calls[1].prompt
+
+    def test_request_is_preamble_then_prompt_then_context(self):
+        transport = ScriptedTransport().add("verdict", "bad", "good")
+        gw = scripted_gateway(transport)
+
+        def parse(reply: str) -> str:
+            if reply == "bad":
+                raise ValueError("too vague")
+            return reply
+
+        request_validated(gw, "verdict please\n", parse, tag="t", context="the evidence")
+        first, retry = (c.prompt for c in transport.calls)
+        assert first == "verdict please\nthe evidence"
+        memory = ErrorMemory().record("too vague").render()
+        assert retry == "(attempt 2)\n" + memory + "verdict please\nthe evidence"
+
+    def test_context_is_cut_to_the_window_and_the_cut_logged(self):
+        transport = ScriptedTransport(default='{"ok": true}')
+        gw = scripted_gateway(transport, profile=BackendProfile(context_window=10))
+        runlog = RunLog()
+        prompt = "p" * 20  # 5 tokens, leaving 5 for the context
+        request_validated(
+            gw, prompt, extract_json_payload, tag="t", context="c" * 100, runlog=runlog
+        )
+        assert transport.calls[0].prompt == prompt + "c" * 20
+        assert runlog.of_kind("context_compressed") == [
+            {"kind": "context_compressed", "stage": "t"}
+        ]
+        request_validated(
+            gw, prompt, extract_json_payload, tag="t", context="c" * 20, runlog=runlog
+        )
+        assert len(runlog.of_kind("context_compressed")) == 1
 
     def test_extract_chat_text(self):
         payload = {"choices": [{"message": {"content": "hi"}}]}

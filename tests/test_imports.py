@@ -1,4 +1,5 @@
-"""Every name a package module imports is used by that module."""
+"""Every name a package module imports is used by that module, and every
+parameter of a module-level function is read by that function."""
 
 from __future__ import annotations
 
@@ -40,3 +41,64 @@ def test_module_uses_every_import(module):
 def test_scan_finds_an_unused_import():
     source = "from os import path, sep\nimport json\n__all__ = ['sep']\nprint(json)\n"
     assert unused_imports(source) == ["path (line 1)"]
+
+
+#: (module, function, parameter) left unread on purpose, with the reason
+UNREAD_ON_PURPOSE = {
+    # The synthesis prompt's missing input: wiring it in changes prompts.
+    ("analysis.py", "inter_cluster_analysis", "analyses"),
+}
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``function(parameter)`` for every parameter of a module-level
+    function that the function body (nested functions included) never
+    reads. The ``x`` on the right of ``x = x or Default()`` is not a read:
+    that line only fills in a default nobody uses."""
+    tree = ast.parse(source)
+    found = []
+    for fn in tree.body:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        defaulting = {
+            id(node.value.values[0])
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.BoolOp)
+            and isinstance(node.value.op, ast.Or)
+            and isinstance(node.value.values[0], ast.Name)
+            and node.value.values[0].id == node.targets[0].id
+        }
+        read = {
+            n.id
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and id(n) not in defaulting
+        }
+        found += [f"{fn.name}({p})" for p in params if p not in read]
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_functions_read_every_parameter(module):
+    allowed = {f"{fn}({p})" for mod, fn, p in UNREAD_ON_PURPOSE if mod == module}
+    found = unread_parameters((PACKAGE / module).read_text(encoding="utf-8"))
+    # Both ways: a new unread parameter fails, and so does a stale exemption.
+    assert sorted(set(found) ^ allowed) == []
+
+
+def test_scan_finds_an_unread_parameter():
+    source = (
+        "def f(a, cfg=None, *, log=None, **extra):\n"
+        "    cfg = cfg or {}\n"
+        "    log = log or []\n"
+        "    log.append(a)\n"
+        "    return lambda: extra\n"
+        "class C:\n"
+        "    def m(self, unused): pass\n"
+    )
+    assert unread_parameters(source) == ["f(cfg)"]

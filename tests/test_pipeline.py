@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import shutil
@@ -259,6 +260,40 @@ class TestCodeAnalysisVariant:
         assert draft_calls and all("Repository findings" in c.prompt for c in draft_calls)
         # reports persist through the substrate round trip
         assert substrate_load(config.substrate_dir).code_reports["2406.10001"] == pair
+
+
+def request_stream_digest(calls) -> str:
+    """sha256 over every (tag, prompt) the transport received, in order."""
+    digest = hashlib.sha256()
+    for call in calls:
+        digest.update(json.dumps([call.tag, call.prompt], ensure_ascii=False).encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+class TestRequestStream:
+    """The exact requests a serial run of the 12-paper fixture sends. A
+    change to any prompt byte, tag or call order changes the digest and
+    with it every cache key; update the constants only for a change that
+    means to alter the prompts."""
+
+    GOLDEN = {
+        "plain": (40, "892368ab54a1b747a3df8e41af2348dd80f1f87ae312bb590d50312ced7c8645"),
+        "code_analysis": (
+            45, "76068d0365ef20e58331b1c345ca968bb3a1017758c2738dc45db1b0bac12703"
+        ),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(GOLDEN))
+    def test_serial_request_stream_is_unchanged(self, tmp_path, variant):
+        config = make_config(tmp_path)
+        if variant == "code_analysis":
+            enable_code_analysis(config, tmp_path)
+        config.stage_workers = 1
+        backends = build_backends(config)
+        run_pipeline(config, backends=backends)
+        calls = backends.gateway.transport.calls
+        assert (len(calls), request_stream_digest(calls)) == self.GOLDEN[variant]
 
 
 class TestCheckpointResume:
