@@ -1,7 +1,7 @@
 """Key/value caches backing the three cache tiers.
 
 * api tier    -> DiskCache under <cache_dir>/api (optional expiry)
-* task tier   -> the substrate files themselves plus checkpoints
+* task tier   -> the substrate files and their commit record
 * runtime tier-> a dict inside the gateway instance, under its lock
 """
 

@@ -49,7 +49,7 @@ def main():
 @click.option("--config", "config_path", type=click.Path(), help="YAML config file.")
 @click.option("--workdir", type=click.Path(), help="Run directory (substrate, cache, outputs).")
 @click.option("--enable-code-analysis", is_flag=True, default=False)
-@click.option("--resume", is_flag=True, default=False, help="Resume from the checkpoint.")
+@click.option("--resume", is_flag=True, default=False, help="Resume the run committed in the workdir.")
 @click.option("--stop-after", type=str, default=None, help="Stop after the named stage.")
 def generate(topic, config_path, workdir, enable_code_analysis, resume, stop_after):
     """Run the pipeline end to end and write the survey."""
@@ -64,7 +64,7 @@ def generate(topic, config_path, workdir, enable_code_analysis, resume, stop_aft
         result = run_pipeline(config, resume=resume, stop_after=stop_after)
     except StageError as exc:
         click.echo(f"stage failure: {exc}", err=True)
-        click.echo(f"checkpoint preserved at {config.checkpoint_path}", err=True)
+        click.echo(f"completed stages committed in {config.substrate_dir}", err=True)
         sys.exit(EXIT_STAGE)
     except SurveyError as exc:  # a bad config, or a run directory it cannot resume
         click.echo(f"config error: {exc}", err=True)

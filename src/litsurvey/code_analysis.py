@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .errors import InvalidInputError, ReportError
+from .errors import BudgetError, InvalidInputError
 from .gateway import (
     Gateway,
     extract_json_payload,
@@ -415,18 +415,16 @@ def batch_code_report(
 
 def _merge_reports(reports: list[str], topic: str, gateway: Gateway, runlog: RunLog) -> str:
     def integrate(parts: list[str]) -> str:
-        prompt_core = (
+        return gateway.complete_text(
             f"Integrate these code-analysis reports for '{topic}' into one "
             "coherent report, keeping the <paper id> attributions intact.\n\n"
+            + "\n\n---\n\n".join(parts),
+            tag="code.integrate",
         )
-        body = "\n\n---\n\n".join(parts)
-        if estimate_tokens(prompt_core + body) > gateway.profile.context_window:
-            raise ReportError("integration input exceeds the window")
-        return gateway.complete_text(prompt_core + body, tag="code.integrate")
 
     try:
         return integrate(reports)
-    except ReportError:
+    except BudgetError:  # the combined reports do not fit the window
         runlog.add("pairwise_merge_fallback", reports=len(reports))
         merged = list(reports)
         while len(merged) > 1:

@@ -2,8 +2,8 @@
 
 Config files are YAML; secrets never live in them (only the names of the
 environment variables that hold them). The config hash covers everything
-that changes what a run computes, so checkpoints can refuse a resume under
-a different configuration. Fields that only say where a run lives, how
+that changes what a run computes, so a resume under a different
+configuration is refused. Fields that only say where a run lives, how
 wide it fans out or how long it waits (``workdir``, ``stage_workers``,
 ``cache_expiry_seconds`` and the backend's timeout and backoff bounds) are
 left out of it, so a moved run directory or a new timeout still resumes.
@@ -121,10 +121,6 @@ class PipelineConfig:
         return Path(self.workdir) / "cache"
 
     @property
-    def checkpoint_path(self) -> Path:
-        return Path(self.workdir) / "checkpoint.json"
-
-    @property
     def survey_path(self) -> Path:
         return Path(self.workdir) / "survey.md"
 
@@ -188,7 +184,7 @@ _NESTED = {
     },
 }
 
-_TUPLE_FIELDS = {"stages", "enabled", "backoff_bounds"}
+_TUPLE_FIELDS = {"stages", "enabled"}
 
 
 def _build(cls, data: dict):

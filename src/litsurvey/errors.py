@@ -96,20 +96,16 @@ class AssemblyError(SurveyError):
     """Survey assembly found a node without a draft or an unresolvable mark."""
 
 
-class ReportError(SurveyError):
-    """Code/environment report generation failed."""
-
-
 class EvaluationError(SurveyError):
     """A metric could not be computed (e.g. a missing NLI verdict)."""
 
 
 class ConfigError(SurveyError):
-    """Pipeline configuration is invalid or does not match a checkpoint."""
+    """Pipeline configuration is invalid or does not match the run it resumes."""
 
 
 class StageError(SurveyError):
-    """A pipeline stage failed; the checkpoint preserves prior stages."""
+    """A pipeline stage failed; the commit record keeps the stages before it."""
 
     def __init__(self, stage, cause):
         super().__init__(f"stage '{stage}' failed: {cause}")

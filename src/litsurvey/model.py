@@ -7,7 +7,6 @@ makes the many-readers/single-writer substrate contract safe.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Optional
@@ -54,11 +53,6 @@ def unify_paper_id(preprint_id: Optional[str], graph_id: Optional[str]) -> Paper
 
 #: Pipeline stages in run order; each one owns its part of the substrate.
 STAGES = ("retrieval", "understanding", "analysis", "code_analysis", "writing", "refinement")
-
-
-def paper_hash(canonical: str) -> str:
-    """Stable filename-safe hash used for per-paper artifact files."""
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 def _dedup_ids(ids: Iterable[PaperId], own: PaperId) -> list[PaperId]:

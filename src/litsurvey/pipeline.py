@@ -1,12 +1,12 @@
-"""Five-stage pipeline driver with checkpoint/resume and the run manifest.
+"""Five-stage pipeline driver with resume and the run manifest.
 
 Each completed stage commits the substrate files it owns (see
 ``substrate``), and that commit record alone says which stages are done,
 so an interrupted run resumes after the last committed stage without
-re-issuing any backend call for finished work. ``checkpoint.json`` holds
-the config hash, topic and start time of the run and is written once, when
-a run starts without resuming; a resume under a different configuration
-is refused (config hash mismatch).
+re-issuing any backend call for finished work. The record's header holds
+the config hash, topic and start time of the run; it is written when a run
+starts without resuming, and a resume under a different configuration is
+refused (config hash mismatch).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -25,7 +25,7 @@ from . import retrieval as retrieval_mod
 from . import understanding as understanding_mod
 from . import writing as writing_mod
 from .config import PipelineConfig
-from .errors import ConfigError, LoadError, StageError, SurveyError
+from .errors import ConfigError, StageError, SurveyError
 from .evaluation import EvaluationReport, evaluate_survey
 from .gateway import (
     BackendProfile,
@@ -47,30 +47,12 @@ from .sources import (
 )
 from .substrate import (
     _dump,
+    read_record,
     substrate_load,
     substrate_reset,
     substrate_save,
 )
 from .understanding import ParsedDocument
-
-
-@dataclass
-class Checkpoint:
-    config_hash: str
-    topic: str
-    created_at: str
-
-    @classmethod
-    def from_file(cls, path: Path) -> "Checkpoint":
-        """Raises LoadError for an unreadable, torn or incomplete file."""
-        try:
-            return cls(**json.loads(path.read_text(encoding="utf-8")))
-        except (OSError, ValueError, TypeError) as exc:
-            raise LoadError(path, str(exc)) from exc
-
-    def save(self, path: Path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _dump(path, asdict(self))
 
 
 @dataclass
@@ -158,7 +140,6 @@ def build_backends(config: PipelineConfig) -> Backends:
 class RunResult:
     survey_path: Optional[Path]
     substrate: KnowledgeSubstrate
-    checkpoint: Checkpoint
     manifest: dict
     runlog: RunLog = field(default_factory=RunLog)
 
@@ -336,12 +317,12 @@ _STAGE_FUNCTIONS = {
 }
 
 
-def _write_manifest(config, backends, runlog, checkpoint, stage_seconds, failed=None) -> dict:
+def _write_manifest(config, config_hash, backends, runlog, stage_seconds, failed=None) -> dict:
     """``stage_seconds`` covers every committed stage, this run's and those
     a resume loaded from the commit record; ``failed`` names a failed stage."""
     manifest = {
         "topic": config.topic,
-        "config_hash": checkpoint.config_hash,
+        "config_hash": config_hash,
         "backend": {"kind": config.backend.kind, "model": config.backend.model},
         "embedding": config.embedding.kind,
         "source": config.source.kind,
@@ -366,7 +347,7 @@ def run_pipeline(
     """Execute the enabled stages, committing each one's substrate files.
 
     ``stop_after`` ends the run early (simulating interruption); ``resume``
-    picks up from the checkpoint, refusing on a config-hash mismatch.
+    picks up from the commit record, refusing on a config-hash mismatch.
     """
     if not config.topic:
         raise ConfigError("config.topic must be non-empty")
@@ -376,27 +357,27 @@ def run_pipeline(
     workdir.mkdir(parents=True, exist_ok=True)
     config_hash = config.config_hash()
 
-    checkpoint: Optional[Checkpoint] = None
-    substrate = KnowledgeSubstrate()
-    if resume and config.checkpoint_path.exists():
-        checkpoint = Checkpoint.from_file(config.checkpoint_path)
-        if checkpoint.config_hash != config_hash:
+    substrate_dir = config.substrate_dir
+    # A run stopped before its first record leaves an empty substrate
+    # directory: it has nothing to resume, so it starts afresh.
+    if resume and substrate_dir.is_dir() and not any(substrate_dir.iterdir()):
+        resume = False
+    if resume:
+        record = read_record(substrate_dir)
+        if record["config_hash"] != config_hash:
             raise ConfigError(
                 "refusing to resume: the configuration changed since the "
-                f"checkpoint was written (was {checkpoint.config_hash}, now {config_hash})"
+                f"run started (was {record['config_hash']}, now {config_hash})"
             )
-        substrate = substrate_load(config.substrate_dir)
+        created_at = record["created_at"]
+        substrate = substrate_load(substrate_dir, record)
         runlog.add("resumed", completed=list(substrate.stage_seconds))
-    if checkpoint is None:
-        # The old record goes before the new config hash is written, so no
-        # checkpoint ever vouches for stages run under another configuration.
-        substrate_reset(config.substrate_dir)
-        checkpoint = Checkpoint(
-            config_hash=config_hash,
-            topic=config.topic,
-            created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    else:
+        created_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        substrate = KnowledgeSubstrate()
+        substrate_reset(
+            substrate_dir, config_hash=config_hash, topic=config.topic, created_at=created_at
         )
-        checkpoint.save(config.checkpoint_path)
 
     # The in-memory substrate's stage_seconds mirrors the commit record.
     stage_seconds = substrate.stage_seconds
@@ -408,10 +389,10 @@ def run_pipeline(
         try:
             _STAGE_FUNCTIONS[stage](config, substrate, backends, runlog)
         except SurveyError as exc:
-            _write_manifest(config, backends, runlog, checkpoint, stage_seconds, failed=stage)
+            _write_manifest(config, config_hash, backends, runlog, stage_seconds, failed=stage)
             raise StageError(stage, exc) from exc
         stage_seconds[stage] = round(time.monotonic() - started, 3)
-        substrate_save(substrate, config.substrate_dir, stage)
+        substrate_save(substrate, substrate_dir, stage)
         if stop_after == stage:
             break
 
@@ -424,18 +405,17 @@ def run_pipeline(
             substrate.papers,
             config.writing.citation_style,
             topic=config.topic,
-            generated_at=checkpoint.created_at,
+            generated_at=created_at,
             config_hash=config_hash,
         )
         config.survey_path.write_text(assembled.document, encoding="utf-8")
         config.sidecar_path.write_text(assembled.sidecar_json(), encoding="utf-8")
         survey_path = config.survey_path
 
-    manifest = _write_manifest(config, backends, runlog, checkpoint, stage_seconds)
+    manifest = _write_manifest(config, config_hash, backends, runlog, stage_seconds)
     return RunResult(
         survey_path=survey_path,
         substrate=substrate,
-        checkpoint=checkpoint,
         manifest=manifest,
         runlog=runlog,
     )

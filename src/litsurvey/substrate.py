@@ -4,35 +4,36 @@ Layout, by the stage that writes each file::
 
     commit.json                   the commit record (below)
     papers.json                   retrieval
-    keynotes/<hash>.json          understanding
+    keynotes.json                 understanding
     clusters.json analyses.json   analysis
-    code_reports/<hash>.json      code analysis, with code_overview.json
+    code_reports.json             code analysis, with code_overview.json
     outline.json drafts.json      writing
     refined_drafts.json           refinement
 
-Per-paper files are named by a stable hash of the canonical paper id so
-they can be reused across sessions regardless of source. Writes use stable
-key ordering and UTF-8 so diffs and hashes are reproducible.
+Each file holds one artifact for every paper or cluster, in canonical-id or
+cluster-id order. Writes use stable key ordering and UTF-8 so diffs and
+hashes are reproducible.
 
-``substrate_save(substrate, directory, stage)`` writes only the files that
-``stage`` owns, each through a temporary file renamed over its target, and
-then replaces ``commit.json`` the same way; it reads no file another stage
-owns. The record lists the committed stages in run order, each with its
-seconds (``KnowledgeSubstrate.stage_seconds``), the sha256 of each of its
-files and the revision-log events it owns (those logged since the stage
-before it); committing a stage drops it and every later stage from the
-record. Only the record says which stages are complete. A crash before
-the record is replaced leaves the previous record, and no stage writes a
-file another stage owns, so the files it lists are intact and the stage
-simply runs again on resume; refinement's drafts go to a file of their own
-so that writing's survive a crash in refinement's save. ``substrate_load``
-reads only the files the record lists (writing's drafts only while
-refinement has not committed), checks each against its sha256 and raises
-LoadError naming a file that is missing or altered; files the record does
-not list are ignored. The loaded ``stage_seconds`` lists the committed
-stages. ``substrate_reset`` commits an empty record; a run that does not
+The commit record is the run directory's only state: its header holds the
+run's config hash, topic and start time, and ``stages`` lists the committed
+stages in run order, each with its seconds
+(``KnowledgeSubstrate.stage_seconds``), the sha256 of each of its files and
+the revision-log events it owns (those logged since the stage before it).
+``substrate_reset`` commits a header with no stage; a run that does not
 resume starts with it, so nothing an earlier run left in the directory is
-loaded.
+loaded. ``substrate_save(substrate, directory, stage)`` writes only the
+files that ``stage`` owns, each through a temporary file renamed over its
+target, and then replaces ``commit.json`` the same way, carrying the header
+forward; it reads no file another stage owns. Committing a stage drops it
+and every later stage from the record. A crash before the record is
+replaced leaves the previous record, and no stage writes a file another
+stage owns, so the files it lists are intact and the stage simply runs
+again on resume; refinement's drafts go to a file of their own so that
+writing's survive a crash in refinement's save. ``substrate_load`` reads
+only the files the record lists (writing's drafts only while refinement has
+not committed), checks each against its sha256 and raises LoadError naming
+a file that is missing or altered; files the record does not list are
+ignored.
 """
 
 from __future__ import annotations
@@ -61,15 +62,13 @@ from .model import (
     QaItem,
     RelationEdge,
     TableRow,
-    paper_hash,
 )
 
 COMMIT_FILE = "commit.json"
+#: the record's run header, next to its ``stages``
+_HEADER_KEYS = ("config_hash", "topic", "created_at")
+_RECORD_KEYS = {*_HEADER_KEYS, "stages"}
 _ENTRY_KEYS = {"stage", "seconds", "events", "files"}
-
-#: per-paper directories: made before the stage writes, and cleared of the
-#: files its new record entry does not list once that entry is committed
-_PAPER_DIRS = {"understanding": "keynotes", "code_analysis": "code_reports"}
 
 
 def _dump(path: Path, payload: dict) -> str:
@@ -105,8 +104,8 @@ def _owned_files(stage: str, substrate: KnowledgeSubstrate) -> Iterator[tuple[st
         papers = substrate.papers
         yield "papers.json", {"papers": [papers[k].to_dict() for k in sorted(papers)]}
     elif stage == "understanding":
-        for k in sorted(substrate.keynotes):
-            yield f"keynotes/{paper_hash(k)}.json", substrate.keynotes[k].to_dict()
+        keynotes = substrate.keynotes
+        yield "keynotes.json", {"keynotes": [keynotes[k].to_dict() for k in sorted(keynotes)]}
     elif stage == "analysis":
         yield "clusters.json", {
             "clusters": [
@@ -120,10 +119,10 @@ def _owned_files(stage: str, substrate: KnowledgeSubstrate) -> Iterator[tuple[st
             "inter_cluster": substrate.inter_cluster,
         }
     elif stage == "code_analysis":
-        for k in sorted(substrate.code_reports):
-            yield f"code_reports/{paper_hash(k)}.json", {
-                "paper_id": k, **substrate.code_reports[k].to_dict()
-            }
+        reports = substrate.code_reports
+        yield "code_reports.json", {
+            "code_reports": [{"paper_id": k, **reports[k].to_dict()} for k in sorted(reports)]
+        }
         yield "code_overview.json", {
             "code_overview": substrate.code_overview,
             "environment_overview": substrate.environment_overview,
@@ -137,12 +136,15 @@ def _owned_files(stage: str, substrate: KnowledgeSubstrate) -> Iterator[tuple[st
         yield "refined_drafts.json", _drafts(substrate.drafts)
 
 
-def _record(root: Path) -> list[dict]:
-    """The committed stages, in run order."""
-    path = root / COMMIT_FILE
+def read_record(directory: str | Path) -> dict:
+    """The commit record: the run header and the committed stages, in run
+    order. Raises LoadError for a missing, torn or incomplete record."""
+    path = Path(directory) / COMMIT_FILE
     try:
-        entries = json.loads(path.read_bytes())["stages"]
-        for e in entries:
+        record = json.loads(path.read_bytes())
+        if set(record) != _RECORD_KEYS:
+            raise ValueError(f"fields {sorted(record)}, expected {sorted(_RECORD_KEYS)}")
+        for e in record["stages"]:
             if not (
                 set(e) == _ENTRY_KEYS
                 and e["stage"] in STAGES
@@ -154,18 +156,27 @@ def _record(root: Path) -> list[dict]:
         raise LoadError(path, "file missing") from exc
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise LoadError(path, str(exc)) from exc
-    return entries
+    return record
 
 
-def substrate_reset(directory: str | Path) -> None:
-    """Commit an empty record: no stage is complete, and every file an
-    earlier run left in ``directory`` is ignored until a stage rewrites it."""
-    root = Path(directory)
+def _mkdir(root: Path) -> None:
     try:
         root.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise PersistenceError(root, exc) from exc
-    _dump(root / COMMIT_FILE, {"stages": []})
+
+
+def substrate_reset(
+    directory: str | Path, *, config_hash: str, topic: str, created_at: str
+) -> None:
+    """Commit a record with this run's header and no stage: every file an
+    earlier run left in ``directory`` is ignored until a stage rewrites it."""
+    root = Path(directory)
+    _mkdir(root)
+    _dump(
+        root / COMMIT_FILE,
+        {"config_hash": config_hash, "topic": topic, "created_at": created_at, "stages": []},
+    )
 
 
 def substrate_save(
@@ -174,26 +185,25 @@ def substrate_save(
     stage: Optional[str] = None,
 ) -> None:
     """Write the files ``stage`` owns, then commit them on top of the stages
-    before it in the existing record. Without a stage, write every stage's
-    files and commit them all at once, replacing any record. Each entry
-    takes its seconds from ``substrate.stage_seconds`` (0 when absent).
-    Integrity is verified first, so nothing is written for a substrate
-    with dangling references."""
+    before it in the existing record, under its header. Without a stage,
+    write every stage's files and commit them all at once under an empty
+    header, replacing any record; no run resumes from such a directory.
+    Each entry takes its seconds from ``substrate.stage_seconds`` (0 when
+    absent). Integrity is verified first, so nothing is written for a
+    substrate with dangling references."""
     if stage is not None and stage not in STAGES:
         raise ValueError(f"unknown stage '{stage}'")
     substrate.validate()
     root = Path(directory)
     if stage is None:
-        stages, entries = STAGES, []
+        _mkdir(root)
+        stages, record = STAGES, {**dict.fromkeys(_HEADER_KEYS, ""), "stages": []}
     else:
-        stages = (stage,)
+        stages, record = (stage,), read_record(root)
         earlier = STAGES[: STAGES.index(stage)]
-        entries = [e for e in _record(root) if e["stage"] in earlier]
+        record["stages"] = [e for e in record["stages"] if e["stage"] in earlier]
+    entries = record["stages"]
     for name in stages:
-        try:
-            (root / _PAPER_DIRS.get(name, "")).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise PersistenceError(root, exc) from exc
         entries.append({
             "stage": name,
             "seconds": substrate.stage_seconds.get(name, 0.0),
@@ -202,19 +212,7 @@ def substrate_save(
             },
             "events": substrate.revision_log[sum(len(e["events"]) for e in entries) :],
         })
-    _dump(root / COMMIT_FILE, {"stages": entries})
-    # Files of papers no longer in the substrate go only once the record
-    # that stops listing them is in place.
-    try:
-        for entry in entries[-len(stages) :]:
-            sub = _PAPER_DIRS.get(entry["stage"])
-            if sub is None:
-                continue
-            for path in (root / sub).glob("*.json"):
-                if f"{sub}/{path.name}" not in entry["files"]:
-                    path.unlink()
-    except OSError as exc:
-        raise PersistenceError(root, exc) from exc
+    _dump(root / COMMIT_FILE, record)
 
 
 def _resolve(canonical: str, registry: dict[str, PaperId], where: str) -> PaperId:
@@ -308,18 +306,19 @@ def _load_draft(d: dict, registry: dict[str, PaperId]) -> DraftUnit:
     )
 
 
-def substrate_load(directory: str | Path) -> KnowledgeSubstrate:
+def substrate_load(directory: str | Path, record: Optional[dict] = None) -> KnowledgeSubstrate:
     """Load the committed stages of a saved substrate, with each one's
-    seconds in ``stage_seconds``; referential integrity is re-verified."""
+    seconds in ``stage_seconds``; referential integrity is re-verified.
+    ``record`` is the directory's commit record, when already read."""
     root = Path(directory)
-    entries = _record(root)
+    entries = (read_record(root) if record is None else record)["stages"]
     refined = any(e["stage"] == "refinement" for e in entries)
     papers: dict[str, PaperRecord] = {}
     keynotes: dict[str, Keynote] = {}
     code_reports: dict[str, CodeReportPair] = {}
     docs: dict[str, dict] = {}
-    # Per-paper files become objects as they are read, so their parsed
-    # JSON is never held all at once; papers.json (retrieval) comes first.
+    # Papers, keynotes and code reports become objects as each file is
+    # read, so their parsed JSON is not kept.
     for entry in entries:
         for name, digest in entry["files"].items():
             if name == "drafts.json" and refined:
@@ -327,24 +326,13 @@ def substrate_load(directory: str | Path) -> KnowledgeSubstrate:
             doc = _read(root / name, digest)
             if name == "papers.json":
                 papers = {r["id"]["canonical"]: PaperRecord.from_dict(r) for r in doc["papers"]}
-            elif name.startswith("keynotes/"):
-                keynote = Keynote.from_dict(doc)
-                canonical = keynote.paper_id.canonical
-                if canonical not in papers:
-                    raise IntegrityError(
-                        f"keynote file {name} references unknown paper '{canonical}'"
-                    )
-                keynotes[canonical] = keynote
-            elif name.startswith("code_reports/"):
-                canonical = doc["paper_id"]
-                if canonical not in papers:
-                    raise IntegrityError(
-                        f"code report {name} references unknown paper '{canonical}'"
-                    )
-                code_reports[canonical] = CodeReportPair(
-                    code_report=doc.get("code_report", ""),
-                    environment_report=doc.get("environment_report", ""),
-                )
+            elif name == "keynotes.json":
+                keynotes = {k.paper_id.canonical: k for k in map(Keynote.from_dict, doc["keynotes"])}
+            elif name == "code_reports.json":
+                code_reports = {
+                    d["paper_id"]: CodeReportPair(d["code_report"], d["environment_report"])
+                    for d in doc["code_reports"]
+                }
             else:
                 docs[name] = doc
     registry = {k: rec.id for k, rec in papers.items()}

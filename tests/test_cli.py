@@ -65,7 +65,8 @@ class TestGenerate:
         result = invoke("generate", "--config", str(config_path))
         assert result.exit_code == 3
         assert "stage failure" in result.output
-        assert (tmp_path / "run" / "checkpoint.json").exists()
+        assert (tmp_path / "run" / "substrate" / "commit.json").exists()
+        assert not (tmp_path / "run" / "checkpoint.json").exists()
 
 
 class TestResumeBrokenRunDirectory:
@@ -91,28 +92,28 @@ class TestResumeBrokenRunDirectory:
 
     def test_altered_keynote(self, tmp_path):
         config_path, workdir = self._stopped(tmp_path)
-        keynote = sorted((workdir / "substrate" / "keynotes").glob("*.json"))[0]
-        data = bytearray(keynote.read_bytes())
+        keynotes = workdir / "substrate" / "keynotes.json"
+        data = bytearray(keynotes.read_bytes())
         at = next(i for i in range(len(data) // 2, len(data)) if chr(data[i]).isalpha())
         data[at] ^= 0x20  # swap one letter's case: still valid JSON
-        keynote.write_bytes(bytes(data))
-        with pytest.raises(LoadError, match=keynote.name):
+        keynotes.write_bytes(bytes(data))
+        with pytest.raises(LoadError, match=keynotes.name):
             substrate_load(workdir / "substrate")
         self._resume_fails_cleanly(config_path)
 
     def test_torn_checkpoint(self, tmp_path):
         config_path, workdir = self._stopped(tmp_path)
-        checkpoint = workdir / "checkpoint.json"
-        checkpoint.write_text(checkpoint.read_text()[:40])
+        record = workdir / "substrate" / "commit.json"
+        record.write_text(record.read_text()[:40])
         self._resume_fails_cleanly(config_path)
 
     def test_checkpoint_missing_fields(self, tmp_path):
         config_path, workdir = self._stopped(tmp_path)
-        checkpoint = workdir / "checkpoint.json"
-        doc = json.loads(checkpoint.read_text())
-        del doc["config_hash"]
-        checkpoint.write_text(json.dumps(doc))
-        self._resume_fails_cleanly(config_path)
+        record = workdir / "substrate" / "commit.json"
+        doc = json.loads(record.read_text())
+        for field in doc:
+            record.write_text(json.dumps({k: v for k, v in doc.items() if k != field}))
+            self._resume_fails_cleanly(config_path)
 
 
 class TestEvaluate:

@@ -11,7 +11,6 @@ from litsurvey.model import (
     PaperId,
     PaperRecord,
     Provenance,
-    paper_hash,
     unify_paper_id,
 )
 
@@ -39,14 +38,6 @@ class TestUnifyPaperId:
     def test_empty_canonical_rejected(self):
         with pytest.raises(InvalidInputError):
             PaperId("")
-
-
-def test_paper_hash_is_stable_and_filename_safe():
-    h1 = paper_hash("2406.10252")
-    h2 = paper_hash("2406.10252")
-    assert h1 == h2
-    assert len(h1) == 16
-    assert all(c in "0123456789abcdef" for c in h1)
 
 
 def test_paper_record_normalizes_citation_links():

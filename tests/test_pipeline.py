@@ -5,6 +5,7 @@ import json
 import re
 import shutil
 from concurrent.futures import Future
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -23,9 +24,9 @@ from litsurvey.errors import (
 )
 from litsurvey.evaluation import extract_claims, strip_front_matter
 from litsurvey.model import Granularity
-from litsurvey.pipeline import Checkpoint, build_backends, evaluate_run, run_pipeline
+from litsurvey.pipeline import build_backends, evaluate_run, run_pipeline
 from litsurvey.sources import FixtureSource
-from litsurvey.substrate import substrate_load
+from litsurvey.substrate import read_record, substrate_load, substrate_save
 from litsurvey.writing import check_evidence_locality
 
 from conftest import CountingSource
@@ -296,6 +297,54 @@ class TestRequestStream:
         assert (len(calls), request_stream_digest(calls)) == self.GOLDEN[variant]
 
 
+def _payload(value):
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, dict):
+        return {k: _payload(v) for k, v in sorted(value.items())}
+    if isinstance(value, list):
+        return [_payload(v) for v in value]
+    return value
+
+
+def output_digest(config: PipelineConfig) -> str:
+    """sha256 over the survey body, the citation sidecar and the loaded
+    substrate encoded through its objects' own ``to_dict`` payloads, so the
+    digest does not depend on the files the substrate is saved in."""
+    substrate = substrate_load(config.substrate_dir)
+    payload = {f.name: _payload(getattr(substrate, f.name)) for f in fields(substrate) if f.compare}
+    digest = hashlib.sha256()
+    for part in (
+        strip_front_matter(config.survey_path.read_text(encoding="utf-8")),
+        config.sidecar_path.read_text(encoding="utf-8"),
+        json.dumps(payload, ensure_ascii=False, sort_keys=True),
+    ):
+        digest.update(part.encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+class TestGoldenOutput:
+    """What a run of the 12-paper fixture leaves behind, at any width:
+    survey body, sidecar and substrate content. Update the constants only
+    for a change that means to alter the outputs."""
+
+    GOLDEN = {
+        "plain": "9076d124816a10a6d9a22f31f8f8e069a52f315bd5f2ec465f3eb04d6b4d539c",
+        "code_analysis": "ca07c7535f176183a47887710e8da6a650df59ff671920edca7a0d712933d9a2",
+    }
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    @pytest.mark.parametrize("variant", sorted(GOLDEN))
+    def test_outputs_are_unchanged(self, tmp_path, variant, workers):
+        config = make_config(tmp_path)
+        if variant == "code_analysis":
+            enable_code_analysis(config, tmp_path)
+        config.stage_workers = workers
+        run_pipeline(config, backends=build_backends(config))
+        assert output_digest(config) == self.GOLDEN[variant]
+
+
 class TestCheckpointResume:
     def test_interrupt_after_analysis_then_resume_skips_stages(self, tmp_path):
         config = make_config(tmp_path)
@@ -408,24 +457,24 @@ class TestCheckpointResume:
             assert len(substrate_load(config.substrate_dir).keynotes) == 12, crash_points
         assert crash_points - 1 == 3  # clusters, analyses, the record
 
-    @pytest.mark.parametrize("name", ["checkpoint", "manifest"])
+    @pytest.mark.parametrize("name", ["record", "manifest"])
     def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, name):
         config = make_config(tmp_path)
         run_pipeline(config, backends=build_backends(config), stop_after="retrieval")
-        target = Path(config.workdir) / f"{name}.json"
+        target = config.substrate_dir / "commit.json" if name == "record" else config.manifest_path
         before = json.loads(target.read_text())
         real_write = Path.write_text
 
         def torn_write(self, data, *args, **kwargs):
-            if self.name.startswith(f"{name}."):
+            if self.name.startswith(f"{target.stem}."):
                 real_write(self, data[: len(data) // 2], *args, **kwargs)
                 raise OSError("disk full")
             return real_write(self, data, *args, **kwargs)
 
-        # A resume rewrites manifest.json; checkpoint.json is written only
-        # when a run starts afresh, here under another topic so its text changes.
+        # A resume rewrites manifest.json; the record's header is written
+        # only when a run starts afresh, here under another topic.
         rerun, resume = config, True
-        if name == "checkpoint":
+        if name == "record":
             rerun, resume = make_config(tmp_path), False
             rerun.topic += " revisited"
         monkeypatch.setattr(Path, "write_text", torn_write)
@@ -438,12 +487,38 @@ class TestCheckpointResume:
 
     def test_checkpoint_file_shape(self, tmp_path):
         config = make_config(tmp_path)
-        run_pipeline(config, backends=build_backends(config), stop_after="retrieval")
-        fields = json.loads(config.checkpoint_path.read_text())
-        assert set(fields) == {"config_hash", "topic", "created_at"}  # the record lists stages
-        checkpoint = Checkpoint.from_file(config.checkpoint_path)
-        assert checkpoint.config_hash == config.config_hash()
-        assert checkpoint.topic == TOPIC
+        run_pipeline(config, backends=build_backends(config), stop_after="understanding")
+        record = read_record(config.substrate_dir)
+        assert list(record) == ["config_hash", "topic", "created_at", "stages"]
+        assert record["config_hash"] == config.config_hash()
+        assert record["topic"] == TOPIC
+        assert [e["stage"] for e in record["stages"]] == ["retrieval", "understanding"]
+        assert not (Path(config.workdir) / "checkpoint.json").exists()
+
+    def test_resume_keeps_the_start_time(self, tmp_path):
+        config = make_config(tmp_path)
+        run_pipeline(config, backends=build_backends(config), stop_after="analysis")
+        record = config.substrate_dir / "commit.json"
+        doc = json.loads(record.read_text())
+        doc["created_at"] = "2001-02-03T04:05:06Z"  # an earlier start than this run's
+        record.write_text(json.dumps(doc))
+        result = run_pipeline(config, backends=build_backends(config), resume=True)
+        assert "generated: 2001-02-03T04:05:06Z" in result.survey_path.read_text()
+        assert read_record(config.substrate_dir)["created_at"] == "2001-02-03T04:05:06Z"
+
+    def test_directory_saved_without_a_stage_refuses_to_resume(self, tmp_path):
+        config = make_config(tmp_path)
+        result = run_pipeline(config, backends=build_backends(config), stop_after="analysis")
+        substrate_save(result.substrate, config.substrate_dir)
+        with pytest.raises(ConfigError) as err:
+            run_pipeline(config, backends=build_backends(config), resume=True)
+        assert "configuration changed" in str(err.value)
+        assert config.config_hash() in str(err.value)
+
+    def test_resume_without_a_committed_run_is_refused(self, tmp_path):
+        config = make_config(tmp_path)
+        with pytest.raises(LoadError, match="commit.json"):
+            run_pipeline(config, backends=build_backends(config), resume=True)
 
 
 EARLY_STAGE_PATTERNS = (
@@ -524,10 +599,14 @@ class TestCommitRecord:
         writes = self._run_recording_writes(config, monkeypatch)
         counts = {path: writes.count(path) for path in writes}
         assert counts.pop("substrate/commit.json") == 1 + len(stages)
-        assert counts.pop("checkpoint.json") == 1
         assert set(counts.values()) == {1}
-        assert sum(p.startswith("substrate/keynotes/") for p in counts) == 12
-        assert sum(p.startswith("substrate/code_reports/") for p in counts) == 1
+        owned_files = [
+            "papers.json", "keynotes.json", "clusters.json", "analyses.json",
+            "code_reports.json", "code_overview.json", "outline.json", "drafts.json",
+            "refined_drafts.json",
+        ]
+        assert sorted(counts) == sorted(["manifest.json", *(f"substrate/{f}" for f in owned_files)])
+        assert sorted(p.name for p in root.iterdir()) == sorted(["commit.json", *owned_files])
         owned = {e["stage"]: set(e["files"]) for e in json.loads((root / "commit.json").read_text())["stages"]}
         fresh = list(reads)
         # A rerun over the same directory finds every file already there.

@@ -10,6 +10,7 @@ from litsurvey.model import (
     CitationStyle,
     Cluster,
     ClusterAnalysis,
+    CodeReportPair,
     ComparisonTable,
     DraftUnit,
     Granularity,
@@ -20,10 +21,10 @@ from litsurvey.model import (
     QaItem,
     RelationEdge,
     TableRow,
-    paper_hash,
 )
 from litsurvey.substrate import (
     COMMIT_FILE,
+    read_record,
     substrate_load,
     substrate_reset,
     substrate_save,
@@ -97,43 +98,33 @@ class TestRoundTrip:
         substrate = full_substrate(papers, keynotes)
         root = tmp_path / "sub"
         substrate_save(substrate, root)
-        for name in (
+        assert sorted(p.name for p in root.iterdir()) == sorted([
             COMMIT_FILE,
             "papers.json",
+            "keynotes.json",
             "clusters.json",
             "analyses.json",
+            "code_reports.json",
             "code_overview.json",
             "outline.json",
             "drafts.json",
             "refined_drafts.json",
-        ):
-            assert (root / name).exists(), name
-        keynote_files = list((root / "keynotes").glob("*.json"))
-        assert len(keynote_files) == len(keynotes)
-        assert (root / "keynotes" / f"{paper_hash('p1')}.json").exists()
-
-    def test_two_papers_two_keynote_files(self, tmp_path):
-        papers = {k: make_paper(k) for k in ("a1", "a2")}
-        from conftest import make_keynote
-
-        substrate = build_substrate(
-            papers, {k: make_keynote(r) for k, r in papers.items()}
-        )
-        substrate_save(substrate, tmp_path / "s")
-        assert len(list((tmp_path / "s" / "keynotes").glob("*.json"))) == 2
+        ])
+        listed = json.loads((root / "keynotes.json").read_text())["keynotes"]
+        assert [k["paper_id"]["canonical"] for k in listed] == sorted(keynotes)
 
     def test_resave_drops_the_files_of_removed_papers(self, tmp_path):
         from conftest import make_keynote
 
         papers = {k: make_paper(k) for k in ("a1", "a2")}
         substrate = build_substrate(papers, {k: make_keynote(r) for k, r in papers.items()})
+        substrate.code_reports = {k: CodeReportPair(f"code of {k}", "env") for k in papers}
         substrate_save(substrate, tmp_path / "s")
-        del substrate.papers["a2"], substrate.keynotes["a2"]
+        del substrate.papers["a2"], substrate.keynotes["a2"], substrate.code_reports["a2"]
         substrate_save(substrate, tmp_path / "s")
-        assert [p.name for p in (tmp_path / "s" / "keynotes").glob("*.json")] == [
-            f"{paper_hash('a1')}.json"
-        ]
-        assert substrate_load(tmp_path / "s") == substrate
+        loaded = substrate_load(tmp_path / "s")
+        assert loaded == substrate
+        assert set(loaded.papers) == set(loaded.keynotes) == set(loaded.code_reports) == {"a1"}
 
     def test_resave_replaces_only_changed_files(self, papers, keynotes, tmp_path):
         substrate = full_substrate(papers, keynotes)
@@ -206,7 +197,7 @@ class TestLoadErrors:
     def test_altered_byte_names_the_file(self, papers, keynotes, tmp_path):
         root = tmp_path / "sub"
         substrate_save(build_substrate(papers, keynotes), root)
-        path = root / "keynotes" / f"{paper_hash('p2')}.json"
+        path = root / "keynotes.json"
         data = bytearray(path.read_bytes())
         at = next(i for i in range(len(data) // 2, len(data)) if chr(data[i]).isalpha())
         data[at] ^= 0x20  # swap one letter's case: still valid JSON
@@ -234,8 +225,11 @@ class TestLoadErrors:
         assert "outline.json" in str(err.value)
 
 
+HEADER = {"config_hash": "0123456789abcdef", "topic": "t", "created_at": "2026-01-01T00:00:00Z"}
+
+
 def stage_by_stage(substrate, root, stages) -> None:
-    substrate_reset(root)
+    substrate_reset(root, **HEADER)
     for seconds, stage in enumerate(stages):
         substrate.stage_seconds[stage] = float(seconds)
         substrate_save(substrate, root, stage)
@@ -251,6 +245,7 @@ class TestCommitRecord:
             "sections": {"tldr": "stray"},
             "provenance": "abstract_fallback",
         }
+        (root / "keynotes").mkdir()  # as an earlier layout left it
         (root / "keynotes" / "deadbeef00000000.json").write_text(json.dumps(stray))
         (root / "notes.json").write_text("{not json")
         assert substrate_load(root) == substrate
@@ -287,3 +282,17 @@ class TestCommitRecord:
         loaded = substrate_load(root)
         assert loaded == substrate
         assert [e["stage"] for e in loaded.revision_log] == ["writing", "refinement"]
+
+    def test_header_is_carried_forward_by_every_stage_save(self, papers, keynotes, tmp_path):
+        root = tmp_path / "sub"
+        stage_by_stage(full_substrate(papers, keynotes), root, ["retrieval", "understanding"])
+        record = read_record(root)
+        assert list(record) == [*HEADER, "stages"]
+        assert {k: record[k] for k in HEADER} == HEADER
+        assert [e["stage"] for e in record["stages"]] == ["retrieval", "understanding"]
+
+    def test_save_without_a_stage_writes_an_empty_header(self, papers, tmp_path):
+        root = tmp_path / "sub"
+        substrate_reset(root, **HEADER)
+        substrate_save(build_substrate(papers), root)
+        assert {k: read_record(root)[k] for k in HEADER} == dict.fromkeys(HEADER, "")
