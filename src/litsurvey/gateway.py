@@ -1,18 +1,19 @@
 """Uniform access to generation and embedding backends.
 
-Adds what every stage relies on: exponential-backoff retry on recoverable
-HTTP statuses, api-tier response caching (runtime + disk), unit-normalized
-embeddings, and :func:`request_validated`, the one validate-and-retry
-protocol for structured output. A stage hands it a prompt string and,
-optionally, a context string; each request is the retry preamble (attempt
-marker and error memory), then the prompt, then the context fitted to what
-the context window has left.
+Adds what every stage relies on: jittered exponential-backoff retry on
+recoverable HTTP statuses, api-tier response caching (runtime + disk),
+unit-normalized embeddings, and :func:`request_validated`, the one
+validate-and-retry protocol for structured output. A stage hands it a
+prompt string and, optionally, a context string; each request is the retry
+preamble (attempt marker and error memory), then the prompt, then the
+context fitted to what the context window has left.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 import re
 import threading
 import time
@@ -97,23 +98,29 @@ def with_backoff(
     call: Callable[[], T],
     profile: BackendProfile,
     sleeper: Callable[[float], None],
+    draw: Callable[[], float] = random.random,
 ) -> T:
-    """Run ``call`` until it returns, sleeping between tries with a
-    delay that starts at the profile's lower bound and doubles up to its
-    upper bound.
+    """Run ``call`` until it returns, sleeping between tries.
+
+    The k-th sleep is ``min(hi, lo * 2**(k-1) * (1 + u))`` for the
+    profile's ``backoff_bounds`` (lo, hi), where ``u`` in [0, 1) comes from
+    one ``draw()`` per call. Callers refused at the same moment thus retry
+    at different moments, while each caller's delays stay nondecreasing and
+    within the bounds.
 
     ``call`` raises TransientBackendError for a retryable failure; any
     other exception propagates at once. After ``profile.max_attempts``
     transient failures this raises ExhaustionError, chained to the last one.
     """
     delay, delay_max = profile.backoff_bounds
+    spread = 1.0 + draw()
     for attempt in range(1, profile.max_attempts + 1):
         try:
             return call()
         except TransientBackendError as exc:
             last = exc
         if attempt < profile.max_attempts:
-            sleeper(delay)
+            sleeper(min(delay * spread, delay_max))
             delay = min(delay * 2, delay_max)
     status = last.status if last.status is not None else str(last)
     raise ExhaustionError(profile.max_attempts, status) from last
@@ -207,8 +214,9 @@ class Gateway:
     Thread-safe: one lock guards the runtime cache, the counters and the
     in-flight table (the disk cache needs none), retries keep all state on
     the stack, and identical requests in flight at once share one backend
-    call (see :meth:`cached`). ``sleeper`` is injectable so tests run with
-    a deterministic clock (jitter is deliberately disabled).
+    call (see :meth:`cached`). ``sleeper`` and ``draw`` (the jitter source
+    of :func:`with_backoff`) are injectable so tests run with a
+    deterministic clock and fixed delays.
     """
 
     def __init__(
@@ -220,12 +228,14 @@ class Gateway:
         cache_expiry: Optional[float] = None,
         embed_batch_size: int = 32,
         sleeper: Callable[[float], None] = time.sleep,
+        draw: Callable[[], float] = random.random,
     ):
         self.transport = transport
         self.embedder = embedder or HashEmbedder()
         self.profile = profile or BackendProfile()
         self.embed_batch_size = embed_batch_size
         self.sleeper = sleeper
+        self.draw = draw
         self._runtime: dict[str, Any] = {}
         self._disk = DiskCache(f"{cache_dir}/api", cache_expiry) if cache_dir else None
         self._lock = threading.Lock()
@@ -245,7 +255,10 @@ class Gateway:
             "complete", request.tag, request.temperature, request.max_output_tokens, request.prompt
         )
         return self.cached(
-            key, lambda: with_backoff(lambda: self._send_once(request), self.profile, self.sleeper)
+            key,
+            lambda: with_backoff(
+                lambda: self._send_once(request), self.profile, self.sleeper, self.draw
+            ),
         )
 
     def complete_text(self, prompt: str, tag: str, temperature: float = 0.0) -> str:
@@ -319,8 +332,13 @@ class Gateway:
 
     # -- embeddings ------------------------------------------------------
 
-    def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        """One unit-normalized vector per input text."""
+    def embed(self, texts: Sequence[str], workers: int = 1) -> list[list[float]]:
+        """One unit-normalized vector per input text.
+
+        Texts missing from the cache go to the backend in batches of
+        ``embed_batch_size``, up to ``workers`` batches at once; the batches
+        are the same at every width.
+        """
         if not texts:
             raise InvalidInputError("embed() requires at least one text")
         results: dict[int, list[float]] = {}
@@ -331,15 +349,23 @@ class Gateway:
                 results[i] = cached
             else:
                 missing.append((i, text))
-        for start in range(0, len(missing), self.embed_batch_size):
-            batch = missing[start : start + self.embed_batch_size]
+        batches = [
+            missing[start : start + self.embed_batch_size]
+            for start in range(0, len(missing), self.embed_batch_size)
+        ]
+
+        def encode(batch: list[tuple[int, str]]) -> list[list[float]]:
             batch_texts = [t for _, t in batch]
             vectors = with_backoff(
-                lambda: self._encode_once(batch_texts), self.profile, self.sleeper
+                lambda: self._encode_once(batch_texts), self.profile, self.sleeper, self.draw
             )
-            for (i, text), vector in zip(batch, vectors):
-                unit = _normalize(vector)
+            units = [_normalize(vector) for vector in vectors]
+            for text, unit in zip(batch_texts, units):
                 self._cache_set(cache_key("embed", text), unit)
+            return units
+
+        for batch, units in zip(batches, map_bounded(encode, batches, workers)):
+            for (i, _), unit in zip(batch, units):
                 results[i] = unit
         return [results[i] for i in range(len(texts))]
 

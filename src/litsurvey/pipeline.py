@@ -181,6 +181,7 @@ def _stage_retrieval(config, substrate, backends, runlog):
         backends.gateway,
         fallback=fallback,
         runlog=runlog,
+        workers=config.stage_workers,
     )
     substrate.papers = {p.id.canonical: p for p in papers}
     substrate.log_event("stage_completed", stage="retrieval", papers=len(papers))

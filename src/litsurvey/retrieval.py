@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import JudgeError, RetrievalError, SourceUnavailableError, SurveyError
-from .gateway import Gateway, cosine, extract_json_payload, request_validated
+from .gateway import Gateway, cosine, extract_json_payload, map_bounded, request_validated
 from .model import ErrorMemory, PaperRecord
 from .runlog import RunLog
 from .sources import PaperSource
@@ -179,35 +179,45 @@ def expand_graph(
     cfg: RetrievalConfig,
     source: PaperSource,
     runlog: Optional[RunLog] = None,
+    workers: int = 1,
 ) -> list[PaperRecord]:
     """Breadth-first bidirectional expansion to ``expansion_depth``.
 
-    Per expanded paper at most ``per_seed_cap`` neighbors are retained,
-    ranked by :func:`neighbor_priority`. New papers are appended in sorted
-    id order so the merge is deterministic. A neighbor fetch that still
-    fails after the source's own retries raises RetrievalError naming the
-    paper, rather than leaving the evidence set short of its neighbors; a
-    resume asks again. A fetch the source refuses for good (say, a paper
-    it does not know) leaves that paper without neighbors, logged as
-    ``neighbor_fetch_refused``, since asking again would not help.
+    Each hop fetches the citations, then the references, of up to
+    ``workers`` frontier papers at once, and merges the answers in frontier
+    order, so the result is the same at every width. Per expanded paper at
+    most ``per_seed_cap`` neighbors are retained, ranked by
+    :func:`neighbor_priority`. New papers are appended in sorted id order.
+    A neighbor fetch that still fails after the source's own retries raises
+    RetrievalError naming the first such paper in frontier order, rather
+    than leaving the evidence set short of its neighbors; a resume asks
+    again. A fetch the source refuses for good (say, a paper it does not
+    know) leaves that paper without neighbors, logged as
+    ``neighbor_fetch_refused`` in frontier order, since asking again would
+    not help.
     """
     runlog = runlog or RunLog()
+    limit = cfg.per_seed_cap * 2
+
+    def fetch(paper: PaperRecord) -> list[PaperRecord] | SurveyError:
+        """The paper's neighbors, or the error of a refused fetch."""
+        try:
+            return source.citations(paper.id, limit) + source.references(paper.id, limit)
+        except SourceUnavailableError as exc:
+            raise RetrievalError(
+                f"neighbor fetch for paper '{paper.id.canonical}' failed: {exc}"
+            ) from exc
+        except SurveyError as exc:
+            return exc
+
     collected = {p.id.canonical: p for p in seeds}
     result = list(seeds)
     frontier = list(seeds)
     for _depth in range(cfg.expansion_depth):
         discovered: dict[str, PaperRecord] = {}
-        for paper in frontier:
-            try:
-                neighbors = source.citations(paper.id, cfg.per_seed_cap * 2) + source.references(
-                    paper.id, cfg.per_seed_cap * 2
-                )
-            except SourceUnavailableError as exc:
-                raise RetrievalError(
-                    f"neighbor fetch for paper '{paper.id.canonical}' failed: {exc}"
-                ) from exc
-            except SurveyError as exc:
-                runlog.add("neighbor_fetch_refused", paper=paper.id.canonical, error=str(exc))
+        for paper, neighbors in zip(frontier, map_bounded(fetch, frontier, workers)):
+            if isinstance(neighbors, SurveyError):
+                runlog.add("neighbor_fetch_refused", paper=paper.id.canonical, error=str(neighbors))
                 continue
             unique: dict[str, PaperRecord] = {}
             for n in neighbors:
@@ -227,12 +237,17 @@ def coarse_filter(
     topic: str,
     cfg: RetrievalConfig,
     gateway: Gateway,
+    workers: int = 1,
 ) -> list[PaperRecord]:
-    """High-recall semantic gate: cosine(title+abstract, topic) >= threshold."""
+    """High-recall semantic gate: cosine(title+abstract, topic) >= threshold.
+
+    The topic is embedded on its own, then the papers in the gateway's
+    batches, up to ``workers`` batches at once.
+    """
     if not papers:
         return []
     topic_vec = gateway.embed([topic])[0]
-    vectors = gateway.embed([p.search_text() for p in papers])
+    vectors = gateway.embed([p.search_text() for p in papers], workers)
     return [
         p
         for p, v in zip(papers, vectors)
@@ -272,8 +287,11 @@ def run_retrieval(
     gateway: Gateway,
     fallback: Optional[PaperSource] = None,
     runlog: Optional[RunLog] = None,
+    workers: int = 1,
 ) -> list[PaperRecord]:
-    """Full Stage-1 pass; deterministic for a fixed source and judge.
+    """Full Stage-1 pass; deterministic for a fixed source and judge, and
+    the same at every ``workers`` width (the graph fetches and embedding
+    batches fan out; the judge batches stay serial).
 
     When the primary source failed the seed search, the seeds come from the
     fallback and the primary is not asked for their links: the evidence set
@@ -286,6 +304,6 @@ def run_retrieval(
         runlog.add("expansion_skipped", topic=topic, reason="primary source failed")
         expanded = seeds
     else:
-        expanded = expand_graph(seeds, cfg, source, runlog)
-    passed = coarse_filter(expanded, topic, cfg, gateway)
+        expanded = expand_graph(seeds, cfg, source, runlog, workers)
+    passed = coarse_filter(expanded, topic, cfg, gateway, workers)
     return llm_rerank_filter(passed, topic, gateway, cfg, runlog)

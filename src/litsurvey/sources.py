@@ -9,6 +9,7 @@ kept in the gateway's api tier.
 from __future__ import annotations
 
 import json
+import random
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -147,20 +148,24 @@ def parse_graph_record(item: dict) -> PaperRecord:
 
 
 class AcademicGraphSource:
-    """Thin client for a Semantic-Scholar-style graph API."""
+    """Thin client for a Semantic-Scholar-style graph API. Safe to call
+    from several threads at once; ``sleeper`` and ``draw`` are the clock
+    and jitter source of :func:`with_backoff`."""
 
     def __init__(
         self,
         base_url: str = "https://api.semanticscholar.org/graph/v1",
         api_key: str = "",
         timeout: float = 30.0,
-        sleeper=time.sleep,
+        sleeper: Callable[[float], None] = time.sleep,
+        draw: Callable[[], float] = random.random,
     ):
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.timeout = timeout
         self.profile = BackendProfile(max_attempts=5)
         self.sleeper = sleeper
+        self.draw = draw
 
     def _get(self, path: str, params: dict) -> dict:
         headers = {"x-api-key": self.api_key} if self.api_key else {}
@@ -179,7 +184,7 @@ class AcademicGraphSource:
             raise RetrievalError(f"graph API {path} failed: status {resp.status_code}")
 
         try:
-            return with_backoff(attempt, self.profile, self.sleeper)
+            return with_backoff(attempt, self.profile, self.sleeper, self.draw)
         except ExhaustionError as exc:
             raise SourceUnavailableError(f"graph API {path} failed: {exc.__cause__}") from exc
 

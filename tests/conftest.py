@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from litsurvey.errors import SourceUnavailableError
@@ -90,23 +92,33 @@ def scripted_gateway(
 
 
 class CountingSource:
-    """Paper source that records each call it passes on to ``inner``; the
-    first ``failures`` calls (of the method ``failing``, when given) raise
+    """Paper source that records each call it passes on to ``inner``, from
+    any number of threads; the first ``failures`` calls (of the method
+    ``failing``, and for the paper ``paper``, when given) raise
     SourceUnavailableError instead, as a source still down after its
     retries does."""
 
-    def __init__(self, inner, failures: int = 0, failing: str = ""):
+    def __init__(self, inner, failures: int = 0, failing: str = "", paper: str = ""):
         self.inner = inner
         self.failures = failures
         self.failing = failing
+        self.paper = paper
         self.calls: list[str] = []
+        self._lock = threading.Lock()
 
-    def _call(self, method: str, *args):
-        self.calls.append(method)
-        if self.failures and self.failing in ("", method):
-            self.failures -= 1
+    def _call(self, method: str, subject, limit):
+        with self._lock:
+            self.calls.append(method)
+            fails = (
+                self.failures > 0
+                and self.failing in ("", method)
+                and self.paper in ("", getattr(subject, "canonical", subject))
+            )
+            if fails:
+                self.failures -= 1
+        if fails:
             raise SourceUnavailableError("source unreachable")
-        return getattr(self.inner, method)(*args)
+        return getattr(self.inner, method)(subject, limit)
 
     def search(self, query, limit):
         return self._call("search", query, limit)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,15 +38,22 @@ class SequenceTransport:
 
 
 class FixtureEmbedder:
-    """Hand-set vectors per exact text, hash-based fallback otherwise."""
+    """Hand-set vectors per exact text, hash-based fallback otherwise;
+    records each batch it is sent, from any number of threads."""
 
     def __init__(self, mapping: Optional[dict[str, Sequence[float]]] = None, dim: int = 8):
         self.mapping = dict(mapping or {})
         self.dim = dim
-        self.calls = 0
+        self.batches: list[tuple[str, ...]] = []
+        self._lock = threading.Lock()
+
+    @property
+    def calls(self) -> int:
+        return len(self.batches)
 
     def encode(self, texts: Sequence[str]) -> list[list[float]]:
-        self.calls += 1
+        with self._lock:
+            self.batches.append(tuple(texts))
         out = []
         for text in texts:
             if text in self.mapping:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import sys
 import threading
 import time
@@ -103,11 +104,26 @@ class TestRetry:
     def test_backoff_doubles_and_caps(self):
         transport = SequenceTransport([503] * 30)
         profile = BackendProfile(max_attempts=12, backoff_bounds=(1.0, 300.0))
-        gw, delays = recording_gateway(transport, profile=profile)
+        gw, delays = recording_gateway(transport, profile=profile, draw=lambda: 0.0)
         with pytest.raises(ExhaustionError):
             gw.complete(req())
         assert delays[:9] == [1, 2, 4, 8, 16, 32, 64, 128, 256]
         assert all(d <= 300.0 for d in delays)
+
+    def test_jitter_spreads_callers_within_the_bounds(self):
+        profile = BackendProfile(max_attempts=12, backoff_bounds=(1.0, 300.0))
+        runs = []
+        for seed in (1, 2):
+            draw = random.Random(seed).random
+            gw, delays = recording_gateway(SequenceTransport([429] * 30), profile=profile, draw=draw)
+            with pytest.raises(ExhaustionError):
+                gw.complete(req())
+            assert delays == sorted(delays), "each caller's delays are nondecreasing"
+            assert all(1.0 <= d <= 300.0 for d in delays)
+            assert delays[0] == 1.0 + random.Random(seed).random(), "one draw per call"
+            assert delays[-1] == 300.0
+            runs.append(delays)
+        assert runs[0] != runs[1]
 
     def test_prompt_over_window_is_budget_error(self):
         small = BackendProfile(context_window=4)
@@ -351,6 +367,24 @@ class TestEmbeddings:
         vectors = gw.embed(list("abcde"))
         assert embedder.calls == 3
         assert [v[1] / v[0] for v in vectors] == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0])
+
+    def test_eight_workers_send_the_serial_batches(self):
+        texts = [f"text {i}" for i in range(100)]
+        runs = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 8):
+                embedder = FixtureEmbedder()
+                gw = Gateway(SequenceTransport(["x"]), embedder=embedder, embed_batch_size=7)
+                gw.embed(texts[::3])  # cached texts split the misses
+                vectors = gw.embed(texts, workers)
+                runs[workers] = (sorted(embedder.batches), vectors, gw.transport_calls)
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[8] == runs[1]
+        batches, _, calls = runs[1]
+        assert calls == len(batches) == math.ceil(34 / 7) + math.ceil(66 / 7)
 
     def test_empty_input_rejected(self):
         gw = scripted_gateway()

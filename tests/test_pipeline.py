@@ -30,7 +30,7 @@ from litsurvey.substrate import read_record, substrate_load, substrate_save
 from litsurvey.writing import check_evidence_locality
 
 from conftest import CountingSource
-from e2e_fixture import TOPIC, enable_code_analysis, make_config
+from e2e_fixture import SEEDS, TOPIC, enable_code_analysis, make_config
 
 
 class InlineExecutor:
@@ -153,6 +153,11 @@ class TestEndToEnd:
             assert parallel.substrate == serial.substrate, variant
             assert (variant == "code_analysis") == bool(serial.substrate.code_reports)
             assert parallel_cfg.sidecar_path.read_bytes() == serial_cfg.sidecar_path.read_bytes()
+            assert (parallel_cfg.substrate_dir / "papers.json").read_bytes() == (
+                serial_cfg.substrate_dir / "papers.json"
+            ).read_bytes(), variant
+            assert retrieval_events(parallel.runlog) == retrieval_events(serial.runlog), variant
+            assert retrieval_events(serial.runlog), variant
             assert strip_front_matter(parallel_cfg.survey_path.read_text()) == strip_front_matter(
                 serial_cfg.survey_path.read_text()
             ), variant
@@ -169,6 +174,16 @@ class TestEndToEnd:
         assert serial.stage == parallel.stage == "writing"
         assert isinstance(parallel.cause, DraftingError)
         assert str(parallel) == str(serial)
+
+
+RETRIEVAL_EVENTS = {
+    "source_failure", "fallback_source_used", "seed_rejected", "neighbor_fetch_refused",
+    "expansion_skipped", "rerank_retained", "rerank_dropped",
+}
+
+
+def retrieval_events(runlog) -> list[dict]:
+    return [e for e in runlog.events if e["kind"] in RETRIEVAL_EVENTS]
 
 
 FAILING_SUBSECTION = "Write the body of subsection 'Scoped Drafting'"
@@ -668,6 +683,31 @@ class TestCommitRecord:
         done = len(failing.source.calls) - 1  # every call but the failed one
         assert done and resumed.source.calls
         assert resumed.source.calls == straight.source.calls[done:]
+        papers = (config.substrate_dir / "papers.json").read_bytes()
+        assert papers == (straight_cfg.substrate_dir / "papers.json").read_bytes()
+
+
+    def test_failed_neighbor_fetch_under_workers_matches_the_serial_error(self, tmp_path):
+        straight_cfg = make_config(tmp_path / "straight")
+        run_pipeline(straight_cfg, backends=build_backends(straight_cfg), stop_after="retrieval")
+
+        def fail(workers: int):
+            config = make_config(tmp_path / f"workers{workers}")
+            config.stage_workers = workers
+            backends = build_backends(config)
+            # Two frontier papers fail; the error names the first of them.
+            later = CountingSource(backends.source, failures=1, failing="references", paper=SEEDS[3])
+            backends.source = CountingSource(later, failures=1, failing="citations", paper=SEEDS[1])
+            with pytest.raises(StageError) as err:
+                run_pipeline(config, backends=backends)
+            assert err.value.stage == "retrieval"
+            return config, str(err.value.cause)
+
+        _, serial = fail(1)
+        config, parallel = fail(8)
+        assert parallel == serial
+        assert f"neighbor fetch for paper '{SEEDS[1]}' failed" in serial
+        run_pipeline(config, backends=build_backends(config), resume=True, stop_after="retrieval")
         papers = (config.substrate_dir / "papers.json").read_bytes()
         assert papers == (straight_cfg.substrate_dir / "papers.json").read_bytes()
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import threading
+from collections import Counter
 
 import pytest
 import requests
@@ -18,7 +20,7 @@ from litsurvey.retrieval import (
 )
 from litsurvey.runlog import RunLog
 from litsurvey.scripted import ScriptedTransport
-from litsurvey.sources import AcademicGraphSource, FixtureSource
+from litsurvey.sources import AcademicGraphSource, CachedSource, FixtureSource
 
 from conftest import CountingSource, make_paper, scripted_gateway
 from doubles import FixtureEmbedder
@@ -223,6 +225,66 @@ class TestExpandGraph:
         ]
         assert [e["paper"] for e in runlog.of_kind("neighbor_fetch_refused")] == ["ghost"]
         assert len(requested) == 3, "a refused fetch is not retried"
+
+
+class TestParallelExpansion:
+    def test_rate_limited_graph_gives_the_serial_evidence_set(self, monkeypatch):
+        """Every known URL answers 429 once and then 200; the two unknown
+        papers answer 404. Two hops fan out at 8 workers as at 1."""
+        seeds = ["s0", "ghost-b", "s1", "s2", "s3", "s4", "s5", "ghost-a"]
+
+        class Reply:
+            def __init__(self, status_code, doc=None):
+                self.status_code, self.doc = status_code, doc
+
+            def json(self):
+                return self.doc
+
+        def run(workers: int):
+            requested: Counter = Counter()
+            lock = threading.Lock()
+
+            def fake_get(url, **kwargs):
+                with lock:
+                    requested[url] += 1
+                    first = requested[url] == 1
+                if "/ghost-" in url:
+                    return Reply(404)
+                if first:
+                    return Reply(429)
+                if url.endswith("/paper/search"):
+                    return Reply(200, {"data": [{"paperId": k, "title": k} for k in seeds]})
+                subject = url.rsplit("/", 2)[-2]
+                edge = "citingPaper" if url.endswith("/citations") else "citedPaper"
+                found = [
+                    {"paperId": n, "title": n, "citationCount": len(n) % 5}
+                    for n in (f"{subject}-{edge[:5]}{j}" for j in range(3))
+                ]
+                # Every paper links the hub, each under its own title: the
+                # first in frontier order must win.
+                found.append({"paperId": "hub", "title": f"hub via {subject}"})
+                return Reply(200, {"data": [{edge: item} for item in found]})
+
+            monkeypatch.setattr(requests, "get", fake_get)
+            gateway = scripted_gateway(accept_all_judge())
+            graph = AcademicGraphSource("http://graph", sleeper=lambda _: None)
+            source = CachedSource(graph, gateway, "academic-graph http://graph")
+            runlog = RunLog()
+            cfg = RetrievalConfig(expansion_depth=2, coarse_similarity_threshold=-1.0)
+            papers = run_retrieval("topic", cfg, source, gateway, runlog=runlog, workers=workers)
+            return [p.to_dict() for p in papers], runlog.of_kind("neighbor_fetch_refused"), requested
+
+        serial_papers, serial_refused, serial_requested = run(1)
+        papers, refused, requested = run(8)
+        assert papers == serial_papers
+        assert refused == serial_refused
+        assert [e["paper"] for e in refused] == ["ghost-b", "ghost-a"]
+        assert requested == serial_requested
+        known = {url: n for url, n in requested.items() if "/ghost-" not in url}
+        assert len(known) > 50 and set(known.values()) == {2}
+        assert requested["http://graph/paper/ghost-a/citations"] == 1
+        [hub] = [p for p in papers if p["id"]["canonical"] == "hub"]
+        assert hub["title"] == "hub via s0"
 
 
 class TestCoarseFilter:

@@ -64,7 +64,8 @@ class TestAcademicGraphRetry:
     def test_transient_failures_back_off_then_succeed(self, monkeypatch, outcomes, sleeps):
         calls = self.script(monkeypatch, outcomes)
         delays: list[float] = []
-        records = AcademicGraphSource("http://graph", sleeper=delays.append).search("q", 5)
+        source = AcademicGraphSource("http://graph", sleeper=delays.append, draw=lambda: 0.0)
+        records = source.search("q", 5)
         assert [r.title for r in records] == ["Found"]
         assert len(calls) == len(outcomes)
         assert delays == sleeps
@@ -79,7 +80,7 @@ class TestAcademicGraphRetry:
     def test_failures_raise_retrieval_error(self, monkeypatch, outcomes, attempts, sleeps, reason):
         calls = self.script(monkeypatch, outcomes)
         delays: list[float] = []
-        source = AcademicGraphSource("http://graph", sleeper=delays.append)
+        source = AcademicGraphSource("http://graph", sleeper=delays.append, draw=lambda: 0.0)
         with pytest.raises(RetrievalError, match=f"graph API paper/search failed: {reason}"):
             source.search("q", 5)
         assert len(calls) == attempts
