@@ -18,11 +18,10 @@ from .gateway import (
     extract_json_payload,
     request_validated,
 )
-from .marks import extract_mark_keys, resolve_key, build_resolver
+from .marks import unresolved_keys
 from .model import (
     Cluster,
     ClusterAnalysis,
-    CitationStyle,
     ComparisonTable,
     ErrorMemory,
     Keynote,
@@ -410,8 +409,6 @@ def guided_qa(
     runlog = runlog or RunLog()
     member_keys = cluster.member_keys()
     member_records = _member_records(cluster, papers)
-    resolver = build_resolver(member_records, CitationStyle.TITLE)
-    id_resolver = build_resolver(member_records, CitationStyle.ID)
     listing = "\n".join(
         f"- {k} | {papers[k].title}: {_keynote_digest(keynotes[k])}"
         for k in sorted(member_keys)
@@ -439,11 +436,9 @@ def guided_qa(
             if unknown_related:
                 raise ValueError(f"related papers outside the cluster: {unknown_related}")
             answer = str(entry.get("answer", ""))
-            for key in extract_mark_keys(answer):
-                if resolve_key(key, resolver, CitationStyle.TITLE) is None and resolve_key(
-                    key, id_resolver, CitationStyle.ID
-                ) is None:
-                    raise ValueError(f"answer cites non-member '{key}'")
+            unknown = unresolved_keys(answer, member_records)
+            if unknown:
+                raise ValueError(f"answer cites non-member '{unknown[0]}'")
             items.append(
                 QaItem(
                     question=str(entry.get("question", "")),
@@ -481,8 +476,6 @@ def inter_cluster_analysis(
         raise InvalidInputError("inter-cluster analysis needs at least two clusters")
     runlog = runlog or RunLog()
     records = [papers[k] for k in sorted(papers)]
-    resolver = build_resolver(records, CitationStyle.TITLE)
-    id_resolver = build_resolver(records, CitationStyle.ID)
     overview = "\n".join(f"- {c.name}: {c.summary} ({len(c.members)} papers)" for c in clusters)
 
     prompt = (
@@ -492,25 +485,18 @@ def inter_cluster_analysis(
         + f"Clusters:\n{overview}"
     )
 
-    def unknown(key: str) -> bool:
-        return (
-            resolve_key(key, resolver, CitationStyle.TITLE) is None
-            and resolve_key(key, id_resolver, CitationStyle.ID) is None
-        )
-
     def parse(reply: str) -> str:
         if not reply.strip():
             raise ValueError("empty synthesis")
-        for key in extract_mark_keys(reply):
-            if unknown(key):
-                raise ValueError(f"synthesis cites unknown paper '{key}'")
+        unknown = unresolved_keys(reply, records)
+        if unknown:
+            raise ValueError(f"synthesis cites unknown paper '{unknown[0]}'")
         return reply
 
     def strip_unknown(reply: str) -> str:
-        for key in extract_mark_keys(reply):
-            if unknown(key):
-                runlog.attribution_event("analysis.inter_cluster", "synthesis", key)
-                reply = reply.replace(f"<{key}>", "")
+        for key in unresolved_keys(reply, records):
+            runlog.attribution_event("analysis.inter_cluster", "synthesis", key)
+            reply = reply.replace(f"<{key}>", "")
         return reply
 
     text, _, _ = request_validated(
@@ -532,7 +518,7 @@ def analyze_cluster(
     cfg: Optional[AnalysisConfig] = None,
     runlog: Optional[RunLog] = None,
 ) -> ClusterAnalysis:
-    """All three per-cluster views plus the attribution record."""
+    """All three per-cluster views."""
     cfg = cfg or AnalysisConfig()
     runlog = runlog or RunLog()
     edges = build_relation_graph(cluster, keynotes, papers, gateway, cfg, runlog)
@@ -542,18 +528,9 @@ def analyze_cluster(
         else None
     )
     qa = guided_qa(cluster, keynotes, papers, gateway, cfg.questions_per_cluster, runlog)
-    attributions: dict[str, list] = {}
-    for i, item in enumerate(qa):
-        attributions[f"qa:{i}"] = list(item.related)
-    if table is not None:
-        attributions["table"] = [row.paper for row in table.rows]
-    if edges:
-        endpoint_keys = sorted({e.src.canonical for e in edges} | {e.dst.canonical for e in edges})
-        attributions["graph"] = [papers[k].id for k in endpoint_keys]
     return ClusterAnalysis(
         cluster_id=cluster.cluster_id,
         relation_graph=edges,
         comparison_table=table,
         qa_items=qa,
-        source_attributions=attributions,
     )

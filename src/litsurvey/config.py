@@ -81,9 +81,9 @@ class PipelineConfig:
     stages: tuple[str, ...] = STAGES
     code_analysis_enabled: bool = False
     use_skill_loop_fallback: bool = False
-    # Pool width for the independent per-unit chat-backend calls (papers,
-    # clusters, repositories, drafts, refinement units); the graph expansion
-    # stays serial. Outputs do not depend on it, so it stays out of the
+    # Pool width for the independent per-unit backend calls (citation-graph
+    # fetches, embedding batches, papers, clusters, repositories, drafts,
+    # refinement units). Outputs do not depend on it, so it stays out of the
     # config hash.
     stage_workers: int = 1
     parsed_docs_dir: str = ""

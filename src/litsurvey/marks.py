@@ -41,6 +41,19 @@ def resolve_key(
     return resolver.get(lookup)
 
 
+def unresolved_keys(text: str, papers: list[PaperRecord]) -> list[str]:
+    """The mark keys in ``text`` that name none of ``papers``, by title or by
+    id, in reading order, duplicates preserved."""
+    titles = build_resolver(papers, CitationStyle.TITLE)
+    ids = build_resolver(papers, CitationStyle.ID)
+    return [
+        key
+        for key in extract_mark_keys(text)
+        if resolve_key(key, titles, CitationStyle.TITLE) is None
+        and resolve_key(key, ids, CitationStyle.ID) is None
+    ]
+
+
 @dataclass
 class CitationVerdict:
     ok: bool

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import IntegrityError, InvalidInputError
 
@@ -36,6 +36,12 @@ class PaperId:
     @classmethod
     def from_dict(cls, d: dict) -> "PaperId":
         return cls(canonical=d["canonical"], source=IdSource(d["source"]))
+
+
+def _known(ids: dict[str, PaperId], canonical: str) -> PaperId:
+    """The known paper's id; an unknown one decodes bare, and
+    ``KnowledgeSubstrate.validate`` reports it."""
+    return ids.get(canonical) or PaperId(canonical)
 
 
 def unify_paper_id(preprint_id: Optional[str], graph_id: Optional[str]) -> PaperId:
@@ -189,6 +195,15 @@ class Cluster:
             "members": sorted(p.canonical for p in self.members),
         }
 
+    @classmethod
+    def from_dict(cls, d: dict, ids: dict[str, PaperId]) -> "Cluster":
+        return cls(
+            cluster_id=d["cluster_id"],
+            name=d["name"],
+            summary=d["summary"],
+            members={_known(ids, m) for m in d["members"]},
+        )
+
 
 RELATION_KINDS = ("foundation", "extension", "substitution", "other")
 
@@ -268,7 +283,6 @@ class ClusterAnalysis:
     relation_graph: list[RelationEdge] = field(default_factory=list)
     comparison_table: Optional[ComparisonTable] = None
     qa_items: list[QaItem] = field(default_factory=list)
-    source_attributions: dict[str, list[PaperId]] = field(default_factory=dict)
 
     def referenced_ids(self) -> set[str]:
         out: set[str] = set()
@@ -279,8 +293,6 @@ class ClusterAnalysis:
             out.update(r.paper.canonical for r in self.comparison_table.rows)
         for item in self.qa_items:
             out.update(p.canonical for p in item.related)
-        for ids in self.source_attributions.values():
-            out.update(p.canonical for p in ids)
         return out
 
     def to_dict(self) -> dict:
@@ -291,11 +303,41 @@ class ClusterAnalysis:
             if self.comparison_table
             else None,
             "qa_items": [q.to_dict() for q in self.qa_items],
-            "source_attributions": {
-                k: [p.canonical for p in v]
-                for k, v in sorted(self.source_attributions.items())
-            },
         }
+
+    @classmethod
+    def from_dict(cls, d: dict, ids: dict[str, PaperId]) -> "ClusterAnalysis":
+        table = d["comparison_table"]
+        return cls(
+            cluster_id=d["cluster_id"],
+            relation_graph=[
+                RelationEdge(
+                    src=_known(ids, e["from"]),
+                    dst=_known(ids, e["to"]),
+                    kind=e["kind"],
+                    description=e["description"],
+                    label=e["label"],
+                )
+                for e in d["relation_graph"]
+            ],
+            comparison_table=ComparisonTable(
+                columns=list(table["columns"]),
+                rows=[
+                    TableRow(paper=_known(ids, r["paper_id"]), cells=dict(r["cells"]))
+                    for r in table["rows"]
+                ],
+            )
+            if table
+            else None,
+            qa_items=[
+                QaItem(
+                    question=q["question"],
+                    related=[_known(ids, c) for c in q["related"]],
+                    answer=q["answer"],
+                )
+                for q in d["qa_items"]
+            ],
+        )
 
 
 MAX_OUTLINE_DEPTH = 2  # section -> subsection; deeper nesting is rejected
@@ -352,6 +394,15 @@ class OutlineNode:
             "children": [c.to_dict() for c in self.children],
         }
 
+    @classmethod
+    def from_dict(cls, d: dict, ids: dict[str, PaperId]) -> "OutlineNode":
+        return cls(
+            title=d["title"],
+            description=d["description"],
+            children=[cls.from_dict(c, ids) for c in d["children"]],
+            assigned={_known(ids, c) for c in d["assigned"]},
+        )
+
 
 class CitationStyle(str, Enum):
     TITLE = "title_mark"
@@ -397,17 +448,21 @@ class DraftUnit:
             "granularity": self.granularity.value,
         }
 
-
-@dataclass
-class CodeReportPair:
-    code_report: str = ""
-    environment_report: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "code_report": self.code_report,
-            "environment_report": self.environment_report,
-        }
+    @classmethod
+    def from_dict(cls, d: dict, ids: dict[str, PaperId]) -> "DraftUnit":
+        return cls(
+            node_path=tuple(d["node_path"]),
+            text=d["text"],
+            citations=[
+                CitationMark(
+                    style=CitationStyle(m["style"]),
+                    key=m["key"],
+                    paper=_known(ids, m["paper"]),
+                )
+                for m in d["citations"]
+            ],
+            granularity=Granularity(d["granularity"]),
+        )
 
 
 ERROR_MEMORY_CAPACITY = 10
@@ -456,19 +511,16 @@ class KnowledgeSubstrate:
     clusters: list[Cluster] = field(default_factory=list)
     analyses: list[ClusterAnalysis] = field(default_factory=list)
     inter_cluster: str = ""
-    code_reports: dict[str, CodeReportPair] = field(default_factory=dict)
+    #: each repository's pseudocode, by canonical paper id
+    code_reports: dict[str, str] = field(default_factory=dict)
     code_overview: str = ""
     environment_overview: str = ""
     outline: Optional[OutlineNode] = None
     drafts: list[DraftUnit] = field(default_factory=list)
-    revision_log: list[dict] = field(default_factory=list)
     #: seconds of each committed stage, in run order. Run metadata, not
     #: content: left out of equality, so a substrate equals its saved and
     #: loaded copy whatever the stages took.
     stage_seconds: dict[str, float] = field(default_factory=dict, compare=False)
-
-    def log_event(self, kind: str, **detail: Any) -> None:
-        self.revision_log.append({"seq": len(self.revision_log), "kind": kind, **detail})
 
     def paper_ids(self) -> set[str]:
         return set(self.papers)

@@ -35,7 +35,7 @@ from .gateway import (
     HttpEmbedder,
     map_bounded,
 )
-from .model import CodeReportPair, KnowledgeSubstrate
+from .model import KnowledgeSubstrate
 from .runlog import RunLog
 from .scripted import ConstantNli, HashNli, ScriptedTransport
 from .sources import (
@@ -184,16 +184,12 @@ def _stage_retrieval(config, substrate, backends, runlog):
         workers=config.stage_workers,
     )
     substrate.papers = {p.id.canonical: p for p in papers}
-    substrate.log_event("stage_completed", stage="retrieval", papers=len(papers))
 
 
 def _stage_understanding(config, substrate, backends, runlog):
     docs = _discover_docs(config, substrate)
     substrate.keynotes = understanding_mod.run_understanding(
         substrate.papers, docs, backends.gateway, runlog, workers=config.stage_workers
-    )
-    substrate.log_event(
-        "stage_completed", stage="understanding", keynotes=len(substrate.keynotes)
     )
 
 
@@ -226,7 +222,6 @@ def _stage_analysis(config, substrate, backends, runlog):
             (tables_dir / f"cluster_{item.cluster_id}.tsv").write_text(
                 item.comparison_table.to_delimited(substrate.papers), encoding="utf-8"
             )
-    substrate.log_event("stage_completed", stage="analysis", clusters=len(clusters))
 
 
 def _stage_code_analysis(config, substrate, backends, runlog):
@@ -250,11 +245,7 @@ def _stage_code_analysis(config, substrate, backends, runlog):
     )
     pseudocodes = []
     for repo, (pseudocode, _trace) in zip(repos, loops):
-        config_listing = ", ".join(sorted(repo.config_files)) or "no configuration found"
-        substrate.code_reports[repo.paper_id.canonical] = CodeReportPair(
-            code_report=pseudocode,
-            environment_report=f"configuration files: {config_listing}",
-        )
+        substrate.code_reports[repo.paper_id.canonical] = pseudocode
         if pseudocode:
             pseudocodes.append((repo.paper_id.canonical, pseudocode))
     if pseudocodes:
@@ -262,7 +253,6 @@ def _stage_code_analysis(config, substrate, backends, runlog):
             pseudocodes, config.topic, backends.gateway, config.code_analysis, runlog
         )
         substrate.environment_overview = code_mod.environment_report(repos, backends.gateway)
-    substrate.log_event("stage_completed", stage="code_analysis", repos=len(repos))
 
 
 def _writing_context(config, substrate, backends, runlog) -> writing_mod.WritingContext:
@@ -288,7 +278,6 @@ def _stage_writing(config, substrate, backends, runlog):
     writing_mod.apply_assignment(outline, mapping)
     substrate.outline = outline
     substrate.drafts = writing_mod.draft_all_units(ctx, outline, config.stage_workers)
-    substrate.log_event("stage_completed", stage="writing", drafts=len(substrate.drafts))
 
 
 def _stage_refinement(config, substrate, backends, runlog):
@@ -305,7 +294,6 @@ def _stage_refinement(config, substrate, backends, runlog):
         use_fallback_loop=config.use_skill_loop_fallback,
         workers=config.stage_workers,
     )
-    substrate.log_event("stage_completed", stage="refinement")
 
 
 _STAGE_FUNCTIONS = {

@@ -99,7 +99,7 @@ class RefinementContext:
     gateway: Gateway
     cfg: RefinementConfig = field(default_factory=RefinementConfig)
     style: CitationStyle = CitationStyle.TITLE
-    code_reports: dict = field(default_factory=dict)
+    code_reports: dict[str, str] = field(default_factory=dict)
     runlog: RunLog = field(default_factory=RunLog)
 
     @classmethod
@@ -141,9 +141,9 @@ def read_keynotes_skill(ctx: RefinementContext, ids: list[str]) -> str:
         block = f"## {key}\n" + "\n".join(
             f"{name}: {text}" for name, text in keynote.sections.items() if text
         )
-        report = ctx.code_reports.get(key)
-        if report is not None and report.code_report:
-            block += f"\ncode: {report.code_report}"
+        code = ctx.code_reports.get(key)
+        if code:
+            block += f"\ncode: {code}"
         parts.append(block)
     bundle = "\n\n".join(parts)
     if estimate_tokens(bundle) > budget:

@@ -1,5 +1,10 @@
 """Persist/load the knowledge substrate as a directory of JSON files.
 
+This module owns the file layout, the commit record and hashing. Each
+artifact's JSON form belongs to its type in ``model``: ``to_dict`` and
+``from_dict(d, ids)``, where ``ids`` maps a canonical id to the retrieved
+paper's ``PaperId``.
+
 Layout, by the stage that writes each file::
 
     commit.json                   the commit record (below)
@@ -17,8 +22,7 @@ hashes are reproducible.
 The commit record is the run directory's only state: its header holds the
 run's config hash, topic and start time, and ``stages`` lists the committed
 stages in run order, each with its seconds
-(``KnowledgeSubstrate.stage_seconds``), the sha256 of each of its files and
-the revision-log events it owns (those logged since the stage before it).
+(``KnowledgeSubstrate.stage_seconds``) and the sha256 of each of its files.
 ``substrate_reset`` commits a header with no stage; a run that does not
 resume starts with it, so nothing an earlier run left in the directory is
 loaded. ``substrate_save(substrate, directory, stage)`` writes only the
@@ -33,7 +37,9 @@ writing's survive a crash in refinement's save. ``substrate_load`` reads
 only the files the record lists (writing's drafts only while refinement has
 not committed), checks each against its sha256 and raises LoadError naming
 a file that is missing or altered; files the record does not list are
-ignored.
+ignored. A reference to a paper that ``papers.json`` does not hold decodes
+to a bare ``PaperId``, and ``KnowledgeSubstrate.validate`` then raises
+IntegrityError naming the artifact that holds it.
 """
 
 from __future__ import annotations
@@ -43,32 +49,23 @@ import json
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .errors import IntegrityError, LoadError, PersistenceError
+from .errors import LoadError, PersistenceError
 from .model import (
     STAGES,
     Cluster,
     ClusterAnalysis,
-    CitationMark,
-    CitationStyle,
-    CodeReportPair,
-    ComparisonTable,
     DraftUnit,
-    Granularity,
     Keynote,
     KnowledgeSubstrate,
     OutlineNode,
-    PaperId,
     PaperRecord,
-    QaItem,
-    RelationEdge,
-    TableRow,
 )
 
 COMMIT_FILE = "commit.json"
 #: the record's run header, next to its ``stages``
 _HEADER_KEYS = ("config_hash", "topic", "created_at")
 _RECORD_KEYS = {*_HEADER_KEYS, "stages"}
-_ENTRY_KEYS = {"stage", "seconds", "events", "files"}
+_ENTRY_KEYS = {"stage", "seconds", "files"}
 
 
 def _dump(path: Path, payload: dict) -> str:
@@ -120,9 +117,7 @@ def _owned_files(stage: str, substrate: KnowledgeSubstrate) -> Iterator[tuple[st
         }
     elif stage == "code_analysis":
         reports = substrate.code_reports
-        yield "code_reports.json", {
-            "code_reports": [{"paper_id": k, **reports[k].to_dict()} for k in sorted(reports)]
-        }
+        yield "code_reports.json", {"code_reports": {k: reports[k] for k in sorted(reports)}}
         yield "code_overview.json", {
             "code_overview": substrate.code_overview,
             "environment_overview": substrate.environment_overview,
@@ -145,12 +140,7 @@ def read_record(directory: str | Path) -> dict:
         if set(record) != _RECORD_KEYS:
             raise ValueError(f"fields {sorted(record)}, expected {sorted(_RECORD_KEYS)}")
         for e in record["stages"]:
-            if not (
-                set(e) == _ENTRY_KEYS
-                and e["stage"] in STAGES
-                and isinstance(e["files"], dict)
-                and isinstance(e["events"], list)
-            ):
+            if not (set(e) == _ENTRY_KEYS and e["stage"] in STAGES and isinstance(e["files"], dict)):
                 raise ValueError(f"malformed stage entry {e!r}")
     except FileNotFoundError as exc:
         raise LoadError(path, "file missing") from exc
@@ -210,67 +200,8 @@ def substrate_save(
             "files": {
                 path: _dump(root / path, doc) for path, doc in _owned_files(name, substrate)
             },
-            "events": substrate.revision_log[sum(len(e["events"]) for e in entries) :],
         })
     _dump(root / COMMIT_FILE, record)
-
-
-def _resolve(canonical: str, registry: dict[str, PaperId], where: str) -> PaperId:
-    pid = registry.get(canonical)
-    if pid is None:
-        raise IntegrityError(f"{where} references unknown paper '{canonical}'")
-    return pid
-
-
-def _load_outline(d: Optional[dict], registry: dict[str, PaperId]) -> Optional[OutlineNode]:
-    if d is None:
-        return None
-    return OutlineNode(
-        title=d["title"],
-        description=d["description"],
-        assigned={_resolve(c, registry, f"outline '{d['title']}'") for c in d.get("assigned", [])},
-        children=[_load_outline(c, registry) for c in d.get("children", [])],
-    )
-
-
-def _load_analysis(d: dict, registry: dict[str, PaperId]) -> ClusterAnalysis:
-    where = f"analysis {d['cluster_id']}"
-    table = None
-    if d.get("comparison_table"):
-        td = d["comparison_table"]
-        table = ComparisonTable(
-            columns=list(td["columns"]),
-            rows=[
-                TableRow(paper=_resolve(r["paper_id"], registry, where), cells=dict(r["cells"]))
-                for r in td["rows"]
-            ],
-        )
-    return ClusterAnalysis(
-        cluster_id=d["cluster_id"],
-        relation_graph=[
-            RelationEdge(
-                src=_resolve(e["from"], registry, where),
-                dst=_resolve(e["to"], registry, where),
-                kind=e["kind"],
-                label=e.get("label", ""),
-                description=e.get("description", ""),
-            )
-            for e in d.get("relation_graph", [])
-        ],
-        comparison_table=table,
-        qa_items=[
-            QaItem(
-                question=q["question"],
-                related=[_resolve(c, registry, where) for c in q.get("related", [])],
-                answer=q["answer"],
-            )
-            for q in d.get("qa_items", [])
-        ],
-        source_attributions={
-            k: [_resolve(c, registry, where) for c in v]
-            for k, v in d.get("source_attributions", {}).items()
-        },
-    )
 
 
 def _read(path: Path, digest: str) -> dict:
@@ -289,23 +220,6 @@ def _read(path: Path, digest: str) -> dict:
         raise LoadError(path, str(exc)) from exc
 
 
-def _load_draft(d: dict, registry: dict[str, PaperId]) -> DraftUnit:
-    where = f"draft {' > '.join(d['node_path'])}"
-    return DraftUnit(
-        node_path=tuple(d["node_path"]),
-        text=d["text"],
-        citations=[
-            CitationMark(
-                style=CitationStyle(m["style"]),
-                key=m["key"],
-                paper=_resolve(m["paper"], registry, where),
-            )
-            for m in d["citations"]
-        ],
-        granularity=Granularity(d["granularity"]),
-    )
-
-
 def substrate_load(directory: str | Path, record: Optional[dict] = None) -> KnowledgeSubstrate:
     """Load the committed stages of a saved substrate, with each one's
     seconds in ``stage_seconds``; referential integrity is re-verified.
@@ -313,59 +227,38 @@ def substrate_load(directory: str | Path, record: Optional[dict] = None) -> Know
     root = Path(directory)
     entries = (read_record(root) if record is None else record)["stages"]
     refined = any(e["stage"] == "refinement" for e in entries)
-    papers: dict[str, PaperRecord] = {}
-    keynotes: dict[str, Keynote] = {}
-    code_reports: dict[str, CodeReportPair] = {}
-    docs: dict[str, dict] = {}
-    # Papers, keynotes and code reports become objects as each file is
-    # read, so their parsed JSON is not kept.
+    substrate = KnowledgeSubstrate(stage_seconds={e["stage"]: e["seconds"] for e in entries})
+    ids: dict = {}  # canonical id -> the retrieved paper's PaperId
+    # Each file becomes objects as it is read, so its parsed JSON is not
+    # kept; the stages are in run order, so papers come first.
     for entry in entries:
         for name, digest in entry["files"].items():
             if name == "drafts.json" and refined:
                 continue
             doc = _read(root / name, digest)
             if name == "papers.json":
-                papers = {r["id"]["canonical"]: PaperRecord.from_dict(r) for r in doc["papers"]}
-            elif name == "keynotes.json":
-                keynotes = {k.paper_id.canonical: k for k in map(Keynote.from_dict, doc["keynotes"])}
-            elif name == "code_reports.json":
-                code_reports = {
-                    d["paper_id"]: CodeReportPair(d["code_report"], d["environment_report"])
-                    for d in doc["code_reports"]
+                substrate.papers = {
+                    r["id"]["canonical"]: PaperRecord.from_dict(r) for r in doc["papers"]
                 }
+                ids = {k: rec.id for k, rec in substrate.papers.items()}
+            elif name == "keynotes.json":
+                substrate.keynotes = {
+                    k.paper_id.canonical: k for k in map(Keynote.from_dict, doc["keynotes"])
+                }
+            elif name == "clusters.json":
+                substrate.clusters = [Cluster.from_dict(c, ids) for c in doc["clusters"]]
+            elif name == "analyses.json":
+                substrate.analyses = [ClusterAnalysis.from_dict(a, ids) for a in doc["analyses"]]
+                substrate.inter_cluster = doc["inter_cluster"]
+            elif name == "code_reports.json":
+                substrate.code_reports = doc["code_reports"]
+            elif name == "code_overview.json":
+                substrate.code_overview = doc["code_overview"]
+                substrate.environment_overview = doc["environment_overview"]
+            elif name == "outline.json":
+                outline = doc["outline"]
+                substrate.outline = OutlineNode.from_dict(outline, ids) if outline else None
             else:
-                docs[name] = doc
-    registry = {k: rec.id for k, rec in papers.items()}
-
-    clusters = [
-        Cluster(
-            cluster_id=c["cluster_id"],
-            name=c["name"],
-            summary=c["summary"],
-            members={
-                _resolve(m, registry, f"cluster {c['cluster_id']}") for m in c["members"]
-            },
-        )
-        for c in docs.get("clusters.json", {"clusters": []})["clusters"]
-    ]
-    analyses_doc = docs.get("analyses.json", {"analyses": []})
-    overview_doc = docs.get("code_overview.json", {})
-    outline_doc = docs.get("outline.json", {"outline": None})
-    drafts_doc = docs.get("refined_drafts.json") or docs.get("drafts.json", {"drafts": []})
-
-    substrate = KnowledgeSubstrate(
-        papers=papers,
-        keynotes=keynotes,
-        clusters=clusters,
-        analyses=[_load_analysis(a, registry) for a in analyses_doc["analyses"]],
-        inter_cluster=analyses_doc.get("inter_cluster", ""),
-        code_reports=code_reports,
-        code_overview=overview_doc.get("code_overview", ""),
-        environment_overview=overview_doc.get("environment_overview", ""),
-        outline=_load_outline(outline_doc["outline"], registry),
-        drafts=[_load_draft(d, registry) for d in drafts_doc["drafts"]],
-        revision_log=[event for e in entries for event in e["events"]],
-        stage_seconds={e["stage"]: e["seconds"] for e in entries},
-    )
+                substrate.drafts = [DraftUnit.from_dict(d, ids) for d in doc["drafts"]]
     substrate.validate()
     return substrate

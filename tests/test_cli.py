@@ -84,6 +84,7 @@ class TestResumeBrokenRunDirectory:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert len(result.output.strip().splitlines()) == 1
         assert "cannot load" in result.output
+        return result
 
     def test_deleted_substrate(self, tmp_path):
         config_path, workdir = self._stopped(tmp_path)
@@ -106,6 +107,16 @@ class TestResumeBrokenRunDirectory:
         record = workdir / "substrate" / "commit.json"
         record.write_text(record.read_text()[:40])
         self._resume_fails_cleanly(config_path)
+
+    def test_record_with_stage_events(self, tmp_path):
+        # Run directories written before the stage entries lost their events.
+        config_path, workdir = self._stopped(tmp_path)
+        record = workdir / "substrate" / "commit.json"
+        doc = json.loads(record.read_text())
+        for seq, entry in enumerate(doc["stages"]):
+            entry["events"] = [{"seq": seq, "kind": "stage_completed", "stage": entry["stage"]}]
+        record.write_text(json.dumps(doc))
+        assert "commit.json" in self._resume_fails_cleanly(config_path).output
 
     def test_checkpoint_missing_fields(self, tmp_path):
         config_path, workdir = self._stopped(tmp_path)

@@ -264,18 +264,20 @@ class TestCodeAnalysisVariant:
         result = run_pipeline(config, backends=backends)
         substrate = result.substrate
         assert "2406.10001" in substrate.code_reports
-        pair = substrate.code_reports["2406.10001"]
-        assert "pipeline class" in pair.code_report
-        assert "requirements.txt" in pair.environment_report
+        report = substrate.code_reports["2406.10001"]
+        assert "pipeline class" in report
         assert "integrated code report" in substrate.code_overview
         assert substrate.environment_overview
         assert "code_analysis" in result.manifest["completed_stages"]
-        # repository findings reach the writer context
         transport = backends.gateway.transport
+        # the environment overview is made from the configuration files
+        environment = [c for c in transport.calls if c.tag == "code.environment"]
+        assert environment and "requirements.txt" in environment[0].prompt
+        # repository findings reach the writer context
         draft_calls = [c for c in transport.calls if "Write the body of subsection" in c.prompt]
         assert draft_calls and all("Repository findings" in c.prompt for c in draft_calls)
         # reports persist through the substrate round trip
-        assert substrate_load(config.substrate_dir).code_reports["2406.10001"] == pair
+        assert substrate_load(config.substrate_dir).code_reports["2406.10001"] == report
 
 
 def request_stream_digest(calls) -> str:
@@ -345,8 +347,8 @@ class TestGoldenOutput:
     for a change that means to alter the outputs."""
 
     GOLDEN = {
-        "plain": "9076d124816a10a6d9a22f31f8f8e069a52f315bd5f2ec465f3eb04d6b4d539c",
-        "code_analysis": "ca07c7535f176183a47887710e8da6a650df59ff671920edca7a0d712933d9a2",
+        "plain": "28102372c657ec04f859b45d9d11aa8810338875cf5b8a28da1aecd324928d57",
+        "code_analysis": "2c9c89a9dea9751ee877b34485006c341c15fe8ca8f3c17d58da9e2f67460772",
     }
 
     @pytest.mark.parametrize("workers", [1, 8])

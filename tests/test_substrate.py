@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -10,7 +11,6 @@ from litsurvey.model import (
     CitationStyle,
     Cluster,
     ClusterAnalysis,
-    CodeReportPair,
     ComparisonTable,
     DraftUnit,
     Granularity,
@@ -52,7 +52,6 @@ def full_substrate(papers, keynotes) -> KnowledgeSubstrate:
                 ],
             ),
             qa_items=[QaItem("How do they differ?", [p("p1"), p("p3")], "They differ.")],
-            source_attributions={"qa:0": [p("p1"), p("p3")]},
         )
     ]
     substrate.inter_cluster = "Methods feed the benchmarks."
@@ -78,7 +77,6 @@ def full_substrate(papers, keynotes) -> KnowledgeSubstrate:
             granularity=Granularity.SUBSECTION,
         )
     ]
-    substrate.log_event("stage_completed", stage="writing")
     return substrate
 
 
@@ -118,7 +116,7 @@ class TestRoundTrip:
 
         papers = {k: make_paper(k) for k in ("a1", "a2")}
         substrate = build_substrate(papers, {k: make_keynote(r) for k, r in papers.items()})
-        substrate.code_reports = {k: CodeReportPair(f"code of {k}", "env") for k in papers}
+        substrate.code_reports = {k: f"code of {k}" for k in papers}
         substrate_save(substrate, tmp_path / "s")
         del substrate.papers["a2"], substrate.keynotes["a2"], substrate.code_reports["a2"]
         substrate_save(substrate, tmp_path / "s")
@@ -130,7 +128,7 @@ class TestRoundTrip:
         substrate = full_substrate(papers, keynotes)
         substrate_save(substrate, tmp_path / "s")
         inodes = {p: p.stat().st_ino for p in (tmp_path / "s").rglob("*.json")}
-        substrate.log_event("stage_completed", stage="refinement")
+        substrate.stage_seconds["refinement"] = 1.0  # only the record changes
         substrate_save(substrate, tmp_path / "s")
         replaced = {p.name for p, ino in inodes.items() if p.stat().st_ino != ino}
         assert replaced == {COMMIT_FILE}
@@ -142,6 +140,34 @@ class TestRoundTrip:
         substrate_save(substrate, tmp_path / "b")
         for name in ("papers.json", "analyses.json", "outline.json", "drafts.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+GHOST = PaperId("ghost")
+
+#: each kind of reference a saved substrate holds: (add a dangling one, the
+#: artifact the integrity error names)
+DANGLING = {
+    "cluster member": (lambda s: s.clusters[0].members.add(GHOST), "cluster 1"),
+    "relation edge endpoint": (
+        lambda s: s.analyses[0].relation_graph.append(
+            RelationEdge(s.papers["p1"].id, GHOST, "extension")
+        ),
+        "analysis 1",
+    ),
+    "table row": (
+        lambda s: s.analyses[0].comparison_table.rows.append(TableRow(GHOST, {})),
+        "analysis 1",
+    ),
+    "qa related": (lambda s: s.analyses[0].qa_items[0].related.append(GHOST), "analysis 1"),
+    "outline assignment": (
+        lambda s: s.outline.children[0].assigned.add(GHOST), "outline assignment"
+    ),
+    "draft mark": (
+        lambda s: s.drafts[0].citations.append(CitationMark(CitationStyle.ID, "ghost", GHOST)),
+        "draft Introduction > Scope",
+    ),
+    "code report key": (lambda s: s.code_reports.update(ghost="code"), "code reports"),
+}
 
 
 class TestIntegrity:
@@ -162,6 +188,21 @@ class TestIntegrity:
         substrate_save(substrate, root)  # committed with a dangling reference
         monkeypatch.undo()
         with pytest.raises(IntegrityError):
+            substrate_load(root)
+
+    @pytest.mark.parametrize("kind", sorted(DANGLING))
+    def test_dangling_reference_fails_load_naming_the_artifact(
+        self, papers, keynotes, tmp_path, monkeypatch, kind
+    ):
+        dangle, artifact = DANGLING[kind]
+        substrate = full_substrate(papers, keynotes)
+        dangle(substrate)
+        root = tmp_path / "sub"
+        monkeypatch.setattr(KnowledgeSubstrate, "validate", lambda self: None)
+        substrate_save(substrate, root)  # committed with a dangling reference
+        monkeypatch.undo()
+        message = f"{artifact} references unknown paper 'ghost'"
+        with pytest.raises(IntegrityError, match=f"^{re.escape(message)}$"):
             substrate_load(root)
 
     def test_keynote_for_unknown_paper_fails_load(self, papers, keynotes, tmp_path, monkeypatch):
@@ -207,7 +248,15 @@ class TestLoadErrors:
         assert path.name in str(err.value)
 
     @pytest.mark.parametrize(
-        "record", ["{not json", '{"stages": [{"stage": "drafting"}]}', '{"stages": 3}']
+        "record",
+        [
+            "{not json",
+            '{"stages": [{"stage": "drafting"}]}',
+            '{"stages": 3}',
+            # as written before the stage entries lost their events
+            '{"config_hash": "", "topic": "", "created_at": "", "stages": '
+            '[{"stage": "retrieval", "seconds": 0.0, "files": {}, "events": []}]}',
+        ],
     )
     def test_malformed_record_names_it(self, papers, tmp_path, record):
         root = tmp_path / "sub"
@@ -274,14 +323,13 @@ class TestCommitRecord:
         stage_by_stage(substrate, root, ["retrieval", "understanding", "analysis", "writing"])
         written = list(substrate.drafts)
         substrate.drafts = [*written, DraftUnit(("Survey",), "Refined.", [], Granularity.SURVEY)]
-        substrate.log_event("stage_completed", stage="refinement")
         (root / "refined_drafts.json").write_text("{not json")  # torn, never committed
         assert substrate_load(root).drafts == written
         substrate_save(substrate, root, "refinement")
         (root / "drafts.json").unlink()  # writing's drafts are no longer read
         loaded = substrate_load(root)
         assert loaded == substrate
-        assert [e["stage"] for e in loaded.revision_log] == ["writing", "refinement"]
+        assert list(loaded.stage_seconds) == ["retrieval", "understanding", "analysis", "writing", "refinement"]
 
     def test_header_is_carried_forward_by_every_stage_save(self, papers, keynotes, tmp_path):
         root = tmp_path / "sub"
