@@ -18,7 +18,7 @@ from .gateway import (
     extract_json_payload,
     request_validated,
 )
-from .marks import unresolved_keys
+from .marks import drop_marks, unresolved_keys
 from .model import (
     Cluster,
     ClusterAnalysis,
@@ -494,10 +494,10 @@ def inter_cluster_analysis(
         return reply
 
     def strip_unknown(reply: str) -> str:
-        for key in unresolved_keys(reply, records):
+        unknown = unresolved_keys(reply, records)
+        for key in unknown:
             runlog.attribution_event("analysis.inter_cluster", "synthesis", key)
-            reply = reply.replace(f"<{key}>", "")
-        return reply
+        return drop_marks(reply, unknown)
 
     text, _, _ = request_validated(
         gateway,

@@ -20,7 +20,7 @@ from .gateway import (
     extract_json_payload,
     request_validated,
 )
-from .marks import extract_mark_keys
+from .marks import drop_marks, extract_mark_keys
 from .model import PaperId
 from .runlog import RunLog
 from .tokens import estimate_tokens
@@ -406,11 +406,10 @@ def batch_code_report(
         )
 
     merged = _merge_reports(batch_reports, topic, gateway, runlog)
-    for key in extract_mark_keys(merged):
-        if key not in known:
-            runlog.attribution_event("code.report", "integrated report", key)
-            merged = merged.replace(f"<{key}>", "")
-    return merged
+    unknown = [key for key in extract_mark_keys(merged) if key not in known]
+    for key in unknown:
+        runlog.attribution_event("code.report", "integrated report", key)
+    return drop_marks(merged, unknown)
 
 
 def _merge_reports(reports: list[str], topic: str, gateway: Gateway, runlog: RunLog) -> str:

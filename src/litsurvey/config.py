@@ -82,9 +82,11 @@ class PipelineConfig:
     code_analysis_enabled: bool = False
     use_skill_loop_fallback: bool = False
     # Pool width for the independent per-unit backend calls (citation-graph
-    # fetches, embedding batches, papers, clusters, repositories, drafts,
-    # refinement units). Outputs do not depend on it, so it stays out of the
-    # config hash.
+    # fetches, embedding batches, the rerank batches' prefetched first
+    # attempts, papers, clusters, repositories, drafts, refinement units).
+    # Above 1, analysis and code analysis also run side by side, so their
+    # manifest stage_seconds may sum to more than the wall time. Outputs do
+    # not depend on it, so it stays out of the config hash.
     stage_workers: int = 1
     parsed_docs_dir: str = ""
     repos_dir: str = ""

@@ -26,6 +26,12 @@ def extract_mark_keys(text: str) -> list[str]:
     return [m.group(1).strip() for m in MARK_RE.finditer(text)]
 
 
+def drop_marks(text: str, keys: Iterable[str]) -> str:
+    """``text`` without the marks whose stripped key is one of ``keys``."""
+    keys = set(keys)
+    return MARK_RE.sub(lambda m: "" if m.group(1).strip() in keys else m.group(0), text)
+
+
 def build_resolver(
     papers: Iterable[PaperRecord], style: CitationStyle
 ) -> dict[str, PaperRecord]:

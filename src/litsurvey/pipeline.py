@@ -326,6 +326,19 @@ def _write_manifest(config, config_hash, backends, runlog, stage_seconds, failed
     return manifest
 
 
+def _steps(pending: list[str], workers: int, stop_after: Optional[str]) -> list[list[str]]:
+    """The pending stages grouped into steps, in run order. Code analysis
+    reads only the papers and the repositories, so above one worker it runs
+    beside analysis, unless the run stops after analysis; every other stage
+    is a step of its own."""
+    steps = [[stage] for stage in pending]
+    if workers > 1 and stop_after != "analysis" and "analysis" in pending:
+        at = pending.index("analysis")
+        if pending[at + 1 : at + 2] == ["code_analysis"]:
+            steps[at : at + 2] = [["analysis", "code_analysis"]]
+    return steps
+
+
 def run_pipeline(
     config: PipelineConfig,
     backends: Optional[Backends] = None,
@@ -370,19 +383,36 @@ def run_pipeline(
 
     # The in-memory substrate's stage_seconds mirrors the commit record.
     stage_seconds = substrate.stage_seconds
+    pending = []
     for stage in config.enabled_stages():
         if stage in stage_seconds:
             runlog.add("stage_skipped", stage=stage)
-            continue
-        started = time.monotonic()
-        try:
-            _STAGE_FUNCTIONS[stage](config, substrate, backends, runlog)
-        except SurveyError as exc:
-            _write_manifest(config, config_hash, backends, runlog, stage_seconds, failed=stage)
-            raise StageError(stage, exc) from exc
-        stage_seconds[stage] = round(time.monotonic() - started, 3)
-        substrate_save(substrate, substrate_dir, stage)
-        if stop_after == stage:
+        else:
+            pending.append(stage)
+    for step in _steps(pending, config.stage_workers, stop_after):
+
+        def run_stage(stage: str) -> tuple[RunLog, Optional[SurveyError], float]:
+            # Stages that run side by side log apart, and their events join
+            # the run's log in stage order.
+            log = runlog if len(step) == 1 else RunLog()
+            started = time.monotonic()
+            try:
+                _STAGE_FUNCTIONS[stage](config, substrate, backends, log)
+            except SurveyError as exc:
+                return log, exc, 0.0
+            return log, None, round(time.monotonic() - started, 3)
+
+        for stage, (log, error, seconds) in zip(
+            step, map_bounded(run_stage, step, config.stage_workers)
+        ):
+            if log is not runlog:
+                runlog.events.extend(log.events)
+            if error is not None:
+                _write_manifest(config, config_hash, backends, runlog, stage_seconds, failed=stage)
+                raise StageError(stage, error) from error
+            stage_seconds[stage] = seconds
+            substrate_save(substrate, substrate_dir, stage)
+        if stop_after in step:
             break
 
     survey_path: Optional[Path] = None

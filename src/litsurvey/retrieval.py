@@ -93,33 +93,58 @@ def _seed_pool(
     return _dedup(hits)[: cfg.max_seed_papers], primary_error is not None
 
 
+def _judge_prompt(batch: list[PaperRecord], topic: str, purpose: str) -> str:
+    listing = "\n".join(
+        f"- id: {p.id.canonical} | title: {p.title} | summary: {(p.abstract or p.tldr)[:400]}"
+        for p in batch
+    )
+    return (
+        f"Judge topical alignment with the research topic '{topic}' ({purpose}).\n"
+        f"Papers:\n{listing}\n\n"
+        "Reply with a JSON list, one object per paper, covering every id above:\n"
+        '[{"paper_id": "...", "relevant": true, "note": "why"}]'
+    )
+
+
 def _judge_verdicts(
     papers: list[PaperRecord],
     topic: str,
     gateway: Gateway,
     cfg: RetrievalConfig,
     purpose: str,
+    workers: int = 1,
 ) -> dict[str, tuple[bool, str]]:
     """Batched topical-alignment verdicts keyed by canonical id.
 
     The judge must answer for every paper in the batch in strict JSON;
-    malformed replies are retried with error memory.
+    malformed replies are retried with error memory, which carries over to
+    the later batches, so the batches are judged one after another. With
+    ``workers > 1`` every batch's first attempt is sent beforehand, up to
+    ``workers`` at once, only to fill the cache: the serial loop reads back
+    each reply whose prompt is unchanged and sends the rest itself, so the
+    verdicts, errors and retries are the serial run's. A failed prefetch is
+    dropped; the serial loop meets the failure again.
     """
+    batches = [
+        papers[start : start + cfg.judge_batch_size]
+        for start in range(0, len(papers), cfg.judge_batch_size)
+    ]
+    prompts = [_judge_prompt(batch, topic, purpose) for batch in batches]
+    tag = f"retrieval.{purpose}"
+
+    def prefetch(prompt: str) -> None:
+        try:
+            request_validated(gateway, prompt, lambda reply: reply, tag=tag, max_retries=0)
+        except SurveyError:
+            pass
+
+    if workers > 1 and len(prompts) > 1:
+        map_bounded(prefetch, prompts, workers)
+
     verdicts: dict[str, tuple[bool, str]] = {}
     memory = ErrorMemory()
-    for start in range(0, len(papers), cfg.judge_batch_size):
-        batch = papers[start : start + cfg.judge_batch_size]
+    for batch, prompt in zip(batches, prompts):
         ids = [p.id.canonical for p in batch]
-        listing = "\n".join(
-            f"- id: {p.id.canonical} | title: {p.title} | summary: {(p.abstract or p.tldr)[:400]}"
-            for p in batch
-        )
-        prompt = (
-            f"Judge topical alignment with the research topic '{topic}' ({purpose}).\n"
-            f"Papers:\n{listing}\n\n"
-            "Reply with a JSON list, one object per paper, covering every id above:\n"
-            '[{"paper_id": "...", "relevant": true, "note": "why"}]'
-        )
 
         def parse(reply: str) -> dict[str, tuple[bool, str]]:
             payload = extract_json_payload(reply)
@@ -139,7 +164,7 @@ def _judge_verdicts(
             gateway,
             prompt,
             parse,
-            tag=f"retrieval.{purpose}",
+            tag=tag,
             memory=memory,
             max_retries=cfg.judge_max_retries,
             error_factory=JudgeError,
@@ -261,14 +286,16 @@ def llm_rerank_filter(
     gateway: Gateway,
     cfg: Optional[RetrievalConfig] = None,
     runlog: Optional[RunLog] = None,
+    workers: int = 1,
 ) -> list[PaperRecord]:
     """Fine-grained judge pass removing topically irrelevant papers; every
-    retained paper gets its relevance note logged."""
+    retained paper gets its relevance note logged. ``workers`` bounds the
+    prefetched first attempts of the judge batches."""
     if not papers:
         return []
     cfg = cfg or RetrievalConfig()
     runlog = runlog or RunLog()
-    verdicts = _judge_verdicts(papers, topic, gateway, cfg, "rerank")
+    verdicts = _judge_verdicts(papers, topic, gateway, cfg, "rerank", workers)
     kept = []
     for paper in papers:
         relevant, note = verdicts[paper.id.canonical]
@@ -291,7 +318,8 @@ def run_retrieval(
 ) -> list[PaperRecord]:
     """Full Stage-1 pass; deterministic for a fixed source and judge, and
     the same at every ``workers`` width (the graph fetches and embedding
-    batches fan out; the judge batches stay serial).
+    batches fan out; the rerank batches are prefetched, then judged in
+    order).
 
     When the primary source failed the seed search, the seeds come from the
     fallback and the primary is not asked for their links: the evidence set
@@ -306,4 +334,4 @@ def run_retrieval(
     else:
         expanded = expand_graph(seeds, cfg, source, runlog, workers)
     passed = coarse_filter(expanded, topic, cfg, gateway, workers)
-    return llm_rerank_filter(passed, topic, gateway, cfg, runlog)
+    return llm_rerank_filter(passed, topic, gateway, cfg, runlog, workers)

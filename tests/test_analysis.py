@@ -365,6 +365,16 @@ class TestInterCluster:
         assert "<Phantom Paper>" not in text
         assert [e["offending"] for e in runlog.attribution_events()] == ["Phantom Paper"]
 
+    def test_unknown_mark_with_inner_spaces_is_stripped(self, keynotes, papers):
+        reply = "Contrast < ghost > and <Alpha Methods>."
+        transport = ScriptedTransport().add("Contrast the clusters", reply)
+        runlog = RunLog()
+        text = inter_cluster_analysis(
+            self._clusters(papers), [], papers, scripted_gateway(transport), runlog=runlog
+        )
+        assert text == "Contrast  and <Alpha Methods>."
+        assert [e["offending"] for e in runlog.attribution_events()] == ["ghost"]
+
     def test_single_cluster_is_precondition_error(self, papers):
         with pytest.raises(InvalidInputError):
             inter_cluster_analysis(

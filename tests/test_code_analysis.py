@@ -284,6 +284,19 @@ class TestBatchReports:
         assert "<9999.99999>" not in report
         assert runlog.attribution_events()
 
+    def test_unknown_mark_with_inner_spaces_is_stripped(self):
+        transport = (
+            ScriptedTransport()
+            .add("Analyze this pseudocode batch", "batch")
+            .add("Integrate these code-analysis reports", "claims < ghost > and <2400.00000>")
+        )
+        runlog = RunLog()
+        report = batch_code_report(
+            self._pseudocodes(2), "topic", scripted_gateway(transport), runlog=runlog
+        )
+        assert report == "claims  and <2400.00000>"
+        assert [e["offending"] for e in runlog.attribution_events()] == ["ghost"]
+
     def test_empty_input_invalid(self):
         with pytest.raises(InvalidInputError):
             batch_code_report([], "topic", scripted_gateway())

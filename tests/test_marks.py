@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from litsurvey.marks import (
+    drop_marks,
     extract_mark_keys,
     normalize_title,
     rewrite_to_numeric,
@@ -24,6 +25,11 @@ def assigned():
 def test_extract_keeps_reading_order_and_duplicates():
     text = "First <A Paper>, then <B Paper>, then <A Paper> again."
     assert extract_mark_keys(text) == ["A Paper", "B Paper", "A Paper"]
+
+
+def test_drop_marks_matches_the_stripped_key():
+    text = "See < ghost >, <ghost>, <Alpha Methods> and < Alpha Methods >."
+    assert drop_marks(text, {"ghost"}) == "See , , <Alpha Methods> and < Alpha Methods >."
 
 
 def test_title_matching_is_whitespace_and_case_insensitive(assigned):

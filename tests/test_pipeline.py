@@ -4,6 +4,8 @@ import hashlib
 import json
 import re
 import shutil
+import threading
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import fields
 from pathlib import Path
@@ -17,6 +19,7 @@ from litsurvey.config import PipelineConfig, default_config, dump_config, load_c
 from litsurvey.errors import (
     ConfigError,
     DraftingError,
+    JudgeError,
     LoadError,
     PersistenceError,
     RetrievalError,
@@ -360,6 +363,162 @@ class TestGoldenOutput:
         config.stage_workers = workers
         run_pipeline(config, backends=build_backends(config))
         assert output_digest(config) == self.GOLDEN[variant]
+
+
+def prepend_rules(config: PipelineConfig, *rules: dict) -> PipelineConfig:
+    """Put ``rules`` ahead of the fixture's scripted rules."""
+    rules_path = Path(config.backend.rules_path)
+    doc = json.loads(rules_path.read_text())
+    doc["rules"] = [*rules, *doc["rules"]]
+    rules_path.write_text(json.dumps(doc))
+    return config
+
+
+def committed_stages(config: PipelineConfig) -> list[str]:
+    return [e["stage"] for e in read_record(config.substrate_dir)["stages"]]
+
+
+#: The first attempt of rerank batch 3 of 6 (two papers a batch) and no
+#: other request: a retry, and every later batch after a rejection, starts
+#: with the error memory.
+RERANK_BATCH_3 = r"\AJudge topical alignment[^\n]*\(rerank\)\.\nPapers:\n- id: 2406\.10005 "
+
+
+class TestRerankPrefetch:
+    @staticmethod
+    def _config(root: Path, workers: int, *rules: dict) -> PipelineConfig:
+        config = prepend_rules(make_config(root), *rules)
+        config.retrieval.judge_batch_size = 2
+        config.stage_workers = workers
+        return config
+
+    def _run(self, root: Path, workers: int, *rules: dict):
+        config = self._config(root, workers, *rules)
+        backends = build_backends(config)
+        result = run_pipeline(config, backends=backends, stop_after="retrieval")
+        calls = [(c.tag, c.prompt) for c in backends.gateway.transport.calls]
+        return config, result, calls
+
+    def test_a_rejected_batch_replays_the_serial_run(self, tmp_path):
+        reject = {"pattern": RERANK_BATCH_3, "replies": ["no verdicts"]}
+        serial_cfg, serial, serial_calls = self._run(tmp_path / "serial", 1, reject)
+        parallel_cfg, parallel, parallel_calls = self._run(tmp_path / "parallel", 4, reject)
+        _, _, clean_calls = self._run(tmp_path / "clean", 1)
+        first_attempts = [c for c in clean_calls if c[0] == "retrieval.rerank"]
+        assert len(first_attempts) == 6
+        assert sum(p.startswith("(attempt 2)") for _, p in serial_calls) == 1
+        # the serial run's requests plus the wasted prefetches of batches 4-6
+        assert Counter(parallel_calls) == Counter(serial_calls) + Counter(first_attempts[3:])
+        assert retrieval_events(parallel.runlog) == retrieval_events(serial.runlog)
+        assert parallel.substrate.papers == serial.substrate.papers
+        assert (parallel_cfg.substrate_dir / "papers.json").read_bytes() == (
+            serial_cfg.substrate_dir / "papers.json"
+        ).read_bytes()
+
+    def test_a_prefetch_backend_error_ends_in_the_serial_error(self, tmp_path):
+        # Batch 2 is malformed on every attempt, so the serial run fails
+        # there and never sends batch 3, whose prefetch the backend refuses.
+        rules = (
+            {"pattern": r"\(rerank\)\.\nPapers:\n- id: 2406\.10003 ", "replies": ["none"]},
+            {"pattern": RERANK_BATCH_3, "replies": [{"text": "refused", "status": 400}]},
+        )
+
+        def run(workers: int) -> tuple[StageError, int]:
+            config = self._config(tmp_path / f"workers{workers}", workers, *rules)
+            backends = build_backends(config)
+            with pytest.raises(StageError) as err:
+                run_pipeline(config, backends=backends)
+            return err.value, len(backends.gateway.transport.calls_matching(RERANK_BATCH_3))
+
+        (serial, serial_refused), (parallel, parallel_refused) = run(1), run(4)
+        assert (serial_refused, parallel_refused) == (0, 1)
+        assert parallel.stage == "retrieval"
+        assert isinstance(parallel.cause, JudgeError)
+        assert str(parallel) == str(serial)
+
+
+class TestOverlappedStep:
+    """Above one worker, code analysis runs beside analysis; what a run
+    commits, raises and logs stays the serial run's."""
+
+    @staticmethod
+    def _config(root: Path, workers: int, *rules: dict) -> PipelineConfig:
+        config = prepend_rules(enable_code_analysis(make_config(root), root), *rules)
+        config.stage_workers = workers
+        return config
+
+    def _run(self, root: Path, workers: int, *rules: dict, **kwargs):
+        config = self._config(root, workers, *rules)
+        backends = build_backends(config)
+        return config, backends, run_pipeline(config, backends=backends, **kwargs)
+
+    def _failure(self, root: Path, workers: int, rule: dict) -> tuple[PipelineConfig, StageError]:
+        config = self._config(root, workers, rule)
+        with pytest.raises(StageError) as err:
+            run_pipeline(config, backends=build_backends(config))
+        return config, err.value
+
+    def test_code_analysis_runs_while_analysis_waits(self, tmp_path):
+        config = self._config(tmp_path, 2)
+        backends = build_backends(config)
+        transport = backends.gateway.transport
+        send, code_seen = transport.send, threading.Event()
+
+        def gated_send(request):
+            if request.tag.startswith("code."):
+                code_seen.set()
+            elif request.tag == "analysis.inter_cluster":
+                assert code_seen.wait(timeout=10), "analysis finished before code analysis began"
+            return send(request)
+
+        transport.send = gated_send
+        run_pipeline(config, backends=backends, stop_after="code_analysis")
+        assert committed_stages(config)[-2:] == ["analysis", "code_analysis"]
+
+    def test_code_failure_commits_analysis_and_resumes_to_the_straight_run(self, tmp_path):
+        refuse = {"pattern": "configuration files below", "replies": [{"text": "no", "status": 400}]}
+        _, serial = self._failure(tmp_path / "serial", 1, refuse)
+        root = tmp_path / "parallel"
+        config, parallel = self._failure(root, 4, refuse)
+        assert parallel.stage == "code_analysis"
+        assert str(parallel) == str(serial)
+        assert committed_stages(config) == ["retrieval", "understanding", "analysis"]
+
+        config = self._config(root, 4)  # the fixture's own rules again
+        backends = build_backends(config)
+        run_pipeline(config, backends=backends, resume=True)
+        tags = [c.tag for c in backends.gateway.transport.calls]
+        assert "code.environment" in tags
+        assert not [t for t in tags if t.startswith("analysis.")]
+        assert output_digest(config) == TestGoldenOutput.GOLDEN["code_analysis"]
+
+    def test_analysis_failure_commits_neither_and_raises_the_serial_error(self, tmp_path):
+        garble = {"pattern": "thematic clusters", "replies": ["no clusters"]}
+        _, serial = self._failure(tmp_path / "serial", 1, garble)
+        config, parallel = self._failure(tmp_path / "parallel", 4, garble)
+        assert parallel.stage == "analysis"
+        assert str(parallel) == str(serial)
+        assert committed_stages(config) == ["retrieval", "understanding"]
+
+    def test_a_run_stopped_after_analysis_sends_no_code_request(self, tmp_path):
+        config, backends, _ = self._run(tmp_path, 4, stop_after="analysis")
+        assert not [c for c in backends.gateway.transport.calls if c.tag.startswith("code.")]
+        assert committed_stages(config) == ["retrieval", "understanding", "analysis"]
+
+    def test_stages_commit_and_log_in_run_order(self, tmp_path):
+        ghosts = (
+            {"pattern": "Contrast the clusters", "replies": ["Contrast < ghost > here."]},
+            {"pattern": "Integrate these code-analysis", "replies": ["Report < ghost >."]},
+        )
+
+        def attributions(workers: int) -> list[str]:
+            config, _, result = self._run(tmp_path / f"workers{workers}", workers, *ghosts)
+            assert committed_stages(config) == list(config.enabled_stages())
+            assert list(result.manifest["stage_seconds"]) == config.enabled_stages()
+            return [e["stage"] for e in result.runlog.attribution_events()]
+
+        serial, parallel = attributions(1), attributions(4)
+        assert parallel == serial == ["analysis.inter_cluster", "code.report"]
 
 
 class TestCheckpointResume:
