@@ -83,7 +83,8 @@ class PipelineConfig:
     use_skill_loop_fallback: bool = False
     # Pool width for the independent per-unit backend calls (citation-graph
     # fetches, embedding batches, the rerank batches' prefetched first
-    # attempts, papers, clusters, repositories, drafts, refinement units).
+    # attempts, papers, clusters, repositories, drafts, refinement units,
+    # evaluate's judge rounds).
     # Above 1, analysis and code analysis also run side by side, so their
     # manifest stage_seconds may sum to more than the wall time. Outputs do
     # not depend on it, so it stays out of the config hash.

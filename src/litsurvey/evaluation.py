@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Callable, Iterable, Optional, Protocol, Sequence
 
 from .errors import EvaluationError, InvalidInputError
-from .gateway import Gateway, extract_json_payload, request_validated
+from .gateway import Gateway, extract_json_payload, map_bounded, request_validated
 
 # -- claims ------------------------------------------------------------------
 
@@ -247,6 +248,20 @@ def weighted_content_score(scores: ContentScores) -> float:
     )
 
 
+def _rubric_score(name: str, value: object) -> float:
+    """One judge score: a number in [1, 10]. JSON null, lists, objects and
+    booleans raise ValueError, so the judge is asked again."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        score = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} is not a number: {value!r}") from None
+    if not 1.0 <= score <= 10.0:
+        raise ValueError(f"{name}={score} outside [1, 10]")
+    return score
+
+
 def score_content(
     survey_text: str,
     gateway: Gateway,
@@ -282,14 +297,12 @@ def score_content(
                 for sub in subs:
                     if sub not in block:
                         raise ValueError(f"missing sub-dimension {dim}.{sub}")
-                    value = float(block[sub])
-                    if not 1.0 <= value <= 10.0:
-                        raise ValueError(f"{dim}.{sub}={value} outside [1, 10]")
+                    value = _rubric_score(f"{dim}.{sub}", block[sub])
                     sub_scores[f"{dim}.{sub}"] = value
                     values.append(value)
                 totals[dim] = sum(values) / len(values)
-            elif isinstance(block, (int, float)):
-                totals[dim] = float(block)
+            elif isinstance(block, (int, float)):  # a JSON boolean is refused here
+                totals[dim] = _rubric_score(dim, block)
             else:
                 raise ValueError(f"missing dimension '{dim}'")
         return ContentScores(
@@ -301,6 +314,39 @@ def score_content(
 
     scores, _, _ = request_validated(gateway, prompt, parse, tag="evaluation.judge")
     return scores
+
+
+def judge_survey(
+    survey_text: str,
+    gateway: Gateway,
+    rounds: int,
+    explanations: bool = False,
+    workers: int = 1,
+    stop: Optional[threading.Event] = None,
+) -> list[ContentScores]:
+    """Score the survey in ``rounds`` independent judge rounds, up to
+    ``workers`` at once; the scores come back in round order.
+
+    The judge scores the survey, not its metadata: the front matter's
+    timestamp would also keep a rerun of an unchanged survey from hitting
+    the cache. Rounds after the first carry a ``(scoring round k)`` marker,
+    so each is a request of its own. A failing round fails the call with
+    the first failing round's error, and rounds not yet started are
+    cancelled. A round that starts once ``stop`` is set raises instead of
+    calling the judge.
+    """
+    judged = strip_front_matter(survey_text)
+
+    def score_round(round_no: int) -> ContentScores:
+        if stop is not None and stop.is_set():
+            raise EvaluationError(f"judge round {round_no + 1} not started: evaluation stopped")
+        return score_content(
+            f"(scoring round {round_no + 1})\n{judged}" if round_no else judged,
+            gateway,
+            explanations=explanations,
+        )
+
+    return map_bounded(score_round, list(range(rounds)), workers)
 
 
 # -- stability and agreement statistics ----------------------------------------
@@ -477,12 +523,16 @@ def evaluate_survey(
     nli: NliBackend,
     premises: dict[str, str],
     universe: set[str],
-    gateway: Optional[Gateway] = None,
-    judge_rounds: int = 1,
-    explanations: bool = False,
+    judge: Callable[[], list[ContentScores]] = list,
 ) -> EvaluationReport:
     """Full metric pass; backend failures degrade to per-metric error
-    markers instead of sinking the whole report."""
+    markers instead of sinking the whole report.
+
+    ``judge`` returns the content scores of every judge round in round
+    order (by default there is no round), e.g. the ``result`` of a future
+    running :func:`judge_survey`; it is called after the citation metrics,
+    and its error is reported as the ``content`` metric's.
+    """
     report = EvaluationReport()
     claims = extract_claims(survey_text, citation_map)
     report.n_claims = len(claims)
@@ -507,25 +557,15 @@ def evaluate_survey(
     except Exception as exc:
         report.metric_errors["valid_ratio"] = str(exc)
 
-    if gateway is not None and judge_rounds > 0:
-        # The judge scores the survey, not its metadata; the front matter's
-        # timestamp would also keep a rerun of an unchanged survey from
-        # hitting the cache.
-        judged = strip_front_matter(survey_text)
-        totals = []
-        try:
-            for round_no in range(judge_rounds):
-                scores = score_content(
-                    f"(scoring round {round_no + 1})\n{judged}" if round_no else judged,
-                    gateway,
-                    explanations=explanations,
-                )
-                totals.append(weighted_content_score(scores))
-                report.content = scores
+    try:
+        rounds = judge()
+        totals = [weighted_content_score(scores) for scores in rounds]
+        if rounds:
+            report.content = rounds[-1]
             report.weighted_total = totals[-1]
-            report.judge_rounds = judge_rounds
-            if len(totals) >= 2:
-                report.stability = coefficient_of_variation(totals)
-        except Exception as exc:
-            report.metric_errors["content"] = str(exc)
+            report.judge_rounds = len(rounds)
+        if len(totals) >= 2:
+            report.stability = coefficient_of_variation(totals)
+    except Exception as exc:
+        report.metric_errors["content"] = str(exc)
     return report

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -26,7 +28,7 @@ from . import understanding as understanding_mod
 from . import writing as writing_mod
 from .config import PipelineConfig
 from .errors import ConfigError, StageError, SurveyError
-from .evaluation import EvaluationReport, evaluate_survey
+from .evaluation import EvaluationReport, evaluate_survey, judge_survey
 from .gateway import (
     BackendProfile,
     Gateway,
@@ -440,13 +442,44 @@ def run_pipeline(
     )
 
 
+def _premises(config: PipelineConfig, citation_map: dict) -> tuple[dict[str, str], set[str]]:
+    """The evidence text of each paper, per ``evaluation.premise_source``,
+    and the papers a citation may resolve to: the run's substrate when it
+    has one, else the sidecar's entries with their titles as evidence."""
+    if not config.substrate_dir.exists():
+        entries = citation_map.get("entries", [])
+        return (
+            {str(e["paper_id"]): str(e["title"]) for e in entries},
+            {str(e["paper_id"]) for e in entries},
+        )
+    substrate = substrate_load(config.substrate_dir)
+    source_kind = config.evaluation.premise_source
+    premises: dict[str, str] = {}
+    for canonical, record in substrate.papers.items():
+        keynote = substrate.keynotes.get(canonical)
+        if source_kind == "keynote" and keynote is not None:
+            premises[canonical] = keynote.tldr
+        elif source_kind == "tldr":
+            premises[canonical] = record.tldr or record.abstract
+        else:
+            premises[canonical] = record.abstract or record.tldr
+    return premises, set(substrate.papers)
+
+
 def evaluate_run(
     config: PipelineConfig,
     survey_path: Path,
     backends: Optional[Backends] = None,
 ) -> EvaluationReport:
     """Score an assembled survey: citation metrics against the sidecar plus
-    judge content scoring. Writes report.json and report.tsv next to it."""
+    judge content scoring. Writes report.json and report.tsv next to it.
+
+    The judge rounds need only the survey text, so they start first, up to
+    ``stage_workers`` at once, and run while this thread loads the substrate
+    and computes the citation metrics. If that local work raises, no
+    further round starts, the rounds in flight finish (their replies are
+    cached), and the error propagates.
+    """
     survey_path = Path(survey_path)
     sidecar_path = survey_path.with_suffix(".citations.json")
     if not sidecar_path.exists():
@@ -459,33 +492,29 @@ def evaluate_run(
     survey_text = survey_path.read_text(encoding="utf-8")
     citation_map = json.loads(sidecar_path.read_text(encoding="utf-8"))
 
-    premises: dict[str, str] = {}
-    universe: set[str] = {str(e["paper_id"]) for e in citation_map.get("entries", [])}
-    if config.substrate_dir.exists():
-        substrate = substrate_load(config.substrate_dir)
-        universe = set(substrate.papers)
-        source_kind = config.evaluation.premise_source
-        for canonical, record in substrate.papers.items():
-            keynote = substrate.keynotes.get(canonical)
-            if source_kind == "keynote" and keynote is not None:
-                premises[canonical] = keynote.tldr
-            elif source_kind == "tldr":
-                premises[canonical] = record.tldr or record.abstract
-            else:
-                premises[canonical] = record.abstract or record.tldr
-    else:
-        premises = {str(e["paper_id"]): str(e["title"]) for e in citation_map.get("entries", [])}
-
-    report = evaluate_survey(
-        survey_text,
-        citation_map,
-        nli=backends.nli,
-        premises=premises,
-        universe=universe,
-        gateway=backends.gateway,
-        judge_rounds=config.evaluation.judge_rounds,
-        explanations=config.evaluation.explanations,
-    )
+    stop = threading.Event()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        judged = pool.submit(
+            judge_survey,
+            survey_text,
+            backends.gateway,
+            config.evaluation.judge_rounds,
+            config.evaluation.explanations,
+            config.stage_workers,
+            stop,
+        )
+        try:
+            premises, universe = _premises(config, citation_map)
+            report = evaluate_survey(
+                survey_text,
+                citation_map,
+                nli=backends.nli,
+                premises=premises,
+                universe=universe,
+                judge=judged.result,
+            )
+        finally:
+            stop.set()
     base = survey_path.with_suffix("")
     Path(f"{base}.report.json").write_text(
         json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"

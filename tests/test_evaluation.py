@@ -19,6 +19,7 @@ from litsurvey.evaluation import (
     evaluate_survey,
     extract_claims,
     fleiss_kappa,
+    judge_survey,
     needed_subsets,
     reference_is_necessary,
     score_content,
@@ -440,6 +441,25 @@ class TestJudge:
         score_content("text", scripted_gateway(transport))
         assert len(transport.calls) == 2
 
+    @pytest.mark.parametrize("value", [None, [7], True], ids=["null", "list", "true"])
+    def test_non_numeric_sub_score_retries_naming_it(self, value):
+        bad = json.loads(JUDGE_REPLY)
+        bad["core"]["synthesis"] = value
+        transport = ScriptedTransport().add("Score this survey", json.dumps(bad), JUDGE_REPLY)
+        scores = score_content("text", scripted_gateway(transport))
+        assert len(transport.calls) == 2
+        assert "core.synthesis is not a number" in transport.calls[1].prompt
+        assert scores.sub_scores["core.synthesis"] == 9.0
+
+    def test_boolean_dimension_retries_naming_it(self):
+        bad = json.loads(JUDGE_REPLY)
+        bad["depth"] = True
+        transport = ScriptedTransport().add("Score this survey", json.dumps(bad), JUDGE_REPLY)
+        scores = score_content("text", scripted_gateway(transport))
+        assert len(transport.calls) == 2
+        assert "depth is not a number" in transport.calls[1].prompt
+        assert scores.depth == pytest.approx((8.8 + 8.2 + 8 + 8.3) / 4)
+
 
 SURVEY = "Claim one [1]. Claim two [1] [2].\n\n## References\n\n[1] Alpha (p1)\n[2] Beta (p2)"
 CITATION_MAP = {
@@ -459,7 +479,7 @@ class TestEvaluateSurvey:
             nli=ConstantNli(True),
             premises={"p1": "alpha text", "p2": "beta text"},
             universe={"p1", "p2"},
-            gateway=scripted_gateway(transport),
+            judge=lambda: judge_survey(SURVEY, scripted_gateway(transport), 1),
         )
         assert report.recall == 1.0
         assert report.precision == 1.0
@@ -498,7 +518,7 @@ class TestEvaluateSurvey:
             nli=ConstantNli(True),
             premises={},
             universe={"p1", "p2"},
-            gateway=gw,
+            judge=lambda: judge_survey(SURVEY, gw, 1),
         )
         assert report.recall == 1.0  # citation metrics unaffected
         assert "content" in report.metric_errors
@@ -519,8 +539,7 @@ class TestEvaluateSurvey:
             nli=ConstantNli(True),
             premises={},
             universe={"p1", "p2"},
-            gateway=scripted_gateway(transport),
-            judge_rounds=2,
+            judge=lambda: judge_survey(SURVEY, scripted_gateway(transport), 2),
         )
         assert report.stability is not None
         assert report.stability.cv_percent >= 0

@@ -5,6 +5,7 @@ import json
 import re
 import shutil
 import threading
+import time
 from collections import Counter
 from concurrent.futures import Future
 from dataclasses import fields
@@ -25,7 +26,8 @@ from litsurvey.errors import (
     RetrievalError,
     StageError,
 )
-from litsurvey.evaluation import extract_claims, strip_front_matter
+from litsurvey.evaluation import RUBRIC_DIMENSIONS, extract_claims, strip_front_matter
+from litsurvey.gateway import TransportResponse
 from litsurvey.model import Granularity
 from litsurvey.pipeline import build_backends, evaluate_run, run_pipeline
 from litsurvey.sources import FixtureSource
@@ -978,6 +980,149 @@ class TestEvaluateRun:
         sidecar = json.loads(config.sidecar_path.read_text())
         claims = extract_claims(result.survey_path.read_text(), sidecar)
         assert claims, "generated survey carries citation-bearing claims"
+
+
+def round_scores(round_no: int) -> dict:
+    """Judge scores that differ by round, so the report shows which round
+    it took its content scores from."""
+    return {
+        dim: {sub: 5 + round_no + 0.1 * i for i, sub in enumerate(subs)}
+        for dim, subs in RUBRIC_DIMENSIONS.items()
+    }
+
+
+class RoundJudge:
+    """Stateless judge: the reply depends only on the prompt's round marker.
+    Records each judge round it is sent and the most judge requests ever in
+    flight at once; every other request goes to ``inner``."""
+
+    def __init__(self, inner, refuse_round: int = 0, hold: float = 0.1):
+        self.inner = inner
+        self.refuse_round = refuse_round
+        self.hold = hold
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.max_in_flight = 0
+        self.rounds: list[int] = []
+        self.arrived = threading.Event()
+
+    def send(self, request):
+        if request.tag != "evaluation.judge":
+            return self.inner.send(request)
+        marker = re.search(r"^\(scoring round (\d+)\)$", request.prompt, re.M)
+        round_no = int(marker.group(1)) if marker else 1
+        with self.lock:
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+            self.rounds.append(round_no)
+        self.arrived.set()
+        try:
+            time.sleep(self.hold)
+            if round_no == self.refuse_round:
+                return TransportResponse(400, "")
+            return TransportResponse(200, json.dumps(round_scores(round_no)))
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+class TestConcurrentEvaluation:
+    """The judge rounds fan out at stage_workers and run beside the
+    substrate load and the citation metrics."""
+
+    ROUNDS = 3
+
+    @pytest.fixture
+    def generated(self, tmp_path):
+        config, _, _ = fresh_run(tmp_path)
+        config.evaluation.judge_rounds = self.ROUNDS
+        return config
+
+    @staticmethod
+    def judged_backends(config, workers: int, **judge_options):
+        config.stage_workers = workers
+        backends = build_backends(config)
+        judge = backends.gateway.transport = RoundJudge(backends.gateway.transport, **judge_options)
+        return backends, judge
+
+    def evaluate(self, config, workers: int, **judge_options):
+        """One evaluate at ``workers`` on an empty api cache."""
+        shutil.rmtree(config.cache_dir, ignore_errors=True)
+        backends, judge = self.judged_backends(config, workers, **judge_options)
+        return evaluate_run(config, config.survey_path, backends=backends), judge
+
+    @staticmethod
+    def report_bytes(config) -> tuple[bytes, bytes]:
+        base = str(config.survey_path).removesuffix(".md")
+        return Path(f"{base}.report.json").read_bytes(), Path(f"{base}.report.tsv").read_bytes()
+
+    @staticmethod
+    def load_after(judge: RoundJudge, monkeypatch) -> None:
+        """Make the substrate load wait until a judge request has been sent."""
+
+        def load(directory):
+            assert judge.arrived.wait(timeout=5), "no judge request before the substrate load"
+            return substrate_load(directory)
+
+        monkeypatch.setattr(pipeline_mod, "substrate_load", load)
+
+    def test_report_files_identical_at_every_width(self, generated):
+        outputs = {}
+        for workers in (1, 2, 4):
+            report, judge = self.evaluate(generated, workers, hold=0.0)
+            # One worker sends the rounds in round order.
+            assert (judge.rounds if workers == 1 else sorted(judge.rounds)) == [1, 2, 3]
+            assert not report.metric_errors
+            outputs[workers] = self.report_bytes(generated)
+        assert outputs[2] == outputs[1] and outputs[4] == outputs[1]
+        # The content scores are the last round's, whatever order the
+        # rounds finished in.
+        assert report.content.core == pytest.approx(5 + self.ROUNDS + 0.15)
+        assert report.stability is not None and report.judge_rounds == self.ROUNDS
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_judge_calls_in_flight_never_exceed_stage_workers(self, generated, workers):
+        _, judge = self.evaluate(generated, workers)
+        assert judge.max_in_flight == min(workers, self.ROUNDS)
+
+    def test_judge_runs_while_the_substrate_loads(self, generated, monkeypatch):
+        backends, judge = self.judged_backends(generated, 1, hold=0.0)
+        self.load_after(judge, monkeypatch)
+        report = evaluate_run(generated, generated.survey_path, backends=backends)
+        assert report.weighted_total is not None
+
+    def test_a_refused_round_reports_the_serial_error(self, generated):
+        serial, _ = self.evaluate(generated, 1, refuse_round=2, hold=0.0)
+        serial_bytes = self.report_bytes(generated)
+        wide, judge = self.evaluate(generated, 4, refuse_round=2, hold=0.0)
+        assert "400" in serial.metric_errors["content"]
+        assert wide.metric_errors == serial.metric_errors
+        assert self.report_bytes(generated) == serial_bytes
+        # No round's scores stand in for a failed judge.
+        assert wide.content is None and wide.weighted_total is None
+        assert sorted(judge.rounds) == [1, 2, 3]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_substrate_load_stops_the_judge(self, generated, monkeypatch, workers):
+        papers = generated.substrate_dir / "papers.json"
+        intact = papers.read_bytes()
+        papers.write_bytes(intact.replace(b"}", b"} ", 1))
+        shutil.rmtree(generated.cache_dir)
+        threads = set(threading.enumerate())
+        backends, judge = self.judged_backends(generated, workers, hold=0.3)
+        self.load_after(judge, monkeypatch)
+        with pytest.raises(LoadError):
+            evaluate_run(generated, generated.survey_path, backends=backends)
+        assert set(threading.enumerate()) <= threads
+        assert judge.rounds and self.ROUNDS not in judge.rounds  # round 3 never started
+
+        # The rounds that were in flight stored their replies: after the
+        # repair, only the others reach the judge.
+        papers.write_bytes(intact)
+        backends, rerun = self.judged_backends(generated, workers)
+        report = evaluate_run(generated, generated.survey_path, backends=backends)
+        assert report.weighted_total is not None
+        assert sorted(judge.rounds + rerun.rounds) == [1, 2, 3]
 
 
 class TestConfig:
