@@ -38,7 +38,6 @@ class AnalysisConfig:
     design_batch_size: int = 20
     verify_max_rounds: int = 3
     questions_per_cluster: int = 1
-    max_retries: int = 3
 
 
 @dataclass
@@ -125,7 +124,6 @@ def design_clusters(
             _parse_proposal,
             tag="analysis.design",
             memory=memory,
-            max_retries=cfg.max_retries,
         )
     return proposal
 
@@ -152,14 +150,12 @@ def assign_papers(
     proposal: ClusterProposal,
     keynotes: dict[str, Keynote],
     gateway: Gateway,
-    cfg: Optional[AnalysisConfig] = None,
     runlog: Optional[RunLog] = None,
     prompt_note: str = "",
 ) -> tuple[list[Cluster], AssignmentVerdict]:
     """Partition papers over the proposed clusters (multi-membership is
     fine). Defects never raise: omitted papers land in verdict.missing and
     fabricated ids in verdict.hallucinated."""
-    cfg = cfg or AnalysisConfig()
     runlog = runlog or RunLog()
     if proposal.is_empty():
         raise InvalidInputError("cannot assign papers without a cluster proposal")
@@ -179,7 +175,6 @@ def assign_papers(
         prompt,
         lambda reply: _parse_assignment(reply, names),
         tag="analysis.assign",
-        max_retries=cfg.max_retries,
     )
 
     clusters = [
@@ -241,7 +236,7 @@ def verify_and_repair(
         runlog.add("repair_round", round=round_no, missing=sorted(verdict.missing))
         try:
             repaired, _ = assign_papers(
-                proposal, subset, gateway, cfg, runlog,
+                proposal, subset, gateway, runlog,
                 prompt_note=f"(repair round {round_no})",
             )
         except MalformedOutputError:
@@ -281,14 +276,12 @@ def build_relation_graph(
     keynotes: dict[str, Keynote],
     papers: dict[str, PaperRecord],
     gateway: Gateway,
-    cfg: Optional[AnalysisConfig] = None,
     runlog: Optional[RunLog] = None,
 ) -> list[RelationEdge]:
     """Typed lineage edges between cluster members; edges naming
     non-members are dropped with a monitor event."""
     if not cluster.members:
         raise InvalidInputError("cluster has no members")
-    cfg = cfg or AnalysisConfig()
     runlog = runlog or RunLog()
     if len(cluster.members) < 2:
         return []
@@ -314,9 +307,7 @@ def build_relation_graph(
                 raise ValueError("edges need from/to fields")
         return payload
 
-    raw, _, _ = request_validated(
-        gateway, prompt, parse, tag="analysis.graph", max_retries=cfg.max_retries
-    )
+    raw, _, _ = request_validated(gateway, prompt, parse, tag="analysis.graph")
     edges: list[RelationEdge] = []
     for item in raw:
         src, dst = str(item["from"]), str(item["to"])
@@ -344,14 +335,12 @@ def build_comparison_table(
     keynotes: dict[str, Keynote],
     papers: dict[str, PaperRecord],
     gateway: Gateway,
-    cfg: Optional[AnalysisConfig] = None,
     runlog: Optional[RunLog] = None,
 ) -> ComparisonTable:
     """Structured cross-paper comparison: one row per member, a model-chosen
     schema of at least three dimensions; rows for non-members are dropped."""
     if len(cluster.members) < 2:
         raise InvalidInputError("comparison tables need at least two members")
-    cfg = cfg or AnalysisConfig()
     runlog = runlog or RunLog()
     member_keys = cluster.member_keys()
     listing = "\n".join(
@@ -374,9 +363,7 @@ def build_comparison_table(
             raise ValueError("table schema needs at least three dimensions")
         return payload
 
-    raw, _, _ = request_validated(
-        gateway, prompt, parse, tag="analysis.table", max_retries=cfg.max_retries
-    )
+    raw, _, _ = request_validated(gateway, prompt, parse, tag="analysis.table")
     table = ComparisonTable(columns=[str(c) for c in raw["columns"]])
     for row in raw["rows"]:
         key = str(row.get("paper_id", ""))
@@ -521,9 +508,9 @@ def analyze_cluster(
     """All three per-cluster views."""
     cfg = cfg or AnalysisConfig()
     runlog = runlog or RunLog()
-    edges = build_relation_graph(cluster, keynotes, papers, gateway, cfg, runlog)
+    edges = build_relation_graph(cluster, keynotes, papers, gateway, runlog)
     table = (
-        build_comparison_table(cluster, keynotes, papers, gateway, cfg, runlog)
+        build_comparison_table(cluster, keynotes, papers, gateway, runlog)
         if len(cluster.members) >= 2
         else None
     )

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import click
 
-from .config import PipelineConfig, default_config, dump_config, load_config
+from .config import PipelineConfig, dump_config, load_config
 from .errors import ConfigError, StageError, SurveyError
 from .pipeline import evaluate_run, run_pipeline
 from .substrate import substrate_load
@@ -29,7 +29,7 @@ def _load(config_path: str | None, topic: str | None, workdir: str | None) -> Pi
     else:
         if not topic:
             raise ConfigError("either --config or --topic is required")
-        config = default_config(topic)
+        config = PipelineConfig(topic=topic)
     if topic:
         config.topic = topic
     if workdir:
@@ -183,7 +183,7 @@ def cache_clear(workdir):
 @click.option("--out", type=click.Path(), default="litsurvey.yaml")
 def init_config(topic, out):
     """Write a config file with every system-parameter default."""
-    dump_config(default_config(topic), out)
+    dump_config(PipelineConfig(topic=topic), out)
     click.echo(f"wrote {out}")
 
 

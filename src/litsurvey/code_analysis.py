@@ -51,7 +51,6 @@ class CodeAnalysisConfig:
     creator_temperature: float = 0.3
     memory_token_threshold: int = 8000
     memory_keep_recent: int = 6
-    max_retries: int = 3
 
 
 @dataclass
@@ -270,7 +269,6 @@ def _consult_planner(
         _parse_plan,
         tag="code.plan",
         temperature=cfg.planner_temperature,
-        max_retries=cfg.max_retries,
     )
     return plan
 
@@ -362,7 +360,6 @@ def _review_pseudocode(
         _parse_review,
         tag="code.review",
         temperature=cfg.reviewer_temperature,
-        max_retries=cfg.max_retries,
     )
     return review
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_origin, get_type_hints
 
 import yaml
 
@@ -24,7 +23,7 @@ from .analysis import AnalysisConfig
 from .code_analysis import CodeAnalysisConfig
 from .errors import ConfigError
 from .model import STAGES, CitationStyle
-from .refinement import LevelConfig, RefinementConfig
+from .refinement import RefinementConfig
 from .retrieval import RetrievalConfig
 from .writing import WritingConfig
 
@@ -41,9 +40,6 @@ class BackendConfig:
     backoff_min: float = 1.0
     backoff_max: float = 300.0
     request_timeout: float = 120.0
-
-    def api_key(self) -> str:
-        return os.environ.get(self.api_key_env, "")
 
 
 @dataclass
@@ -65,20 +61,34 @@ class SourceConfig:
     preprint_url: str = "http://export.arxiv.org/api/query"
 
 
+PREMISE_SOURCES = ("abstract", "keynote", "tldr")
+
+
+def _require_int(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass
 class EvaluationRunConfig:
     judge_rounds: int = 1
     explanations: bool = False
     nli_kind: str = "constant"  # constant | hash
-    nli_default: bool = True
-    premise_source: str = "abstract"  # abstract | keynote | tldr
+    premise_source: str = "abstract"  # one of PREMISE_SOURCES
+
+    def __post_init__(self):
+        _require_int("evaluation.judge_rounds", self.judge_rounds, 0)
+        if self.premise_source not in PREMISE_SOURCES:
+            raise ConfigError(
+                f"evaluation.premise_source must be one of {'|'.join(PREMISE_SOURCES)}, "
+                f"got {self.premise_source!r}"
+            )
 
 
 @dataclass
 class PipelineConfig:
     topic: str = ""
     workdir: str = "litsurvey-run"
-    stages: tuple[str, ...] = STAGES
     code_analysis_enabled: bool = False
     use_skill_loop_fallback: bool = False
     # Pool width for the independent per-unit backend calls (citation-graph
@@ -103,16 +113,7 @@ class PipelineConfig:
     cache_expiry_seconds: Optional[float] = None
 
     def __post_init__(self):
-        unknown = [s for s in self.stages if s not in STAGES]
-        if unknown:
-            raise ConfigError(f"unknown stages: {unknown}")
-        self.stages = tuple(self.stages)
-        if (
-            isinstance(self.stage_workers, bool)
-            or not isinstance(self.stage_workers, int)
-            or self.stage_workers < 1
-        ):
-            raise ConfigError(f"stage_workers must be an integer >= 1, got {self.stage_workers!r}")
+        _require_int("stage_workers", self.stage_workers, 1)
 
     # Paths all hang off the workdir unless overridden by the caller.
     @property
@@ -136,12 +137,7 @@ class PipelineConfig:
         return Path(self.workdir) / "manifest.json"
 
     def enabled_stages(self) -> list[str]:
-        out = []
-        for stage in self.stages:
-            if stage == "code_analysis" and not self.code_analysis_enabled:
-                continue
-            out.append(stage)
-        return out
+        return [s for s in STAGES if s != "code_analysis" or self.code_analysis_enabled]
 
     def config_hash(self) -> str:
         plain = _plain(self)
@@ -157,55 +153,30 @@ class PipelineConfig:
 def _plain(obj):
     if is_dataclass(obj):
         return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (CitationStyle,)):
+    if isinstance(obj, tuple):
+        return list(obj)
+    if isinstance(obj, CitationStyle):
         return obj.value
-    if isinstance(obj, frozenset):
-        return sorted(obj)
     return obj
 
 
-_NESTED = {
-    PipelineConfig: {
-        "backend": BackendConfig,
-        "embedding": EmbeddingConfig,
-        "source": SourceConfig,
-        "retrieval": RetrievalConfig,
-        "analysis": AnalysisConfig,
-        "code_analysis": CodeAnalysisConfig,
-        "writing": WritingConfig,
-        "refinement": RefinementConfig,
-        "evaluation": EvaluationRunConfig,
-    },
-    RefinementConfig: {
-        "section": LevelConfig,
-        "subsection": LevelConfig,
-        "survey": LevelConfig,
-    },
-}
-
-_TUPLE_FIELDS = {"stages", "enabled"}
-
-
 def _build(cls, data: dict):
+    """``cls`` from a YAML mapping, led by the field types: a dataclass
+    field is built from its own mapping, a tuple field from a list."""
     if not isinstance(data, dict):
         raise ConfigError(f"expected a mapping for {cls.__name__}, got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+    types = get_type_hints(cls)
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    nested = _NESTED.get(cls, {})
     kwargs = {}
     for name, value in data.items():
-        if name in nested and isinstance(value, dict):
-            kwargs[name] = _build(nested[name], value)
-        elif name in _TUPLE_FIELDS and isinstance(value, list):
-            kwargs[name] = tuple(value)
-        else:
-            kwargs[name] = value
+        kind = types[name]
+        if is_dataclass(kind):
+            value = _build(kind, value)
+        elif get_origin(kind) is tuple and isinstance(value, list):
+            value = tuple(value)
+        kwargs[name] = value
     return cls(**kwargs)
 
 
@@ -227,7 +198,3 @@ def dump_config(config: PipelineConfig, path: str | Path) -> None:
     Path(path).write_text(
         yaml.safe_dump(_plain(config), sort_keys=False), encoding="utf-8"
     )
-
-
-def default_config(topic: str, workdir: str = "litsurvey-run") -> PipelineConfig:
-    return PipelineConfig(topic=topic, workdir=workdir)

@@ -85,7 +85,7 @@ def build_backends(config: PipelineConfig) -> Backends:
         transport = HttpChatTransport(
             backend_cfg.url,
             backend_cfg.model,
-            api_key=backend_cfg.api_key(),
+            api_key=os.environ.get(backend_cfg.api_key_env, ""),
             timeout=backend_cfg.request_timeout,
         )
     else:
@@ -129,7 +129,7 @@ def build_backends(config: PipelineConfig) -> Backends:
         raise ConfigError(f"unknown source kind '{config.source.kind}'")
 
     if config.evaluation.nli_kind == "constant":
-        nli = ConstantNli(config.evaluation.nli_default)
+        nli = ConstantNli()
     elif config.evaluation.nli_kind == "hash":
         nli = HashNli(seed=0)
     else:
@@ -197,9 +197,7 @@ def _stage_understanding(config, substrate, backends, runlog):
 
 def _stage_analysis(config, substrate, backends, runlog):
     proposal = analysis_mod.design_clusters(substrate.keynotes, backends.gateway, config.analysis)
-    clusters, _ = analysis_mod.assign_papers(
-        proposal, substrate.keynotes, backends.gateway, config.analysis, runlog
-    )
+    clusters, _ = analysis_mod.assign_papers(proposal, substrate.keynotes, backends.gateway, runlog)
     clusters = analysis_mod.verify_and_repair(
         clusters, substrate.keynotes, backends.gateway, config.analysis, runlog=runlog
     )

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import InvalidInputError, MalformedOutputError
+from .errors import ConfigError, InvalidInputError, MalformedOutputError
 from .gateway import (
     Gateway,
     extract_json_payload,
@@ -59,7 +59,15 @@ class RefinementConfig:
     )
     enabled: tuple[str, ...] = ("section", "subsection", "survey")
     evidence_budget: int = 8000
-    max_retries: int = 3
+
+    def __post_init__(self):
+        levels = [g.value for g in Granularity]
+        unknown = [name for name in self.enabled if name not in levels]
+        if unknown:
+            raise ConfigError(
+                f"refinement.enabled names unknown levels {unknown}; "
+                f"each must be one of {'|'.join(levels)}"
+            )
 
     def level(self, granularity: Granularity) -> LevelConfig:
         return getattr(self, granularity.value)
@@ -192,7 +200,6 @@ def review_skill(
         parse,
         tag="refine.review",
         temperature=temperature,
-        max_retries=ctx.cfg.max_retries,
     )
     if previous_scores:
         shared = set(previous_scores) & set(verdict["scores"])
@@ -328,7 +335,6 @@ def refine(
             _parse_plan,
             tag="refine.plan",
             temperature=level.planner_temperature,
-            max_retries=ctx.cfg.max_retries,
         )
         finished = False
         for step in plan:

@@ -25,7 +25,6 @@ class RetrievalConfig:
     per_seed_cap: int = 20
     coarse_similarity_threshold: float = 0.35  # recall-biased on purpose
     judge_batch_size: int = 20
-    judge_max_retries: int = 3
 
     def __post_init__(self):
         if self.max_seed_papers <= 0 or self.per_seed_cap <= 0:
@@ -166,7 +165,6 @@ def _judge_verdicts(
             parse,
             tag=tag,
             memory=memory,
-            max_retries=cfg.judge_max_retries,
             error_factory=JudgeError,
         )
         verdicts.update(batch_verdicts)

@@ -1,6 +1,6 @@
 """Deterministic scripted backends for hermetic runs: the transport
-behind ``backend.kind: scripted`` and the ``constant`` and ``hash`` NLI
-kinds.
+behind ``backend.kind: scripted`` and the ``constant`` NLI kind, which
+entails every claim, and the ``hash`` kind.
 
 The transport matches prompts against an ordered rule table (regex ->
 queue of canned replies); every request is recorded so tests can count
@@ -78,15 +78,14 @@ class ScriptedTransport:
 
 
 class ConstantNli:
-    """Entailment backend that answers the same verdict for everything."""
+    """Entailment backend that entails every claim."""
 
-    def __init__(self, verdict: bool = True):
-        self.verdict = verdict
+    def __init__(self):
         self.calls = 0
 
     def entails(self, claim: str, premises: Sequence[str]) -> bool:
         self.calls += 1
-        return self.verdict
+        return True
 
 
 class HashNli:

@@ -217,7 +217,7 @@ class TestExtractClaims:
 class TestCollectVerdicts:
     def test_queries_exactly_the_needed_subsets(self):
         claims = [claim(0, "a", "b", "c"), claim(1, "d")]
-        nli = ConstantNli(True)
+        nli = ConstantNli()
         collect_verdicts(claims, nli, premises={})
         # claim 0: full {a,b,c}; singletons a,b,c; leave-one-out ab,ac,bc -> 7
         # claim 1: {d} only -> 1
@@ -476,7 +476,7 @@ class TestEvaluateSurvey:
         report = evaluate_survey(
             SURVEY,
             CITATION_MAP,
-            nli=ConstantNli(True),
+            nli=ConstantNli(),
             premises={"p1": "alpha text", "p2": "beta text"},
             universe={"p1", "p2"},
             judge=lambda: judge_survey(SURVEY, scripted_gateway(transport), 1),
@@ -501,7 +501,7 @@ class TestEvaluateSurvey:
         report = evaluate_survey(
             "No citations here at all.",
             {"entries": []},
-            nli=ConstantNli(True),
+            nli=ConstantNli(),
             premises={},
             universe=set(),
         )
@@ -515,7 +515,7 @@ class TestEvaluateSurvey:
         report = evaluate_survey(
             SURVEY,
             CITATION_MAP,
-            nli=ConstantNli(True),
+            nli=ConstantNli(),
             premises={},
             universe={"p1", "p2"},
             judge=lambda: judge_survey(SURVEY, gw, 1),
@@ -536,7 +536,7 @@ class TestEvaluateSurvey:
         report = evaluate_survey(
             SURVEY,
             CITATION_MAP,
-            nli=ConstantNli(True),
+            nli=ConstantNli(),
             premises={},
             universe={"p1", "p2"},
             judge=lambda: judge_survey(SURVEY, scripted_gateway(transport), 2),
@@ -549,7 +549,7 @@ class TestEvaluateSurvey:
         report = evaluate_survey(
             SURVEY,
             CITATION_MAP,
-            nli=ConstantNli(True),
+            nli=ConstantNli(),
             premises={},
             universe={"p1", "p2"},
         )

@@ -16,7 +16,7 @@ import pytest
 from litsurvey import gateway as gateway_mod
 from litsurvey import pipeline as pipeline_mod
 from litsurvey import substrate as substrate_mod
-from litsurvey.config import PipelineConfig, default_config, dump_config, load_config
+from litsurvey.config import EvaluationRunConfig, PipelineConfig, dump_config, load_config
 from litsurvey.errors import (
     ConfigError,
     DraftingError,
@@ -28,7 +28,7 @@ from litsurvey.errors import (
 )
 from litsurvey.evaluation import RUBRIC_DIMENSIONS, extract_claims, strip_front_matter
 from litsurvey.gateway import TransportResponse
-from litsurvey.model import Granularity
+from litsurvey.model import CitationStyle, Granularity
 from litsurvey.pipeline import build_backends, evaluate_run, run_pipeline
 from litsurvey.sources import FixtureSource
 from litsurvey.substrate import read_record, substrate_load, substrate_save
@@ -981,6 +981,43 @@ class TestEvaluateRun:
         claims = extract_claims(result.survey_path.read_text(), sidecar)
         assert claims, "generated survey carries citation-bearing claims"
 
+    @pytest.mark.parametrize("source", ["abstract", "keynote", "tldr"])
+    def test_premise_source_picks_the_evidence_text(self, tmp_path, source):
+        config = make_config(tmp_path)
+        # A cited paper without a TLDR: the tldr source falls back to its abstract.
+        fixture_path = Path(config.source.fixture_path)
+        fixture = json.loads(fixture_path.read_text())
+        bare = next(p for p in fixture["papers"] if p["id"]["canonical"] == "2406.10005")
+        bare["tldr"] = ""
+        fixture_path.write_text(json.dumps(fixture))
+        result = run_pipeline(config, backends=build_backends(config))
+        substrate = result.substrate
+        premise_of = {
+            "abstract": lambda k, r: r.abstract,
+            "keynote": lambda k, r: substrate.keynotes[k].tldr,
+            "tldr": lambda k, r: r.tldr or r.abstract,
+        }[source]
+
+        class RecordingNli:
+            def __init__(self):
+                self.premises: set[str] = set()
+
+            def entails(self, claim, premises):
+                self.premises.update(premises)
+                return True
+
+        backends = build_backends(config)
+        backends.nli = RecordingNli()
+        config.evaluation.premise_source = source
+        evaluate_run(config, result.survey_path, backends=backends)
+        cited = {e["paper_id"] for e in json.loads(config.sidecar_path.read_text())["entries"]}
+        assert "2406.10005" in cited
+        expected = {premise_of(k, substrate.papers[k]) for k in cited}
+        assert backends.nli.premises == expected
+        if source == "tldr":
+            assert substrate.papers["2406.10005"].abstract in expected
+            assert "Key idea of 2406.10001." in expected
+
 
 def round_scores(round_no: int) -> dict:
     """Judge scores that differ by round, so the report shows which round
@@ -1127,12 +1164,64 @@ class TestConcurrentEvaluation:
 
 class TestConfig:
     def test_yaml_round_trip_preserves_hash(self, tmp_path):
-        config = make_config(tmp_path)
+        config = enable_code_analysis(make_config(tmp_path), tmp_path)
+        config.refinement.enabled = ("survey",)
+        config.refinement.section.max_rounds = 2
+        config.writing.citation_style = CitationStyle.ID
         path = tmp_path / "cfg.yaml"
         dump_config(config, path)
         loaded = load_config(path)
+        assert loaded == config
         assert loaded.config_hash() == config.config_hash()
-        assert loaded.retrieval.max_seed_papers == config.retrieval.max_seed_papers
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("stages: [retrieval, understanding]\n", "stages"),
+            ("evaluation:\n  nli_default: false\n", "nli_default"),
+            ("retrieval:\n  judge_max_retries: 3\n", "judge_max_retries"),
+            ("analysis:\n  max_retries: 3\n", "max_retries"),
+            ("code_analysis:\n  max_retries: 3\n", "max_retries"),
+            ("refinement:\n  max_retries: 3\n", "max_retries"),
+        ],
+    )
+    def test_removed_keys_refused(self, tmp_path, text, key):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("topic: x\n" + text)
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+    @pytest.mark.parametrize("section", ["backend", "refinement", "evaluation"])
+    def test_a_nested_section_must_be_a_mapping(self, tmp_path, section):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"topic: x\n{section}: 3\n")
+        with pytest.raises(ConfigError, match="expected a mapping"):
+            load_config(path)
+
+    @pytest.mark.parametrize("rounds", [-1, 1.5, "two", True])
+    def test_judge_rounds_must_be_a_non_negative_int(self, rounds):
+        with pytest.raises(ConfigError, match=f"judge_rounds .*{re.escape(repr(rounds))}"):
+            EvaluationRunConfig(judge_rounds=rounds)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("evaluation:\n  judge_rounds: -2\n", "judge_rounds .*-2"),
+            ("evaluation:\n  premise_source: keynotes\n", "premise_source .*'keynotes'"),
+            ("refinement:\n  enabled: [sections, subsections]\n", "enabled .*'sections'"),
+        ],
+    )
+    def test_evaluation_and_refinement_checked_when_loading_yaml(self, tmp_path, text, named):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("topic: x\n" + text)
+        with pytest.raises(ConfigError, match=named):
+            load_config(path)
+
+    def test_zero_judge_rounds_and_every_premise_source_load(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        for source in ("abstract", "keynote", "tldr"):
+            path.write_text(f"topic: x\nevaluation:\n  judge_rounds: 0\n  premise_source: {source}\n")
+            assert load_config(path).evaluation.premise_source == source
 
     @pytest.mark.parametrize("workers", [0, -1, "two", 2.0, True])
     def test_stage_workers_must_be_a_positive_int(self, workers):
@@ -1153,8 +1242,8 @@ class TestConfig:
             load_config(path)
 
     def test_hash_ignores_placement_width_and_waiting(self):
-        a = default_config("t")
-        b = default_config("t", workdir="elsewhere")
+        a = PipelineConfig(topic="t")
+        b = PipelineConfig(topic="t", workdir="elsewhere")
         b.stage_workers = 4
         b.cache_expiry_seconds = 60.0
         b.backend.request_timeout = 5.0
@@ -1162,14 +1251,14 @@ class TestConfig:
         assert a.config_hash() == b.config_hash()
 
     def test_hash_changes_with_behavioral_fields(self):
-        a = default_config("t")
-        b = default_config("t")
+        a = PipelineConfig(topic="t")
+        b = PipelineConfig(topic="t")
         assert a.config_hash() == b.config_hash()
         b.retrieval.per_seed_cap = 21
         assert a.config_hash() != b.config_hash()
 
     def test_system_parameter_defaults(self):
-        config = default_config("t")
+        config = PipelineConfig(topic="t")
         assert config.backend.context_window == 512_000
         assert config.backend.max_attempts == 10
         assert (config.backend.backoff_min, config.backend.backoff_max) == (1.0, 300.0)
@@ -1198,7 +1287,7 @@ class TestConfig:
             run_pipeline(config)
 
     def test_secrets_only_via_environment(self, tmp_path):
-        config = default_config("t")
+        config = PipelineConfig(topic="t")
         dumped = tmp_path / "cfg.yaml"
         dump_config(config, dumped)
         text = dumped.read_text()

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from litsurvey.errors import InvalidInputError
+from litsurvey.errors import ConfigError, InvalidInputError
 from litsurvey.model import (
     CitationStyle,
     DraftUnit,
@@ -311,6 +311,11 @@ class TestRefineAll:
         assert len(transport.calls_matching("coordinate refinement")) == 1
         assert units[:2] == [unit_for(), section_for()]
         assert units[-1].granularity is Granularity.SURVEY
+
+    @pytest.mark.parametrize("enabled", [("sections", "subsections"), ("section", "Survey"), "survey"])
+    def test_unknown_level_names_refused(self, enabled):
+        with pytest.raises(ConfigError, match="refinement.enabled"):
+            RefinementConfig(enabled=enabled)
 
 
 def test_memory_render_compresses_but_keeps_recent_rounds():
