@@ -15,7 +15,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Optional, get_origin, get_type_hints
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -160,9 +160,25 @@ def _plain(obj):
     return obj
 
 
-def _build(cls, data: dict):
+def _check_scalar(key: str, value, kind) -> None:
+    """Refuse a YAML scalar whose type does not match the field's: an int
+    field takes no bool, a float field takes an int but no bool. Other
+    kinds (enums) are left to the dataclass."""
+    if get_origin(kind) is Union:  # Optional[X]
+        if value is None:
+            return
+        [kind] = [arg for arg in get_args(kind) if arg is not type(None)]
+    if kind not in (bool, int, float, str):
+        return
+    accepted = (int, float) if kind is float else (kind,)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r} ({type(value).__name__})")
+
+
+def _build(cls, data: dict, prefix: str = ""):
     """``cls`` from a YAML mapping, led by the field types: a dataclass
-    field is built from its own mapping, a tuple field from a list."""
+    field is built from its own mapping, a tuple field from a list, and a
+    scalar must have its field's type."""
     if not isinstance(data, dict):
         raise ConfigError(f"expected a mapping for {cls.__name__}, got {type(data).__name__}")
     types = get_type_hints(cls)
@@ -171,11 +187,18 @@ def _build(cls, data: dict):
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        kind = types[name]
+        kind, key = types[name], prefix + name
         if is_dataclass(kind):
-            value = _build(kind, value)
-        elif get_origin(kind) is tuple and isinstance(value, list):
+            value = _build(kind, value, f"{key}.")
+        elif get_origin(kind) is tuple:
+            if not isinstance(value, list):
+                raise ConfigError(f"{key} must be a list, got {value!r} ({type(value).__name__})")
+            [element, _] = get_args(kind)  # tuple[X, ...]
+            for item in value:
+                _check_scalar(key, item, element)
             value = tuple(value)
+        else:
+            _check_scalar(key, value, kind)
         kwargs[name] = value
     return cls(**kwargs)
 

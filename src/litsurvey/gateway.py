@@ -212,7 +212,8 @@ class Gateway:
     """Shared entry point for completions and embeddings.
 
     Thread-safe: one lock guards the runtime cache, the counters and the
-    in-flight table (the disk cache needs none), retries keep all state on
+    in-flight table (the disk cache has a lock of its own, held while it
+    appends an entry or reads new ones), retries keep all state on
     the stack, and identical requests in flight at once share one backend
     call (see :meth:`cached`). ``sleeper`` and ``draw`` (the jitter source
     of :func:`with_backoff`) are injectable so tests run with a

@@ -74,7 +74,8 @@ def _dump(path: Path, payload: dict) -> str:
     alone: renaming over an existing file costs about twice as much as
     creating one on ext4, and a zero-work resume rewrites an unchanged
     manifest."""
-    text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    # No indent: it forces json's pure-Python encoder.
+    text = json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     try:
         if path.read_text(encoding="utf-8") == text:

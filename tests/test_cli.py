@@ -53,6 +53,17 @@ class TestGenerate:
         assert result.exit_code == 2
         assert "config error" in result.output
 
+    def test_wrongly_typed_scalar_is_a_one_line_config_error(self, tmp_path):
+        config_path = write_config_yaml(tmp_path)
+        text = Path(config_path).read_text().replace("batch_size: 32", "batch_size: '32'")
+        Path(config_path).write_text(text)
+        result = invoke("generate", "--config", str(config_path))
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            "config error: embedding.batch_size must be int, got '32' (str)"
+        ]
+        assert not (tmp_path / "run").exists()
+
     def test_stage_failure_exits_3_and_keeps_checkpoint(self, tmp_path):
         config_path = write_config_yaml(tmp_path)
         # A judge that never emits valid verdicts fails the retrieval stage.
@@ -189,7 +200,7 @@ class TestCache:
         config_path = write_config_yaml(tmp_path)
         assert invoke("generate", "--config", str(config_path)).exit_code == 0
         cache_dir = tmp_path / "run" / "cache"
-        assert any(cache_dir.rglob("*.json"))
+        assert any(cache_dir.rglob("*.log"))
         result = invoke("cache", "clear", "--workdir", str(tmp_path / "run"))
         assert result.exit_code == 0
         assert not cache_dir.exists()

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import shutil
 import sys
 import threading
 import time
@@ -197,7 +199,7 @@ class TestCaching:
         assert errors == []
         final = caches[0].get("shared")
         assert final is not None and final["i"] == 49
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["shared.json"]
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".log", ".log"]
 
     def test_disk_cache_entries_take_the_mode_of_a_plainly_created_file(self, tmp_path):
         # Entries follow the umask like any other file, so a cache directory
@@ -206,7 +208,80 @@ class TestCaching:
         plain = tmp_path / "plain.json"
         plain.write_text("{}")
         mode = lambda path: path.stat().st_mode & 0o777
-        assert mode(tmp_path / "entry.json") == mode(plain)
+        assert [mode(path) for path in tmp_path.glob("*.log")] == [mode(plain)]
+
+    @pytest.mark.parametrize("cut", [1, 4])
+    def test_a_segment_cut_inside_its_last_line_loses_that_line_alone(self, tmp_path, cut):
+        # cut=1 leaves the last entry whole but without its newline.
+        def gateway(transport):
+            return Gateway(transport, embedder=FixtureEmbedder(), cache_dir=str(tmp_path))
+
+        first = gateway(SequenceTransport(["one", "two", "three"]))
+        for prompt in ("p1", "p2", "p3"):
+            first.complete(req(prompt))
+        [cut_segment] = (tmp_path / "api").glob("*.log")
+        cut_segment.write_bytes(cut_segment.read_bytes()[:-cut])
+        left = cut_segment.read_bytes()
+        later = SequenceTransport(["asked again"])
+        gw = gateway(later)
+        assert [gw.complete(req(p)) for p in ("p1", "p2")] == ["one", "two"]
+        assert later.calls == []
+        assert gw.complete(req("p3")) == "asked again"
+        assert len(later.calls) == 1
+        assert cut_segment.read_bytes() == left
+
+    def test_a_miss_rereads_segments_that_grew_or_appeared(self, tmp_path):
+        writer, reader = DiskCache(tmp_path), DiskCache(tmp_path)
+        writer.set("early", 1)
+        assert reader.get("grown") is None
+        writer.set("grown", {"v": 2})
+        assert reader.get("grown") == {"v": 2}
+        assert reader.get("appeared") is None
+        DiskCache(tmp_path).set("appeared", [3])
+        assert reader.get("appeared") == [3]
+        assert reader.get("early") == 1
+
+    @pytest.mark.parametrize("names", [("a" * 32, "b" * 32), ("b" * 32, "a" * 32)])
+    def test_a_key_in_two_segments_resolves_to_its_latest_entry(self, tmp_path, monkeypatch, names):
+        # The segment names fix the order segments are read in, so both
+        # orders are covered.
+        clock = [1000.0]
+        monkeypatch.setattr(caching_mod, "time", SimpleNamespace(time=lambda: clock[0]))
+        hexes = iter(names)
+        monkeypatch.setattr(caching_mod, "uuid", SimpleNamespace(uuid4=lambda: SimpleNamespace(hex=next(hexes))))
+        stale = DiskCache(tmp_path, expiry_seconds=60.0)
+        stale.set("k", "stale")
+        clock[0] = 1100.0
+        DiskCache(tmp_path, expiry_seconds=60.0).set("k", "fresh")
+        clock[0] = 1130.0
+        assert DiskCache(tmp_path, expiry_seconds=60.0).get("k") == "fresh"
+        assert DiskCache(tmp_path).get("k") == "fresh"
+        assert stale.get("k") == "fresh", "an expired entry hid a fresh one"
+
+    def test_a_rerun_over_a_hard_linked_warm_cache_leaves_the_links_alone(self, tmp_path):
+        def gateway(transport, workdir):
+            return Gateway(transport, embedder=FixtureEmbedder(), cache_dir=str(workdir / "cache"))
+
+        prompts = [f"prompt {i}" for i in range(5)]
+        warm = gateway(ScriptedTransport(default="reply"), tmp_path / "pristine")
+        for prompt in prompts:
+            warm.complete(req(prompt))
+        warm.embed(["a", "b"])
+        # As the benchmark's fresh_workdir links a warm cache into each run.
+        shutil.copytree(tmp_path / "pristine" / "cache", tmp_path / "run" / "cache", copy_function=os.link)
+        linked = {p: p.read_bytes() for p in (tmp_path / "run" / "cache").rglob("*") if p.is_file()}
+        assert linked and all(p.stat().st_nlink == 2 for p in linked)
+
+        transport = ScriptedTransport(default="new")
+        embedder = FixtureEmbedder()
+        rerun = Gateway(transport, embedder=embedder, cache_dir=str(tmp_path / "run" / "cache"))
+        assert [rerun.complete(req(p)) for p in prompts] == ["reply"] * 5
+        rerun.embed(["a", "b"])
+        assert (len(transport.calls), embedder.calls) == (0, 0)
+        assert rerun.complete(req("a prompt the warm run never sent")) == "new"
+        assert {p: p.read_bytes() for p in linked} == linked
+        added = set((tmp_path / "run" / "cache" / "api").iterdir()) - set(linked)
+        assert [p.stat().st_nlink for p in added] == [1]
 
 
 class BlockingTransport:

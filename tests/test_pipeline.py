@@ -1235,6 +1235,34 @@ class TestConfig:
         with pytest.raises(ConfigError, match="stage_workers"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text, refused",
+        [
+            ("embedding: {batch_size: '32'}", "embedding.batch_size must be int, got '32' (str)"),
+            ("retrieval: {per_seed_cap: true}", "retrieval.per_seed_cap must be int, got True (bool)"),
+            ("backend: {backoff_min: '1.5'}", "backend.backoff_min must be float, got '1.5' (str)"),
+            ("writing: {outline_temperature: false}", "writing.outline_temperature must be float, got False"),
+            ("backend: {model: 4}", "backend.model must be str, got 4 (int)"),
+            ("source: {preprint_fallback: 1}", "source.preprint_fallback must be bool, got 1 (int)"),
+            ("code_analysis_enabled: 'yes'", "code_analysis_enabled must be bool, got 'yes' (str)"),
+            ("cache_expiry_seconds: '60'", "cache_expiry_seconds must be float, got '60' (str)"),
+            ("refinement: {enabled: [survey, 3]}", "refinement.enabled must be str, got 3 (int)"),
+            ("refinement: {enabled: survey}", "refinement.enabled must be a list, got 'survey'"),
+        ],
+    )
+    def test_a_scalar_of_the_wrong_type_is_refused_at_load(self, tmp_path, text, refused):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"topic: x\n{text}\n")
+        with pytest.raises(ConfigError, match=re.escape(refused)):
+            load_config(path)
+
+    def test_an_int_for_a_float_and_null_for_an_optional_load_unchanged(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("topic: x\nbackend: {backoff_min: 2}\ncache_expiry_seconds: null\n")
+        loaded = load_config(path)
+        assert (loaded.backend.backoff_min, loaded.cache_expiry_seconds) == (2, None)
+        assert loaded.config_hash() == PipelineConfig(topic="x").config_hash()
+
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("topic: x\nnot_a_field: 1\n")
