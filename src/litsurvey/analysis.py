@@ -8,8 +8,9 @@ logs any reference to a paper outside the owning cluster or substrate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import InvalidInputError, MalformedOutputError
 from .gateway import (
@@ -61,8 +62,11 @@ def _keynote_digest(keynote: Keynote, limit: int = 500) -> str:
     return keynote.tldr[:limit]
 
 
-def _batched(items: list, size: int) -> list[list]:
-    return [items[i : i + size] for i in range(0, len(items), size)]
+def _batched(items: Iterable, size: int) -> Iterator[list]:
+    """Successive lists of ``size`` items, each as soon as it is complete."""
+    items = iter(items)
+    while batch := list(itertools.islice(items, size)):
+        yield batch
 
 
 def _parse_proposal(reply: str) -> ClusterProposal:
@@ -87,20 +91,22 @@ def _parse_proposal(reply: str) -> ClusterProposal:
 
 
 def design_clusters(
-    keynotes: dict[str, Keynote],
+    keynotes: Iterable[Keynote],
     gateway: Gateway,
     cfg: Optional[AnalysisConfig] = None,
 ) -> ClusterProposal:
     """Fold keynote batches into an evolving cluster proposal.
 
-    Batches of 20 keynotes in paper-id order; the agent may merge, split or
-    add clusters at each step, starting from an empty proposal.
+    ``keynotes`` come in paper-id order, in batches of
+    ``design_batch_size``; the agent may merge, split or add clusters at
+    each step, starting from an empty proposal. Each step is sent as soon
+    as its batch is complete, so the keynotes may be an iterator that
+    understanding is still filling (see ``pipeline``).
     """
     cfg = cfg or AnalysisConfig()
     proposal = ClusterProposal()
-    ordered = [keynotes[k] for k in sorted(keynotes)]
     memory = ErrorMemory()
-    for batch in _batched(ordered, cfg.design_batch_size):
+    for batch in _batched(keynotes, cfg.design_batch_size):
         listing = "\n".join(
             f"- {k.paper_id.canonical}: {_keynote_digest(k)}" for k in batch
         )

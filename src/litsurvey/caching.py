@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import time
 import uuid
@@ -46,10 +47,11 @@ class DiskCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.expiry_seconds = expiry_seconds
         self._lock = threading.Lock()
-        self._index: dict[str, tuple[float, Path, int, int]] = {}
+        # Segments are named by their path string, as os.scandir gives it.
+        self._index: dict[str, tuple[float, str, int, int]] = {}
         # segment -> (size when last read, end of its last complete line)
-        self._read: dict[Path, tuple[int, int]] = {}
-        self._segment: Optional[Path] = None
+        self._read: dict[str, tuple[int, int]] = {}
+        self._segment: Optional[str] = None
 
     def get(self, key: str) -> Optional[Any]:
         with self._lock:
@@ -71,7 +73,7 @@ class DiskCache:
         data = json.dumps(value, ensure_ascii=False).encode("utf-8")
         with self._lock:
             if self._segment is None:
-                self._segment = self.directory / f"{uuid.uuid4().hex}.log"
+                self._segment = os.path.join(self.directory, f"{uuid.uuid4().hex}.log")
                 self._read[self._segment] = (0, 0)
             created = time.time()
             head = f"{key} {created!r} ".encode("utf-8")
@@ -92,16 +94,18 @@ class DiskCache:
     def _expired(self, created: float) -> bool:
         return self.expiry_seconds is not None and time.time() - created > self.expiry_seconds
 
-    def _index_entry(self, key: str, created: float, segment: Path, offset: int, length: int) -> None:
+    def _index_entry(self, key: str, created: float, segment: str, offset: int, length: int) -> None:
         known = self._index.get(key)
         if known is None or created >= known[0]:
             self._index[key] = (created, segment, offset, length)
 
     def _refresh(self) -> None:
         """Index the complete lines that segments gained since last read."""
-        for segment in sorted(self.directory.glob("*.log")):
+        with os.scandir(self.directory) as listing:
+            found = sorted((e.path, e) for e in listing if e.name.endswith(".log"))
+        for segment, entry in found:
             try:
-                size = segment.stat().st_size
+                size = entry.stat().st_size
             except OSError:  # removed since the listing
                 continue
             seen, start = self._read.get(segment, (0, 0))

@@ -95,9 +95,11 @@ class PipelineConfig:
     # fetches, embedding batches, the rerank batches' prefetched first
     # attempts, papers, clusters, repositories, drafts, refinement units,
     # evaluate's judge rounds).
-    # Above 1, analysis and code analysis also run side by side, so their
-    # manifest stage_seconds may sum to more than the wall time. Outputs do
-    # not depend on it, so it stays out of the config hash.
+    # Above 1, three pairs of adjacent stages also run side by side
+    # (understanding and analysis, analysis and code analysis, writing and
+    # refinement; see pipeline._OVERLAPS), so the manifest's stage_seconds
+    # may sum to more than the wall time. Outputs do not depend on it, so it
+    # stays out of the config hash.
     stage_workers: int = 1
     parsed_docs_dir: str = ""
     repos_dir: str = ""

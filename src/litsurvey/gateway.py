@@ -12,12 +12,14 @@ context fitted to what the context window has left.
 from __future__ import annotations
 
 import hashlib
+import heapq
+import itertools
 import json
 import random
 import re
 import threading
 import time
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Protocol, Sequence, TypeVar
 
@@ -470,19 +472,150 @@ def request_validated(
     )
 
 
-def map_bounded(fn: Callable[[Any], Any], items: Sequence[Any], workers: int = 1) -> list[Any]:
+class FeedAborted(Exception):
+    """The stage that fills a :class:`Feed` failed; its consumer stops."""
+
+
+class Feed:
+    """Hands one stage's results to the next stage while the first one is
+    still producing them.
+
+    The producer puts each item under its index in the producer's own
+    result, in any order; the feed's owner then closes it, once every index
+    from 0 up has been put, or aborts it. A consumer iterates the feed,
+    getting the items in index order, each as soon as it and every earlier
+    one are in, or hands it to :func:`map_bounded`, which starts each item
+    as soon as it is in. Both raise FeedAborted once the feed is aborted.
+    """
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._arrived: list[tuple[int, Any]] = []
+        self._state = "open"  # then "closed" or "aborted", for good
+
+    @classmethod
+    def of(cls, items: Sequence[Any]) -> "Feed":
+        """A closed feed of ``items``."""
+        feed = cls()
+        feed._arrived = list(enumerate(items))
+        feed._state = "closed"
+        return feed
+
+    def put(self, index: int, item: Any) -> None:
+        with self._cond:
+            self._arrived.append((index, item))
+            self._cond.notify_all()
+
+    def close(self) -> None:
+        self._end("closed")
+
+    def abort(self) -> None:
+        """End the feed unfinished; a feed already closed stays closed."""
+        self._end("aborted")
+
+    def _end(self, state: str) -> None:
+        with self._cond:
+            if self._state == "open":
+                self._state = state
+                self._cond.notify_all()
+
+    def arrivals(self, seen: int = 0) -> list[tuple[int, Any]]:
+        """The (index, item) pairs put after the first ``seen``, waiting
+        until there is one; empty once the feed is closed and all are seen."""
+        with self._cond:
+            self._cond.wait_for(lambda: len(self._arrived) > seen or self._state != "open")
+            if self._state == "aborted":
+                raise FeedAborted()
+            return self._arrived[seen:]
+
+    def __iter__(self):
+        held: dict[int, Any] = {}
+        seen = 0
+        for index in itertools.count():
+            while index not in held:
+                fresh = self.arrivals(seen)
+                if not fresh:
+                    return
+                seen += len(fresh)
+                held.update(fresh)
+            yield held.pop(index)
+
+
+def map_bounded(
+    fn: Callable[[Any], Any],
+    items: Sequence[Any] | Feed,
+    workers: int = 1,
+    rank: Optional[Callable[[int, Any], Any]] = None,
+) -> list[Any]:
     """Apply ``fn`` over items with a bounded worker pool; results keep the
     input order so downstream merging stays deterministic.
 
-    Fails like the serial loop: once an item raises, items not yet started
-    are cancelled, and the error of the first failing item in input order
-    is re-raised after the running ones finish. Items start in input order,
-    so every cancelled item comes after every failed one.
+    ``items`` is a sequence or a :class:`Feed`, whose results come in index
+    order once it is closed. ``rank(index, item)`` is the order of the
+    serial loop, by default the input order: at one worker the items run in
+    that order, and above one each free worker starts the lowest-ranked
+    item that has arrived, so a sequence's items start in rank order.
+
+    Fails like the serial loop: once an item raises, no item of a later
+    rank starts, the items of an earlier rank still run (once they arrive),
+    and the error of the first failing item in rank order is re-raised
+    after the running ones finish. A feed that is aborted starts no further
+    item and raises FeedAborted once the running ones finish.
     """
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        futures = [pool.submit(fn, item) for item in items]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        pool.shutdown(cancel_futures=True)
-    return [future.result() for future in futures]
+    if not isinstance(items, Feed):
+        if rank is None and (workers <= 1 or len(items) <= 1):
+            return [fn(item) for item in items]
+        items = Feed.of(items)
+    feed, rank = items, rank or (lambda index, item: index)
+    if workers <= 1 or (feed._state == "closed" and len(feed._arrived) <= 1):
+        arrived = list(feed)
+        results: dict[int, Any] = {}
+        for index in sorted(range(len(arrived)), key=lambda i: rank(i, arrived[i])):
+            results[index] = fn(arrived[index])
+        return [results[i] for i in range(len(arrived))]
+
+    cond = feed._cond
+    ready: list[tuple[Any, int]] = []  # heap of (rank, index) arrived, not started
+    held: dict[int, Any] = {}
+    seen = 0
+    cutoff: Optional[tuple[Any, Exception]] = None  # earliest-ranked failure
+    results = {}
+
+    def take() -> Optional[tuple[Any, int, Any]]:
+        nonlocal seen
+        with cond:
+            while True:
+                for index, item in feed._arrived[seen:]:
+                    heapq.heappush(ready, (rank(index, item), index))
+                    held[index] = item
+                seen = len(feed._arrived)
+                if feed._state == "aborted":
+                    return None
+                if ready and (cutoff is None or ready[0][0] < cutoff[0]):
+                    key, index = heapq.heappop(ready)
+                    return key, index, held.pop(index)
+                if feed._state == "closed":
+                    return None
+                cond.wait()
+
+    def work() -> None:
+        nonlocal cutoff
+        while (taken := take()) is not None:
+            key, index, item = taken
+            try:
+                results[index] = fn(item)
+            except Exception as exc:
+                with cond:
+                    if cutoff is None or key < cutoff[0]:
+                        cutoff = (key, exc)
+
+    count = workers if feed._state == "open" else min(workers, len(feed._arrived))
+    with ThreadPoolExecutor(max_workers=count) as pool:
+        threads = [pool.submit(work) for _ in range(count)]
+    for thread in threads:
+        thread.result()
+    if feed._state == "aborted":
+        raise FeedAborted()
+    if cutoff is not None:
+        raise cutoff[1]
+    return [results[i] for i in range(len(results))]

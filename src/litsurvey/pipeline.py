@@ -31,6 +31,7 @@ from .errors import ConfigError, StageError, SurveyError
 from .evaluation import EvaluationReport, evaluate_survey, judge_survey
 from .gateway import (
     BackendProfile,
+    Feed,
     Gateway,
     HashEmbedder,
     HttpChatTransport,
@@ -188,15 +189,23 @@ def _stage_retrieval(config, substrate, backends, runlog):
     substrate.papers = {p.id.canonical: p for p in papers}
 
 
-def _stage_understanding(config, substrate, backends, runlog):
+def _stage_understanding(config, substrate, backends, runlog, feed=None):
     docs = _discover_docs(config, substrate)
     substrate.keynotes = understanding_mod.run_understanding(
-        substrate.papers, docs, backends.gateway, runlog, workers=config.stage_workers
+        substrate.papers, docs, backends.gateway, runlog, config.stage_workers, feed
     )
 
 
-def _stage_analysis(config, substrate, backends, runlog):
-    proposal = analysis_mod.design_clusters(substrate.keynotes, backends.gateway, config.analysis)
+def _stage_analysis(config, substrate, backends, runlog, feed=None):
+    # From the feed, the keynotes come as understanding makes them, with
+    # None for a skipped paper; the rest of analysis reads them once the
+    # feed is closed, when understanding has committed.
+    keynotes = feed
+    if keynotes is None:
+        keynotes = [substrate.keynotes[k] for k in sorted(substrate.keynotes)]
+    proposal = analysis_mod.design_clusters(
+        (k for k in keynotes if k is not None), backends.gateway, config.analysis
+    )
     clusters, _ = analysis_mod.assign_papers(proposal, substrate.keynotes, backends.gateway, runlog)
     clusters = analysis_mod.verify_and_repair(
         clusters, substrate.keynotes, backends.gateway, config.analysis, runlog=runlog
@@ -271,16 +280,16 @@ def _writing_context(config, substrate, backends, runlog) -> writing_mod.Writing
     )
 
 
-def _stage_writing(config, substrate, backends, runlog):
+def _stage_writing(config, substrate, backends, runlog, feed=None):
     ctx = _writing_context(config, substrate, backends, runlog)
     outline = writing_mod.draft_outline(ctx, config.topic)
     mapping = writing_mod.assign_citations(ctx, outline)
     writing_mod.apply_assignment(outline, mapping)
     substrate.outline = outline
-    substrate.drafts = writing_mod.draft_all_units(ctx, outline, config.stage_workers)
+    substrate.drafts = writing_mod.draft_all_units(ctx, outline, config.stage_workers, feed)
 
 
-def _stage_refinement(config, substrate, backends, runlog):
+def _stage_refinement(config, substrate, backends, runlog, feed=None):
     ctx = refinement_mod.RefinementContext.from_substrate(
         substrate,
         backends.gateway,
@@ -289,13 +298,16 @@ def _stage_refinement(config, substrate, backends, runlog):
         runlog=runlog,
     )
     substrate.drafts = refinement_mod.refine_all(
-        substrate.drafts,
+        substrate.drafts if feed is None else feed,
         ctx,
         use_fallback_loop=config.use_skill_loop_fallback,
         workers=config.stage_workers,
     )
 
 
+#: stage -> its function (config, substrate, backends, runlog[, feed]): the
+#: four stages of a feed pair of ``_OVERLAPS`` also take the Feed they fill
+#: or read, when the other stage of the pair runs in the same call.
 _STAGE_FUNCTIONS = {
     "retrieval": _stage_retrieval,
     "understanding": _stage_understanding,
@@ -326,17 +338,84 @@ def _write_manifest(config, config_hash, backends, runlog, stage_seconds, failed
     return manifest
 
 
-def _steps(pending: list[str], workers: int, stop_after: Optional[str]) -> list[list[str]]:
-    """The pending stages grouped into steps, in run order. Code analysis
-    reads only the papers and the repositories, so above one worker it runs
-    beside analysis, unless the run stops after analysis; every other stage
-    is a step of its own."""
-    steps = [[stage] for stage in pending]
-    if workers > 1 and stop_after != "analysis" and "analysis" in pending:
-        at = pending.index("analysis")
-        if pending[at + 1 : at + 2] == ["code_analysis"]:
-            steps[at : at + 2] = [["analysis", "code_analysis"]]
-    return steps
+#: Adjacent stages that run side by side above one worker, and whether the
+#: second takes the first's results from a Feed as they come. Code analysis
+#: reads only the papers and the repositories; the cluster-design fold
+#: sends each step once its batch of keynotes is in; each section and
+#: subsection starts refining once writing accepts its draft.
+_OVERLAPS = {
+    ("understanding", "analysis"): True,
+    ("analysis", "code_analysis"): False,
+    ("writing", "refinement"): True,
+}
+
+
+def _run_stages(plan, config, substrate, backends, runlog) -> Optional[tuple[str, SurveyError]]:
+    """Run the stages of ``plan`` and commit each one, in run order, as
+    soon as it and every earlier stage have finished; returns the first
+    failed stage and its error, or None.
+
+    The stages of an ``_OVERLAPS`` pair share a Feed at every width. At one
+    worker each stage starts once the one before it has committed, so a
+    consumer finds its feed closed and runs as it would alone. Above one
+    worker the second stage of a pair starts beside the first, once every
+    earlier stage has finished, and a consumer starts once its feed has an
+    item: at most two stages, each with at most ``stage_workers`` calls in
+    flight, run at once. A feed is closed after its producer commits, so a
+    consumer that reads it to the end changes no substrate field before
+    that commit.
+
+    Each stage logs apart; its events join ``runlog`` once it has ended,
+    in stage order. ``stage_seconds`` is each stage's own duration. When a
+    stage fails, the next one, if already running, finishes the calls it
+    has in flight (their replies are cached), and neither commits nor logs.
+    """
+    overlap = config.stage_workers > 1
+    feeds = {
+        first: Feed() for first, second in zip(plan, plan[1:]) if _OVERLAPS.get((first, second))
+    }
+    logs = {stage: RunLog() for stage in plan}
+
+    def run_stage(stage: str, feed: Optional[Feed], consumer: bool):
+        if consumer:
+            feed.arrivals()
+        started = time.monotonic()
+        args = () if feed is None else (feed,)
+        try:
+            _STAGE_FUNCTIONS[stage](config, substrate, backends, logs[stage], *args)
+        except SurveyError as exc:
+            return exc, 0.0
+        return None, round(time.monotonic() - started, 3)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        running = {}
+
+        def start(at: int) -> None:
+            stage = plan[at]
+            consumer = at > 0 and plan[at - 1] in feeds
+            feed = feeds.get(plan[at - 1]) if consumer else feeds.get(stage)
+            running[stage] = pool.submit(run_stage, stage, feed, consumer)
+
+        try:
+            for at, stage in enumerate(plan):
+                if stage not in running:
+                    start(at)
+                if overlap and at + 1 < len(plan) and (stage, plan[at + 1]) in _OVERLAPS:
+                    start(at + 1)
+                try:
+                    error, seconds = running.pop(stage).result()
+                finally:
+                    runlog.events.extend(logs[stage].events)
+                if error is not None:
+                    return stage, error
+                substrate.stage_seconds[stage] = seconds
+                substrate_save(substrate, config.substrate_dir, stage)
+                if stage in feeds:
+                    feeds[stage].close()
+        finally:
+            for feed in feeds.values():
+                feed.abort()
+    return None
 
 
 def run_pipeline(
@@ -348,8 +427,13 @@ def run_pipeline(
 ) -> RunResult:
     """Execute the enabled stages, committing each one's substrate files.
 
-    ``stop_after`` ends the run early (simulating interruption); ``resume``
-    picks up from the commit record, refusing on a config-hash mismatch.
+    ``stop_after`` ends the run early (simulating interruption), and no
+    stage after it starts; ``resume`` picks up from the commit record,
+    refusing on a config-hash mismatch. Above one worker, analysis overlaps
+    understanding and code analysis, and refinement overlaps writing; the
+    requests, commits, log and outputs stay the serial run's (see
+    :func:`_run_stages`). A failed stage raises StageError after the
+    manifest names it.
     """
     if not config.topic:
         raise ConfigError("config.topic must be non-empty")
@@ -389,31 +473,13 @@ def run_pipeline(
             runlog.add("stage_skipped", stage=stage)
         else:
             pending.append(stage)
-    for step in _steps(pending, config.stage_workers, stop_after):
-
-        def run_stage(stage: str) -> tuple[RunLog, Optional[SurveyError], float]:
-            # Stages that run side by side log apart, and their events join
-            # the run's log in stage order.
-            log = runlog if len(step) == 1 else RunLog()
-            started = time.monotonic()
-            try:
-                _STAGE_FUNCTIONS[stage](config, substrate, backends, log)
-            except SurveyError as exc:
-                return log, exc, 0.0
-            return log, None, round(time.monotonic() - started, 3)
-
-        for stage, (log, error, seconds) in zip(
-            step, map_bounded(run_stage, step, config.stage_workers)
-        ):
-            if log is not runlog:
-                runlog.events.extend(log.events)
-            if error is not None:
-                _write_manifest(config, config_hash, backends, runlog, stage_seconds, failed=stage)
-                raise StageError(stage, error) from error
-            stage_seconds[stage] = seconds
-            substrate_save(substrate, substrate_dir, stage)
-        if stop_after in step:
-            break
+    if stop_after in pending:
+        pending = pending[: pending.index(stop_after) + 1]
+    failure = _run_stages(pending, config, substrate, backends, runlog)
+    if failure is not None:
+        stage, error = failure
+        _write_manifest(config, config_hash, backends, runlog, stage_seconds, failed=stage)
+        raise StageError(stage, error) from error
 
     survey_path: Optional[Path] = None
     all_done = all(s in stage_seconds for s in config.enabled_stages())

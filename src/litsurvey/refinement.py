@@ -14,6 +14,7 @@ from typing import Optional
 
 from .errors import ConfigError, InvalidInputError, MalformedOutputError
 from .gateway import (
+    Feed,
     Gateway,
     extract_json_payload,
     map_bounded,
@@ -405,33 +406,35 @@ def skill_loop_fallback(unit: DraftUnit, ctx: RefinementContext) -> DraftUnit:
 
 
 def refine_all(
-    drafts: list[DraftUnit],
+    drafts: list[DraftUnit] | Feed,
     ctx: RefinementContext,
     use_fallback_loop: bool = False,
     workers: int = 1,
 ) -> list[DraftUnit]:
     """Multi-granularity pass: each enabled level exactly once, the survey
     level last. Section and subsection units are independent of each other,
-    so both levels refine in one fan-out on ``workers`` threads, sections
-    first. The survey level refines the body composed from the refined
-    units; that unit comes last in the result."""
-    units = list(drafts)
+    so both levels refine in one fan-out on ``workers`` threads; the serial
+    order, which also picks the error a failure raises, is sections first.
+    ``drafts`` may be a Feed that writing is still filling: each unit then
+    starts once it is drafted. The survey level refines the body composed
+    from the refined units; that unit comes last in the result."""
+    levels = [
+        g for g in (Granularity.SECTION, Granularity.SUBSECTION) if g.value in ctx.cfg.enabled
+    ]
 
     def refine_one(unit: DraftUnit) -> DraftUnit:
         if use_fallback_loop:
             return skill_loop_fallback(unit, ctx)
         return refine(unit, ctx)[0]
 
-    at_unit_levels = [
-        i
-        for granularity in (Granularity.SECTION, Granularity.SUBSECTION)
-        if granularity.value in ctx.cfg.enabled
-        for i, unit in enumerate(units)
-        if unit.granularity is granularity
-    ]
-    refined = map_bounded(lambda i: refine_one(units[i]), at_unit_levels, workers)
-    for i, unit in zip(at_unit_levels, refined):
-        units[i] = unit
+    def at_unit_level(unit: DraftUnit) -> DraftUnit:
+        return refine_one(unit) if unit.granularity in levels else unit
+
+    def rank(index: int, unit: DraftUnit) -> tuple[int, int]:
+        level = levels.index(unit.granularity) if unit.granularity in levels else len(levels)
+        return level, index
+
+    units = map_bounded(at_unit_level, drafts, workers, rank=rank)
     if Granularity.SURVEY.value in ctx.cfg.enabled:
         body = compose_body(ctx.outline, units)
         survey = DraftUnit(

@@ -111,6 +111,7 @@ def _judge_verdicts(
     gateway: Gateway,
     cfg: RetrievalConfig,
     purpose: str,
+    runlog: RunLog,
     workers: int = 1,
 ) -> dict[str, tuple[bool, str]]:
     """Batched topical-alignment verdicts keyed by canonical id.
@@ -122,7 +123,10 @@ def _judge_verdicts(
     ``workers`` at once, only to fill the cache: the serial loop reads back
     each reply whose prompt is unchanged and sends the rest itself, so the
     verdicts, errors and retries are the serial run's. A failed prefetch is
-    dropped; the serial loop meets the failure again.
+    dropped; the serial loop meets the failure again. A prefetch the loop
+    cannot read back, because error memory already heads that batch's first
+    attempt, is logged as ``<purpose>_prefetch_unused`` with its batch
+    number, counted from 1.
     """
     batches = [
         papers[start : start + cfg.judge_batch_size]
@@ -137,13 +141,16 @@ def _judge_verdicts(
         except SurveyError:
             pass
 
-    if workers > 1 and len(prompts) > 1:
+    prefetched = workers > 1 and len(prompts) > 1
+    if prefetched:
         map_bounded(prefetch, prompts, workers)
 
     verdicts: dict[str, tuple[bool, str]] = {}
     memory = ErrorMemory()
-    for batch, prompt in zip(batches, prompts):
+    for number, (batch, prompt) in enumerate(zip(batches, prompts), 1):
         ids = [p.id.canonical for p in batch]
+        if prefetched and memory:
+            runlog.add(f"{purpose}_prefetch_unused", batch=number)
 
         def parse(reply: str) -> dict[str, tuple[bool, str]]:
             payload = extract_json_payload(reply)
@@ -183,7 +190,7 @@ def judge_filter(
         return []
     cfg = cfg or RetrievalConfig()
     runlog = runlog or RunLog()
-    verdicts = _judge_verdicts(candidates, topic, gateway, cfg, "seed_filter")
+    verdicts = _judge_verdicts(candidates, topic, gateway, cfg, "seed_filter", runlog)
     kept = [p for p in candidates if verdicts[p.id.canonical][0]]
     for paper in candidates:
         relevant, note = verdicts[paper.id.canonical]
@@ -293,7 +300,7 @@ def llm_rerank_filter(
         return []
     cfg = cfg or RetrievalConfig()
     runlog = runlog or RunLog()
-    verdicts = _judge_verdicts(papers, topic, gateway, cfg, "rerank", workers)
+    verdicts = _judge_verdicts(papers, topic, gateway, cfg, "rerank", runlog, workers)
     kept = []
     for paper in papers:
         relevant, note = verdicts[paper.id.canonical]

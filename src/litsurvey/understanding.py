@@ -14,6 +14,7 @@ from typing import Optional
 
 from .errors import InvalidInputError, KeynoteError, PaperSkipped
 from .gateway import (
+    Feed,
     Gateway,
     extract_json_payload,
     map_bounded,
@@ -177,25 +178,34 @@ def run_understanding(
     gateway: Gateway,
     runlog: Optional[RunLog] = None,
     workers: int = 1,
+    feed: Optional[Feed] = None,
 ) -> dict[str, Keynote]:
     """Every evidence paper ends with exactly one keynote or one logged
     skip event; a missing parsed document demotes the paper to fallback.
     Distinct papers digest in bounded parallel workers; the merge keeps
-    paper-id order."""
+    paper-id order. Each paper's keynote, or None for a skipped paper, is
+    put on ``feed`` under the paper's place in paper-id order as soon as it
+    is made."""
     runlog = runlog or RunLog()
+    order = sorted(papers)
 
-    def one(canonical: str) -> tuple[str, Optional[Keynote]]:
+    def one(index: int) -> Optional[Keynote]:
+        canonical = order[index]
         record = papers[canonical]
         doc = docs.get(canonical)
         try:
             if doc is not None:
-                return canonical, extract_keynote(doc, gateway, runlog)
-            if record.full_text_ref:
-                runlog.add("full_text_unavailable", paper=canonical)
-            return canonical, fallback_keynote(record)
+                keynote = extract_keynote(doc, gateway, runlog)
+            else:
+                if record.full_text_ref:
+                    runlog.add("full_text_unavailable", paper=canonical)
+                keynote = fallback_keynote(record)
         except PaperSkipped as skip:
             runlog.add("paper_skipped", paper=canonical, reason=skip.reason)
-            return canonical, None
+            keynote = None
+        if feed is not None:
+            feed.put(index, keynote)
+        return keynote
 
-    results = map_bounded(one, sorted(papers), workers)
-    return {canonical: keynote for canonical, keynote in results if keynote is not None}
+    keynotes = map_bounded(one, range(len(order)), workers)
+    return {canonical: k for canonical, k in zip(order, keynotes) if k is not None}

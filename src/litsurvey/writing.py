@@ -9,12 +9,14 @@ numeric references and builds the bibliography in first-appearance order.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import AssemblyError, DraftingError, InvalidInputError
 from .gateway import (
+    Feed,
     Gateway,
     cosine,
     extract_json_payload,
@@ -480,27 +482,40 @@ def draft_section(
 
 
 def draft_all_units(
-    ctx: WritingContext, outline: OutlineNode, workers: int = 1
+    ctx: WritingContext, outline: OutlineNode, workers: int = 1, feed: Optional[Feed] = None
 ) -> list[DraftUnit]:
     """Bottom-up pass: subsections first, then their section preambles.
 
     Every unit sees only its own evidence, so all subsections draft in one
     pass and all preambles in a second, each on ``workers`` threads. The
-    result lists each section's subsections, then that section.
+    result lists each section's subsections, then that section; each unit
+    is put on ``feed`` under its place there as soon as it is accepted.
     """
-    sections = outline.children
-    leaves = [(section, sub) for section in sections for sub in section.children]
-    drafted = iter(
-        map_bounded(lambda leaf: draft_subsection(ctx, *leaf, outline), leaves, workers)
+    places = itertools.count()
+    leaves, heads = [], []  # (place, section, subsection) and (place, section)
+    for section in outline.children:
+        leaves += [(next(places), section, sub) for sub in section.children]
+        heads.append((next(places), section))
+    drafts: list = [None] * (len(leaves) + len(heads))
+
+    def drafted(place: int, unit: DraftUnit) -> None:
+        drafts[place] = unit
+        if feed is not None:
+            feed.put(place, unit)
+
+    map_bounded(
+        lambda leaf: drafted(leaf[0], draft_subsection(ctx, leaf[1], leaf[2], outline)),
+        leaves,
+        workers,
     )
-    children = [[next(drafted) for _ in section.children] for section in sections]
-    preambles = map_bounded(
-        lambda pair: draft_section(ctx, *pair, outline), list(zip(sections, children)), workers
+    map_bounded(
+        lambda head: drafted(
+            head[0],
+            draft_section(ctx, head[1], drafts[head[0] - len(head[1].children) : head[0]], outline),
+        ),
+        heads,
+        workers,
     )
-    drafts: list[DraftUnit] = []
-    for units, preamble in zip(children, preambles):
-        drafts.extend(units)
-        drafts.append(preamble)
     return drafts
 
 

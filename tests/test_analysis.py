@@ -39,17 +39,21 @@ def assignment_json(mapping: dict[str, list[str]]):
     )
 
 
+def in_id_order(keynotes: dict) -> list:
+    return [keynotes[k] for k in sorted(keynotes)]
+
+
 class TestDesignClusters:
     def test_empty_prior_one_batch_creates_proposal(self, keynotes):
         transport = ScriptedTransport().add("thematic clusters", proposal_json("Methods", "Systems"))
-        proposal = design_clusters(keynotes, scripted_gateway(transport))
+        proposal = design_clusters(in_id_order(keynotes), scripted_gateway(transport))
         assert proposal.names() == ["Methods", "Systems"]
         assert len(transport.calls) == 1
 
     def test_twelve_cluster_case(self, keynotes):
         names = [f"Theme {i}" for i in range(1, 13)]
         transport = ScriptedTransport().add("thematic clusters", proposal_json(*names))
-        proposal = design_clusters(keynotes, scripted_gateway(transport))
+        proposal = design_clusters(in_id_order(keynotes), scripted_gateway(transport))
         assert len(proposal.clusters) == 12
 
     def test_duplicate_names_trigger_retry(self, keynotes):
@@ -58,7 +62,7 @@ class TestDesignClusters:
             proposal_json("Same", "Same"),
             proposal_json("Same", "Other"),
         )
-        proposal = design_clusters(keynotes, scripted_gateway(transport))
+        proposal = design_clusters(in_id_order(keynotes), scripted_gateway(transport))
         assert proposal.names() == ["Same", "Other"]
         assert len(transport.calls) == 2
 
@@ -66,7 +70,7 @@ class TestDesignClusters:
         # batch size 2 over 6 keynotes -> 3 design calls
         transport = ScriptedTransport().add("thematic clusters", proposal_json("A", "B"))
         cfg = AnalysisConfig(design_batch_size=2)
-        design_clusters(keynotes, scripted_gateway(transport), cfg)
+        design_clusters(in_id_order(keynotes), scripted_gateway(transport), cfg)
         assert len(transport.calls) == 3
 
 

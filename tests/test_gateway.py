@@ -7,6 +7,7 @@ import shutil
 import sys
 import threading
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +25,8 @@ from litsurvey.errors import (
 from litsurvey.gateway import (
     BackendProfile,
     CompletionRequest,
+    Feed,
+    FeedAborted,
     Gateway,
     TransportResponse,
     extract_chat_text,
@@ -407,6 +410,101 @@ class TestMapBounded:
             map_bounded(fn, list(range(100)), workers=2)
         assert {0, 1} <= set(started)
         assert len(started) < 10
+
+
+class TestFeed:
+    def test_iteration_yields_each_item_once_it_and_every_earlier_one_are_in(self):
+        feed = Feed()
+        feed.put(1, "b")
+        taken: list[str] = []
+        reader = threading.Thread(target=lambda: taken.extend(feed))
+        reader.start()
+        time.sleep(0.05)
+        assert taken == []  # item 0 is not in yet
+        feed.put(0, "a")
+        feed.put(2, "c")
+        feed.close()
+        reader.join(timeout=10)
+        assert taken == ["a", "b", "c"]
+
+    def test_map_bounded_starts_each_item_once_it_arrives(self):
+        feed = Feed()
+        started = threading.Event()
+
+        def fn(item):
+            started.set()
+            return item * 2
+
+        results: list = []
+        consumer = threading.Thread(target=lambda: results.extend(map_bounded(fn, feed, 2)))
+        consumer.start()
+        feed.put(1, 10)
+        assert started.wait(timeout=10), "an item that arrived did not start"
+        feed.put(0, 20)
+        feed.close()
+        consumer.join(timeout=10)
+        assert results == [40, 20]
+
+    def test_rank_orders_the_serial_loop_and_the_reported_failure(self):
+        order: list[int] = []
+
+        def fn(i):
+            order.append(i)
+            if i in (1, 2):
+                raise ValueError(f"item {i}")
+            return i
+
+        with pytest.raises(ValueError, match="item 2"):
+            map_bounded(fn, list(range(4)), 1, rank=lambda index, item: -index)
+        assert order == [3, 2]
+        with pytest.raises(ValueError, match="item 2"):
+            map_bounded(fn, Feed.of(range(4)), 3, rank=lambda index, item: -index)
+
+    def test_many_workers_take_each_item_of_a_busy_feed_once(self):
+        feed = Feed()
+        taken: Counter = Counter()
+        lock = threading.Lock()
+
+        def fn(item):
+            with lock:
+                taken[item] += 1
+            return -item
+
+        def produce(indexes):
+            for index in indexes:
+                feed.put(index, index)
+
+        order = list(range(400))
+        random.Random(7).shuffle(order)
+        producers = [threading.Thread(target=produce, args=(order[k::4],)) for k in range(4)]
+        results: list = []
+        consumer = threading.Thread(target=lambda: results.extend(map_bounded(fn, feed, 16)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            consumer.start()
+            for thread in producers:
+                thread.start()
+            for thread in producers:
+                thread.join(timeout=30)
+            feed.close()
+            consumer.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not consumer.is_alive()
+        assert results == [-i for i in range(400)]
+        assert taken == Counter(range(400))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_aborted_feed_stops_its_consumers(self, workers):
+        feed = Feed()
+        feed.put(0, "a")
+        feed.abort()
+        feed.close()  # an aborted feed stays aborted
+        with pytest.raises(FeedAborted):
+            list(feed)
+        with pytest.raises(FeedAborted):
+            map_bounded(str, feed, workers)
 
 
 class TestEmbeddings:

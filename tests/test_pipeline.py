@@ -35,7 +35,7 @@ from litsurvey.substrate import read_record, substrate_load, substrate_save
 from litsurvey.writing import check_evidence_locality
 
 from conftest import CountingSource
-from e2e_fixture import SEEDS, TOPIC, enable_code_analysis, make_config
+from e2e_fixture import ALL_IDS, SEEDS, TOPIC, enable_code_analysis, make_config, scripted_rules
 
 
 class InlineExecutor:
@@ -411,6 +411,8 @@ class TestRerankPrefetch:
         assert sum(p.startswith("(attempt 2)") for _, p in serial_calls) == 1
         # the serial run's requests plus the wasted prefetches of batches 4-6
         assert Counter(parallel_calls) == Counter(serial_calls) + Counter(first_attempts[3:])
+        assert [e["batch"] for e in parallel.runlog.of_kind("rerank_prefetch_unused")] == [4, 5, 6]
+        assert not serial.runlog.of_kind("rerank_prefetch_unused")
         assert retrieval_events(parallel.runlog) == retrieval_events(serial.runlog)
         assert parallel.substrate.papers == serial.substrate.papers
         assert (parallel_cfg.substrate_dir / "papers.json").read_bytes() == (
@@ -439,9 +441,51 @@ class TestRerankPrefetch:
         assert str(parallel) == str(serial)
 
 
+#: The last paper in id order; TestOverlappedStep gives it a full text, so
+#: that its keynote is a backend call the design fold's first batch does
+#: not wait for.
+LAST_PAPER = max(ALL_IDS)
+LAST_KEYNOTE = f"keynote for paper id {re.escape(LAST_PAPER)}\\."
+LAST_SECTION = "opening preamble of section 'Conclusion'"
+#: Round 1 of every section and subsection plan asks for a revision.
+REVISE_FIRST = {
+    "pattern": r"coordinate refinement of a (?:sub)?section draft \(round 1/",
+    "replies": [json.dumps([{"skill": "revise", "instructions": "tighten"}])],
+}
+#: stage -> the tag prefix of its requests
+STAGE_TAGS = {
+    "retrieval": "retrieval.", "understanding": "understanding.", "analysis": "analysis.",
+    "code_analysis": "code.", "writing": "writing.", "refinement": "refine.",
+}
+GRAPH_EXPANSION = "Write the body of subsection 'Graph Expansion'"
+
+
+def fixture_replies(pattern: str) -> list:
+    """The fixture's replies to the rule with ``pattern``."""
+    return next(r["replies"] for r in scripted_rules() if r["pattern"] == pattern)
+
+
+def gate(transport, held: str, opens: str) -> threading.Event:
+    """Hold each request whose prompt matches ``held`` until a request
+    tagged ``opens`` has been sent; returns the event that records it."""
+    send, seen = transport.send, threading.Event()
+
+    def gated_send(request):
+        if request.tag == opens:
+            seen.set()
+        elif re.search(held, request.prompt):
+            assert seen.wait(timeout=10), f"no {opens} request while {held!r} was held"
+        return send(request)
+
+    transport.send = gated_send
+    return seen
+
+
 class TestOverlappedStep:
-    """Above one worker, code analysis runs beside analysis; what a run
-    commits, raises and logs stays the serial run's."""
+    """Above one worker, code analysis runs beside analysis, the design
+    fold takes keynotes while understanding makes them, and each unit
+    refines once writing accepts its draft; what a run commits, raises and
+    logs stays the serial run's."""
 
     @staticmethod
     def _config(root: Path, workers: int, *rules: dict) -> PipelineConfig:
@@ -454,11 +498,28 @@ class TestOverlappedStep:
         backends = build_backends(config)
         return config, backends, run_pipeline(config, backends=backends, **kwargs)
 
-    def _failure(self, root: Path, workers: int, rule: dict) -> tuple[PipelineConfig, StageError]:
-        config = self._config(root, workers, rule)
+    def _failure(self, root: Path, workers: int, *rules: dict, held=None):
+        """The StageError of a run under ``rules``; ``held`` is a (held,
+        opens) pair for :func:`gate`, applied above one worker to a
+        :meth:`_streamed` run."""
+        build = self._config if held is None else self._streamed
+        config = build(root, workers, *rules)
+        backends = build_backends(config)
+        if held and workers > 1:
+            gate(backends.gateway.transport, *held)
         with pytest.raises(StageError) as err:
-            run_pipeline(config, backends=build_backends(config))
+            run_pipeline(config, backends=backends)
         return config, err.value
+
+    def _streamed(self, root: Path, workers: int, *rules: dict) -> PipelineConfig:
+        """The last paper gets a full text, and the design fold takes
+        keynotes two at a time."""
+        config = self._config(root, workers, *rules)
+        doc = Path(config.parsed_docs_dir) / LAST_PAPER / "paper.md"
+        doc.parent.mkdir(parents=True, exist_ok=True)
+        doc.write_text("# Method\nA last paper with a full text.\n", encoding="utf-8")
+        config.analysis.design_batch_size = 2
+        return config
 
     def test_code_analysis_runs_while_analysis_waits(self, tmp_path):
         config = self._config(tmp_path, 2)
@@ -521,6 +582,156 @@ class TestOverlappedStep:
 
         serial, parallel = attributions(1), attributions(4)
         assert parallel == serial == ["analysis.inter_cluster", "code.report"]
+
+    def test_the_design_fold_starts_before_the_last_keynote_returns(self, tmp_path):
+        config = self._streamed(tmp_path, 2)
+        backends = build_backends(config)
+        seen = gate(backends.gateway.transport, LAST_KEYNOTE, "analysis.design")
+        run_pipeline(config, backends=backends, stop_after="analysis")
+        assert seen.is_set()
+        assert committed_stages(config) == ["retrieval", "understanding", "analysis"]
+
+    def test_refinement_starts_before_the_last_section_is_sent(self, tmp_path):
+        config = self._config(tmp_path, 2)
+        backends = build_backends(config)
+        seen = gate(backends.gateway.transport, LAST_SECTION, "refine.plan")
+        run_pipeline(config, backends=backends)
+        assert seen.is_set()
+        assert output_digest(config) == TestGoldenOutput.GOLDEN["code_analysis"]
+
+    def test_a_refused_keynote_commits_neither_and_raises_the_serial_error(self, tmp_path):
+        refuse = {"pattern": LAST_KEYNOTE, "replies": [{"text": "no", "status": 400}]}
+        held = (LAST_KEYNOTE, "analysis.design")
+        _, serial = self._failure(tmp_path / "serial", 1, refuse, held=held)
+        root = tmp_path / "parallel"
+        config, parallel = self._failure(root, 2, refuse, held=held)
+        assert parallel.stage == "understanding"
+        assert str(parallel) == str(serial)
+        assert committed_stages(config) == ["retrieval"]
+
+        # The fold steps sent before understanding failed were cached: the
+        # first, at least, and never the last, which needs the last keynote.
+        config = self._streamed(root, 2)
+        backends = build_backends(config)
+        run_pipeline(config, backends=backends, resume=True)
+        sent = [c.tag for c in backends.gateway.transport.calls]
+        assert 1 <= sent.count("analysis.design") <= 5  # of 6 fold steps
+
+    def test_a_garbled_draft_commits_neither_and_raises_the_serial_error(self, tmp_path):
+        def failure(workers: int) -> tuple[PipelineConfig, StageError]:
+            config = self._config(tmp_path / f"workers{workers}", workers)
+            script_drafting_failure(config)
+            with pytest.raises(StageError) as err:
+                run_pipeline(config, backends=build_backends(config))
+            return config, err.value
+
+        (_, serial), (config, parallel) = failure(1), failure(2)
+        assert parallel.stage == "writing"
+        assert isinstance(parallel.cause, DraftingError)
+        assert str(parallel) == str(serial)
+        assert committed_stages(config) == [
+            "retrieval", "understanding", "analysis", "code_analysis",
+        ]
+
+    def test_a_refused_revision_commits_writing_and_raises_the_serial_error(self, tmp_path):
+        # Every section and subsection asks for a revision. Subsections are
+        # drafted first but refine after the sections in the serial order,
+        # so the serial error is the first section's 401.
+        refuse = (
+            REVISE_FIRST,
+            {"pattern": "Revise this section draft", "replies": [{"text": "no", "status": 401}]},
+            {"pattern": "Revise this subsection", "replies": [{"text": "no", "status": 400}]},
+        )
+        _, serial = self._failure(tmp_path / "serial", 1, *refuse)
+        root = tmp_path / "parallel"
+        config, parallel = self._failure(root, 2, *refuse)
+        assert parallel.stage == "refinement"
+        assert "status 401" in str(parallel)
+        assert str(parallel) == str(serial)
+        assert committed_stages(config) == [
+            "retrieval", "understanding", "analysis", "code_analysis", "writing",
+        ]
+
+        # Resumed with every revision rejected, the units keep their drafts.
+        reject = {"pattern": "Revise this", "replies": ["# not a revision"]}
+        config = self._config(root, 2, REVISE_FIRST, reject)
+        backends = build_backends(config)
+        result = run_pipeline(config, backends=backends, resume=True)
+        assert not [c for c in backends.gateway.transport.calls if c.tag.startswith("writing.")]
+        assert result.runlog.of_kind("revision_rejected")
+        assert output_digest(config) == TestGoldenOutput.GOLDEN["code_analysis"]
+
+    @pytest.mark.parametrize("stage", ["understanding", "writing"])
+    def test_a_run_stopped_after_a_producer_sends_no_consumer_request(self, tmp_path, stage):
+        config, backends, _ = self._run(tmp_path, 2, stop_after=stage)
+        consumer = {"understanding": "analysis.", "writing": "refine."}[stage]
+        assert not [c for c in backends.gateway.transport.calls if c.tag.startswith(consumer)]
+        assert committed_stages(config)[-1] == stage
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_calls_in_flight_stay_within_two_stages_of_workers(self, tmp_path, workers):
+        config = self._streamed(tmp_path, workers)
+        backends = build_backends(config)
+        transport = backends.gateway.transport
+        send, lock = transport.send, threading.Lock()
+        in_flight: Counter = Counter()
+        peak: Counter = Counter()
+
+        def counted_send(request):
+            stage = next(s for s, tag in STAGE_TAGS.items() if request.tag.startswith(tag))
+            with lock:
+                in_flight[stage] += 1
+                in_flight["all"] += 1
+                for key in (stage, "all"):
+                    peak[key] = max(peak[key], in_flight[key])
+            try:
+                time.sleep(0.002)
+                return send(request)
+            finally:
+                with lock:
+                    in_flight[stage] -= 1
+                    in_flight["all"] -= 1
+
+        transport.send = counted_send
+        run_pipeline(config, backends=backends)
+        assert peak["all"] <= 2 * workers
+        assert max(peak[s] for s in STAGE_TAGS) <= workers
+
+    def test_every_overlap_commits_and_logs_in_run_order(self, tmp_path):
+        # One logged event per stage of an overlapped pair: a keynote, a
+        # ghost mark in analysis and in code analysis, a draft retry and a
+        # rejected revision.
+        rules = (
+            {"pattern": "Contrast the clusters", "replies": ["Contrast < ghost > here."]},
+            {"pattern": "Integrate these code-analysis", "replies": ["Report < ghost >."]},
+            {"pattern": GRAPH_EXPANSION, "replies": ["far too short", *fixture_replies(GRAPH_EXPANSION)]},
+            {
+                "pattern": r"coordinate refinement of a section draft \(round 1/.*This section frames foundations",
+                "replies": REVISE_FIRST["replies"],
+            },
+            {"pattern": "Revise this section draft", "replies": ["# not a revision"]},
+        )
+        kinds = {"keynote_extracted", "attribution", "draft_retry", "revision_rejected"}
+
+        def run(workers: int) -> list[tuple]:
+            config = self._config(tmp_path / f"workers{workers}", workers, *rules)
+            result = run_pipeline(config, backends=build_backends(config))
+            assert committed_stages(config) == list(config.enabled_stages())
+            assert list(result.manifest["stage_seconds"]) == config.enabled_stages()
+            return [
+                (e["kind"], e.get("paper") or e.get("stage") or e.get("node"))
+                for e in result.runlog.events
+                if e["kind"] in kinds
+            ]
+
+        serial, parallel = run(1), run(4)
+        assert parallel == serial == [
+            ("keynote_extracted", "2406.10001"),
+            ("attribution", "analysis.inter_cluster"),
+            ("attribution", "code.report"),
+            ("draft_retry", "Foundations > Graph Expansion"),
+            ("revision_rejected", "Foundations"),
+        ]
 
 
 class TestCheckpointResume:
