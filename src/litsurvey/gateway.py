@@ -554,7 +554,9 @@ def map_bounded(
     order once it is closed. ``rank(index, item)`` is the order of the
     serial loop, by default the input order: at one worker the items run in
     that order, and above one each free worker starts the lowest-ranked
-    item that has arrived, so a sequence's items start in rank order.
+    item that has arrived, so a sequence's items start in rank order. The
+    items that have arrived when the call begins start at once, up to
+    ``workers`` of them, before any of them can fail.
 
     Fails like the serial loop: once an item raises, no item of a later
     rank starts, the items of an earlier rank still run (once they arrive),
@@ -562,11 +564,8 @@ def map_bounded(
     after the running ones finish. A feed that is aborted starts no further
     item and raises FeedAborted once the running ones finish.
     """
-    if not isinstance(items, Feed):
-        if rank is None and (workers <= 1 or len(items) <= 1):
-            return [fn(item) for item in items]
-        items = Feed.of(items)
-    feed, rank = items, rank or (lambda index, item: index)
+    feed = items if isinstance(items, Feed) else Feed.of(items)
+    rank = rank or (lambda index, item: index)
     if workers <= 1 or (feed._state == "closed" and len(feed._arrived) <= 1):
         arrived = list(feed)
         results: dict[int, Any] = {}
@@ -581,7 +580,7 @@ def map_bounded(
     cutoff: Optional[tuple[Any, Exception]] = None  # earliest-ranked failure
     results = {}
 
-    def take() -> Optional[tuple[Any, int, Any]]:
+    def take(block: bool = True) -> Optional[tuple[Any, int, Any]]:
         nonlocal seen
         with cond:
             while True:
@@ -594,13 +593,14 @@ def map_bounded(
                 if ready and (cutoff is None or ready[0][0] < cutoff[0]):
                     key, index = heapq.heappop(ready)
                     return key, index, held.pop(index)
-                if feed._state == "closed":
+                if feed._state == "closed" or not block:
                     return None
                 cond.wait()
 
-    def work() -> None:
+    def work(first: Optional[tuple[Any, int, Any]]) -> None:
         nonlocal cutoff
-        while (taken := take()) is not None:
+        taken = first or take()
+        while taken is not None:
             key, index, item = taken
             try:
                 results[index] = fn(item)
@@ -608,10 +608,12 @@ def map_bounded(
                 with cond:
                     if cutoff is None or key < cutoff[0]:
                         cutoff = (key, exc)
+            taken = take()
 
     count = workers if feed._state == "open" else min(workers, len(feed._arrived))
+    firsts = [take(block=False) for _ in range(count)]
     with ThreadPoolExecutor(max_workers=count) as pool:
-        threads = [pool.submit(work) for _ in range(count)]
+        threads = [pool.submit(work, first) for first in firsts]
     for thread in threads:
         thread.result()
     if feed._state == "aborted":

@@ -368,7 +368,8 @@ def _run_stages(plan, config, substrate, backends, runlog) -> Optional[tuple[str
     Each stage logs apart; its events join ``runlog`` once it has ended,
     in stage order. ``stage_seconds`` is each stage's own duration. When a
     stage fails, the next one, if already running, finishes the calls it
-    has in flight (their replies are cached), and neither commits nor logs.
+    has in flight (their replies are cached), and neither commits nor logs;
+    a stage that has failed by its turn to commit starts no partner.
     """
     overlap = config.stage_workers > 1
     feeds = {
@@ -376,7 +377,10 @@ def _run_stages(plan, config, substrate, backends, runlog) -> Optional[tuple[str
     }
     logs = {stage: RunLog() for stage in plan}
 
-    def run_stage(stage: str, feed: Optional[Feed], consumer: bool):
+    def run_stage(at: int):
+        stage = plan[at]
+        consumer = at > 0 and plan[at - 1] in feeds
+        feed = feeds.get(plan[at - 1]) if consumer else feeds.get(stage)
         if consumer:
             feed.arrivals()
         started = time.monotonic()
@@ -387,23 +391,20 @@ def _run_stages(plan, config, substrate, backends, runlog) -> Optional[tuple[str
             return exc, 0.0
         return None, round(time.monotonic() - started, 3)
 
+    # The stage being committed runs on the calling thread unless it was
+    # started beside the one before it, so a run at one worker uses no
+    # other thread and an interrupt stops it at once.
     with ThreadPoolExecutor(max_workers=2) as pool:
         running = {}
-
-        def start(at: int) -> None:
-            stage = plan[at]
-            consumer = at > 0 and plan[at - 1] in feeds
-            feed = feeds.get(plan[at - 1]) if consumer else feeds.get(stage)
-            running[stage] = pool.submit(run_stage, stage, feed, consumer)
-
         try:
             for at, stage in enumerate(plan):
-                if stage not in running:
-                    start(at)
-                if overlap and at + 1 < len(plan) and (stage, plan[at + 1]) in _OVERLAPS:
-                    start(at + 1)
+                ahead = running.pop(stage, None)
+                failed = ahead is not None and ahead.done() and ahead.result()[0] is not None
+                pair = at + 1 < len(plan) and (stage, plan[at + 1]) in _OVERLAPS
+                if overlap and pair and not failed:
+                    running[plan[at + 1]] = pool.submit(run_stage, at + 1)
                 try:
-                    error, seconds = running.pop(stage).result()
+                    error, seconds = ahead.result() if ahead else run_stage(at)
                 finally:
                     runlog.events.extend(logs[stage].events)
                 if error is not None:

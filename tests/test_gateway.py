@@ -412,6 +412,21 @@ class TestMapBounded:
         assert len(started) < 10
 
 
+    def test_items_that_have_arrived_start_before_any_can_fail(self):
+        started: list[int] = []
+
+        def fn(i):
+            started.append(i)
+            if i == 0:
+                raise ValueError("item 0")
+            time.sleep(0.01)
+            return i
+
+        with pytest.raises(ValueError, match="item 0"):
+            map_bounded(fn, list(range(4)), workers=4)
+        assert sorted(started) == [0, 1, 2, 3]
+
+
 class TestFeed:
     def test_iteration_yields_each_item_once_it_and_every_earlier_one_are_in(self):
         feed = Feed()

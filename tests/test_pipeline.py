@@ -555,13 +555,59 @@ class TestOverlappedStep:
         assert not [t for t in tags if t.startswith("analysis.")]
         assert output_digest(config) == TestGoldenOutput.GOLDEN["code_analysis"]
 
-    def test_analysis_failure_commits_neither_and_raises_the_serial_error(self, tmp_path):
+    def test_analysis_failure_commits_neither_and_raises_the_serial_error(
+        self, tmp_path, monkeypatch
+    ):
         garble = {"pattern": "thematic clusters", "replies": ["no clusters"]}
         _, serial = self._failure(tmp_path / "serial", 1, garble)
         config, parallel = self._failure(tmp_path / "parallel", 4, garble)
         assert parallel.stage == "analysis"
         assert str(parallel) == str(serial)
         assert committed_stages(config) == ["retrieval", "understanding"]
+
+        # The design fold fails while understanding still holds its last
+        # keynote: code analysis, which would start beside analysis, never
+        # starts, as in the serial run.
+        design_failed = threading.Event()
+        stage_analysis = pipeline_mod._STAGE_FUNCTIONS["analysis"]
+
+        def failing_analysis(*args):
+            try:
+                return stage_analysis(*args)
+            finally:
+                design_failed.set()
+
+        monkeypatch.setitem(pipeline_mod._STAGE_FUNCTIONS, "analysis", failing_analysis)
+        config = self._streamed(tmp_path / "held", 2, garble)
+        backends = build_backends(config)
+        transport = backends.gateway.transport
+        send = transport.send
+
+        def held_send(request):
+            if re.search(LAST_KEYNOTE, request.prompt):
+                assert design_failed.wait(timeout=10), "analysis waited for the last keynote"
+            return send(request)
+
+        transport.send = held_send
+        with pytest.raises(StageError) as err:
+            run_pipeline(config, backends=backends)
+        assert str(err.value) == str(serial)
+        assert committed_stages(config) == ["retrieval", "understanding"]
+        assert not [c for c in transport.calls if c.tag.startswith("code.")]
+
+    def test_one_worker_runs_every_stage_on_the_calling_thread(self, tmp_path):
+        config = self._config(tmp_path, 1)
+        backends = build_backends(config)
+        transport = backends.gateway.transport
+        send, threads = transport.send, set()
+
+        def recorded_send(request):
+            threads.add(threading.current_thread())
+            return send(request)
+
+        transport.send = recorded_send
+        run_pipeline(config, backends=backends)
+        assert threads == {threading.current_thread()}
 
     def test_a_run_stopped_after_analysis_sends_no_code_request(self, tmp_path):
         config, backends, _ = self._run(tmp_path, 4, stop_after="analysis")
