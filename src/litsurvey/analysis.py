@@ -24,7 +24,6 @@ from .model import (
     Cluster,
     ClusterAnalysis,
     ComparisonTable,
-    ErrorMemory,
     Keynote,
     PaperRecord,
     QaItem,
@@ -101,11 +100,11 @@ def design_clusters(
     ``design_batch_size``; the agent may merge, split or add clusters at
     each step, starting from an empty proposal. Each step is sent as soon
     as its batch is complete, so the keynotes may be an iterator that
-    understanding is still filling (see ``pipeline``).
+    understanding is still filling (see ``pipeline``). A step retries with
+    the error memory of its own rejected replies only.
     """
     cfg = cfg or AnalysisConfig()
     proposal = ClusterProposal()
-    memory = ErrorMemory()
     for batch in _batched(keynotes, cfg.design_batch_size):
         listing = "\n".join(
             f"- {k.paper_id.canonical}: {_keynote_digest(k)}" for k in batch
@@ -124,13 +123,7 @@ def design_clusters(
             + 'as a JSON list: [{"cluster_name": "...", "summary": "..."}]. '
             + "Do not mention specific papers."
         )
-        proposal, memory, _ = request_validated(
-            gateway,
-            prompt,
-            _parse_proposal,
-            tag="analysis.design",
-            memory=memory,
-        )
+        proposal = request_validated(gateway, prompt, _parse_proposal, tag="analysis.design")
     return proposal
 
 
@@ -158,10 +151,11 @@ def assign_papers(
     gateway: Gateway,
     runlog: Optional[RunLog] = None,
     prompt_note: str = "",
-) -> tuple[list[Cluster], AssignmentVerdict]:
+) -> list[Cluster]:
     """Partition papers over the proposed clusters (multi-membership is
-    fine). Defects never raise: omitted papers land in verdict.missing and
-    fabricated ids in verdict.hallucinated."""
+    fine). Defects never raise: omitted papers stay unassigned (see
+    :func:`compute_verdict`) and fabricated ids are dropped, each logged as
+    an attribution event."""
     runlog = runlog or RunLog()
     if proposal.is_empty():
         raise InvalidInputError("cannot assign papers without a cluster proposal")
@@ -176,7 +170,7 @@ def assign_papers(
         + f"Clusters:\n{themes}\n\nPapers:\n{listing}\n\n"
         + 'Reply strictly as JSON: [{"paper_id": "...", "clusters": ["name"]}]'
     )
-    raw, _, _ = request_validated(
+    raw = request_validated(
         gateway,
         prompt,
         lambda reply: _parse_assignment(reply, names),
@@ -188,17 +182,13 @@ def assign_papers(
         for i, c in enumerate(proposal.clusters)
     ]
     by_name = {c.name: c for c in clusters}
-    verdict = AssignmentVerdict()
     for paper_key, cluster_names in raw.items():
         if paper_key not in keynotes:
-            verdict.hallucinated.add(paper_key)
             runlog.attribution_event("analysis.assign", "assignment", paper_key)
             continue
         for name in cluster_names:
             by_name[name].members.add(keynotes[paper_key].paper_id)
-    assigned = {p for c in clusters for p in c.member_keys()}
-    verdict.missing = set(keynotes) - assigned
-    return clusters, verdict
+    return clusters
 
 
 def compute_verdict(clusters: list[Cluster], keynotes: dict[str, Keynote]) -> AssignmentVerdict:
@@ -241,7 +231,7 @@ def verify_and_repair(
         subset = {k: keynotes[k] for k in sorted(verdict.missing)}
         runlog.add("repair_round", round=round_no, missing=sorted(verdict.missing))
         try:
-            repaired, _ = assign_papers(
+            repaired = assign_papers(
                 proposal, subset, gateway, runlog,
                 prompt_note=f"(repair round {round_no})",
             )
@@ -313,7 +303,7 @@ def build_relation_graph(
                 raise ValueError("edges need from/to fields")
         return payload
 
-    raw, _, _ = request_validated(gateway, prompt, parse, tag="analysis.graph")
+    raw = request_validated(gateway, prompt, parse, tag="analysis.graph")
     edges: list[RelationEdge] = []
     for item in raw:
         src, dst = str(item["from"]), str(item["to"])
@@ -369,7 +359,7 @@ def build_comparison_table(
             raise ValueError("table schema needs at least three dimensions")
         return payload
 
-    raw, _, _ = request_validated(gateway, prompt, parse, tag="analysis.table")
+    raw = request_validated(gateway, prompt, parse, tag="analysis.table")
     table = ComparisonTable(columns=[str(c) for c in raw["columns"]])
     for row in raw["rows"]:
         key = str(row.get("paper_id", ""))
@@ -442,10 +432,7 @@ def guided_qa(
         return items
 
     try:
-        items, _, _ = request_validated(
-            gateway, prompt, parse, tag="analysis.qa", max_retries=1
-        )
-        return items
+        return request_validated(gateway, prompt, parse, tag="analysis.qa", max_retries=1)
     except MalformedOutputError as exc:
         runlog.attribution_event(
             "analysis.qa", f"cluster {cluster.cluster_id} answer", str(exc)
@@ -492,7 +479,7 @@ def inter_cluster_analysis(
             runlog.attribution_event("analysis.inter_cluster", "synthesis", key)
         return drop_marks(reply, unknown)
 
-    text, _, _ = request_validated(
+    return request_validated(
         gateway,
         prompt,
         parse,
@@ -500,7 +487,6 @@ def inter_cluster_analysis(
         tag="analysis.inter_cluster",
         max_retries=2,
     )
-    return text
 
 
 def analyze_cluster(

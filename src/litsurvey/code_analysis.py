@@ -263,14 +263,13 @@ def _consult_planner(
         + "You may return several steps as a sub-plan, executed in order. "
         + 'Reply strictly as JSON: [{"op": "...", "path": "...", "rationale": "..."}]'
     )
-    plan, _, _ = request_validated(
+    return request_validated(
         gateway,
         prompt,
         _parse_plan,
         tag="code.plan",
         temperature=cfg.planner_temperature,
     )
-    return plan
 
 
 def _execute_op(
@@ -354,14 +353,13 @@ def _review_pseudocode(
         + 'Reply strictly as JSON: {"conciseness": n, "logical_structure": n, '
         + '"implementation_specificity": n, "suggestions": ["..."]}'
     )
-    review, _, _ = request_validated(
+    return request_validated(
         gateway,
         prompt,
         _parse_review,
         tag="code.review",
         temperature=cfg.reviewer_temperature,
     )
-    return review
 
 
 def batch_code_report(

@@ -92,9 +92,8 @@ class PipelineConfig:
     code_analysis_enabled: bool = False
     use_skill_loop_fallback: bool = False
     # Pool width for the independent per-unit backend calls (citation-graph
-    # fetches, embedding batches, the rerank batches' prefetched first
-    # attempts, papers, clusters, repositories, drafts, refinement units,
-    # evaluate's judge rounds).
+    # fetches, embedding batches, rerank judge batches, papers, clusters,
+    # repositories, drafts, refinement units, evaluate's judge rounds).
     # Above 1, three pairs of adjacent stages also run side by side
     # (understanding and analysis, analysis and code analysis, writing and
     # refinement; see pipeline._OVERLAPS), so the manifest's stage_seconds

@@ -312,8 +312,7 @@ def score_content(
             sub_scores=sub_scores,
         )
 
-    scores, _, _ = request_validated(gateway, prompt, parse, tag="evaluation.judge")
-    return scores
+    return request_validated(gateway, prompt, parse, tag="evaluation.judge")
 
 
 def judge_survey(

@@ -155,7 +155,16 @@ class HttpChatTransport:
             return TransportResponse(503, f"transport error: {exc}")
         if resp.status_code != 200:
             return TransportResponse(resp.status_code, resp.text)
-        return TransportResponse(200, extract_chat_text(resp.json()))
+        return TransportResponse(200, extract_chat_text(_json_body(resp, "chat completion")))
+
+
+def _json_body(resp: requests.Response, what: str) -> Any:
+    """The JSON body of a 200 reply; a body that is not JSON (say, a proxy's
+    HTML page) is a BackendError, not a retry."""
+    try:
+        return resp.json()
+    except ValueError as exc:
+        raise BackendError(f"{what} reply is not JSON: {resp.text[:200]!r}") from exc
 
 
 def extract_chat_text(payload: dict) -> str:
@@ -207,7 +216,7 @@ class HttpEmbedder:
             raise TransientBackendError(f"status {resp.status_code}", resp.status_code)
         if resp.status_code != 200:
             raise BackendError(f"embedding backend status {resp.status_code}", resp.status_code)
-        return [item["embedding"] for item in resp.json()["data"]]
+        return [item["embedding"] for item in _json_body(resp, "embedding")["data"]]
 
 
 class Gateway:
@@ -427,27 +436,29 @@ def request_validated(
     context: str = "",
     runlog: Optional[RunLog] = None,
     temperature: float = 0.0,
-    memory: ErrorMemory = ErrorMemory(),
     max_retries: int = 3,
     error_factory: Callable[[str], Exception] = MalformedOutputError,
     last_parse: Optional[Callable[[str], T]] = None,
     on_retry: Optional[Callable[[int, list[str]], None]] = None,
-) -> tuple[T, ErrorMemory, int]:
+) -> T:
     """Call the backend until ``parse`` accepts the reply.
 
     Every request is the retry preamble, then ``prompt``, then ``context``
     cut by :func:`compress_context` to what the context window has left; a
     cut is logged to ``runlog`` as ``context_compressed``. The preamble is
-    empty on a first attempt with empty ``memory``; otherwise it is the
-    attempt marker (from the second attempt on, so a retry never collides
-    with the cached failing request) followed by the rendered error memory.
+    empty on the first attempt; from the second attempt on it is the
+    attempt marker (so a retry never collides with the cached failing
+    request) followed by the rendered error memory of this call's rejected
+    replies. The memory lives and dies with the call: no request of
+    another call ever carries it.
 
     ``parse`` signals a violation by raising ValueError; each message in its
     args is recorded, in order, as its own error-memory entry. ``last_parse``,
     when given, replaces ``parse`` on the final attempt, e.g. a lenient
     reading that keeps what it can. ``on_retry(attempt, problems)`` runs
-    after every rejected reply. Returns (value, memory, calls_made).
+    after every rejected reply. Returns the accepted value.
     """
+    memory = ErrorMemory()
     problems = ["no attempt made"]
     for attempt in range(max_retries + 1):
         marker = f"(attempt {attempt + 1})\n" if attempt else ""
@@ -460,7 +471,7 @@ def request_validated(
         )
         accept = last_parse if last_parse is not None and attempt == max_retries else parse
         try:
-            return accept(reply), memory, attempt + 1
+            return accept(reply)
         except ValueError as exc:
             problems = [str(a) for a in exc.args] if len(exc.args) > 1 else [str(exc)]
         for problem in problems:

@@ -206,7 +206,7 @@ def _stage_analysis(config, substrate, backends, runlog, feed=None):
     proposal = analysis_mod.design_clusters(
         (k for k in keynotes if k is not None), backends.gateway, config.analysis
     )
-    clusters, _ = analysis_mod.assign_papers(proposal, substrate.keynotes, backends.gateway, runlog)
+    clusters = analysis_mod.assign_papers(proposal, substrate.keynotes, backends.gateway, runlog)
     clusters = analysis_mod.verify_and_repair(
         clusters, substrate.keynotes, backends.gateway, config.analysis, runlog=runlog
     )

@@ -195,7 +195,7 @@ def review_skill(
             "satisfactory": bool(payload.get("satisfactory", False)),
         }
 
-    verdict, _, _ = request_validated(
+    verdict = request_validated(
         ctx.gateway,
         prompt,
         parse,
@@ -273,7 +273,7 @@ def _try_revision(
         )
 
     try:
-        revised, _, _ = request_validated(
+        revised = request_validated(
             ctx.gateway,
             _revision_prompt(ctx, unit, instructions, suggestions, evidence),
             parse,
@@ -330,7 +330,7 @@ def refine(
             + 'Reply strictly as JSON: [{"skill": "...", "paper_ids": [], '
             + '"instructions": ""}]'
         )
-        plan, _, _ = request_validated(
+        plan = request_validated(
             ctx.gateway,
             prompt,
             _parse_plan,

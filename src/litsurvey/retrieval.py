@@ -13,7 +13,7 @@ from typing import Optional
 
 from .errors import JudgeError, RetrievalError, SourceUnavailableError, SurveyError
 from .gateway import Gateway, cosine, extract_json_payload, map_bounded, request_validated
-from .model import ErrorMemory, PaperRecord
+from .model import PaperRecord
 from .runlog import RunLog
 from .sources import PaperSource
 
@@ -111,46 +111,20 @@ def _judge_verdicts(
     gateway: Gateway,
     cfg: RetrievalConfig,
     purpose: str,
-    runlog: RunLog,
     workers: int = 1,
 ) -> dict[str, tuple[bool, str]]:
     """Batched topical-alignment verdicts keyed by canonical id.
 
-    The judge must answer for every paper in the batch in strict JSON;
-    malformed replies are retried with error memory, which carries over to
-    the later batches, so the batches are judged one after another. With
-    ``workers > 1`` every batch's first attempt is sent beforehand, up to
-    ``workers`` at once, only to fill the cache: the serial loop reads back
-    each reply whose prompt is unchanged and sends the rest itself, so the
-    verdicts, errors and retries are the serial run's. A failed prefetch is
-    dropped; the serial loop meets the failure again. A prefetch the loop
-    cannot read back, because error memory already heads that batch's first
-    attempt, is logged as ``<purpose>_prefetch_unused`` with its batch
-    number, counted from 1.
+    The judge must answer for every paper in the batch in strict JSON; a
+    malformed reply is retried with the error memory of that batch alone,
+    so the batches are independent and up to ``workers`` of them are
+    judged at once. A batch that still fails raises as the serial loop
+    would: the error of the first failing batch in order.
     """
-    batches = [
-        papers[start : start + cfg.judge_batch_size]
-        for start in range(0, len(papers), cfg.judge_batch_size)
-    ]
-    prompts = [_judge_prompt(batch, topic, purpose) for batch in batches]
     tag = f"retrieval.{purpose}"
 
-    def prefetch(prompt: str) -> None:
-        try:
-            request_validated(gateway, prompt, lambda reply: reply, tag=tag, max_retries=0)
-        except SurveyError:
-            pass
-
-    prefetched = workers > 1 and len(prompts) > 1
-    if prefetched:
-        map_bounded(prefetch, prompts, workers)
-
-    verdicts: dict[str, tuple[bool, str]] = {}
-    memory = ErrorMemory()
-    for number, (batch, prompt) in enumerate(zip(batches, prompts), 1):
+    def judge_batch(batch: list[PaperRecord]) -> dict[str, tuple[bool, str]]:
         ids = [p.id.canonical for p in batch]
-        if prefetched and memory:
-            runlog.add(f"{purpose}_prefetch_unused", batch=number)
 
         def parse(reply: str) -> dict[str, tuple[bool, str]]:
             payload = extract_json_payload(reply)
@@ -166,14 +140,15 @@ def _judge_verdicts(
                 raise ValueError(f"judge verdict missing ids: {missing}")
             return got
 
-        batch_verdicts, memory, _ = request_validated(
-            gateway,
-            prompt,
-            parse,
-            tag=tag,
-            memory=memory,
-            error_factory=JudgeError,
-        )
+        prompt = _judge_prompt(batch, topic, purpose)
+        return request_validated(gateway, prompt, parse, tag=tag, error_factory=JudgeError)
+
+    batches = [
+        papers[start : start + cfg.judge_batch_size]
+        for start in range(0, len(papers), cfg.judge_batch_size)
+    ]
+    verdicts: dict[str, tuple[bool, str]] = {}
+    for batch_verdicts in map_bounded(judge_batch, batches, workers):
         verdicts.update(batch_verdicts)
     return verdicts
 
@@ -190,7 +165,7 @@ def judge_filter(
         return []
     cfg = cfg or RetrievalConfig()
     runlog = runlog or RunLog()
-    verdicts = _judge_verdicts(candidates, topic, gateway, cfg, "seed_filter", runlog)
+    verdicts = _judge_verdicts(candidates, topic, gateway, cfg, "seed_filter")
     kept = [p for p in candidates if verdicts[p.id.canonical][0]]
     for paper in candidates:
         relevant, note = verdicts[paper.id.canonical]
@@ -294,13 +269,13 @@ def llm_rerank_filter(
     workers: int = 1,
 ) -> list[PaperRecord]:
     """Fine-grained judge pass removing topically irrelevant papers; every
-    retained paper gets its relevance note logged. ``workers`` bounds the
-    prefetched first attempts of the judge batches."""
+    retained paper gets its relevance note logged. Up to ``workers`` judge
+    batches run at once."""
     if not papers:
         return []
     cfg = cfg or RetrievalConfig()
     runlog = runlog or RunLog()
-    verdicts = _judge_verdicts(papers, topic, gateway, cfg, "rerank", runlog, workers)
+    verdicts = _judge_verdicts(papers, topic, gateway, cfg, "rerank", workers)
     kept = []
     for paper in papers:
         relevant, note = verdicts[paper.id.canonical]
@@ -322,13 +297,14 @@ def run_retrieval(
     workers: int = 1,
 ) -> list[PaperRecord]:
     """Full Stage-1 pass; deterministic for a fixed source and judge, and
-    the same at every ``workers`` width (the graph fetches and embedding
-    batches fan out; the rerank batches are prefetched, then judged in
-    order).
+    the same at every ``workers`` width (the graph fetches, embedding
+    batches and rerank batches fan out and merge in order).
 
     When the primary source failed the seed search, the seeds come from the
     fallback and the primary is not asked for their links: the evidence set
-    is the judged seeds, and ``expansion_skipped`` is logged.
+    is the judged seeds, and ``expansion_skipped`` is logged. When no paper
+    passes the filters, RetrievalError is raised rather than an empty
+    evidence set returned for the later stages to trip over.
     """
     runlog = runlog or RunLog()
     seeds, primary_failed = _seed_pool(topic, cfg, source, fallback, runlog)
@@ -339,4 +315,7 @@ def run_retrieval(
     else:
         expanded = expand_graph(seeds, cfg, source, runlog, workers)
     passed = coarse_filter(expanded, topic, cfg, gateway, workers)
-    return llm_rerank_filter(passed, topic, gateway, cfg, runlog, workers)
+    kept = llm_rerank_filter(passed, topic, gateway, cfg, runlog, workers)
+    if not kept:
+        raise RetrievalError(f"no paper on '{topic}' passed the retrieval filters")
+    return kept

@@ -178,7 +178,10 @@ class AcademicGraphSource:
             except requests.RequestException as exc:
                 raise TransientBackendError(str(exc)) from exc
             if resp.status_code == 200:
-                return resp.json()
+                try:
+                    return resp.json()
+                except ValueError as exc:
+                    raise RetrievalError(f"graph API {path} reply is not JSON") from exc
             if resp.status_code in RETRYABLE_STATUSES:
                 raise TransientBackendError(f"status {resp.status_code}", resp.status_code)
             raise RetrievalError(f"graph API {path} failed: status {resp.status_code}")
@@ -261,7 +264,10 @@ class PreprintSource:
             resp.raise_for_status()
         except requests.RequestException as exc:
             raise RetrievalError(f"preprint archive search failed: {exc}") from exc
-        return parse_preprint_feed(resp.text)
+        try:
+            return parse_preprint_feed(resp.text)
+        except ET.ParseError as exc:
+            raise RetrievalError(f"preprint archive reply is not an Atom feed: {exc}") from exc
 
     def citations(self, paper_id: PaperId, limit: int) -> list[PaperRecord]:
         return []

@@ -146,15 +146,17 @@ def extract_keynote(
         + _KEYNOTE_SCHEMA
         + "\n\nPaper text:\n"
     )
-    keynote, _, calls = request_validated(
+    rejected: list[int] = []
+    keynote = request_validated(
         gateway,
         prompt,
         lambda reply: parse_keynote_payload(reply, doc.paper_id),
         tag="understanding.keynote",
         context=body,
         error_factory=KeynoteError,
+        on_retry=lambda attempt, problems: rejected.append(attempt),
     )
-    runlog.add("keynote_extracted", paper=doc.paper_id.canonical, calls=calls)
+    runlog.add("keynote_extracted", paper=doc.paper_id.canonical, calls=len(rejected) + 1)
     return keynote
 
 

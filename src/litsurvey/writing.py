@@ -33,7 +33,6 @@ from .model import (
     Cluster,
     ClusterAnalysis,
     DraftUnit,
-    ErrorMemory,
     Granularity,
     Keynote,
     OutlineNode,
@@ -148,10 +147,10 @@ def draft_outline(ctx: WritingContext, topic: str) -> OutlineNode:
     """Generate the outline from the cluster structure, then refine it
     against keynote batches. Structural requirements (conclusion section,
     future-work node, per-node descriptions, depth cap) are enforced and
-    echoed into error memory on retry."""
+    echoed into error memory on retry; each step starts from its clean
+    prompt, with no memory of an earlier step's rejected replies."""
     cfg = ctx.cfg
     current: Optional[OutlineNode] = None
-    memory = ErrorMemory()
     keys = sorted(ctx.keynotes)
     batches = [
         keys[i : i + cfg.outline_batch_size]
@@ -174,7 +173,7 @@ def draft_outline(ctx: WritingContext, topic: str) -> OutlineNode:
             f"Cluster landscape:\n{ctx.analyses_digest()}\n\n"
             + f"Paper keynotes:\n{ctx.keynote_lines(set(batch))}\n"
         )
-        current, memory, _ = request_validated(
+        current = request_validated(
             ctx.gateway,
             prompt,
             lambda reply: _parse_outline(reply, topic),
@@ -182,7 +181,6 @@ def draft_outline(ctx: WritingContext, topic: str) -> OutlineNode:
             context=context,
             runlog=ctx.runlog,
             temperature=cfg.outline_temperature,
-            memory=memory,
             max_retries=cfg.max_citation_retries,
         )
     return current
@@ -263,7 +261,7 @@ def assign_citations(
         + 'Reply strictly as JSON: [{"paper_id": "...", "assignment": '
         + '{"Section title": ["Subsection title"]}}]'
     )
-    parsed, _, _ = request_validated(
+    parsed = request_validated(
         ctx.gateway,
         prompt,
         lambda reply: _parse_assignment_reply(reply, outline, known, strict=True),
@@ -383,7 +381,7 @@ def _draft_with_verification(
             granularity=granularity,
         )
 
-    unit, _, _ = request_validated(
+    return request_validated(
         ctx.gateway,
         prompt,
         parse,
@@ -395,7 +393,6 @@ def _draft_with_verification(
             "draft_retry", node=" > ".join(node_path), attempt=attempt + 1, problems=problems
         ),
     )
-    return unit
 
 
 def draft_subsection(

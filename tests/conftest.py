@@ -3,6 +3,7 @@ from __future__ import annotations
 import threading
 
 import pytest
+import requests
 
 from litsurvey.errors import SourceUnavailableError
 from litsurvey.gateway import BackendProfile, Gateway
@@ -17,6 +18,19 @@ from litsurvey.model import (
 from litsurvey.scripted import ScriptedTransport
 
 from doubles import FixtureEmbedder
+
+
+def html_page(*args, **kwargs) -> requests.Response:
+    """A 200 reply whose body is an HTML page, as a captive portal or a
+    misrouted proxy sends; stands in for ``requests.get`` or ``.post``."""
+    resp = requests.Response()
+    resp.status_code = 200
+    resp._content = (
+        b'<!DOCTYPE html><html><head><meta charset="utf-8"></head>'
+        b"<body>Sign in to continue</body></html>"
+    )
+    resp.encoding = "utf-8"
+    return resp
 
 
 def make_paper(

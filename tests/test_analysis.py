@@ -73,6 +73,18 @@ class TestDesignClusters:
         design_clusters(in_id_order(keynotes), scripted_gateway(transport), cfg)
         assert len(transport.calls) == 3
 
+    def test_a_rejected_step_leaves_no_memory_to_the_next(self, keynotes):
+        transport = ScriptedTransport().add(
+            "thematic clusters", "not json", proposal_json("A", "B")
+        )
+        cfg = AnalysisConfig(design_batch_size=2)
+        proposal = design_clusters(in_id_order(keynotes), scripted_gateway(transport), cfg)
+        assert proposal.names() == ["A", "B"]
+        # step 1, its retry, then steps 2 and 3 from their clean prompts
+        prompts = [c.prompt for c in transport.calls]
+        assert ["Avoid repeating" in p for p in prompts] == [False, True, False, False]
+        assert prompts[2].startswith("Curate thematic clusters")
+
 
 class TestAssignPapers:
     def test_multi_assignment_permitted(self, keynotes):
@@ -82,18 +94,18 @@ class TestAssignPapers:
         mapping = {k: ["One"] for k in keynotes}
         mapping["p1"] = ["One", "Three"]
         transport = ScriptedTransport().add("Assign every paper", assignment_json(mapping))
-        clusters, verdict = assign_papers(proposal, keynotes, scripted_gateway(transport))
+        clusters = assign_papers(proposal, keynotes, scripted_gateway(transport))
         one = next(c for c in clusters if c.name == "One")
         three = next(c for c in clusters if c.name == "Three")
         assert "p1" in one.member_keys() and "p1" in three.member_keys()
-        assert verdict.missing == set() and verdict.hallucinated == set()
+        assert compute_verdict(clusters, keynotes) == AssignmentVerdict()
 
     def test_omitted_paper_reported_missing(self, keynotes):
         proposal = ClusterProposal([{"name": "One", "summary": "s"}])
         mapping = {k: ["One"] for k in keynotes if k != "p2"}
         transport = ScriptedTransport().add("Assign every paper", assignment_json(mapping))
-        _, verdict = assign_papers(proposal, keynotes, scripted_gateway(transport))
-        assert verdict.missing == {"p2"}
+        clusters = assign_papers(proposal, keynotes, scripted_gateway(transport))
+        assert compute_verdict(clusters, keynotes).missing == {"p2"}
 
     def test_unknown_id_reported_hallucinated(self, keynotes):
         proposal = ClusterProposal([{"name": "One", "summary": "s"}])
@@ -101,11 +113,9 @@ class TestAssignPapers:
         mapping["q9"] = ["One"]
         transport = ScriptedTransport().add("Assign every paper", assignment_json(mapping))
         runlog = RunLog()
-        _, verdict = assign_papers(
-            proposal, keynotes, scripted_gateway(transport), runlog=runlog
-        )
-        assert verdict.hallucinated == {"q9"}
+        clusters = assign_papers(proposal, keynotes, scripted_gateway(transport), runlog=runlog)
         assert [e["offending"] for e in runlog.attribution_events()] == ["q9"]
+        assert compute_verdict(clusters, keynotes) == AssignmentVerdict()
 
 
 class TestVerifyAndRepair:

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import requests
 
 from litsurvey import caching as caching_mod
 from litsurvey.caching import DiskCache
@@ -28,6 +29,8 @@ from litsurvey.gateway import (
     Feed,
     FeedAborted,
     Gateway,
+    HttpChatTransport,
+    HttpEmbedder,
     TransportResponse,
     extract_chat_text,
     extract_json_payload,
@@ -38,7 +41,7 @@ from litsurvey.model import ErrorMemory
 from litsurvey.runlog import RunLog
 from litsurvey.scripted import CannedReply, ScriptedTransport
 
-from conftest import scripted_gateway
+from conftest import html_page, scripted_gateway
 from doubles import FixtureEmbedder, FlakyEmbedder, SequenceTransport
 
 
@@ -604,12 +607,9 @@ class TestStructuredOutput:
     def test_malformed_then_valid_takes_two_calls(self):
         transport = ScriptedTransport().add("verdict", "not json at all", '{"ok": true}')
         gw = scripted_gateway(transport)
-        value, memory, calls = request_validated(
-            gw, "verdict please", extract_json_payload, tag="t"
-        )
+        value = request_validated(gw, "verdict please", extract_json_payload, tag="t")
         assert value == {"ok": True}
-        assert calls == 2
-        assert len(memory) == 1
+        assert len(transport.calls) == 2
 
     def test_exhausted_retries_raise(self):
         transport = ScriptedTransport(default="still not json")
@@ -631,11 +631,11 @@ class TestStructuredOutput:
             seen.append("lenient")
             return "kept"
 
-        value, _, calls = request_validated(
+        value = request_validated(
             gw, "verdict please", strict, last_parse=lenient, tag="t", max_retries=2
         )
         assert value == "kept"
-        assert calls == 3
+        assert len(transport.calls) == 3
         assert seen == ["strict", "strict", "lenient"]
 
     def test_each_value_error_arg_is_one_memory_entry(self):
@@ -648,11 +648,11 @@ class TestStructuredOutput:
                 raise ValueError("first problem", "second problem")
             return reply
 
-        value, memory, _ = request_validated(
+        value = request_validated(
             gw, "verdict please", parse, tag="t", on_retry=lambda a, p: retries.append((a, p))
         )
         assert value == "good"
-        assert memory.entries == ("first problem", "second problem")
+        assert len(transport.calls) == 2
         assert retries == [(0, ["first problem", "second problem"])]
         assert "- first problem\n- second problem\n" in transport.calls[1].prompt
 
@@ -693,6 +693,18 @@ class TestStructuredOutput:
         assert extract_chat_text(payload) == "hi"
         with pytest.raises(BackendError):
             extract_chat_text({"choices": []})
+
+
+class TestHttpClients:
+    def test_a_chat_reply_that_is_not_json_is_a_backend_error(self, monkeypatch):
+        monkeypatch.setattr(requests, "post", html_page)
+        with pytest.raises(BackendError, match="chat completion reply is not JSON"):
+            HttpChatTransport("http://chat", "model").send(req())
+
+    def test_an_embedding_reply_that_is_not_json_is_a_backend_error(self, monkeypatch):
+        monkeypatch.setattr(requests, "post", html_page)
+        with pytest.raises(BackendError, match="embedding reply is not JSON"):
+            HttpEmbedder("http://embed", "model").encode(["text"])
 
 
 def test_canned_reply_queue_is_sticky_on_last():

@@ -381,12 +381,11 @@ def committed_stages(config: PipelineConfig) -> list[str]:
 
 
 #: The first attempt of rerank batch 3 of 6 (two papers a batch) and no
-#: other request: a retry, and every later batch after a rejection, starts
-#: with the error memory.
+#: other request: a retry starts with the attempt marker.
 RERANK_BATCH_3 = r"\AJudge topical alignment[^\n]*\(rerank\)\.\nPapers:\n- id: 2406\.10005 "
 
 
-class TestRerankPrefetch:
+class TestIndependentJudgeBatches:
     @staticmethod
     def _config(root: Path, workers: int, *rules: dict) -> PipelineConfig:
         config = prepend_rules(make_config(root), *rules)
@@ -401,27 +400,29 @@ class TestRerankPrefetch:
         calls = [(c.tag, c.prompt) for c in backends.gateway.transport.calls]
         return config, result, calls
 
-    def test_a_rejected_batch_replays_the_serial_run(self, tmp_path):
+    def test_a_rejected_batch_is_retried_alone(self, tmp_path):
         reject = {"pattern": RERANK_BATCH_3, "replies": ["no verdicts"]}
         serial_cfg, serial, serial_calls = self._run(tmp_path / "serial", 1, reject)
         parallel_cfg, parallel, parallel_calls = self._run(tmp_path / "parallel", 4, reject)
         _, _, clean_calls = self._run(tmp_path / "clean", 1)
-        first_attempts = [c for c in clean_calls if c[0] == "retrieval.rerank"]
-        assert len(first_attempts) == 6
-        assert sum(p.startswith("(attempt 2)") for _, p in serial_calls) == 1
-        # the serial run's requests plus the wasted prefetches of batches 4-6
-        assert Counter(parallel_calls) == Counter(serial_calls) + Counter(first_attempts[3:])
-        assert [e["batch"] for e in parallel.runlog.of_kind("rerank_prefetch_unused")] == [4, 5, 6]
-        assert not serial.runlog.of_kind("rerank_prefetch_unused")
+        assert sum(tag == "retrieval.rerank" for tag, _ in clean_calls) == 6
+        remembering = [(t, p) for t, p in serial_calls if "Avoid repeating" in p]
+        assert len(remembering) == 1
+        retry = remembering[0][1]
+        assert retry.startswith("(attempt 2)") and "- id: 2406.10005 " in retry
+        # the clean run's requests plus batch 3's one retry, at any width
+        assert Counter(serial_calls) == Counter(clean_calls) + Counter(remembering)
+        assert Counter(parallel_calls) == Counter(serial_calls)
         assert retrieval_events(parallel.runlog) == retrieval_events(serial.runlog)
         assert parallel.substrate.papers == serial.substrate.papers
         assert (parallel_cfg.substrate_dir / "papers.json").read_bytes() == (
             serial_cfg.substrate_dir / "papers.json"
         ).read_bytes()
 
-    def test_a_prefetch_backend_error_ends_in_the_serial_error(self, tmp_path):
+    def test_a_backend_error_ends_in_the_serial_error(self, tmp_path):
         # Batch 2 is malformed on every attempt, so the serial run fails
-        # there and never sends batch 3, whose prefetch the backend refuses.
+        # there and never sends batch 3, which the backend refuses when four
+        # workers send it beside batch 2.
         rules = (
             {"pattern": r"\(rerank\)\.\nPapers:\n- id: 2406\.10003 ", "replies": ["none"]},
             {"pattern": RERANK_BATCH_3, "replies": [{"text": "refused", "status": 400}]},
@@ -1085,6 +1086,18 @@ class TestCommitRecord:
         assert manifest["completed_stages"] == ["retrieval", "understanding", "analysis"]
         assert list(manifest["stage_seconds"]) == manifest["completed_stages"]
         assert manifest["transport_calls"] > 0
+
+    def test_a_retrieval_that_keeps_no_paper_fails_retrieval(self, tmp_path):
+        reject = [{"paper_id": s, "relevant": False, "note": "off topic"} for s in SEEDS]
+        config = prepend_rules(
+            make_config(tmp_path), {"pattern": r"\(seed_filter\)", "replies": [json.dumps(reject)]}
+        )
+        with pytest.raises(StageError) as err:
+            run_pipeline(config, backends=build_backends(config))
+        assert err.value.stage == "retrieval"
+        assert isinstance(err.value.cause, RetrievalError)
+        assert "passed the retrieval filters" in str(err.value.cause)
+        assert committed_stages(config) == []
 
     def test_failed_neighbor_fetch_stops_retrieval_and_resume_fetches_the_rest(self, tmp_path):
         straight_cfg = make_config(tmp_path / "straight")

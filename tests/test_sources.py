@@ -9,11 +9,12 @@ from litsurvey.sources import (
     AcademicGraphSource,
     CachedSource,
     FixtureSource,
+    PreprintSource,
     parse_graph_record,
     parse_preprint_feed,
 )
 
-from conftest import CountingSource, make_paper, scripted_gateway
+from conftest import CountingSource, html_page, make_paper, scripted_gateway
 
 
 class TestGraphRecordParsing:
@@ -85,6 +86,14 @@ class TestAcademicGraphRetry:
             source.search("q", 5)
         assert len(calls) == attempts
         assert delays == sleeps
+
+    def test_a_reply_that_is_not_json_is_a_retrieval_error(self, monkeypatch):
+        monkeypatch.setattr(requests, "get", html_page)
+        delays: list[float] = []
+        source = AcademicGraphSource("http://graph", sleeper=delays.append, draw=lambda: 0.0)
+        with pytest.raises(RetrievalError, match="graph API paper/search reply is not JSON"):
+            source.search("q", 5)
+        assert delays == []
 
     @staticmethod
     def script(monkeypatch, outcomes: list) -> list[str]:
@@ -205,3 +214,9 @@ class TestCachedSource:
         fallback = CachedSource(FixtureSource([make_paper("z")]), gateway, "preprint https://archive")
         assert canonical_ids(fallback.search("q", 2)) == ["z"]
         assert inner.calls == ["citations", "references", "search", "search"]
+
+
+def test_a_preprint_reply_that_is_not_a_feed_is_a_retrieval_error(monkeypatch):
+    monkeypatch.setattr(requests, "get", html_page)
+    with pytest.raises(RetrievalError, match="preprint archive reply is not an Atom feed"):
+        PreprintSource("http://archive").search("q", 5)
