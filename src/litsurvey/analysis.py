@@ -8,15 +8,15 @@ logs any reference to a paper outside the owning cluster or substrate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import InvalidInputError, MalformedOutputError
 from .gateway import (
     Gateway,
-    cosine,
+    batched,
     extract_json_payload,
+    nearest,
     request_validated,
 )
 from .marks import drop_marks, unresolved_keys
@@ -61,13 +61,6 @@ def _keynote_digest(keynote: Keynote, limit: int = 500) -> str:
     return keynote.tldr[:limit]
 
 
-def _batched(items: Iterable, size: int) -> Iterator[list]:
-    """Successive lists of ``size`` items, each as soon as it is complete."""
-    items = iter(items)
-    while batch := list(itertools.islice(items, size)):
-        yield batch
-
-
 def _parse_proposal(reply: str) -> ClusterProposal:
     payload = extract_json_payload(reply)
     if not isinstance(payload, list) or not payload:
@@ -105,7 +98,7 @@ def design_clusters(
     """
     cfg = cfg or AnalysisConfig()
     proposal = ClusterProposal()
-    for batch in _batched(keynotes, cfg.design_batch_size):
+    for batch in batched(keynotes, cfg.design_batch_size):
         listing = "\n".join(
             f"- {k.paper_id.canonical}: {_keynote_digest(k)}" for k in batch
         )
@@ -243,20 +236,17 @@ def verify_and_repair(
 
     verdict = compute_verdict(clusters, keynotes)
     if verdict.missing:
-        summaries = [c.summary for c in clusters]
-        summary_vecs = gateway.embed(summaries)
         leftover = sorted(verdict.missing)
-        leftover_vecs = gateway.embed([keynotes[k].tldr for k in leftover])
-        for paper_key, vec in zip(leftover, leftover_vecs):
-            keynote = keynotes[paper_key]
-            scores = [cosine(vec, sv) for sv in summary_vecs]
-            best = max(range(len(clusters)), key=lambda i: (scores[i], -clusters[i].cluster_id))
-            clusters[best].members.add(keynote.paper_id)
+        matches = nearest(
+            gateway, [c.summary for c in clusters], [keynotes[k].tldr for k in leftover]
+        )
+        for paper_key, (best, similarity) in zip(leftover, matches):
+            clusters[best].members.add(keynotes[paper_key].paper_id)
             runlog.add(
                 "fallback_attachment",
                 paper=paper_key,
                 cluster=clusters[best].cluster_id,
-                similarity=scores[best],
+                similarity=similarity,
             )
     return clusters
 

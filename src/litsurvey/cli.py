@@ -103,7 +103,8 @@ def evaluate(survey_path, config_path, topic, workdir):
 @click.option("--workdir", type=click.Path(), default="litsurvey-run")
 def inspect(selector, key, workdir):
     """Print a substrate artifact: keynote <id> | clusters | cluster <id> |
-    outline | analysis <id> | drafts."""
+    outline | analysis <id> | drafts (in drafting order: subsections, then
+    sections, then the survey-level unit if refined)."""
     substrate_dir = Path(workdir) / "substrate"
     try:
         substrate = substrate_load(substrate_dir)

@@ -17,6 +17,7 @@ from typing import Optional
 from .errors import BudgetError, InvalidInputError
 from .gateway import (
     Gateway,
+    batched,
     extract_json_payload,
     request_validated,
 )
@@ -384,10 +385,7 @@ def batch_code_report(
     known = {pid for pid, _ in pseudocodes}
 
     batch_reports = []
-    batches = [
-        pseudocodes[i : i + cfg.report_batch_size]
-        for i in range(0, len(pseudocodes), cfg.report_batch_size)
-    ]
+    batches = list(batched(pseudocodes, cfg.report_batch_size))
     for index, batch in enumerate(batches):
         body = "\n\n".join(f"### {pid}\n{code}" for pid, code in batch)
         batch_reports.append(
@@ -422,14 +420,7 @@ def _merge_reports(reports: list[str], topic: str, gateway: Gateway, runlog: Run
         runlog.add("pairwise_merge_fallback", reports=len(reports))
         merged = list(reports)
         while len(merged) > 1:
-            nxt = []
-            for i in range(0, len(merged), 2):
-                pair = merged[i : i + 2]
-                if len(pair) == 1:
-                    nxt.append(pair[0])
-                else:
-                    nxt.append(integrate(pair))
-            merged = nxt
+            merged = [pair[0] if len(pair) == 1 else integrate(pair) for pair in batched(merged, 2)]
         return merged[0]
 
 

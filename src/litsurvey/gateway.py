@@ -12,7 +12,6 @@ context fitted to what the context window has left.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import itertools
 import json
 import random
@@ -21,7 +20,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Protocol, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, Sequence, TypeVar
 
 import numpy as np
 import requests
@@ -169,9 +168,12 @@ def _json_body(resp: requests.Response, what: str) -> Any:
 
 def extract_chat_text(payload: dict) -> str:
     try:
-        return payload["choices"][0]["message"]["content"]
+        text = payload["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
         raise BackendError(f"unexpected chat completion payload: {exc}") from exc
+    if not isinstance(text, str):
+        raise BackendError(f"chat completion content is not text: {text!r}")
+    return text
 
 
 class HashEmbedder:
@@ -216,7 +218,14 @@ class HttpEmbedder:
             raise TransientBackendError(f"status {resp.status_code}", resp.status_code)
         if resp.status_code != 200:
             raise BackendError(f"embedding backend status {resp.status_code}", resp.status_code)
-        return [item["embedding"] for item in _json_body(resp, "embedding")["data"]]
+        body = _json_body(resp, "embedding")
+        try:
+            vectors = [item["embedding"] for item in body["data"]]
+        except (KeyError, TypeError) as exc:
+            raise BackendError(f"unexpected embedding payload: {str(body)[:200]}") from exc
+        if len(vectors) != len(texts):
+            raise BackendError(f"embedding reply has {len(vectors)} vectors for {len(texts)} texts")
+        return vectors
 
 
 class Gateway:
@@ -361,10 +370,7 @@ class Gateway:
                 results[i] = cached
             else:
                 missing.append((i, text))
-        batches = [
-            missing[start : start + self.embed_batch_size]
-            for start in range(0, len(missing), self.embed_batch_size)
-        ]
+        batches = list(batched(missing, self.embed_batch_size))
 
         def encode(batch: list[tuple[int, str]]) -> list[list[float]]:
             batch_texts = [t for _, t in batch]
@@ -397,6 +403,29 @@ def _normalize(vector: Sequence[float]) -> list[float]:
 
 def cosine(a: Sequence[float], b: Sequence[float]) -> float:
     return float(np.dot(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+
+
+def nearest(
+    gateway: Gateway, targets: Sequence[str], queries: Sequence[str]
+) -> list[tuple[int, float]]:
+    """For each query text, the index of the target text nearest to it by
+    embedding cosine, ties to the lower index, and that similarity. The
+    targets are embedded first, then the queries."""
+    target_vecs = gateway.embed(targets)
+    matches = []
+    for vec in gateway.embed(queries):
+        scores = [cosine(vec, target) for target in target_vecs]
+        best = max(range(len(scores)), key=lambda i: (scores[i], -i))
+        matches.append((best, scores[best]))
+    return matches
+
+
+def batched(items: Iterable[T], size: int) -> Iterator[list[T]]:
+    """Successive lists of ``size`` items, the last one perhaps shorter,
+    each as soon as it is complete."""
+    items = iter(items)
+    while batch := list(itertools.islice(items, size)):
+        yield batch
 
 
 # -- strict structured output with retry-with-error-memory ----------------
@@ -495,22 +524,14 @@ class Feed:
     result, in any order; the feed's owner then closes it, once every index
     from 0 up has been put, or aborts it. A consumer iterates the feed,
     getting the items in index order, each as soon as it and every earlier
-    one are in, or hands it to :func:`map_bounded`, which starts each item
-    as soon as it is in. Both raise FeedAborted once the feed is aborted.
+    one are in, or hands it to :func:`map_bounded`, which reads it the same
+    way. Both raise FeedAborted once the feed is aborted.
     """
 
     def __init__(self):
         self._cond = threading.Condition()
         self._arrived: list[tuple[int, Any]] = []
         self._state = "open"  # then "closed" or "aborted", for good
-
-    @classmethod
-    def of(cls, items: Sequence[Any]) -> "Feed":
-        """A closed feed of ``items``."""
-        feed = cls()
-        feed._arrived = list(enumerate(items))
-        feed._state = "closed"
-        return feed
 
     def put(self, index: int, item: Any) -> None:
         with self._cond:
@@ -553,82 +574,42 @@ class Feed:
 
 
 def map_bounded(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any] | Feed,
-    workers: int = 1,
-    rank: Optional[Callable[[int, Any], Any]] = None,
+    fn: Callable[[Any], Any], items: Sequence[Any] | Feed, workers: int = 1
 ) -> list[Any]:
-    """Apply ``fn`` over items with a bounded worker pool; results keep the
-    input order so downstream merging stays deterministic.
+    """Apply ``fn`` over ``items`` with at most ``workers`` calls in flight;
+    results keep the input order so downstream merging stays deterministic.
 
-    ``items`` is a sequence or a :class:`Feed`, whose results come in index
-    order once it is closed. ``rank(index, item)`` is the order of the
-    serial loop, by default the input order: at one worker the items run in
-    that order, and above one each free worker starts the lowest-ranked
-    item that has arrived, so a sequence's items start in rank order. The
-    items that have arrived when the call begins start at once, up to
-    ``workers`` of them, before any of them can fail.
-
-    Fails like the serial loop: once an item raises, no item of a later
-    rank starts, the items of an earlier rank still run (once they arrive),
-    and the error of the first failing item in rank order is re-raised
-    after the running ones finish. A feed that is aborted starts no further
-    item and raises FeedAborted once the running ones finish.
+    ``items`` is a sequence or a :class:`Feed`, read in index order: each
+    item starts once it and every earlier one are in, and at one worker (or
+    for a single item) the calls run one after another on the calling
+    thread. The first ``workers`` items always start. Fails like the serial
+    loop: once an item raises, no further item starts, and the error of the
+    lowest-index failing item is re-raised after the running ones finish. A
+    feed that is aborted starts no further item and raises FeedAborted once
+    the running ones finish.
     """
-    feed = items if isinstance(items, Feed) else Feed.of(items)
-    rank = rank or (lambda index, item: index)
-    if workers <= 1 or (feed._state == "closed" and len(feed._arrived) <= 1):
-        arrived = list(feed)
-        results: dict[int, Any] = {}
-        for index in sorted(range(len(arrived)), key=lambda i: rank(i, arrived[i])):
-            results[index] = fn(arrived[index])
-        return [results[i] for i in range(len(arrived))]
+    if not isinstance(items, Feed):
+        workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    results: dict[int, Any] = {}
+    errors: dict[int, Exception] = {}
+    slots = threading.Semaphore(workers)
 
-    cond = feed._cond
-    ready: list[tuple[Any, int]] = []  # heap of (rank, index) arrived, not started
-    held: dict[int, Any] = {}
-    seen = 0
-    cutoff: Optional[tuple[Any, Exception]] = None  # earliest-ranked failure
-    results = {}
+    def run(index: int, item: Any) -> None:
+        try:
+            results[index] = fn(item)
+        except Exception as exc:
+            errors[index] = exc
+        finally:
+            slots.release()
 
-    def take(block: bool = True) -> Optional[tuple[Any, int, Any]]:
-        nonlocal seen
-        with cond:
-            while True:
-                for index, item in feed._arrived[seen:]:
-                    heapq.heappush(ready, (rank(index, item), index))
-                    held[index] = item
-                seen = len(feed._arrived)
-                if feed._state == "aborted":
-                    return None
-                if ready and (cutoff is None or ready[0][0] < cutoff[0]):
-                    key, index = heapq.heappop(ready)
-                    return key, index, held.pop(index)
-                if feed._state == "closed" or not block:
-                    return None
-                cond.wait()
-
-    def work(first: Optional[tuple[Any, int, Any]]) -> None:
-        nonlocal cutoff
-        taken = first or take()
-        while taken is not None:
-            key, index, item = taken
-            try:
-                results[index] = fn(item)
-            except Exception as exc:
-                with cond:
-                    if cutoff is None or key < cutoff[0]:
-                        cutoff = (key, exc)
-            taken = take()
-
-    count = workers if feed._state == "open" else min(workers, len(feed._arrived))
-    firsts = [take(block=False) for _ in range(count)]
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        threads = [pool.submit(work, first) for first in firsts]
-    for thread in threads:
-        thread.result()
-    if feed._state == "aborted":
-        raise FeedAborted()
-    if cutoff is not None:
-        raise cutoff[1]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for index, item in enumerate(items):
+            slots.acquire()
+            if errors and index >= workers:
+                break
+            pool.submit(run, index, item)
+    if errors:
+        raise errors[min(errors)]
     return [results[i] for i in range(len(results))]

@@ -342,7 +342,8 @@ def _write_manifest(config, config_hash, backends, runlog, stage_seconds, failed
 #: second takes the first's results from a Feed as they come. Code analysis
 #: reads only the papers and the repositories; the cluster-design fold
 #: sends each step once its batch of keynotes is in; each section and
-#: subsection starts refining once writing accepts its draft.
+#: subsection starts refining once writing has accepted it and every unit
+#: before it in drafting order.
 _OVERLAPS = {
     ("understanding", "analysis"): True,
     ("analysis", "code_analysis"): False,

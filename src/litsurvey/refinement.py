@@ -413,28 +413,21 @@ def refine_all(
 ) -> list[DraftUnit]:
     """Multi-granularity pass: each enabled level exactly once, the survey
     level last. Section and subsection units are independent of each other,
-    so both levels refine in one fan-out on ``workers`` threads; the serial
-    order, which also picks the error a failure raises, is sections first.
-    ``drafts`` may be a Feed that writing is still filling: each unit then
-    starts once it is drafted. The survey level refines the body composed
+    so both levels refine in one fan-out on ``workers`` threads, in the
+    order of ``drafts`` (drafting order: subsections, then sections), which
+    also picks the error a failure raises. ``drafts`` may be a Feed that
+    writing is still filling: each unit then starts once it and every
+    earlier one are drafted. The survey level refines the body composed
     from the refined units; that unit comes last in the result."""
-    levels = [
-        g for g in (Granularity.SECTION, Granularity.SUBSECTION) if g.value in ctx.cfg.enabled
-    ]
-
     def refine_one(unit: DraftUnit) -> DraftUnit:
         if use_fallback_loop:
             return skill_loop_fallback(unit, ctx)
         return refine(unit, ctx)[0]
 
     def at_unit_level(unit: DraftUnit) -> DraftUnit:
-        return refine_one(unit) if unit.granularity in levels else unit
+        return refine_one(unit) if unit.granularity.value in ctx.cfg.enabled else unit
 
-    def rank(index: int, unit: DraftUnit) -> tuple[int, int]:
-        level = levels.index(unit.granularity) if unit.granularity in levels else len(levels)
-        return level, index
-
-    units = map_bounded(at_unit_level, drafts, workers, rank=rank)
+    units = map_bounded(at_unit_level, drafts, workers)
     if Granularity.SURVEY.value in ctx.cfg.enabled:
         body = compose_body(ctx.outline, units)
         survey = DraftUnit(

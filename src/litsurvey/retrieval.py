@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import JudgeError, RetrievalError, SourceUnavailableError, SurveyError
-from .gateway import Gateway, cosine, extract_json_payload, map_bounded, request_validated
+from .gateway import Gateway, batched, cosine, extract_json_payload, map_bounded, request_validated
 from .model import PaperRecord
 from .runlog import RunLog
 from .sources import PaperSource
@@ -143,10 +143,7 @@ def _judge_verdicts(
         prompt = _judge_prompt(batch, topic, purpose)
         return request_validated(gateway, prompt, parse, tag=tag, error_factory=JudgeError)
 
-    batches = [
-        papers[start : start + cfg.judge_batch_size]
-        for start in range(0, len(papers), cfg.judge_batch_size)
-    ]
+    batches = list(batched(papers, cfg.judge_batch_size))
     verdicts: dict[str, tuple[bool, str]] = {}
     for batch_verdicts in map_bounded(judge_batch, batches, workers):
         verdicts.update(batch_verdicts)

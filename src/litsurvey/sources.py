@@ -167,10 +167,12 @@ class AcademicGraphSource:
         self.sleeper = sleeper
         self.draw = draw
 
-    def _get(self, path: str, params: dict) -> dict:
+    def _get(self, path: str, params: dict) -> list[dict]:
+        """The ``data`` entries of a graph reply. A reply that is not JSON,
+        or whose entries are not objects, is a RetrievalError at once."""
         headers = {"x-api-key": self.api_key} if self.api_key else {}
 
-        def attempt() -> dict:
+        def attempt() -> list[dict]:
             try:
                 resp = requests.get(
                     f"{self.base_url}/{path}", params=params, headers=headers, timeout=self.timeout
@@ -179,9 +181,13 @@ class AcademicGraphSource:
                 raise TransientBackendError(str(exc)) from exc
             if resp.status_code == 200:
                 try:
-                    return resp.json()
+                    doc = resp.json()
                 except ValueError as exc:
                     raise RetrievalError(f"graph API {path} reply is not JSON") from exc
+                data = doc.get("data", []) if isinstance(doc, dict) else None
+                if isinstance(data, list) and all(isinstance(e, dict) for e in data):
+                    return data
+                raise RetrievalError(f"graph API {path} reply has an unexpected shape")
             if resp.status_code in RETRYABLE_STATUSES:
                 raise TransientBackendError(f"status {resp.status_code}", resp.status_code)
             raise RetrievalError(f"graph API {path} failed: status {resp.status_code}")
@@ -192,22 +198,22 @@ class AcademicGraphSource:
             raise SourceUnavailableError(f"graph API {path} failed: {exc.__cause__}") from exc
 
     def search(self, query: str, limit: int) -> list[PaperRecord]:
-        doc = self._get("paper/search", {"query": query, "limit": limit, "fields": _GRAPH_FIELDS})
-        return [parse_graph_record(item) for item in doc.get("data", [])]
+        data = self._get("paper/search", {"query": query, "limit": limit, "fields": _GRAPH_FIELDS})
+        return [parse_graph_record(item) for item in data]
 
     def citations(self, paper_id: PaperId, limit: int) -> list[PaperRecord]:
-        doc = self._get(
+        data = self._get(
             f"paper/{self._api_id(paper_id)}/citations",
             {"limit": limit, "fields": _GRAPH_FIELDS},
         )
-        return [parse_graph_record(e["citingPaper"]) for e in doc.get("data", []) if e.get("citingPaper")]
+        return [parse_graph_record(e["citingPaper"]) for e in data if e.get("citingPaper")]
 
     def references(self, paper_id: PaperId, limit: int) -> list[PaperRecord]:
-        doc = self._get(
+        data = self._get(
             f"paper/{self._api_id(paper_id)}/references",
             {"limit": limit, "fields": _GRAPH_FIELDS},
         )
-        return [parse_graph_record(e["citedPaper"]) for e in doc.get("data", []) if e.get("citedPaper")]
+        return [parse_graph_record(e["citedPaper"]) for e in data if e.get("citedPaper")]
 
     @staticmethod
     def _api_id(paper_id: PaperId) -> str:

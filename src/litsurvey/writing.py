@@ -18,9 +18,10 @@ from .errors import AssemblyError, DraftingError, InvalidInputError
 from .gateway import (
     Feed,
     Gateway,
-    cosine,
+    batched,
     extract_json_payload,
     map_bounded,
+    nearest,
     request_validated,
 )
 from .marks import (
@@ -152,10 +153,7 @@ def draft_outline(ctx: WritingContext, topic: str) -> OutlineNode:
     cfg = ctx.cfg
     current: Optional[OutlineNode] = None
     keys = sorted(ctx.keynotes)
-    batches = [
-        keys[i : i + cfg.outline_batch_size]
-        for i in range(0, len(keys), cfg.outline_batch_size)
-    ] or [[]]
+    batches = list(batched(keys, cfg.outline_batch_size)) or [[]]
     for batch in batches:
         current_json = json.dumps(current.to_dict(), ensure_ascii=False) if current else "(empty)"
         prompt = (
@@ -285,24 +283,20 @@ def assign_citations(
     assigned_keys = {p.canonical for ids in mapping.values() for p in ids}
     residual = sorted(known - assigned_keys)
     if residual:
-        leaves = [
-            (path, node)
-            for path, node in outline.walk()
-            if not node.children
-        ]
-        descriptions = [node.description for _, node in leaves]
-        desc_vecs = ctx.gateway.embed(descriptions)
-        residual_vecs = ctx.gateway.embed([ctx.keynotes[k].tldr for k in residual])
-        for paper_key, vec in zip(residual, residual_vecs):
-            scores = [cosine(vec, dv) for dv in desc_vecs]
-            best = max(range(len(leaves)), key=lambda i: (scores[i], -i))
+        leaves = [(path, node) for path, node in outline.walk() if not node.children]
+        matches = nearest(
+            ctx.gateway,
+            [node.description for _, node in leaves],
+            [ctx.keynotes[k].tldr for k in residual],
+        )
+        for paper_key, (best, similarity) in zip(residual, matches):
             path = leaves[best][0]
             mapping.setdefault(path, set()).add(ctx.papers[paper_key].id)
             ctx.runlog.add(
                 "assignment_fallback",
                 paper=paper_key,
                 node=" > ".join(path),
-                similarity=scores[best],
+                similarity=similarity,
             )
     return mapping
 
@@ -485,35 +479,31 @@ def draft_all_units(
 
     Every unit sees only its own evidence, so all subsections draft in one
     pass and all preambles in a second, each on ``workers`` threads. The
-    result lists each section's subsections, then that section; each unit
-    is put on ``feed`` under its place there as soon as it is accepted.
+    result is in drafting order: every subsection in outline order, then
+    every section preamble; each unit is put on ``feed`` under its place
+    there as soon as it is accepted.
     """
-    places = itertools.count()
-    leaves, heads = [], []  # (place, section, subsection) and (place, section)
-    for section in outline.children:
-        leaves += [(next(places), section, sub) for sub in section.children]
-        heads.append((next(places), section))
-    drafts: list = [None] * (len(leaves) + len(heads))
+    sections = outline.children
+    leaves = [(section, sub) for section in sections for sub in section.children]
 
-    def drafted(place: int, unit: DraftUnit) -> None:
-        drafts[place] = unit
+    def drafted(place: int, unit: DraftUnit) -> DraftUnit:
         if feed is not None:
             feed.put(place, unit)
+        return unit
 
-    map_bounded(
-        lambda leaf: drafted(leaf[0], draft_subsection(ctx, leaf[1], leaf[2], outline)),
-        leaves,
+    subsections = map_bounded(
+        lambda place: drafted(place, draft_subsection(ctx, *leaves[place], outline)),
+        range(len(leaves)),
         workers,
     )
-    map_bounded(
-        lambda head: drafted(
-            head[0],
-            draft_section(ctx, head[1], drafts[head[0] - len(head[1].children) : head[0]], outline),
-        ),
-        heads,
+    rest = iter(subsections)
+    own = [list(itertools.islice(rest, len(section.children))) for section in sections]
+    preambles = map_bounded(
+        lambda at: drafted(len(leaves) + at, draft_section(ctx, sections[at], own[at], outline)),
+        range(len(sections)),
         workers,
     )
-    return drafts
+    return subsections + preambles
 
 
 # -- assembly ---------------------------------------------------------------

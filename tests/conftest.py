@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -31,6 +32,20 @@ def html_page(*args, **kwargs) -> requests.Response:
     )
     resp.encoding = "utf-8"
     return resp
+
+
+def json_reply(body):
+    """Stands in for ``requests.get`` or ``.post``: a 200 reply whose body
+    is ``body`` as JSON, well formed but perhaps of the wrong shape."""
+
+    def reply(*args, **kwargs) -> requests.Response:
+        resp = requests.Response()
+        resp.status_code = 200
+        resp._content = json.dumps(body).encode("utf-8")
+        resp.encoding = "utf-8"
+        return resp
+
+    return reply
 
 
 def make_paper(

@@ -41,7 +41,7 @@ from litsurvey.model import ErrorMemory
 from litsurvey.runlog import RunLog
 from litsurvey.scripted import CannedReply, ScriptedTransport
 
-from conftest import html_page, scripted_gateway
+from conftest import html_page, json_reply, scripted_gateway
 from doubles import FixtureEmbedder, FlakyEmbedder, SequenceTransport
 
 
@@ -445,7 +445,7 @@ class TestFeed:
         reader.join(timeout=10)
         assert taken == ["a", "b", "c"]
 
-    def test_map_bounded_starts_each_item_once_it_arrives(self):
+    def test_map_bounded_starts_the_first_item_before_the_feed_closes(self):
         feed = Feed()
         started = threading.Event()
 
@@ -456,27 +456,49 @@ class TestFeed:
         results: list = []
         consumer = threading.Thread(target=lambda: results.extend(map_bounded(fn, feed, 2)))
         consumer.start()
-        feed.put(1, 10)
-        assert started.wait(timeout=10), "an item that arrived did not start"
-        feed.put(0, 20)
+        feed.put(0, 10)
+        assert started.wait(timeout=10), "item 0 did not start while the feed was open"
+        feed.put(1, 20)
         feed.close()
         consumer.join(timeout=10)
-        assert results == [40, 20]
+        assert results == [20, 40]
 
-    def test_rank_orders_the_serial_loop_and_the_reported_failure(self):
-        order: list[int] = []
+    def test_items_put_after_a_failure_never_start(self):
+        feed = Feed()
+        failed, release = threading.Event(), threading.Event()
+        started: list[int] = []
 
         def fn(i):
-            order.append(i)
-            if i in (1, 2):
-                raise ValueError(f"item {i}")
+            started.append(i)
+            if i == 1:
+                failed.set()
+                raise ValueError("item 1")
+            # Item 0 holds its slot, so the next item can only take the
+            # slot of item 1, which is freed once its error is recorded.
+            release.wait(timeout=10)
             return i
 
-        with pytest.raises(ValueError, match="item 2"):
-            map_bounded(fn, list(range(4)), 1, rank=lambda index, item: -index)
-        assert order == [3, 2]
-        with pytest.raises(ValueError, match="item 2"):
-            map_bounded(fn, Feed.of(range(4)), 3, rank=lambda index, item: -index)
+        errors: list = []
+
+        def consume():
+            try:
+                map_bounded(fn, feed, 2)
+            except ValueError as exc:
+                errors.append(exc)
+
+        consumer = threading.Thread(target=consume)
+        consumer.start()
+        feed.put(0, 0)
+        feed.put(1, 1)
+        assert failed.wait(timeout=10)
+        for index in range(2, 6):
+            feed.put(index, index)
+        feed.close()
+        release.set()
+        consumer.join(timeout=10)
+        assert not consumer.is_alive()
+        assert sorted(started) == [0, 1]
+        assert [str(e) for e in errors] == ["item 1"]
 
     def test_many_workers_take_each_item_of_a_busy_feed_once(self):
         feed = Feed()
@@ -705,6 +727,24 @@ class TestHttpClients:
         monkeypatch.setattr(requests, "post", html_page)
         with pytest.raises(BackendError, match="embedding reply is not JSON"):
             HttpEmbedder("http://embed", "model").encode(["text"])
+
+    def test_an_embedding_error_body_is_a_backend_error(self, monkeypatch):
+        monkeypatch.setattr(requests, "post", json_reply({"error": {"message": "overloaded"}}))
+        with pytest.raises(BackendError, match="unexpected embedding payload"):
+            HttpEmbedder("http://embed", "model").encode(["text"])
+
+    def test_an_embedding_reply_short_of_vectors_is_a_backend_error(self, monkeypatch):
+        monkeypatch.setattr(requests, "post", json_reply({"data": [{"embedding": [1.0, 0.0]}]}))
+        gw = Gateway(ScriptedTransport(), embedder=HttpEmbedder("http://embed", "model"))
+        with pytest.raises(BackendError, match="1 vectors for 2 texts"):
+            gw.embed(["a", "b"])
+
+    def test_a_chat_reply_without_text_is_a_backend_error(self, monkeypatch):
+        reply = {"choices": [{"message": {"role": "assistant", "content": None}}]}
+        monkeypatch.setattr(requests, "post", json_reply(reply))
+        gw = Gateway(HttpChatTransport("http://chat", "model"))
+        with pytest.raises(BackendError, match="content is not text"):
+            request_validated(gw, "p", extract_json_payload, tag="t")
 
 
 def test_canned_reply_queue_is_sticky_on_last():

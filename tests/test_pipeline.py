@@ -301,9 +301,9 @@ class TestRequestStream:
     means to alter the prompts."""
 
     GOLDEN = {
-        "plain": (40, "892368ab54a1b747a3df8e41af2348dd80f1f87ae312bb590d50312ced7c8645"),
+        "plain": (40, "43a3a725fe58d2c42df5dafc79ce0362e81d1cae55ec11b1bcbe9426c6630b5d"),
         "code_analysis": (
-            45, "76068d0365ef20e58331b1c345ca968bb3a1017758c2738dc45db1b0bac12703"
+            45, "73aab03e56f199f48b8630734c648d167999fbd2a6acbdc879576770805d10d3"
         ),
     }
 
@@ -352,8 +352,8 @@ class TestGoldenOutput:
     for a change that means to alter the outputs."""
 
     GOLDEN = {
-        "plain": "28102372c657ec04f859b45d9d11aa8810338875cf5b8a28da1aecd324928d57",
-        "code_analysis": "2c9c89a9dea9751ee877b34485006c341c15fe8ca8f3c17d58da9e2f67460772",
+        "plain": "d1822f834d468dbcfc098e9b9fbe01d4e87236f273da6bddf1aa6014e97f9702",
+        "code_analysis": "d4925863f13cee220adea9700958f0c7a381eaea4eb4273a5aff62a10b8ce983",
     }
 
     @pytest.mark.parametrize("workers", [1, 8])
@@ -681,9 +681,9 @@ class TestOverlappedStep:
         ]
 
     def test_a_refused_revision_commits_writing_and_raises_the_serial_error(self, tmp_path):
-        # Every section and subsection asks for a revision. Subsections are
-        # drafted first but refine after the sections in the serial order,
-        # so the serial error is the first section's 401.
+        # Every section and subsection asks for a revision. Units refine in
+        # drafting order, subsections first, so the serial error is the
+        # first subsection's 400.
         refuse = (
             REVISE_FIRST,
             {"pattern": "Revise this section draft", "replies": [{"text": "no", "status": 401}]},
@@ -693,7 +693,7 @@ class TestOverlappedStep:
         root = tmp_path / "parallel"
         config, parallel = self._failure(root, 2, *refuse)
         assert parallel.stage == "refinement"
-        assert "status 401" in str(parallel)
+        assert "status 400" in str(parallel)
         assert str(parallel) == str(serial)
         assert committed_stages(config) == [
             "retrieval", "understanding", "analysis", "code_analysis", "writing",

@@ -254,25 +254,25 @@ class TestRefineAll:
         transport = Tracker().add("coordinate refinement", plan("finish"))
         ctx = ctx_for(papers, keynotes, transport)
         units = refine_all([unit_for(), section_for()], ctx)
-        assert seen_tags == ["section", "subsection", "survey"]
+        assert seen_tags == ["subsection", "section", "survey"]
         assert [u.granularity for u in units] == [
             Granularity.SUBSECTION, Granularity.SECTION, Granularity.SURVEY,
         ]
         assert units[-1].node_path == ("Survey",)
 
     def test_unit_levels_share_one_fan_out(self, papers, keynotes):
-        # With two workers the subsection unit must not wait for the section
-        # level to finish: its planner call arrives while the section's is
+        # With two workers the section unit must not wait for the subsection
+        # level to finish: its planner call arrives while the subsection's is
         # still in flight.
-        subsection_arrived = threading.Event()
+        section_arrived = threading.Event()
         overlapped: list[bool] = []
 
         class Gate(ScriptedTransport):
             def send(self, request):
-                if "coordinate refinement of a section" in request.prompt:
-                    overlapped.append(subsection_arrived.wait(timeout=2))
-                elif "coordinate refinement of a subsection" in request.prompt:
-                    subsection_arrived.set()
+                if "coordinate refinement of a subsection" in request.prompt:
+                    overlapped.append(section_arrived.wait(timeout=2))
+                elif "coordinate refinement of a section" in request.prompt:
+                    section_arrived.set()
                 return super().send(request)
 
         transport = Gate().add("coordinate refinement", plan("finish"))

@@ -14,7 +14,7 @@ from litsurvey.sources import (
     parse_preprint_feed,
 )
 
-from conftest import CountingSource, html_page, make_paper, scripted_gateway
+from conftest import CountingSource, html_page, json_reply, make_paper, scripted_gateway
 
 
 class TestGraphRecordParsing:
@@ -93,6 +93,22 @@ class TestAcademicGraphRetry:
         source = AcademicGraphSource("http://graph", sleeper=delays.append, draw=lambda: 0.0)
         with pytest.raises(RetrievalError, match="graph API paper/search reply is not JSON"):
             source.search("q", 5)
+        assert delays == []
+
+    def test_a_reply_that_is_a_list_is_a_retrieval_error(self, monkeypatch):
+        monkeypatch.setattr(requests, "get", json_reply([{"paperId": "abc123"}]))
+        delays: list[float] = []
+        source = AcademicGraphSource("http://graph", sleeper=delays.append, draw=lambda: 0.0)
+        with pytest.raises(RetrievalError, match="paper/search reply has an unexpected shape"):
+            source.search("q", 5)
+        assert delays == []
+
+    def test_a_citation_entry_that_is_not_an_object_is_a_retrieval_error(self, monkeypatch):
+        monkeypatch.setattr(requests, "get", json_reply({"data": ["abc123"]}))
+        delays: list[float] = []
+        source = AcademicGraphSource("http://graph", sleeper=delays.append, draw=lambda: 0.0)
+        with pytest.raises(RetrievalError, match="citations reply has an unexpected shape"):
+            source.citations(PaperId("2406.10001", IdSource.PREPRINT), 5)
         assert delays == []
 
     @staticmethod
