@@ -3,6 +3,10 @@
 * api tier    -> DiskCache under <cache_dir>/api (optional expiry)
 * task tier   -> the substrate files and their commit record
 * runtime tier-> a dict inside the gateway instance, under its lock
+
+A hit on the api tier costs one hash pass over the request (``cache_key``)
+and one in-memory lookup: ``DiskCache`` keeps the bytes of every entry it
+has indexed and opens no file to answer a hit.
 """
 
 from __future__ import annotations
@@ -17,16 +21,32 @@ from pathlib import Path
 from typing import Any, Optional
 
 
-def cache_key(*parts: Any) -> str:
-    """Deterministic key for identical inputs (order-sensitive)."""
-    blob = json.dumps(parts, ensure_ascii=False, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+def cache_key(*parts: str | int | float | bool | None) -> str:
+    """Deterministic key for identical inputs (order-sensitive).
+
+    Each part enters one sha256 as its type name and byte length, then its
+    bytes: a string as UTF-8, a number, bool or None as its ``repr``. So
+    ``("ab", "c")`` and ``("a", "bc")`` differ, and ``0``, ``0.0`` and
+    ``"0"`` differ. Any other type is refused rather than hashed by a repr
+    that may not be stable.
+    """
+    digest = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, str):
+            data = part.encode("utf-8")
+        elif part is None or isinstance(part, (int, float)):
+            data = repr(part).encode("ascii")
+        else:
+            raise TypeError(f"cache_key cannot hash a {type(part).__name__} part")
+        digest.update(b"%s %d " % (type(part).__name__.encode("ascii"), len(data)))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 class DiskCache:
     """An append-only log of entries, in the manner of Bitcask (Sheehy and
     Smith 2010): segment files ``<uuid>.log`` plus an in-memory index of
-    key -> (created, segment, offset, length).
+    key -> (created, value bytes).
 
     Each instance appends to a segment of its own, created on its first
     ``set``, one line ``<key> <created> <value JSON>\\n`` per entry, and
@@ -35,11 +55,14 @@ class DiskCache:
     of it is never changed by a run over the copy. Keys must hold no
     whitespace (``cache_key`` gives hex digests).
 
-    The index holds the complete lines of every segment: a torn last line
-    (a writer that died mid-write) is never indexed. A miss re-reads only
-    the segments that grew or appeared since the last read, so an entry
-    another instance wrote is still found. A key written more than once
-    resolves to its latest ``created``; expiry is checked per entry.
+    The index holds the complete lines of every segment, with the value
+    bytes read (or written) when the line was indexed: a hit decodes those
+    bytes and opens no file. A torn last line (a writer that died
+    mid-write) is never indexed. A miss re-reads only the segments that
+    grew or appeared since the last read, from where the last read
+    stopped, so an entry another instance wrote is still found. A key
+    written more than once resolves to its latest ``created``; expiry is
+    checked per entry.
     """
 
     def __init__(self, directory: str | Path, expiry_seconds: Optional[float] = None):
@@ -47,8 +70,8 @@ class DiskCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.expiry_seconds = expiry_seconds
         self._lock = threading.Lock()
-        # Segments are named by their path string, as os.scandir gives it.
-        self._index: dict[str, tuple[float, str, int, int]] = {}
+        self._index: dict[str, tuple[float, bytes]] = {}
+        # Segments are named by their path string, as os.scandir gives it:
         # segment -> (size when last read, end of its last complete line)
         self._read: dict[str, tuple[int, int]] = {}
         self._segment: Optional[str] = None
@@ -61,12 +84,9 @@ class DiskCache:
                 entry = self._index.get(key)
         if entry is None or self._expired(entry[0]):
             return None
-        _, segment, offset, length = entry
         try:
-            with open(segment, "rb") as handle:
-                handle.seek(offset)
-                return json.loads(handle.read(length))
-        except (OSError, ValueError):  # removed, unreadable or corrupt
+            return json.loads(entry[1])
+        except ValueError:  # a corrupt entry
             return None
 
     def set(self, key: str, value: Any) -> None:
@@ -77,7 +97,6 @@ class DiskCache:
                 self._read[self._segment] = (0, 0)
             created = time.time()
             head = f"{key} {created!r} ".encode("utf-8")
-            end = self._read[self._segment][1]
             try:
                 # Mode "a" creates the segment under the umask like any
                 # other file; only this instance ever writes to it.
@@ -87,17 +106,17 @@ class DiskCache:
                 # The line may be torn: later entries go to a new segment.
                 self._segment = None
                 raise
-            size = end + len(head) + len(data) + 1
+            size = self._read[self._segment][1] + len(head) + len(data) + 1
             self._read[self._segment] = (size, size)
-            self._index_entry(key, created, self._segment, end + len(head), len(data))
+            self._index_entry(key, created, data)
 
     def _expired(self, created: float) -> bool:
         return self.expiry_seconds is not None and time.time() - created > self.expiry_seconds
 
-    def _index_entry(self, key: str, created: float, segment: str, offset: int, length: int) -> None:
+    def _index_entry(self, key: str, created: float, data: bytes) -> None:
         known = self._index.get(key)
         if known is None or created >= known[0]:
-            self._index[key] = (created, segment, offset, length)
+            self._index[key] = (created, data)
 
     def _refresh(self) -> None:
         """Index the complete lines that segments gained since last read."""
@@ -130,6 +149,6 @@ class DiskCache:
                     except ValueError:  # not a line this cache wrote
                         pass
                     else:
-                        self._index_entry(key, created, segment, start + second + 1, stop - second - 1)
+                        self._index_entry(key, created, chunk[second + 1 : stop])
                 pos = stop + 1
             self._read[segment] = (start + len(chunk), start + complete)

@@ -12,13 +12,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .model import CitationMark, CitationStyle, PaperRecord
+from .model import CitationMark, CitationStyle, PaperRecord, normalize_title
 
 MARK_RE = re.compile(r"<([^<>\n]+)>")
-
-
-def normalize_title(title: str) -> str:
-    return " ".join(title.split()).casefold()
 
 
 def extract_mark_keys(text: str) -> list[str]:
@@ -36,7 +32,7 @@ def build_resolver(
     papers: Iterable[PaperRecord], style: CitationStyle
 ) -> dict[str, PaperRecord]:
     if style is CitationStyle.TITLE:
-        return {normalize_title(p.title): p for p in papers}
+        return {p.title_key: p for p in papers}
     return {p.id.canonical: p for p in papers}
 
 

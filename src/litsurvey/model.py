@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import IntegrityError, InvalidInputError
@@ -17,6 +18,10 @@ from .errors import IntegrityError, InvalidInputError
 class IdSource(str, Enum):
     PREPRINT = "preprint-archive"
     GRAPH = "academic-graph"
+
+
+#: value -> member, so that decoding an id is a dict lookup, not an Enum call
+_ID_SOURCES = {source.value: source for source in IdSource}
 
 
 @dataclass(frozen=True)
@@ -35,7 +40,16 @@ class PaperId:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PaperId":
-        return cls(canonical=d["canonical"], source=IdSource(d["source"]))
+        try:
+            source = _ID_SOURCES[d["source"]]
+        except (KeyError, TypeError):
+            raise ValueError(f"{d['source']!r} is not a valid IdSource") from None
+        return cls(canonical=d["canonical"], source=source)
+
+
+def normalize_title(title: str) -> str:
+    """A title as citation marks match it: whitespace collapsed, case folded."""
+    return " ".join(title.split()).casefold()
 
 
 def _known(ids: dict[str, PaperId], canonical: str) -> PaperId:
@@ -87,6 +101,11 @@ class PaperRecord:
         # Citation links never duplicate and never point at the paper itself.
         self.in_citations = _dedup_ids(self.in_citations, self.id)
         self.out_citations = _dedup_ids(self.out_citations, self.id)
+
+    @cached_property
+    def title_key(self) -> str:
+        """``normalize_title(title)``, computed once per record."""
+        return normalize_title(self.title)
 
     @property
     def citation_count(self) -> int:

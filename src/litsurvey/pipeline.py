@@ -38,7 +38,7 @@ from .gateway import (
     HttpEmbedder,
     map_bounded,
 )
-from .model import KnowledgeSubstrate
+from .model import KnowledgeSubstrate, PaperRecord
 from .runlog import RunLog
 from .scripted import ConstantNli, HashNli, ScriptedTransport
 from .sources import (
@@ -147,22 +147,37 @@ class RunResult:
     runlog: RunLog = field(default_factory=RunLog)
 
 
+def _paper_dirs(root: str, papers: dict[str, PaperRecord]) -> dict[str, Path]:
+    """canonical id -> its directory under ``root``, for the papers that
+    have one, in id order. ``root`` is listed once; an id with a '/' names
+    a nested directory."""
+    try:
+        with os.scandir(root) as listing:
+            present = {e.name for e in listing if e.is_dir()}
+    except (FileNotFoundError, NotADirectoryError):
+        return {}
+    found = {}
+    for canonical in sorted(papers):
+        if canonical.partition("/")[0] in present:
+            path = Path(root, canonical)
+            if "/" not in canonical or path.is_dir():
+                found[canonical] = path
+    return found
+
+
 def _discover_docs(config: PipelineConfig, substrate: KnowledgeSubstrate) -> dict[str, ParsedDocument]:
     docs: dict[str, ParsedDocument] = {}
     if not config.parsed_docs_dir:
         return docs
-    root = Path(config.parsed_docs_dir)
-    for canonical, record in substrate.papers.items():
-        paper_dir = root / canonical
-        if not paper_dir.is_dir():
-            continue
-        md_files = sorted(paper_dir.glob("*.md"))
+    for canonical, paper_dir in _paper_dirs(config.parsed_docs_dir, substrate.papers).items():
+        with os.scandir(paper_dir) as listing:
+            md_files = sorted(e.path for e in listing if e.name.endswith(".md"))
         if not md_files:
             continue
         docs[canonical] = ParsedDocument(
-            paper_id=record.id,
-            markdown=md_files[0].read_text(encoding="utf-8"),
-            source_path=str(md_files[0]),
+            paper_id=substrate.papers[canonical].id,
+            markdown=Path(md_files[0]).read_text(encoding="utf-8"),
+            source_path=md_files[0],
         )
     return docs
 
@@ -236,15 +251,10 @@ def _stage_analysis(config, substrate, backends, runlog, feed=None):
 def _stage_code_analysis(config, substrate, backends, runlog):
     repos = []
     if config.repos_dir:
-        root = Path(config.repos_dir)
-        for canonical in sorted(substrate.papers):
-            repo_dir = root / canonical
-            if repo_dir.is_dir():
-                repos.append(
-                    code_mod.RepoSnapshot.from_directory(
-                        substrate.papers[canonical].id, repo_dir
-                    )
-                )
+        repos = [
+            code_mod.RepoSnapshot.from_directory(substrate.papers[canonical].id, repo_dir)
+            for canonical, repo_dir in _paper_dirs(config.repos_dir, substrate.papers).items()
+        ]
     loops = map_bounded(
         lambda repo: code_mod.run_pseudocode_loop(
             repo, backends.gateway, config.code_analysis, runlog=runlog

@@ -9,6 +9,7 @@ never degrade citation validity.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,6 +36,9 @@ from .tokens import compress_context, estimate_tokens
 from .writing import compose_body
 
 SKILLS = ("read_keynotes", "review", "revise", "finish")
+
+#: a section or subsection heading line of the composed survey body
+HEADING_RE = re.compile(r"^#{2,3} .*$", re.M)
 
 
 @dataclass
@@ -110,6 +114,11 @@ class RefinementContext:
     style: CitationStyle = CitationStyle.TITLE
     code_reports: dict[str, str] = field(default_factory=dict)
     runlog: RunLog = field(default_factory=RunLog)
+    #: the outline as every planner prompt shows it, built once
+    outline_digest: str = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.outline_digest = json.dumps(self.outline.to_dict(), ensure_ascii=False)[:2000]
 
     @classmethod
     def from_substrate(
@@ -248,12 +257,14 @@ def _try_revision(
     memory: RefinementMemory,
     round_no: int,
 ) -> DraftUnit:
-    """Apply a revision if and only if it re-passes citation verification;
-    two citation-breaking attempts abandon the revision for this round."""
+    """Apply a revision if and only if it re-passes citation verification
+    and keeps the unit's headings: none in a section or subsection, the
+    same '##'/'###' lines in the same order in the survey body. Two
+    attempts that break either abandon the revision for this round."""
     assigned = ctx.evidence_set(unit)
     # The composed survey body carries heading anchors by design; unit
     # bodies must stay free of them.
-    ban_anchor = unit.granularity is not Granularity.SURVEY
+    headings = HEADING_RE.findall(unit.text) if unit.granularity is Granularity.SURVEY else None
 
     def parse(revised: str) -> DraftUnit:
         verdict = verify_citations(revised, assigned, ctx.style)
@@ -261,8 +272,10 @@ def _try_revision(
         for key in verdict.violations:
             problems.append(f"revision cited out-of-set paper '{key}'")
             ctx.runlog.attribution_event("refine.revise", "revision", key)
-        if ban_anchor and "#" in revised:
+        if headings is None and "#" in revised:
             problems.append("revision contains '#'")
+        elif headings is not None and HEADING_RE.findall(revised) != headings:
+            problems.append("revision changed the '##'/'###' heading lines; keep each one, in order")
         if problems:
             raise ValueError(*problems)
         return DraftUnit(
@@ -318,12 +331,10 @@ def refine(
     last_suggestions: list[str] = []
 
     for round_no in range(1, level.max_rounds + 1):
-        outline_digest = json.dumps(ctx.outline.to_dict(), ensure_ascii=False)[:2000]
-
         prompt = (
             f"You coordinate refinement of a {unit.granularity.value} draft "
             + f"(round {round_no}/{level.max_rounds}).\n"
-            + f"Outline: {outline_digest}\n"
+            + f"Outline: {ctx.outline_digest}\n"
             + f"History:\n{memory.render()}\n\nDraft:\n{current.text}\n\n"
             + "Dispatch skills in order: read_keynotes (with paper_ids), "
             + "review, revise (with instructions), or finish when satisfied. "

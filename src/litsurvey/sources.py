@@ -123,17 +123,32 @@ _GRAPH_FIELDS = (
 )
 
 
+def _graph_object(item: dict, name: str) -> dict:
+    """``item[name]`` when it is an object, {} when it is absent or null; any
+    other shape is a RetrievalError naming the field."""
+    value = item.get(name)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise RetrievalError(
+            f"graph record field '{name}' is a {type(value).__name__}, not an object"
+        )
+    return value
+
+
 def parse_graph_record(item: dict) -> PaperRecord:
     """Map one academic-graph API item onto a PaperRecord."""
-    external = item.get("externalIds") or {}
+    external = _graph_object(item, "externalIds")
     pid = unify_paper_id(external.get("ArXiv"), item.get("paperId"))
-    tldr = item.get("tldr") or {}
-    pdf = item.get("openAccessPdf") or {}
+    tldr = item.get("tldr")
+    if not isinstance(tldr, str):  # a plain string is the summary itself
+        tldr = _graph_object(item, "tldr").get("text", "")
+    pdf = _graph_object(item, "openAccessPdf")
     return PaperRecord(
         id=pid,
         title=item.get("title") or "(untitled)",
         abstract=item.get("abstract") or "",
-        tldr=tldr.get("text", "") if isinstance(tldr, dict) else str(tldr),
+        tldr=tldr,
         full_text_ref=pdf.get("url"),
         in_citations=[],
         out_citations=[],
@@ -206,14 +221,14 @@ class AcademicGraphSource:
             f"paper/{self._api_id(paper_id)}/citations",
             {"limit": limit, "fields": _GRAPH_FIELDS},
         )
-        return [parse_graph_record(e["citingPaper"]) for e in data if e.get("citingPaper")]
+        return [parse_graph_record(p) for e in data if (p := _graph_object(e, "citingPaper"))]
 
     def references(self, paper_id: PaperId, limit: int) -> list[PaperRecord]:
         data = self._get(
             f"paper/{self._api_id(paper_id)}/references",
             {"limit": limit, "fields": _GRAPH_FIELDS},
         )
-        return [parse_graph_record(e["citedPaper"]) for e in data if e.get("citedPaper")]
+        return [parse_graph_record(p) for e in data if (p := _graph_object(e, "citedPaper"))]
 
     @staticmethod
     def _api_id(paper_id: PaperId) -> str:

@@ -15,7 +15,7 @@ import pytest
 import requests
 
 from litsurvey import caching as caching_mod
-from litsurvey.caching import DiskCache
+from litsurvey.caching import DiskCache, cache_key
 from litsurvey.errors import (
     BackendError,
     BudgetError,
@@ -156,6 +156,45 @@ class TestCaching:
         gw.complete(req("p", tag="refine", temperature=0.7))
         gw.complete(req("p", tag="draft", temperature=0.1))
         assert len(transport.calls) == 3
+
+    def test_cache_key_keeps_part_boundaries_and_types_apart(self):
+        assert cache_key("ab", "c") != cache_key("a", "bc")
+        # Without the lengths, a part ending in the next part's type name
+        # would run into it.
+        assert cache_key("astr", "c") != cache_key("a", "strc")
+        assert len({cache_key(0), cache_key(0.0), cache_key("0"), cache_key(False)}) == 4
+        assert cache_key("x", None) != cache_key("x", "None")
+        assert cache_key("a", 1) == cache_key("a", 1)
+
+    def test_cache_key_scheme_is_pinned(self):
+        # Changing this digest makes every existing api cache cold once.
+        assert cache_key("complete", "writing.outline", 0.0, 4096, "Propose an outline.") == (
+            "1edcf3ef6931fac9978a68df2463048088c7d027e09939fd51f011cb532e6cee"
+        )
+
+    def test_cache_key_refuses_a_part_without_a_stable_form(self):
+        with pytest.raises(TypeError, match="cannot hash a dict part"):
+            cache_key("complete", {"tag": "x"})
+
+    def test_a_disk_hit_opens_no_file(self, tmp_path, monkeypatch):
+        writer, reader = DiskCache(tmp_path), DiskCache(tmp_path)
+        writer.set("early", {"v": 1})
+        assert reader.get("early") == {"v": 1}  # a miss: indexes the segment
+        opened: list[str] = []
+        real_open, real_scandir = open, os.scandir
+        monkeypatch.setattr(caching_mod, "open", lambda *a, **k: opened.append(a[0]) or real_open(*a, **k), raising=False)
+        monkeypatch.setattr(caching_mod.os, "scandir", lambda *a: opened.append("scandir") or real_scandir(*a))
+        assert [reader.get("early") for _ in range(3)] == [{"v": 1}] * 3
+        assert writer.get("early") == {"v": 1}
+        assert opened == []
+        # The writer appends to the segment the reader has already indexed:
+        # the reader's miss lists the directory and reads that segment.
+        writer.set("later", [2])
+        [segment] = opened
+        opened.clear()
+        assert reader.get("later") == [2]
+        assert opened == ["scandir", segment]
+        assert reader.get("later") == [2] and len(opened) == 2
 
     def test_disk_cache_survives_gateway_restart(self, tmp_path):
         transport = SequenceTransport(["persisted"])

@@ -39,6 +39,17 @@ class TestUnifyPaperId:
         with pytest.raises(InvalidInputError):
             PaperId("")
 
+    @pytest.mark.parametrize("source", ["preprint-archive", "academic-graph"])
+    def test_from_dict_maps_each_source_to_its_member(self, source):
+        pid = PaperId.from_dict({"canonical": "x", "source": source})
+        assert pid.source is IdSource(source)
+        assert PaperId.from_dict(pid.to_dict()) == pid
+
+    @pytest.mark.parametrize("source", ["arxiv", "PREPRINT", None, ["academic-graph"]])
+    def test_from_dict_refuses_an_unknown_source(self, source):
+        with pytest.raises(ValueError, match="is not a valid IdSource"):
+            PaperId.from_dict({"canonical": "x", "source": source})
+
 
 def test_paper_record_normalizes_citation_links():
     record = PaperRecord(

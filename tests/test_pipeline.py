@@ -28,14 +28,22 @@ from litsurvey.errors import (
 )
 from litsurvey.evaluation import RUBRIC_DIMENSIONS, extract_claims, strip_front_matter
 from litsurvey.gateway import TransportResponse
-from litsurvey.model import CitationStyle, Granularity
+from litsurvey.model import CitationStyle, Granularity, KnowledgeSubstrate
 from litsurvey.pipeline import build_backends, evaluate_run, run_pipeline
 from litsurvey.sources import FixtureSource
 from litsurvey.substrate import read_record, substrate_load, substrate_save
 from litsurvey.writing import check_evidence_locality
 
-from conftest import CountingSource
-from e2e_fixture import ALL_IDS, SEEDS, TOPIC, enable_code_analysis, make_config, scripted_rules
+from conftest import CountingSource, make_paper
+from e2e_fixture import (
+    ALL_IDS,
+    SEEDS,
+    TOPIC,
+    enable_code_analysis,
+    make_config,
+    scripted_rules,
+    title_of,
+)
 
 
 class InlineExecutor:
@@ -233,6 +241,27 @@ def script_marked_revisions(config: PipelineConfig) -> list[str]:
     return markers
 
 
+class TestPaperDirectories:
+    def test_each_paper_reads_the_first_markdown_file_of_its_directory(self, tmp_path):
+        docs = tmp_path / "docs"
+        for key in ("2406.10001", "cs/0112017"):  # an old-style id nests
+            (docs / key).mkdir(parents=True)
+            (docs / key / "b.md").write_text("second file")
+            (docs / key / "a.md").write_text(f"text of {key}")
+            (docs / key / "notes.txt").write_text("not markdown")
+        (docs / "2406.10002").write_text("a file, not a directory")
+        (docs / "2406.10003").mkdir()
+        papers = ("2406.10001", "2406.10002", "2406.10003", "2406.10004", "cs/0112017", "cs/0112018")
+        substrate = KnowledgeSubstrate(papers={k: make_paper(k) for k in papers})
+        config = PipelineConfig(topic=TOPIC, workdir=str(tmp_path / "run"), parsed_docs_dir=str(docs))
+        found = pipeline_mod._discover_docs(config, substrate)
+        assert {k: (d.markdown, d.source_path) for k, d in found.items()} == {
+            k: (f"text of {k}", str(docs / k / "a.md")) for k in ("2406.10001", "cs/0112017")
+        }
+        config.parsed_docs_dir = str(tmp_path / "missing")
+        assert pipeline_mod._discover_docs(config, substrate) == {}
+
+
 class TestRefinedSurvey:
     def test_every_accepted_unit_revision_reaches_the_survey(self, tmp_path):
         config = make_config(tmp_path)
@@ -255,6 +284,38 @@ class TestRefinedSurvey:
         survey = result.survey_path.read_text()
         assert [m for m in markers if m not in survey] == []
         assert not backends.gateway.transport.calls_matching("refinement of a survey")
+
+    def test_a_survey_revision_that_drops_a_section_is_rejected(self, tmp_path):
+        # The reply cites a paper of the survey's evidence set, so only the
+        # heading check can refuse it.
+        dropped = f"## Foundations\n\nThis survey rests on <{title_of(SEEDS[0])}>."
+        rules = (
+            {
+                "pattern": r"coordinate refinement of a survey draft \(round 1/",
+                "replies": [json.dumps([{"skill": "revise", "instructions": "shorten"}])],
+            },
+            {"pattern": "Revise this survey draft", "replies": [dropped]},
+        )
+
+        def run(root: Path, *rules: dict):
+            config = prepend_rules(make_config(root), *rules)
+            backends = build_backends(config)
+            result = run_pipeline(config, backends=backends)
+            return result, backends.gateway.transport
+
+        composed, _ = run(tmp_path / "composed")
+        rejected, transport = run(tmp_path / "rejected", *rules)
+        revisions = transport.calls_matching("Revise this survey draft")
+        assert len(revisions) == 2
+        assert "heading lines" not in revisions[0].prompt
+        assert "heading lines" in revisions[1].prompt
+        assert [e["node"] for e in rejected.runlog.of_kind("revision_rejected")] == [
+            "Automated Survey Generation: A Survey"
+        ]
+        assert rejected.substrate.drafts[-1].text == composed.substrate.drafts[-1].text
+        assert strip_front_matter(rejected.survey_path.read_text()) == strip_front_matter(
+            composed.survey_path.read_text()
+        )
 
 
 class TestCodeAnalysisVariant:

@@ -260,6 +260,20 @@ class TestRefineAll:
         ]
         assert units[-1].node_path == ("Survey",)
 
+    def test_the_outline_is_serialised_once_for_every_planner_round(self, papers, keynotes, monkeypatch):
+        to_dict = OutlineNode.to_dict
+        titles: list[str] = []
+        monkeypatch.setattr(OutlineNode, "to_dict", lambda node: titles.append(node.title) or to_dict(node))
+        transport = ScriptedTransport().add("coordinate refinement", plan("review")).add(
+            "Review this", REVIEW_8
+        )
+        ctx = ctx_for(papers, keynotes, transport)
+        units = refine_all([unit_for(), section_for()], ctx, workers=2)
+        plans = transport.calls_matching("coordinate refinement")
+        assert len(units) == 3 and len(plans) == 3 + 3 + 5
+        assert titles.count("Survey") == 1
+        assert {p.prompt.split("Outline: ")[1].split("\n")[0] for p in plans} == {ctx.outline_digest}
+
     def test_unit_levels_share_one_fan_out(self, papers, keynotes):
         # With two workers the section unit must not wait for the subsection
         # level to finish: its planner call arrives while the subsection's is

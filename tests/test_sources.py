@@ -111,6 +111,31 @@ class TestAcademicGraphRetry:
             source.citations(PaperId("2406.10001", IdSource.PREPRINT), 5)
         assert delays == []
 
+    @pytest.mark.parametrize(
+        "method, entry, field, shape",
+        [
+            ("citations", {"citingPaper": "abc123"}, "citingPaper", "str"),
+            ("references", {"citedPaper": "abc123"}, "citedPaper", "str"),
+            ("search", {"paperId": "abc123", "externalIds": ["ArXiv"]}, "externalIds", "list"),
+            ("search", {"paperId": "abc123", "tldr": ["Short."]}, "tldr", "list"),
+            ("search", {"paperId": "abc123", "openAccessPdf": ["http://x/p.pdf"]}, "openAccessPdf", "list"),
+        ],
+    )
+    def test_a_nested_field_of_the_wrong_shape_is_a_retrieval_error(
+        self, monkeypatch, method, entry, field, shape
+    ):
+        monkeypatch.setattr(requests, "get", json_reply({"data": [entry]}))
+        delays: list[float] = []
+        source = AcademicGraphSource("http://graph", sleeper=delays.append, draw=lambda: 0.0)
+        call = {
+            "search": lambda: source.search("q", 5),
+            "citations": lambda: source.citations(PaperId("2406.10001", IdSource.PREPRINT), 5),
+            "references": lambda: source.references(PaperId("2406.10001", IdSource.PREPRINT), 5),
+        }[method]
+        with pytest.raises(RetrievalError, match=f"graph record field '{field}' is a {shape}, not an object"):
+            call()
+        assert delays == []
+
     @staticmethod
     def script(monkeypatch, outcomes: list) -> list[str]:
         """Make requests.get play ``outcomes`` in order (status codes or
