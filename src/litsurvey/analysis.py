@@ -484,11 +484,12 @@ def analyze_cluster(
     keynotes: dict[str, Keynote],
     papers: dict[str, PaperRecord],
     gateway: Gateway,
-    cfg: Optional[AnalysisConfig] = None,
+    qa_items: list[QaItem],
     runlog: Optional[RunLog] = None,
 ) -> ClusterAnalysis:
-    """All three per-cluster views."""
-    cfg = cfg or AnalysisConfig()
+    """All three per-cluster views: the relation graph and the comparison
+    table, built here, and ``qa_items``, the cluster's guided Q&A, which
+    the pipeline asks for every cluster first (writing reads only those)."""
     runlog = runlog or RunLog()
     edges = build_relation_graph(cluster, keynotes, papers, gateway, runlog)
     table = (
@@ -496,10 +497,9 @@ def analyze_cluster(
         if len(cluster.members) >= 2
         else None
     )
-    qa = guided_qa(cluster, keynotes, papers, gateway, cfg.questions_per_cluster, runlog)
     return ClusterAnalysis(
         cluster_id=cluster.cluster_id,
         relation_graph=edges,
         comparison_table=table,
-        qa_items=qa,
+        qa_items=qa_items,
     )

@@ -94,11 +94,10 @@ class PipelineConfig:
     # Pool width for the independent per-unit backend calls (citation-graph
     # fetches, embedding batches, rerank judge batches, papers, clusters,
     # repositories, drafts, refinement units, evaluate's judge rounds).
-    # Above 1, three pairs of adjacent stages also run side by side
-    # (understanding and analysis, analysis and code analysis, writing and
-    # refinement; see pipeline._OVERLAPS), so the manifest's stage_seconds
-    # may sum to more than the wall time. Outputs do not depend on it, so it
-    # stays out of the config hash.
+    # Above 1, each stage also starts as soon as what it reads is ready
+    # (see pipeline._INPUTS), so stages overlap and the manifest's
+    # stage_seconds may sum to more than the wall time. Outputs do not
+    # depend on it, so it stays out of the config hash.
     stage_workers: int = 1
     parsed_docs_dir: str = ""
     repos_dir: str = ""

@@ -560,6 +560,14 @@ class Feed:
                 raise FeedAborted()
             return self._arrived[seen:]
 
+    def wait_closed(self) -> None:
+        """Wait until the feed is closed; raises FeedAborted once it is
+        aborted."""
+        with self._cond:
+            self._cond.wait_for(lambda: self._state != "open")
+            if self._state == "aborted":
+                raise FeedAborted()
+
     def __iter__(self):
         held: dict[int, Any] = {}
         seen = 0
@@ -584,7 +592,8 @@ def map_bounded(
     for a single item) the calls run one after another on the calling
     thread. The first ``workers`` items always start. Fails like the serial
     loop: once an item raises, no further item starts, and the error of the
-    lowest-index failing item is re-raised after the running ones finish. A
+    lowest-index failing item, a KeyboardInterrupt or SystemExit too, is
+    re-raised after the running ones finish. A
     feed that is aborted starts no further item and raises FeedAborted once
     the running ones finish.
     """
@@ -593,13 +602,13 @@ def map_bounded(
     if workers <= 1:
         return [fn(item) for item in items]
     results: dict[int, Any] = {}
-    errors: dict[int, Exception] = {}
+    errors: dict[int, BaseException] = {}
     slots = threading.Semaphore(workers)
 
     def run(index: int, item: Any) -> None:
         try:
             results[index] = fn(item)
-        except Exception as exc:
+        except BaseException as exc:
             errors[index] = exc
         finally:
             slots.release()

@@ -38,7 +38,7 @@ from .gateway import (
     HttpEmbedder,
     map_bounded,
 )
-from .model import KnowledgeSubstrate, PaperRecord
+from .model import ClusterAnalysis, KnowledgeSubstrate, PaperRecord
 from .runlog import RunLog
 from .scripted import ConstantNli, HashNli, ScriptedTransport
 from .sources import (
@@ -49,7 +49,9 @@ from .sources import (
     PreprintSource,
 )
 from .substrate import (
+    COMMIT_FILE,
     _dump,
+    _write,
     read_record,
     substrate_load,
     substrate_reset,
@@ -204,18 +206,19 @@ def _stage_retrieval(config, substrate, backends, runlog):
     substrate.papers = {p.id.canonical: p for p in papers}
 
 
-def _stage_understanding(config, substrate, backends, runlog, feed=None):
+def _stage_understanding(config, substrate, backends, runlog, feeds):
     docs = _discover_docs(config, substrate)
     substrate.keynotes = understanding_mod.run_understanding(
-        substrate.papers, docs, backends.gateway, runlog, config.stage_workers, feed
+        substrate.papers, docs, backends.gateway, runlog, config.stage_workers,
+        feeds["understanding"],
     )
 
 
-def _stage_analysis(config, substrate, backends, runlog, feed=None):
-    # From the feed, the keynotes come as understanding makes them, with
-    # None for a skipped paper; the rest of analysis reads them once the
-    # feed is closed, when understanding has committed.
-    keynotes = feed
+def _stage_analysis(config, substrate, backends, runlog, feeds):
+    # From understanding's feed, the keynotes come as understanding makes
+    # them, with None for a skipped paper; the rest of analysis reads them
+    # once the feed is closed, when understanding has committed.
+    keynotes = feeds.get("understanding")
     if keynotes is None:
         keynotes = [substrate.keynotes[k] for k in sorted(substrate.keynotes)]
     proposal = analysis_mod.design_clusters(
@@ -227,12 +230,25 @@ def _stage_analysis(config, substrate, backends, runlog, feed=None):
     )
     substrate.clusters = clusters
     populated = [c for c in clusters if c.members]
-    substrate.analyses = map_bounded(
-        lambda cluster: analysis_mod.analyze_cluster(
+    # Writing reads only the clusters and their Q&A, so every cluster's
+    # Q&A is asked first and handed over before the graphs and tables.
+    qa = map_bounded(
+        lambda cluster: analysis_mod.guided_qa(
             cluster, substrate.keynotes, substrate.papers, backends.gateway,
-            config.analysis, runlog,
+            config.analysis.questions_per_cluster, runlog,
         ),
         populated,
+        config.stage_workers,
+    )
+    feeds["analysis"].put(0, (clusters, [
+        ClusterAnalysis(cluster_id=c.cluster_id, qa_items=items) for c, items in zip(populated, qa)
+    ]))
+    substrate.analyses = map_bounded(
+        lambda at: analysis_mod.analyze_cluster(
+            populated[at], substrate.keynotes, substrate.papers, backends.gateway,
+            qa[at], runlog,
+        ),
+        range(len(populated)),
         config.stage_workers,
     )
     if len(clusters) >= 2:
@@ -262,11 +278,12 @@ def _stage_code_analysis(config, substrate, backends, runlog):
         repos,
         config.stage_workers,
     )
-    pseudocodes = []
-    for repo, (pseudocode, _trace) in zip(repos, loops):
-        substrate.code_reports[repo.paper_id.canonical] = pseudocode
-        if pseudocode:
-            pseudocodes.append((repo.paper_id.canonical, pseudocode))
+    # One assignment: a save running beside this stage validates the
+    # substrate and iterates its reports.
+    substrate.code_reports = {
+        repo.paper_id.canonical: pseudocode for repo, (pseudocode, _trace) in zip(repos, loops)
+    }
+    pseudocodes = [(k, p) for k, p in substrate.code_reports.items() if p]
     if pseudocodes:
         substrate.code_overview = code_mod.batch_code_report(
             pseudocodes, config.topic, backends.gateway, config.code_analysis, runlog
@@ -274,32 +291,39 @@ def _stage_code_analysis(config, substrate, backends, runlog):
         substrate.environment_overview = code_mod.environment_report(repos, backends.gateway)
 
 
-def _writing_context(config, substrate, backends, runlog) -> writing_mod.WritingContext:
-    extra = ""
-    if config.code_analysis_enabled and (substrate.code_overview or substrate.environment_overview):
-        extra = f"{substrate.code_overview}\n{substrate.environment_overview}".strip()
-    return writing_mod.WritingContext(
+def _stage_writing(config, substrate, backends, runlog, feeds):
+    # The outline fold and the citation assignment read only the clusters
+    # and their Q&A, which analysis hands over before its graphs and
+    # tables. Drafting reads code analysis' overviews, so it waits for
+    # analysis and code analysis to commit, and only then sets a substrate
+    # field.
+    handoff = feeds.get("analysis")
+    clusters, analyses = (
+        next(iter(handoff)) if handoff else (substrate.clusters, substrate.analyses)
+    )
+    ctx = writing_mod.WritingContext(
         papers=substrate.papers,
         keynotes=substrate.keynotes,
-        clusters=substrate.clusters,
-        analyses=substrate.analyses,
+        clusters=clusters,
+        analyses=analyses,
         cfg=config.writing,
         gateway=backends.gateway,
         runlog=runlog,
-        extra_context=extra,
+    )
+    outline = writing_mod.draft_outline(ctx, config.topic)
+    writing_mod.apply_assignment(outline, writing_mod.assign_citations(ctx, outline))
+    for stage in ("analysis", "code_analysis"):
+        if stage in feeds:
+            feeds[stage].wait_closed()
+    if config.code_analysis_enabled:
+        ctx.extra_context = f"{substrate.code_overview}\n{substrate.environment_overview}".strip()
+    substrate.outline = outline
+    substrate.drafts = writing_mod.draft_all_units(
+        ctx, outline, config.stage_workers, feeds["writing"]
     )
 
 
-def _stage_writing(config, substrate, backends, runlog, feed=None):
-    ctx = _writing_context(config, substrate, backends, runlog)
-    outline = writing_mod.draft_outline(ctx, config.topic)
-    mapping = writing_mod.assign_citations(ctx, outline)
-    writing_mod.apply_assignment(outline, mapping)
-    substrate.outline = outline
-    substrate.drafts = writing_mod.draft_all_units(ctx, outline, config.stage_workers, feed)
-
-
-def _stage_refinement(config, substrate, backends, runlog, feed=None):
+def _stage_refinement(config, substrate, backends, runlog, feeds):
     ctx = refinement_mod.RefinementContext.from_substrate(
         substrate,
         backends.gateway,
@@ -308,16 +332,16 @@ def _stage_refinement(config, substrate, backends, runlog, feed=None):
         runlog=runlog,
     )
     substrate.drafts = refinement_mod.refine_all(
-        substrate.drafts if feed is None else feed,
+        feeds.get("writing", substrate.drafts),
         ctx,
         use_fallback_loop=config.use_skill_loop_fallback,
         workers=config.stage_workers,
     )
 
 
-#: stage -> its function (config, substrate, backends, runlog[, feed]): the
-#: four stages of a feed pair of ``_OVERLAPS`` also take the Feed they fill
-#: or read, when the other stage of the pair runs in the same call.
+#: stage -> its function (config, substrate, backends, runlog[, feeds]): a
+#: stage that puts on or reads from a Feed also takes the Feed of every
+#: stage of the run (see _run_stages).
 _STAGE_FUNCTIONS = {
     "retrieval": _stage_retrieval,
     "understanding": _stage_understanding,
@@ -348,17 +372,29 @@ def _write_manifest(config, config_hash, backends, runlog, stage_seconds, failed
     return manifest
 
 
-#: Adjacent stages that run side by side above one worker, and whether the
-#: second takes the first's results from a Feed as they come. Code analysis
-#: reads only the papers and the repositories; the cluster-design fold
-#: sends each step once its batch of keynotes is in; each section and
-#: subsection starts refining once writing has accepted it and every unit
-#: before it in drafting order.
-_OVERLAPS = {
-    ("understanding", "analysis"): True,
-    ("analysis", "code_analysis"): False,
-    ("writing", "refinement"): True,
+#: How a stage waits for an input, above one worker: once it has
+#: COMMITTED, or beside it, FED from its Feed as it runs (the stage's clock
+#: starts at the first item).
+COMMITTED, FED = "committed", "fed"
+
+#: stage -> the input it waits for before it starts, above one worker, and
+#: how; retrieval starts at once. The cluster-design fold takes the
+#: keynotes as understanding makes them. Code analysis reads only the
+#: papers, but starts once understanding has committed, beside analysis.
+#: Writing's outline fold and citation assignment start from the clusters
+#: and their Q&A, which analysis hands over before its graphs and tables;
+#: drafting then waits for analysis and code analysis to commit. Each
+#: section and subsection starts refining once writing has accepted it and
+#: every unit before it in drafting order.
+_INPUTS = {
+    "understanding": ("retrieval", COMMITTED),
+    "analysis": ("understanding", FED),
+    "code_analysis": ("understanding", COMMITTED),
+    "writing": ("analysis", FED),
+    "refinement": ("writing", FED),
 }
+#: the stages that put on or read from a Feed
+_TAKES_FEEDS = {s for stage, (source, how) in _INPUTS.items() if how == FED for s in (source, stage)}
 
 
 def _run_stages(plan, config, substrate, backends, runlog) -> Optional[tuple[str, SurveyError]]:
@@ -366,68 +402,93 @@ def _run_stages(plan, config, substrate, backends, runlog) -> Optional[tuple[str
     soon as it and every earlier stage have finished; returns the first
     failed stage and its error, or None.
 
-    The stages of an ``_OVERLAPS`` pair share a Feed at every width. At one
-    worker each stage starts once the one before it has committed, so a
-    consumer finds its feed closed and runs as it would alone. Above one
-    worker the second stage of a pair starts beside the first, once every
-    earlier stage has finished, and a consumer starts once its feed has an
-    item: at most two stages, each with at most ``stage_workers`` calls in
-    flight, run at once. A feed is closed after its producer commits, so a
-    consumer that reads it to the end changes no substrate field before
-    that commit.
+    Every stage of the plan has a Feed, closed once the stage commits: the
+    stage puts there what a later one reads while it runs, and a later
+    stage reads it or waits for it to close; a stage not in the plan is
+    read from the substrate. At one worker each stage runs on the calling
+    thread once the one before it has committed, so it finds every feed it
+    reads closed and runs as it would alone. Above one worker each later
+    stage starts on a thread of its own as soon as its ``_INPUTS`` entry
+    allows, checked as each stage's turn to commit comes, and a stage fed
+    by another waits for its feed's first item before its clock starts.
+    Each stage has at most ``stage_workers`` calls in flight, and these
+    overlap: understanding and the serial design fold; analysis, code
+    analysis and writing's serial outline fold or citation assignment;
+    drafting and refinement. So at most 2 × ``stage_workers`` + 1 calls
+    are in flight. No stage changes a substrate field before the stages it
+    reads from have committed.
 
     Each stage logs apart; its events join ``runlog`` once it has ended,
-    in stage order. ``stage_seconds`` is each stage's own duration. When a
-    stage fails, the next one, if already running, finishes the calls it
-    has in flight (their replies are cached), and neither commits nor logs;
-    a stage that has failed by its turn to commit starts no partner.
+    in stage order. ``stage_seconds`` is each stage's own duration. Once a
+    stage has failed, no further stage starts beside the one being
+    committed. A stage already running stops at its next read of a feed
+    (code analysis reads none and runs to its end), and neither commits
+    nor logs; the replies of its calls are cached.
     """
     overlap = config.stage_workers > 1
-    feeds = {
-        first: Feed() for first, second in zip(plan, plan[1:]) if _OVERLAPS.get((first, second))
-    }
+    feeds = {stage: Feed() for stage in plan}
     logs = {stage: RunLog() for stage in plan}
+    failed = threading.Event()
 
-    def run_stage(at: int):
-        stage = plan[at]
-        consumer = at > 0 and plan[at - 1] in feeds
-        feed = feeds.get(plan[at - 1]) if consumer else feeds.get(stage)
-        if consumer:
-            feed.arrivals()
+    def ready(stage: str, started: set, committed: list) -> bool:
+        source, how = _INPUTS.get(stage, (None, None))
+        return source not in feeds or source in (started if how == FED else committed)
+
+    def run_stage(stage: str):
+        source, how = _INPUTS.get(stage, (None, None))
+        if how == FED and source in feeds:
+            feeds[source].arrivals()
         started = time.monotonic()
-        args = () if feed is None else (feed,)
+        args = (feeds,) if stage in _TAKES_FEEDS else ()
         try:
             _STAGE_FUNCTIONS[stage](config, substrate, backends, logs[stage], *args)
         except SurveyError as exc:
+            failed.set()
             return exc, 0.0
         return None, round(time.monotonic() - started, 3)
 
     # The stage being committed runs on the calling thread unless it was
-    # started beside the one before it, so a run at one worker uses no
-    # other thread and an interrupt stops it at once.
-    with ThreadPoolExecutor(max_workers=2) as pool:
+    # started earlier, so a run at one worker uses no other thread and an
+    # interrupt stops it at once.
+    with ThreadPoolExecutor(max_workers=len(_STAGE_FUNCTIONS)) as pool:
         running = {}
         try:
             for at, stage in enumerate(plan):
+                if overlap and not failed.is_set():
+                    started = {*plan[: at + 1], *running}
+                    for later in plan[at + 1:]:
+                        if later not in started and ready(later, started, plan[:at]):
+                            running[later] = pool.submit(run_stage, later)
+                            started.add(later)
                 ahead = running.pop(stage, None)
-                failed = ahead is not None and ahead.done() and ahead.result()[0] is not None
-                pair = at + 1 < len(plan) and (stage, plan[at + 1]) in _OVERLAPS
-                if overlap and pair and not failed:
-                    running[plan[at + 1]] = pool.submit(run_stage, at + 1)
                 try:
-                    error, seconds = ahead.result() if ahead else run_stage(at)
+                    error, seconds = ahead.result() if ahead else run_stage(stage)
                 finally:
                     runlog.events.extend(logs[stage].events)
                 if error is not None:
                     return stage, error
                 substrate.stage_seconds[stage] = seconds
                 substrate_save(substrate, config.substrate_dir, stage)
-                if stage in feeds:
-                    feeds[stage].close()
+                feeds[stage].close()
         finally:
             for feed in feeds.values():
                 feed.abort()
     return None
+
+
+def _write_survey(config: PipelineConfig, assembled: writing_mod.AssembledSurvey) -> None:
+    """Write the sidecar, then the survey, each atomically. A survey that
+    changes is removed first, so a crash at any point leaves the old pair,
+    the new pair, or a sidecar with no survey, which evaluate refuses."""
+    survey = config.survey_path
+    try:
+        unchanged = survey.read_text(encoding="utf-8") == assembled.document
+    except (OSError, UnicodeDecodeError):
+        unchanged = False
+    if not unchanged:
+        survey.unlink(missing_ok=True)
+    _write(config.sidecar_path, assembled.sidecar_json())
+    _write(survey, assembled.document)
 
 
 def run_pipeline(
@@ -441,11 +502,10 @@ def run_pipeline(
 
     ``stop_after`` ends the run early (simulating interruption), and no
     stage after it starts; ``resume`` picks up from the commit record,
-    refusing on a config-hash mismatch. Above one worker, analysis overlaps
-    understanding and code analysis, and refinement overlaps writing; the
-    requests, commits, log and outputs stay the serial run's (see
-    :func:`_run_stages`). A failed stage raises StageError after the
-    manifest names it.
+    refusing on a config-hash mismatch. Above one worker, each stage
+    starts as soon as what it reads is ready; the requests, commits, log
+    and outputs stay the serial run's (see :func:`_run_stages`). A failed
+    stage raises StageError after the manifest names it.
     """
     if not config.topic:
         raise ConfigError("config.topic must be non-empty")
@@ -456,9 +516,11 @@ def run_pipeline(
     config_hash = config.config_hash()
 
     substrate_dir = config.substrate_dir
-    # A run stopped before its first record leaves an empty substrate
-    # directory: it has nothing to resume, so it starts afresh.
-    if resume and substrate_dir.is_dir() and not any(substrate_dir.iterdir()):
+    # A run stopped before its first record was in place leaves a substrate
+    # directory without one, empty or holding the torn record's temporary
+    # file. No stage file is written before the record, so there is
+    # nothing to resume and the run starts afresh.
+    if resume and substrate_dir.is_dir() and not (substrate_dir / COMMIT_FILE).exists():
         resume = False
     if resume:
         record = read_record(substrate_dir)
@@ -505,8 +567,7 @@ def run_pipeline(
             generated_at=created_at,
             config_hash=config_hash,
         )
-        config.survey_path.write_text(assembled.document, encoding="utf-8")
-        config.sidecar_path.write_text(assembled.sidecar_json(), encoding="utf-8")
+        _write_survey(config, assembled)
         survey_path = config.survey_path
 
     manifest = _write_manifest(config, config_hash, backends, runlog, stage_seconds)

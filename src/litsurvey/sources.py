@@ -136,27 +136,41 @@ def _graph_object(item: dict, name: str) -> dict:
     return value
 
 
+def _graph_string(value, name: str, required: bool = False) -> str:
+    """``value``, the graph record field ``name``, when it is a string; ""
+    when it is absent or null, unless ``required``; any other value is a
+    RetrievalError naming the field."""
+    if isinstance(value, str):
+        return value
+    if value is None and not required:
+        return ""
+    shape = "null" if value is None else f"a {type(value).__name__}"
+    raise RetrievalError(f"graph record field '{name}' is {shape}, not a string")
+
+
 def parse_graph_record(item: dict) -> PaperRecord:
     """Map one academic-graph API item onto a PaperRecord."""
     external = _graph_object(item, "externalIds")
-    pid = unify_paper_id(external.get("ArXiv"), item.get("paperId"))
+    graph_id = _graph_string(item.get("paperId"), "paperId")
+    pid = unify_paper_id(_graph_string(external.get("ArXiv"), "externalIds.ArXiv"), graph_id)
     tldr = item.get("tldr")
     if not isinstance(tldr, str):  # a plain string is the summary itself
-        tldr = _graph_object(item, "tldr").get("text", "")
+        summary = _graph_object(item, "tldr")
+        tldr = _graph_string(summary.get("text"), "tldr.text", required=bool(summary))
     pdf = _graph_object(item, "openAccessPdf")
     return PaperRecord(
         id=pid,
-        title=item.get("title") or "(untitled)",
-        abstract=item.get("abstract") or "",
+        title=_graph_string(item.get("title"), "title") or "(untitled)",
+        abstract=_graph_string(item.get("abstract"), "abstract"),
         tldr=tldr,
-        full_text_ref=pdf.get("url"),
+        full_text_ref=_graph_string(pdf.get("url"), "openAccessPdf.url") or None,
         in_citations=[],
         out_citations=[],
         repo_urls=[],
         metadata={
-            "graph_id": item.get("paperId") or "",
+            "graph_id": graph_id,
             "year": str(item.get("year") or ""),
-            "venue": item.get("venue") or "",
+            "venue": _graph_string(item.get("venue"), "venue"),
             "citation_count": str(item.get("citationCount") or 0),
         },
     )

@@ -69,13 +69,18 @@ _ENTRY_KEYS = {"stage", "seconds", "files"}
 
 
 def _dump(path: Path, payload: dict) -> str:
+    """Atomic write of ``payload`` as one line of JSON (see :func:`_write`);
+    returns the sha256 of the text."""
+    # No indent: it forces json's pure-Python encoder.
+    return _write(path, json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n")
+
+
+def _write(path: Path, text: str) -> str:
     """Atomic write: a temporary file renamed over ``path``; returns the
     sha256 of the text. A file that already holds the same text is left
     alone: renaming over an existing file costs about twice as much as
     creating one on ext4, and a zero-work resume rewrites an unchanged
-    manifest."""
-    # No indent: it forces json's pure-Python encoder.
-    text = json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n"
+    manifest and survey."""
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     try:
         if path.read_text(encoding="utf-8") == text:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .errors import AssemblyError, DraftingError, InvalidInputError
@@ -71,6 +72,9 @@ class WritingConfig:
 
 @dataclass
 class WritingContext:
+    """What writing reads. Of the analyses it reads only the Q&A questions,
+    so ``analyses`` may hold the Q&A alone (see ``pipeline``)."""
+
     papers: dict[str, PaperRecord]
     keynotes: dict[str, Keynote]
     clusters: list[Cluster]
@@ -80,14 +84,16 @@ class WritingContext:
     runlog: RunLog = field(default_factory=RunLog)
     extra_context: str = ""  # e.g. code/environment overviews when enabled
 
-    def analyses_digest(self, limit: int = 4000) -> str:
-        parts = []
-        for cluster in self.clusters:
-            parts.append(f"- {cluster.name}: {cluster.summary}")
+    @cached_property
+    def analyses_digest(self) -> str:
+        """The cluster landscape every outline step and subsection prompt
+        carries: each cluster's name and summary, then each Q&A question,
+        cut to 4000 characters. Built once."""
+        parts = [f"- {cluster.name}: {cluster.summary}" for cluster in self.clusters]
         for analysis in self.analyses:
             for item in analysis.qa_items:
                 parts.append(f"  Q: {item.question[:200]}")
-        return "\n".join(parts)[:limit]
+        return "\n".join(parts)[:4000]
 
     def keynote_lines(self, ids: Optional[set[str]] = None) -> str:
         keys = sorted(ids) if ids is not None else sorted(self.keynotes)
@@ -168,7 +174,7 @@ def draft_outline(ctx: WritingContext, topic: str) -> OutlineNode:
             + "[{\"title\": str, \"description\": str}]}]}.\n"
         )
         context = (
-            f"Cluster landscape:\n{ctx.analyses_digest()}\n\n"
+            f"Cluster landscape:\n{ctx.analyses_digest}\n\n"
             + f"Paper keynotes:\n{ctx.keynote_lines(set(batch))}\n"
         )
         current = request_validated(
@@ -410,7 +416,7 @@ def draft_subsection(
         + f"(within section '{section.title}') of the survey "
         + f"'{outline.title}'.\nScope: {subsection.description}\n"
         + f"Assigned papers:\n{keynote_ctx}\n"
-        + f"Cluster insights:\n{ctx.analyses_digest()}\n{extra}\n"
+        + f"Cluster insights:\n{ctx.analyses_digest}\n{extra}\n"
         + f"Rules: {_mark_hint(cfg.citation_style)}; cite at least "
         + f"{cfg.subsection_least_citations} different assigned papers and no "
         + f"others; at least {cfg.subsection_least_words} words; plain prose "

@@ -423,9 +423,9 @@ def test_fabricated_id_yields_exactly_one_monitor_event_and_no_persistence(
         .add("high-value question", qa_payload)
     )
     runlog = RunLog()
-    result = analyze_cluster(
-        cluster, keynotes, papers, scripted_gateway(transport), runlog=runlog
-    )
+    gateway = scripted_gateway(transport)
+    qa_items = guided_qa(cluster, keynotes, papers, gateway, runlog=runlog)
+    result = analyze_cluster(cluster, keynotes, papers, gateway, qa_items, runlog=runlog)
     events = runlog.attribution_events()
     assert len(events) == 1
     assert events[0]["offending"] == "fabricated9"

@@ -468,6 +468,22 @@ class TestMapBounded:
             map_bounded(fn, list(range(4)), workers=4)
         assert sorted(started) == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("raised", [KeyboardInterrupt, SystemExit])
+    def test_an_interrupt_in_a_worker_is_re_raised(self, raised):
+        item_1_done = threading.Event()
+
+        def fn(i):
+            if i == 0:
+                item_1_done.wait(timeout=10)
+                raise raised("item 0")
+            if i == 1:
+                item_1_done.set()
+                raise ValueError("item 1")
+            return i
+
+        with pytest.raises(raised, match="item 0"):
+            map_bounded(fn, list(range(4)), workers=2)
+
 
 class TestFeed:
     def test_iteration_yields_each_item_once_it_and_every_earlier_one_are_in(self):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import shutil
+import sys
 import threading
 import time
 from collections import Counter
@@ -362,9 +363,9 @@ class TestRequestStream:
     means to alter the prompts."""
 
     GOLDEN = {
-        "plain": (40, "43a3a725fe58d2c42df5dafc79ce0362e81d1cae55ec11b1bcbe9426c6630b5d"),
+        "plain": (40, "32875632aec013e433b5f0aa4a9a1d24a779a73b8307cedf384d1efb9fd47e8f"),
         "code_analysis": (
-            45, "73aab03e56f199f48b8630734c648d167999fbd2a6acbdc879576770805d10d3"
+            45, "787b8fa4ce74a9165d3300a7bc21a532460108581ce85d06494aaa83ef7d12df"
         ),
     }
 
@@ -778,6 +779,9 @@ class TestOverlappedStep:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_calls_in_flight_stay_within_two_stages_of_workers(self, tmp_path, workers):
+        # Two stages of workers, plus the one call of writing's serial
+        # outline fold or citation assignment, which runs beside analysis
+        # and code analysis.
         config = self._streamed(tmp_path, workers)
         backends = build_backends(config)
         transport = backends.gateway.transport
@@ -792,6 +796,10 @@ class TestOverlappedStep:
                 in_flight["all"] += 1
                 for key in (stage, "all"):
                     peak[key] = max(peak[key], in_flight[key])
+                if in_flight["analysis"] or in_flight["code_analysis"]:
+                    peak["writing beside analysis"] = max(
+                        peak["writing beside analysis"], in_flight["writing"]
+                    )
             try:
                 time.sleep(0.002)
                 return send(request)
@@ -802,8 +810,9 @@ class TestOverlappedStep:
 
         transport.send = counted_send
         run_pipeline(config, backends=backends)
-        assert peak["all"] <= 2 * workers
+        assert peak["all"] <= 2 * workers + 1
         assert max(peak[s] for s in STAGE_TAGS) <= workers
+        assert peak["writing beside analysis"] <= 1
 
     def test_every_overlap_commits_and_logs_in_run_order(self, tmp_path):
         # One logged event per stage of an overlapped pair: a keynote, a
@@ -840,6 +849,75 @@ class TestOverlappedStep:
             ("draft_retry", "Foundations > Graph Expansion"),
             ("revision_rejected", "Foundations"),
         ]
+
+
+class TestStageInputs:
+    """Writing starts from the clusters and their Q&A, which analysis hands
+    over before its graphs, tables and synthesis; drafting waits for
+    analysis and code analysis to commit."""
+
+    _config = staticmethod(TestOverlappedStep._config)
+
+    def test_the_outline_fold_starts_before_the_synthesis_is_answered(self, tmp_path):
+        config = self._config(tmp_path, 2)
+        backends = build_backends(config)
+        seen = gate(backends.gateway.transport, "Contrast the clusters", "writing.outline")
+        run_pipeline(config, backends=backends)
+        assert seen.is_set()
+        assert output_digest(config) == TestGoldenOutput.GOLDEN["code_analysis"]
+
+    def test_drafting_starts_once_code_analysis_has_committed(self, tmp_path):
+        config = self._config(tmp_path, 2)
+        backends = build_backends(config)
+        transport = backends.gateway.transport
+        send, committed = transport.send, []
+
+        def recorded_send(request):
+            if request.tag == "writing.subsection":
+                committed.append(committed_stages(config))
+            elif request.tag == "code.environment":
+                time.sleep(0.05)  # the last code call outlasts the outline fold
+            return send(request)
+
+        transport.send = recorded_send
+        run_pipeline(config, backends=backends)
+        upstream = ["retrieval", "understanding", "analysis", "code_analysis"]
+        assert committed and all(stages == upstream for stages in committed)
+        assert output_digest(config) == TestGoldenOutput.GOLDEN["code_analysis"]
+
+    def test_outputs_hold_under_frequent_thread_switches(self, tmp_path):
+        # Stages share the substrate and the hand-off across threads; a
+        # short switch interval makes a race show here instead of flaking.
+        config = self._config(tmp_path, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_pipeline(config, backends=build_backends(config))
+        finally:
+            sys.setswitchinterval(interval)
+        assert output_digest(config) == TestGoldenOutput.GOLDEN["code_analysis"]
+
+    def test_a_failed_synthesis_commits_no_writing_and_raises_the_serial_error(self, tmp_path):
+        refuse = {"pattern": "Contrast the clusters", "replies": [{"text": "no", "status": 400}]}
+
+        def failure(workers: int):
+            config = self._config(tmp_path / f"workers{workers}", workers, refuse)
+            backends = build_backends(config)
+            transport = backends.gateway.transport
+            seen = gate(transport, "Contrast the clusters", "writing.outline") if workers > 1 else None
+            with pytest.raises(StageError) as err:
+                run_pipeline(config, backends=backends)
+            return config, err.value, [c.tag for c in transport.calls], seen and seen.is_set()
+
+        _, serial, _, _ = failure(1)
+        config, parallel, tags, overlapped = failure(2)
+        assert overlapped, "writing did not start beside analysis"
+        assert parallel.stage == "analysis"
+        assert str(parallel) == str(serial)
+        assert committed_stages(config) == ["retrieval", "understanding"]
+        assert not [t for t in tags if t in ("writing.subsection", "writing.section")]
+        manifest = json.loads(config.manifest_path.read_text())
+        assert manifest["failed_stage"] == "analysis"
 
 
 class TestCheckpointResume:
@@ -1016,6 +1094,59 @@ class TestCheckpointResume:
         config = make_config(tmp_path)
         with pytest.raises(LoadError, match="commit.json"):
             run_pipeline(config, backends=build_backends(config), resume=True)
+
+    def test_a_crash_at_the_first_record_resumes_afresh(self, tmp_path, monkeypatch):
+        # The first record's temporary file is written, and the crash comes
+        # before it is renamed over commit.json.
+        config = make_config(tmp_path)
+        real_replace = Path.replace
+
+        def replace(path, target):
+            if Path(target).name == "commit.json":
+                raise CrashError(target)
+            return real_replace(path, target)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "replace", replace)
+            with pytest.raises(CrashError):
+                run_pipeline(config, backends=build_backends(config))
+        assert [p.name for p in config.substrate_dir.iterdir()] == ["commit.tmp"]
+        result = run_pipeline(config, backends=build_backends(config), resume=True)
+        assert not result.runlog.of_kind("resumed")
+        assert output_digest(config) == TestGoldenOutput.GOLDEN["plain"]
+
+    @pytest.mark.parametrize("crash_at", [0, 1])
+    def test_a_crash_between_the_survey_writes_leaves_no_mismatched_pair(
+        self, tmp_path, monkeypatch, crash_at
+    ):
+        config = make_config(tmp_path)
+        old_pair = ("an earlier survey\n", '{"entries": []}\n')
+        config.survey_path.parent.mkdir(parents=True)
+        config.survey_path.write_text(old_pair[0], encoding="utf-8")
+        config.sidecar_path.write_text(old_pair[1], encoding="utf-8")
+        real_write_text = Path.write_text
+        survey_writes = []
+
+        def write_text(path, *args, **kwargs):
+            if path.name.startswith(config.survey_path.stem + "."):
+                if len(survey_writes) == crash_at:
+                    raise CrashError(path)
+                survey_writes.append(path.name)
+            return real_write_text(path, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", write_text)
+            with pytest.raises(CrashError):
+                run_pipeline(config, backends=build_backends(config))
+        if config.survey_path.exists():
+            pair = (config.survey_path.read_text(), config.sidecar_path.read_text())
+            assert pair == old_pair
+        else:
+            with pytest.raises(ConfigError, match="survey not found"):
+                evaluate_run(config, config.survey_path, backends=build_backends(config))
+
+        run_pipeline(config, backends=build_backends(config), resume=True)
+        assert output_digest(config) == TestGoldenOutput.GOLDEN["plain"]
 
 
 EARLY_STAGE_PATTERNS = (

@@ -136,6 +136,42 @@ class TestAcademicGraphRetry:
             call()
         assert delays == []
 
+    @pytest.mark.parametrize(
+        "method, entry, field, shape",
+        [
+            ("search", {"paperId": 7}, "paperId", "a int"),
+            ("search", {"paperId": "abc123", "externalIds": {"ArXiv": 2406.1}}, "externalIds.ArXiv", "a float"),
+            ("search", {"paperId": "abc123", "tldr": {"text": None}}, "tldr.text", "null"),
+            ("citations", {"citingPaper": {"paperId": "abc123", "title": ["A", "B"]}}, "title", "a list"),
+        ],
+    )
+    def test_a_scalar_field_of_the_wrong_type_is_a_retrieval_error(
+        self, monkeypatch, method, entry, field, shape
+    ):
+        monkeypatch.setattr(requests, "get", json_reply({"data": [entry]}))
+        delays: list[float] = []
+        source = AcademicGraphSource("http://graph", sleeper=delays.append, draw=lambda: 0.0)
+        call = {
+            "search": lambda: source.search("q", 5),
+            "citations": lambda: source.citations(PaperId("2406.10001", IdSource.PREPRINT), 5),
+        }[method]
+        with pytest.raises(RetrievalError, match=rf"graph record field '{field}' is {shape}, not a string"):
+            call()
+        assert delays == []
+
+    def test_absent_and_null_scalars_keep_their_defaults(self, monkeypatch):
+        entry = {
+            "paperId": "abc123", "externalIds": {"ArXiv": None}, "title": None,
+            "abstract": None, "tldr": None, "openAccessPdf": {"url": None}, "venue": None,
+        }
+        monkeypatch.setattr(requests, "get", json_reply({"data": [entry]}))
+        [record] = AcademicGraphSource("http://graph").search("q", 5)
+        assert (record.id.canonical, record.title, record.abstract, record.tldr) == (
+            "abc123", "(untitled)", "", ""
+        )
+        assert record.full_text_ref is None
+        assert record.metadata["venue"] == ""
+
     @staticmethod
     def script(monkeypatch, outcomes: list) -> list[str]:
         """Make requests.get play ``outcomes`` in order (status codes or
