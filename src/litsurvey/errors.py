@@ -58,6 +58,14 @@ class MalformedOutputError(SurveyError):
     """Structured model output stayed unparsable after retries with error memory."""
 
 
+class TruncatedReply(MalformedOutputError):
+    """The backend cut a reply at the request's ``max_output_tokens``."""
+
+    def __init__(self, max_output_tokens: int):
+        super().__init__(f"reply cut at {max_output_tokens} tokens; answer more briefly")
+        self.max_output_tokens = max_output_tokens
+
+
 class JudgeError(MalformedOutputError):
     """A judge verdict could not be parsed after retries."""
 

@@ -20,7 +20,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, Sequence, Sized, TypeVar
 
 import numpy as np
 import requests
@@ -32,6 +32,7 @@ from .errors import (
     ExhaustionError,
     InvalidInputError,
     MalformedOutputError,
+    TruncatedReply,
 )
 from .model import ErrorMemory
 from .runlog import RunLog
@@ -76,6 +77,9 @@ class BackendProfile:
 class TransportResponse:
     status: int
     text: str
+    #: why the backend stopped, when it says: "length" is a reply cut at
+    #: the request's ``max_output_tokens``
+    finish_reason: Optional[str] = None
 
 
 class Transport(Protocol):
@@ -154,7 +158,10 @@ class HttpChatTransport:
             return TransportResponse(503, f"transport error: {exc}")
         if resp.status_code != 200:
             return TransportResponse(resp.status_code, resp.text)
-        return TransportResponse(200, extract_chat_text(_json_body(resp, "chat completion")))
+        body = _json_body(resp, "chat completion")
+        text = extract_chat_text(body)
+        reason = body["choices"][0].get("finish_reason")
+        return TransportResponse(200, text, reason if isinstance(reason, str) else None)
 
 
 def _json_body(resp: requests.Response, what: str) -> Any:
@@ -346,6 +353,9 @@ class Gateway:
         with self._lock:
             self.transport_calls += 1
         if response.status == 200:
+            if response.finish_reason == "length":
+                # Raised, so that the cut reply is not cached.
+                raise TruncatedReply(request.max_output_tokens)
             return response.text
         if response.status in RETRYABLE_STATUSES:
             raise TransientBackendError(f"status {response.status}", response.status)
@@ -356,21 +366,12 @@ class Gateway:
     def embed(self, texts: Sequence[str], workers: int = 1) -> list[list[float]]:
         """One unit-normalized vector per input text.
 
-        Texts missing from the cache go to the backend in batches of
-        ``embed_batch_size``, up to ``workers`` batches at once; the batches
-        are the same at every width.
+        The texts missing from the cache go to the backend in the batches
+        of :meth:`embed_batches`, up to ``workers`` batches at once.
         """
         if not texts:
             raise InvalidInputError("embed() requires at least one text")
-        results: dict[int, list[float]] = {}
-        missing: list[tuple[int, str]] = []
-        for i, text in enumerate(texts):
-            cached = self._cache_get(cache_key("embed", text))
-            if cached is not None:
-                results[i] = cached
-            else:
-                missing.append((i, text))
-        batches = list(batched(missing, self.embed_batch_size))
+        results, batches = self.embed_batches(texts)
 
         def encode(batch: list[tuple[int, str]]) -> list[list[float]]:
             batch_texts = [t for _, t in batch]
@@ -386,6 +387,22 @@ class Gateway:
             for (i, _), unit in zip(batch, units):
                 results[i] = unit
         return [results[i] for i in range(len(texts))]
+
+    def embed_batches(
+        self, texts: Sequence[str]
+    ) -> tuple[dict[int, list[float]], list[list[tuple[int, str]]]]:
+        """The cached vector of each text that has one, by index, and the
+        other texts as (index, text) batches of ``embed_batch_size``: the
+        same batches at every width."""
+        results: dict[int, list[float]] = {}
+        missing: list[tuple[int, str]] = []
+        for i, text in enumerate(texts):
+            cached = self._cache_get(cache_key("embed", text))
+            if cached is not None:
+                results[i] = cached
+            else:
+                missing.append((i, text))
+        return results, list(batched(missing, self.embed_batch_size))
 
     def _encode_once(self, texts: list[str]) -> list[list[float]]:
         with self._lock:
@@ -482,7 +499,10 @@ def request_validated(
     another call ever carries it.
 
     ``parse`` signals a violation by raising ValueError; each message in its
-    args is recorded, in order, as its own error-memory entry. ``last_parse``,
+    args is recorded, in order, as its own error-memory entry. A reply the
+    backend cut at its ``max_output_tokens`` is not cached and is rejected
+    as well, with the entry "reply cut at N tokens; answer more briefly".
+    ``last_parse``,
     when given, replaces ``parse`` on the final attempt, e.g. a lenient
     reading that keeps what it can. ``on_retry(attempt, problems)`` runs
     after every rejected reply. Returns the accepted value.
@@ -495,14 +515,18 @@ def request_validated(
         request = compress_context(head, context, gateway.profile.context_window)
         if len(request) < len(head) + len(context) and runlog is not None:
             runlog.add("context_compressed", stage=tag)
-        reply = gateway.complete(
-            CompletionRequest(prompt=request, temperature=temperature, tag=tag)
-        )
         accept = last_parse if last_parse is not None and attempt == max_retries else parse
         try:
-            return accept(reply)
-        except ValueError as exc:
-            problems = [str(a) for a in exc.args] if len(exc.args) > 1 else [str(exc)]
+            reply = gateway.complete(
+                CompletionRequest(prompt=request, temperature=temperature, tag=tag)
+            )
+        except TruncatedReply as exc:
+            problems = [str(exc)]
+        else:
+            try:
+                return accept(reply)
+            except ValueError as exc:
+                problems = [str(a) for a in exc.args] if len(exc.args) > 1 else [str(exc)]
         for problem in problems:
             memory = memory.record(problem)
         if on_retry is not None:
@@ -581,23 +605,22 @@ class Feed:
             yield held.pop(index)
 
 
-def map_bounded(
-    fn: Callable[[Any], Any], items: Sequence[Any] | Feed, workers: int = 1
-) -> list[Any]:
+def map_bounded(fn: Callable[[Any], Any], items: Iterable[Any], workers: int = 1) -> list[Any]:
     """Apply ``fn`` over ``items`` with at most ``workers`` calls in flight;
     results keep the input order so downstream merging stays deterministic.
 
-    ``items`` is a sequence or a :class:`Feed`, read in index order: each
-    item starts once it and every earlier one are in, and at one worker (or
-    for a single item) the calls run one after another on the calling
-    thread. The first ``workers`` items always start. Fails like the serial
-    loop: once an item raises, no further item starts, and the error of the
-    lowest-index failing item, a KeyboardInterrupt or SystemExit too, is
-    re-raised after the running ones finish. A
-    feed that is aborted starts no further item and raises FeedAborted once
-    the running ones finish.
+    ``items`` is read in order: a sequence, or an iterator (a :class:`Feed`,
+    say) that may wait before it gives its next item. Each item starts once
+    it and every earlier one are in, and at one worker (or for a single
+    item) the calls run one after another on the calling thread. The first
+    ``workers`` items always start. Fails like the serial loop: once an item
+    raises, no further item starts, and the error of the lowest-index
+    failing item, a KeyboardInterrupt or SystemExit too, is re-raised after
+    the running ones finish. An iterator that raises (a feed that is
+    aborted raises FeedAborted) starts no further item, and its error is
+    raised once the running ones finish.
     """
-    if not isinstance(items, Feed):
+    if isinstance(items, Sized):
         workers = min(workers, len(items))
     if workers <= 1:
         return [fn(item) for item in items]

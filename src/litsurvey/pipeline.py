@@ -149,42 +149,56 @@ class RunResult:
     runlog: RunLog = field(default_factory=RunLog)
 
 
+class _PaperDirs:
+    """The paper directories under ``root``, which is listed once: an id
+    with a '/' names a nested directory."""
+
+    def __init__(self, root: str):
+        self.root = root
+        try:
+            with os.scandir(root) as listing:
+                self.present = {e.name for e in listing if e.is_dir()}
+        except (FileNotFoundError, NotADirectoryError):
+            self.present = set()
+
+    def get(self, canonical: str) -> Optional[Path]:
+        if canonical.partition("/")[0] in self.present:
+            path = Path(self.root, canonical)
+            if "/" not in canonical or path.is_dir():
+                return path
+        return None
+
+
 def _paper_dirs(root: str, papers: dict[str, PaperRecord]) -> dict[str, Path]:
     """canonical id -> its directory under ``root``, for the papers that
-    have one, in id order. ``root`` is listed once; an id with a '/' names
-    a nested directory."""
-    try:
-        with os.scandir(root) as listing:
-            present = {e.name for e in listing if e.is_dir()}
-    except (FileNotFoundError, NotADirectoryError):
-        return {}
-    found = {}
-    for canonical in sorted(papers):
-        if canonical.partition("/")[0] in present:
-            path = Path(root, canonical)
-            if "/" not in canonical or path.is_dir():
-                found[canonical] = path
-    return found
+    have one, in id order."""
+    dirs = _PaperDirs(root)
+    return {c: path for c in sorted(papers) if (path := dirs.get(c)) is not None}
 
 
-def _discover_docs(config: PipelineConfig, substrate: KnowledgeSubstrate) -> dict[str, ParsedDocument]:
-    docs: dict[str, ParsedDocument] = {}
-    if not config.parsed_docs_dir:
-        return docs
-    for canonical, paper_dir in _paper_dirs(config.parsed_docs_dir, substrate.papers).items():
+def _doc_finder(config: PipelineConfig):
+    """paper -> the first Markdown file of its directory under
+    ``parsed_docs_dir`` as a ParsedDocument, or None."""
+    dirs = _PaperDirs(config.parsed_docs_dir) if config.parsed_docs_dir else None
+
+    def find(record: PaperRecord) -> Optional[ParsedDocument]:
+        paper_dir = dirs and dirs.get(record.id.canonical)
+        if paper_dir is None:
+            return None
         with os.scandir(paper_dir) as listing:
             md_files = sorted(e.path for e in listing if e.name.endswith(".md"))
         if not md_files:
-            continue
-        docs[canonical] = ParsedDocument(
-            paper_id=substrate.papers[canonical].id,
+            return None
+        return ParsedDocument(
+            paper_id=record.id,
             markdown=Path(md_files[0]).read_text(encoding="utf-8"),
             source_path=md_files[0],
         )
-    return docs
+
+    return find
 
 
-def _stage_retrieval(config, substrate, backends, runlog):
+def _stage_retrieval(config, substrate, backends, runlog, feeds):
     # Sources are wrapped here rather than in build_backends so that
     # caller-built backends get the cache too. The scope names the endpoint,
     # never the workdir, so a cache copied to another run still hits.
@@ -202,15 +216,20 @@ def _stage_retrieval(config, substrate, backends, runlog):
         fallback=fallback,
         runlog=runlog,
         workers=config.stage_workers,
+        feed=feeds["retrieval"],
     )
     substrate.papers = {p.id.canonical: p for p in papers}
 
 
 def _stage_understanding(config, substrate, backends, runlog, feeds):
-    docs = _discover_docs(config, substrate)
+    # Above one worker the papers come from retrieval's feed as its rerank
+    # batches are judged; at one worker retrieval has committed them.
+    papers = substrate.papers
+    if config.stage_workers > 1 and "retrieval" in feeds:
+        papers = feeds["retrieval"]
     substrate.keynotes = understanding_mod.run_understanding(
-        substrate.papers, docs, backends.gateway, runlog, config.stage_workers,
-        feeds["understanding"],
+        papers, _doc_finder(config), backends.gateway, runlog,
+        config.stage_workers, feeds["understanding"],
     )
 
 
@@ -378,16 +397,19 @@ def _write_manifest(config, config_hash, backends, runlog, stage_seconds, failed
 COMMITTED, FED = "committed", "fed"
 
 #: stage -> the input it waits for before it starts, above one worker, and
-#: how; retrieval starts at once. The cluster-design fold takes the
-#: keynotes as understanding makes them. Code analysis reads only the
-#: papers, but starts once understanding has committed, beside analysis.
+#: how; retrieval starts at once. Understanding keynotes the papers each
+#: rerank batch keeps as soon as the batch is judged, and hands each
+#: keynote on once retrieval has committed and the keynote's place in
+#: paper-id order is known. The cluster-design fold takes the keynotes as
+#: understanding hands them on. Code analysis reads only the papers, but
+#: starts once understanding has committed, beside analysis.
 #: Writing's outline fold and citation assignment start from the clusters
 #: and their Q&A, which analysis hands over before its graphs and tables;
 #: drafting then waits for analysis and code analysis to commit. Each
 #: section and subsection starts refining once writing has accepted it and
 #: every unit before it in drafting order.
 _INPUTS = {
-    "understanding": ("retrieval", COMMITTED),
+    "understanding": ("retrieval", FED),
     "analysis": ("understanding", FED),
     "code_analysis": ("understanding", COMMITTED),
     "writing": ("analysis", FED),
@@ -412,11 +434,12 @@ def _run_stages(plan, config, substrate, backends, runlog) -> Optional[tuple[str
     allows, checked as each stage's turn to commit comes, and a stage fed
     by another waits for its feed's first item before its clock starts.
     Each stage has at most ``stage_workers`` calls in flight, and these
-    overlap: understanding and the serial design fold; analysis, code
-    analysis and writing's serial outline fold or citation assignment;
-    drafting and refinement. So at most 2 × ``stage_workers`` + 1 calls
-    are in flight. No stage changes a substrate field before the stages it
-    reads from have committed.
+    overlap: retrieval's rerank fan-out and understanding; understanding
+    and the serial design fold; analysis, code analysis and writing's
+    serial outline fold or citation assignment; drafting and refinement.
+    So at most 2 × ``stage_workers`` + 1 calls are in flight. No stage
+    changes a substrate field before the stages it reads from have
+    committed.
 
     Each stage logs apart; its events join ``runlog`` once it has ended,
     in stage order. ``stage_seconds`` is each stage's own duration. Once a

@@ -8,11 +8,22 @@ judge re-ranking.
 
 from __future__ import annotations
 
+import itertools
+import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .errors import JudgeError, RetrievalError, SourceUnavailableError, SurveyError
-from .gateway import Gateway, batched, cosine, extract_json_payload, map_bounded, request_validated
+from .gateway import (
+    Feed,
+    Gateway,
+    batched,
+    cosine,
+    extract_json_payload,
+    map_bounded,
+    request_validated,
+)
 from .model import PaperRecord
 from .runlog import RunLog
 from .sources import PaperSource
@@ -111,15 +122,13 @@ def _judge_verdicts(
     gateway: Gateway,
     cfg: RetrievalConfig,
     purpose: str,
-    workers: int = 1,
 ) -> dict[str, tuple[bool, str]]:
     """Batched topical-alignment verdicts keyed by canonical id.
 
     The judge must answer for every paper in the batch in strict JSON; a
     malformed reply is retried with the error memory of that batch alone,
-    so the batches are independent and up to ``workers`` of them are
-    judged at once. A batch that still fails raises as the serial loop
-    would: the error of the first failing batch in order.
+    so the batches are independent. A batch that still fails raises, and
+    no later batch is sent.
     """
     tag = f"retrieval.{purpose}"
 
@@ -143,10 +152,9 @@ def _judge_verdicts(
         prompt = _judge_prompt(batch, topic, purpose)
         return request_validated(gateway, prompt, parse, tag=tag, error_factory=JudgeError)
 
-    batches = list(batched(papers, cfg.judge_batch_size))
     verdicts: dict[str, tuple[bool, str]] = {}
-    for batch_verdicts in map_bounded(judge_batch, batches, workers):
-        verdicts.update(batch_verdicts)
+    for batch in batched(papers, cfg.judge_batch_size):
+        verdicts.update(judge_batch(batch))
     return verdicts
 
 
@@ -239,17 +247,23 @@ def coarse_filter(
     topic: str,
     cfg: RetrievalConfig,
     gateway: Gateway,
-    workers: int = 1,
 ) -> list[PaperRecord]:
     """High-recall semantic gate: cosine(title+abstract, topic) >= threshold.
 
     The topic is embedded on its own, then the papers in the gateway's
-    batches, up to ``workers`` batches at once.
+    batches. :func:`run_retrieval` runs it once per embedding batch (see
+    :func:`_hybrid_filter`).
     """
     if not papers:
         return []
     topic_vec = gateway.embed([topic])[0]
-    vectors = gateway.embed([p.search_text() for p in papers], workers)
+    vectors = gateway.embed([p.search_text() for p in papers])
+    return _passing(papers, vectors, topic_vec, cfg)
+
+
+def _passing(
+    papers: list[PaperRecord], vectors: list, topic_vec: list[float], cfg: RetrievalConfig
+) -> list[PaperRecord]:
     return [
         p
         for p, v in zip(papers, vectors)
@@ -263,16 +277,15 @@ def llm_rerank_filter(
     gateway: Gateway,
     cfg: Optional[RetrievalConfig] = None,
     runlog: Optional[RunLog] = None,
-    workers: int = 1,
 ) -> list[PaperRecord]:
     """Fine-grained judge pass removing topically irrelevant papers; every
-    retained paper gets its relevance note logged. Up to ``workers`` judge
-    batches run at once."""
+    retained paper gets its relevance note logged. :func:`run_retrieval`
+    runs it once per judge batch (see :func:`_hybrid_filter`)."""
     if not papers:
         return []
     cfg = cfg or RetrievalConfig()
     runlog = runlog or RunLog()
-    verdicts = _judge_verdicts(papers, topic, gateway, cfg, "rerank", workers)
+    verdicts = _judge_verdicts(papers, topic, gateway, cfg, "rerank")
     kept = []
     for paper in papers:
         relevant, note = verdicts[paper.id.canonical]
@@ -284,6 +297,93 @@ def llm_rerank_filter(
     return kept
 
 
+def _hybrid_filter(
+    papers: list[PaperRecord],
+    topic: str,
+    cfg: RetrievalConfig,
+    gateway: Gateway,
+    runlog: RunLog,
+    workers: int,
+    feed: Optional[Feed],
+) -> list[PaperRecord]:
+    """The coarse filter, then the rerank, as one fan-out of at most
+    ``workers`` calls; returns the kept papers in input order.
+
+    The embedding batches are the gateway's cut of the texts missing from
+    its cache (:meth:`Gateway.embed_batches`), and each is the coarse filter
+    of its papers; the papers whose texts are cached are filtered at once by
+    their cached vectors. The rerank batches are the papers that pass, in
+    input order, cut every ``judge_batch_size``: each is queued behind the
+    embedding batches as soon as every paper up to its last one has been
+    filtered, and the papers it keeps go on ``feed`` under its index as soon
+    as it is judged. So the calls are the serial run's, at one worker in
+    the same order (the embedding batches, then the rerank batches), and a
+    failure raises the serial run's error. Each rerank batch logs apart, and
+    the logs join ``runlog`` in batch order.
+    """
+    cached, batches = gateway.embed_batches([p.search_text() for p in papers])
+    passed: list[Optional[bool]] = [None] * len(papers)
+    landed = threading.Condition()
+    known = 0  # papers[:known] are all filtered
+    failed = False
+
+    def land(indices: list[int], kept: list[PaperRecord]) -> None:
+        nonlocal known
+        ids = {p.id.canonical for p in kept}
+        with landed:
+            for i in indices:
+                passed[i] = papers[i].id.canonical in ids
+            while known < len(papers) and passed[known] is not None:
+                known += 1
+            landed.notify_all()
+
+    def gate(indices: list[int]) -> None:
+        nonlocal failed
+        try:
+            kept = coarse_filter([papers[i] for i in indices], topic, cfg, gateway)
+        except BaseException:
+            with landed:
+                failed = True
+                landed.notify_all()
+            raise
+        land(indices, kept)
+
+    if cached:
+        hits = sorted(cached)
+        topic_vec = gateway.embed([topic])[0]
+        land(hits, _passing([papers[i] for i in hits], [cached[i] for i in hits], topic_vec, cfg))
+
+    def passing():
+        cursor = 0
+        while cursor < len(papers):
+            with landed:
+                landed.wait_for(lambda: known > cursor or failed)
+                if failed:
+                    return
+                upto = known
+            yield from (papers[i] for i in range(cursor, upto) if passed[i])
+            cursor = upto
+
+    logs: list[RunLog] = []
+
+    def judge(index: int, batch: list[PaperRecord]) -> list[PaperRecord]:
+        kept = llm_rerank_filter(batch, topic, gateway, cfg, logs[index])
+        if feed is not None:
+            feed.put(index, kept)
+        return kept
+
+    def reranks():
+        for index, batch in enumerate(batched(passing(), cfg.judge_batch_size)):
+            logs.append(RunLog())
+            yield partial(judge, index, batch)
+
+    calls = itertools.chain((partial(gate, [i for i, _ in b]) for b in batches), reranks())
+    results = map_bounded(lambda call: call(), calls, workers)
+    for log in logs:
+        runlog.events.extend(log.events)
+    return [p for kept in results[len(batches):] for p in kept]
+
+
 def run_retrieval(
     topic: str,
     cfg: RetrievalConfig,
@@ -292,10 +392,17 @@ def run_retrieval(
     fallback: Optional[PaperSource] = None,
     runlog: Optional[RunLog] = None,
     workers: int = 1,
+    feed: Optional[Feed] = None,
 ) -> list[PaperRecord]:
     """Full Stage-1 pass; deterministic for a fixed source and judge, and
     the same at every ``workers`` width (the graph fetches, embedding
     batches and rerank batches fan out and merge in order).
+
+    The topic's embedding needs only the topic, so it is sent beside the
+    seed search, the seed judge and the graph expansion. The coarse filter
+    and the rerank then run as one fan-out (:func:`_hybrid_filter`), which
+    puts the papers each rerank batch keeps on ``feed`` under the batch's
+    index as soon as it is judged.
 
     When the primary source failed the seed search, the seeds come from the
     fallback and the primary is not asked for their links: the evidence set
@@ -304,15 +411,19 @@ def run_retrieval(
     evidence set returned for the later stages to trip over.
     """
     runlog = runlog or RunLog()
-    seeds, primary_failed = _seed_pool(topic, cfg, source, fallback, runlog)
-    seeds = judge_filter(seeds, topic, gateway, cfg, runlog)
-    if primary_failed:
-        runlog.add("expansion_skipped", topic=topic, reason="primary source failed")
-        expanded = seeds
-    else:
-        expanded = expand_graph(seeds, cfg, source, runlog, workers)
-    passed = coarse_filter(expanded, topic, cfg, gateway, workers)
-    kept = llm_rerank_filter(passed, topic, gateway, cfg, runlog, workers)
+
+    def collect() -> list[PaperRecord]:
+        seeds, primary_failed = _seed_pool(topic, cfg, source, fallback, runlog)
+        seeds = judge_filter(seeds, topic, gateway, cfg, runlog)
+        if primary_failed:
+            runlog.add("expansion_skipped", topic=topic, reason="primary source failed")
+            return seeds
+        return expand_graph(seeds, cfg, source, runlog, workers)
+
+    expanded, _ = map_bounded(
+        lambda call: call(), [collect, lambda: gateway.embed([topic])], workers
+    )
+    kept = _hybrid_filter(expanded, topic, cfg, gateway, runlog, workers, feed)
     if not kept:
         raise RetrievalError(f"no paper on '{topic}' passed the retrieval filters")
     return kept

@@ -7,10 +7,12 @@ falls back to the abstract or TLDR when no full text exists.
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
+import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import InvalidInputError, KeynoteError, PaperSkipped
 from .gateway import (
@@ -175,39 +177,127 @@ def fallback_keynote(record: PaperRecord) -> Keynote:
 
 
 def run_understanding(
-    papers: dict[str, PaperRecord],
-    docs: dict[str, ParsedDocument],
+    papers: dict[str, PaperRecord] | Feed,
+    docs: Callable[[PaperRecord], Optional[ParsedDocument]],
     gateway: Gateway,
     runlog: Optional[RunLog] = None,
     workers: int = 1,
     feed: Optional[Feed] = None,
 ) -> dict[str, Keynote]:
     """Every evidence paper ends with exactly one keynote or one logged
-    skip event; a missing parsed document demotes the paper to fallback.
-    Distinct papers digest in bounded parallel workers; the merge keeps
-    paper-id order. Each paper's keynote, or None for a skipped paper, is
-    put on ``feed`` under the paper's place in paper-id order as soon as it
-    is made."""
+    skip event; a paper for which ``docs`` finds no parsed document is
+    demoted to fallback. Distinct papers digest in bounded parallel
+    workers; the result is in paper-id order.
+
+    ``papers`` is the evidence set by canonical id, digested in paper-id
+    order, or retrieval's feed of the papers each rerank batch keeps, each
+    paper digested as it arrives. Each paper's keynote, or None for a
+    skipped paper, is put on ``feed`` under the paper's place in paper-id
+    order as soon as it is made and that place is known: from a feed, once
+    the feed is closed (retrieval has committed). Either way a failure
+    raises the serial run's error, the one of the first failing paper in
+    paper-id order; from a feed, once a paper has failed, only papers
+    before it in that order still start. At most ``workers`` papers are
+    digested at once.
+    """
     runlog = runlog or RunLog()
+
+    def keynote_of(record: PaperRecord) -> Optional[Keynote]:
+        canonical = record.id.canonical
+        doc = docs(record)
+        try:
+            if doc is not None:
+                return extract_keynote(doc, gateway, runlog)
+            if record.full_text_ref:
+                runlog.add("full_text_unavailable", paper=canonical)
+            return fallback_keynote(record)
+        except PaperSkipped as skip:
+            runlog.add("paper_skipped", paper=canonical, reason=skip.reason)
+            return None
+
+    if isinstance(papers, Feed):
+        return _understand_arrivals(papers, keynote_of, workers, feed)
     order = sorted(papers)
 
     def one(index: int) -> Optional[Keynote]:
-        canonical = order[index]
-        record = papers[canonical]
-        doc = docs.get(canonical)
-        try:
-            if doc is not None:
-                keynote = extract_keynote(doc, gateway, runlog)
-            else:
-                if record.full_text_ref:
-                    runlog.add("full_text_unavailable", paper=canonical)
-                keynote = fallback_keynote(record)
-        except PaperSkipped as skip:
-            runlog.add("paper_skipped", paper=canonical, reason=skip.reason)
-            keynote = None
+        keynote = keynote_of(papers[order[index]])
         if feed is not None:
             feed.put(index, keynote)
         return keynote
 
     keynotes = map_bounded(one, range(len(order)), workers)
     return {canonical: k for canonical, k in zip(order, keynotes) if k is not None}
+
+
+def _understand_arrivals(
+    arrivals: Feed,
+    keynote_of: Callable[[PaperRecord], Optional[Keynote]],
+    workers: int,
+    feed: Optional[Feed],
+) -> dict[str, Keynote]:
+    """:func:`run_understanding` over retrieval's feed: one thread reads the
+    feed, and ``workers`` threads each take the paper with the lowest id of
+    those read and not yet started, so that the keynotes early in paper-id
+    order, which the design fold reads first, come first."""
+    cond = threading.Condition()
+    queue: list[tuple[str, PaperRecord]] = []  # a heap by canonical id
+    made: dict[str, Optional[Keynote]] = {}
+    failed: dict[str, Exception] = {}
+    first_failed: Optional[str] = None  # the lowest id in ``failed``
+    place: Optional[dict[str, int]] = None  # paper-id order, once known
+    read_all = False
+
+    def read() -> None:
+        nonlocal place, read_all
+        ids: list[str] = []
+        try:
+            seen = 0
+            while fresh := arrivals.arrivals(seen):
+                seen += len(fresh)
+                with cond:
+                    for _, batch in fresh:
+                        for record in batch:
+                            ids.append(record.id.canonical)
+                            heapq.heappush(queue, (record.id.canonical, record))
+                    cond.notify_all()
+        except BaseException:
+            with cond:
+                queue.clear()
+                read_all = True
+                cond.notify_all()
+            raise
+        # The feed is closed: retrieval has committed every paper.
+        with cond:
+            place = {canonical: i for i, canonical in enumerate(sorted(ids))}
+            if feed is not None:
+                for canonical, keynote in made.items():
+                    feed.put(place[canonical], keynote)
+            read_all = True
+            cond.notify_all()
+
+    def work() -> None:
+        nonlocal first_failed
+        while True:
+            with cond:
+                cond.wait_for(lambda: queue or read_all)
+                if not queue:
+                    return
+                canonical, record = heapq.heappop(queue)
+                if first_failed is not None and canonical > first_failed:
+                    continue
+            try:
+                keynote = keynote_of(record)
+            except Exception as exc:
+                with cond:
+                    failed[canonical] = exc
+                    first_failed = min(failed)
+                continue
+            with cond:
+                made[canonical] = keynote
+                if place is not None and feed is not None:
+                    feed.put(place[canonical], keynote)
+
+    map_bounded(lambda task: task(), [read] + [work] * workers, workers + 1)
+    if failed:
+        raise failed[first_failed]
+    return {c: made[c] for c in sorted(made) if made[c] is not None}

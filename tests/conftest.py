@@ -21,6 +21,29 @@ from litsurvey.scripted import ScriptedTransport
 from doubles import FixtureEmbedder
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--full-crash-sweep",
+        action="store_true",
+        help="also run the crash-sweep variants marked full_crash_sweep",
+    )
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "full_crash_sweep: a crash-sweep variant that runs only with --full-crash-sweep"
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--full-crash-sweep"):
+        return
+    skip = pytest.mark.skip(reason="runs with --full-crash-sweep")
+    for item in items:
+        if "full_crash_sweep" in item.keywords:
+            item.add_marker(skip)
+
+
 def html_page(*args, **kwargs) -> requests.Response:
     """A 200 reply whose body is an HTML page, as a captive portal or a
     misrouted proxy sends; stands in for ``requests.get`` or ``.post``."""

@@ -468,6 +468,34 @@ class TestMapBounded:
             map_bounded(fn, list(range(4)), workers=4)
         assert sorted(started) == [0, 1, 2, 3]
 
+    def test_an_iterator_is_read_as_its_items_come(self):
+        # Item 3 is given only once item 0 has returned, as the rerank
+        # batches come once the embeddings before them have landed.
+        first_done = threading.Event()
+        in_flight = peak = 0
+        lock = threading.Lock()
+
+        def items():
+            yield from range(3)
+            assert first_done.wait(timeout=10)
+            yield from range(3, 6)
+
+        def fn(i):
+            nonlocal in_flight, peak
+            with lock:
+                in_flight += 1
+                peak = max(peak, in_flight)
+            time.sleep(0.01)
+            with lock:
+                in_flight -= 1
+            if i == 0:
+                first_done.set()
+            return i * i
+
+        assert map_bounded(fn, items(), workers=2) == [i * i for i in range(6)]
+        assert peak <= 2
+        assert map_bounded(fn, items(), workers=1) == [i * i for i in range(6)]
+
     @pytest.mark.parametrize("raised", [KeyboardInterrupt, SystemExit])
     def test_an_interrupt_in_a_worker_is_re_raised(self, raised):
         item_1_done = threading.Event()
@@ -688,6 +716,46 @@ class TestStructuredOutput:
         assert value == {"ok": True}
         assert len(transport.calls) == 2
 
+    def test_a_reply_cut_at_its_length_is_retried_with_memory_and_not_cached(self, tmp_path):
+        class CutFirst:
+            """Cuts the reply to each request sent without error memory."""
+
+            def __init__(self):
+                self.calls: list[CompletionRequest] = []
+
+            def send(self, request):
+                self.calls.append(request)
+                if "Avoid repeating" not in request.prompt:
+                    return TransportResponse(200, '{"ok": tr', "length")
+                return TransportResponse(200, '{"ok": true}', "stop")
+
+        def run():
+            transport = CutFirst()
+            gw = Gateway(transport, cache_dir=str(tmp_path))
+            value = request_validated(gw, "verdict please", extract_json_payload, tag="t")
+            return value, transport.calls
+
+        value, calls = run()
+        assert value == {"ok": True}
+        assert len(calls) == 2
+        assert calls[1].prompt.startswith("(attempt 2)")
+        assert "reply cut at 4096 tokens; answer more briefly" in calls[1].prompt
+        # A rerun finds only the second reply cached: the first is asked again.
+        value, calls = run()
+        assert value == {"ok": True}
+        assert [c.prompt for c in calls] == ["verdict please"]
+
+    def test_a_reply_cut_on_every_attempt_raises(self):
+        class AlwaysCut:
+            def send(self, request):
+                return TransportResponse(200, "{", "length")
+
+        gw = Gateway(AlwaysCut())
+        with pytest.raises(MalformedOutputError, match="reply cut at 4096 tokens"):
+            request_validated(gw, "verdict please", extract_json_payload, tag="t", max_retries=1)
+        with pytest.raises(MalformedOutputError, match="reply cut at 4096 tokens"):
+            gw.complete(req())
+
     def test_exhausted_retries_raise(self):
         transport = ScriptedTransport(default="still not json")
         gw = scripted_gateway(transport)
@@ -793,6 +861,13 @@ class TestHttpClients:
         gw = Gateway(ScriptedTransport(), embedder=HttpEmbedder("http://embed", "model"))
         with pytest.raises(BackendError, match="1 vectors for 2 texts"):
             gw.embed(["a", "b"])
+
+    @pytest.mark.parametrize("reason", ["length", "stop", None])
+    def test_a_chat_reply_reports_why_it_stopped(self, monkeypatch, reason):
+        choice = {"message": {"role": "assistant", "content": "hi"}, "finish_reason": reason}
+        monkeypatch.setattr(requests, "post", json_reply({"choices": [choice]}))
+        response = HttpChatTransport("http://chat", "model").send(req())
+        assert (response.status, response.text, response.finish_reason) == (200, "hi", reason)
 
     def test_a_chat_reply_without_text_is_a_backend_error(self, monkeypatch):
         reply = {"choices": [{"message": {"role": "assistant", "content": None}}]}

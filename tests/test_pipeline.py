@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import re
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from litsurvey import caching as caching_mod
 from litsurvey import gateway as gateway_mod
 from litsurvey import pipeline as pipeline_mod
 from litsurvey import substrate as substrate_mod
@@ -255,12 +257,17 @@ class TestPaperDirectories:
         papers = ("2406.10001", "2406.10002", "2406.10003", "2406.10004", "cs/0112017", "cs/0112018")
         substrate = KnowledgeSubstrate(papers={k: make_paper(k) for k in papers})
         config = PipelineConfig(topic=TOPIC, workdir=str(tmp_path / "run"), parsed_docs_dir=str(docs))
-        found = pipeline_mod._discover_docs(config, substrate)
-        assert {k: (d.markdown, d.source_path) for k, d in found.items()} == {
-            k: (f"text of {k}", str(docs / k / "a.md")) for k in ("2406.10001", "cs/0112017")
+
+        def found():
+            find = pipeline_mod._doc_finder(config)
+            return {k: d for k, r in substrate.papers.items() if (d := find(r)) is not None}
+
+        assert {k: (d.paper_id, d.markdown, d.source_path) for k, d in found().items()} == {
+            k: (substrate.papers[k].id, f"text of {k}", str(docs / k / "a.md"))
+            for k in ("2406.10001", "cs/0112017")
         }
         config.parsed_docs_dir = str(tmp_path / "missing")
-        assert pipeline_mod._discover_docs(config, substrate) == {}
+        assert found() == {}
 
 
 class TestRefinedSurvey:
@@ -918,6 +925,251 @@ class TestStageInputs:
         assert not [t for t in tags if t in ("writing.subsection", "writing.section")]
         manifest = json.loads(config.manifest_path.read_text())
         assert manifest["failed_stage"] == "analysis"
+
+
+#: The first attempt of the last of six rerank batches, two papers each.
+LAST_RERANK = r"\(rerank\)\.\nPapers:\n- id: 2406\.10011 "
+FIRST_KEYNOTE = "keynote for paper id 2406.10001."
+
+
+class TestRetrievalHandOff:
+    """Above one worker the coarse filter and the rerank are one fan-out
+    of at most ``stage_workers`` calls, each rerank batch goes out once its
+    papers are filtered, and understanding keynotes the papers of each
+    judged batch before retrieval commits."""
+
+    @staticmethod
+    def _config(root: Path, workers: int, *rules: dict, embed_batch: int = 32) -> PipelineConfig:
+        config = prepend_rules(make_config(root), *rules)
+        config.retrieval.judge_batch_size = 2
+        config.embedding.batch_size = embed_batch
+        config.stage_workers = workers
+        return config
+
+    def test_keynotes_start_before_the_last_rerank_batch_is_judged(self, tmp_path):
+        config = self._config(tmp_path, 2)
+        backends = build_backends(config)
+        seen = gate(backends.gateway.transport, LAST_RERANK, "understanding.keynote")
+        run_pipeline(config, backends=backends)
+        assert seen.is_set()
+        assert output_digest(config) == TestGoldenOutput.GOLDEN["plain"]
+
+    def test_reranking_starts_before_the_last_embedding_batch_lands(self, tmp_path):
+        config = self._config(tmp_path, 2, embed_batch=4)
+        backends = build_backends(config)
+        seen = gate(backends.gateway.transport, "(?!)", "retrieval.rerank")
+        embedder, encode = backends.gateway.embedder, backends.gateway.embedder.encode
+        last = title_of(LAST_PAPER)
+
+        def gated_encode(texts):
+            if any(last in text for text in texts):
+                assert seen.wait(timeout=10), "no rerank request while the last batch was held"
+            return encode(texts)
+
+        embedder.encode = gated_encode
+        run_pipeline(config, backends=backends)
+        assert seen.is_set()
+        assert output_digest(config) == TestGoldenOutput.GOLDEN["plain"]
+
+    def test_a_failed_rerank_batch_commits_nothing_and_keeps_the_keynotes_made(self, tmp_path):
+        refuse = {"pattern": LAST_RERANK, "replies": [{"text": "no", "status": 400}]}
+
+        def failure(workers: int):
+            config = self._config(tmp_path / f"workers{workers}", workers, refuse)
+            backends = build_backends(config)
+            transport = backends.gateway.transport
+            seen = gate(transport, LAST_RERANK, "understanding.keynote") if workers > 1 else None
+            with pytest.raises(StageError) as err:
+                run_pipeline(config, backends=backends)
+            return config, err.value, transport.calls_matching(FIRST_KEYNOTE), seen
+
+        _, serial, _, _ = failure(1)
+        config, parallel, keynoted, seen = failure(2)
+        assert seen.is_set() and len(keynoted) == 1
+        assert parallel.stage == "retrieval"
+        assert str(parallel) == str(serial)
+        assert committed_stages(config) == []
+        assert json.loads(config.manifest_path.read_text())["failed_stage"] == "retrieval"
+
+        config = self._config(tmp_path / "workers2", 2)  # the fixture's own rules again
+        backends = build_backends(config)
+        run_pipeline(config, backends=backends, resume=True)
+        assert not backends.gateway.transport.calls_matching(FIRST_KEYNOTE)
+        assert output_digest(config) == TestGoldenOutput.GOLDEN["plain"]
+
+    @pytest.mark.parametrize("workers", [2, 4, 8])
+    def test_retrieval_calls_in_flight_stay_within_stage_workers(self, tmp_path, workers):
+        # One paper per embedding batch and per rerank batch: 24 calls that
+        # two fan-outs side by side would send up to 2 x workers at a time.
+        config = self._config(tmp_path, workers, embed_batch=1)
+        config.retrieval.judge_batch_size = 1
+        backends = build_backends(config)
+        transport, embedder = backends.gateway.transport, backends.gateway.embedder
+        send, encode = transport.send, embedder.encode
+        lock = threading.Lock()
+        in_flight = peak = calls = 0
+
+        def counted(call):
+            def run(*args):
+                nonlocal in_flight, peak, calls
+                with lock:
+                    in_flight += 1
+                    calls += 1
+                    peak = max(peak, in_flight)
+                try:
+                    time.sleep(0.002)
+                    return call(*args)
+                finally:
+                    with lock:
+                        in_flight -= 1
+
+            return run
+
+        transport.send = counted(send)
+        embedder.encode = counted(encode)
+        run_pipeline(config, backends=backends, stop_after="retrieval")
+        assert calls == 4 + 1 + 12 + 12  # seed judge, topic, papers, reranks
+        assert peak <= workers
+        assert committed_stages(config) == ["retrieval"]
+
+
+def _crash_sweep_variants():
+    for variant, workers, full in (
+        ("plain", 4, False), ("code_analysis", 1, False),
+        ("plain", 1, True), ("code_analysis", 4, True),
+    ):
+        marks = [pytest.mark.full_crash_sweep] if full else []
+        yield pytest.param(variant, workers, marks=marks, id=f"{variant}-{workers}")
+
+
+class WriteCrasher:
+    """Counts a run's writes (each ``Path.write_text`` and ``Path.replace``,
+    and each api-cache append) and, with ``at``, raises CrashError at write
+    ``at`` and at every later one, so that no thread writes after the
+    crash; ``torn`` first writes half the text or line. ``first`` is the
+    kind of the write crashed at first."""
+
+    def __init__(self, at: int | None = None, torn: bool = False):
+        self.at, self.torn = at, torn
+        self.count = 0
+        self.first: str | None = None
+        self._lock = threading.Lock()
+
+    def crashes(self, kind: str) -> bool:
+        with self._lock:
+            self.count += 1
+            crash = self.at is not None and self.count > self.at
+            if crash and self.first is None:
+                self.first = kind
+            return crash
+
+    def install(self, patch) -> None:
+        crasher = self
+        real_write_text, real_replace = Path.write_text, Path.replace
+
+        def write_text(path, data, *args, **kwargs):
+            if crasher.crashes("write"):
+                if crasher.torn:
+                    real_write_text(path, data[: len(data) // 2], *args, **kwargs)
+                raise CrashError(path)
+            return real_write_text(path, data, *args, **kwargs)
+
+        def replace(path, target):
+            if crasher.crashes("rename"):
+                raise CrashError(target)
+            return real_replace(path, target)
+
+        class Appender:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+                return False
+
+            def write(self, data):
+                if crasher.crashes("append"):
+                    if crasher.torn:
+                        self.handle.write(data[: len(data) // 2])
+                    raise CrashError("api cache")
+                return self.handle.write(data)
+
+        def cache_open(file, mode="r", *args, **kwargs):
+            handle = open(file, mode, *args, **kwargs)
+            return Appender(handle) if "a" in mode else handle
+
+        patch.setattr(Path, "write_text", write_text)
+        patch.setattr(Path, "replace", replace)
+        patch.setattr(caching_mod, "open", cache_open, raising=False)
+
+
+class TestCrashSweep:
+    """A run crashed at any write, cleanly or after a torn half-write,
+    resumes to a clean run's survey body, sidecar and substrate files. Two
+    variants run by default; ``--full-crash-sweep`` adds the other two."""
+
+    @staticmethod
+    def _config(root: Path, variant: str, workers: int) -> PipelineConfig:
+        config = make_config(root / "fixture")
+        if variant == "code_analysis":
+            enable_code_analysis(config, root / "fixture")
+        config.stage_workers = workers
+        return config
+
+    @staticmethod
+    def _run(base: PipelineConfig, workdir: Path, crasher=None, resume=False):
+        config = copy.deepcopy(base)
+        config.workdir = str(workdir)
+        backends = build_backends(config)
+        if crasher is None:
+            run_pipeline(config, backends=backends, resume=resume)
+            return config
+        with pytest.MonkeyPatch.context() as patch:
+            crasher.install(patch)
+            if crasher.at is None:
+                run_pipeline(config, backends=backends)
+            else:
+                with pytest.raises(CrashError):
+                    run_pipeline(config, backends=backends)
+        return config
+
+    @staticmethod
+    def _outputs(config: PipelineConfig) -> dict[str, bytes]:
+        files = {
+            f"substrate/{p.name}": p.read_bytes()
+            for p in sorted(config.substrate_dir.iterdir())
+            if p.name != "commit.json"
+        }
+        files["survey body"] = strip_front_matter(config.survey_path.read_text()).encode()
+        files["sidecar"] = config.sidecar_path.read_bytes()
+        return files
+
+    @pytest.mark.parametrize("variant, workers", _crash_sweep_variants())
+    def test_a_crash_at_any_write_resumes_to_the_clean_run(self, tmp_path, variant, workers):
+        base = self._config(tmp_path, variant, workers)
+        counter = WriteCrasher()
+        clean = self._outputs(self._run(base, tmp_path / "clean", counter))
+        assert counter.count > 90
+        differences, refusals = [], []
+        for at in range(counter.count):
+            for torn in (False, True):
+                root = tmp_path / f"crash{at}{'t' if torn else ''}"
+                crasher = WriteCrasher(at, torn)
+                self._run(base, root, crasher)
+                if torn and crasher.first == "rename":
+                    continue  # a rename does not tear: the clean crash covers it
+                try:
+                    config = self._run(base, root, resume=True)
+                except (LoadError, ConfigError) as exc:
+                    refusals.append((at, torn, repr(exc)))
+                    continue
+                if self._outputs(config) != clean:
+                    differences.append((at, torn))
+                shutil.rmtree(root)
+        assert (differences, refusals) == ([], [])
 
 
 class TestCheckpointResume:

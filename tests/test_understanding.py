@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from litsurvey.errors import KeynoteError, PaperSkipped
-from litsurvey.gateway import BackendProfile
+from litsurvey.errors import BackendError, KeynoteError, PaperSkipped
+from litsurvey.gateway import BackendProfile, Feed
 from litsurvey.model import Provenance
 from litsurvey.runlog import RunLog
-from litsurvey.scripted import ScriptedTransport
+from litsurvey.scripted import CannedReply, ScriptedTransport
 from litsurvey.understanding import (
     ParsedDocument,
     extract_keynote,
@@ -131,7 +131,7 @@ class TestRunUnderstanding:
             "p3": make_paper("p3", abstract="", tldr="t3"),
         }
         runlog = RunLog()
-        keynotes = run_understanding(papers, {}, scripted_gateway(), runlog)
+        keynotes = run_understanding(papers, lambda record: None, scripted_gateway(), runlog)
         skips = runlog.of_kind("paper_skipped")
         assert set(keynotes) == {"p1", "p3"}
         assert [e["paper"] for e in skips] == ["p2"]
@@ -143,5 +143,66 @@ class TestRunUnderstanding:
         papers = {"p1": make_paper("p1", full_text_ref="http://x/p1.pdf")}
         docs = {"p1": doc("p1")}
         transport = ScriptedTransport().add("structured keynote", json.dumps(FULL_KEYNOTE))
-        keynotes = run_understanding(papers, docs, scripted_gateway(transport), RunLog())
+        keynotes = run_understanding(
+            papers, lambda record: docs.get(record.id.canonical), scripted_gateway(transport), RunLog()
+        )
         assert keynotes["p1"].provenance is Provenance.FULL_TEXT
+
+
+class TestUnderstandingFromAFeed:
+    """From retrieval's feed, papers are keynoted as their batch arrives;
+    the keynotes, the hand-off and the error stay the serial run's."""
+
+    records = {k: make_paper(k, abstract=f"abstract of {k}") for k in ("p1", "p2", "p3", "p4")}
+    docs = {k: doc(k) for k in ("p1", "p3")}
+
+    def find(self, record):
+        return self.docs.get(record.id.canonical)
+
+    def test_keynotes_and_hand_off_are_the_serial_runs(self):
+        def run(papers, workers):
+            transport = ScriptedTransport().add("structured keynote", json.dumps(FULL_KEYNOTE))
+            handed = Feed()
+            keynotes = run_understanding(
+                papers, self.find, scripted_gateway(transport), RunLog(), workers, handed
+            )
+            handed.close()
+            return keynotes, list(handed)
+
+        arrivals = Feed()
+        arrivals.put(1, [self.records["p2"], self.records["p1"]])
+        arrivals.put(0, [self.records["p4"], self.records["p3"]])
+        arrivals.close()
+        assert run(arrivals, 2) == run(self.records, 1)
+
+    def test_a_failure_raises_the_first_failing_paper_in_paper_id_order(self):
+        # p3 fails first; p1, which comes before it in paper-id order and
+        # fails too, arrives only then, and still starts.
+        def transport():
+            return (
+                ScriptedTransport()
+                .add(r"paper id p1\.", CannedReply("no", 401))
+                .add(r"paper id p3\.", CannedReply("no", 400))
+                .add("structured keynote", json.dumps(FULL_KEYNOTE))
+            )
+
+        with pytest.raises(BackendError) as serial:
+            run_understanding(self.records, self.find, scripted_gateway(transport()), RunLog())
+        arrivals = Feed()
+        arrivals.put(0, [self.records["p3"], self.records["p4"]])
+        streamed = transport()
+        send = streamed.send
+
+        def send_then_arrive(request):
+            try:
+                return send(request)
+            finally:
+                if "paper id p3." in request.prompt:
+                    arrivals.put(1, [self.records["p1"], self.records["p2"]])
+                    arrivals.close()
+
+        streamed.send = send_then_arrive
+        with pytest.raises(BackendError) as parallel:
+            run_understanding(arrivals, self.find, scripted_gateway(streamed), RunLog(), 2)
+        assert "status 401" in str(serial.value)
+        assert str(parallel.value) == str(serial.value)
