@@ -245,6 +245,10 @@ class Gateway:
     call (see :meth:`cached`). ``sleeper`` and ``draw`` (the jitter source
     of :func:`with_backoff`) are injectable so tests run with a
     deterministic clock and fixed delays.
+
+    ``transport_calls`` counts the requests handed to the backend, each
+    just before it goes out, and ``cache_hits`` the answers served from the
+    cache; a caller can wait for their sum with :meth:`wait_requests`.
     """
 
     def __init__(
@@ -267,6 +271,9 @@ class Gateway:
         self._runtime: dict[str, Any] = {}
         self._disk = DiskCache(f"{cache_dir}/api", cache_expiry) if cache_dir else None
         self._lock = threading.Lock()
+        # Notified as a request goes out, while anyone waits for one.
+        self._counted = threading.Condition(self._lock)
+        self._waiters = 0
         self._in_flight: dict[str, threading.Event] = {}
         self.transport_calls = 0
         self.cache_hits = 0
@@ -313,7 +320,7 @@ class Gateway:
                     # its value before leaving the in-flight table.
                     value = self._runtime.get(key)
                     if value is not None:
-                        self.cache_hits += 1
+                        self._count(hit=True)
                         return value
                     flight = self._in_flight[key] = threading.Event()
                     break
@@ -331,7 +338,7 @@ class Gateway:
         with self._lock:
             value = self._runtime.get(key)
             if value is not None:
-                self.cache_hits += 1
+                self._count(hit=True)
                 return value
         if self._disk is None:
             return None
@@ -339,7 +346,7 @@ class Gateway:
         if value is not None:
             with self._lock:
                 self._runtime[key] = value
-                self.cache_hits += 1
+                self._count(hit=True)
         return value
 
     def _cache_set(self, key: str, value: Any) -> None:
@@ -348,10 +355,44 @@ class Gateway:
         if self._disk is not None:
             self._disk.set(key, value)
 
-    def _send_once(self, request: CompletionRequest) -> str:
-        response = self.transport.send(request)
-        with self._lock:
+    def _count(self, hit: bool) -> None:
+        """Count one request out, a cache hit or a backend call; the caller
+        holds the lock."""
+        if hit:
+            self.cache_hits += 1
+        else:
             self.transport_calls += 1
+        if self._waiters:
+            self._counted.notify_all()
+
+    def requests_out(self) -> int:
+        """The requests handed to the backend plus the answers served from
+        the cache, since the gateway was made: a retry or an embedding
+        batch is one request, and so is each cache lookup that hits."""
+        with self._lock:
+            return self.transport_calls + self.cache_hits
+
+    def wait_requests(self, count: int, ended: Callable[[], bool]) -> None:
+        """Block until :meth:`requests_out` reaches ``count`` or ``ended()``
+        is true; whoever makes ``ended()`` true calls :meth:`wake` then."""
+        with self._counted:
+            self._waiters += 1
+            try:
+                self._counted.wait_for(
+                    lambda: self.transport_calls + self.cache_hits >= count or ended()
+                )
+            finally:
+                self._waiters -= 1
+
+    def wake(self) -> None:
+        """Make every :meth:`wait_requests` check its ``ended`` again."""
+        with self._counted:
+            self._counted.notify_all()
+
+    def _send_once(self, request: CompletionRequest) -> str:
+        with self._lock:
+            self._count(hit=False)
+        response = self.transport.send(request)
         if response.status == 200:
             if response.finish_reason == "length":
                 # Raised, so that the cut reply is not cached.
@@ -372,18 +413,10 @@ class Gateway:
         if not texts:
             raise InvalidInputError("embed() requires at least one text")
         results, batches = self.embed_batches(texts)
-
-        def encode(batch: list[tuple[int, str]]) -> list[list[float]]:
-            batch_texts = [t for _, t in batch]
-            vectors = with_backoff(
-                lambda: self._encode_once(batch_texts), self.profile, self.sleeper, self.draw
-            )
-            units = [_normalize(vector) for vector in vectors]
-            for text, unit in zip(batch_texts, units):
-                self._cache_set(cache_key("embed", text), unit)
-            return units
-
-        for batch, units in zip(batches, map_bounded(encode, batches, workers)):
+        encoded = map_bounded(
+            lambda batch: self.embed_batch([t for _, t in batch]), batches, workers
+        )
+        for batch, units in zip(batches, encoded):
             for (i, _), unit in zip(batch, units):
                 results[i] = unit
         return [results[i] for i in range(len(texts))]
@@ -404,9 +437,22 @@ class Gateway:
                 missing.append((i, text))
         return results, list(batched(missing, self.embed_batch_size))
 
+    def embed_batch(self, texts: Sequence[str]) -> list[list[float]]:
+        """The unit-normalized vectors of one batch of :meth:`embed_batches`,
+        from one backend request, without looking the texts up again; each
+        vector is stored in the cache."""
+        texts = list(texts)
+        vectors = with_backoff(
+            lambda: self._encode_once(texts), self.profile, self.sleeper, self.draw
+        )
+        units = [_normalize(vector) for vector in vectors]
+        for text, unit in zip(texts, units):
+            self._cache_set(cache_key("embed", text), unit)
+        return units
+
     def _encode_once(self, texts: list[str]) -> list[list[float]]:
         with self._lock:
-            self.transport_calls += 1
+            self._count(hit=False)
         return self.embedder.encode(texts)
 
 

@@ -605,15 +605,21 @@ def run_pipeline(
 def _premises(config: PipelineConfig, citation_map: dict) -> tuple[dict[str, str], set[str]]:
     """The evidence text of each paper, per ``evaluation.premise_source``,
     and the papers a citation may resolve to: the run's substrate when it
-    has one, else the sidecar's entries with their titles as evidence."""
+    has one, else the sidecar's entries with their titles as evidence.
+
+    Of the substrate only retrieval's papers are loaded, and
+    understanding's keynotes when they are the evidence: each file is
+    checked against the commit record and the loaded part is validated,
+    and no other file is read."""
     if not config.substrate_dir.exists():
         entries = citation_map.get("entries", [])
         return (
             {str(e["paper_id"]): str(e["title"]) for e in entries},
             {str(e["paper_id"]) for e in entries},
         )
-    substrate = substrate_load(config.substrate_dir)
     source_kind = config.evaluation.premise_source
+    stages = ("retrieval", "understanding") if source_kind == "keynote" else ("retrieval",)
+    substrate = substrate_load(config.substrate_dir, stages=stages)
     premises: dict[str, str] = {}
     for canonical, record in substrate.papers.items():
         keynote = substrate.keynotes.get(canonical)
@@ -635,8 +641,12 @@ def evaluate_run(
     judge content scoring. Writes report.json and report.tsv next to it.
 
     The judge rounds need only the survey text, so they start first, up to
-    ``stage_workers`` at once, and run while this thread loads the substrate
-    and computes the citation metrics. If that local work raises, no
+    ``stage_workers`` at once, and run while this thread loads the premises
+    and computes the citation metrics. That local work holds the
+    interpreter, so it waits until the first wave of rounds is out: until
+    the gateway has sent or answered from its cache that many more
+    requests (see :meth:`Gateway.wait_requests`), or judging has ended. It
+    never waits for a round to return. If the local work raises, no
     further round starts, the rounds in flight finish (their replies are
     cached), and the error propagates.
     """
@@ -652,18 +662,23 @@ def evaluate_run(
     survey_text = survey_path.read_text(encoding="utf-8")
     citation_map = json.loads(sidecar_path.read_text(encoding="utf-8"))
 
+    gateway = backends.gateway
+    rounds = config.evaluation.judge_rounds
     stop = threading.Event()
     with ThreadPoolExecutor(max_workers=1) as pool:
+        first_wave = gateway.requests_out() + min(config.stage_workers, rounds)
         judged = pool.submit(
             judge_survey,
             survey_text,
-            backends.gateway,
-            config.evaluation.judge_rounds,
+            gateway,
+            rounds,
             config.evaluation.explanations,
             config.stage_workers,
             stop,
         )
+        judged.add_done_callback(lambda _: gateway.wake())
         try:
+            gateway.wait_requests(first_wave, judged.done)
             premises, universe = _premises(config, citation_map)
             report = evaluate_survey(
                 survey_text,

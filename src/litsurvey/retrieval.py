@@ -250,14 +250,15 @@ def coarse_filter(
 ) -> list[PaperRecord]:
     """High-recall semantic gate: cosine(title+abstract, topic) >= threshold.
 
-    The topic is embedded on its own, then the papers in the gateway's
-    batches. :func:`run_retrieval` runs it once per embedding batch (see
-    :func:`_hybrid_filter`).
+    The topic is embedded on its own, then the papers as one batch sent
+    without a cache lookup (:meth:`Gateway.embed_batch`): :func:`run_retrieval`
+    runs it once per embedding batch, whose texts it has already found
+    missing from the cache (see :func:`_hybrid_filter`).
     """
     if not papers:
         return []
     topic_vec = gateway.embed([topic])[0]
-    vectors = gateway.embed([p.search_text() for p in papers])
+    vectors = gateway.embed_batch([p.search_text() for p in papers])
     return _passing(papers, vectors, topic_vec, cfg)
 
 
@@ -311,8 +312,9 @@ def _hybrid_filter(
 
     The embedding batches are the gateway's cut of the texts missing from
     its cache (:meth:`Gateway.embed_batches`), and each is the coarse filter
-    of its papers; the papers whose texts are cached are filtered at once by
-    their cached vectors. The rerank batches are the papers that pass, in
+    of its papers, which sends the batch without looking its texts up
+    again; the papers whose texts are cached are filtered at once by their
+    cached vectors. The rerank batches are the papers that pass, in
     input order, cut every ``judge_batch_size``: each is queued behind the
     embedding batches as soon as every paper up to its last one has been
     filtered, and the papers it keeps go on ``feed`` under its index as soon

@@ -35,9 +35,9 @@ stage owns, so the files it lists are intact and the stage simply runs
 again on resume; refinement's drafts go to a file of their own so that
 writing's survive a crash in refinement's save. ``substrate_load`` reads
 only the files the record lists (writing's drafts only while refinement has
-not committed), checks each against its sha256 and raises LoadError naming
-a file that is missing or altered; files the record does not list are
-ignored. A reference to a paper that ``papers.json`` does not hold decodes
+not committed), or only those of the stages it is asked for, checks each
+against its sha256 and raises LoadError naming a file that is missing or
+altered; files the record does not list are ignored. A reference to a paper that ``papers.json`` does not hold decodes
 to a bare ``PaperId``, and ``KnowledgeSubstrate.validate`` then raises
 IntegrityError naming the artifact that holds it.
 """
@@ -47,7 +47,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Collection, Iterator, Optional
 
 from .errors import LoadError, PersistenceError
 from .model import (
@@ -226,13 +226,21 @@ def _read(path: Path, digest: str) -> dict:
         raise LoadError(path, str(exc)) from exc
 
 
-def substrate_load(directory: str | Path, record: Optional[dict] = None) -> KnowledgeSubstrate:
+def substrate_load(
+    directory: str | Path,
+    record: Optional[dict] = None,
+    stages: Optional[Collection[str]] = None,
+) -> KnowledgeSubstrate:
     """Load the committed stages of a saved substrate, with each one's
     seconds in ``stage_seconds``; referential integrity is re-verified.
-    ``record`` is the directory's commit record, when already read."""
+    ``record`` is the directory's commit record, when already read.
+    ``stages``, when given, are the stages to load if committed: no file
+    of another stage is read, and the others' fields stay empty."""
     root = Path(directory)
     entries = (read_record(root) if record is None else record)["stages"]
     refined = any(e["stage"] == "refinement" for e in entries)
+    if stages is not None:
+        entries = [e for e in entries if e["stage"] in stages]
     substrate = KnowledgeSubstrate(stage_seconds={e["stage"]: e["seconds"] for e in entries})
     ids: dict = {}  # canonical id -> the retrieved paper's PaperId
     # Each file becomes objects as it is read, so its parsed JSON is not

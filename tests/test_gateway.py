@@ -425,6 +425,51 @@ class TestSingleFlight:
         assert all(value == f"value of {key}" for key, value in results)
 
 
+def waiting(gw, count, ended=lambda: False) -> threading.Thread:
+    """A thread that waits until ``gw`` has ``count`` requests out."""
+    thread = threading.Thread(target=gw.wait_requests, args=(count, ended), daemon=True)
+    thread.start()
+    return thread
+
+
+class TestRequestCount:
+    def test_a_send_counts_before_the_backend_answers(self):
+        transport = BlockingTransport(CannedReply("answer"))
+        gw, _ = recording_gateway(transport)
+        waiter = waiting(gw, 1)
+        caller = threading.Thread(target=gw.complete, args=(req(),))
+        caller.start()
+        waiter.join(timeout=10)
+        assert not waiter.is_alive() and not transport.release.is_set()
+        assert gw.requests_out() == gw.transport_calls == 1
+        transport.release.set()
+        caller.join(timeout=10)
+
+    def test_a_cache_hit_counts(self):
+        transport = SequenceTransport(["answer"])
+        gw, _ = recording_gateway(transport)
+        gw.complete(req())
+        waiter = waiting(gw, 2)
+        waiter.join(timeout=0.05)
+        assert waiter.is_alive()
+        assert gw.complete(req()) == "answer"
+        waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert (gw.transport_calls, gw.cache_hits, len(transport.calls)) == (1, 1, 1)
+
+    def test_wake_ends_the_wait_once_ended_holds(self):
+        gw, _ = recording_gateway(SequenceTransport(["unused"]))
+        ended = threading.Event()
+        waiter = waiting(gw, 1, ended.is_set)
+        gw.wake()
+        waiter.join(timeout=0.05)
+        assert waiter.is_alive()
+        ended.set()
+        gw.wake()
+        waiter.join(timeout=10)
+        assert not waiter.is_alive() and gw.requests_out() == 0
+
+
 class TestMapBounded:
     def test_results_keep_input_order(self):
         assert map_bounded(lambda i: i * i, list(range(20)), workers=4) == [

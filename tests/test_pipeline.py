@@ -1732,6 +1732,25 @@ class TestEvaluateRun:
             assert substrate.papers["2406.10005"].abstract in expected
             assert "Key idea of 2406.10001." in expected
 
+    @pytest.mark.parametrize("source", ["abstract", "keynote", "tldr"])
+    def test_evaluate_reads_only_the_premise_files(self, tmp_path, monkeypatch, source):
+        config, _, result = fresh_run(tmp_path)
+        config.evaluation.premise_source = source
+        read: list[str] = []
+        original = substrate_mod._read
+
+        def recording(path, digest):
+            read.append(path.name)
+            return original(path, digest)
+
+        monkeypatch.setattr(substrate_mod, "_read", recording)
+        report = evaluate_run(config, result.survey_path, backends=build_backends(config))
+        assert report.recall == 1.0
+        if source == "keynote":
+            assert read == ["papers.json", "keynotes.json"]
+        else:
+            assert read == ["papers.json"]
+
 
 def round_scores(round_no: int) -> dict:
     """Judge scores that differ by round, so the report shows which round
@@ -1755,7 +1774,14 @@ class RoundJudge:
         self.in_flight = 0
         self.max_in_flight = 0
         self.rounds: list[int] = []
+        #: ("sent" | "returned", round) in the order they happened; a test
+        #: may add events of its own under ``lock``
+        self.events: list[tuple[str, object]] = []
         self.arrived = threading.Event()
+
+    def record(self, kind: str, what) -> None:
+        with self.lock:
+            self.events.append((kind, what))
 
     def send(self, request):
         if request.tag != "evaluation.judge":
@@ -1766,6 +1792,7 @@ class RoundJudge:
             self.in_flight += 1
             self.max_in_flight = max(self.max_in_flight, self.in_flight)
             self.rounds.append(round_no)
+            self.events.append(("sent", round_no))
         self.arrived.set()
         try:
             time.sleep(self.hold)
@@ -1775,11 +1802,13 @@ class RoundJudge:
         finally:
             with self.lock:
                 self.in_flight -= 1
+                self.events.append(("returned", round_no))
 
 
 class TestConcurrentEvaluation:
     """The judge rounds fan out at stage_workers and run beside the
-    substrate load and the citation metrics."""
+    substrate load and the citation metrics, which start once the first
+    wave of rounds is out."""
 
     ROUNDS = 3
 
@@ -1811,11 +1840,78 @@ class TestConcurrentEvaluation:
     def load_after(judge: RoundJudge, monkeypatch) -> None:
         """Make the substrate load wait until a judge request has been sent."""
 
-        def load(directory):
+        def load(directory, *args, **kwargs):
             assert judge.arrived.wait(timeout=5), "no judge request before the substrate load"
-            return substrate_load(directory)
+            return substrate_load(directory, *args, **kwargs)
 
         monkeypatch.setattr(pipeline_mod, "substrate_load", load)
+
+    @staticmethod
+    def record_reads(judge: RoundJudge, monkeypatch) -> None:
+        """Add a ("read", file name) event to the judge's for every
+        substrate file read, the commit record included."""
+        read_record, read = substrate_mod.read_record, substrate_mod._read
+
+        def recording_record(directory):
+            judge.record("read", substrate_mod.COMMIT_FILE)
+            return read_record(directory)
+
+        def recording(path, digest):
+            judge.record("read", path.name)
+            return read(path, digest)
+
+        monkeypatch.setattr(substrate_mod, "read_record", recording_record)
+        monkeypatch.setattr(substrate_mod, "_read", recording)
+
+    @staticmethod
+    def first_read(judge: RoundJudge) -> int:
+        return next(at for at, (kind, _) in enumerate(judge.events) if kind == "read")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_first_wave_is_sent_before_the_substrate_is_read(
+        self, generated, monkeypatch, workers
+    ):
+        # The judge's path to the transport is slow: a load that does not
+        # wait for the first wave reads the substrate before it is sent.
+        complete = gateway_mod.Gateway.complete
+
+        def slow_complete(gateway, request):
+            if request.tag == "evaluation.judge":
+                time.sleep(0.2)
+            return complete(gateway, request)
+
+        monkeypatch.setattr(gateway_mod.Gateway, "complete", slow_complete)
+        shutil.rmtree(generated.cache_dir)
+        backends, judge = self.judged_backends(generated, workers, hold=0.0)
+        self.record_reads(judge, monkeypatch)
+        report = evaluate_run(generated, generated.survey_path, backends=backends)
+        assert report.weighted_total is not None
+        before_load = judge.events[: self.first_read(judge)]
+        assert {r for kind, r in before_load if kind == "sent"} >= set(range(1, workers + 1))
+        assert sorted(judge.rounds) == [1, 2, 3]
+
+    def test_the_load_never_waits_for_a_round_to_return(self, generated, monkeypatch):
+        # Only round 1's reply is cached, and round 2 is the last: the
+        # first wave is one cache hit and one request held in the transport.
+        generated.evaluation.judge_rounds = 1
+        self.evaluate(generated, 1, hold=0.0)
+        generated.evaluation.judge_rounds = 2
+        backends, judge = self.judged_backends(generated, 2, hold=0.5)
+        self.record_reads(judge, monkeypatch)
+        report = evaluate_run(generated, generated.survey_path, backends=backends)
+        assert report.weighted_total is not None
+        assert judge.rounds == [2]
+        assert self.first_read(judge) < judge.events.index(("returned", 2))
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_an_evaluate_of_cached_rounds_makes_no_call(self, generated, workers):
+        self.evaluate(generated, workers, hold=0.0)
+        first = self.report_bytes(generated)
+        backends, judge = self.judged_backends(generated, workers)
+        report = evaluate_run(generated, generated.survey_path, backends=backends)
+        assert report.weighted_total is not None
+        assert backends.gateway.transport_calls == 0 and judge.rounds == []
+        assert self.report_bytes(generated) == first
 
     def test_report_files_identical_at_every_width(self, generated):
         outputs = {}

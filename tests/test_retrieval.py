@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 import requests
 
+from litsurvey.caching import DiskCache
 from litsurvey.errors import JudgeError, RetrievalError
 from litsurvey.retrieval import (
     RetrievalConfig,
@@ -350,6 +351,27 @@ class TestFullStage:
             neighborhood |= {p.canonical for p in rec.in_citations}
             neighborhood |= {p.canonical for p in rec.out_citations}
         assert {p["id"]["canonical"] for p in first} <= neighborhood
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_text_is_looked_up_once(self, papers, tmp_path, monkeypatch, workers):
+        source = FixtureSource(list(papers.values()), search_results={"topic": ["p1", "p2"]})
+        cfg = RetrievalConfig(coarse_similarity_threshold=-1.0)
+        reads: Counter = Counter()
+        disk_get = DiskCache.get
+        monkeypatch.setattr(
+            DiskCache, "get", lambda cache, key: reads.update([key]) or disk_get(cache, key)
+        )
+        embedder = FixtureEmbedder()
+        gw = scripted_gateway(
+            accept_all_judge(), embedder=embedder, cache_dir=str(tmp_path), embed_batch_size=2
+        )
+        out = run_retrieval("topic", cfg, source, gw, workers=workers)
+        assert len(out) == len(papers)
+        # The topic and each paper's text are sent once, and no key is
+        # read from the disk cache twice.
+        sent = [text for batch in embedder.batches for text in batch]
+        assert sorted(sent) == sorted(["topic"] + [p.search_text() for p in papers.values()])
+        assert len(reads) > len(sent) and set(reads.values()) == {1}
 
     def test_fallback_seeds_after_a_primary_failure_are_not_expanded(self, papers):
         primary = CountingSource(FixtureSource(list(papers.values())), failures=99)
