@@ -12,6 +12,7 @@ context fitted to what the context window has left.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 import json
 import random
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, Sequence, Sized, TypeVar
 
 import numpy as np
-import requests
 
 from .caching import DiskCache, cache_key
 from .errors import (
@@ -151,6 +151,7 @@ class HttpChatTransport:
             "temperature": request.temperature,
             "max_tokens": request.max_output_tokens,
         }
+        import requests  # only a run that sends over HTTP pays for the import
         try:
             resp = requests.post(self.url, json=payload, headers=headers, timeout=self.timeout)
         except requests.RequestException as exc:
@@ -164,9 +165,9 @@ class HttpChatTransport:
         return TransportResponse(200, text, reason if isinstance(reason, str) else None)
 
 
-def _json_body(resp: requests.Response, what: str) -> Any:
-    """The JSON body of a 200 reply; a body that is not JSON (say, a proxy's
-    HTML page) is a BackendError, not a retry."""
+def _json_body(resp: Any, what: str) -> Any:
+    """The JSON body of a 200 ``requests`` reply; a body that is not JSON
+    (say, a proxy's HTML page) is a BackendError, not a retry."""
     try:
         return resp.json()
     except ValueError as exc:
@@ -212,6 +213,7 @@ class HttpEmbedder:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        import requests
         try:
             resp = requests.post(
                 self.url,
@@ -626,9 +628,14 @@ class Feed:
         until there is one; empty once the feed is closed and all are seen."""
         with self._cond:
             self._cond.wait_for(lambda: len(self._arrived) > seen or self._state != "open")
+            return self.poll(seen)[0]
+
+    def poll(self, seen: int) -> tuple[list[tuple[int, Any]], bool]:
+        """The pairs put after the first ``seen``, without waiting, and whether the feed is open."""
+        with self._cond:
             if self._state == "aborted":
                 raise FeedAborted()
-            return self._arrived[seen:]
+            return self._arrived[seen:], self._state == "open"
 
     def wait_closed(self) -> None:
         """Wait until the feed is closed; raises FeedAborted once it is
@@ -653,18 +660,18 @@ class Feed:
 
 def map_bounded(fn: Callable[[Any], Any], items: Iterable[Any], workers: int = 1) -> list[Any]:
     """Apply ``fn`` over ``items`` with at most ``workers`` calls in flight;
-    results keep the input order so downstream merging stays deterministic.
+    results keep the order the items are read in, so downstream merging
+    stays deterministic.
 
-    ``items`` is read in order: a sequence, or an iterator (a :class:`Feed`,
-    say) that may wait before it gives its next item. Each item starts once
-    it and every earlier one are in, and at one worker (or for a single
-    item) the calls run one after another on the calling thread. The first
-    ``workers`` items always start. Fails like the serial loop: once an item
-    raises, no further item starts, and the error of the lowest-index
-    failing item, a KeyboardInterrupt or SystemExit too, is re-raised after
-    the running ones finish. An iterator that raises (a feed that is
-    aborted raises FeedAborted) starts no further item, and its error is
-    raised once the running ones finish.
+    Pull dispatch: an item is read only once a slot is free for it, so an
+    iterator that may wait before it gives its next item (a :class:`Feed`,
+    or a :class:`Pull`) picks each call when that call can start. At one
+    worker (or for a single item) the calls run one after another on the
+    calling thread. The first ``workers`` items always start. Fails like
+    the 1-worker run: once an item raises, no further item starts, and the
+    error of the lowest-index failing item, a KeyboardInterrupt or
+    SystemExit too, is re-raised after the running ones finish; so is the
+    error of an iterator that raises (an aborted feed raises FeedAborted).
     """
     if isinstance(items, Sized):
         workers = min(workers, len(items))
@@ -682,12 +689,72 @@ def map_bounded(fn: Callable[[Any], Any], items: Iterable[Any], workers: int = 1
         finally:
             slots.release()
 
+    pending, end = iter(items), object()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for index, item in enumerate(items):
+        for index in itertools.count():
             slots.acquire()
-            if errors and index >= workers:
+            item = next(pending, end)
+            if item is end or errors and index >= workers:
                 break
             pool.submit(run, index, item)
     if errors:
         raise errors[min(errors)]
     return [results[i] for i in range(len(results))]
+
+
+class Pull:
+    """A fan-out whose calls make further items ready as they run, for
+    :func:`map_bounded` to read: as a slot frees, the ready item lowest by
+    ``key(rank)`` starts; reading waits while none is ready and a call
+    runs, and ends once none is ready and none runs.
+
+    ``ready`` holds the (rank, item) pairs ready at the start, and a
+    running call adds one with :meth:`push`; ranks are distinct and
+    compare. :meth:`run` applies ``fn(rank, item)`` to each and returns the
+    results by rank. It fails like the 1-worker run, at any width: once an
+    item has raised, only items ranked before it still start, and the
+    error of the lowest-ranked failure is raised once the running ones
+    finish. With ``key`` the identity, the ranks are the order a 1-worker
+    run starts the items in.
+    """
+
+    def __init__(self, fn: Callable, ready: Iterable[tuple[Any, Any]], key: Callable):
+        self._fn, self._key = fn, key
+        self._ready = sorted((key(rank), rank, item) for rank, item in ready)  # a heap
+        self._cond = threading.Condition()
+        self._running = 0
+        self._failed: dict[Any, Exception] = {}
+
+    def push(self, rank: Any, item: Any) -> None:
+        with self._cond:
+            heapq.heappush(self._ready, (self._key(rank), rank, item))
+
+    def __iter__(self) -> Iterator[tuple[Any, Any]]:
+        while True:
+            with self._cond:
+                self._cond.wait_for(lambda: self._ready or not self._running)
+                if not self._ready:
+                    return
+                _, rank, item = heapq.heappop(self._ready)
+                if self._failed and min(self._failed) < rank:
+                    continue  # ranked after a failure: never starts
+                self._running += 1
+            yield rank, item
+
+    def _call(self, pair: tuple[Any, Any]) -> Optional[tuple[Any, Any]]:
+        rank, item = pair
+        try:
+            return rank, self._fn(rank, item)
+        except Exception as exc:
+            with self._cond:
+                self._failed[rank] = exc
+        finally:
+            with self._cond:
+                self._running -= 1
+                self._cond.notify_all()
+
+    def run(self, workers: int) -> dict[Any, Any]:
+        done = map_bounded(self._call, self, workers)
+        if self._failed:
+            raise self._failed[min(self._failed)]
+        return dict(done)

@@ -8,16 +8,15 @@ judge re-ranking.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 from .errors import JudgeError, RetrievalError, SourceUnavailableError, SurveyError
 from .gateway import (
     Feed,
     Gateway,
+    Pull,
     batched,
     cosine,
     extract_json_payload,
@@ -193,26 +192,33 @@ def expand_graph(
 ) -> list[PaperRecord]:
     """Breadth-first bidirectional expansion to ``expansion_depth``.
 
-    Each hop fetches the citations, then the references, of up to
-    ``workers`` frontier papers at once, and merges the answers in frontier
-    order, so the result is the same at every width. Per expanded paper at
-    most ``per_seed_cap`` neighbors are retained, ranked by
+    Each hop fetches each frontier paper's citations, then its references,
+    up to ``workers`` at once as slots free (:class:`Pull`): every paper's
+    citations first, so that no slot idles at the end, and a paper's
+    references once its citations came back unrefused. The answers merge in
+    frontier order, so the result is the same at every width. Per expanded
+    paper at most ``per_seed_cap`` neighbors are retained, ranked by
     :func:`neighbor_priority`. New papers are appended in sorted id order.
     A neighbor fetch that still fails after the source's own retries raises
-    RetrievalError naming the first such paper in frontier order, rather
-    than leaving the evidence set short of its neighbors; a resume asks
-    again. A fetch the source refuses for good (say, a paper it does not
-    know) leaves that paper without neighbors, logged as
-    ``neighbor_fetch_refused`` in frontier order, since asking again would
-    not help.
+    RetrievalError naming the first such paper in frontier order, as a
+    1-worker run would (once a fetch has failed, only fetches before it in
+    that order start), rather than leaving the evidence set short of its
+    neighbors; a resume asks again. A fetch the source refuses for good
+    (say, a paper it does not know) leaves that paper without neighbors,
+    and its references unasked, logged as ``neighbor_fetch_refused`` in
+    frontier order, since asking again would not help.
     """
     runlog = runlog or RunLog()
     limit = cfg.per_seed_cap * 2
 
-    def fetch(paper: PaperRecord) -> list[PaperRecord] | SurveyError:
-        """The paper's neighbors, or the error of a refused fetch."""
+    def fetch(rank: tuple[int, int], item: tuple) -> list[PaperRecord] | SurveyError:
+        """Citations (rank (at, 0)), then those and the references, or a refusal."""
+        paper, cited = item
         try:
-            return source.citations(paper.id, limit) + source.references(paper.id, limit)
+            if rank[1]:
+                return cited + source.references(paper.id, limit)
+            pulled.push((rank[0], 1), (paper, source.citations(paper.id, limit)))
+            return cited
         except SourceUnavailableError as exc:
             raise RetrievalError(
                 f"neighbor fetch for paper '{paper.id.canonical}' failed: {exc}"
@@ -224,8 +230,12 @@ def expand_graph(
     result = list(seeds)
     frontier = list(seeds)
     for _depth in range(cfg.expansion_depth):
+        ready = [((at, 0), (paper, [])) for at, paper in enumerate(frontier)]
+        pulled = Pull(fetch, ready, lambda rank: rank[::-1])  # every paper's citations first
+        fetched = pulled.run(workers)
         discovered: dict[str, PaperRecord] = {}
-        for paper, neighbors in zip(frontier, map_bounded(fetch, frontier, workers)):
+        for at, paper in enumerate(frontier):
+            neighbors = fetched.get((at, 1), fetched[(at, 0)])
             if isinstance(neighbors, SurveyError):
                 runlog.add("neighbor_fetch_refused", paper=paper.id.canonical, error=str(neighbors))
                 continue
@@ -244,20 +254,20 @@ def expand_graph(
 
 def coarse_filter(
     papers: list[PaperRecord],
-    topic: str,
+    topic_vec: list[float],
     cfg: RetrievalConfig,
     gateway: Gateway,
 ) -> list[PaperRecord]:
     """High-recall semantic gate: cosine(title+abstract, topic) >= threshold.
 
-    The topic is embedded on its own, then the papers as one batch sent
-    without a cache lookup (:meth:`Gateway.embed_batch`): :func:`run_retrieval`
-    runs it once per embedding batch, whose texts it has already found
+    ``topic_vec`` is the topic's embedding, which :func:`run_retrieval`
+    makes once per run. The papers go out as one batch sent without a
+    cache lookup (:meth:`Gateway.embed_batch`): :func:`run_retrieval` runs
+    this once per embedding batch, whose texts it has already found
     missing from the cache (see :func:`_hybrid_filter`).
     """
     if not papers:
         return []
-    topic_vec = gateway.embed([topic])[0]
     vectors = gateway.embed_batch([p.search_text() for p in papers])
     return _passing(papers, vectors, topic_vec, cfg)
 
@@ -301,6 +311,7 @@ def llm_rerank_filter(
 def _hybrid_filter(
     papers: list[PaperRecord],
     topic: str,
+    topic_vec: list[float],
     cfg: RetrievalConfig,
     gateway: Gateway,
     runlog: RunLog,
@@ -314,76 +325,57 @@ def _hybrid_filter(
     its cache (:meth:`Gateway.embed_batches`), and each is the coarse filter
     of its papers, which sends the batch without looking its texts up
     again; the papers whose texts are cached are filtered at once by their
-    cached vectors. The rerank batches are the papers that pass, in
-    input order, cut every ``judge_batch_size``: each is queued behind the
-    embedding batches as soon as every paper up to its last one has been
-    filtered, and the papers it keeps go on ``feed`` under its index as soon
-    as it is judged. So the calls are the serial run's, at one worker in
-    the same order (the embedding batches, then the rerank batches), and a
-    failure raises the serial run's error. Each rerank batch logs apart, and
-    the logs join ``runlog`` in batch order.
+    cached vectors. The rerank batches are the papers that pass, in input
+    order, cut every ``judge_batch_size``. The calls are pulled as slots
+    free (:class:`Pull`): a rerank batch is ready, and goes ahead of the
+    embedding batches still queued, as soon as every paper up to its last
+    one has been filtered. So a 1-worker run sends each embedding batch and
+    then the rerank batches it completes, and a failure raises that run's
+    error. The papers each rerank batch keeps go on ``feed`` under its
+    index as soon as it is judged. Each rerank batch logs apart, and the
+    logs join ``runlog`` in batch order.
     """
     cached, batches = gateway.embed_batches([p.search_text() for p in papers])
     passed: list[Optional[bool]] = [None] * len(papers)
-    landed = threading.Condition()
     known = 0  # papers[:known] are all filtered
-    failed = False
+    passing: list[PaperRecord] = []  # of those, the passed ones in no rerank batch yet
+    logs: list[RunLog] = []
+    lock = threading.Lock()
 
-    def land(indices: list[int], kept: list[PaperRecord]) -> None:
+    def land(after: int, indices: list[int], kept: list[PaperRecord]) -> None:
+        """Record the verdicts on ``indices``, those of embedding batch
+        ``after``, and make ready the rerank batches they complete."""
         nonlocal known
         ids = {p.id.canonical for p in kept}
-        with landed:
+        with lock:
             for i in indices:
                 passed[i] = papers[i].id.canonical in ids
             while known < len(papers) and passed[known] is not None:
+                if passed[known]:
+                    passing.append(papers[known])
                 known += 1
-            landed.notify_all()
+            while len(passing) >= cfg.judge_batch_size or passing and known == len(papers):
+                pulled.push((after, 1, len(logs)), passing[: cfg.judge_batch_size])
+                del passing[: cfg.judge_batch_size]
+                logs.append(RunLog())
 
-    def gate(indices: list[int]) -> None:
-        nonlocal failed
-        try:
-            kept = coarse_filter([papers[i] for i in indices], topic, cfg, gateway)
-        except BaseException:
-            with landed:
-                failed = True
-                landed.notify_all()
-            raise
-        land(indices, kept)
-
-    if cached:
-        hits = sorted(cached)
-        topic_vec = gateway.embed([topic])[0]
-        land(hits, _passing([papers[i] for i in hits], [cached[i] for i in hits], topic_vec, cfg))
-
-    def passing():
-        cursor = 0
-        while cursor < len(papers):
-            with landed:
-                landed.wait_for(lambda: known > cursor or failed)
-                if failed:
-                    return
-                upto = known
-            yield from (papers[i] for i in range(cursor, upto) if passed[i])
-            cursor = upto
-
-    logs: list[RunLog] = []
-
-    def judge(index: int, batch: list[PaperRecord]) -> list[PaperRecord]:
-        kept = llm_rerank_filter(batch, topic, gateway, cfg, logs[index])
+    def call(rank: tuple, item: list) -> Optional[list[PaperRecord]]:
+        if len(rank) == 2:  # (at, 0), embedding batch ``at``'s paper indices
+            batch = [papers[i] for i in item]
+            return land(rank[0], item, coarse_filter(batch, topic_vec, cfg, gateway))
+        kept = llm_rerank_filter(item, topic, gateway, cfg, logs[rank[2]])
         if feed is not None:
-            feed.put(index, kept)
+            feed.put(rank[2], kept)
         return kept
 
-    def reranks():
-        for index, batch in enumerate(batched(passing(), cfg.judge_batch_size)):
-            logs.append(RunLog())
-            yield partial(judge, index, batch)
-
-    calls = itertools.chain((partial(gate, [i for i, _ in b]) for b in batches), reranks())
-    results = map_bounded(lambda call: call(), calls, workers)
+    ready = [((at, 0), [i for i, _ in b]) for at, b in enumerate(batches)]
+    pulled = Pull(call, ready, lambda rank: rank)
+    hits = sorted(cached)
+    land(-1, hits, _passing([papers[i] for i in hits], [cached[i] for i in hits], topic_vec, cfg))
+    judged = pulled.run(workers)
     for log in logs:
         runlog.events.extend(log.events)
-    return [p for kept in results[len(batches):] for p in kept]
+    return [p for rank in sorted(judged) if len(rank) == 3 for p in judged[rank]]
 
 
 def run_retrieval(
@@ -400,11 +392,13 @@ def run_retrieval(
     the same at every ``workers`` width (the graph fetches, embedding
     batches and rerank batches fan out and merge in order).
 
-    The topic's embedding needs only the topic, so it is sent beside the
-    seed search, the seed judge and the graph expansion. The coarse filter
-    and the rerank then run as one fan-out (:func:`_hybrid_filter`), which
-    puts the papers each rerank batch keeps on ``feed`` under the batch's
-    index as soon as it is judged.
+    The topic's embedding needs only the topic, so it is made once, beside
+    the seed search, the seed judge and the graph expansion. The coarse
+    filter and the rerank then run as one fan-out (:func:`_hybrid_filter`),
+    which puts the papers each rerank batch keeps on ``feed`` under the
+    batch's index as soon as it is judged. Both fan-outs pull their calls
+    as slots free and fail with the 1-worker run's error; at one worker the
+    embedding and rerank batches interleave, the chat requests in order.
 
     When the primary source failed the seed search, the seeds come from the
     fallback and the primary is not asked for their links: the evidence set
@@ -422,10 +416,10 @@ def run_retrieval(
             return seeds
         return expand_graph(seeds, cfg, source, runlog, workers)
 
-    expanded, _ = map_bounded(
-        lambda call: call(), [collect, lambda: gateway.embed([topic])], workers
+    expanded, topic_vec = map_bounded(
+        lambda call: call(), [collect, lambda: gateway.embed([topic])[0]], workers
     )
-    kept = _hybrid_filter(expanded, topic, cfg, gateway, runlog, workers, feed)
+    kept = _hybrid_filter(expanded, topic, topic_vec, cfg, gateway, runlog, workers, feed)
     if not kept:
         raise RetrievalError(f"no paper on '{topic}' passed the retrieval filters")
     return kept

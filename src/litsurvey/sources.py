@@ -15,8 +15,6 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence
 
-import requests
-
 from .caching import cache_key
 from .errors import ExhaustionError, RetrievalError, SourceUnavailableError
 from .gateway import (
@@ -200,6 +198,7 @@ class AcademicGraphSource:
         """The ``data`` entries of a graph reply. A reply that is not JSON,
         or whose entries are not objects, is a RetrievalError at once."""
         headers = {"x-api-key": self.api_key} if self.api_key else {}
+        import requests  # only a run that asks an HTTP source pays for the import
 
         def attempt() -> list[dict]:
             try:
@@ -290,6 +289,7 @@ class PreprintSource:
         self.timeout = timeout
 
     def search(self, query: str, limit: int) -> list[PaperRecord]:
+        import requests
         try:
             resp = requests.get(
                 self.base_url,

@@ -189,16 +189,16 @@ def run_understanding(
     demoted to fallback. Distinct papers digest in bounded parallel
     workers; the result is in paper-id order.
 
-    ``papers`` is the evidence set by canonical id, digested in paper-id
-    order, or retrieval's feed of the papers each rerank batch keeps, each
-    paper digested as it arrives. Each paper's keynote, or None for a
-    skipped paper, is put on ``feed`` under the paper's place in paper-id
-    order as soon as it is made and that place is known: from a feed, once
-    the feed is closed (retrieval has committed). Either way a failure
-    raises the serial run's error, the one of the first failing paper in
-    paper-id order; from a feed, once a paper has failed, only papers
-    before it in that order still start. At most ``workers`` papers are
-    digested at once.
+    ``papers`` is the evidence set by canonical id, or retrieval's feed of
+    the papers each rerank batch keeps. At most ``workers`` papers are
+    digested at once, pulled as slots free: the lowest id of the papers in
+    and not yet started goes first (:func:`_understand_arrivals`). Each
+    paper's keynote, or None for a skipped paper, is put on ``feed`` under
+    the paper's place in paper-id order as soon as it is made and that
+    place is known: from a feed, once the feed is closed (retrieval has
+    committed). A failure raises the 1-worker run's error, the one of the
+    first failing paper in paper-id order: once a paper has failed, only
+    papers before it in that order still start.
     """
     runlog = runlog or RunLog()
 
@@ -215,18 +215,11 @@ def run_understanding(
             runlog.add("paper_skipped", paper=canonical, reason=skip.reason)
             return None
 
-    if isinstance(papers, Feed):
-        return _understand_arrivals(papers, keynote_of, workers, feed)
-    order = sorted(papers)
-
-    def one(index: int) -> Optional[Keynote]:
-        keynote = keynote_of(papers[order[index]])
-        if feed is not None:
-            feed.put(index, keynote)
-        return keynote
-
-    keynotes = map_bounded(one, range(len(order)), workers)
-    return {canonical: k for canonical, k in zip(order, keynotes) if k is not None}
+    if not isinstance(papers, Feed):  # a committed set: one batch, then the close
+        committed, papers = papers, Feed()
+        papers.put(0, list(committed.values()))
+        papers.close()
+    return _understand_arrivals(papers, keynote_of, workers, feed)
 
 
 def _understand_arrivals(
@@ -235,69 +228,55 @@ def _understand_arrivals(
     workers: int,
     feed: Optional[Feed],
 ) -> dict[str, Keynote]:
-    """:func:`run_understanding` over retrieval's feed: one thread reads the
-    feed, and ``workers`` threads each take the paper with the lowest id of
-    those read and not yet started, so that the keynotes early in paper-id
-    order, which the design fold reads first, come first."""
-    cond = threading.Condition()
-    queue: list[tuple[str, PaperRecord]] = []  # a heap by canonical id
+    """:func:`run_understanding` over a feed of paper batches. As a slot
+    frees, :func:`map_bounded` reads the paper with the lowest id not yet
+    started of those the feed has brought, waiting for the feed only when
+    none is left, so that the keynotes the design fold reads first come
+    first."""
+    feed = feed if feed is not None else Feed()  # one that no stage reads
+    lock = threading.Lock()
     made: dict[str, Optional[Keynote]] = {}
     failed: dict[str, Exception] = {}
-    first_failed: Optional[str] = None  # the lowest id in ``failed``
-    place: Optional[dict[str, int]] = None  # paper-id order, once known
-    read_all = False
+    place: dict[str, int] = {}  # paper-id order, once the feed is closed
 
-    def read() -> None:
-        nonlocal place, read_all
-        ids: list[str] = []
-        try:
-            seen = 0
-            while fresh := arrivals.arrivals(seen):
-                seen += len(fresh)
-                with cond:
-                    for _, batch in fresh:
-                        for record in batch:
-                            ids.append(record.id.canonical)
-                            heapq.heappush(queue, (record.id.canonical, record))
-                    cond.notify_all()
-        except BaseException:
-            with cond:
-                queue.clear()
-                read_all = True
-                cond.notify_all()
-            raise
-        # The feed is closed: retrieval has committed every paper.
-        with cond:
-            place = {canonical: i for i, canonical in enumerate(sorted(ids))}
-            if feed is not None:
-                for canonical, keynote in made.items():
-                    feed.put(place[canonical], keynote)
-            read_all = True
-            cond.notify_all()
-
-    def work() -> None:
-        nonlocal first_failed
-        while True:
-            with cond:
-                cond.wait_for(lambda: queue or read_all)
+    def papers():
+        queue: list[tuple[str, PaperRecord]] = []  # a heap by canonical id
+        seen, is_open = 0, True
+        while queue or is_open:
+            if is_open:
                 if not queue:
-                    return
+                    arrivals.arrivals(seen)  # one more batch, or the close
+                fresh, is_open = arrivals.poll(seen)
+                seen += len(fresh)
+                for record in (r for _, batch in fresh for r in batch):
+                    heapq.heappush(queue, (record.id.canonical, record))
+                if not is_open:  # every paper is in
+                    ids = sorted(r.id.canonical for _, batch in arrivals.poll(0)[0] for r in batch)
+                    with lock:
+                        place.update((canonical, i) for i, canonical in enumerate(ids))
+                        for canonical, keynote in made.items():
+                            feed.put(place[canonical], keynote)
+            if queue:
                 canonical, record = heapq.heappop(queue)
-                if first_failed is not None and canonical > first_failed:
-                    continue
-            try:
-                keynote = keynote_of(record)
-            except Exception as exc:
-                with cond:
-                    failed[canonical] = exc
-                    first_failed = min(failed)
-                continue
-            with cond:
-                made[canonical] = keynote
-                if place is not None and feed is not None:
-                    feed.put(place[canonical], keynote)
+                with lock:
+                    if failed and canonical > min(failed):
+                        continue
+                yield canonical, record
 
-    map_bounded(lambda task: task(), [read] + [work] * workers, workers + 1)
+    def one(pair: tuple[str, PaperRecord]) -> None:
+        canonical, record = pair
+        try:
+            keynote = keynote_of(record)
+        except Exception as exc:
+            with lock:
+                failed[canonical] = exc
+            return
+        with lock:
+            made[canonical] = keynote
+            if canonical in place:
+                feed.put(place[canonical], keynote)
+
+    map_bounded(one, papers(), workers)
     if failed:
-        raise failed[first_failed]
+        raise failed[min(failed)]
     return {c: made[c] for c in sorted(made) if made[c] is not None}

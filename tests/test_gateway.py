@@ -31,6 +31,7 @@ from litsurvey.gateway import (
     Gateway,
     HttpChatTransport,
     HttpEmbedder,
+    Pull,
     TransportResponse,
     extract_chat_text,
     extract_json_payload,
@@ -541,6 +542,34 @@ class TestMapBounded:
         assert peak <= 2
         assert map_bounded(fn, items(), workers=1) == [i * i for i in range(6)]
 
+    def test_an_iterator_is_read_once_a_slot_is_free_for_its_item(self):
+        # Item 0 returns once item 2 is read, or after 0.2 s; item 1 only
+        # after item 0. So item 2 can be read while both run only if it is
+        # read before a slot is free.
+        done: list[int] = []
+        read_when: list[int] = []  # the calls done when each item was read
+        third_read, first_done = threading.Event(), threading.Event()
+
+        def items():
+            for i in range(4):
+                read_when.append(len(done))
+                if i == 2:
+                    third_read.set()
+                yield i
+
+        def fn(i):
+            if i == 0:
+                third_read.wait(timeout=0.2)
+                done.append(i)
+                first_done.set()
+            elif i == 1:
+                assert first_done.wait(timeout=10)
+                done.append(i)
+            return i
+
+        assert map_bounded(fn, items(), workers=2) == [0, 1, 2, 3]
+        assert read_when[2] > 0, "item 2 was read while items 0 and 1 both ran"
+
     @pytest.mark.parametrize("raised", [KeyboardInterrupt, SystemExit])
     def test_an_interrupt_in_a_worker_is_re_raised(self, raised):
         item_1_done = threading.Event()
@@ -556,6 +585,31 @@ class TestMapBounded:
 
         with pytest.raises(raised, match="item 0"):
             map_bounded(fn, list(range(4)), workers=2)
+
+
+class TestPull:
+    def test_many_workers_run_each_pushed_item_once(self):
+        # Each of 200 items makes one more ready; 16 workers on a short
+        # switch interval must run all 400 once, and return each by rank.
+        taken: Counter = Counter()
+        lock = threading.Lock()
+
+        def fn(rank, item):
+            with lock:
+                taken[rank] += 1
+            if rank[1] == 0:
+                pulled.push((rank[0], 1), item + 1)
+            return item
+
+        pulled = Pull(fn, [((i, 0), 10 * i) for i in range(200)], lambda rank: rank)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = pulled.run(16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == {(i, d): 10 * i + d for i in range(200) for d in (0, 1)}
+        assert taken == Counter(results.keys())
 
 
 class TestFeed:

@@ -1,9 +1,13 @@
-"""Every name a package module imports is used by that module, and every
-parameter of a module-level function is read by that function."""
+"""Every name a package module imports is used by that module, every
+parameter of a module-level function is read by that function, and the
+command-line entry point loads no HTTP client until one sends."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,3 +106,14 @@ def test_scan_finds_an_unread_parameter():
         "    def m(self, unused): pass\n"
     )
     assert unread_parameters(source) == ["f(cfg)"]
+
+
+def test_importing_the_cli_leaves_the_http_client_unloaded():
+    # Offline runs (scripted backend, fixture source, hashed embeddings)
+    # and --help never send over HTTP, so they do not pay for requests.
+    code = "import sys, litsurvey.cli; print('requests' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "False"

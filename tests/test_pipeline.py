@@ -131,6 +131,14 @@ class TestEndToEnd:
             "retrieval", "understanding", "analysis", "writing", "refinement",
         }
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_cold_run_answers_nothing_from_the_cache(self, tmp_path, workers):
+        # The topic is embedded once, and no text or prompt is asked twice.
+        config = make_config(tmp_path)
+        config.stage_workers = workers
+        run_pipeline(config, backends=build_backends(config))
+        assert json.loads(config.manifest_path.read_text())["cache_hits"] == 0
+
     def test_comparison_tables_exported_per_cluster(self, tmp_path):
         config, _, _ = fresh_run(tmp_path)
         tables = sorted((Path(config.workdir) / "tables").glob("cluster_*.tsv"))
@@ -491,15 +499,20 @@ class TestIndependentJudgeBatches:
     def test_a_backend_error_ends_in_the_serial_error(self, tmp_path):
         # Batch 2 is malformed on every attempt, so the serial run fails
         # there and never sends batch 3, which the backend refuses when four
-        # workers send it beside batch 2.
+        # workers send it beside batch 2. Batch 2 is held until batch 3 has
+        # gone out: once batch 2 has failed, batch 3, after it in 1-worker
+        # order, no longer starts.
+        batch_2 = r"\(rerank\)\.\nPapers:\n- id: 2406\.10003 "
         rules = (
-            {"pattern": r"\(rerank\)\.\nPapers:\n- id: 2406\.10003 ", "replies": ["none"]},
+            {"pattern": batch_2, "replies": ["none"]},
             {"pattern": RERANK_BATCH_3, "replies": [{"text": "refused", "status": 400}]},
         )
 
         def run(workers: int) -> tuple[StageError, int]:
             config = self._config(tmp_path / f"workers{workers}", workers, *rules)
             backends = build_backends(config)
+            if workers > 1:
+                gate(backends.gateway.transport, batch_2, RERANK_BATCH_3, by_prompt=True)
             with pytest.raises(StageError) as err:
                 run_pipeline(config, backends=backends)
             return err.value, len(backends.gateway.transport.calls_matching(RERANK_BATCH_3))
@@ -535,13 +548,14 @@ def fixture_replies(pattern: str) -> list:
     return next(r["replies"] for r in scripted_rules() if r["pattern"] == pattern)
 
 
-def gate(transport, held: str, opens: str) -> threading.Event:
+def gate(transport, held: str, opens: str, by_prompt: bool = False) -> threading.Event:
     """Hold each request whose prompt matches ``held`` until a request
-    tagged ``opens`` has been sent; returns the event that records it."""
+    tagged ``opens`` (with ``by_prompt``, one whose prompt matches
+    ``opens``) has been sent; returns the event that records it."""
     send, seen = transport.send, threading.Event()
 
     def gated_send(request):
-        if request.tag == opens:
+        if (re.search(opens, request.prompt) if by_prompt else request.tag == opens):
             seen.set()
         elif re.search(held, request.prompt):
             assert seen.wait(timeout=10), f"no {opens} request while {held!r} was held"
@@ -970,6 +984,37 @@ class TestRetrievalHandOff:
         run_pipeline(config, backends=backends)
         assert seen.is_set()
         assert output_digest(config) == TestGoldenOutput.GOLDEN["plain"]
+
+    def test_a_rerank_batch_goes_out_ahead_of_the_embedding_batches_queued(self, tmp_path):
+        # Three embedding batches of four papers. With batch 1 held until a
+        # rerank request is sent, batch 2 goes out after one only if the
+        # rerank batch that batch 0 completes is picked ahead of it.
+        config = self._config(tmp_path / "serial", 1, embed_batch=4)
+        backends = build_backends(config)
+        embedder, sent = backends.gateway.embedder, []
+        encode = embedder.encode
+        embedder.encode = lambda texts: sent.append(list(texts)) or encode(texts)
+        run_pipeline(config, backends=backends, stop_after="retrieval")
+        batches = [texts for texts in sent if len(texts) == 4]
+        assert len(batches) == 3
+
+        config = self._config(tmp_path / "parallel", 2, embed_batch=4)
+        backends = build_backends(config)
+        seen = gate(backends.gateway.transport, "(?!)", "retrieval.rerank")
+        embedder, rerank_first = backends.gateway.embedder, []
+        encode = embedder.encode
+
+        def gated_encode(texts):
+            if list(texts) == batches[1]:
+                assert seen.wait(timeout=10), "no rerank request while batch 1 was held"
+            elif list(texts) == batches[2]:
+                rerank_first.append(seen.is_set())
+            return encode(texts)
+
+        embedder.encode = gated_encode
+        run_pipeline(config, backends=backends, stop_after="retrieval")
+        assert rerank_first == [True], "embedding batch 2 went out before any rerank request"
+        assert committed_stages(config) == ["retrieval"]
 
     def test_a_failed_rerank_batch_commits_nothing_and_keeps_the_keynotes_made(self, tmp_path):
         refuse = {"pattern": LAST_RERANK, "replies": [{"text": "no", "status": 400}]}

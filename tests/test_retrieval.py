@@ -8,7 +8,8 @@ import pytest
 import requests
 
 from litsurvey.caching import DiskCache
-from litsurvey.errors import JudgeError, RetrievalError
+from litsurvey.errors import BackendError, JudgeError, RetrievalError, SourceUnavailableError
+from litsurvey.gateway import TransportResponse
 from litsurvey.retrieval import (
     RetrievalConfig,
     coarse_filter,
@@ -287,12 +288,86 @@ class TestParallelExpansion:
         [hub] = [p for p in papers if p["id"]["canonical"] == "hub"]
         assert hub["title"] == "hub via s0"
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_citation_fetch_goes_out_before_any_reference_fetch(self, papers, workers):
+        # So the last paper's two fetches do not run alone at the end.
+        source = CountingSource(FixtureSource(list(papers.values())))
+        seeds = [papers[k] for k in ("p1", "p2", "p3")]
+        expand_graph(seeds, RetrievalConfig(), source, workers=workers)
+        assert source.calls == ["citations"] * 3 + ["references"] * 3
+
+
+class TestOneWorkerErrors:
+    """The graph fetches and the hybrid filter's calls are pulled as slots
+    free, and fail with the error of the 1-worker run."""
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_the_first_unavailable_fetch_in_frontier_order_is_named(self, workers):
+        # At four workers paper q3's citations are held until q5's have
+        # failed, so q3's references, before them in frontier order, start
+        # after that failure and fail too.
+        seeds = [make_paper(f"q{i}", in_cits=[f"n{i}"], out_cits=[f"m{i}"]) for i in range(7)]
+        inner = FixtureSource(seeds + [make_paper(f"{k}{i}") for i in range(7) for k in "nm"])
+        q5_failed = threading.Event()
+
+        class Source:
+            def citations(self, paper_id, limit):
+                if paper_id.canonical == "q5":
+                    q5_failed.set()
+                    raise SourceUnavailableError("citations of q5 unavailable")
+                if paper_id.canonical == "q3" and workers > 1:
+                    assert q5_failed.wait(timeout=10)
+                return inner.citations(paper_id, limit)
+
+            def references(self, paper_id, limit):
+                if paper_id.canonical == "q3":
+                    raise SourceUnavailableError("references of q3 unavailable")
+                return inner.references(paper_id, limit)
+
+        with pytest.raises(RetrievalError, match="paper 'q3' failed: references of q3"):
+            expand_graph(seeds, RetrievalConfig(), Source(), workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_a_refused_first_rerank_batch_outranks_a_later_embedding_failure(
+        self, papers, workers
+    ):
+        # Six papers, two per embedding and per rerank batch. Embedding
+        # batch 2 fails; at four workers batch 0 lands only after that, and
+        # rerank batch 0, which a 1-worker run sends before batch 1, still
+        # goes out and is refused.
+        source = FixtureSource(list(papers.values()), search_results={"topic": ["p1", "p2"]})
+        judge = accept_all_judge()
+        send = judge.send
+
+        def refusing_send(request):
+            if "(rerank)" in request.prompt and "- id: p1 " in request.prompt:
+                return TransportResponse(400, "refused")
+            return send(request)
+
+        judge.send = refusing_send
+        embedder = FixtureEmbedder()
+        encode, batch_2_failed = embedder.encode, threading.Event()
+
+        def failing_encode(texts):
+            if papers["p5"].search_text() in texts:
+                batch_2_failed.set()
+                raise BackendError("embedding backend down")
+            if papers["p1"].search_text() in texts and workers > 1:
+                assert batch_2_failed.wait(timeout=10)
+            return encode(texts)
+
+        embedder.encode = failing_encode
+        gw = scripted_gateway(judge, embedder=embedder, embed_batch_size=2)
+        cfg = RetrievalConfig(coarse_similarity_threshold=-1.0, judge_batch_size=2)
+        with pytest.raises(BackendError, match="status 400"):
+            run_retrieval("topic", cfg, source, gw, workers=workers)
+
 
 class TestCoarseFilter:
     def test_vacuous_threshold_keeps_everything(self, papers):
         cfg = RetrievalConfig(coarse_similarity_threshold=-1.0)
         gw = scripted_gateway()
-        out = coarse_filter(list(papers.values()), "topic", cfg, gw)
+        out = coarse_filter(list(papers.values()), gw.embed(["topic"])[0], cfg, gw)
         assert out == list(papers.values())
 
     def test_orthogonal_paper_dropped_at_half_threshold(self):
@@ -307,11 +382,11 @@ class TestCoarseFilter:
         )
         gw = scripted_gateway(embedder=embedder)
         cfg = RetrievalConfig(coarse_similarity_threshold=0.5)
-        out = coarse_filter([on_topic, off_topic], "topic", cfg, gw)
+        out = coarse_filter([on_topic, off_topic], gw.embed(["topic"])[0], cfg, gw)
         assert [p.id.canonical for p in out] == ["on"]
 
     def test_empty_input_empty_output(self):
-        assert coarse_filter([], "t", RetrievalConfig(), scripted_gateway()) == []
+        assert coarse_filter([], [1.0, 0.0], RetrievalConfig(), scripted_gateway()) == []
 
 
 class TestRerank:

@@ -148,6 +148,21 @@ class TestRunUnderstanding:
         )
         assert keynotes["p1"].provenance is Provenance.FULL_TEXT
 
+    def test_no_paper_after_a_failed_one_starts(self):
+        papers = {k: make_paper(k, abstract=f"abstract of {k}") for k in ("p1", "p2", "p3", "p4")}
+        transport = (
+            ScriptedTransport()
+            .add(r"paper id p1\.", CannedReply("no", 400))
+            .add("structured keynote", json.dumps(FULL_KEYNOTE))
+        )
+        with pytest.raises(BackendError, match="status 400"):
+            run_understanding(
+                papers, lambda record: doc(record.id.canonical), scripted_gateway(transport),
+                RunLog(), 2,
+            )
+        sent = {c.prompt.split("paper id ")[1].split(".")[0] for c in transport.calls}
+        assert "p1" in sent and sent <= {"p1", "p2"}
+
 
 class TestUnderstandingFromAFeed:
     """From retrieval's feed, papers are keynoted as their batch arrives;
