@@ -18,7 +18,7 @@ import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
 
 def cache_key(*parts: str | int | float | bool | None) -> str:
@@ -49,7 +49,8 @@ class DiskCache:
     key -> (created, value bytes).
 
     Each instance appends to a segment of its own, created on its first
-    ``set``, one line ``<key> <created> <value JSON>\\n`` per entry, and
+    ``set``, one line ``<key> <created> <value JSON>\\n`` per entry (a
+    ``set`` of several entries writes their lines in one append), and
     never opens another file for writing. So any number of instances,
     threads or processes may share the directory, and a hard-linked copy
     of it is never changed by a run over the copy. Keys must hold no
@@ -89,26 +90,32 @@ class DiskCache:
         except ValueError:  # a corrupt entry
             return None
 
-    def set(self, key: str, value: Any) -> None:
-        data = json.dumps(value, ensure_ascii=False).encode("utf-8")
+    def set(self, entries: Mapping[str, Any]) -> None:
+        """Store each key -> value of ``entries``, all with one append."""
+        encoded = [
+            (key, json.dumps(value, ensure_ascii=False).encode("utf-8"))
+            for key, value in entries.items()
+        ]
         with self._lock:
             if self._segment is None:
                 self._segment = os.path.join(self.directory, f"{uuid.uuid4().hex}.log")
                 self._read[self._segment] = (0, 0)
             created = time.time()
-            head = f"{key} {created!r} ".encode("utf-8")
+            stamp = repr(created)
+            lines = b"".join(f"{key} {stamp} ".encode("utf-8") + data + b"\n" for key, data in encoded)
             try:
                 # Mode "a" creates the segment under the umask like any
                 # other file; only this instance ever writes to it.
                 with open(self._segment, "ab") as handle:
-                    handle.write(head + data + b"\n")
+                    handle.write(lines)
             except BaseException:
-                # The line may be torn: later entries go to a new segment.
+                # The lines may be torn: later entries go to a new segment.
                 self._segment = None
                 raise
-            size = self._read[self._segment][1] + len(head) + len(data) + 1
+            size = self._read[self._segment][1] + len(lines)
             self._read[self._segment] = (size, size)
-            self._index_entry(key, created, data)
+            for key, data in encoded:
+                self._index_entry(key, created, data)
 
     def _expired(self, created: float) -> bool:
         return self.expiry_seconds is not None and time.time() - created > self.expiry_seconds

@@ -15,15 +15,17 @@ import hashlib
 import heapq
 import itertools
 import json
+import math
+import operator
 import random
 import re
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, Sequence, Sized, TypeVar
-
-import numpy as np
 
 from .caching import DiskCache, cache_key
 from .errors import (
@@ -184,22 +186,37 @@ def extract_chat_text(payload: dict) -> str:
     return text
 
 
+_STANDARD_NORMAL = NormalDist()
+
+
+def hashed_normals(text: str, dim: int) -> list[float]:
+    """``dim`` standard-normal draws that depend on ``text`` alone: the
+    ``shake_256`` digest of the text, cut into 8-byte words whose top 52
+    bits place a uniform strictly inside (0, 1), each mapped through the
+    normal quantile function."""
+    digest = hashlib.shake_256(text.encode("utf-8")).digest(8 * dim)
+    return [
+        _STANDARD_NORMAL.inv_cdf(((word >> 12) + 0.5) * 2.0**-52)
+        for word in struct.unpack(f">{dim}Q", digest)
+    ]
+
+
 class HashEmbedder:
     """Deterministic local embedding provider.
 
-    Maps text to a reproducible pseudo-random direction; good enough for
-    thresholded cosine filtering in offline runs and tests.
+    Maps text to a reproducible pseudo-random direction (see
+    :func:`hashed_normals`); good enough for thresholded cosine filtering
+    in offline runs and tests. A text gets the same vector in every
+    process, whatever ``PYTHONHASHSEED`` is. The vectors changed once,
+    when this digest replaced a seeded array-library generator; the
+    embedding cache keys gained the backend's scope at the same change, so
+    a vector of the old generator is never read back next to a new one.
     """
 
     dim = 32
 
     def encode(self, texts: Sequence[str]) -> list[list[float]]:
-        out = []
-        for text in texts:
-            seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
-            rng = np.random.default_rng(seed)
-            out.append(rng.standard_normal(self.dim).tolist())
-        return out
+        return [hashed_normals(text, self.dim) for text in texts]
 
 
 class HttpEmbedder:
@@ -251,6 +268,11 @@ class Gateway:
     ``transport_calls`` counts the requests handed to the backend, each
     just before it goes out, and ``cache_hits`` the answers served from the
     cache; a caller can wait for their sum with :meth:`wait_requests`.
+
+    ``chat_scope`` and ``embed_scope`` name the backends behind
+    ``transport`` and ``embedder`` (see :func:`pipeline.build_backends`)
+    and enter every completion and embedding cache key, so a cache shared
+    by runs over different backends serves each only its own answers.
     """
 
     def __init__(
@@ -263,11 +285,15 @@ class Gateway:
         embed_batch_size: int = 32,
         sleeper: Callable[[float], None] = time.sleep,
         draw: Callable[[], float] = random.random,
+        chat_scope: str = "",
+        embed_scope: str = "",
     ):
         self.transport = transport
         self.embedder = embedder or HashEmbedder()
         self.profile = profile or BackendProfile()
         self.embed_batch_size = embed_batch_size
+        self.chat_scope = chat_scope
+        self.embed_scope = embed_scope
         self.sleeper = sleeper
         self.draw = draw
         self._runtime: dict[str, Any] = {}
@@ -289,7 +315,12 @@ class Gateway:
                 f"{self.profile.context_window}-token context window"
             )
         key = cache_key(
-            "complete", request.tag, request.temperature, request.max_output_tokens, request.prompt
+            "complete",
+            self.chat_scope,
+            request.tag,
+            request.temperature,
+            request.max_output_tokens,
+            request.prompt,
         )
         return self.cached(
             key,
@@ -329,7 +360,7 @@ class Gateway:
             flight.wait()
         try:
             value = produce()
-            self._cache_set(key, value)
+            self._cache_set({key: value})
             return value
         finally:
             with self._lock:
@@ -351,11 +382,11 @@ class Gateway:
                 self._count(hit=True)
         return value
 
-    def _cache_set(self, key: str, value: Any) -> None:
+    def _cache_set(self, entries: dict[str, Any]) -> None:
         with self._lock:
-            self._runtime[key] = value
+            self._runtime.update(entries)
         if self._disk is not None:
-            self._disk.set(key, value)
+            self._disk.set(entries)
 
     def _count(self, hit: bool) -> None:
         """Count one request out, a cache hit or a backend call; the caller
@@ -432,7 +463,7 @@ class Gateway:
         results: dict[int, list[float]] = {}
         missing: list[tuple[int, str]] = []
         for i, text in enumerate(texts):
-            cached = self._cache_get(cache_key("embed", text))
+            cached = self._cache_get(self._embed_key(text))
             if cached is not None:
                 results[i] = cached
             else:
@@ -441,16 +472,18 @@ class Gateway:
 
     def embed_batch(self, texts: Sequence[str]) -> list[list[float]]:
         """The unit-normalized vectors of one batch of :meth:`embed_batches`,
-        from one backend request, without looking the texts up again; each
-        vector is stored in the cache."""
+        from one backend request, without looking the texts up again; the
+        vectors are stored in the cache with one disk append."""
         texts = list(texts)
         vectors = with_backoff(
             lambda: self._encode_once(texts), self.profile, self.sleeper, self.draw
         )
         units = [_normalize(vector) for vector in vectors]
-        for text, unit in zip(texts, units):
-            self._cache_set(cache_key("embed", text), unit)
+        self._cache_set({self._embed_key(text): unit for text, unit in zip(texts, units)})
         return units
+
+    def _embed_key(self, text: str) -> str:
+        return cache_key("embed", self.embed_scope, text)
 
     def _encode_once(self, texts: list[str]) -> list[list[float]]:
         with self._lock:
@@ -459,15 +492,16 @@ class Gateway:
 
 
 def _normalize(vector: Sequence[float]) -> list[float]:
-    arr = np.asarray(vector, dtype=float)
-    norm = float(np.linalg.norm(arr))
+    norm = math.hypot(*vector)
     if norm == 0.0:
         raise BackendError("embedding backend returned a zero vector")
-    return (arr / norm).tolist()
+    return [x / norm for x in vector]
 
 
 def cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    return float(np.dot(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+    """The dot product of two vectors, which is their cosine once both are
+    unit-normalized, as every vector the gateway hands out is."""
+    return sum(map(operator.mul, a, b))
 
 
 def nearest(

@@ -69,6 +69,14 @@ class Backends:
 
 
 def build_backends(config: PipelineConfig) -> Backends:
+    """The gateway, sources and NLI model a run's config names.
+
+    The gateway's cache scopes name each backend by its kind, endpoint (or
+    rules file) and model: a rerun in the same workdir over another backend
+    misses the first one's answers. They name neither the workdir nor an
+    API key, so a cache copied to another run, or read with another key,
+    still hits.
+    """
     backend_cfg = config.backend
     profile = BackendProfile(
         context_window=backend_cfg.context_window,
@@ -93,6 +101,7 @@ def build_backends(config: PipelineConfig) -> Backends:
         )
     else:
         raise ConfigError(f"unknown backend kind '{backend_cfg.kind}'")
+    endpoint = backend_cfg.rules_path if backend_cfg.kind == "scripted" else backend_cfg.url
 
     if config.embedding.kind == "hashed":
         embedder = HashEmbedder()
@@ -112,6 +121,8 @@ def build_backends(config: PipelineConfig) -> Backends:
         cache_dir=str(config.cache_dir),
         cache_expiry=config.cache_expiry_seconds,
         embed_batch_size=config.embedding.batch_size,
+        chat_scope=f"{backend_cfg.kind} {endpoint} {backend_cfg.model}",
+        embed_scope=f"{config.embedding.kind} {config.embedding.url} {config.embedding.model}",
     )
 
     if config.source.kind == "fixture":

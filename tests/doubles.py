@@ -6,14 +6,16 @@ The backends the pipeline itself can run (``ScriptedTransport``,
 
 from __future__ import annotations
 
-import hashlib
 import math
 import threading
 from typing import Optional, Sequence
 
-import numpy as np
-
-from litsurvey.gateway import CompletionRequest, TransientBackendError, TransportResponse
+from litsurvey.gateway import (
+    CompletionRequest,
+    TransientBackendError,
+    TransportResponse,
+    hashed_normals,
+)
 from litsurvey.scripted import CannedReply
 
 
@@ -59,9 +61,7 @@ class FixtureEmbedder:
             if text in self.mapping:
                 out.append([float(x) for x in self.mapping[text]])
             else:
-                seed = int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-                rng = np.random.default_rng(seed)
-                out.append(rng.standard_normal(self.dim).tolist())
+                out.append(hashed_normals(text, self.dim))
         return out
 
 

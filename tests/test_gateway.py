@@ -4,13 +4,13 @@ import math
 import os
 import random
 import shutil
+import subprocess
 import sys
 import threading
 import time
 from collections import Counter
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 import requests
 
@@ -29,10 +29,13 @@ from litsurvey.gateway import (
     Feed,
     FeedAborted,
     Gateway,
+    HashEmbedder,
     HttpChatTransport,
     HttpEmbedder,
     Pull,
     TransportResponse,
+    _normalize,
+    cosine,
     extract_chat_text,
     extract_json_payload,
     map_bounded,
@@ -179,7 +182,7 @@ class TestCaching:
 
     def test_a_disk_hit_opens_no_file(self, tmp_path, monkeypatch):
         writer, reader = DiskCache(tmp_path), DiskCache(tmp_path)
-        writer.set("early", {"v": 1})
+        writer.set({"early": {"v": 1}})
         assert reader.get("early") == {"v": 1}  # a miss: indexes the segment
         opened: list[str] = []
         real_open, real_scandir = open, os.scandir
@@ -190,7 +193,7 @@ class TestCaching:
         assert opened == []
         # The writer appends to the segment the reader has already indexed:
         # the reader's miss lists the directory and reads that segment.
-        writer.set("later", [2])
+        writer.set({"later": [2]})
         [segment] = opened
         opened.clear()
         assert reader.get("later") == [2]
@@ -232,7 +235,7 @@ class TestCaching:
             start.wait(timeout=10)
             try:
                 for i in range(50):
-                    caches[writer % 2].set("shared", {"writer": writer, "i": i})
+                    caches[writer % 2].set({"shared": {"writer": writer, "i": i}})
             except Exception as exc:
                 errors.append(exc)
 
@@ -250,7 +253,7 @@ class TestCaching:
     def test_disk_cache_entries_take_the_mode_of_a_plainly_created_file(self, tmp_path):
         # Entries follow the umask like any other file, so a cache directory
         # shared between users stays readable to them.
-        DiskCache(tmp_path).set("entry", {"v": 1})
+        DiskCache(tmp_path).set({"entry": {"v": 1}})
         plain = tmp_path / "plain.json"
         plain.write_text("{}")
         mode = lambda path: path.stat().st_mode & 0o777
@@ -278,12 +281,12 @@ class TestCaching:
 
     def test_a_miss_rereads_segments_that_grew_or_appeared(self, tmp_path):
         writer, reader = DiskCache(tmp_path), DiskCache(tmp_path)
-        writer.set("early", 1)
+        writer.set({"early": 1})
         assert reader.get("grown") is None
-        writer.set("grown", {"v": 2})
+        writer.set({"grown": {"v": 2}})
         assert reader.get("grown") == {"v": 2}
         assert reader.get("appeared") is None
-        DiskCache(tmp_path).set("appeared", [3])
+        DiskCache(tmp_path).set({"appeared": [3]})
         assert reader.get("appeared") == [3]
         assert reader.get("early") == 1
 
@@ -296,9 +299,9 @@ class TestCaching:
         hexes = iter(names)
         monkeypatch.setattr(caching_mod, "uuid", SimpleNamespace(uuid4=lambda: SimpleNamespace(hex=next(hexes))))
         stale = DiskCache(tmp_path, expiry_seconds=60.0)
-        stale.set("k", "stale")
+        stale.set({"k": "stale"})
         clock[0] = 1100.0
-        DiskCache(tmp_path, expiry_seconds=60.0).set("k", "fresh")
+        DiskCache(tmp_path, expiry_seconds=60.0).set({"k": "fresh"})
         clock[0] = 1130.0
         assert DiskCache(tmp_path, expiry_seconds=60.0).get("k") == "fresh"
         assert DiskCache(tmp_path).get("k") == "fresh"
@@ -328,6 +331,82 @@ class TestCaching:
         assert {p: p.read_bytes() for p in linked} == linked
         added = set((tmp_path / "run" / "cache" / "api").iterdir()) - set(linked)
         assert [p.stat().st_nlink for p in added] == [1]
+
+    def test_an_embedding_batch_is_stored_with_one_append(self, tmp_path, monkeypatch):
+        sets: list[list[str]] = []
+        disk_set = DiskCache.set
+        monkeypatch.setattr(DiskCache, "set", lambda cache, entries: sets.append(list(entries)) or disk_set(cache, entries))
+        embedder = FixtureEmbedder()
+        texts = [f"text {i}" for i in range(5)]
+        gw = Gateway(SequenceTransport(["x"]), embedder=embedder, cache_dir=str(tmp_path), embed_batch_size=3)
+        vectors = gw.embed(texts)
+        assert [len(keys) for keys in sets] == [3, 2]
+        [segment] = (tmp_path / "api").glob("*.log")
+        assert segment.read_bytes().count(b"\n") == 5
+        rerun = Gateway(SequenceTransport(["x"]), embedder=embedder, cache_dir=str(tmp_path))
+        assert rerun.embed(texts) == vectors
+        assert embedder.calls == 2
+
+    @pytest.mark.parametrize("torn", ["inside the second line", "before the last newline"])
+    def test_a_torn_append_of_several_entries_indexes_its_complete_lines(self, tmp_path, torn):
+        DiskCache(tmp_path).set({"first": 1, "second": [2, 2], "third": {"v": 3}})
+        [segment] = tmp_path.glob("*.log")
+        data = segment.read_bytes()
+        second = data.index(b"\n") + 1
+        segment.write_bytes(data[: second + 10] if torn == "inside the second line" else data[:-1])
+        reader = DiskCache(tmp_path)
+        found = [reader.get(k) for k in ("first", "second", "third")]
+        assert found == ([1, None, None] if torn == "inside the second line" else [1, [2, 2], None])
+
+    def test_a_failed_append_of_several_entries_sends_later_ones_to_a_new_segment(self, tmp_path, monkeypatch):
+        cache = DiskCache(tmp_path)
+        cache.set({"kept": 0})
+        real_open = open
+
+        class TornHandle:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[: len(data) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(caching_mod, "open", lambda f, mode="r": TornHandle(real_open(f, mode)), raising=False)
+        with pytest.raises(OSError):
+            cache.set({"a": "x", "b": "y" * 200})  # the half holds all of "a"
+        monkeypatch.undo()
+        reader = DiskCache(tmp_path)
+        assert [reader.get(k) for k in ("kept", "a", "b")] == [0, "x", None]
+        cache.set({"b": "again"})
+        assert len(list(tmp_path.glob("*.log"))) == 2
+        assert [DiskCache(tmp_path).get(k) for k in ("kept", "a", "b")] == [0, "x", "again"]
+
+    def test_gateways_over_one_cache_hit_within_a_scope_and_miss_across_scopes(self, tmp_path):
+        def gateway(chat_scope, embed_scope, reply):
+            transport, embedder = SequenceTransport([reply]), FixtureEmbedder()
+            gw = Gateway(
+                transport, embedder=embedder, cache_dir=str(tmp_path),
+                chat_scope=chat_scope, embed_scope=embed_scope,
+            )
+            return gw, transport, embedder
+
+        first, _, _ = gateway("http u m1", "http e m1", "from m1")
+        first.complete(req("shared prompt"))
+        vector = first.embed(["shared text"])
+        same, transport, embedder = gateway("http u m1", "http e m1", "unused")
+        assert same.complete(req("shared prompt")) == "from m1"
+        assert same.embed(["shared text"]) == vector
+        assert (len(transport.calls), embedder.calls) == (0, 0)
+        other, transport, embedder = gateway("http u m2", "http e m2", "from m2")
+        assert other.complete(req("shared prompt")) == "from m2"
+        other.embed(["shared text"])
+        assert (len(transport.calls), embedder.calls) == (1, 1)
 
 
 class BlockingTransport:
@@ -733,7 +812,7 @@ class TestEmbeddings:
     def test_vectors_are_unit_norm(self):
         gw = scripted_gateway(embedder=FixtureEmbedder({"a": [3.0, 4.0]}))
         [vec] = gw.embed(["a"])
-        assert math.isclose(float(np.linalg.norm(vec)), 1.0, abs_tol=1e-6)
+        assert math.isclose(math.hypot(*vec), 1.0, abs_tol=1e-6)
         assert vec == pytest.approx([0.6, 0.8])
 
     def test_second_call_served_from_cache(self):
@@ -799,6 +878,55 @@ class TestEmbeddings:
         with pytest.raises(ExhaustionError):
             gw.embed(["t"])
         assert flaky.attempts == 10
+
+
+class TestHashEmbedder:
+    def test_a_text_gets_the_same_vector_under_any_hash_seed(self):
+        code = "from litsurvey.gateway import HashEmbedder; print(HashEmbedder().encode(['a text'])[0])"
+        package = os.path.join(os.path.dirname(__file__), "..", "src")
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True,
+                env={**os.environ, "PYTHONPATH": package, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1] == f"{HashEmbedder().encode(['a text'])[0]}\n"
+
+    def test_different_texts_get_different_vectors(self):
+        vectors = HashEmbedder().encode([f"paper {i}" for i in range(50)])
+        assert len({tuple(v) for v in vectors}) == 50
+        assert all(len(v) == HashEmbedder.dim for v in vectors)
+
+    def test_gateway_vectors_are_unit_norm(self):
+        gw = Gateway(SequenceTransport(["x"]))
+        for vec in gw.embed(["alpha", "beta", "a longer text about surveys"]):
+            assert math.isclose(math.hypot(*vec), 1.0, abs_tol=1e-12)
+
+    def test_the_generator_is_pinned(self):
+        # Changing this value changes every hashed vector: make it on purpose.
+        [vec] = HashEmbedder().encode(["automated survey generation"])
+        assert vec[0] == pytest.approx(-0.9233146166438706, abs=1e-12)
+
+
+class TestVectorMath:
+    def test_cosine_and_normalize_agree_with_an_exact_sum(self):
+        rng = random.Random(5)
+        for dim in (2, 32, 1536):
+            a = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+            b = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+            norm = math.sqrt(math.fsum(x * x for x in a))
+            assert _normalize(a) == pytest.approx([x / norm for x in a], abs=1e-12)
+            unit_a, unit_b = _normalize(a), _normalize(b)
+            exact = math.fsum(x * y for x, y in zip(unit_a, unit_b))
+            assert abs(cosine(unit_a, unit_b) - exact) < 1e-12
+
+    def test_a_zero_vector_is_a_backend_error(self):
+        with pytest.raises(BackendError, match="zero vector"):
+            _normalize([0.0] * 32)
+        gw = Gateway(SequenceTransport(["x"]), embedder=FixtureEmbedder({"z": [0.0, 0.0]}))
+        with pytest.raises(BackendError, match="zero vector"):
+            gw.embed(["z"])
 
 
 class TestStructuredOutput:

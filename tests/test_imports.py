@@ -1,6 +1,7 @@
 """Every name a package module imports is used by that module, every
-parameter of a module-level function is read by that function, and the
-command-line entry point loads no HTTP client until one sends."""
+parameter of a module-level function is read by that function, the
+command-line entry point loads no HTTP client until one sends, and a whole
+offline run loads no numpy."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "litsurvey"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -117,3 +119,26 @@ def test_importing_the_cli_leaves_the_http_client_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_a_generate_and_evaluate_run_loads_no_numpy(tmp_path):
+    # The vector math is a few sums over 32-float lists: a run that
+    # imported numpy for it would pay ~14 MiB and ~150 ms at start.
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "import litsurvey.cli\n"
+        "from e2e_fixture import make_config\n"
+        "from litsurvey.pipeline import build_backends, evaluate_run, run_pipeline\n"
+        "config = make_config(Path(sys.argv[1]))\n"
+        "result = run_pipeline(config, backends=build_backends(config))\n"
+        "evaluate_run(config, result.survey_path, backends=build_backends(config))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), str(TESTS)])}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+    assert list(tmp_path.rglob("*.report.json"))
