@@ -109,7 +109,10 @@ class PaperRecord:
 
     @property
     def citation_count(self) -> int:
-        return len(self.in_citations)
+        """The academic graph's count of citing papers when the record came
+        with one, else the citing papers the record links."""
+        count = self.metadata.get("citation_count", "")
+        return int(count) if count.isdecimal() else len(self.in_citations)
 
     def search_text(self) -> str:
         return f"{self.title}\n{self.abstract}".strip()

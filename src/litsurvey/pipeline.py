@@ -6,7 +6,10 @@ so an interrupted run resumes after the last committed stage without
 re-issuing any backend call for finished work. The record's header holds
 the config hash, topic and start time of the run; it is written when a run
 starts without resuming, and a resume under a different configuration is
-refused (config hash mismatch).
+refused (config hash mismatch). Once the survey and its sidecar are
+written, the record also holds their digests, and a resume of the
+finished run that finds both unchanged only checks the files' digests and
+writes the manifest.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import analysis as analysis_mod
 from . import code_analysis as code_mod
@@ -53,9 +57,11 @@ from .substrate import (
     _dump,
     _write,
     read_record,
+    record_survey,
     substrate_load,
     substrate_reset,
     substrate_save,
+    survey_verified,
 )
 from .understanding import ParsedDocument
 
@@ -155,9 +161,15 @@ def build_backends(config: PipelineConfig) -> Backends:
 @dataclass
 class RunResult:
     survey_path: Optional[Path]
-    substrate: KnowledgeSubstrate
     manifest: dict
-    runlog: RunLog = field(default_factory=RunLog)
+    runlog: RunLog
+    #: returns the run's committed substrate, called when ``substrate`` is
+    #: first read
+    loader: Callable[[], KnowledgeSubstrate]
+
+    @cached_property
+    def substrate(self) -> KnowledgeSubstrate:
+        return self.loader()
 
 
 class _PaperDirs:
@@ -511,9 +523,11 @@ def _run_stages(plan, config, substrate, backends, runlog) -> Optional[tuple[str
 
 
 def _write_survey(config: PipelineConfig, assembled: writing_mod.AssembledSurvey) -> None:
-    """Write the sidecar, then the survey, each atomically. A survey that
-    changes is removed first, so a crash at any point leaves the old pair,
-    the new pair, or a sidecar with no survey, which evaluate refuses."""
+    """Write the sidecar, then the survey, each atomically, and then record
+    both digests in the commit record. A survey that changes is removed
+    first, so a crash at any point leaves the old pair, the new pair, or a
+    sidecar with no survey, which evaluate refuses; until the record holds
+    the digests, a resume assembles the survey again."""
     survey = config.survey_path
     try:
         unchanged = survey.read_text(encoding="utf-8") == assembled.document
@@ -521,8 +535,35 @@ def _write_survey(config: PipelineConfig, assembled: writing_mod.AssembledSurvey
         unchanged = False
     if not unchanged:
         survey.unlink(missing_ok=True)
-    _write(config.sidecar_path, assembled.sidecar_json())
-    _write(survey, assembled.document)
+    sidecar = _write(config.sidecar_path, assembled.sidecar_json())
+    document = _write(survey, assembled.document)
+    record_survey(config.substrate_dir, document, sidecar)
+
+
+def _resume_finished(config, config_hash, backends, runlog, record) -> Optional[RunResult]:
+    """The resume of a finished run whose commit record vouches for its
+    survey and sidecar as they are now (see :func:`survey_verified`), or
+    None when it does not. Every file the record lists is checked against
+    its digest, but none is decoded and nothing is assembled: the run logs
+    and writes what a resume through every stage would, and its substrate
+    is loaded only when the result's ``substrate`` is read."""
+    stage_seconds = {e["stage"]: e["seconds"] for e in record["stages"]}
+    enabled = config.enabled_stages()
+    substrate_dir = config.substrate_dir
+    if not (
+        stage_seconds.keys() >= set(enabled)
+        and survey_verified(substrate_dir, record, config.survey_path, config.sidecar_path)
+    ):
+        return None
+    runlog.add("resumed", completed=list(stage_seconds))
+    for stage in enabled:
+        runlog.add("stage_skipped", stage=stage)
+    return RunResult(
+        survey_path=config.survey_path,
+        manifest=_write_manifest(config, config_hash, backends, runlog, stage_seconds),
+        runlog=runlog,
+        loader=lambda: substrate_load(substrate_dir, record),
+    )
 
 
 def run_pipeline(
@@ -536,7 +577,8 @@ def run_pipeline(
 
     ``stop_after`` ends the run early (simulating interruption), and no
     stage after it starts; ``resume`` picks up from the commit record,
-    refusing on a config-hash mismatch. Above one worker, each stage
+    refusing on a config-hash mismatch (see :func:`_resume_finished` for a
+    finished run). Above one worker, each stage
     starts as soon as what it reads is ready; the requests, commits, log
     and outputs stay the serial run's (see :func:`_run_stages`). A failed
     stage raises StageError after the manifest names it.
@@ -564,6 +606,9 @@ def run_pipeline(
                 f"run started (was {record['config_hash']}, now {config_hash})"
             )
         created_at = record["created_at"]
+        finished = _resume_finished(config, config_hash, backends, runlog, record)
+        if finished is not None:
+            return finished
         substrate = substrate_load(substrate_dir, record)
         runlog.add("resumed", completed=list(substrate.stage_seconds))
     else:
@@ -607,9 +652,9 @@ def run_pipeline(
     manifest = _write_manifest(config, config_hash, backends, runlog, stage_seconds)
     return RunResult(
         survey_path=survey_path,
-        substrate=substrate,
         manifest=manifest,
         runlog=runlog,
+        loader=lambda: substrate,
     )
 
 

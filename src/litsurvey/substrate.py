@@ -40,6 +40,14 @@ against its sha256 and raises LoadError naming a file that is missing or
 altered; files the record does not list are ignored. A reference to a paper that ``papers.json`` does not hold decodes
 to a bare ``PaperId``, and ``KnowledgeSubstrate.validate`` then raises
 IntegrityError naming the artifact that holds it.
+
+Once a finished run has written its survey and sidecar from the committed
+stages, ``record_survey`` adds their sha256 to the record as its optional
+``survey`` entry; ``substrate_reset`` and every stage save write a record
+without it. ``survey_verified`` tells a resume whether the entry still
+matches both files, and if so checks every file a load would read against
+its sha256 without decoding any: the files then hold the bytes a validated
+save wrote, so the run has nothing to load, assemble or write again.
 """
 
 from __future__ import annotations
@@ -66,6 +74,9 @@ COMMIT_FILE = "commit.json"
 _HEADER_KEYS = ("config_hash", "topic", "created_at")
 _RECORD_KEYS = {*_HEADER_KEYS, "stages"}
 _ENTRY_KEYS = {"stage", "seconds", "files"}
+#: the outputs of a finished run that the record's optional ``survey``
+#: entry vouches for, each by its sha256: the survey and its sidecar
+_SURVEY_KEYS = ("document", "sidecar")
 
 
 def _dump(path: Path, payload: dict) -> str:
@@ -79,8 +90,8 @@ def _write(path: Path, text: str) -> str:
     """Atomic write: a temporary file renamed over ``path``; returns the
     sha256 of the text. A file that already holds the same text is left
     alone: renaming over an existing file costs about twice as much as
-    creating one on ext4, and a zero-work resume rewrites an unchanged
-    manifest and survey."""
+    creating one on ext4, and a rerun finds most of the files it writes
+    unchanged, as a finished run's resume finds its manifest."""
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     try:
         if path.read_text(encoding="utf-8") == text:
@@ -137,17 +148,32 @@ def _owned_files(stage: str, substrate: KnowledgeSubstrate) -> Iterator[tuple[st
         yield "refined_drafts.json", _drafts(substrate.drafts)
 
 
+def _is_survey_entry(entry) -> bool:
+    """A sha256 in lowercase hex for each of ``_SURVEY_KEYS``, and nothing else."""
+    return (
+        isinstance(entry, dict)
+        and sorted(entry) == sorted(_SURVEY_KEYS)
+        and all(
+            isinstance(d, str) and len(d) == 64 and set(d) <= set("0123456789abcdef")
+            for d in entry.values()
+        )
+    )
+
+
 def read_record(directory: str | Path) -> dict:
-    """The commit record: the run header and the committed stages, in run
-    order. Raises LoadError for a missing, torn or incomplete record."""
+    """The commit record: the run header, the committed stages in run order
+    and, once a finished run has written them, the ``survey`` entry. Raises
+    LoadError for a missing, torn, incomplete or malformed record."""
     path = Path(directory) / COMMIT_FILE
     try:
         record = json.loads(path.read_bytes())
-        if set(record) != _RECORD_KEYS:
+        if set(record) - {"survey"} != _RECORD_KEYS:
             raise ValueError(f"fields {sorted(record)}, expected {sorted(_RECORD_KEYS)}")
         for e in record["stages"]:
             if not (set(e) == _ENTRY_KEYS and e["stage"] in STAGES and isinstance(e["files"], dict)):
                 raise ValueError(f"malformed stage entry {e!r}")
+        if "survey" in record and not _is_survey_entry(record["survey"]):
+            raise ValueError(f"malformed survey entry {record['survey']!r}")
     except FileNotFoundError as exc:
         raise LoadError(path, "file missing") from exc
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -196,6 +222,7 @@ def substrate_save(
         stages, record = STAGES, {**dict.fromkeys(_HEADER_KEYS, ""), "stages": []}
     else:
         stages, record = (stage,), read_record(root)
+        record.pop("survey", None)  # what the survey is assembled from changes
         earlier = STAGES[: STAGES.index(stage)]
         record["stages"] = [e for e in record["stages"] if e["stage"] in earlier]
     entries = record["stages"]
@@ -210,8 +237,18 @@ def substrate_save(
     _dump(root / COMMIT_FILE, record)
 
 
-def _read(path: Path, digest: str) -> dict:
-    """Parse a listed file, checking the bytes read against the record."""
+def record_survey(directory: str | Path, document: str, sidecar: str) -> None:
+    """Commit the sha256 of a finished run's survey and of its sidecar, as
+    just written from the committed stages, under the record's ``survey``
+    entry. The next stage save drops the entry."""
+    root = Path(directory)
+    record = read_record(root)
+    record["survey"] = dict(zip(_SURVEY_KEYS, (document, sidecar)))
+    _dump(root / COMMIT_FILE, record)
+
+
+def _check(path: Path, digest: str) -> bytes:
+    """The bytes of a listed file, checked against the record's sha256."""
     try:
         data = path.read_bytes()
     except FileNotFoundError as exc:
@@ -220,10 +257,49 @@ def _read(path: Path, digest: str) -> dict:
         raise LoadError(path, str(exc)) from exc
     if hashlib.sha256(data).hexdigest() != digest:
         raise LoadError(path, "contents differ from the commit record")
+    return data
+
+
+def _read(path: Path, digest: str) -> dict:
+    """Parse a listed file, checking the bytes read against the record."""
+    data = _check(path, digest)
     try:
         return json.loads(data)
     except ValueError as exc:
         raise LoadError(path, str(exc)) from exc
+
+
+def _listed(entries: list[dict], record: dict) -> Iterator[tuple[str, str]]:
+    """(name, sha256) of each file of ``entries``, committed in ``record``,
+    that a load reads, in run order: writing's drafts only while refinement
+    has not committed."""
+    refined = any(e["stage"] == "refinement" for e in record["stages"])
+    for entry in entries:
+        for name, digest in entry["files"].items():
+            if not (name == "drafts.json" and refined):
+                yield name, digest
+
+
+def survey_verified(directory: str | Path, record: dict, document: Path, sidecar: Path) -> bool:
+    """Whether ``record`` vouches for the finished run's survey and sidecar,
+    at the paths ``document`` and ``sidecar``, as they are now: its
+    ``survey`` entry holds the sha256 of each. If it does, each file
+    :func:`substrate_load` would read is then checked against its sha256,
+    in the same order, and none is decoded: every one holds the bytes a
+    validated save wrote, so it would load unchanged. A file missing or
+    altered raises the LoadError ``substrate_load`` would."""
+    vouched = record.get("survey")
+    if vouched is None:
+        return False
+    try:
+        for path, key in zip((document, sidecar), _SURVEY_KEYS):
+            _check(path, vouched[key])
+    except LoadError:
+        return False
+    root = Path(directory)
+    for name, digest in _listed(record["stages"], record):
+        _check(root / name, digest)
+    return True
 
 
 def substrate_load(
@@ -237,42 +313,39 @@ def substrate_load(
     ``stages``, when given, are the stages to load if committed: no file
     of another stage is read, and the others' fields stay empty."""
     root = Path(directory)
-    entries = (read_record(root) if record is None else record)["stages"]
-    refined = any(e["stage"] == "refinement" for e in entries)
+    record = read_record(root) if record is None else record
+    entries = record["stages"]
     if stages is not None:
         entries = [e for e in entries if e["stage"] in stages]
     substrate = KnowledgeSubstrate(stage_seconds={e["stage"]: e["seconds"] for e in entries})
     ids: dict = {}  # canonical id -> the retrieved paper's PaperId
     # Each file becomes objects as it is read, so its parsed JSON is not
     # kept; the stages are in run order, so papers come first.
-    for entry in entries:
-        for name, digest in entry["files"].items():
-            if name == "drafts.json" and refined:
-                continue
-            doc = _read(root / name, digest)
-            if name == "papers.json":
-                substrate.papers = {
-                    r["id"]["canonical"]: PaperRecord.from_dict(r) for r in doc["papers"]
-                }
-                ids = {k: rec.id for k, rec in substrate.papers.items()}
-            elif name == "keynotes.json":
-                substrate.keynotes = {
-                    k.paper_id.canonical: k for k in map(Keynote.from_dict, doc["keynotes"])
-                }
-            elif name == "clusters.json":
-                substrate.clusters = [Cluster.from_dict(c, ids) for c in doc["clusters"]]
-            elif name == "analyses.json":
-                substrate.analyses = [ClusterAnalysis.from_dict(a, ids) for a in doc["analyses"]]
-                substrate.inter_cluster = doc["inter_cluster"]
-            elif name == "code_reports.json":
-                substrate.code_reports = doc["code_reports"]
-            elif name == "code_overview.json":
-                substrate.code_overview = doc["code_overview"]
-                substrate.environment_overview = doc["environment_overview"]
-            elif name == "outline.json":
-                outline = doc["outline"]
-                substrate.outline = OutlineNode.from_dict(outline, ids) if outline else None
-            else:
-                substrate.drafts = [DraftUnit.from_dict(d, ids) for d in doc["drafts"]]
+    for name, digest in _listed(entries, record):
+        doc = _read(root / name, digest)
+        if name == "papers.json":
+            substrate.papers = {
+                r["id"]["canonical"]: PaperRecord.from_dict(r) for r in doc["papers"]
+            }
+            ids = {k: rec.id for k, rec in substrate.papers.items()}
+        elif name == "keynotes.json":
+            substrate.keynotes = {
+                k.paper_id.canonical: k for k in map(Keynote.from_dict, doc["keynotes"])
+            }
+        elif name == "clusters.json":
+            substrate.clusters = [Cluster.from_dict(c, ids) for c in doc["clusters"]]
+        elif name == "analyses.json":
+            substrate.analyses = [ClusterAnalysis.from_dict(a, ids) for a in doc["analyses"]]
+            substrate.inter_cluster = doc["inter_cluster"]
+        elif name == "code_reports.json":
+            substrate.code_reports = doc["code_reports"]
+        elif name == "code_overview.json":
+            substrate.code_overview = doc["code_overview"]
+            substrate.environment_overview = doc["environment_overview"]
+        elif name == "outline.json":
+            outline = doc["outline"]
+            substrate.outline = OutlineNode.from_dict(outline, ids) if outline else None
+        else:
+            substrate.drafts = [DraftUnit.from_dict(d, ids) for d in doc["drafts"]]
     substrate.validate()
     return substrate

@@ -138,6 +138,33 @@ class TestResumeBrokenRunDirectory:
             self._resume_fails_cleanly(config_path)
 
 
+class TestResumeBrokenFinishedRun(TestResumeBrokenRunDirectory):
+    """The same refusals once the run has finished and its record vouches
+    for the survey, so that a resume would otherwise decode nothing."""
+
+    def _stopped(self, tmp_path) -> tuple[Path, Path]:
+        config_path = write_config_yaml(tmp_path)
+        first = invoke("generate", "--config", str(config_path))
+        assert first.exit_code == 0, first.output
+        record = json.loads((tmp_path / "run" / "substrate" / "commit.json").read_text())
+        assert "survey" in record
+        return config_path, tmp_path / "run"
+
+    def test_checkpoint_missing_fields(self, tmp_path):
+        # Without its survey entry the record is an older run's, which
+        # resumes; without any other field it is refused.
+        config_path, workdir = self._stopped(tmp_path)
+        record = workdir / "substrate" / "commit.json"
+        doc = json.loads(record.read_text())
+        for field in [f for f in doc if f != "survey"]:
+            record.write_text(json.dumps({k: v for k, v in doc.items() if k != field}))
+            self._resume_fails_cleanly(config_path)
+        record.write_text(json.dumps({k: v for k, v in doc.items() if k != "survey"}))
+        resumed = invoke("generate", "--config", str(config_path), "--resume")
+        assert resumed.exit_code == 0, resumed.output
+        assert json.loads(record.read_text()) == doc
+
+
 class TestEvaluate:
     def test_evaluate_written_survey(self, tmp_path):
         config_path = write_config_yaml(tmp_path)

@@ -1447,6 +1447,67 @@ class TestCheckpointResume:
         assert output_digest(config) == TestGoldenOutput.GOLDEN["plain"]
 
 
+class TestFinishedResume:
+    """A resume of a finished run whose record vouches for its survey
+    decodes no substrate file and assembles nothing."""
+
+    @staticmethod
+    def _resume(config):
+        backends = build_backends(config)
+        result = run_pipeline(config, backends=backends, resume=True)
+        assert backends.gateway.transport_calls == 0
+        events = [e for e in result.runlog.events if e["kind"] in ("resumed", "stage_skipped")]
+        return result, events, config.manifest_path.read_bytes()
+
+    def test_zero_work_resume_decodes_and_assembles_nothing(self, tmp_path, monkeypatch):
+        config, _, _ = fresh_run(tmp_path)
+        assert set(read_record(config.substrate_dir)["survey"]) == {"document", "sidecar"}
+        outputs = (config.survey_path, config.sidecar_path)
+        before = [(p.read_bytes(), p.stat().st_mtime_ns) for p in outputs]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a finished run's resume decoded or assembled")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline_mod, "substrate_load", forbidden)
+            patch.setattr(substrate_mod, "_read", forbidden)
+            patch.setattr(pipeline_mod.writing_mod, "assemble_survey", forbidden)
+            result, events, _ = self._resume(config)
+        assert result.survey_path == config.survey_path
+        assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in outputs] == before
+        assert [e["kind"] for e in events] == ["resumed"] + ["stage_skipped"] * 5
+        assert result.substrate == substrate_load(config.substrate_dir)
+
+    def test_logs_and_manifest_match_a_resume_through_every_stage(self, tmp_path):
+        config, _, _ = fresh_run(tmp_path)
+        fast = self._resume(config)[1:]
+        # A record without the survey entry, as an older run left it.
+        record_path = config.substrate_dir / "commit.json"
+        record = json.loads(record_path.read_text())
+        vouched = record.pop("survey")
+        record_path.write_text(json.dumps(record))
+        full_result, *full = self._resume(config)
+        assert full == list(fast)
+        assert full_result.substrate == substrate_load(config.substrate_dir)
+        assert read_record(config.substrate_dir)["survey"] == vouched  # healed
+
+    @pytest.mark.parametrize("output", ["survey_path", "sidecar_path"])
+    @pytest.mark.parametrize("damage", ["edited", "deleted"])
+    def test_damaged_output_is_rewritten_to_the_clean_bytes(self, tmp_path, output, damage):
+        config, _, _ = fresh_run(tmp_path)
+        clean = {p: p.read_bytes() for p in (config.survey_path, config.sidecar_path)}
+        vouched = read_record(config.substrate_dir)["survey"]
+        path = getattr(config, output)
+        if damage == "edited":
+            path.write_text(path.read_text() + "edited\n")
+        else:
+            path.unlink()
+        result, _, _ = self._resume(config)
+        assert {p: p.read_bytes() for p in clean} == clean
+        assert read_record(config.substrate_dir)["survey"] == vouched
+        assert result.substrate == substrate_load(config.substrate_dir)
+
+
 EARLY_STAGE_PATTERNS = (
     "seed_filter", "rerank", "structured keynote",
     "thematic clusters", "one or more clusters", "technical lineage",
@@ -1524,7 +1585,8 @@ class TestCommitRecord:
         monkeypatch.setattr(Path, "read_text", recording(Path.read_text))
         writes = self._run_recording_writes(config, monkeypatch)
         counts = {path: writes.count(path) for path in writes}
-        assert counts.pop("substrate/commit.json") == 1 + len(stages)
+        # The reset, one commit per stage, and the survey's digests.
+        assert counts.pop("substrate/commit.json") == 2 + len(stages)
         assert set(counts.values()) == {1}
         owned_files = [
             "papers.json", "keynotes.json", "clusters.json", "analyses.json",

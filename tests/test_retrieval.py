@@ -228,6 +228,33 @@ class TestExpandGraph:
         assert [e["paper"] for e in runlog.of_kind("neighbor_fetch_refused")] == ["ghost"]
         assert len(requested) == 3, "a refused fetch is not retried"
 
+    def test_cap_keeps_the_neighbor_the_graph_counts_most_cited(self, monkeypatch):
+        # Graph records link no citing papers, so only the API's
+        # citationCount can rank them; "a-rare" sorts first by id.
+        class Reply:
+            status_code = 200
+
+            def __init__(self, doc):
+                self.doc = doc
+
+            def json(self):
+                return self.doc
+
+        def fake_get(url, **kwargs):
+            if url.endswith("/references"):
+                return Reply({"data": []})
+            found = [
+                {"paperId": "a-rare", "title": "rare", "citationCount": 5},
+                {"paperId": "b-famous", "title": "famous", "citationCount": 900},
+            ]
+            return Reply({"data": [{"citingPaper": item} for item in found]})
+
+        monkeypatch.setattr(requests, "get", fake_get)
+        source = AcademicGraphSource("http://graph", sleeper=lambda _: None)
+        out = expand_graph([make_paper("seed")], RetrievalConfig(per_seed_cap=1), source)
+        assert [p.id.canonical for p in out] == ["seed", "b-famous"]
+        assert [p.citation_count for p in out[1:]] == [900]
+
 
 class TestParallelExpansion:
     def test_rate_limited_graph_gives_the_serial_evidence_set(self, monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -7,6 +8,7 @@ import pytest
 
 from litsurvey.errors import IntegrityError, LoadError
 from litsurvey.model import (
+    STAGES,
     CitationMark,
     CitationStyle,
     Cluster,
@@ -25,9 +27,11 @@ from litsurvey.model import (
 from litsurvey.substrate import (
     COMMIT_FILE,
     read_record,
+    record_survey,
     substrate_load,
     substrate_reset,
     substrate_save,
+    survey_verified,
 )
 
 from conftest import build_substrate, make_paper
@@ -344,3 +348,89 @@ class TestCommitRecord:
         substrate_reset(root, **HEADER)
         substrate_save(build_substrate(papers), root)
         assert {k: read_record(root)[k] for k in HEADER} == dict.fromkeys(HEADER, "")
+
+
+class TestSurveyEntry:
+    DIGESTS = {"document": "a" * 64, "sidecar": "b" * 64}
+
+    @pytest.fixture
+    def finished(self, papers, keynotes, tmp_path):
+        """A record of every stage whose survey entry vouches for two files."""
+        root = tmp_path / "sub"
+        stage_by_stage(full_substrate(papers, keynotes), root, STAGES)
+        outputs = {"document": tmp_path / "survey.md", "sidecar": tmp_path / "survey.citations.json"}
+        outputs["document"].write_text("# Survey\n")
+        outputs["sidecar"].write_text("{}\n")
+        record_survey(root, **{
+            name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in outputs.items()
+        })
+        return root, outputs
+
+    def test_entry_is_recorded_after_the_stages(self, papers, keynotes, tmp_path):
+        root = tmp_path / "sub"
+        stage_by_stage(full_substrate(papers, keynotes), root, ["retrieval"])
+        before = read_record(root)
+        record_survey(root, **self.DIGESTS)
+        assert read_record(root) == {**before, "survey": self.DIGESTS}
+
+    def test_a_stage_save_drops_the_entry(self, papers, keynotes, tmp_path):
+        substrate = full_substrate(papers, keynotes)
+        root = tmp_path / "sub"
+        stage_by_stage(substrate, root, ["retrieval", "understanding"])
+        record_survey(root, **self.DIGESTS)
+        substrate_save(substrate, root, "understanding")
+        assert "survey" not in read_record(root)
+        record_survey(root, **self.DIGESTS)
+        substrate_reset(root, **HEADER)
+        assert "survey" not in read_record(root)
+
+    @pytest.mark.parametrize("entry", [
+        [],
+        {"document": "a" * 64},
+        {"document": "a" * 64, "sidecar": "b" * 64, "extra": "c" * 64},
+        {"document": "a" * 63, "sidecar": "b" * 64},
+        {"document": "A" * 64, "sidecar": "b" * 64},
+        {"document": 7, "sidecar": "b" * 64},
+    ])
+    def test_malformed_entry_is_refused(self, tmp_path, entry):
+        root = tmp_path / "sub"
+        substrate_reset(root, **HEADER)
+        record = json.loads((root / COMMIT_FILE).read_text())
+        (root / COMMIT_FILE).write_text(json.dumps({**record, "survey": entry}))
+        with pytest.raises(LoadError, match="malformed survey entry"):
+            read_record(root)
+
+    def test_verified_while_every_file_matches(self, finished):
+        root, outputs = finished
+        assert survey_verified(root, read_record(root), **outputs)
+
+    @pytest.mark.parametrize("name", ["document", "sidecar"])
+    def test_an_edited_or_missing_output_is_not_verified(self, finished, name):
+        root, outputs = finished
+        record = read_record(root)
+        outputs[name].write_text("edited\n")
+        assert not survey_verified(root, record, **outputs)
+        outputs[name].unlink()
+        assert not survey_verified(root, record, **outputs)
+
+    def test_a_record_without_the_entry_is_not_verified(self, finished):
+        root, outputs = finished
+        record = read_record(root)
+        del record["survey"]
+        assert not survey_verified(root, record, **outputs)
+
+    def test_an_altered_listed_file_raises_as_a_load_would(self, finished):
+        root, outputs = finished
+        (root / "keynotes.json").write_text("{}\n")
+        with pytest.raises(LoadError, match="keynotes.json: contents differ") as verified:
+            survey_verified(root, read_record(root), **outputs)
+        with pytest.raises(LoadError) as loaded:
+            substrate_load(root)
+        assert str(verified.value) == str(loaded.value)
+
+    def test_writing_drafts_are_not_checked_once_refined(self, finished):
+        # substrate_load no longer reads them either.
+        root, outputs = finished
+        (root / "drafts.json").unlink()
+        assert survey_verified(root, read_record(root), **outputs)
+
