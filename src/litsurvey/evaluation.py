@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Protocol, Sequence
 
 from .errors import EvaluationError, InvalidInputError
-from .gateway import Gateway, extract_json_payload, map_bounded, request_validated
+from .fanout import map_bounded
+from .gateway import Gateway, extract_json_payload, request_validated
 
 # -- claims ------------------------------------------------------------------
 

@@ -1,0 +1,227 @@
+"""Fan-out: the one scheduler of each stage's per-item work.
+
+A :class:`Pull` runs ranked items, some made ready as it runs;
+:func:`map_bounded` is a Pull over a sequence, ranked by read index; a
+:class:`Feed` hands one stage's results to the next stage while the first
+one is still producing them. A fan-out of width w runs on the calling
+thread and w - 1 helper threads, each taking its own next item as it frees.
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+import threading
+from typing import Any, Callable, Iterable, Optional, Sized
+
+
+class FeedAborted(Exception):
+    """The stage that fills a :class:`Feed` failed; its consumer stops."""
+
+
+class Feed:
+    """Hands one stage's results to the next stage while the first one is
+    still producing them.
+
+    The producer puts each item under its index in the producer's own
+    result, in any order; the feed's owner then closes it, once every index
+    from 0 up has been put, or aborts it. A consumer iterates the feed,
+    getting the items in index order, each as soon as it and every earlier
+    one are in, or hands it to :func:`map_bounded`, which reads it the same
+    way. Both raise FeedAborted once the feed is aborted.
+    """
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._arrived: list[tuple[int, Any]] = []
+        self._state = "open"  # then "closed" or "aborted", for good
+        self._on_close: list[Callable[[list], None]] = []
+
+    def put(self, index: int, item: Any) -> None:
+        with self._cond:
+            self._arrived.append((index, item))
+            self._cond.notify_all()
+
+    def close(self) -> None:
+        self._end("closed")
+
+    def abort(self) -> None:
+        """End the feed unfinished; a feed already closed stays closed."""
+        self._end("aborted")
+
+    def _end(self, state: str) -> None:
+        with self._cond:
+            if self._state == "open":
+                self._state = state
+                self._cond.notify_all()
+                for fn in self._on_close if state == "closed" else ():
+                    self.when_closed(fn)
+
+    def when_closed(self, fn: Callable[[list], None]) -> None:
+        """Call ``fn`` with the items in index order once the feed is
+        closed: at once if it is, else on the closing thread, in the order
+        asked; never once it is aborted. ``fn`` runs under the feed's lock."""
+        with self._cond:
+            if self._state == "open":
+                self._on_close.append(fn)
+            elif self._state == "closed":
+                fn([item for _, item in sorted(self._arrived, key=lambda pair: pair[0])])
+
+    def arrivals(self, seen: int = 0) -> list[tuple[int, Any]]:
+        """The (index, item) pairs put after the first ``seen``, waiting
+        until there is one; empty once the feed is closed and all are seen."""
+        with self._cond:
+            self._cond.wait_for(lambda: len(self._arrived) > seen or self._state != "open")
+            if self._state == "aborted":
+                raise FeedAborted()
+            return self._arrived[seen:]
+
+    def wait_closed(self) -> None:
+        """Wait until the feed is closed; raises FeedAborted once it is aborted."""
+        with self._cond:
+            self._cond.wait_for(lambda: self._state != "open")
+            if self._state == "aborted":
+                raise FeedAborted()
+
+    def __iter__(self):
+        held: dict[int, Any] = {}
+        seen = 0
+        for index in itertools.count():
+            while index not in held:
+                fresh = self.arrivals(seen)
+                if not fresh:
+                    return
+                seen += len(fresh)
+                held.update(fresh)
+            yield held.pop(index)
+
+
+def map_bounded(fn: Callable[[Any], Any], items: Iterable[Any], workers: int = 1) -> list[Any]:
+    """Apply ``fn`` over ``items`` with at most ``workers`` calls in flight;
+    results keep the order the items are read in, so downstream merging
+    stays deterministic. The items are a :class:`Pull` ranked by read index,
+    and fail like one. A worker reads the next item only once it is free
+    for it, so a :class:`Feed` picks each call when that call can start; no
+    item is read that could not start. Given a Pull, runs it, ``fn`` taking
+    each (rank, item) pair and the results in rank order.
+    """
+    if isinstance(items, Pull):
+        return items._drive(fn, workers)
+    if isinstance(items, Sized):
+        workers = min(workers, len(items))
+
+    def read():
+        for index, item in enumerate(items):
+            yield [(index, item)]
+            with pulled._cond:
+                if not pulled._starts(index + 1):
+                    return  # it and every later item rank after a failure
+
+    pulled = Pull(None, (), lambda index: index, read())
+    return pulled._drive(lambda pair: fn(pair[1]), workers)
+
+
+class Pull:
+    """A fan-out of ranked items: as a worker frees, the ready item lowest
+    by ``key(rank)`` starts; the fan-out ends once none is ready, none can
+    arrive and none runs. ``ready`` holds the (rank, item) pairs ready at
+    the start, a running call makes one ready with :meth:`push`, and a free
+    worker reads the next list of them from ``arrivals``, if given, when
+    none is ready. Ranks are distinct and compare. :meth:`run` applies
+    ``fn(rank, item)`` to each and returns the results by rank.
+
+    It fails like the 1-worker run, at any width: the first ``workers``
+    items always start; after them, an item ranked after a failed one never
+    starts; and once the running ones finish, the error of the lowest-ranked
+    failure, a KeyboardInterrupt or SystemExit too, is raised. Nothing
+    starts after such an interrupt, or once reading ``arrivals`` raises
+    (say, FeedAborted), whose error is raised if no item failed. With
+    ``key`` the identity, ranks are the order a 1-worker run starts items in.
+    """
+
+    def __init__(self, fn: Callable, ready: Iterable[tuple], key: Callable, arrivals=None):
+        self._fn, self._key = fn, key
+        self._ready = sorted((key(rank), rank, item) for rank, item in ready)  # a heap
+        self._arrivals = None if arrivals is None else iter(arrivals)
+        self._cond = threading.Condition()
+        self._reading = threading.Lock()  # held by the one worker taking its next item
+        self._workers = self._started = self._running = 0
+        self._failed: Optional[tuple[Any, BaseException]] = None  # the lowest-ranked one
+        self._halted: Optional[BaseException] = None  # an interrupt, or a failed read
+        self._done: dict[Any, Any] = {}
+
+    def push(self, rank: Any, item: Any) -> None:
+        with self._cond:
+            heapq.heappush(self._ready, (self._key(rank), rank, item))
+            self._cond.notify()
+
+    def run(self, workers: int) -> dict[Any, Any]:
+        return dict(map_bounded(lambda pair: (pair[0], self._fn(*pair)), self, workers))
+
+    def _drive(self, fn: Callable[[tuple], Any], workers: int) -> list[Any]:
+        self._workers = workers
+        helpers = [threading.Thread(target=self._work, args=(fn,)) for _ in range(workers - 1)]
+        for helper in helpers:
+            helper.start()
+        self._work(fn)
+        for helper in helpers:
+            helper.join()
+        error = self._failed[1] if self._failed else self._halted
+        if error is not None:
+            raise error
+        return [self._done[rank] for rank in sorted(self._done)]
+
+    def _work(self, fn: Callable[[tuple], Any]) -> None:
+        try:
+            while (pair := self._take()) is not None:
+                try:
+                    result, error = fn(pair), None
+                except BaseException as exc:
+                    result, error = None, exc
+                self._finish(pair[0], result, error)
+        except BaseException as exc:  # reading ``arrivals`` failed
+            with self._cond:
+                self._halted = self._halted or exc
+                self._cond.notify()
+
+    def _take(self) -> Optional[tuple]:
+        """The next (rank, item) to start, or None once none will."""
+        with self._reading:
+            while True:
+                with self._cond:
+                    self._cond.wait_for(
+                        lambda: self._ready or self._arrivals or not self._running or self._halted
+                    )
+                    if self._halted is not None:
+                        return None
+                    if self._ready:
+                        _, rank, item = heapq.heappop(self._ready)
+                        if self._starts(rank):
+                            self._started += 1
+                            self._running += 1
+                            return rank, item
+                        continue
+                    if self._arrivals is None:
+                        return None
+                # Read outside the condition, so that calls can finish meanwhile.
+                batch = next(self._arrivals, None)
+                if batch is None:
+                    self._arrivals = None
+                for rank, item in batch or ():
+                    self.push(rank, item)
+
+    def _starts(self, rank: Any) -> bool:
+        """The one failure rule, under the condition."""
+        return self._started < self._workers or self._failed is None or rank < self._failed[0]
+
+    def _finish(self, rank: Any, result: Any, error: Optional[BaseException]) -> None:
+        """The one place an item's result, or its failure, is recorded."""
+        with self._cond:
+            self._running -= 1
+            if error is None:
+                self._done[rank] = result
+            elif self._failed is None or rank < self._failed[0]:
+                self._failed = rank, error
+            if error is not None and not isinstance(error, Exception):
+                self._halted = error
+            self._cond.notify()

@@ -7,12 +7,14 @@ validate-and-retry protocol for structured output. A stage hands it a
 prompt string and, optionally, a context string; each request is the retry
 preamble (attempt marker and error memory), then the prompt, then the
 context fitted to what the context window has left.
+
+The gateway caches and counts; fan-outs, its own embedding batches too,
+run in :mod:`litsurvey.fanout`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import itertools
 import json
 import math
@@ -22,10 +24,9 @@ import re
 import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, Sequence, Sized, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, Sequence, TypeVar
 
 from .caching import DiskCache, cache_key
 from .errors import (
@@ -36,6 +37,7 @@ from .errors import (
     MalformedOutputError,
     TruncatedReply,
 )
+from .fanout import map_bounded
 from .model import ErrorMemory
 from .runlog import RunLog
 from .tokens import compress_context, estimate_tokens
@@ -616,179 +618,3 @@ def request_validated(
     raise error_factory(
         f"output still invalid after {max_retries + 1} attempts: {'; '.join(problems)}"
     )
-
-
-class FeedAborted(Exception):
-    """The stage that fills a :class:`Feed` failed; its consumer stops."""
-
-
-class Feed:
-    """Hands one stage's results to the next stage while the first one is
-    still producing them.
-
-    The producer puts each item under its index in the producer's own
-    result, in any order; the feed's owner then closes it, once every index
-    from 0 up has been put, or aborts it. A consumer iterates the feed,
-    getting the items in index order, each as soon as it and every earlier
-    one are in, or hands it to :func:`map_bounded`, which reads it the same
-    way. Both raise FeedAborted once the feed is aborted.
-    """
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._arrived: list[tuple[int, Any]] = []
-        self._state = "open"  # then "closed" or "aborted", for good
-
-    def put(self, index: int, item: Any) -> None:
-        with self._cond:
-            self._arrived.append((index, item))
-            self._cond.notify_all()
-
-    def close(self) -> None:
-        self._end("closed")
-
-    def abort(self) -> None:
-        """End the feed unfinished; a feed already closed stays closed."""
-        self._end("aborted")
-
-    def _end(self, state: str) -> None:
-        with self._cond:
-            if self._state == "open":
-                self._state = state
-                self._cond.notify_all()
-
-    def arrivals(self, seen: int = 0) -> list[tuple[int, Any]]:
-        """The (index, item) pairs put after the first ``seen``, waiting
-        until there is one; empty once the feed is closed and all are seen."""
-        with self._cond:
-            self._cond.wait_for(lambda: len(self._arrived) > seen or self._state != "open")
-            return self.poll(seen)[0]
-
-    def poll(self, seen: int) -> tuple[list[tuple[int, Any]], bool]:
-        """The pairs put after the first ``seen``, without waiting, and whether the feed is open."""
-        with self._cond:
-            if self._state == "aborted":
-                raise FeedAborted()
-            return self._arrived[seen:], self._state == "open"
-
-    def wait_closed(self) -> None:
-        """Wait until the feed is closed; raises FeedAborted once it is
-        aborted."""
-        with self._cond:
-            self._cond.wait_for(lambda: self._state != "open")
-            if self._state == "aborted":
-                raise FeedAborted()
-
-    def __iter__(self):
-        held: dict[int, Any] = {}
-        seen = 0
-        for index in itertools.count():
-            while index not in held:
-                fresh = self.arrivals(seen)
-                if not fresh:
-                    return
-                seen += len(fresh)
-                held.update(fresh)
-            yield held.pop(index)
-
-
-def map_bounded(fn: Callable[[Any], Any], items: Iterable[Any], workers: int = 1) -> list[Any]:
-    """Apply ``fn`` over ``items`` with at most ``workers`` calls in flight;
-    results keep the order the items are read in, so downstream merging
-    stays deterministic.
-
-    Pull dispatch: an item is read only once a slot is free for it, so an
-    iterator that may wait before it gives its next item (a :class:`Feed`,
-    or a :class:`Pull`) picks each call when that call can start. At one
-    worker (or for a single item) the calls run one after another on the
-    calling thread. The first ``workers`` items always start. Fails like
-    the 1-worker run: once an item raises, no further item starts, and the
-    error of the lowest-index failing item, a KeyboardInterrupt or
-    SystemExit too, is re-raised after the running ones finish; so is the
-    error of an iterator that raises (an aborted feed raises FeedAborted).
-    """
-    if isinstance(items, Sized):
-        workers = min(workers, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    results: dict[int, Any] = {}
-    errors: dict[int, BaseException] = {}
-    slots = threading.Semaphore(workers)
-
-    def run(index: int, item: Any) -> None:
-        try:
-            results[index] = fn(item)
-        except BaseException as exc:
-            errors[index] = exc
-        finally:
-            slots.release()
-
-    pending, end = iter(items), object()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for index in itertools.count():
-            slots.acquire()
-            item = next(pending, end)
-            if item is end or errors and index >= workers:
-                break
-            pool.submit(run, index, item)
-    if errors:
-        raise errors[min(errors)]
-    return [results[i] for i in range(len(results))]
-
-
-class Pull:
-    """A fan-out whose calls make further items ready as they run, for
-    :func:`map_bounded` to read: as a slot frees, the ready item lowest by
-    ``key(rank)`` starts; reading waits while none is ready and a call
-    runs, and ends once none is ready and none runs.
-
-    ``ready`` holds the (rank, item) pairs ready at the start, and a
-    running call adds one with :meth:`push`; ranks are distinct and
-    compare. :meth:`run` applies ``fn(rank, item)`` to each and returns the
-    results by rank. It fails like the 1-worker run, at any width: once an
-    item has raised, only items ranked before it still start, and the
-    error of the lowest-ranked failure is raised once the running ones
-    finish. With ``key`` the identity, the ranks are the order a 1-worker
-    run starts the items in.
-    """
-
-    def __init__(self, fn: Callable, ready: Iterable[tuple[Any, Any]], key: Callable):
-        self._fn, self._key = fn, key
-        self._ready = sorted((key(rank), rank, item) for rank, item in ready)  # a heap
-        self._cond = threading.Condition()
-        self._running = 0
-        self._failed: dict[Any, Exception] = {}
-
-    def push(self, rank: Any, item: Any) -> None:
-        with self._cond:
-            heapq.heappush(self._ready, (self._key(rank), rank, item))
-
-    def __iter__(self) -> Iterator[tuple[Any, Any]]:
-        while True:
-            with self._cond:
-                self._cond.wait_for(lambda: self._ready or not self._running)
-                if not self._ready:
-                    return
-                _, rank, item = heapq.heappop(self._ready)
-                if self._failed and min(self._failed) < rank:
-                    continue  # ranked after a failure: never starts
-                self._running += 1
-            yield rank, item
-
-    def _call(self, pair: tuple[Any, Any]) -> Optional[tuple[Any, Any]]:
-        rank, item = pair
-        try:
-            return rank, self._fn(rank, item)
-        except Exception as exc:
-            with self._cond:
-                self._failed[rank] = exc
-        finally:
-            with self._cond:
-                self._running -= 1
-                self._cond.notify_all()
-
-    def run(self, workers: int) -> dict[Any, Any]:
-        done = map_bounded(self._call, self, workers)
-        if self._failed:
-            raise self._failed[min(self._failed)]
-        return dict(done)

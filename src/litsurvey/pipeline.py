@@ -33,15 +33,8 @@ from . import writing as writing_mod
 from .config import PipelineConfig
 from .errors import ConfigError, StageError, SurveyError
 from .evaluation import EvaluationReport, evaluate_survey, judge_survey
-from .gateway import (
-    BackendProfile,
-    Feed,
-    Gateway,
-    HashEmbedder,
-    HttpChatTransport,
-    HttpEmbedder,
-    map_bounded,
-)
+from .fanout import Feed, map_bounded
+from .gateway import BackendProfile, Gateway, HashEmbedder, HttpChatTransport, HttpEmbedder
 from .model import ClusterAnalysis, KnowledgeSubstrate, PaperRecord
 from .runlog import RunLog
 from .scripted import ConstantNli, HashNli, ScriptedTransport

@@ -14,13 +14,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConfigError, InvalidInputError, MalformedOutputError
-from .gateway import (
-    Feed,
-    Gateway,
-    extract_json_payload,
-    map_bounded,
-    request_validated,
-)
+from .fanout import Feed, map_bounded
+from .gateway import Gateway, extract_json_payload, request_validated
 from .marks import verify_citations
 from .model import (
     CitationStyle,

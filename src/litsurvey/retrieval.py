@@ -13,16 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import JudgeError, RetrievalError, SourceUnavailableError, SurveyError
-from .gateway import (
-    Feed,
-    Gateway,
-    Pull,
-    batched,
-    cosine,
-    extract_json_payload,
-    map_bounded,
-    request_validated,
-)
+from .fanout import Feed, Pull, map_bounded
+from .gateway import Gateway, batched, cosine, extract_json_payload, request_validated
 from .model import PaperRecord
 from .runlog import RunLog
 from .sources import PaperSource

@@ -7,21 +7,14 @@ falls back to the abstract or TLDR when no full text exists.
 
 from __future__ import annotations
 
-import heapq
 import json
 import re
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import InvalidInputError, KeynoteError, PaperSkipped
-from .gateway import (
-    Feed,
-    Gateway,
-    extract_json_payload,
-    map_bounded,
-    request_validated,
-)
+from .fanout import Feed, Pull
+from .gateway import Gateway, extract_json_payload, request_validated
 from .model import (
     MANDATORY_KEYNOTE_SECTIONS,
     Keynote,
@@ -186,97 +179,50 @@ def run_understanding(
 ) -> dict[str, Keynote]:
     """Every evidence paper ends with exactly one keynote or one logged
     skip event; a paper for which ``docs`` finds no parsed document is
-    demoted to fallback. Distinct papers digest in bounded parallel
-    workers; the result is in paper-id order.
+    demoted to fallback. The result is in paper-id order.
 
     ``papers`` is the evidence set by canonical id, or retrieval's feed of
-    the papers each rerank batch keeps. At most ``workers`` papers are
-    digested at once, pulled as slots free: the lowest id of the papers in
-    and not yet started goes first (:func:`_understand_arrivals`). Each
-    paper's keynote, or None for a skipped paper, is put on ``feed`` under
-    the paper's place in paper-id order as soon as it is made and that
-    place is known: from a feed, once the feed is closed (retrieval has
-    committed). A failure raises the 1-worker run's error, the one of the
-    first failing paper in paper-id order: once a paper has failed, only
-    papers before it in that order still start.
+    the papers each rerank batch keeps, read in batch order, a batch at a
+    time, when no paper is left. The papers are one :class:`Pull` ranked by
+    canonical id: as one of ``workers`` slots frees, the lowest id not yet
+    started goes first, so that the keynotes the design fold reads first
+    come first, and a failure raises the 1-worker run's error, that of the
+    first failing paper in paper-id order. Each paper's keynote, or None for
+    a skipped paper, is put on ``feed`` under the paper's place in paper-id
+    order once it is made and that place is known: from a feed, once the
+    feed is closed (retrieval has committed), when the keynotes made by
+    then go on at once.
     """
     runlog = runlog or RunLog()
+    feed = feed if feed is not None else Feed()  # one that no stage reads
+    place: dict[str, int] = {}  # paper-id order, once every paper is in
 
-    def keynote_of(record: PaperRecord) -> Optional[Keynote]:
-        canonical = record.id.canonical
+    def settle(batches: list) -> None:
+        ids = sorted(record.id.canonical for batch in batches for record in batch)
+        place.update((canonical, i) for i, canonical in enumerate(ids))
+
+    if isinstance(papers, Feed):
+        ready, arrivals = (), ([(r.id.canonical, r) for r in batch] for batch in papers)
+        when_settled = papers.when_closed
+    else:  # a committed set: every paper is ready, and every place known
+        ready, arrivals = papers.items(), None
+        when_settled = lambda hand_on: hand_on([papers.values()])  # noqa: E731
+    when_settled(settle)
+
+    def keynote_of(canonical: str, record: PaperRecord) -> Optional[Keynote]:
         doc = docs(record)
         try:
             if doc is not None:
-                return extract_keynote(doc, gateway, runlog)
-            if record.full_text_ref:
-                runlog.add("full_text_unavailable", paper=canonical)
-            return fallback_keynote(record)
+                keynote = extract_keynote(doc, gateway, runlog)
+            else:
+                if record.full_text_ref:
+                    runlog.add("full_text_unavailable", paper=canonical)
+                keynote = fallback_keynote(record)
         except PaperSkipped as skip:
             runlog.add("paper_skipped", paper=canonical, reason=skip.reason)
-            return None
+            keynote = None
+        when_settled(lambda _: feed.put(place[canonical], keynote))
+        return keynote
 
-    if not isinstance(papers, Feed):  # a committed set: one batch, then the close
-        committed, papers = papers, Feed()
-        papers.put(0, list(committed.values()))
-        papers.close()
-    return _understand_arrivals(papers, keynote_of, workers, feed)
-
-
-def _understand_arrivals(
-    arrivals: Feed,
-    keynote_of: Callable[[PaperRecord], Optional[Keynote]],
-    workers: int,
-    feed: Optional[Feed],
-) -> dict[str, Keynote]:
-    """:func:`run_understanding` over a feed of paper batches. As a slot
-    frees, :func:`map_bounded` reads the paper with the lowest id not yet
-    started of those the feed has brought, waiting for the feed only when
-    none is left, so that the keynotes the design fold reads first come
-    first."""
-    feed = feed if feed is not None else Feed()  # one that no stage reads
-    lock = threading.Lock()
-    made: dict[str, Optional[Keynote]] = {}
-    failed: dict[str, Exception] = {}
-    place: dict[str, int] = {}  # paper-id order, once the feed is closed
-
-    def papers():
-        queue: list[tuple[str, PaperRecord]] = []  # a heap by canonical id
-        seen, is_open = 0, True
-        while queue or is_open:
-            if is_open:
-                if not queue:
-                    arrivals.arrivals(seen)  # one more batch, or the close
-                fresh, is_open = arrivals.poll(seen)
-                seen += len(fresh)
-                for record in (r for _, batch in fresh for r in batch):
-                    heapq.heappush(queue, (record.id.canonical, record))
-                if not is_open:  # every paper is in
-                    ids = sorted(r.id.canonical for _, batch in arrivals.poll(0)[0] for r in batch)
-                    with lock:
-                        place.update((canonical, i) for i, canonical in enumerate(ids))
-                        for canonical, keynote in made.items():
-                            feed.put(place[canonical], keynote)
-            if queue:
-                canonical, record = heapq.heappop(queue)
-                with lock:
-                    if failed and canonical > min(failed):
-                        continue
-                yield canonical, record
-
-    def one(pair: tuple[str, PaperRecord]) -> None:
-        canonical, record = pair
-        try:
-            keynote = keynote_of(record)
-        except Exception as exc:
-            with lock:
-                failed[canonical] = exc
-            return
-        with lock:
-            made[canonical] = keynote
-            if canonical in place:
-                feed.put(place[canonical], keynote)
-
-    map_bounded(one, papers(), workers)
-    if failed:
-        raise failed[min(failed)]
+    made = Pull(keynote_of, ready, lambda rank: rank, arrivals).run(workers)
     return {c: made[c] for c in sorted(made) if made[c] is not None}

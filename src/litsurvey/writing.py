@@ -16,15 +16,8 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import AssemblyError, DraftingError, InvalidInputError
-from .gateway import (
-    Feed,
-    Gateway,
-    batched,
-    extract_json_payload,
-    map_bounded,
-    nearest,
-    request_validated,
-)
+from .fanout import Feed, map_bounded
+from .gateway import Gateway, batched, extract_json_payload, nearest, request_validated
 from .marks import (
     CitationVerdict,
     rewrite_to_numeric,

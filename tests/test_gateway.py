@@ -8,7 +8,6 @@ import subprocess
 import sys
 import threading
 import time
-from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -26,19 +25,15 @@ from litsurvey.errors import (
 from litsurvey.gateway import (
     BackendProfile,
     CompletionRequest,
-    Feed,
-    FeedAborted,
     Gateway,
     HashEmbedder,
     HttpChatTransport,
     HttpEmbedder,
-    Pull,
     TransportResponse,
     _normalize,
     cosine,
     extract_chat_text,
     extract_json_payload,
-    map_bounded,
     request_validated,
 )
 from litsurvey.model import ErrorMemory
@@ -548,264 +543,6 @@ class TestRequestCount:
         gw.wake()
         waiter.join(timeout=10)
         assert not waiter.is_alive() and gw.requests_out() == 0
-
-
-class TestMapBounded:
-    def test_results_keep_input_order(self):
-        assert map_bounded(lambda i: i * i, list(range(20)), workers=4) == [
-            i * i for i in range(20)
-        ]
-
-    def test_first_failure_cancels_unstarted_items_and_raises_the_earliest(self):
-        started: list[int] = []
-        later_failed = threading.Event()
-
-        def fn(i):
-            started.append(i)
-            if i == 0:
-                # Fails after item 1, but comes first in input order.
-                later_failed.wait(timeout=10)
-                time.sleep(0.5)
-                raise ValueError("item 0")
-            if i == 1:
-                later_failed.set()
-                raise ValueError("item 1")
-            time.sleep(0.02)
-            return i
-
-        with pytest.raises(ValueError, match="item 0"):
-            map_bounded(fn, list(range(100)), workers=2)
-        assert {0, 1} <= set(started)
-        assert len(started) < 10
-
-
-    def test_items_that_have_arrived_start_before_any_can_fail(self):
-        started: list[int] = []
-
-        def fn(i):
-            started.append(i)
-            if i == 0:
-                raise ValueError("item 0")
-            time.sleep(0.01)
-            return i
-
-        with pytest.raises(ValueError, match="item 0"):
-            map_bounded(fn, list(range(4)), workers=4)
-        assert sorted(started) == [0, 1, 2, 3]
-
-    def test_an_iterator_is_read_as_its_items_come(self):
-        # Item 3 is given only once item 0 has returned, as the rerank
-        # batches come once the embeddings before them have landed.
-        first_done = threading.Event()
-        in_flight = peak = 0
-        lock = threading.Lock()
-
-        def items():
-            yield from range(3)
-            assert first_done.wait(timeout=10)
-            yield from range(3, 6)
-
-        def fn(i):
-            nonlocal in_flight, peak
-            with lock:
-                in_flight += 1
-                peak = max(peak, in_flight)
-            time.sleep(0.01)
-            with lock:
-                in_flight -= 1
-            if i == 0:
-                first_done.set()
-            return i * i
-
-        assert map_bounded(fn, items(), workers=2) == [i * i for i in range(6)]
-        assert peak <= 2
-        assert map_bounded(fn, items(), workers=1) == [i * i for i in range(6)]
-
-    def test_an_iterator_is_read_once_a_slot_is_free_for_its_item(self):
-        # Item 0 returns once item 2 is read, or after 0.2 s; item 1 only
-        # after item 0. So item 2 can be read while both run only if it is
-        # read before a slot is free.
-        done: list[int] = []
-        read_when: list[int] = []  # the calls done when each item was read
-        third_read, first_done = threading.Event(), threading.Event()
-
-        def items():
-            for i in range(4):
-                read_when.append(len(done))
-                if i == 2:
-                    third_read.set()
-                yield i
-
-        def fn(i):
-            if i == 0:
-                third_read.wait(timeout=0.2)
-                done.append(i)
-                first_done.set()
-            elif i == 1:
-                assert first_done.wait(timeout=10)
-                done.append(i)
-            return i
-
-        assert map_bounded(fn, items(), workers=2) == [0, 1, 2, 3]
-        assert read_when[2] > 0, "item 2 was read while items 0 and 1 both ran"
-
-    @pytest.mark.parametrize("raised", [KeyboardInterrupt, SystemExit])
-    def test_an_interrupt_in_a_worker_is_re_raised(self, raised):
-        item_1_done = threading.Event()
-
-        def fn(i):
-            if i == 0:
-                item_1_done.wait(timeout=10)
-                raise raised("item 0")
-            if i == 1:
-                item_1_done.set()
-                raise ValueError("item 1")
-            return i
-
-        with pytest.raises(raised, match="item 0"):
-            map_bounded(fn, list(range(4)), workers=2)
-
-
-class TestPull:
-    def test_many_workers_run_each_pushed_item_once(self):
-        # Each of 200 items makes one more ready; 16 workers on a short
-        # switch interval must run all 400 once, and return each by rank.
-        taken: Counter = Counter()
-        lock = threading.Lock()
-
-        def fn(rank, item):
-            with lock:
-                taken[rank] += 1
-            if rank[1] == 0:
-                pulled.push((rank[0], 1), item + 1)
-            return item
-
-        pulled = Pull(fn, [((i, 0), 10 * i) for i in range(200)], lambda rank: rank)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            results = pulled.run(16)
-        finally:
-            sys.setswitchinterval(interval)
-        assert results == {(i, d): 10 * i + d for i in range(200) for d in (0, 1)}
-        assert taken == Counter(results.keys())
-
-
-class TestFeed:
-    def test_iteration_yields_each_item_once_it_and_every_earlier_one_are_in(self):
-        feed = Feed()
-        feed.put(1, "b")
-        taken: list[str] = []
-        reader = threading.Thread(target=lambda: taken.extend(feed))
-        reader.start()
-        time.sleep(0.05)
-        assert taken == []  # item 0 is not in yet
-        feed.put(0, "a")
-        feed.put(2, "c")
-        feed.close()
-        reader.join(timeout=10)
-        assert taken == ["a", "b", "c"]
-
-    def test_map_bounded_starts_the_first_item_before_the_feed_closes(self):
-        feed = Feed()
-        started = threading.Event()
-
-        def fn(item):
-            started.set()
-            return item * 2
-
-        results: list = []
-        consumer = threading.Thread(target=lambda: results.extend(map_bounded(fn, feed, 2)))
-        consumer.start()
-        feed.put(0, 10)
-        assert started.wait(timeout=10), "item 0 did not start while the feed was open"
-        feed.put(1, 20)
-        feed.close()
-        consumer.join(timeout=10)
-        assert results == [20, 40]
-
-    def test_items_put_after_a_failure_never_start(self):
-        feed = Feed()
-        failed, release = threading.Event(), threading.Event()
-        started: list[int] = []
-
-        def fn(i):
-            started.append(i)
-            if i == 1:
-                failed.set()
-                raise ValueError("item 1")
-            # Item 0 holds its slot, so the next item can only take the
-            # slot of item 1, which is freed once its error is recorded.
-            release.wait(timeout=10)
-            return i
-
-        errors: list = []
-
-        def consume():
-            try:
-                map_bounded(fn, feed, 2)
-            except ValueError as exc:
-                errors.append(exc)
-
-        consumer = threading.Thread(target=consume)
-        consumer.start()
-        feed.put(0, 0)
-        feed.put(1, 1)
-        assert failed.wait(timeout=10)
-        for index in range(2, 6):
-            feed.put(index, index)
-        feed.close()
-        release.set()
-        consumer.join(timeout=10)
-        assert not consumer.is_alive()
-        assert sorted(started) == [0, 1]
-        assert [str(e) for e in errors] == ["item 1"]
-
-    def test_many_workers_take_each_item_of_a_busy_feed_once(self):
-        feed = Feed()
-        taken: Counter = Counter()
-        lock = threading.Lock()
-
-        def fn(item):
-            with lock:
-                taken[item] += 1
-            return -item
-
-        def produce(indexes):
-            for index in indexes:
-                feed.put(index, index)
-
-        order = list(range(400))
-        random.Random(7).shuffle(order)
-        producers = [threading.Thread(target=produce, args=(order[k::4],)) for k in range(4)]
-        results: list = []
-        consumer = threading.Thread(target=lambda: results.extend(map_bounded(fn, feed, 16)))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            consumer.start()
-            for thread in producers:
-                thread.start()
-            for thread in producers:
-                thread.join(timeout=30)
-            feed.close()
-            consumer.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not consumer.is_alive()
-        assert results == [-i for i in range(400)]
-        assert taken == Counter(range(400))
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_an_aborted_feed_stops_its_consumers(self, workers):
-        feed = Feed()
-        feed.put(0, "a")
-        feed.abort()
-        feed.close()  # an aborted feed stays aborted
-        with pytest.raises(FeedAborted):
-            list(feed)
-        with pytest.raises(FeedAborted):
-            map_bounded(str, feed, workers)
 
 
 class TestEmbeddings:

@@ -9,7 +9,6 @@ import sys
 import threading
 import time
 from collections import Counter
-from concurrent.futures import Future
 from dataclasses import fields
 from pathlib import Path
 
@@ -48,31 +47,6 @@ from e2e_fixture import (
     scripted_rules,
     title_of,
 )
-
-
-class InlineExecutor:
-    """Stands in for ThreadPoolExecutor: runs each task as it is submitted,
-    on the calling thread, so a multi-worker run starts no thread."""
-
-    def __init__(self, max_workers: int):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False):
-        pass
 
 
 def fresh_run(tmp_path: Path, **kwargs):
@@ -1281,8 +1255,7 @@ class TestCheckpointResume:
         )
         assert strip(straight_doc) == strip(resumed_doc)
 
-    def test_resume_with_other_stage_workers_is_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(gateway_mod, "ThreadPoolExecutor", InlineExecutor)
+    def test_resume_with_other_stage_workers_is_accepted(self, tmp_path):
         config = make_config(tmp_path)
         run_pipeline(config, backends=build_backends(config), stop_after="analysis")
         widened = make_config(tmp_path)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
 from litsurvey.errors import BackendError, KeynoteError, PaperSkipped
-from litsurvey.gateway import BackendProfile, Feed
+from litsurvey.fanout import Feed
+from litsurvey.gateway import BackendProfile
 from litsurvey.model import Provenance
 from litsurvey.runlog import RunLog
 from litsurvey.scripted import CannedReply, ScriptedTransport
@@ -221,3 +223,43 @@ class TestUnderstandingFromAFeed:
             run_understanding(arrivals, self.find, scripted_gateway(streamed), RunLog(), 2)
         assert "status 401" in str(serial.value)
         assert str(parallel.value) == str(serial.value)
+
+    def test_keynotes_made_before_the_close_go_on_at_the_close(self):
+        # p1 is keynoted, then p2 and p3 hold both slots while retrieval
+        # commits: p1's keynote must go on at the close, not once a slot
+        # frees.
+        records = {k: self.records[k] for k in ("p1", "p2", "p3")}
+        busy = {k: threading.Event() for k in ("p2", "p3")}
+        release = threading.Event()
+        transport = ScriptedTransport().add("structured keynote", json.dumps(FULL_KEYNOTE))
+        send = transport.send
+
+        def send_held(request):
+            for paper, entered in busy.items():
+                if f"paper id {paper}." in request.prompt:
+                    entered.set()
+                    assert release.wait(timeout=10)
+            return send(request)
+
+        transport.send = send_held
+        arrivals, handed = Feed(), Feed()
+        arrivals.put(0, list(records.values()))
+        made: list = []
+        runner = threading.Thread(target=lambda: made.append(run_understanding(
+            arrivals, lambda record: doc(record.id.canonical), scripted_gateway(transport),
+            RunLog(), 2, handed,
+        )))
+        runner.start()
+        try:
+            assert all(entered.wait(timeout=10) for entered in busy.values())
+            arrivals.close()
+            first: list = []
+            reader = threading.Thread(target=lambda: first.extend(handed.arrivals()))
+            reader.start()
+            reader.join(timeout=1)
+            assert not reader.is_alive(), "p1's keynote waited for a slot to free"
+            assert [index for index, _ in first] == [0]
+        finally:
+            release.set()
+            runner.join(timeout=10)
+        assert sorted(made[0]) == ["p1", "p2", "p3"]
