@@ -442,12 +442,20 @@ class Gateway:
     def embed(self, texts: Sequence[str], workers: int = 1) -> list[list[float]]:
         """One unit-normalized vector per input text.
 
-        The texts missing from the cache go to the backend in the batches
-        of :meth:`embed_batches`, up to ``workers`` batches at once.
+        The texts missing from the cache go to the backend in batches of
+        ``embed_batch_size``, up to ``workers`` batches at once.
         """
         if not texts:
             raise InvalidInputError("embed() requires at least one text")
-        results, batches = self.embed_batches(texts)
+        results: dict[int, list[float]] = {}
+        missing: list[tuple[int, str]] = []
+        for i, text in enumerate(texts):
+            cached = self.cached_embedding(text)
+            if cached is not None:
+                results[i] = cached
+            else:
+                missing.append((i, text))
+        batches = list(batched(missing, self.embed_batch_size))
         encoded = map_bounded(
             lambda batch: self.embed_batch([t for _, t in batch]), batches, workers
         )
@@ -456,26 +464,14 @@ class Gateway:
                 results[i] = unit
         return [results[i] for i in range(len(texts))]
 
-    def embed_batches(
-        self, texts: Sequence[str]
-    ) -> tuple[dict[int, list[float]], list[list[tuple[int, str]]]]:
-        """The cached vector of each text that has one, by index, and the
-        other texts as (index, text) batches of ``embed_batch_size``: the
-        same batches at every width."""
-        results: dict[int, list[float]] = {}
-        missing: list[tuple[int, str]] = []
-        for i, text in enumerate(texts):
-            cached = self._cache_get(self._embed_key(text))
-            if cached is not None:
-                results[i] = cached
-            else:
-                missing.append((i, text))
-        return results, list(batched(missing, self.embed_batch_size))
+    def cached_embedding(self, text: str) -> Optional[list[float]]:
+        """The cached unit vector of ``text``, or None."""
+        return self._cache_get(self._embed_key(text))
 
     def embed_batch(self, texts: Sequence[str]) -> list[list[float]]:
-        """The unit-normalized vectors of one batch of :meth:`embed_batches`,
-        from one backend request, without looking the texts up again; the
-        vectors are stored in the cache with one disk append."""
+        """The unit-normalized vectors of texts missing from the cache, from
+        one backend request, without looking them up again; the vectors are
+        stored in the cache with one disk append."""
         texts = list(texts)
         vectors = with_backoff(
             lambda: self._encode_once(texts), self.profile, self.sleeper, self.draw

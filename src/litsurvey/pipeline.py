@@ -413,12 +413,14 @@ def _write_manifest(config, config_hash, backends, runlog, stage_seconds, failed
 COMMITTED, FED = "committed", "fed"
 
 #: stage -> the input it waits for before it starts, above one worker, and
-#: how; retrieval starts at once. Understanding keynotes the papers each
-#: rerank batch keeps as soon as the batch is judged, and hands each
-#: keynote on once retrieval has committed and the keynote's place in
-#: paper-id order is known. The cluster-design fold takes the keynotes as
-#: understanding hands them on. Code analysis reads only the papers, but
-#: starts once understanding has committed, beside analysis.
+#: how; retrieval starts at once. Retrieval judges each rerank batch as
+#: soon as its papers are filtered, while the neighbors of later papers
+#: are still being fetched; understanding keynotes the papers each batch
+#: keeps as soon as it is judged, and hands each keynote on once retrieval
+#: has committed and the keynote's place in paper-id order is known. The
+#: cluster-design fold takes the keynotes as understanding hands them on,
+#: so it starts when retrieval commits. Code analysis reads only the
+#: papers, but starts once understanding has committed, beside analysis.
 #: Writing's outline fold and citation assignment start from the clusters
 #: and their Q&A, which analysis hands over before its graphs and tables;
 #: drafting then waits for analysis and code analysis to commit. Each
@@ -450,9 +452,10 @@ def _run_stages(plan, config, substrate, backends, runlog) -> Optional[tuple[str
     allows, checked as each stage's turn to commit comes, and a stage fed
     by another waits for its feed's first item before its clock starts.
     Each stage has at most ``stage_workers`` calls in flight, and these
-    overlap: retrieval's rerank fan-out and understanding; understanding
-    and the serial design fold; analysis, code analysis and writing's
-    serial outline fold or citation assignment; drafting and refinement.
+    overlap: retrieval's one fan-out (graph fetches, embedding and rerank
+    batches) and understanding; understanding and the serial design fold;
+    analysis, code analysis and writing's serial outline fold or citation
+    assignment; drafting and refinement.
     So at most 2 × ``stage_workers`` + 1 calls are in flight. No stage
     changes a substrate field before the stages it reads from have
     committed.

@@ -8,9 +8,10 @@ judge re-ranking.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import JudgeError, RetrievalError, SourceUnavailableError, SurveyError
 from .fanout import Feed, Pull, map_bounded
@@ -185,63 +186,137 @@ def expand_graph(
     """Breadth-first bidirectional expansion to ``expansion_depth``.
 
     Each hop fetches each frontier paper's citations, then its references,
-    up to ``workers`` at once as slots free (:class:`Pull`): every paper's
-    citations first, so that no slot idles at the end, and a paper's
-    references once its citations came back unrefused. The answers merge in
-    frontier order, so the result is the same at every width. Per expanded
-    paper at most ``per_seed_cap`` neighbors are retained, ranked by
-    :func:`neighbor_priority`. New papers are appended in sorted id order.
-    A neighbor fetch that still fails after the source's own retries raises
-    RetrievalError naming the first such paper in frontier order, as a
-    1-worker run would (once a fetch has failed, only fetches before it in
+    up to ``workers`` at once as slots free (:class:`_Expansion`). A
+    paper's references wait for its citations to come back unrefused and
+    then go out ``workers`` places after them in frontier order, so that
+    the last paper's references do not run alone at the end. The answers
+    merge in frontier order, so the result is the same at every width. Per
+    expanded paper at most ``per_seed_cap`` neighbors are retained, ranked
+    by :func:`neighbor_priority`. New papers are appended in sorted id
+    order. A neighbor fetch that still fails after the source's own retries
+    raises RetrievalError naming the first such paper in frontier order, as
+    a 1-worker run would (once a fetch has failed, only fetches before it in
     that order start), rather than leaving the evidence set short of its
     neighbors; a resume asks again. A fetch the source refuses for good
     (say, a paper it does not know) leaves that paper without neighbors,
     and its references unasked, logged as ``neighbor_fetch_refused`` in
     frontier order, since asking again would not help.
     """
-    runlog = runlog or RunLog()
-    limit = cfg.per_seed_cap * 2
+    return _Expansion(seeds, cfg, source, runlog or RunLog(), workers, cfg.expansion_depth).run()
 
-    def fetch(rank: tuple[int, int], item: tuple) -> list[PaperRecord] | SurveyError:
-        """Citations (rank (at, 0)), then those and the references, or a refusal."""
-        paper, cited = item
+
+def _canonical(record: PaperRecord) -> str:
+    return record.id.canonical
+
+
+class _Expansion:
+    """The graph expansion of :func:`expand_graph` as the calls of one
+    :class:`Pull` of ``workers`` slots, which a subclass joins its own
+    calls to through :meth:`joined` and :meth:`ended`.
+
+    The papers found join a stream: first the seeds, then each frontier
+    paper's new neighbors, in id order, once its fetches and those of
+    every paper before it in frontier order have merged. :meth:`ended`
+    follows the last merge. Each call's rank is a tuple, and every call
+    ranks after the calls it waits for, so the Pull fails with the
+    lowest-ranked failure, the 1-worker run's, at every width:
+
+    - ``(hop, at, kind)``: the citations (kind 0) or the references (1) of
+      paper ``at`` of hop ``hop``'s frontier;
+    - ``(hop, at, 2, -1)``: the merge of that paper's neighbors; the seeds
+      join as the merge of paper -1 of hop 0.
+    """
+
+    def __init__(
+        self, seeds, cfg: RetrievalConfig, source, runlog: RunLog, workers: int, depth: int
+    ):
+        self.cfg, self.source, self.runlog = cfg, source, runlog
+        self.workers, self.depth = workers, depth
+        self.found = list(seeds)  # the seeds, then each hop's new papers in id order
+        self.collected = {p.id.canonical for p in seeds}
+        self.lock = threading.Lock()  # held by each merge, and the hooks it calls
+        self.pull = Pull(lambda rank, call: call(), (), self._key)
+
+    def _key(self, rank: tuple) -> tuple:
+        """The order calls go out in: a fetch by its paper's place in the
+        frontier, the references ``workers`` places after the citations,
+        and the stream's calls ahead of the fetches for later papers."""
+        if len(rank) == 3:
+            hop, at, kind = rank
+            return hop, at + kind * self.workers
+        return rank
+
+    def run(self) -> list[PaperRecord]:
+        with self.lock:
+            merge = (0, -1, 2, -1)
+            self.joined(merge, list(self.found))
+            self._hop(0, list(self.found), merge)
+        self.pull.run(self.workers)
+        return self.found
+
+    def joined(self, merge: tuple, papers: list[PaperRecord]) -> None:
+        """``papers`` join the stream at the merge ranked ``merge``."""
+
+    def ended(self, merge: tuple) -> None:
+        """The stream ended with the merge ranked ``merge``."""
+
+    def _push(self, rank: tuple, fn: Callable, *args) -> None:
+        self.pull.push(rank, functools.partial(fn, rank, *args))
+
+    def _hop(self, hop: int, frontier: list[PaperRecord], last: tuple) -> None:
+        """Fetch the neighbors of ``frontier``, or end the stream after the
+        merge ranked ``last``."""
+        if hop == self.depth or not frontier:
+            return self.ended(last)
+        self.frontier, self.merged = frontier, 0
+        self.fetched: list = [None] * len(frontier)  # neighbors, or a refusal
+        self.discovered: list[PaperRecord] = []
+        for at, paper in enumerate(frontier):
+            self._push((hop, at, 0), self._fetch, paper, [])
+
+    def _fetch(self, rank: tuple, paper: PaperRecord, cited: list[PaperRecord]) -> None:
+        hop, at, kind = rank
+        limit = self.cfg.per_seed_cap * 2
         try:
-            if rank[1]:
-                return cited + source.references(paper.id, limit)
-            pulled.push((rank[0], 1), (paper, source.citations(paper.id, limit)))
-            return cited
+            if kind:
+                neighbors = cited + self.source.references(paper.id, limit)
+            else:
+                neighbors = self.source.citations(paper.id, limit)
         except SourceUnavailableError as exc:
             raise RetrievalError(
                 f"neighbor fetch for paper '{paper.id.canonical}' failed: {exc}"
             ) from exc
         except SurveyError as exc:
-            return exc
+            neighbors = exc
+        if not kind and not isinstance(neighbors, SurveyError):
+            return self._push((hop, at, 1), self._fetch, paper, neighbors)
+        with self.lock:
+            self.fetched[at] = neighbors
+            while self.merged < len(self.frontier) and self.fetched[self.merged] is not None:
+                self._merge(hop, self.merged)
+                self.merged += 1
+            if self.merged == len(self.frontier):
+                self.discovered.sort(key=_canonical)
+                self.found.extend(self.discovered)
+                self._hop(hop + 1, self.discovered, (hop, self.merged - 1, 2, -1))
 
-    collected = {p.id.canonical: p for p in seeds}
-    result = list(seeds)
-    frontier = list(seeds)
-    for _depth in range(cfg.expansion_depth):
-        ready = [((at, 0), (paper, [])) for at, paper in enumerate(frontier)]
-        pulled = Pull(fetch, ready, lambda rank: rank[::-1])  # every paper's citations first
-        fetched = pulled.run(workers)
-        discovered: dict[str, PaperRecord] = {}
-        for at, paper in enumerate(frontier):
-            neighbors = fetched.get((at, 1), fetched[(at, 0)])
-            if isinstance(neighbors, SurveyError):
-                runlog.add("neighbor_fetch_refused", paper=paper.id.canonical, error=str(neighbors))
-                continue
+    def _merge(self, hop: int, at: int) -> None:
+        paper, neighbors = self.frontier[at], self.fetched[at]
+        new: list[PaperRecord] = []
+        if isinstance(neighbors, SurveyError):
+            self.runlog.add(
+                "neighbor_fetch_refused", paper=paper.id.canonical, error=str(neighbors)
+            )
+        else:
             unique: dict[str, PaperRecord] = {}
             for n in neighbors:
                 unique.setdefault(n.id.canonical, n)
-            ranked = sorted(unique.values(), key=neighbor_priority)[: cfg.per_seed_cap]
-            for n in ranked:
-                if n.id.canonical not in collected:
-                    discovered.setdefault(n.id.canonical, n)
-        frontier = [discovered[k] for k in sorted(discovered)]
-        collected.update(discovered)
-        result.extend(frontier)
-    return result
+            ranked = sorted(unique.values(), key=neighbor_priority)[: self.cfg.per_seed_cap]
+            new = [n for n in ranked if n.id.canonical not in self.collected]
+            new.sort(key=_canonical)
+            self.collected.update(map(_canonical, new))
+            self.discovered += new
+        self.joined((hop, at, 2, -1), new)
 
 
 def coarse_filter(
@@ -256,22 +331,16 @@ def coarse_filter(
     makes once per run. The papers go out as one batch sent without a
     cache lookup (:meth:`Gateway.embed_batch`): :func:`run_retrieval` runs
     this once per embedding batch, whose texts it has already found
-    missing from the cache (see :func:`_hybrid_filter`).
+    missing from the cache (see :class:`_Streamed`).
     """
     if not papers:
         return []
     vectors = gateway.embed_batch([p.search_text() for p in papers])
-    return _passing(papers, vectors, topic_vec, cfg)
+    return [p for p, v in zip(papers, vectors) if _passes(v, topic_vec, cfg)]
 
 
-def _passing(
-    papers: list[PaperRecord], vectors: list, topic_vec: list[float], cfg: RetrievalConfig
-) -> list[PaperRecord]:
-    return [
-        p
-        for p, v in zip(papers, vectors)
-        if cosine(v, topic_vec) >= cfg.coarse_similarity_threshold
-    ]
+def _passes(vector: list[float], topic_vec: list[float], cfg: RetrievalConfig) -> bool:
+    return cosine(vector, topic_vec) >= cfg.coarse_similarity_threshold
 
 
 def llm_rerank_filter(
@@ -283,7 +352,7 @@ def llm_rerank_filter(
 ) -> list[PaperRecord]:
     """Fine-grained judge pass removing topically irrelevant papers; every
     retained paper gets its relevance note logged. :func:`run_retrieval`
-    runs it once per judge batch (see :func:`_hybrid_filter`)."""
+    runs it once per judge batch (see :class:`_Streamed`)."""
     if not papers:
         return []
     cfg = cfg or RetrievalConfig()
@@ -300,74 +369,97 @@ def llm_rerank_filter(
     return kept
 
 
-def _hybrid_filter(
-    papers: list[PaperRecord],
-    topic: str,
-    topic_vec: list[float],
-    cfg: RetrievalConfig,
-    gateway: Gateway,
-    runlog: RunLog,
-    workers: int,
-    feed: Optional[Feed],
-) -> list[PaperRecord]:
-    """The coarse filter, then the rerank, as one fan-out of at most
-    ``workers`` calls; returns the kept papers in input order.
+class _Streamed(_Expansion):
+    """The expansion with the hybrid filter in its Pull, each filter call
+    going out once the papers it reads have joined the stream or been
+    filtered.
 
-    The embedding batches are the gateway's cut of the texts missing from
-    its cache (:meth:`Gateway.embed_batches`), and each is the coarse filter
-    of its papers, which sends the batch without looking its texts up
-    again; the papers whose texts are cached are filtered at once by their
-    cached vectors. The rerank batches are the papers that pass, in input
-    order, cut every ``judge_batch_size``. The calls are pulled as slots
-    free (:class:`Pull`): a rerank batch is ready, and goes ahead of the
-    embedding batches still queued, as soon as every paper up to its last
-    one has been filtered. So a 1-worker run sends each embedding batch and
-    then the rerank batches it completes, and a failure raises that run's
-    error. The papers each rerank batch keeps go on ``feed`` under its
-    index as soon as it is judged. Each rerank batch logs apart, and the
-    logs join ``runlog`` in batch order.
+    A paper whose text is cached is filtered by its cached vector as it
+    joins. The other texts are cut into embedding batches of the gateway's
+    ``embed_batch_size`` in stream order as the batches fill, each the
+    coarse filter of its papers; the papers that pass, into rerank batches
+    of ``judge_batch_size``, each once every paper up to its last one is
+    filtered. The last batches are cut once the stream has ended, so the
+    batches, and so their counts, are the same at every width. The papers
+    a rerank batch keeps go on ``feed`` under its index once it is judged,
+    and their ids into ``kept``; it logs into ``logs[index]``. Ranks,
+    beside those of :class:`_Expansion`: ``(hop, at, 2, b)`` for embedding
+    batch ``b``, filled at that merge; for rerank batch ``j``, the highest
+    rank its papers were filtered under, plus ``(j,)``, so that it goes out
+    ahead of the embedding batches still queued.
     """
-    cached, batches = gateway.embed_batches([p.search_text() for p in papers])
-    passed: list[Optional[bool]] = [None] * len(papers)
-    known = 0  # papers[:known] are all filtered
-    passing: list[PaperRecord] = []  # of those, the passed ones in no rerank batch yet
-    logs: list[RunLog] = []
-    lock = threading.Lock()
 
-    def land(after: int, indices: list[int], kept: list[PaperRecord]) -> None:
-        """Record the verdicts on ``indices``, those of embedding batch
-        ``after``, and make ready the rerank batches they complete."""
-        nonlocal known
-        ids = {p.id.canonical for p in kept}
-        with lock:
-            for i in indices:
-                passed[i] = papers[i].id.canonical in ids
-            while known < len(papers) and passed[known] is not None:
-                if passed[known]:
-                    passing.append(papers[known])
-                known += 1
-            while len(passing) >= cfg.judge_batch_size or passing and known == len(papers):
-                pulled.push((after, 1, len(logs)), passing[: cfg.judge_batch_size])
-                del passing[: cfg.judge_batch_size]
-                logs.append(RunLog())
+    def __init__(self, seeds, cfg, source, runlog, workers, depth, topic, topic_vec, gateway, feed):
+        super().__init__(seeds, cfg, source, runlog, workers, depth)
+        self.topic, self.topic_vec, self.gateway, self.feed = topic, topic_vec, gateway, feed
+        self.stream: list[PaperRecord] = []
+        self.filtered: list[Optional[tuple]] = []  # by stream place: (passed, rank filtered by)
+        self.missing: list[int] = []  # the places of uncached texts in no batch yet
+        self.asked: set[str] = set()  # every uncached text, so that a repeat is not looked up
+        self.batches = 0
+        self.known, self.since = 0, ()  # stream[:known] are filtered; their highest rank
+        self.passing: list[tuple] = []  # (paper, since) of those passed, in no rerank batch yet
+        self.end: Optional[tuple] = None
+        self.logs: list[RunLog] = []
+        self.kept: set[str] = set()
 
-    def call(rank: tuple, item: list) -> Optional[list[PaperRecord]]:
-        if len(rank) == 2:  # (at, 0), embedding batch ``at``'s paper indices
-            batch = [papers[i] for i in item]
-            return land(rank[0], item, coarse_filter(batch, topic_vec, cfg, gateway))
-        kept = llm_rerank_filter(item, topic, gateway, cfg, logs[rank[2]])
-        if feed is not None:
-            feed.put(rank[2], kept)
-        return kept
+    def joined(self, merge, papers):
+        for paper in papers:
+            text = paper.search_text()
+            vector = None if text in self.asked else self.gateway.cached_embedding(text)
+            if vector is None:
+                self.asked.add(text)
+                self.missing.append(len(self.stream))
+                self.filtered.append(None)
+            else:
+                self.filtered.append((_passes(vector, self.topic_vec, self.cfg), merge))
+            self.stream.append(paper)
+        self._cut(merge)
 
-    ready = [((at, 0), [i for i, _ in b]) for at, b in enumerate(batches)]
-    pulled = Pull(call, ready, lambda rank: rank)
-    hits = sorted(cached)
-    land(-1, hits, _passing([papers[i] for i in hits], [cached[i] for i in hits], topic_vec, cfg))
-    judged = pulled.run(workers)
-    for log in logs:
-        runlog.events.extend(log.events)
-    return [p for rank in sorted(judged) if len(rank) == 3 for p in judged[rank]]
+    def ended(self, merge):
+        self.end = merge
+        self._cut(merge)
+
+    def _cut(self, merge: tuple) -> None:
+        size = self.gateway.embed_batch_size
+        while len(self.missing) >= size or self.missing and self.end is not None:
+            places = self.missing[:size]
+            del self.missing[:size]
+            self._push(merge[:3] + (self.batches,), self._embed, places)
+            self.batches += 1
+        self._cut_reranks()
+
+    def _cut_reranks(self) -> None:
+        while self.known < len(self.stream) and self.filtered[self.known] is not None:
+            passed, rank = self.filtered[self.known]
+            self.since = max(self.since, rank)
+            if passed:
+                self.passing.append((self.stream[self.known], self.since))
+            self.known += 1
+        size = self.cfg.judge_batch_size
+        done = self.end is not None and self.known == len(self.stream)
+        while len(self.passing) >= size or self.passing and done:
+            batch = self.passing[:size]
+            del self.passing[:size]
+            after = batch[-1][1] if len(batch) == size else max(self.since, self.end)
+            self.logs.append(RunLog())  # before the push: the batch may start at once
+            self._push(after + (len(self.logs) - 1,), self._rerank, [p for p, _ in batch])
+
+    def _embed(self, rank: tuple, places: list[int]) -> None:
+        papers = [self.stream[i] for i in places]
+        passed = set(map(_canonical, coarse_filter(papers, self.topic_vec, self.cfg, self.gateway)))
+        with self.lock:
+            for i, paper in zip(places, papers):
+                self.filtered[i] = (paper.id.canonical in passed, rank)
+            self._cut_reranks()
+
+    def _rerank(self, rank: tuple, papers: list[PaperRecord]) -> None:
+        index = rank[-1]
+        kept = llm_rerank_filter(papers, self.topic, self.gateway, self.cfg, self.logs[index])
+        if self.feed is not None:
+            self.feed.put(index, kept)
+        with self.lock:
+            self.kept.update(map(_canonical, kept))
 
 
 def run_retrieval(
@@ -381,16 +473,18 @@ def run_retrieval(
     feed: Optional[Feed] = None,
 ) -> list[PaperRecord]:
     """Full Stage-1 pass; deterministic for a fixed source and judge, and
-    the same at every ``workers`` width (the graph fetches, embedding
-    batches and rerank batches fan out and merge in order).
+    the same at every ``workers`` width.
 
     The topic's embedding needs only the topic, so it is made once, beside
-    the seed search, the seed judge and the graph expansion. The coarse
-    filter and the rerank then run as one fan-out (:func:`_hybrid_filter`),
-    which puts the papers each rerank batch keeps on ``feed`` under the
-    batch's index as soon as it is judged. Both fan-outs pull their calls
-    as slots free and fail with the 1-worker run's error; at one worker the
-    embedding and rerank batches interleave, the chat requests in order.
+    the seed search and the seed judge. Then the graph fetches, the
+    embedding batches and the rerank batches run as one fan-out of at most
+    ``workers`` calls (:class:`_Streamed`), each call going out as soon as
+    its inputs are ready: a paper's neighbors are filtered while the
+    neighbors of later papers are still being fetched. The papers each
+    rerank batch keeps go on ``feed`` under the batch's index as soon as it
+    is judged. The fan-out pulls its calls as slots free and fails with
+    the 1-worker run's error. The kept papers come back in the order of
+    :func:`expand_graph`: the seeds, then each hop's new papers in id order.
 
     When the primary source failed the seed search, the seeds come from the
     fallback and the primary is not asked for their links: the evidence set
@@ -400,18 +494,24 @@ def run_retrieval(
     """
     runlog = runlog or RunLog()
 
-    def collect() -> list[PaperRecord]:
+    def judged_seeds() -> tuple[list[PaperRecord], bool]:
         seeds, primary_failed = _seed_pool(topic, cfg, source, fallback, runlog)
         seeds = judge_filter(seeds, topic, gateway, cfg, runlog)
         if primary_failed:
             runlog.add("expansion_skipped", topic=topic, reason="primary source failed")
-            return seeds
-        return expand_graph(seeds, cfg, source, runlog, workers)
+        return seeds, primary_failed
 
-    expanded, topic_vec = map_bounded(
-        lambda call: call(), [collect, lambda: gateway.embed([topic])[0]], workers
+    (seeds, primary_failed), topic_vec = map_bounded(
+        lambda call: call(), [judged_seeds, lambda: gateway.embed([topic])[0]], workers
     )
-    kept = _hybrid_filter(expanded, topic, topic_vec, cfg, gateway, runlog, workers, feed)
+    depth = 0 if primary_failed else cfg.expansion_depth
+    streamed = _Streamed(
+        seeds, cfg, source, runlog, workers, depth, topic, topic_vec, gateway, feed
+    )
+    found = streamed.run()
+    for log in streamed.logs:
+        runlog.events.extend(log.events)
+    kept = [p for p in found if p.id.canonical in streamed.kept]
     if not kept:
         raise RetrievalError(f"no paper on '{topic}' passed the retrieval filters")
     return kept

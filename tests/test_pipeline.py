@@ -922,10 +922,10 @@ FIRST_KEYNOTE = "keynote for paper id 2406.10001."
 
 
 class TestRetrievalHandOff:
-    """Above one worker the coarse filter and the rerank are one fan-out
-    of at most ``stage_workers`` calls, each rerank batch goes out once its
-    papers are filtered, and understanding keynotes the papers of each
-    judged batch before retrieval commits."""
+    """Above one worker the graph fetches, the coarse filter and the
+    rerank are one fan-out of at most ``stage_workers`` calls, each rerank
+    batch goes out once its papers are filtered, and understanding keynotes
+    the papers of each judged batch before retrieval commits."""
 
     @staticmethod
     def _config(root: Path, workers: int, *rules: dict, embed_batch: int = 32) -> PipelineConfig:
@@ -956,6 +956,26 @@ class TestRetrievalHandOff:
             return encode(texts)
 
         embedder.encode = gated_encode
+        run_pipeline(config, backends=backends)
+        assert seen.is_set()
+        assert output_digest(config) == TestGoldenOutput.GOLDEN["plain"]
+
+    def test_keynotes_start_while_the_last_seed_s_references_are_fetched(self, tmp_path):
+        # Four texts an embedding batch: the seeds fill the first, so their
+        # rerank batches, and the keynotes of the papers these keep, need
+        # no neighbor of the last seed, the last frontier paper.
+        config = self._config(tmp_path, 2, embed_batch=4)
+        backends = build_backends(config)
+        seen = gate(backends.gateway.transport, "(?!)", "understanding.keynote")
+        source = backends.source
+        references = source.references
+
+        def held_references(paper_id, limit):
+            if paper_id.canonical == SEEDS[-1]:
+                assert seen.wait(timeout=10), "no keynote request while the references were held"
+            return references(paper_id, limit)
+
+        source.references = held_references
         run_pipeline(config, backends=backends)
         assert seen.is_set()
         assert output_digest(config) == TestGoldenOutput.GOLDEN["plain"]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from collections import Counter
 
@@ -9,7 +10,8 @@ import requests
 
 from litsurvey.caching import DiskCache
 from litsurvey.errors import BackendError, JudgeError, RetrievalError, SourceUnavailableError
-from litsurvey.gateway import TransportResponse
+from litsurvey.gateway import TransportResponse, cosine
+from litsurvey.model import PaperRecord
 from litsurvey.retrieval import (
     RetrievalConfig,
     coarse_filter,
@@ -316,12 +318,33 @@ class TestParallelExpansion:
         assert hub["title"] == "hub via s0"
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_every_citation_fetch_goes_out_before_any_reference_fetch(self, papers, workers):
-        # So the last paper's two fetches do not run alone at the end.
-        source = CountingSource(FixtureSource(list(papers.values())))
-        seeds = [papers[k] for k in ("p1", "p2", "p3")]
-        expand_graph(seeds, RetrievalConfig(), source, workers=workers)
-        assert source.calls == ["citations"] * 3 + ["references"] * 3
+    def test_each_paper_s_references_go_out_workers_places_after_its_citations(self, workers):
+        # Every fetch waits until ``workers`` fetches are in flight, so they
+        # go out in rounds of ``workers``, and the barrier breaks if the
+        # last paper's references run alone.
+        seeds = [make_paper(f"q{i}", in_cits=[f"n{i}"], out_cits=[f"m{i}"]) for i in range(4)]
+        inner = FixtureSource(seeds + [make_paper(f"{k}{i}") for i in range(4) for k in "nm"])
+        barrier = threading.Barrier(workers, timeout=10)
+        sent: list[str] = []
+
+        class Source:
+            def citations(self, paper_id, limit):
+                sent.append(f"c{paper_id.canonical[1:]}")
+                barrier.wait()
+                return inner.citations(paper_id, limit)
+
+            def references(self, paper_id, limit):
+                sent.append(f"r{paper_id.canonical[1:]}")
+                barrier.wait()
+                return inner.references(paper_id, limit)
+
+        out = expand_graph(seeds, RetrievalConfig(), Source(), workers=workers)
+        assert len(out) == 12
+        rounds = [set(sent[at: at + workers]) for at in range(0, len(sent), workers)]
+        assert rounds == {
+            1: [{"c0"}, {"r0"}, {"c1"}, {"r1"}, {"c2"}, {"r2"}, {"c3"}, {"r3"}],
+            2: [{"c0", "c1"}, {"r0", "c2"}, {"r1", "c3"}, {"r2", "r3"}],
+        }[workers]
 
 
 class TestOneWorkerErrors:
@@ -388,6 +411,118 @@ class TestOneWorkerErrors:
         cfg = RetrievalConfig(coarse_similarity_threshold=-1.0, judge_batch_size=2)
         with pytest.raises(BackendError, match="status 400"):
             run_retrieval("topic", cfg, source, gw, workers=workers)
+
+
+class TestStreamedRetrieval:
+    """The graph fetches, the embedding batches and the rerank batches are
+    one fan-out, cut in stream order: the batches, the requests, the kept
+    papers and the log are those of the 1-worker run at every width."""
+
+    SEEDS = ["s0", "s1", "s2"]
+
+    @classmethod
+    def _source(cls) -> FixtureSource:
+        # Five new neighbors per seed, so that batches of 3 texts and of 2
+        # papers end inside one seed's neighbors; s1 also cites a00, which
+        # s0 found first. At depth 2, each a paper and the first two b
+        # papers of each seed have one new neighbor more.
+        records = []
+        for k in range(3):
+            cites = [f"b{k}{j}" for j in range(3)] + (["a00"] if k == 1 else [])
+            citing = [f"a{k}{j}" for j in range(2)]
+            records.append(make_paper(f"s{k}", in_cits=citing, out_cits=cites))
+            for j in range(2):
+                records.append(make_paper(f"a{k}{j}", in_cits=[f"d{k}{j}"], out_cits=[f"s{k}"]))
+                records.append(make_paper(f"d{k}{j}", out_cits=[f"a{k}{j}"]))
+                records.append(make_paper(f"e{k}{j}", in_cits=[f"b{k}{j}"]))
+            for j in range(3):
+                more = [f"e{k}{j}"] if j < 2 else []
+                records.append(make_paper(f"b{k}{j}", in_cits=[f"s{k}"], out_cits=more))
+        return FixtureSource(records, search_results={"topic": cls.SEEDS})
+
+    @staticmethod
+    def _cfg(depth: int) -> RetrievalConfig:
+        return RetrievalConfig(
+            expansion_depth=depth, coarse_similarity_threshold=0.0, judge_batch_size=2
+        )
+
+    @staticmethod
+    def _warm(cache_dir: str, source: FixtureSource) -> set[str]:
+        """Cache the topic's vector and those of a third of the papers;
+        returns their ids."""
+        cached = {k for at, k in enumerate(sorted(source.records)) if at % 3 == 0}
+        texts = ["topic"] + [source.records[k].search_text() for k in sorted(cached)]
+        scripted_gateway(cache_dir=cache_dir).embed(texts)
+        return cached
+
+    def _run(self, tmp_path, depth: int, workers: int, judge=None):
+        source = self._source()
+        cache_dir = str(tmp_path / f"depth{depth}-workers{workers}")
+        cached = self._warm(cache_dir, source)
+        embedder, judge = FixtureEmbedder(), judge or reject_judge({"b01", "b11", "d10"})
+        gw = scripted_gateway(judge, embedder=embedder, cache_dir=cache_dir, embed_batch_size=3)
+        runlog = RunLog()
+        cfg = self._cfg(depth)
+        papers = run_retrieval("topic", cfg, source, gw, runlog=runlog, workers=workers)
+        return [p.to_dict() for p in papers], runlog.events, judge.calls, embedder, cached
+
+    def _expected(self, depth: int) -> tuple[list[PaperRecord], list[PaperRecord]]:
+        """Every paper the expansion finds, and those that pass the coarse
+        filter, in the order ``run_retrieval`` returns them."""
+        source = self._source()
+        found = expand_graph([source.records[k] for k in self.SEEDS], self._cfg(depth), source)
+        gw = scripted_gateway()
+        topic_vec = gw.embed(["topic"])[0]
+        vectors = gw.embed([p.search_text() for p in found])
+        return found, [p for p, v in zip(found, vectors) if cosine(v, topic_vec) >= 0.0]
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_every_width_sends_the_serial_batches_and_keeps_its_papers(self, tmp_path, depth):
+        found, passing = self._expected(depth)
+        assert 0 < len(passing) < len(found)
+        serial = None
+        for workers in (1, 2, 8):
+            # A short switch interval makes a lost update of the stream show.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                papers, events, calls, embedder, cached = self._run(tmp_path, depth, workers)
+            finally:
+                sys.setswitchinterval(interval)
+            requests = Counter((c.tag, c.prompt) for c in calls)
+            missing = [p for p in found if p.id.canonical not in cached]
+            assert embedder.calls == -(-len(missing) // 3)
+            assert sum(c.tag == "retrieval.rerank" for c in calls) == -(-len(passing) // 2)
+            if serial is None:
+                serial = papers, events, requests
+                assert 0 < len(papers) < len(passing)
+            assert (papers, events, requests) == serial, f"{workers} workers"
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_a_failing_rerank_batch_raises_the_serial_error(self, tmp_path, workers):
+        # The rerank batch holding the first passing paper is refused with
+        # 400, the one holding the last with 404; at four workers the first
+        # is held until the last has been refused.
+        _, passing = self._expected(1)
+        assert len(passing) > 2
+        first, last = passing[0].id.canonical, passing[-1].id.canonical
+        later_refused = threading.Event()
+        judge = accept_all_judge()
+        send = judge.send
+
+        def refusing_send(request):
+            if request.tag == "retrieval.rerank" and f"- id: {last} " in request.prompt:
+                later_refused.set()
+                return TransportResponse(404, "refused")
+            if request.tag == "retrieval.rerank" and f"- id: {first} " in request.prompt:
+                if workers > 1:
+                    assert later_refused.wait(timeout=10)
+                return TransportResponse(400, "refused")
+            return send(request)
+
+        judge.send = refusing_send
+        with pytest.raises(BackendError, match="status 400"):
+            self._run(tmp_path, 1, workers, judge)
 
 
 class TestCoarseFilter:
