@@ -28,7 +28,9 @@ class Feed:
     from 0 up has been put, or aborts it. A consumer iterates the feed,
     getting the items in index order, each as soon as it and every earlier
     one are in, or hands it to :func:`map_bounded`, which reads it the same
-    way. Both raise FeedAborted once the feed is aborted.
+    way; or it reads the pairs put since those it has seen with
+    :meth:`arrivals`, in the order they were put, waiting for one or not.
+    Each raises FeedAborted once the feed is aborted.
     """
 
     def __init__(self):
@@ -67,11 +69,13 @@ class Feed:
             elif self._state == "closed":
                 fn([item for _, item in sorted(self._arrived, key=lambda pair: pair[0])])
 
-    def arrivals(self, seen: int = 0) -> list[tuple[int, Any]]:
-        """The (index, item) pairs put after the first ``seen``, waiting
-        until there is one; empty once the feed is closed and all are seen."""
+    def arrivals(self, seen: int = 0, wait: bool = True) -> list[tuple[int, Any]]:
+        """The (index, item) pairs put after the first ``seen``: if ``wait``,
+        once there is one, and empty only once the feed is closed and all
+        are seen; else at once, perhaps empty."""
         with self._cond:
-            self._cond.wait_for(lambda: len(self._arrived) > seen or self._state != "open")
+            if wait:
+                self._cond.wait_for(lambda: len(self._arrived) > seen or self._state != "open")
             if self._state == "aborted":
                 raise FeedAborted()
             return self._arrived[seen:]
@@ -117,7 +121,9 @@ def map_bounded(fn: Callable[[Any], Any], items: Iterable[Any], workers: int = 1
                 if not pulled._starts(index + 1):
                     return  # it and every later item rank after a failure
 
-    pulled = Pull(None, (), lambda index: index, read())
+    batches = read()
+    # Read only as a worker waits for an item, never ahead of a free slot.
+    pulled = Pull(None, (), lambda index: index, lambda wait: next(batches, None) if wait else [])
     return pulled._drive(lambda pair: fn(pair[1]), workers)
 
 
@@ -125,10 +131,15 @@ class Pull:
     """A fan-out of ranked items: as a worker frees, the ready item lowest
     by ``key(rank)`` starts; the fan-out ends once none is ready, none can
     arrive and none runs. ``ready`` holds the (rank, item) pairs ready at
-    the start, a running call makes one ready with :meth:`push`, and a free
-    worker reads the next list of them from ``arrivals``, if given, when
-    none is ready. Ranks are distinct and compare. :meth:`run` applies
-    ``fn(rank, item)`` to each and returns the results by rank.
+    the start, and a running call makes one ready with :meth:`push`.
+    ``arrivals``, if given, brings the rest: ``arrivals(wait)`` returns a
+    list of the pairs arrived since its last call. A free worker first takes
+    in those that have arrived, calling it with ``wait`` false, which must
+    not wait (a lazy source returns []), and only then chooses; when none
+    is ready, it calls it with ``wait`` true, which waits for a list and
+    returns None once none can arrive. Ranks are distinct and compare.
+    :meth:`run` applies ``fn(rank, item)`` to each and returns the results
+    by rank.
 
     It fails like the 1-worker run, at any width: the first ``workers``
     items always start; after them, an item ranked after a failed one never
@@ -142,7 +153,7 @@ class Pull:
     def __init__(self, fn: Callable, ready: Iterable[tuple], key: Callable, arrivals=None):
         self._fn, self._key = fn, key
         self._ready = sorted((key(rank), rank, item) for rank, item in ready)  # a heap
-        self._arrivals = None if arrivals is None else iter(arrivals)
+        self._arrivals = arrivals
         self._cond = threading.Condition()
         self._reading = threading.Lock()  # held by the one worker taking its next item
         self._workers = self._started = self._running = 0
@@ -188,6 +199,9 @@ class Pull:
         """The next (rank, item) to start, or None once none will."""
         with self._reading:
             while True:
+                # Read outside the condition, so that calls can finish meanwhile.
+                for rank, item in self._arrivals(False) if self._arrivals else ():
+                    self.push(rank, item)
                 with self._cond:
                     self._cond.wait_for(
                         lambda: self._ready or self._arrivals or not self._running or self._halted
@@ -203,8 +217,7 @@ class Pull:
                         continue
                     if self._arrivals is None:
                         return None
-                # Read outside the condition, so that calls can finish meanwhile.
-                batch = next(self._arrivals, None)
+                batch = self._arrivals(True)
                 if batch is None:
                     self._arrivals = None
                 for rank, item in batch or ():

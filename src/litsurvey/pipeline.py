@@ -416,10 +416,12 @@ COMMITTED, FED = "committed", "fed"
 #: how; retrieval starts at once. Retrieval judges each rerank batch as
 #: soon as its papers are filtered, while the neighbors of later papers
 #: are still being fetched; understanding keynotes the papers each batch
-#: keeps as soon as it is judged, and hands each keynote on once retrieval
-#: has committed and the keynote's place in paper-id order is known. The
+#: keeps as soon as it is judged, the lowest paper id over every batch
+#: judged by then first, and hands each keynote on once retrieval has
+#: committed and the keynote's place in paper-id order is known. The
 #: cluster-design fold takes the keynotes as understanding hands them on,
-#: so it starts when retrieval commits. Code analysis reads only the
+#: so it starts when retrieval commits; the lowest ids going first keeps it
+#: from waiting for a keynote after that. Code analysis reads only the
 #: papers, but starts once understanding has committed, beside analysis.
 #: Writing's outline fold and citation assignment start from the clusters
 #: and their Q&A, which analysis hands over before its graphs and tables;

@@ -182,12 +182,13 @@ def run_understanding(
     demoted to fallback. The result is in paper-id order.
 
     ``papers`` is the evidence set by canonical id, or retrieval's feed of
-    the papers each rerank batch keeps, read in batch order, a batch at a
-    time, when no paper is left. The papers are one :class:`Pull` ranked by
-    canonical id: as one of ``workers`` slots frees, the lowest id not yet
-    started goes first, so that the keynotes the design fold reads first
-    come first, and a failure raises the 1-worker run's error, that of the
-    first failing paper in paper-id order. Each paper's keynote, or None for
+    the papers each rerank batch keeps. The papers are one :class:`Pull`
+    ranked by canonical id: as one of ``workers`` slots frees, it takes in
+    every batch put on the feed by then, in any batch order, and the lowest
+    id not yet started goes first, so that the keynotes the design fold
+    reads first come first; it waits for the feed only when no paper is
+    left. A failure raises the 1-worker run's error, that of the first
+    failing paper in paper-id order. Each paper's keynote, or None for
     a skipped paper, is put on ``feed`` under the paper's place in paper-id
     order once it is made and that place is known: from a feed, once the
     feed is closed (retrieval has committed), when the keynotes made by
@@ -202,8 +203,17 @@ def run_understanding(
         place.update((canonical, i) for i, canonical in enumerate(ids))
 
     if isinstance(papers, Feed):
-        ready, arrivals = (), ([(r.id.canonical, r) for r in batch] for batch in papers)
-        when_settled = papers.when_closed
+        seen = 0
+
+        def arrivals(wait: bool) -> Optional[list]:
+            nonlocal seen
+            fresh = papers.arrivals(seen, wait)
+            seen += len(fresh)
+            if wait and not fresh:
+                return None
+            return [(r.id.canonical, r) for _, batch in fresh for r in batch]
+
+        ready, when_settled = (), papers.when_closed
     else:  # a committed set: every paper is ready, and every place known
         ready, arrivals = papers.items(), None
         when_settled = lambda hand_on: hand_on([papers.values()])  # noqa: E731

@@ -143,6 +143,29 @@ class TestMapBounded:
         assert threading.get_ident() in ran_on
         assert len(ran_on) == 2
 
+    def test_a_counting_generator_is_read_no_further_than_the_free_slots(self):
+        # Items 0 and 1 hold both slots until both have started; a worker
+        # that read ahead of a free slot would have read item 2 by then.
+        reads = 0
+        both = threading.Barrier(2, timeout=10)
+        reads_while_both_ran: list[int] = []
+
+        def items():
+            nonlocal reads
+            for i in range(6):
+                reads += 1
+                yield i
+
+        def fn(i):
+            if i < 2:
+                both.wait()
+                reads_while_both_ran.append(reads)
+                both.wait()
+            return i
+
+        assert map_bounded(fn, items(), workers=2) == list(range(6))
+        assert reads_while_both_ran == [2, 2]
+
     def test_the_gateway_name_is_the_fanout_function(self):
         # The benchmark's tracer wraps ``litsurvey.gateway.map_bounded`` to
         # hand its span to the worker threads; it must be this function.
@@ -209,6 +232,32 @@ class TestPull:
         with pytest.raises(raised, match="rank 2"):
             pulled.run(1)
         assert started == after
+
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_an_aborted_feed_it_drains_stops_every_start(self, failing):
+        # Rank 0 aborts the feed while ranks 1 and 2 are ready: the worker
+        # drains the feed before it chooses, so neither starts, and the
+        # abort is raised unless rank 0 failed.
+        feed, started = Feed(), []
+        seen = 0
+
+        def arrivals(wait):
+            nonlocal seen
+            fresh = feed.arrivals(seen, wait)
+            seen += len(fresh)
+            return None if wait and not fresh else fresh
+
+        def fn(rank, item):
+            started.append(rank)
+            feed.abort()
+            if failing:
+                raise ValueError("rank 0")
+            return item
+
+        pulled = Pull(fn, [(0, "a"), (1, "b"), (2, "c")], lambda rank: rank, arrivals)
+        with pytest.raises(ValueError if failing else FeedAborted):
+            pulled.run(1)
+        assert started == [0]
 
 
 class TestFeed:
@@ -315,6 +364,28 @@ class TestFeed:
         assert not consumer.is_alive()
         assert results == [-i for i in range(400)]
         assert taken == Counter(range(400))
+
+    def test_a_read_without_waiting_returns_the_pairs_put_since_seen(self):
+        feed = Feed()
+        feed.put(2, "c")
+        feed.put(0, "a")
+        read: list = []
+
+        def read_all():
+            read.append(feed.arrivals(0, wait=False))
+            read.append(feed.arrivals(1, wait=False))
+            read.append(feed.arrivals(2, wait=False))  # none new, the feed open
+
+        reader = threading.Thread(target=read_all, daemon=True)
+        reader.start()
+        reader.join(timeout=10)
+        assert not reader.is_alive(), "a read without waiting waited"
+        assert read == [[(2, "c"), (0, "a")], [(0, "a")], []]
+        feed.put(1, "b")
+        assert feed.arrivals(2, wait=False) == [(1, "b")]
+        feed.abort()
+        with pytest.raises(FeedAborted):
+            feed.arrivals(3, wait=False)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_an_aborted_feed_stops_its_consumers(self, workers):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
@@ -223,6 +224,49 @@ class TestUnderstandingFromAFeed:
             run_understanding(arrivals, self.find, scripted_gateway(streamed), RunLog(), 2)
         assert "status 401" in str(serial.value)
         assert str(parallel.value) == str(serial.value)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_free_slot_takes_in_every_batch_put_since_its_last_pick(self, workers):
+        # Batch 1 comes while p3 is keynoted: p1 and p2 start next, ahead of
+        # p4 of batch 0, which was in first.
+        def run(papers, workers, arrive=None):
+            transport = ScriptedTransport().add("structured keynote", json.dumps(FULL_KEYNOTE))
+            if arrive is not None:
+                send = transport.send
+
+                def send_then_arrive(request):
+                    try:
+                        return send(request)
+                    finally:
+                        if "paper id p3." in request.prompt:
+                            arrive()
+
+                transport.send = send_then_arrive
+            handed = Feed()
+            keynotes = run_understanding(
+                papers, lambda record: doc(record.id.canonical), scripted_gateway(transport),
+                RunLog(), workers, handed,
+            )
+            handed.close()
+            sent = [c.prompt.split("paper id ")[1].split(".")[0] for c in transport.calls]
+            return keynotes, list(handed), sent
+
+        def arrive():
+            arrivals.put(1, [self.records["p1"], self.records["p2"]])
+            arrivals.close()
+
+        arrivals = Feed()
+        arrivals.put(0, [self.records["p3"], self.records["p4"]])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            keynotes, handed, sent = run(arrivals, workers, arrive)
+        finally:
+            sys.setswitchinterval(interval)
+        if workers == 1:
+            assert sent == ["p3", "p1", "p2", "p4"]
+        serial_keynotes, serial_handed, _ = run(self.records, 1)
+        assert (keynotes, handed) == (serial_keynotes, serial_handed)
 
     def test_keynotes_made_before_the_close_go_on_at_the_close(self):
         # p1 is keynoted, then p2 and p3 hold both slots while retrieval
