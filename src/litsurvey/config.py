@@ -91,13 +91,15 @@ class PipelineConfig:
     workdir: str = "litsurvey-run"
     code_analysis_enabled: bool = False
     use_skill_loop_fallback: bool = False
-    # Pool width for the independent per-unit backend calls (citation-graph
-    # fetches, embedding batches, rerank judge batches, papers, clusters,
-    # repositories, drafts, refinement units, evaluate's judge rounds).
-    # Above 1, each stage also starts as soon as what it reads is ready
-    # (see pipeline._INPUTS), so stages overlap and the manifest's
-    # stage_seconds may sum to more than the wall time. Outputs do not
-    # depend on it, so it stays out of the config hash.
+    # Sizes the run's call budget (fanout.call_slots: 1 at one worker, else
+    # 2 x stage_workers backend calls in flight over the whole run), which
+    # is also the width of each fan-out of independent per-unit calls
+    # (citation-graph fetches, embedding batches, rerank judge batches,
+    # papers, clusters, repositories, drafts, refinement units, evaluate's
+    # judge rounds). Above 1, each stage also starts as soon as what it
+    # reads is ready (see pipeline._INPUTS), so stages overlap and the
+    # manifest's stage_seconds may sum to more than the wall time. Outputs
+    # do not depend on it, so it stays out of the config hash.
     stage_workers: int = 1
     parsed_docs_dir: str = ""
     repos_dir: str = ""

@@ -5,6 +5,8 @@ A :class:`Pull` runs ranked items, some made ready as it runs;
 :class:`Feed` hands one stage's results to the next stage while the first
 one is still producing them. A fan-out of width w runs on the calling
 thread and w - 1 helper threads, each taking its own next item as it frees.
+A :class:`CallBudget` bounds the backend calls in flight over every
+fan-out of a run.
 """
 
 from __future__ import annotations
@@ -12,7 +14,46 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-from typing import Any, Callable, Iterable, Optional, Sized
+from contextlib import contextmanager
+from typing import Any, Callable, Iterable, Iterator, Optional, Sized
+
+
+def call_slots(stage_workers: int) -> int:
+    """The size of a run's :class:`CallBudget`, and the width of each of
+    its fan-outs: 1 at one worker, where the stages run one after another,
+    else 2 × ``stage_workers``, which one stage may fill while the others
+    are idle."""
+    return 1 if stage_workers == 1 else 2 * stage_workers
+
+
+class CallBudget:
+    """A run's slots for backend calls: a call holds one only while its
+    request is in flight, so at most ``size`` calls are out at once over
+    every fan-out of the run; ``size`` None bounds nothing. A caller never
+    waits for anything else while it holds a slot, so fan-outs nested in
+    each other cannot deadlock on it. ``peak`` is the most slots ever held
+    at once."""
+
+    def __init__(self, size: Optional[int] = None):
+        if size is not None and size < 1:
+            raise ValueError("a call budget needs at least one slot")
+        self.size = size
+        self.peak = 0
+        self._held = 0
+        self._cond = threading.Condition()
+
+    @contextmanager
+    def slot(self) -> Iterator[None]:
+        with self._cond:
+            self._cond.wait_for(lambda: self.size is None or self._held < self.size)
+            self._held += 1
+            self.peak = max(self.peak, self._held)
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._held -= 1
+                self._cond.notify()
 
 
 class FeedAborted(Exception):

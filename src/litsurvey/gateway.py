@@ -37,7 +37,7 @@ from .errors import (
     MalformedOutputError,
     TruncatedReply,
 )
-from .fanout import map_bounded
+from .fanout import CallBudget, map_bounded
 from .model import ErrorMemory
 from .runlog import RunLog
 from .tokens import compress_context, estimate_tokens
@@ -84,6 +84,9 @@ class TransportResponse:
     #: why the backend stopped, when it says: "length" is a reply cut at
     #: the request's ``max_output_tokens``
     finish_reason: Optional[str] = None
+    #: the seconds a refusing backend asks the caller to wait before
+    #: retrying (its ``Retry-After`` header), when it says
+    retry_after: Optional[float] = None
 
 
 class Transport(Protocol):
@@ -96,11 +99,25 @@ class EmbeddingBackend(Protocol):
 
 class TransientBackendError(Exception):
     """A backend failure worth retrying; ``status`` is the HTTP status when
-    the failure has one."""
+    the failure has one, and ``retry_after`` the seconds the backend asked
+    the caller to wait, when it did."""
 
-    def __init__(self, message: str, status: Optional[int] = None):
+    def __init__(
+        self, message: str, status: Optional[int] = None, retry_after: Optional[float] = None
+    ):
         super().__init__(message)
         self.status = status
+        self.retry_after = retry_after
+
+
+def parse_retry_after(resp: Any) -> Optional[float]:
+    """The seconds of a ``requests`` reply's ``Retry-After`` header, or None
+    when it has none or the header is not a number of seconds (say, a date)."""
+    try:
+        seconds = float(resp.headers.get("Retry-After"))
+    except (TypeError, ValueError):
+        return None
+    return seconds if 0.0 <= seconds < math.inf else None
 
 
 def with_backoff(
@@ -114,8 +131,10 @@ def with_backoff(
     The k-th sleep is ``min(hi, lo * 2**(k-1) * (1 + u))`` for the
     profile's ``backoff_bounds`` (lo, hi), where ``u`` in [0, 1) comes from
     one ``draw()`` per call. Callers refused at the same moment thus retry
-    at different moments, while each caller's delays stay nondecreasing and
-    within the bounds.
+    at different moments. A failure whose ``retry_after`` asks for longer
+    gets that long, still at most hi; a sleep is never shorter than the
+    one before, so each caller's delays stay nondecreasing and within the
+    bounds.
 
     ``call`` raises TransientBackendError for a retryable failure; any
     other exception propagates at once. After ``profile.max_attempts``
@@ -123,13 +142,15 @@ def with_backoff(
     """
     delay, delay_max = profile.backoff_bounds
     spread = 1.0 + draw()
+    slept = 0.0
     for attempt in range(1, profile.max_attempts + 1):
         try:
             return call()
         except TransientBackendError as exc:
             last = exc
         if attempt < profile.max_attempts:
-            sleeper(min(delay * spread, delay_max))
+            slept = min(max(delay * spread, last.retry_after or 0.0, slept), delay_max)
+            sleeper(slept)
             delay = min(delay * 2, delay_max)
     status = last.status if last.status is not None else str(last)
     raise ExhaustionError(profile.max_attempts, status) from last
@@ -162,7 +183,8 @@ class HttpChatTransport:
             # Transport-level failures behave like a retryable 503.
             return TransportResponse(503, f"transport error: {exc}")
         if resp.status_code != 200:
-            return TransportResponse(resp.status_code, resp.text)
+            wait = parse_retry_after(resp) if resp.status_code in RETRYABLE_STATUSES else None
+            return TransportResponse(resp.status_code, resp.text, retry_after=wait)
         body = _json_body(resp, "chat completion")
         text = extract_chat_text(body)
         reason = body["choices"][0].get("finish_reason")
@@ -243,7 +265,9 @@ class HttpEmbedder:
         except requests.RequestException as exc:
             raise TransientBackendError(str(exc)) from exc
         if resp.status_code in RETRYABLE_STATUSES:
-            raise TransientBackendError(f"status {resp.status_code}", resp.status_code)
+            raise TransientBackendError(
+                f"status {resp.status_code}", resp.status_code, parse_retry_after(resp)
+            )
         if resp.status_code != 200:
             raise BackendError(f"embedding backend status {resp.status_code}", resp.status_code)
         body = _json_body(resp, "embedding")
@@ -275,6 +299,13 @@ class Gateway:
     ``transport`` and ``embedder`` (see :func:`pipeline.build_backends`)
     and enter every completion and embedding cache key, so a cache shared
     by runs over different backends serves each only its own answers.
+
+    ``budget`` is the run's :class:`CallBudget` (unbounded if not given): a
+    chat send and an embedding batch each hold one of its slots while the
+    request is in flight, and so does a paper-source call that
+    :class:`sources.CachedSource` makes through :meth:`cached`. A cache hit,
+    a wait for another caller's identical request and a backoff sleep hold
+    none.
     """
 
     def __init__(
@@ -289,6 +320,7 @@ class Gateway:
         draw: Callable[[], float] = random.random,
         chat_scope: str = "",
         embed_scope: str = "",
+        budget: Optional[CallBudget] = None,
     ):
         self.transport = transport
         self.embedder = embedder or HashEmbedder()
@@ -298,6 +330,7 @@ class Gateway:
         self.embed_scope = embed_scope
         self.sleeper = sleeper
         self.draw = draw
+        self.budget = budget or CallBudget()
         self._runtime: dict[str, Any] = {}
         self._disk = DiskCache(f"{cache_dir}/api", cache_expiry) if cache_dir else None
         self._lock = threading.Lock()
@@ -425,16 +458,19 @@ class Gateway:
             self._counted.notify_all()
 
     def _send_once(self, request: CompletionRequest) -> str:
-        with self._lock:
-            self._count(hit=False)
-        response = self.transport.send(request)
+        with self.budget.slot():
+            with self._lock:
+                self._count(hit=False)
+            response = self.transport.send(request)
         if response.status == 200:
             if response.finish_reason == "length":
                 # Raised, so that the cut reply is not cached.
                 raise TruncatedReply(request.max_output_tokens)
             return response.text
         if response.status in RETRYABLE_STATUSES:
-            raise TransientBackendError(f"status {response.status}", response.status)
+            raise TransientBackendError(
+                f"status {response.status}", response.status, response.retry_after
+            )
         raise BackendError(f"backend returned status {response.status}", response.status)
 
     # -- embeddings ------------------------------------------------------
@@ -484,9 +520,10 @@ class Gateway:
         return cache_key("embed", self.embed_scope, text)
 
     def _encode_once(self, texts: list[str]) -> list[list[float]]:
-        with self._lock:
-            self._count(hit=False)
-        return self.embedder.encode(texts)
+        with self.budget.slot():
+            with self._lock:
+                self._count(hit=False)
+            return self.embedder.encode(texts)
 
 
 def _normalize(vector: Sequence[float]) -> list[float]:

@@ -33,7 +33,7 @@ from . import writing as writing_mod
 from .config import PipelineConfig
 from .errors import ConfigError, StageError, SurveyError
 from .evaluation import EvaluationReport, evaluate_survey, judge_survey
-from .fanout import Feed, map_bounded
+from .fanout import CallBudget, Feed, call_slots, map_bounded
 from .gateway import BackendProfile, Gateway, HashEmbedder, HttpChatTransport, HttpEmbedder
 from .model import ClusterAnalysis, KnowledgeSubstrate, PaperRecord
 from .runlog import RunLog
@@ -70,11 +70,12 @@ class Backends:
 def build_backends(config: PipelineConfig) -> Backends:
     """The gateway, sources and NLI model a run's config names.
 
-    The gateway's cache scopes name each backend by its kind, endpoint (or
-    rules file) and model: a rerun in the same workdir over another backend
-    misses the first one's answers. They name neither the workdir nor an
-    API key, so a cache copied to another run, or read with another key,
-    still hits.
+    The gateway holds the run's :class:`CallBudget`, of
+    :func:`call_slots` (``stage_workers``) slots. Its cache scopes name
+    each backend by its kind, endpoint (or rules file) and model: a rerun
+    in the same workdir over another backend misses the first one's
+    answers. They name neither the workdir nor an API key, so a cache
+    copied to another run, or read with another key, still hits.
     """
     backend_cfg = config.backend
     profile = BackendProfile(
@@ -122,6 +123,7 @@ def build_backends(config: PipelineConfig) -> Backends:
         embed_batch_size=config.embedding.batch_size,
         chat_scope=f"{backend_cfg.kind} {endpoint} {backend_cfg.model}",
         embed_scope=f"{config.embedding.kind} {config.embedding.url} {config.embedding.model}",
+        budget=CallBudget(call_slots(config.stage_workers)),
     )
 
     if config.source.kind == "fixture":
@@ -231,7 +233,7 @@ def _stage_retrieval(config, substrate, backends, runlog, feeds):
         backends.gateway,
         fallback=fallback,
         runlog=runlog,
-        workers=config.stage_workers,
+        workers=call_slots(config.stage_workers),
         feed=feeds["retrieval"],
     )
     substrate.papers = {p.id.canonical: p for p in papers}
@@ -245,7 +247,7 @@ def _stage_understanding(config, substrate, backends, runlog, feeds):
         papers = feeds["retrieval"]
     substrate.keynotes = understanding_mod.run_understanding(
         papers, _doc_finder(config), backends.gateway, runlog,
-        config.stage_workers, feeds["understanding"],
+        call_slots(config.stage_workers), feeds["understanding"],
     )
 
 
@@ -273,7 +275,7 @@ def _stage_analysis(config, substrate, backends, runlog, feeds):
             config.analysis.questions_per_cluster, runlog,
         ),
         populated,
-        config.stage_workers,
+        call_slots(config.stage_workers),
     )
     feeds["analysis"].put(0, (clusters, [
         ClusterAnalysis(cluster_id=c.cluster_id, qa_items=items) for c, items in zip(populated, qa)
@@ -284,7 +286,7 @@ def _stage_analysis(config, substrate, backends, runlog, feeds):
             qa[at], runlog,
         ),
         range(len(populated)),
-        config.stage_workers,
+        call_slots(config.stage_workers),
     )
     if len(clusters) >= 2:
         substrate.inter_cluster = analysis_mod.inter_cluster_analysis(
@@ -311,7 +313,7 @@ def _stage_code_analysis(config, substrate, backends, runlog):
             repo, backends.gateway, config.code_analysis, runlog=runlog
         ),
         repos,
-        config.stage_workers,
+        call_slots(config.stage_workers),
     )
     # One assignment: a save running beside this stage validates the
     # substrate and iterates its reports.
@@ -354,7 +356,7 @@ def _stage_writing(config, substrate, backends, runlog, feeds):
         ctx.extra_context = f"{substrate.code_overview}\n{substrate.environment_overview}".strip()
     substrate.outline = outline
     substrate.drafts = writing_mod.draft_all_units(
-        ctx, outline, config.stage_workers, feeds["writing"]
+        ctx, outline, call_slots(config.stage_workers), feeds["writing"]
     )
 
 
@@ -370,7 +372,7 @@ def _stage_refinement(config, substrate, backends, runlog, feeds):
         feeds.get("writing", substrate.drafts),
         ctx,
         use_fallback_loop=config.use_skill_loop_fallback,
-        workers=config.stage_workers,
+        workers=call_slots(config.stage_workers),
     )
 
 
@@ -401,6 +403,8 @@ def _write_manifest(config, config_hash, backends, runlog, stage_seconds, failed
         "stage_seconds": dict(stage_seconds),
         "transport_calls": backends.gateway.transport_calls,
         "cache_hits": backends.gateway.cache_hits,
+        "call_slots": backends.gateway.budget.size,
+        "peak_calls_in_flight": backends.gateway.budget.peak,
         "attribution_events": len(runlog.attribution_events()),
     }
     _dump(config.manifest_path, manifest)
@@ -427,7 +431,9 @@ COMMITTED, FED = "committed", "fed"
 #: and their Q&A, which analysis hands over before its graphs and tables;
 #: drafting then waits for analysis and code analysis to commit. Each
 #: section and subsection starts refining once writing has accepted it and
-#: every unit before it in drafting order.
+#: every unit before it in drafting order. Stages side by side share the
+#: run's one CallBudget, so a stage left alone, as refinement is once
+#: writing has committed, runs as wide as the whole budget.
 _INPUTS = {
     "understanding": ("retrieval", FED),
     "analysis": ("understanding", FED),
@@ -453,14 +459,15 @@ def _run_stages(plan, config, substrate, backends, runlog) -> Optional[tuple[str
     stage starts on a thread of its own as soon as its ``_INPUTS`` entry
     allows, checked as each stage's turn to commit comes, and a stage fed
     by another waits for its feed's first item before its clock starts.
-    Each stage has at most ``stage_workers`` calls in flight, and these
-    overlap: retrieval's one fan-out (graph fetches, embedding and rerank
-    batches) and understanding; understanding and the serial design fold;
-    analysis, code analysis and writing's serial outline fold or citation
-    assignment; drafting and refinement.
-    So at most 2 × ``stage_workers`` + 1 calls are in flight. No stage
-    changes a substrate field before the stages it reads from have
-    committed.
+    These overlap: retrieval's one fan-out (graph fetches, embedding and
+    rerank batches) and understanding; understanding and the serial design
+    fold; analysis, code analysis and writing's serial outline fold or
+    citation assignment; drafting and refinement. Each fan-out is
+    :func:`call_slots` wide, and every backend call holds a slot of the
+    gateway's one :class:`CallBudget` of that size: a stage alone may fill
+    it, and stages side by side share it, so at most 2 × ``stage_workers``
+    calls are in flight in all. No stage changes a substrate field before
+    the stages it reads from have committed.
 
     Each stage logs apart; its events join ``runlog`` once it has ended,
     in stage order. ``stage_seconds`` is each stage's own duration. Once a
@@ -695,12 +702,12 @@ def evaluate_run(
     judge content scoring. Writes report.json and report.tsv next to it.
 
     The judge rounds need only the survey text, so they start first, up to
-    ``stage_workers`` at once, and run while this thread loads the premises
-    and computes the citation metrics. That local work holds the
-    interpreter, so it waits until the first wave of rounds is out: until
-    the gateway has sent or answered from its cache that many more
-    requests (see :meth:`Gateway.wait_requests`), or judging has ended. It
-    never waits for a round to return. If the local work raises, no
+    :func:`call_slots` (``stage_workers``) at once, and run while this
+    thread loads the premises and computes the citation metrics. That
+    local work holds the interpreter, so it waits until the first wave of
+    rounds is out: until the gateway has sent or answered from its cache
+    that many more requests (see :meth:`Gateway.wait_requests`), or
+    judging has ended. It never waits for a round to return. If the local work raises, no
     further round starts, the rounds in flight finish (their replies are
     cached), and the error propagates.
     """
@@ -718,16 +725,17 @@ def evaluate_run(
 
     gateway = backends.gateway
     rounds = config.evaluation.judge_rounds
+    width = call_slots(config.stage_workers)
     stop = threading.Event()
     with ThreadPoolExecutor(max_workers=1) as pool:
-        first_wave = gateway.requests_out() + min(config.stage_workers, rounds)
+        first_wave = gateway.requests_out() + min(width, rounds)
         judged = pool.submit(
             judge_survey,
             survey_text,
             gateway,
             rounds,
             config.evaluation.explanations,
-            config.stage_workers,
+            width,
             stop,
         )
         judged.add_done_callback(lambda _: gateway.wake())

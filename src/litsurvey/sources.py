@@ -22,6 +22,7 @@ from .gateway import (
     BackendProfile,
     Gateway,
     TransientBackendError,
+    parse_retry_after,
     with_backoff,
 )
 from .model import IdSource, PaperId, PaperRecord, unify_paper_id
@@ -44,6 +45,8 @@ class CachedSource:
     directory, so a copied cache still hits. Records are rebuilt from their
     stored form on a miss as on a hit, so both build identical objects. An
     error raised by ``inner`` is not cached: the next lookup asks again.
+    A miss holds one of the gateway's call slots while ``inner`` answers,
+    its own retries included; a hit holds none.
     """
 
     def __init__(self, inner: PaperSource, gateway: Gateway, scope: str):
@@ -55,8 +58,13 @@ class CachedSource:
         self, method: str, subject: str, limit: int, fetch: Callable[[], list[PaperRecord]]
     ) -> list[PaperRecord]:
         key = cache_key("source", self.scope, method, subject, limit)
-        stored = self.gateway.cached(key, lambda: [r.to_dict() for r in fetch()])
-        return [PaperRecord.from_dict(d) for d in stored]
+
+        def produce() -> list[dict]:
+            with self.gateway.budget.slot():
+                records = fetch()
+            return [r.to_dict() for r in records]
+
+        return [PaperRecord.from_dict(d) for d in self.gateway.cached(key, produce)]
 
     def search(self, query: str, limit: int) -> list[PaperRecord]:
         return self._lookup("search", query, limit, lambda: self.inner.search(query, limit))
@@ -217,7 +225,9 @@ class AcademicGraphSource:
                     return data
                 raise RetrievalError(f"graph API {path} reply has an unexpected shape")
             if resp.status_code in RETRYABLE_STATUSES:
-                raise TransientBackendError(f"status {resp.status_code}", resp.status_code)
+                raise TransientBackendError(
+                    f"status {resp.status_code}", resp.status_code, parse_retry_after(resp)
+                )
             raise RetrievalError(f"graph API {path} failed: status {resp.status_code}")
 
         try:

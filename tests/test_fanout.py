@@ -1,4 +1,4 @@
-"""The fan-out core: map_bounded, Pull and Feed."""
+"""The fan-out core: map_bounded, Pull, Feed and the run's CallBudget."""
 
 from __future__ import annotations
 
@@ -11,7 +11,12 @@ from collections import Counter
 import pytest
 
 import litsurvey.gateway
-from litsurvey.fanout import Feed, FeedAborted, Pull, map_bounded
+from litsurvey.fanout import CallBudget, Feed, FeedAborted, Pull, call_slots, map_bounded
+from litsurvey.gateway import CompletionRequest, Gateway, TransportResponse
+from litsurvey.sources import CachedSource, FixtureSource
+
+from conftest import make_paper
+from doubles import FixtureEmbedder
 
 
 class TestMapBounded:
@@ -397,3 +402,139 @@ class TestFeed:
             list(feed)
         with pytest.raises(FeedAborted):
             map_bounded(str, feed, workers)
+
+
+class HeldTransport:
+    """Answers a request with its prompt; a request whose prompt is
+    ``held`` waits for ``release`` (longer than a test waits for anything
+    else), and ``entered`` is set once one has been sent. Refuses the first
+    ``refusals`` sends with a 503."""
+
+    def __init__(self, held: str = "", refusals: int = 0):
+        self.held, self.refusals = held, refusals
+        self.entered, self.release = threading.Event(), threading.Event()
+        self.sends = 0
+
+    def send(self, request):
+        self.sends += 1
+        if self.sends <= self.refusals:
+            return TransportResponse(503, "")
+        if request.prompt == self.held:
+            self.entered.set()
+            assert self.release.wait(timeout=30), "held send never released"
+        return TransportResponse(200, request.prompt)
+
+
+def budget_gateway(transport, budget: CallBudget, **kwargs) -> Gateway:
+    return Gateway(transport, embedder=FixtureEmbedder(), budget=budget, **kwargs)
+
+
+def ask(gw: Gateway, prompt: str) -> str:
+    return gw.complete(CompletionRequest(prompt=prompt, tag="t"))
+
+
+def in_thread(fn, *args) -> threading.Thread:
+    thread = threading.Thread(target=fn, args=args, daemon=True)
+    thread.start()
+    return thread
+
+
+class TestCallBudget:
+    def test_the_size_of_a_run_s_budget(self):
+        assert [call_slots(w) for w in (1, 2, 4, 8)] == [1, 4, 8, 16]
+        with pytest.raises(ValueError):
+            CallBudget(0)
+
+    def test_at_most_size_slots_are_held_and_the_peak_is_recorded(self):
+        budget, lock = CallBudget(2), threading.Lock()
+        held = most = 0
+
+        def hold(i):
+            nonlocal held, most
+            with budget.slot():
+                with lock:
+                    held += 1
+                    most = max(most, held)
+                time.sleep(0.001 * (i % 3))
+                with lock:
+                    held -= 1
+
+        def both_slots():
+            with budget.slot(), budget.slot():
+                pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            map_bounded(hold, range(200), workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert most == budget.peak == 2
+        # Every slot came back: both can be held at once again.
+        taker = in_thread(both_slots)
+        taker.join(timeout=10)
+        assert not taker.is_alive()
+
+    def test_a_cache_hit_returns_while_a_blocked_send_holds_the_only_slot(self):
+        transport = HeldTransport(held="a")
+        gw = budget_gateway(transport, CallBudget(1))
+        assert ask(gw, "b") == "b"
+        leader = in_thread(ask, gw, "a")
+        try:
+            assert transport.entered.wait(timeout=10)
+            hit = in_thread(ask, gw, "b")
+            hit.join(timeout=5)
+            assert not hit.is_alive(), "a cache hit waited for a slot"
+        finally:
+            transport.release.set()
+        leader.join(timeout=10)
+        assert (gw.transport_calls, gw.cache_hits, gw.budget.peak) == (2, 1, 1)
+
+    def test_a_single_flight_follower_holds_no_slot(self):
+        # Two slots: the held leader takes one and its follower none, so a
+        # third request still finds one free.
+        transport = HeldTransport(held="a")
+        gw = budget_gateway(transport, CallBudget(2))
+        leader = in_thread(ask, gw, "a")
+        try:
+            assert transport.entered.wait(timeout=10)
+            follower = in_thread(ask, gw, "a")
+            time.sleep(0.05)  # let the follower reach the in-flight wait
+            other = in_thread(ask, gw, "c")
+            other.join(timeout=5)
+            assert not other.is_alive(), "the follower held a slot"
+        finally:
+            transport.release.set()
+        for thread in (leader, follower):
+            thread.join(timeout=10)
+        assert (gw.transport_calls, gw.budget.peak) == (2, 2)
+
+    def test_the_backoff_sleeper_runs_while_the_slot_is_free(self):
+        budget = CallBudget(1)
+        free: list[bool] = []
+
+        def take():
+            with budget.slot():
+                pass
+
+        def sleeper(seconds):
+            taker = in_thread(take)
+            taker.join(timeout=10)
+            free.append(not taker.is_alive())
+
+        gw = budget_gateway(HeldTransport(refusals=1), budget, sleeper=sleeper)
+        assert ask(gw, "a") == "a"
+        assert free == [True]
+
+    def test_a_source_miss_and_an_embedding_batch_hold_a_slot_and_a_hit_none(self):
+        gw = budget_gateway(HeldTransport(), CallBudget())
+        source = CachedSource(FixtureSource([make_paper("p1")]), gw, "fixture")
+        source.search("q", 5)
+        assert gw.budget.peak == 1
+        gw.budget = CallBudget()
+        gw.embed(["text"])
+        assert (gw.transport_calls, gw.budget.peak) == (1, 1)
+        gw.budget = CallBudget()
+        source.search("q", 5)
+        gw.embed(["text"])
+        assert (gw.cache_hits, gw.budget.peak) == (2, 0)

@@ -29,6 +29,7 @@ from litsurvey.gateway import (
     HashEmbedder,
     HttpChatTransport,
     HttpEmbedder,
+    TransientBackendError,
     TransportResponse,
     _normalize,
     cosine,
@@ -131,6 +132,32 @@ class TestRetry:
             assert delays[-1] == 300.0
             runs.append(delays)
         assert runs[0] != runs[1]
+
+    def test_a_retry_after_longer_than_the_backoff_is_slept(self, monkeypatch):
+        # A 429 asking for 3 s, then a 200: the one sleep is the backend's.
+        replies = iter([(429, {"Retry-After": "3"}), (200, {})])
+
+        def post(*args, **kwargs) -> requests.Response:
+            resp = requests.Response()
+            resp.status_code, headers = next(replies)
+            resp.headers.update(headers)
+            resp._content = b'{"choices": [{"message": {"content": "fine"}}]}'
+            return resp
+
+        monkeypatch.setattr(requests, "post", post)
+        gw, delays = recording_gateway(HttpChatTransport("http://chat", "model"), draw=lambda: 0.0)
+        assert gw.complete(req()) == "fine"
+        assert delays == [3.0]
+
+    def test_a_retry_after_is_capped_and_no_sleep_is_shorter_than_the_last(self):
+        # Backoff alone would sleep 1, 2, 4 and 8 s, within bounds (1, 300).
+        asked = [TransportResponse(429, "", retry_after=s) for s in (10.0, None, 500.0, None)]
+        transport = SimpleNamespace(
+            send=lambda request: asked.pop(0) if asked else TransportResponse(200, "fine")
+        )
+        gw, delays = recording_gateway(transport, draw=lambda: 0.0)
+        assert gw.complete(req()) == "fine"
+        assert delays == [10.0, 10.0, 300.0, 300.0]
 
     def test_prompt_over_window_is_budget_error(self):
         small = BackendProfile(context_window=4)
@@ -825,6 +852,32 @@ class TestHttpClients:
         gw = Gateway(ScriptedTransport(), embedder=HttpEmbedder("http://embed", "model"))
         with pytest.raises(BackendError, match="1 vectors for 2 texts"):
             gw.embed(["a", "b"])
+
+    @pytest.mark.parametrize(
+        "status, header, seconds",
+        [
+            (429, "3", 3.0),
+            (503, "0.5", 0.5),
+            (429, "Wed, 21 Oct 2026 07:28:00 GMT", None),
+            (429, "-1", None),
+            (400, "3", None),
+        ],
+    )
+    def test_a_retryable_status_carries_its_retry_after(self, monkeypatch, status, header, seconds):
+        def post(*args, **kwargs) -> requests.Response:
+            resp = requests.Response()
+            resp.status_code = status
+            resp.headers["Retry-After"] = header
+            resp._content = b"busy"
+            return resp
+
+        monkeypatch.setattr(requests, "post", post)
+        response = HttpChatTransport("http://chat", "model").send(req())
+        assert (response.status, response.retry_after) == (status, seconds)
+        if status != 400:
+            with pytest.raises(TransientBackendError) as err:
+                HttpEmbedder("http://embed", "model").encode(["text"])
+            assert err.value.retry_after == seconds
 
     @pytest.mark.parametrize("reason", ["length", "stop", None])
     def test_a_chat_reply_reports_why_it_stopped(self, monkeypatch, reason):

@@ -17,6 +17,7 @@ import pytest
 from litsurvey import caching as caching_mod
 from litsurvey import gateway as gateway_mod
 from litsurvey import pipeline as pipeline_mod
+from litsurvey import refinement as refinement_mod
 from litsurvey import substrate as substrate_mod
 from litsurvey.config import EvaluationRunConfig, PipelineConfig, dump_config, load_config
 from litsurvey.errors import (
@@ -29,6 +30,7 @@ from litsurvey.errors import (
     StageError,
 )
 from litsurvey.evaluation import RUBRIC_DIMENSIONS, extract_claims, strip_front_matter
+from litsurvey.fanout import call_slots
 from litsurvey.gateway import TransportResponse
 from litsurvey.model import CitationStyle, Granularity, KnowledgeSubstrate
 from litsurvey.pipeline import build_backends, evaluate_run, run_pipeline
@@ -105,6 +107,17 @@ class TestEndToEnd:
         assert set(manifest["completed_stages"]) == {
             "retrieval", "understanding", "analysis", "writing", "refinement",
         }
+
+    @pytest.mark.parametrize("workers, slots", [(1, 1), (2, 4)])
+    def test_manifest_records_the_call_slots_and_their_peak(self, tmp_path, workers, slots):
+        config = make_config(tmp_path)
+        config.stage_workers = workers
+        run_pipeline(config, backends=build_backends(config))
+        manifest = json.loads(config.manifest_path.read_text())
+        assert manifest["call_slots"] == slots
+        assert 1 <= manifest["peak_calls_in_flight"] <= slots
+        if workers == 1:
+            assert manifest["peak_calls_in_flight"] == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_cold_run_answers_nothing_from_the_cache(self, tmp_path, workers):
@@ -773,42 +786,95 @@ class TestOverlappedStep:
         assert not [c for c in backends.gateway.transport.calls if c.tag.startswith(consumer)]
         assert committed_stages(config)[-1] == stage
 
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8])
     def test_calls_in_flight_stay_within_two_stages_of_workers(self, tmp_path, workers):
-        # Two stages of workers, plus the one call of writing's serial
-        # outline fold or citation assignment, which runs beside analysis
-        # and code analysis.
+        # The run's one call budget: 1 slot at one worker, else 2 x workers,
+        # over chat sends and embedding batches alike. Writing's serial
+        # outline fold or citation assignment sends one call at a time
+        # beside analysis and code analysis.
         config = self._streamed(tmp_path, workers)
         backends = build_backends(config)
-        transport = backends.gateway.transport
-        send, lock = transport.send, threading.Lock()
+        transport, embedder = backends.gateway.transport, backends.gateway.embedder
+        send, encode, lock = transport.send, embedder.encode, threading.Lock()
         in_flight: Counter = Counter()
         peak: Counter = Counter()
 
-        def counted_send(request):
-            stage = next(s for s, tag in STAGE_TAGS.items() if request.tag.startswith(tag))
-            with lock:
-                in_flight[stage] += 1
-                in_flight["all"] += 1
-                for key in (stage, "all"):
-                    peak[key] = max(peak[key], in_flight[key])
-                if in_flight["analysis"] or in_flight["code_analysis"]:
-                    peak["writing beside analysis"] = max(
-                        peak["writing beside analysis"], in_flight["writing"]
-                    )
+        def counted(call, stage_of):
+            def run(arg):
+                stage = stage_of(arg)
+                with lock:
+                    in_flight[stage] += 1
+                    in_flight["all"] += 1
+                    for key in (stage, "all"):
+                        peak[key] = max(peak[key], in_flight[key])
+                    if in_flight["analysis"] or in_flight["code_analysis"]:
+                        peak["writing beside analysis"] = max(
+                            peak["writing beside analysis"], in_flight["writing"]
+                        )
+                try:
+                    time.sleep(0.002)
+                    return call(arg)
+                finally:
+                    with lock:
+                        in_flight[stage] -= 1
+                        in_flight["all"] -= 1
+
+            return run
+
+        transport.send = counted(
+            send, lambda request: next(s for s, t in STAGE_TAGS.items() if request.tag.startswith(t))
+        )
+        embedder.encode = counted(encode, lambda texts: "embedding")
+        result = run_pipeline(config, backends=backends)
+        assert peak["all"] <= (1 if workers == 1 else 2 * workers)
+        assert peak["writing beside analysis"] <= 1
+        assert result.manifest["peak_calls_in_flight"] >= peak["all"]
+
+    def test_refinement_fills_the_slots_the_other_stages_leave_idle(self, tmp_path, monkeypatch):
+        # Once writing has committed, refinement is the only stage left: at
+        # two workers its fan-out reaches the run's 4 slots, where a cap of
+        # stage_workers per stage held it at 2. No unit starts refining
+        # before writing commits, and each refine call waits (briefly) for
+        # a fourth to join it.
+        config = self._config(tmp_path, 2)
+        backends = build_backends(config)
+        transport, save, refine = (
+            backends.gateway.transport, pipeline_mod.substrate_save, refinement_mod.refine
+        )
+        send, cond, written = transport.send, threading.Condition(), threading.Event()
+        in_flight = peak = 0
+
+        def saved(substrate, directory, stage=None):
+            save(substrate, directory, stage)
+            if stage == "writing":
+                written.set()
+
+        def refine_once_written(unit, ctx):
+            assert written.wait(timeout=10), "writing never committed"
+            return refine(unit, ctx)
+
+        def held_send(request):
+            nonlocal in_flight, peak
+            if not request.tag.startswith("refine."):
+                return send(request)
+            with cond:
+                in_flight += 1
+                peak = max(peak, in_flight)
+                cond.notify_all()
+                cond.wait_for(lambda: peak >= 4, timeout=0.2)
             try:
-                time.sleep(0.002)
                 return send(request)
             finally:
-                with lock:
-                    in_flight[stage] -= 1
-                    in_flight["all"] -= 1
+                with cond:
+                    in_flight -= 1
 
-        transport.send = counted_send
-        run_pipeline(config, backends=backends)
-        assert peak["all"] <= 2 * workers + 1
-        assert max(peak[s] for s in STAGE_TAGS) <= workers
-        assert peak["writing beside analysis"] <= 1
+        monkeypatch.setattr(pipeline_mod, "substrate_save", saved)
+        monkeypatch.setattr(refinement_mod, "refine", refine_once_written)
+        transport.send = held_send
+        result = run_pipeline(config, backends=backends)
+        assert peak == 4
+        assert (result.manifest["call_slots"], result.manifest["peak_calls_in_flight"]) == (4, 4)
+        assert output_digest(config) == TestGoldenOutput.GOLDEN["code_analysis"]
 
     def test_every_overlap_commits_and_logs_in_run_order(self, tmp_path):
         # One logged event per stage of an overlapped pair: a keynote, a
@@ -1038,9 +1104,10 @@ class TestRetrievalHandOff:
         assert output_digest(config) == TestGoldenOutput.GOLDEN["plain"]
 
     @pytest.mark.parametrize("workers", [2, 4, 8])
-    def test_retrieval_calls_in_flight_stay_within_stage_workers(self, tmp_path, workers):
+    def test_retrieval_calls_in_flight_stay_within_the_call_budget(self, tmp_path, workers):
         # One paper per embedding batch and per rerank batch: 24 calls that
-        # two fan-outs side by side would send up to 2 x workers at a time.
+        # retrieval's fan-out, 2 x workers wide, sends through the run's
+        # 2 x workers slots.
         config = self._config(tmp_path, workers, embed_batch=1)
         config.retrieval.judge_batch_size = 1
         backends = build_backends(config)
@@ -1069,7 +1136,7 @@ class TestRetrievalHandOff:
         embedder.encode = counted(encode)
         run_pipeline(config, backends=backends, stop_after="retrieval")
         assert calls == 4 + 1 + 12 + 12  # seed judge, topic, papers, reranks
-        assert peak <= workers
+        assert peak <= 2 * workers
         assert committed_stages(config) == ["retrieval"]
 
 
@@ -1909,9 +1976,9 @@ class TestEvaluateRun:
 
 def round_scores(round_no: int) -> dict:
     """Judge scores that differ by round, so the report shows which round
-    it took its content scores from."""
+    it took its content scores from; in the rubric's range for rounds 1 to 5."""
     return {
-        dim: {sub: 5 + round_no + 0.1 * i for i, sub in enumerate(subs)}
+        dim: {sub: 4 + round_no + 0.1 * i for i, sub in enumerate(subs)}
         for dim, subs in RUBRIC_DIMENSIONS.items()
     }
 
@@ -1961,8 +2028,8 @@ class RoundJudge:
 
 
 class TestConcurrentEvaluation:
-    """The judge rounds fan out at stage_workers and run beside the
-    substrate load and the citation metrics, which start once the first
+    """The judge rounds fan out as wide as the run's call slots and run
+    beside the substrate load and the citation metrics, which start once the first
     wave of rounds is out."""
 
     ROUNDS = 3
@@ -2079,13 +2146,13 @@ class TestConcurrentEvaluation:
         assert outputs[2] == outputs[1] and outputs[4] == outputs[1]
         # The content scores are the last round's, whatever order the
         # rounds finished in.
-        assert report.content.core == pytest.approx(5 + self.ROUNDS + 0.15)
+        assert report.content.core == pytest.approx(4 + self.ROUNDS + 0.15)
         assert report.stability is not None and report.judge_rounds == self.ROUNDS
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_judge_calls_in_flight_never_exceed_stage_workers(self, generated, workers):
+    def test_judge_calls_in_flight_fill_the_call_slots(self, generated, workers):
         _, judge = self.evaluate(generated, workers)
-        assert judge.max_in_flight == min(workers, self.ROUNDS)
+        assert judge.max_in_flight == min(call_slots(workers), self.ROUNDS)
 
     def test_judge_runs_while_the_substrate_loads(self, generated, monkeypatch):
         backends, judge = self.judged_backends(generated, 1, hold=0.0)
@@ -2106,6 +2173,8 @@ class TestConcurrentEvaluation:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_failing_substrate_load_stops_the_judge(self, generated, monkeypatch, workers):
+        # One round more than the first wave, which fills the call slots.
+        rounds = generated.evaluation.judge_rounds = call_slots(workers) + 1
         papers = generated.substrate_dir / "papers.json"
         intact = papers.read_bytes()
         papers.write_bytes(intact.replace(b"}", b"} ", 1))
@@ -2116,7 +2185,7 @@ class TestConcurrentEvaluation:
         with pytest.raises(LoadError):
             evaluate_run(generated, generated.survey_path, backends=backends)
         assert set(threading.enumerate()) <= threads
-        assert judge.rounds and self.ROUNDS not in judge.rounds  # round 3 never started
+        assert judge.rounds and rounds not in judge.rounds  # the last round never started
 
         # The rounds that were in flight stored their replies: after the
         # repair, only the others reach the judge.
@@ -2124,7 +2193,7 @@ class TestConcurrentEvaluation:
         backends, rerun = self.judged_backends(generated, workers)
         report = evaluate_run(generated, generated.survey_path, backends=backends)
         assert report.weighted_total is not None
-        assert sorted(judge.rounds + rerun.rounds) == [1, 2, 3]
+        assert sorted(judge.rounds + rerun.rounds) == list(range(1, rounds + 1))
 
 
 class TestConfig:

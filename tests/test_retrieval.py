@@ -265,6 +265,8 @@ class TestParallelExpansion:
         seeds = ["s0", "ghost-b", "s1", "s2", "s3", "s4", "s5", "ghost-a"]
 
         class Reply:
+            headers: dict = {}
+
             def __init__(self, status_code, doc=None):
                 self.status_code, self.doc = status_code, doc
 

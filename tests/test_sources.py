@@ -47,8 +47,9 @@ class TestGraphRecordParsing:
 
 
 class FakeResponse:
-    def __init__(self, status_code: int):
+    def __init__(self, status_code: int, headers: dict | None = None):
         self.status_code = status_code
+        self.headers = headers or {}
 
     def json(self) -> dict:
         return {"data": [{"paperId": "abc123", "title": "Found"}]}
@@ -70,6 +71,14 @@ class TestAcademicGraphRetry:
         assert [r.title for r in records] == ["Found"]
         assert len(calls) == len(outcomes)
         assert delays == sleeps
+
+    def test_a_retry_after_longer_than_the_backoff_is_slept(self, monkeypatch):
+        replies = iter([FakeResponse(429, {"Retry-After": "3"}), FakeResponse(200)])
+        monkeypatch.setattr(requests, "get", lambda url, **kwargs: next(replies))
+        delays: list[float] = []
+        source = AcademicGraphSource("http://graph", sleeper=delays.append, draw=lambda: 0.0)
+        assert [r.title for r in source.search("q", 5)] == ["Found"]
+        assert delays == [3.0]
 
     @pytest.mark.parametrize(
         "outcomes, attempts, sleeps, reason",
