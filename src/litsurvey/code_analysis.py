@@ -19,6 +19,7 @@ from .gateway import (
     Gateway,
     batched,
     extract_json_payload,
+    free_text,
     request_validated,
 )
 from .marks import drop_marks, extract_mark_keys
@@ -304,10 +305,12 @@ def _execute_op(
         state.remember(f"read {op.path} ({len(text)} chars)")
         record["path"] = op.path
     elif op.op == "create":
-        state.pseudocode = gateway.complete_text(
+        state.pseudocode = request_validated(
+            gateway,
             "Write repository-level pseudocode capturing module structure and "
             f"core algorithms, grounded in the files you read.\nMemory:\n"
             + "\n".join(state.memory),
+            free_text,
             tag="code.create",
             temperature=cfg.creator_temperature,
         )
@@ -331,8 +334,10 @@ def _execute_op(
             runlog.add("op_rejected", op="revise", round=state.rounds, reason="no pseudocode")
             return False
         suggestions = "\n".join(state.last_review.suggestions) if state.last_review else ""
-        state.pseudocode = gateway.complete_text(
+        state.pseudocode = request_validated(
+            gateway,
             f"Revise this pseudocode.\nSuggestions:\n{suggestions}\n\nPseudocode:\n{state.pseudocode}",
+            free_text,
             tag="code.revise",
             temperature=cfg.reviser_temperature,
         )
@@ -389,11 +394,13 @@ def batch_code_report(
     for index, batch in enumerate(batches):
         body = "\n\n".join(f"### {pid}\n{code}" for pid, code in batch)
         batch_reports.append(
-            gateway.complete_text(
+            request_validated(
+                gateway,
                 f"Analyze this pseudocode batch ({index + 1}/{len(batches)}) for the "
                 f"topic '{topic}': problem modeling, core algorithm classification, "
                 "optimization strategies, and topic-specific patterns. Reference "
                 "every claim to its pseudocode with <paper id> marks.\n\n" + body,
+                free_text,
                 tag="code.batch_report",
             )
         )
@@ -407,10 +414,12 @@ def batch_code_report(
 
 def _merge_reports(reports: list[str], topic: str, gateway: Gateway, runlog: RunLog) -> str:
     def integrate(parts: list[str]) -> str:
-        return gateway.complete_text(
+        return request_validated(
+            gateway,
             f"Integrate these code-analysis reports for '{topic}' into one "
             "coherent report, keeping the <paper id> attributions intact.\n\n"
             + "\n\n---\n\n".join(parts),
+            free_text,
             tag="code.integrate",
         )
 
@@ -440,9 +449,11 @@ def environment_report(
         entries.append(f"## {repo.paper_id.canonical}\n{body}")
     if not repos:
         return "no repositories analyzed"
-    return gateway.complete_text(
+    return request_validated(
+        gateway,
         "From the configuration files below, report framework selection, "
         "dependency versions and deployment patterns across the repositories.\n\n"
         + "\n\n".join(entries),
+        free_text,
         tag="code.environment",
     )

@@ -2,11 +2,13 @@
 
 Adds what every stage relies on: jittered exponential-backoff retry on
 recoverable HTTP statuses, api-tier response caching (runtime + disk),
-unit-normalized embeddings, and :func:`request_validated`, the one
-validate-and-retry protocol for structured output. A stage hands it a
-prompt string and, optionally, a context string; each request is the retry
-preamble (attempt marker and error memory), then the prompt, then the
-context fitted to what the context window has left.
+unit-normalized embeddings, and :func:`request_validated`, the one path
+every chat request of a stage takes and its one validate-and-retry
+protocol. A stage hands it a prompt string, optionally a context string,
+and a parse: the reply's structured reading, or :func:`free_text` for a
+free-text tag. Each request is the retry preamble (attempt marker and
+error memory), then the prompt, then the context fitted to what the
+context window has left.
 
 The gateway caches and counts; fan-outs, its own embedding batches too,
 run in :mod:`litsurvey.fanout`.
@@ -364,9 +366,6 @@ class Gateway:
             ),
         )
 
-    def complete_text(self, prompt: str, tag: str, temperature: float = 0.0) -> str:
-        return self.complete(CompletionRequest(prompt=prompt, temperature=temperature, tag=tag))
-
     def cached(self, key: str, produce: Callable[[], T]) -> T:
         """Get-or-compute on the api tier: the runtime cache, then the disk
         cache, else ``produce()``, whose value is stored in both.
@@ -588,6 +587,13 @@ def extract_json_payload(text: str) -> Any:
             except json.JSONDecodeError:
                 continue
     raise ValueError("reply carries no parsable JSON payload")
+
+
+def free_text(reply: str) -> str:
+    """The parse of a free-text tag: the reply as it is, refusing a blank one."""
+    if not reply.strip():
+        raise ValueError("reply is empty")
+    return reply
 
 
 def request_validated(

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from .errors import InvalidInputError, KeynoteError, PaperSkipped
 from .fanout import Feed, Pull
-from .gateway import Gateway, extract_json_payload, request_validated
+from .gateway import Gateway, extract_json_payload, free_text, request_validated
 from .model import (
     MANDATORY_KEYNOTE_SECTIONS,
     Keynote,
@@ -126,11 +126,14 @@ def extract_keynote(
     else:
         digests = []
         for index, chunk in enumerate(chunks):
-            reply = gateway.complete_text(
+            reply = request_validated(
+                gateway,
                 f"Condense this part ({index + 1}/{len(chunks)}) of paper "
                 f"{doc.paper_id.canonical} into the facts a survey writer needs "
                 f"(contributions, methods, experiments, limitations):\n\n{chunk}",
+                free_text,
                 tag="understanding.chunk",
+                error_factory=KeynoteError,
             )
             digests.append(reply)
         runlog.add("document_chunked", paper=doc.paper_id.canonical, chunks=len(chunks))

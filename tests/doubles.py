@@ -39,6 +39,28 @@ class SequenceTransport:
         return TransportResponse(reply.status, reply.text)
 
 
+class CutFirstReply:
+    """Wraps a transport and cuts its first reply to a request tagged
+    ``tag``: that reply comes back as a backend sends one that reached the
+    request's ``max_output_tokens``, half its text with finish reason
+    "length". Every later reply passes as it is; ``cut`` holds the request
+    whose reply was cut."""
+
+    def __init__(self, inner, tag: str):
+        self.inner = inner
+        self.tag = tag
+        self.cut: list[CompletionRequest] = []
+        self._lock = threading.Lock()
+
+    def send(self, request: CompletionRequest) -> TransportResponse:
+        response = self.inner.send(request)
+        with self._lock:
+            if request.tag != self.tag or self.cut:
+                return response
+            self.cut.append(request)
+        return TransportResponse(200, response.text[: len(response.text) // 2], "length")
+
+
 class FixtureEmbedder:
     """Hand-set vectors per exact text, hash-based fallback otherwise;
     records each batch it is sent, from any number of threads."""

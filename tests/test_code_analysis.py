@@ -20,7 +20,7 @@ from litsurvey.runlog import RunLog
 from litsurvey.scripted import ScriptedTransport
 
 from conftest import scripted_gateway
-from doubles import expected_batch_calls
+from doubles import CutFirstReply, expected_batch_calls
 
 
 def repo(files=None) -> RepoSnapshot:
@@ -125,6 +125,23 @@ class TestLoopLegality:
             else:
                 gap += 1
         assert all(g <= 3 for g in gaps)
+
+    def test_a_cut_revise_reply_is_retried(self):
+        scripted = planner_transport(
+            plan({"op": "get_source_code", "path": "main.py"}),
+            plan({"op": "get_source_code", "path": "core/algo.py"}),
+            plan({"op": "get_source_code", "path": "util/io.py"}),
+            plan("create"),
+            plan("revise"),
+            plan("finish"),
+        )
+        transport = CutFirstReply(scripted, "code.revise")
+        pseudocode, trace = run_pseudocode_loop(repo(), scripted_gateway(transport))
+        assert pseudocode == "PSEUDOCODE revised"
+        first, retry = scripted.calls_matching("Revise this pseudocode")
+        assert transport.cut == [first]
+        assert "answer more briefly" in retry.prompt
+        assert [t["op"] for t in trace][-2:] == ["revise", "finish"]
 
     def test_round_exhaustion_returns_latest_pseudocode(self):
         transport = planner_transport(
@@ -312,6 +329,12 @@ class TestEnvironmentReport:
         assert "requirements.txt" in prompt
         assert "README.md" in prompt
         assert "numpy==1.26" in prompt
+
+    def test_an_empty_reply_is_retried(self):
+        transport = ScriptedTransport().add("configuration files below", "", "env report")
+        assert environment_report([repo()], scripted_gateway(transport)) == "env report"
+        assert len(transport.calls) == 2
+        assert "reply is empty" in transport.calls[1].prompt
 
     def test_repo_without_config_gets_placeholder(self):
         bare = RepoSnapshot(paper_id=PaperId("bare"), files={"main.py": "x"})

@@ -1,5 +1,6 @@
 """Every name a package module imports is used by that module, every
-parameter of a module-level function is read by that function, the
+parameter of a module-level function is read by that function, every
+function and method of the package is called from outside the tests, the
 command-line entry point loads no HTTP client until one sends, and a whole
 offline run loads no numpy."""
 
@@ -7,6 +8,7 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "litsurvey"
+BENCH = PACKAGE.parent.parent / "bench"
 TESTS = Path(__file__).resolve().parent
 
 
@@ -108,6 +111,82 @@ def test_scan_finds_an_unread_parameter():
         "    def m(self, unused): pass\n"
     )
     assert unread_parameters(source) == ["f(cfg)"]
+
+
+#: (module, function or Class.method) that only the tests call, on purpose
+TEST_ONLY_ON_PURPOSE = {
+    # Inter-rater agreement for the human-judgment study (ROADMAP item 4).
+    ("evaluation.py", "cohens_kappa"),
+    ("evaluation.py", "fleiss_kappa"),
+    ("evaluation.py", "RatingMatrix.from_labels"),
+    # The scripted backend's query for tests that count matching prompts.
+    ("scripted.py", "ScriptedTransport.calls_matching"),
+}
+
+
+def _read_names(source: str, string_words: bool) -> set[str]:
+    """Every ``Name`` and ``Attribute`` the source reads; with
+    ``string_words``, also every word of its string constants, such as the
+    names in a table of functions to wrap."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif string_words and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+def called_only_by_tests(package: dict[str, str], callers: list[str]) -> list[tuple[str, str]]:
+    """``(module, name)`` for every module-level function without a
+    decorator and every non-dunder method (as ``Class.method``) defined in
+    ``package`` (module name -> source) whose name no package module reads,
+    nor any of the ``callers`` sources, by name or in a string."""
+    read = set().union(*(_read_names(source, False) for source in package.values()))
+    read |= set().union(*(_read_names(source, True) for source in callers))
+    found = []
+    for module, source in sorted(package.items()):
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not node.decorator_list and node.name not in read:
+                    found.append((module, node.name))
+            elif isinstance(node, ast.ClassDef):
+                found += [
+                    (module, f"{node.name}.{method.name}")
+                    for method in node.body
+                    if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (method.name.startswith("__") and method.name.endswith("__"))
+                    and method.name not in read
+                ]
+    return found
+
+
+def test_no_function_is_called_only_by_tests():
+    package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    callers = [p.read_text(encoding="utf-8") for p in BENCH.glob("*.py")]
+    # Both ways: newly test-only code fails, and so does a stale exemption.
+    assert sorted(set(called_only_by_tests(package, callers)) ^ TEST_ONLY_ON_PURPOSE) == []
+
+
+def test_scan_finds_a_function_only_tests_call():
+    package = {
+        "a.py": (
+            "def used(): pass\n"
+            "def orphan(): pass\n"
+            "def traced(): pass\n"
+            "@decorated\n"
+            "def registered(): pass\n"
+            "class C:\n"
+            "    def __init__(self): pass\n"
+            "    def method(self): pass\n"
+            "    def lonely(self): pass\n"
+        ),
+        "b.py": "from a import C, used\nused()\nC().method()\n",
+    }
+    callers = ['TRACED = ("traced",)\n']
+    assert called_only_by_tests(package, callers) == [("a.py", "orphan"), ("a.py", "C.lonely")]
 
 
 def test_importing_the_cli_leaves_the_http_client_unloaded():

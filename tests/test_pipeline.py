@@ -31,7 +31,7 @@ from litsurvey.errors import (
 )
 from litsurvey.evaluation import RUBRIC_DIMENSIONS, extract_claims, strip_front_matter
 from litsurvey.fanout import call_slots
-from litsurvey.gateway import TransportResponse
+from litsurvey.gateway import CompletionRequest, TransportResponse
 from litsurvey.model import CitationStyle, Granularity, KnowledgeSubstrate
 from litsurvey.pipeline import build_backends, evaluate_run, run_pipeline
 from litsurvey.scripted import ScriptedTransport
@@ -40,6 +40,7 @@ from litsurvey.substrate import read_record, substrate_load, substrate_save
 from litsurvey.writing import check_evidence_locality
 
 from conftest import CountingSource, make_paper
+from doubles import CutFirstReply
 from e2e_fixture import (
     ALL_IDS,
     SEEDS,
@@ -430,6 +431,27 @@ class TestGoldenOutput:
         config.stage_workers = workers
         run_pipeline(config, backends=build_backends(config))
         assert output_digest(config) == self.GOLDEN[variant]
+
+
+class TestCutReplies:
+    """A reply the backend cut at its ``max_output_tokens`` is retried at
+    each free-text tag the fixture sends: the run completes with one more
+    send and leaves the clean run's outputs, at any width."""
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    @pytest.mark.parametrize(
+        "tag", ["code.create", "code.batch_report", "code.integrate", "code.environment"]
+    )
+    def test_a_cut_reply_is_retried(self, tmp_path, tag, workers):
+        config = enable_code_analysis(make_config(tmp_path), tmp_path)
+        config.stage_workers = workers
+        backends = build_backends(config)
+        scripted = backends.gateway.transport
+        backends.gateway.transport = cutting = CutFirstReply(scripted, tag)
+        run_pipeline(config, backends=backends)
+        assert [request.tag for request in cutting.cut] == [tag]
+        assert len(scripted.calls) == 46  # the clean run's 45 sends and one retry
+        assert output_digest(config) == TestGoldenOutput.GOLDEN["code_analysis"]
 
 
 def prepend_rules(config: PipelineConfig, *rules: dict) -> PipelineConfig:
@@ -1837,7 +1859,7 @@ class TestBackendCacheScopes:
         the gateway ``build_backends`` makes for ``config``."""
         gateway = build_backends(config).gateway
         gateway.transport = ScriptedTransport(default="a reply")
-        gateway.complete_text("a prompt", tag="general")
+        gateway.complete(CompletionRequest(prompt="a prompt", tag="general"))
         gateway.embed(["a text"])
         [segment] = (config.cache_dir / "api").glob("*.log")
         complete, embed = (line.split(" ")[0] for line in segment.read_text().splitlines())

@@ -21,6 +21,7 @@ from litsurvey.understanding import (
 )
 
 from conftest import make_paper, scripted_gateway
+from doubles import CutFirstReply
 
 FULL_KEYNOTE = {
     "title": "Alpha Methods",
@@ -83,6 +84,25 @@ class TestExtractKeynote:
         assert len(chunk_calls) >= 2, "oversized document needs several calls"
         assert keynote.sections["tldr"]
         assert runlog.of_kind("document_chunked")
+
+    def test_a_cut_chunk_reply_is_retried(self):
+        profile = BackendProfile(context_window=400)
+        big = "# A\n" + "alpha " * 400 + "\n# B\n" + "beta " * 400
+        scripted = (
+            ScriptedTransport()
+            .add(r"Condense this part \(1/", "CUT DIGEST of part one", "part one facts")
+            .add("Condense this part", "later facts")
+            .add("structured keynote", json.dumps(FULL_KEYNOTE))
+        )
+        transport = CutFirstReply(scripted, "understanding.chunk")
+        keynote = extract_keynote(doc(markdown=big), scripted_gateway(transport, profile=profile))
+        assert keynote.sections["tldr"]
+        first, retry = scripted.calls_matching(r"Condense this part \(1/")
+        assert transport.cut == [first]
+        assert "answer more briefly" in retry.prompt
+        [consolidation] = scripted.calls_matching("structured keynote")
+        assert "part one facts" in consolidation.prompt
+        assert "CUT DIGEST" not in consolidation.prompt
 
     def test_rerun_hits_cache_with_zero_new_calls(self):
         transport = ScriptedTransport().add("structured keynote", json.dumps(FULL_KEYNOTE))
