@@ -92,8 +92,8 @@ class PipelineConfig:
     code_analysis_enabled: bool = False
     use_skill_loop_fallback: bool = False
     # Sizes the run's call budget (fanout.call_slots: 1 at one worker, else
-    # 2 x stage_workers backend calls in flight over the whole run), which
-    # is also the width of each fan-out of independent per-unit calls
+    # 2 x stage_workers model calls in flight over the whole run), which is
+    # also the width of each fan-out of independent per-unit calls
     # (citation-graph fetches, embedding batches, rerank judge batches,
     # papers, clusters, repositories, drafts, refinement units, evaluate's
     # judge rounds). Above 1, each stage also starts as soon as what it

@@ -5,8 +5,8 @@ A :class:`Pull` runs ranked items, some made ready as it runs;
 :class:`Feed` hands one stage's results to the next stage while the first
 one is still producing them. A fan-out of width w runs on the calling
 thread and w - 1 helper threads, each taking its own next item as it frees.
-A :class:`CallBudget` bounds the backend calls in flight over every
-fan-out of a run.
+A :class:`CallBudget` bounds the model calls (chat sends and embedding
+batches) in flight over every fan-out of a run.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ def call_slots(stage_workers: int) -> int:
 
 
 class CallBudget:
-    """A run's slots for backend calls: a call holds one only while its
+    """A run's slots for model calls: a call holds one only while its
     request is in flight, so at most ``size`` calls are out at once over
-    every fan-out of the run; ``size`` None bounds nothing. A caller never
-    waits for anything else while it holds a slot, so fan-outs nested in
-    each other cannot deadlock on it. ``peak`` is the most slots ever held
-    at once."""
+    every fan-out of the run; ``size`` None bounds nothing and only counts,
+    as for the paper-source calls. A caller never waits for anything else
+    while it holds a slot, so fan-outs nested in each other cannot deadlock
+    on it. ``peak`` is the most slots ever held at once."""
 
     def __init__(self, size: Optional[int] = None):
         if size is not None and size < 1:

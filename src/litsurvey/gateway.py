@@ -302,12 +302,12 @@ class Gateway:
     and enter every completion and embedding cache key, so a cache shared
     by runs over different backends serves each only its own answers.
 
-    ``budget`` is the run's :class:`CallBudget` (unbounded if not given): a
-    chat send and an embedding batch each hold one of its slots while the
-    request is in flight, and so does a paper-source call that
-    :class:`sources.CachedSource` makes through :meth:`cached`. A cache hit,
-    a wait for another caller's identical request and a backoff sleep hold
-    none.
+    ``budget`` is the run's :class:`CallBudget` for model calls (unbounded
+    if not given): a chat send and an embedding batch each hold one of its
+    slots while the request is in flight. A cache hit, a wait for another
+    caller's identical request and a backoff sleep hold none, and so does a
+    paper-source call that :class:`sources.CachedSource` makes through
+    :meth:`cached`.
     """
 
     def __init__(

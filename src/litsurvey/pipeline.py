@@ -19,7 +19,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
@@ -65,13 +65,17 @@ class Backends:
     source: PaperSource
     fallback: Optional[PaperSource] = None
     nli: object = None
+    #: counts the paper-source calls in flight, for the manifest; it bounds
+    #: nothing, and a source call holds none of the gateway's slots
+    source_calls: CallBudget = field(default_factory=CallBudget)
 
 
 def build_backends(config: PipelineConfig) -> Backends:
     """The gateway, sources and NLI model a run's config names.
 
-    The gateway holds the run's :class:`CallBudget`, of
-    :func:`call_slots` (``stage_workers``) slots. Its cache scopes name
+    The gateway holds the run's :class:`CallBudget` for chat sends and
+    embedding batches, of :func:`call_slots` (``stage_workers``) slots; a
+    paper-source call holds none of them. The gateway's cache scopes name
     each backend by its kind, endpoint (or rules file) and model: a rerun
     in the same workdir over another backend misses the first one's
     answers. They name neither the workdir nor an API key, so a cache
@@ -222,10 +226,13 @@ def _stage_retrieval(config, substrate, backends, runlog, feeds):
     # never the workdir, so a cache copied to another run still hits.
     cfg = config.source
     endpoint = cfg.fixture_path if cfg.kind == "fixture" else cfg.base_url
-    source = CachedSource(backends.source, backends.gateway, f"{cfg.kind} {endpoint}")
+    counter = backends.source_calls
+    source = CachedSource(backends.source, backends.gateway, f"{cfg.kind} {endpoint}", counter)
     fallback = None
     if backends.fallback is not None:
-        fallback = CachedSource(backends.fallback, backends.gateway, f"preprint {cfg.preprint_url}")
+        fallback = CachedSource(
+            backends.fallback, backends.gateway, f"preprint {cfg.preprint_url}", counter
+        )
     papers = retrieval_mod.run_retrieval(
         config.topic,
         config.retrieval,
@@ -405,6 +412,7 @@ def _write_manifest(config, config_hash, backends, runlog, stage_seconds, failed
         "cache_hits": backends.gateway.cache_hits,
         "call_slots": backends.gateway.budget.size,
         "peak_calls_in_flight": backends.gateway.budget.peak,
+        "peak_source_calls_in_flight": backends.source_calls.peak,
         "attribution_events": len(runlog.attribution_events()),
     }
     _dump(config.manifest_path, manifest)
@@ -432,8 +440,9 @@ COMMITTED, FED = "committed", "fed"
 #: drafting then waits for analysis and code analysis to commit. Each
 #: section and subsection starts refining once writing has accepted it and
 #: every unit before it in drafting order. Stages side by side share the
-#: run's one CallBudget, so a stage left alone, as refinement is once
-#: writing has committed, runs as wide as the whole budget.
+#: gateway's CallBudget, so a stage left alone, as refinement is once
+#: writing has committed, runs as wide as the whole budget; a paper-source
+#: call holds no slot of it.
 _INPUTS = {
     "understanding": ("retrieval", FED),
     "analysis": ("understanding", FED),
@@ -463,11 +472,13 @@ def _run_stages(plan, config, substrate, backends, runlog) -> Optional[tuple[str
     rerank batches) and understanding; understanding and the serial design
     fold; analysis, code analysis and writing's serial outline fold or
     citation assignment; drafting and refinement. Each fan-out is
-    :func:`call_slots` wide, and every backend call holds a slot of the
-    gateway's one :class:`CallBudget` of that size: a stage alone may fill
-    it, and stages side by side share it, so at most 2 × ``stage_workers``
-    calls are in flight in all. No stage changes a substrate field before
-    the stages it reads from have committed.
+    :func:`call_slots` wide, and every chat send and embedding batch holds
+    a slot of the gateway's :class:`CallBudget` of that size: a stage alone
+    may fill it, and stages side by side share it, so at most
+    2 × ``stage_workers`` model calls are in flight in all. Paper-source
+    calls hold no slot; at most :func:`call_slots` of them are in flight,
+    since only retrieval's fan-outs make them. No stage changes a substrate
+    field before the stages it reads from have committed.
 
     Each stage logs apart; its events join ``runlog`` once it has ended,
     in stage order. ``stage_seconds`` is each stage's own duration. Once a

@@ -17,6 +17,7 @@ from typing import Callable, Optional, Protocol, Sequence
 
 from .caching import cache_key
 from .errors import ExhaustionError, RetrievalError, SourceUnavailableError
+from .fanout import CallBudget
 from .gateway import (
     RETRYABLE_STATUSES,
     BackendProfile,
@@ -45,14 +46,23 @@ class CachedSource:
     directory, so a copied cache still hits. Records are rebuilt from their
     stored form on a miss as on a hit, so both build identical objects. An
     error raised by ``inner`` is not cached: the next lookup asks again.
-    A miss holds one of the gateway's call slots while ``inner`` answers,
-    its own retries included; a hit holds none.
+    A miss holds none of the gateway's call slots, so a slow source keeps
+    no model call waiting; ``in_flight`` (if given) counts the misses
+    that ``inner`` is answering, its own retries included, and bounds
+    nothing.
     """
 
-    def __init__(self, inner: PaperSource, gateway: Gateway, scope: str):
+    def __init__(
+        self,
+        inner: PaperSource,
+        gateway: Gateway,
+        scope: str,
+        in_flight: Optional[CallBudget] = None,
+    ):
         self.inner = inner
         self.gateway = gateway
         self.scope = scope
+        self.in_flight = in_flight or CallBudget()
 
     def _lookup(
         self, method: str, subject: str, limit: int, fetch: Callable[[], list[PaperRecord]]
@@ -60,7 +70,7 @@ class CachedSource:
         key = cache_key("source", self.scope, method, subject, limit)
 
         def produce() -> list[dict]:
-            with self.gateway.budget.slot():
+            with self.in_flight.slot():
                 records = fetch()
             return [r.to_dict() for r in records]
 

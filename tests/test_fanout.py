@@ -526,15 +526,16 @@ class TestCallBudget:
         assert ask(gw, "a") == "a"
         assert free == [True]
 
-    def test_a_source_miss_and_an_embedding_batch_hold_a_slot_and_a_hit_none(self):
-        gw = budget_gateway(HeldTransport(), CallBudget())
-        source = CachedSource(FixtureSource([make_paper("p1")]), gw, "fixture")
+    def test_an_embedding_batch_holds_a_slot_and_a_source_miss_or_a_hit_none(self):
+        # A source miss holds none of the gateway's slots, which the chat
+        # sends and embedding batches share; the source's counter sees it.
+        gw, in_flight = budget_gateway(HeldTransport(), CallBudget()), CallBudget()
+        source = CachedSource(FixtureSource([make_paper("p1")]), gw, "fixture", in_flight)
         source.search("q", 5)
-        assert gw.budget.peak == 1
-        gw.budget = CallBudget()
+        assert (in_flight.peak, gw.budget.peak) == (1, 0)
         gw.embed(["text"])
         assert (gw.transport_calls, gw.budget.peak) == (1, 1)
-        gw.budget = CallBudget()
+        gw.budget, source.in_flight = CallBudget(), CallBudget()
         source.search("q", 5)
         gw.embed(["text"])
-        assert (gw.cache_hits, gw.budget.peak) == (2, 0)
+        assert (gw.cache_hits, source.in_flight.peak, gw.budget.peak) == (2, 0, 0)

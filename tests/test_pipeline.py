@@ -117,8 +117,9 @@ class TestEndToEnd:
         manifest = json.loads(config.manifest_path.read_text())
         assert manifest["call_slots"] == slots
         assert 1 <= manifest["peak_calls_in_flight"] <= slots
+        assert 1 <= manifest["peak_source_calls_in_flight"] <= slots
         if workers == 1:
-            assert manifest["peak_calls_in_flight"] == 1
+            assert manifest["peak_calls_in_flight"] == manifest["peak_source_calls_in_flight"] == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_cold_run_answers_nothing_from_the_cache(self, tmp_path, workers):
@@ -1160,6 +1161,62 @@ class TestRetrievalHandOff:
         assert calls == 4 + 1 + 12 + 12  # seed judge, topic, papers, reranks
         assert peak <= 2 * workers
         assert committed_stages(config) == ["retrieval"]
+
+
+def full_texts(config: PipelineConfig) -> PipelineConfig:
+    """Give every paper without one a short full text, so that each
+    keynote is a backend call."""
+    for canonical in ALL_IDS:
+        paper_dir = Path(config.parsed_docs_dir) / canonical
+        if not paper_dir.exists():
+            paper_dir.mkdir(parents=True)
+            (paper_dir / "paper.md").write_text(
+                f"# Method\nThe full text of {canonical}.\n", encoding="utf-8"
+            )
+    return config
+
+
+class TestSourceCalls:
+    """A paper-source call the api cache misses holds none of the
+    gateway's call slots."""
+
+    def test_a_held_source_fetch_leaves_the_chat_calls_every_slot(self, tmp_path):
+        # The seeds fill the first embedding batch, so their rerank batches
+        # and keynotes need no neighbor of the last seed. While its
+        # references are fetched, the chat calls still reach the gateway's
+        # four slots: each waits (briefly) for a fourth to join it.
+        config = full_texts(TestRetrievalHandOff._config(tmp_path, 2, embed_batch=4))
+        backends = build_backends(config)
+        transport, source = backends.gateway.transport, backends.source
+        send, references, cond = transport.send, source.references, threading.Condition()
+        in_flight = peak = 0
+
+        def held_send(request):
+            nonlocal in_flight, peak
+            with cond:
+                in_flight += 1
+                peak = max(peak, in_flight)
+                cond.notify_all()
+                cond.wait_for(lambda: peak >= 4, timeout=0.2)
+            try:
+                return send(request)
+            finally:
+                with cond:
+                    in_flight -= 1
+
+        def held_references(paper_id, limit):
+            if paper_id.canonical == SEEDS[-1]:
+                with cond:
+                    assert cond.wait_for(lambda: peak >= 4, timeout=10), (
+                        "the chat calls never filled the gateway's slots"
+                    )
+            return references(paper_id, limit)
+
+        transport.send, source.references = held_send, held_references
+        result = run_pipeline(config, backends=backends)
+        assert peak == 4
+        assert result.manifest["peak_calls_in_flight"] == 4
+        assert 1 <= result.manifest["peak_source_calls_in_flight"] <= 4
 
 
 def _crash_sweep_variants():
