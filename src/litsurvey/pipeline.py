@@ -19,6 +19,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -33,7 +34,7 @@ from . import writing as writing_mod
 from .config import PipelineConfig
 from .errors import ConfigError, StageError, SurveyError
 from .evaluation import EvaluationReport, evaluate_survey, judge_survey
-from .fanout import CallBudget, Feed, call_slots, map_bounded
+from .fanout import CallBudget, Feed, FeedAborted, call_slots, map_bounded
 from .gateway import BackendProfile, Gateway, HashEmbedder, HttpChatTransport, HttpEmbedder
 from .model import ClusterAnalysis, KnowledgeSubstrate, PaperRecord
 from .runlog import RunLog
@@ -419,30 +420,28 @@ def _write_manifest(config, config_hash, backends, runlog, stage_seconds, failed
     return manifest
 
 
-#: How a stage waits for an input, above one worker: once it has
-#: COMMITTED, or beside it, FED from its Feed as it runs (the stage's clock
-#: starts at the first item).
+#: How a stage waits for its input: until it has COMMITTED, or beside it,
+#: FED from its Feed (the stage's clock then starts at the first item).
 COMMITTED, FED = "committed", "fed"
 
-#: stage -> the input it waits for before it starts, above one worker, and
-#: how; retrieval starts at once. Retrieval judges each rerank batch as
-#: soon as its papers are filtered, while the neighbors of later papers
-#: are still being fetched; understanding keynotes the papers each batch
-#: keeps as soon as it is judged, the lowest paper id over every batch
-#: judged by then first, and hands each keynote on once retrieval has
-#: committed and the keynote's place in paper-id order is known. The
-#: cluster-design fold takes the keynotes as understanding hands them on,
-#: so it starts when retrieval commits; the lowest ids going first keeps it
-#: from waiting for a keynote after that. Code analysis reads only the
-#: papers, but starts once understanding has committed, beside analysis.
-#: Writing's outline fold and citation assignment start from the clusters
-#: and their Q&A, which analysis hands over before its graphs and tables;
-#: drafting then waits for analysis and code analysis to commit. Each
-#: section and subsection starts refining once writing has accepted it and
-#: every unit before it in drafting order. Stages side by side share the
-#: gateway's CallBudget, so a stage left alone, as refinement is once
-#: writing has committed, runs as wide as the whole budget; a paper-source
-#: call holds no slot of it.
+#: stage -> its input and how it waits for it (at one worker the input has
+#: committed by then); a stage with no entry, or whose input is not in the
+#: run, starts at once. Retrieval judges each rerank batch as soon as its
+#: papers are filtered, while the neighbors of later papers are still
+#: being fetched; understanding keynotes the papers each batch keeps as
+#: soon as it is judged, the lowest paper id over every batch judged by
+#: then first, and hands each keynote on once retrieval has committed and
+#: the keynote's place in paper-id order is known. The cluster-design fold
+#: takes the keynotes as understanding hands them on, so it starts when
+#: retrieval commits; the lowest ids going first keeps it from waiting for
+#: a keynote after that. Code analysis reads only the papers, but starts
+#: once understanding has committed, beside analysis. Writing's outline
+#: fold and citation assignment start from the clusters and their Q&A,
+#: which analysis hands over before its graphs and tables; drafting then
+#: waits for analysis and code analysis to commit. Each section and
+#: subsection starts refining once writing has accepted it and every unit
+#: before it in drafting order. A stage left alone, as refinement is once
+#: writing has committed, may fill the whole CallBudget.
 _INPUTS = {
     "understanding": ("retrieval", FED),
     "analysis": ("understanding", FED),
@@ -459,83 +458,84 @@ def _run_stages(plan, config, substrate, backends, runlog) -> Optional[tuple[str
     soon as it and every earlier stage have finished; returns the first
     failed stage and its error, or None.
 
-    Every stage of the plan has a Feed, closed once the stage commits: the
-    stage puts there what a later one reads while it runs, and a later
-    stage reads it or waits for it to close; a stage not in the plan is
-    read from the substrate. At one worker each stage runs on the calling
-    thread once the one before it has committed, so it finds every feed it
-    reads closed and runs as it would alone. Above one worker each later
-    stage starts on a thread of its own as soon as its ``_INPUTS`` entry
-    allows, checked as each stage's turn to commit comes, and a stage fed
-    by another waits for its feed's first item before its clock starts.
-    These overlap: retrieval's one fan-out (graph fetches, embedding and
-    rerank batches) and understanding; understanding and the serial design
-    fold; analysis, code analysis and writing's serial outline fold or
-    citation assignment; drafting and refinement. Each fan-out is
-    :func:`call_slots` wide, and every chat send and embedding batch holds
-    a slot of the gateway's :class:`CallBudget` of that size: a stage alone
-    may fill it, and stages side by side share it, so at most
-    2 × ``stage_workers`` model calls are in flight in all. Paper-source
-    calls hold no slot; at most :func:`call_slots` of them are in flight,
-    since only retrieval's fan-outs make them. No stage changes a substrate
-    field before the stages it reads from have committed.
+    The stages are one :func:`map_bounded` over the plan: 1 wide at one
+    worker, where each runs on the calling thread once the one before it
+    has committed, and as wide as the plan above one worker, where each
+    holds its worker until the last stage's feed has ended. Each stage of
+    the plan puts on its Feed what a later one reads while it runs; a
+    stage not in the plan is read from the substrate. A stage waits for
+    its ``_INPUTS`` entry, runs, and waits for the feed of the stage before
+    it to close; then it joins its events to ``runlog``, records its own
+    duration in ``stage_seconds``, saves, and closes its feed: that is its
+    commit. Stages side by side share the gateway's :class:`CallBudget`,
+    so at most 2 × ``stage_workers`` model calls are in flight in all. No
+    stage changes a substrate field before those it reads have committed.
 
-    Each stage logs apart; its events join ``runlog`` once it has ended,
-    in stage order. ``stage_seconds`` is each stage's own duration. Once a
-    stage has failed, no further stage starts beside the one being
-    committed. A stage already running stops at its next read of a feed
-    (code analysis reads none and runs to its end), and neither commits
-    nor logs; the replies of its calls are cached.
+    A stage that fails (a SurveyError) aborts its feed and joins its events
+    in turn. A stage that reads that feed stops at its next read (code
+    analysis reads none and runs to its end), aborts its own feed, and
+    neither commits nor logs; the replies of its calls are cached. Once a
+    stage has failed, a stage not yet started waits for the one before it
+    to commit. Any other exception, an interrupt or a failed save, aborts
+    every feed and is raised.
     """
-    overlap = config.stage_workers > 1
     feeds = {stage: Feed() for stage in plan}
-    logs = {stage: RunLog() for stage in plan}
     failed = threading.Event()
 
-    def ready(stage: str, started: set, committed: list) -> bool:
-        source, how = _INPUTS.get(stage, (None, None))
-        return source not in feeds or source in (started if how == FED else committed)
+    def abort_every_feed():
+        for feed in feeds.values():
+            feed.abort()
 
-    def run_stage(stage: str):
+    def run_stage(at: int, stage: str) -> Optional[Exception]:
         source, how = _INPUTS.get(stage, (None, None))
-        if how == FED and source in feeds:
-            feeds[source].arrivals()
-        started = time.monotonic()
-        args = (feeds,) if stage in _TAKES_FEEDS else ()
+        before = feeds[plan[at - 1]] if at else None
+        log, error = RunLog(), None
         try:
-            _STAGE_FUNCTIONS[stage](config, substrate, backends, logs[stage], *args)
-        except SurveyError as exc:
-            failed.set()
-            return exc, 0.0
-        return None, round(time.monotonic() - started, 3)
-
-    # The stage being committed runs on the calling thread unless it was
-    # started earlier, so a run at one worker uses no other thread and an
-    # interrupt stops it at once.
-    with ThreadPoolExecutor(max_workers=len(_STAGE_FUNCTIONS)) as pool:
-        running = {}
-        try:
-            for at, stage in enumerate(plan):
-                if overlap and not failed.is_set():
-                    started = {*plan[: at + 1], *running}
-                    for later in plan[at + 1:]:
-                        if later not in started and ready(later, started, plan[:at]):
-                            running[later] = pool.submit(run_stage, later)
-                            started.add(later)
-                ahead = running.pop(stage, None)
-                try:
-                    error, seconds = ahead.result() if ahead else run_stage(stage)
-                finally:
-                    runlog.events.extend(logs[stage].events)
-                if error is not None:
-                    return stage, error
+            if source in feeds:
+                feeds[source].arrivals() if how == FED else feeds[source].wait_closed()
+            if before and failed.is_set():
+                before.wait_closed()
+            started = time.monotonic()
+            args = (feeds,) if stage in _TAKES_FEEDS else ()
+            try:
+                _STAGE_FUNCTIONS[stage](config, substrate, backends, log, *args)
+            except SurveyError as exc:
+                failed.set()
+                feeds[stage].abort()
+                error = exc
+            seconds = round(time.monotonic() - started, 3)
+            if before:
+                before.wait_closed()
+            runlog.events.extend(log.events)
+            if error is None:
                 substrate.stage_seconds[stage] = seconds
                 substrate_save(substrate, config.substrate_dir, stage)
                 feeds[stage].close()
-        finally:
-            for feed in feeds.values():
-                feed.abort()
-    return None
+        except FeedAborted as exc:
+            feeds[stage].abort()
+            error = exc
+        return error
+
+    def hold_stage(pair: tuple[int, str]) -> Optional[Exception]:
+        try:
+            error = run_stage(*pair)
+            if width > 1:
+                # No worker takes a second stage, so the calling thread
+                # runs one to the end, and an interrupt to it aborts every feed.
+                with suppress(FeedAborted):
+                    feeds[plan[-1]].wait_closed()
+            return error
+        except BaseException:
+            abort_every_feed()
+            raise
+
+    width = len(plan) if config.stage_workers > 1 else 1
+    try:
+        errors = map_bounded(hold_stage, list(enumerate(plan)), width)
+    except BaseException:
+        abort_every_feed()  # interrupted before the calling thread took a stage
+        raise
+    return next(((stage, error) for stage, error in zip(plan, errors) if error is not None), None)
 
 
 def _write_survey(config: PipelineConfig, assembled: writing_mod.AssembledSurvey) -> None:
@@ -764,8 +764,7 @@ def evaluate_run(
         finally:
             stop.set()
     base = survey_path.with_suffix("")
-    Path(f"{base}.report.json").write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
-    Path(f"{base}.report.tsv").write_text(report.to_table(), encoding="utf-8")
+    # Both go through survey.report.tmp, one after the other.
+    _write(Path(f"{base}.report.json"), json.dumps(report.to_dict(), indent=2) + "\n")
+    _write(Path(f"{base}.report.tsv"), report.to_table())
     return report

@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 import shutil
+import signal
 import sys
 import threading
 import time
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from litsurvey import caching as caching_mod
+from litsurvey import fanout as fanout_mod
 from litsurvey import gateway as gateway_mod
 from litsurvey import pipeline as pipeline_mod
 from litsurvey import refinement as refinement_mod
@@ -576,6 +578,20 @@ def gate(transport, held: str, opens: str, by_prompt: bool = False) -> threading
     return seen
 
 
+def watch_aborts(monkeypatch) -> threading.Event:
+    """Give the pipeline feeds that set the returned event once one of
+    them is aborted."""
+    aborted = threading.Event()
+
+    class WatchedFeed(pipeline_mod.Feed):
+        def abort(self):
+            super().abort()
+            aborted.set()
+
+    monkeypatch.setattr(pipeline_mod, "Feed", WatchedFeed)
+    return aborted
+
+
 class TestOverlappedStep:
     """Above one worker, code analysis runs beside analysis, the design
     fold takes keynotes while understanding makes them, and each unit
@@ -648,6 +664,110 @@ class TestOverlappedStep:
         tags = [c.tag for c in backends.gateway.transport.calls]
         assert "code.environment" in tags
         assert not [t for t in tags if t.startswith("analysis.")]
+        assert output_digest(config) == TestGoldenOutput.GOLDEN["code_analysis"]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_no_stage_starts_after_a_code_failure(self, tmp_path, monkeypatch, workers):
+        # Above one worker, analysis hands writing its input only once code
+        # analysis has failed and aborted its feed, so writing's input
+        # comes after the failure: writing never starts.
+        refuse = {"pattern": "configuration files below", "replies": [{"text": "no", "status": 400}]}
+        config = self._config(tmp_path, workers, refuse)
+        backends = build_backends(config)
+        if workers > 1:
+            aborted, send = watch_aborts(monkeypatch), backends.gateway.transport.send
+
+            def held_send(request):
+                if request.tag == "analysis.qa":
+                    assert aborted.wait(timeout=10), "code analysis never failed"
+                return send(request)
+
+            backends.gateway.transport.send = held_send
+        with pytest.raises(StageError) as err:
+            run_pipeline(config, backends=backends)
+        assert err.value.stage == "code_analysis"
+        tags = [c.tag for c in backends.gateway.transport.calls]
+        assert not [t for t in tags if t.startswith(("writing.", "refine."))]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_an_interrupt_inside_a_stage_stops_the_run_and_resumes(
+        self, tmp_path, monkeypatch, workers
+    ):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        config = self._config(tmp_path, workers)
+        threads = set(threading.enumerate())
+        with monkeypatch.context() as patch:
+            patch.setitem(pipeline_mod._STAGE_FUNCTIONS, "code_analysis", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                run_pipeline(config, backends=build_backends(config))
+        assert set(threading.enumerate()) <= threads
+        assert committed_stages(config) == ["retrieval", "understanding", "analysis"]
+        run_pipeline(config, backends=build_backends(config), resume=True)
+        assert output_digest(config) == TestGoldenOutput.GOLDEN["code_analysis"]
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+    def test_a_signal_to_a_late_calling_thread_aborts_every_stage(self, tmp_path, monkeypatch):
+        # The calling thread comes to take a stage only once retrieval has
+        # committed, so a worker that gave up its stage would leave it none,
+        # and the signal would reach no stage. Writing sends the signal once
+        # the calling thread waits in a stage.
+        config = self._config(tmp_path, 4)
+        committed, arrived, aborted = threading.Event(), threading.Event(), watch_aborts(monkeypatch)
+        save, work = pipeline_mod.substrate_save, fanout_mod.Pull._work
+        writing, threads, seen = pipeline_mod._stage_writing, set(threading.enumerate()), []
+
+        def saved(substrate, directory, stage):
+            save(substrate, directory, stage)
+            committed.set()
+
+        def late_work(pull, fn):
+            if threading.current_thread() is threading.main_thread() and not arrived.is_set():
+                assert committed.wait(timeout=10), "retrieval never committed"
+                time.sleep(0.05)
+                arrived.set()
+            return work(pull, fn)
+
+        def interrupting_writing(*args):
+            assert arrived.wait(timeout=10), "the calling thread never came"
+            time.sleep(0.05)
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            seen.append(aborted.wait(timeout=5))
+            return writing(*args)
+
+        monkeypatch.setattr(pipeline_mod, "substrate_save", saved)
+        monkeypatch.setattr(fanout_mod.Pull, "_work", late_work)
+        monkeypatch.setitem(pipeline_mod._STAGE_FUNCTIONS, "writing", interrupting_writing)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(config, backends=build_backends(config))
+        assert seen == [True], "the signal aborted no feed"
+        assert set(threading.enumerate()) <= threads
+        monkeypatch.undo()
+        run_pipeline(config, backends=build_backends(config), resume=True)
+        assert output_digest(config) == TestGoldenOutput.GOLDEN["code_analysis"]
+
+    def test_an_interrupt_before_the_calling_thread_takes_a_stage_ends_every_stage(
+        self, tmp_path, monkeypatch
+    ):
+        # The stage the calling thread would have taken never starts, so the
+        # stages already started would wait for its feed for good.
+        config = self._config(tmp_path, 4)
+        work, threads = fanout_mod.Pull._work, set(threading.enumerate())
+
+        def interrupted_work(pull, fn):
+            if threading.current_thread() is threading.main_thread():
+                raise KeyboardInterrupt
+            return work(pull, fn)
+
+        monkeypatch.setattr(fanout_mod.Pull, "_work", interrupted_work)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(config, backends=build_backends(config))
+        for thread in set(threading.enumerate()) - threads:
+            thread.join(timeout=10)
+        assert set(threading.enumerate()) <= threads
+        monkeypatch.undo()
+        run_pipeline(config, backends=build_backends(config), resume=True)
         assert output_digest(config) == TestGoldenOutput.GOLDEN["code_analysis"]
 
     def test_analysis_failure_commits_neither_and_raises_the_serial_error(
@@ -1969,6 +2089,25 @@ class TestEvaluateRun:
         base = str(result.survey_path).removesuffix(".md")
         assert Path(f"{base}.report.json").exists()
         assert Path(f"{base}.report.tsv").exists()
+
+    def test_a_failed_report_write_keeps_the_previous_report(self, tmp_path, monkeypatch):
+        config, backends, result = fresh_run(tmp_path)
+        config.evaluation.judge_rounds = 1
+        evaluate_run(config, result.survey_path, backends=backends)
+        report = Path(str(result.survey_path).removesuffix(".md") + ".report.json")
+        before = report.read_bytes()
+        real_replace = Path.replace
+
+        def replace(path, target):
+            if Path(target) == report:
+                raise OSError("disk full")
+            return real_replace(path, target)
+
+        config.evaluation.judge_rounds = 2  # a report of other bytes
+        monkeypatch.setattr(Path, "replace", replace)
+        with pytest.raises(PersistenceError):
+            evaluate_run(config, result.survey_path, backends=backends)
+        assert report.read_bytes() == before
 
     def test_front_matter_stays_out_of_the_judge_prompt(self, tmp_path):
         config, _, result = fresh_run(tmp_path)
