@@ -57,8 +57,8 @@ class AssignmentVerdict:
     hallucinated: set[str] = field(default_factory=set)
 
 
-def _keynote_digest(keynote: Keynote, limit: int = 500) -> str:
-    return keynote.tldr[:limit]
+def _keynote_digest(keynote: Keynote) -> str:
+    return keynote.tldr[:500]
 
 
 def _parse_proposal(reply: str) -> ClusterProposal:

@@ -474,11 +474,11 @@ class Gateway:
 
     # -- embeddings ------------------------------------------------------
 
-    def embed(self, texts: Sequence[str], workers: int = 1) -> list[list[float]]:
+    def embed(self, texts: Sequence[str]) -> list[list[float]]:
         """One unit-normalized vector per input text.
 
         The texts missing from the cache go to the backend in batches of
-        ``embed_batch_size``, up to ``workers`` batches at once.
+        ``embed_batch_size``, one after another.
         """
         if not texts:
             raise InvalidInputError("embed() requires at least one text")
@@ -491,9 +491,7 @@ class Gateway:
             else:
                 missing.append((i, text))
         batches = list(batched(missing, self.embed_batch_size))
-        encoded = map_bounded(
-            lambda batch: self.embed_batch([t for _, t in batch]), batches, workers
-        )
+        encoded = map_bounded(lambda batch: self.embed_batch([t for _, t in batch]), batches)
         for batch, units in zip(batches, encoded):
             for (i, _), unit in zip(batch, units):
                 results[i] = unit

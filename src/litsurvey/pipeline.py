@@ -36,7 +36,7 @@ from .errors import ConfigError, StageError, SurveyError
 from .evaluation import EvaluationReport, evaluate_survey, judge_survey
 from .fanout import CallBudget, Feed, FeedAborted, call_slots, map_bounded
 from .gateway import BackendProfile, Gateway, HashEmbedder, HttpChatTransport, HttpEmbedder
-from .model import ClusterAnalysis, KnowledgeSubstrate, PaperRecord
+from .model import STAGES, ClusterAnalysis, KnowledgeSubstrate, PaperRecord
 from .runlog import RunLog
 from .scripted import ConstantNli, HashNli, ScriptedTransport
 from .sources import (
@@ -239,23 +239,18 @@ def _stage_retrieval(config, substrate, backends, runlog, feeds):
         config.retrieval,
         source,
         backends.gateway,
+        feeds["retrieval"],
         fallback=fallback,
         runlog=runlog,
         workers=call_slots(config.stage_workers),
-        feed=feeds["retrieval"],
     )
     substrate.papers = {p.id.canonical: p for p in papers}
 
 
 def _stage_understanding(config, substrate, backends, runlog, feeds):
-    # Above one worker the papers come from retrieval's feed as its rerank
-    # batches are judged; at one worker retrieval has committed them.
-    papers = substrate.papers
-    if config.stage_workers > 1 and "retrieval" in feeds:
-        papers = feeds["retrieval"]
     substrate.keynotes = understanding_mod.run_understanding(
-        papers, _doc_finder(config), backends.gateway, runlog,
-        call_slots(config.stage_workers), feeds["understanding"],
+        feeds["retrieval"], _doc_finder(config), backends.gateway, feeds["understanding"],
+        runlog, call_slots(config.stage_workers),
     )
 
 
@@ -263,11 +258,8 @@ def _stage_analysis(config, substrate, backends, runlog, feeds):
     # From understanding's feed, the keynotes come as understanding makes
     # them, with None for a skipped paper; the rest of analysis reads them
     # once the feed is closed, when understanding has committed.
-    keynotes = feeds.get("understanding")
-    if keynotes is None:
-        keynotes = [substrate.keynotes[k] for k in sorted(substrate.keynotes)]
     proposal = analysis_mod.design_clusters(
-        (k for k in keynotes if k is not None), backends.gateway, config.analysis
+        filter(None, feeds["understanding"]), backends.gateway, config.analysis
     )
     clusters = analysis_mod.assign_papers(proposal, substrate.keynotes, backends.gateway, runlog)
     clusters = analysis_mod.verify_and_repair(
@@ -309,7 +301,7 @@ def _stage_analysis(config, substrate, backends, runlog, feeds):
             )
 
 
-def _stage_code_analysis(config, substrate, backends, runlog):
+def _stage_code_analysis(config, substrate, backends, runlog, feeds):
     repos = []
     if config.repos_dir:
         repos = [
@@ -334,18 +326,17 @@ def _stage_code_analysis(config, substrate, backends, runlog):
             pseudocodes, config.topic, backends.gateway, config.code_analysis, runlog
         )
         substrate.environment_overview = code_mod.environment_report(repos, backends.gateway)
+    feeds["code_analysis"].put(0, (substrate.code_overview, substrate.environment_overview))
 
 
 def _stage_writing(config, substrate, backends, runlog, feeds):
     # The outline fold and the citation assignment read only the clusters
     # and their Q&A, which analysis hands over before its graphs and
-    # tables. Drafting reads code analysis' overviews, so it waits for
-    # analysis and code analysis to commit, and only then sets a substrate
-    # field.
-    handoff = feeds.get("analysis")
-    clusters, analyses = (
-        next(iter(handoff)) if handoff else (substrate.clusters, substrate.analyses)
-    )
+    # tables. Drafting reads code analysis' overviews from its feed, so it
+    # waits for analysis and code analysis to commit, and only then sets a
+    # substrate field.
+    handoff, overviews = feeds["analysis"], feeds["code_analysis"]
+    clusters, analyses = next(iter(handoff))
     ctx = writing_mod.WritingContext(
         papers=substrate.papers,
         keynotes=substrate.keynotes,
@@ -357,14 +348,12 @@ def _stage_writing(config, substrate, backends, runlog, feeds):
     )
     outline = writing_mod.draft_outline(ctx, config.topic)
     writing_mod.apply_assignment(outline, writing_mod.assign_citations(ctx, outline))
-    for stage in ("analysis", "code_analysis"):
-        if stage in feeds:
-            feeds[stage].wait_closed()
-    if config.code_analysis_enabled:
-        ctx.extra_context = f"{substrate.code_overview}\n{substrate.environment_overview}".strip()
+    handoff.wait_closed()
+    for code_overview, environment_overview in overviews:
+        ctx.extra_context = f"{code_overview}\n{environment_overview}".strip()
     substrate.outline = outline
     substrate.drafts = writing_mod.draft_all_units(
-        ctx, outline, call_slots(config.stage_workers), feeds["writing"]
+        ctx, outline, feeds["writing"], call_slots(config.stage_workers)
     )
 
 
@@ -377,16 +366,16 @@ def _stage_refinement(config, substrate, backends, runlog, feeds):
         runlog=runlog,
     )
     substrate.drafts = refinement_mod.refine_all(
-        feeds.get("writing", substrate.drafts),
+        feeds["writing"],
         ctx,
         use_fallback_loop=config.use_skill_loop_fallback,
         workers=call_slots(config.stage_workers),
     )
 
 
-#: stage -> its function (config, substrate, backends, runlog[, feeds]): a
-#: stage that puts on or reads from a Feed also takes the Feed of every
-#: stage of the run (see _run_stages).
+#: stage -> its function (config, substrate, backends, runlog, feeds),
+#: which reads its input only from the Feed of each stage (see _run_stages)
+#: and puts its own output on its own.
 _STAGE_FUNCTIONS = {
     "retrieval": _stage_retrieval,
     "understanding": _stage_understanding,
@@ -425,23 +414,25 @@ def _write_manifest(config, config_hash, backends, runlog, stage_seconds, failed
 COMMITTED, FED = "committed", "fed"
 
 #: stage -> its input and how it waits for it (at one worker the input has
-#: committed by then); a stage with no entry, or whose input is not in the
-#: run, starts at once. Retrieval judges each rerank batch as soon as its
-#: papers are filtered, while the neighbors of later papers are still
-#: being fetched; understanding keynotes the papers each batch keeps as
-#: soon as it is judged, the lowest paper id over every batch judged by
-#: then first, and hands each keynote on once retrieval has committed and
-#: the keynote's place in paper-id order is known. The cluster-design fold
-#: takes the keynotes as understanding hands them on, so it starts when
-#: retrieval commits; the lowest ids going first keeps it from waiting for
-#: a keynote after that. Code analysis reads only the papers, but starts
-#: once understanding has committed, beside analysis. Writing's outline
-#: fold and citation assignment start from the clusters and their Q&A,
-#: which analysis hands over before its graphs and tables; drafting then
-#: waits for analysis and code analysis to commit. Each section and
-#: subsection starts refining once writing has accepted it and every unit
-#: before it in drafting order. A stage left alone, as refinement is once
-#: writing has committed, may fill the whole CallBudget.
+#: committed by then); a stage with no entry starts at once, and so does
+#: one whose input is not in the run, as it reads a closed feed. Retrieval
+#: judges each rerank batch as soon as its papers are filtered, while the
+#: neighbors of later papers are still being fetched; understanding
+#: keynotes the papers each batch keeps as soon as it is judged, the lowest
+#: paper id over every batch judged by then first, and hands each keynote
+#: on once retrieval has committed and the keynote's place in paper-id
+#: order is known. The cluster-design fold takes the keynotes as
+#: understanding hands them on, so it starts when retrieval commits; the
+#: lowest ids going first keeps it from waiting for a keynote after that.
+#: Code analysis reads only the papers, but starts once understanding has
+#: committed, beside analysis. Writing's outline fold and citation
+#: assignment start from the clusters and their Q&A, which analysis hands
+#: over before its graphs and tables; drafting then waits for analysis to
+#: commit, and takes code analysis' overviews from its feed, which ends at
+#: its commit. Each section and subsection starts refining once writing has
+#: accepted it and every unit before it in drafting order. A stage left
+#: alone, as refinement is once writing has committed, may fill the whole
+#: CallBudget.
 _INPUTS = {
     "understanding": ("retrieval", FED),
     "analysis": ("understanding", FED),
@@ -449,8 +440,19 @@ _INPUTS = {
     "writing": ("analysis", FED),
     "refinement": ("writing", FED),
 }
-#: the stages that put on or read from a Feed
-_TAKES_FEEDS = {s for stage, (source, how) in _INPUTS.items() if how == FED for s in (source, stage)}
+
+#: stage -> its Feed's (index, item) pairs once it has committed, from the
+#: substrate, for a stage an earlier run committed: as the running stage's
+#: feed, less what no reader reads (the None of a skipped paper's keynote)
+#: or with more (the full analyses, of which writing reads only the Q&A).
+_REPLAY = {
+    "retrieval": lambda s: [(0, [s.papers[k] for k in sorted(s.papers)])],
+    "understanding": lambda s: enumerate(s.keynotes[k] for k in sorted(s.keynotes)),
+    "analysis": lambda s: [(0, (s.clusters, s.analyses))],
+    "code_analysis": lambda s: [(0, (s.code_overview, s.environment_overview))],
+    "writing": lambda s: enumerate(s.drafts),
+    "refinement": lambda s: (),
+}
 
 
 def _run_stages(plan, config, substrate, backends, runlog) -> Optional[tuple[str, SurveyError]]:
@@ -461,15 +463,19 @@ def _run_stages(plan, config, substrate, backends, runlog) -> Optional[tuple[str
     The stages are one :func:`map_bounded` over the plan: 1 wide at one
     worker, where each runs on the calling thread once the one before it
     has committed, and as wide as the plan above one worker, where each
-    holds its worker until the last stage's feed has ended. Each stage of
-    the plan puts on its Feed what a later one reads while it runs; a
-    stage not in the plan is read from the substrate. A stage waits for
-    its ``_INPUTS`` entry, runs, and waits for the feed of the stage before
-    it to close; then it joins its events to ``runlog``, records its own
-    duration in ``stage_seconds``, saves, and closes its feed: that is its
-    commit. Stages side by side share the gateway's :class:`CallBudget`,
-    so at most 2 × ``stage_workers`` model calls are in flight in all. No
-    stage changes a substrate field before those it reads have committed.
+    holds its worker until the last stage's feed has ended. Every stage
+    has a Feed, and every stage reads its input only from the feeds. A
+    stage of the plan puts on its own what a later one reads while it
+    runs. Before the fan-out starts, the feed of a stage an earlier run
+    committed is filled with its output from the substrate (``_REPLAY``)
+    and closed, and that of a stage disabled or after ``stop_after`` is
+    closed empty. A stage waits for its ``_INPUTS`` entry, runs, and waits
+    for the feed of the stage before it to close; then it joins its events
+    to ``runlog``, records its own duration in ``stage_seconds``, saves,
+    and closes its feed: that is its commit. Stages side by side share the
+    gateway's :class:`CallBudget`, so at most 2 × ``stage_workers`` model
+    calls are in flight in all. No stage changes a substrate field before
+    those it reads have committed.
 
     A stage that fails (a SurveyError) aborts its feed and joins its events
     in turn. A stage that reads that feed stops at its next read (code
@@ -479,26 +485,29 @@ def _run_stages(plan, config, substrate, backends, runlog) -> Optional[tuple[str
     to commit. Any other exception, an interrupt or a failed save, aborts
     every feed and is raised.
     """
-    feeds = {stage: Feed() for stage in plan}
+    feeds = {stage: Feed() for stage in STAGES}
+    for stage in set(STAGES) - set(plan):
+        for index, item in _REPLAY[stage](substrate) if stage in substrate.stage_seconds else ():
+            feeds[stage].put(index, item)
+        feeds[stage].close()
     failed = threading.Event()
 
     def abort_every_feed():
-        for feed in feeds.values():
-            feed.abort()
+        for stage in STAGES:
+            feeds[stage].abort()
 
     def run_stage(at: int, stage: str) -> Optional[Exception]:
         source, how = _INPUTS.get(stage, (None, None))
         before = feeds[plan[at - 1]] if at else None
         log, error = RunLog(), None
         try:
-            if source in feeds:
+            if source:
                 feeds[source].arrivals() if how == FED else feeds[source].wait_closed()
             if before and failed.is_set():
                 before.wait_closed()
             started = time.monotonic()
-            args = (feeds,) if stage in _TAKES_FEEDS else ()
             try:
-                _STAGE_FUNCTIONS[stage](config, substrate, backends, log, *args)
+                _STAGE_FUNCTIONS[stage](config, substrate, backends, log, feeds)
             except SurveyError as exc:
                 failed.set()
                 feeds[stage].abort()
@@ -587,7 +596,6 @@ def run_pipeline(
     backends: Optional[Backends] = None,
     resume: bool = False,
     stop_after: Optional[str] = None,
-    runlog: Optional[RunLog] = None,
 ) -> RunResult:
     """Execute the enabled stages, committing each one's substrate files.
 
@@ -601,7 +609,7 @@ def run_pipeline(
     """
     if not config.topic:
         raise ConfigError("config.topic must be non-empty")
-    runlog = runlog or RunLog()
+    runlog = RunLog()
     backends = backends or build_backends(config)
     workdir = Path(config.workdir)
     workdir.mkdir(parents=True, exist_ok=True)

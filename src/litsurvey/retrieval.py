@@ -456,8 +456,7 @@ class _Streamed(_Expansion):
     def _rerank(self, rank: tuple, papers: list[PaperRecord]) -> None:
         index = rank[-1]
         kept = llm_rerank_filter(papers, self.topic, self.gateway, self.cfg, self.logs[index])
-        if self.feed is not None:
-            self.feed.put(index, kept)
+        self.feed.put(index, kept)
         with self.lock:
             self.kept.update(map(_canonical, kept))
 
@@ -467,10 +466,10 @@ def run_retrieval(
     cfg: RetrievalConfig,
     source: PaperSource,
     gateway: Gateway,
+    feed: Feed,
     fallback: Optional[PaperSource] = None,
     runlog: Optional[RunLog] = None,
     workers: int = 1,
-    feed: Optional[Feed] = None,
 ) -> list[PaperRecord]:
     """Full Stage-1 pass; deterministic for a fixed source and judge, and
     the same at every ``workers`` width.
@@ -481,10 +480,11 @@ def run_retrieval(
     ``workers`` calls (:class:`_Streamed`), each call going out as soon as
     its inputs are ready: a paper's neighbors are filtered while the
     neighbors of later papers are still being fetched. The papers each
-    rerank batch keeps go on ``feed`` under the batch's index as soon as it
-    is judged. The fan-out pulls its calls as slots free and fails with
-    the 1-worker run's error. The kept papers come back in the order of
-    :func:`expand_graph`: the seeds, then each hop's new papers in id order.
+    rerank batch keeps go on ``feed``, which understanding reads, under the
+    batch's index as soon as it is judged. The fan-out pulls its calls as
+    slots free and fails with the 1-worker run's error. The kept papers
+    come back in the order of :func:`expand_graph`: the seeds, then each
+    hop's new papers in id order.
 
     When the primary source failed the seed search, the seeds come from the
     fallback and the primary is not asked for their links: the evidence set

@@ -173,19 +173,19 @@ def fallback_keynote(record: PaperRecord) -> Keynote:
 
 
 def run_understanding(
-    papers: dict[str, PaperRecord] | Feed,
+    papers: Feed,
     docs: Callable[[PaperRecord], Optional[ParsedDocument]],
     gateway: Gateway,
+    feed: Feed,
     runlog: Optional[RunLog] = None,
     workers: int = 1,
-    feed: Optional[Feed] = None,
 ) -> dict[str, Keynote]:
     """Every evidence paper ends with exactly one keynote or one logged
     skip event; a paper for which ``docs`` finds no parsed document is
     demoted to fallback. The result is in paper-id order.
 
-    ``papers`` is the evidence set by canonical id, or retrieval's feed of
-    the papers each rerank batch keeps. The papers are one :class:`Pull`
+    ``papers`` is retrieval's feed of the papers each rerank batch keeps,
+    or of a committed evidence set, closed. The papers are one :class:`Pull`
     ranked by canonical id: as one of ``workers`` slots frees, it takes in
     every batch put on the feed by then, in any batch order, and the lowest
     id not yet started goes first, so that the keynotes the design fold
@@ -193,34 +193,27 @@ def run_understanding(
     left. A failure raises the 1-worker run's error, that of the first
     failing paper in paper-id order. Each paper's keynote, or None for
     a skipped paper, is put on ``feed`` under the paper's place in paper-id
-    order once it is made and that place is known: from a feed, once the
-    feed is closed (retrieval has committed), when the keynotes made by
-    then go on at once.
+    order once it is made and that place is known: once ``papers`` is
+    closed (retrieval has committed), when the keynotes made by then go on
+    at once.
     """
     runlog = runlog or RunLog()
-    feed = feed if feed is not None else Feed()  # one that no stage reads
     place: dict[str, int] = {}  # paper-id order, once every paper is in
+    seen = 0  # the pairs of ``papers`` taken in
 
     def settle(batches: list) -> None:
         ids = sorted(record.id.canonical for batch in batches for record in batch)
         place.update((canonical, i) for i, canonical in enumerate(ids))
 
-    if isinstance(papers, Feed):
-        seen = 0
+    def arrivals(wait: bool) -> Optional[list]:
+        nonlocal seen
+        fresh = papers.arrivals(seen, wait)
+        seen += len(fresh)
+        if wait and not fresh:
+            return None
+        return [(r.id.canonical, r) for _, batch in fresh for r in batch]
 
-        def arrivals(wait: bool) -> Optional[list]:
-            nonlocal seen
-            fresh = papers.arrivals(seen, wait)
-            seen += len(fresh)
-            if wait and not fresh:
-                return None
-            return [(r.id.canonical, r) for _, batch in fresh for r in batch]
-
-        ready, when_settled = (), papers.when_closed
-    else:  # a committed set: every paper is ready, and every place known
-        ready, arrivals = papers.items(), None
-        when_settled = lambda hand_on: hand_on([papers.values()])  # noqa: E731
-    when_settled(settle)
+    papers.when_closed(settle)
 
     def keynote_of(canonical: str, record: PaperRecord) -> Optional[Keynote]:
         doc = docs(record)
@@ -234,8 +227,8 @@ def run_understanding(
         except PaperSkipped as skip:
             runlog.add("paper_skipped", paper=canonical, reason=skip.reason)
             keynote = None
-        when_settled(lambda _: feed.put(place[canonical], keynote))
+        papers.when_closed(lambda _: feed.put(place[canonical], keynote))
         return keynote
 
-    made = Pull(keynote_of, ready, lambda rank: rank, arrivals).run(workers)
+    made = Pull(keynote_of, (), lambda rank: rank, arrivals).run(workers)
     return {c: made[c] for c in sorted(made) if made[c] is not None}

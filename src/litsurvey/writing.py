@@ -472,22 +472,21 @@ def draft_section(
 
 
 def draft_all_units(
-    ctx: WritingContext, outline: OutlineNode, workers: int = 1, feed: Optional[Feed] = None
+    ctx: WritingContext, outline: OutlineNode, feed: Feed, workers: int = 1
 ) -> list[DraftUnit]:
     """Bottom-up pass: subsections first, then their section preambles.
 
     Every unit sees only its own evidence, so all subsections draft in one
     pass and all preambles in a second, each on ``workers`` threads. The
     result is in drafting order: every subsection in outline order, then
-    every section preamble; each unit is put on ``feed`` under its place
-    there as soon as it is accepted.
+    every section preamble; each unit is put on ``feed``, which refinement
+    reads, under its place there as soon as it is accepted.
     """
     sections = outline.children
     leaves = [(section, sub) for section in sections for sub in section.children]
 
     def drafted(place: int, unit: DraftUnit) -> DraftUnit:
-        if feed is not None:
-            feed.put(place, unit)
+        feed.put(place, unit)
         return unit
 
     subsections = map_bounded(

@@ -606,23 +606,14 @@ class TestEmbeddings:
         assert embedder.calls == 3
         assert [v[1] / v[0] for v in vectors] == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0])
 
-    def test_eight_workers_send_the_serial_batches(self):
+    def test_the_missing_texts_go_out_in_batches(self):
         texts = [f"text {i}" for i in range(100)]
-        runs = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (1, 8):
-                embedder = FixtureEmbedder()
-                gw = Gateway(SequenceTransport(["x"]), embedder=embedder, embed_batch_size=7)
-                gw.embed(texts[::3])  # cached texts split the misses
-                vectors = gw.embed(texts, workers)
-                runs[workers] = (sorted(embedder.batches), vectors, gw.transport_calls)
-        finally:
-            sys.setswitchinterval(interval)
-        assert runs[8] == runs[1]
-        batches, _, calls = runs[1]
-        assert calls == len(batches) == math.ceil(34 / 7) + math.ceil(66 / 7)
+        embedder = FixtureEmbedder()
+        gw = Gateway(SequenceTransport(["x"]), embedder=embedder, embed_batch_size=7)
+        gw.embed(texts[::3])  # cached texts split the misses
+        gw.embed(texts)
+        calls = gw.transport_calls
+        assert calls == len(embedder.batches) == math.ceil(34 / 7) + math.ceil(66 / 7)
 
     def test_empty_input_rejected(self):
         gw = scripted_gateway()

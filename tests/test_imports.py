@@ -1,12 +1,14 @@
 """Every name a package module imports is used by that module, every
 parameter of a module-level function is read by that function, every
-function and method of the package is called from outside the tests, the
-command-line entry point loads no HTTP client until one sends, and a whole
-offline run loads no numpy."""
+defaulted parameter of a called function is set by some call outside the
+tests, every function and method of the package is called from outside the
+tests, the command-line entry point loads no HTTP client until one sends,
+and a whole offline run loads no numpy."""
 
 from __future__ import annotations
 
 import ast
+import math
 import os
 import re
 import subprocess
@@ -111,6 +113,115 @@ def test_scan_finds_an_unread_parameter():
         "    def m(self, unused): pass\n"
     )
     assert unread_parameters(source) == ["f(cfg)"]
+
+
+#: (module, function or Class.method, parameter) that only the tests set,
+#: on purpose, with the reason
+SET_BY_TESTS_ON_PURPOSE = {
+    # Acceptance criterion 8 caps the pseudocode loop at exactly ten rounds.
+    ("code_analysis.py", "run_pseudocode_loop", "max_rounds"),
+    # The population variant of the paper's stability measure.
+    ("evaluation.py", "coefficient_of_variation", "ddof"),
+    # A small budget shows the memory compress without forty long rounds.
+    ("refinement.py", "RefinementMemory.render", "budget"),
+}
+
+
+def _passed(sources: list[str]) -> dict[str, tuple[float, set]]:
+    """function name -> (the most arguments any call of it passes by
+    position, the keywords the calls pass); a call that spreads ``*`` or
+    ``**`` passes every position, and the keyword None stands for every
+    keyword."""
+    passed: dict[str, tuple[float, set]] = {}
+    for source in sources:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            positions, keywords = passed.get(name, (0, set()))
+            keywords |= {k.arg for k in call.keywords}
+            spread = None in keywords or any(isinstance(a, ast.Starred) for a in call.args)
+            passed[name] = (math.inf if spread else max(positions, len(call.args)), keywords)
+    return passed
+
+
+def parameters_only_tests_set(package: dict[str, str], callers: list[str]) -> list[tuple]:
+    """``(module, function, parameter)`` for every parameter with a default
+    of a module-level function or a non-dunder method (as ``Class.method``)
+    defined in ``package`` (module name -> source) that is called there or
+    in ``callers``, but by no call that passes the parameter, by keyword or
+    by position. A call is matched by the function's name alone; a
+    function no call names is left to the scan for test-only functions."""
+    passed = _passed([*package.values(), *callers])
+    found = []
+    for module, source in sorted(package.items()):
+        tree = ast.parse(source)
+        functions = [(None, fn) for fn in tree.body]
+        functions += [(c, fn) for c in tree.body if isinstance(c, ast.ClassDef) for fn in c.body]
+        for cls, fn in functions:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if fn.name not in passed or fn.name.startswith("__"):
+                continue
+            positions, keywords = passed[fn.name]
+            args = fn.args
+            # A method's first parameter is its instance, passed by no position.
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            shift = cls is not None and not static
+            positional = args.posonlyargs + args.args
+            defaulted = [
+                (at - shift, a.arg)
+                for at, a in enumerate(positional)
+                if at >= len(positional) - len(args.defaults)
+            ]
+            defaulted += [
+                (math.inf, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            name = fn.name if cls is None else f"{cls.name}.{fn.name}"
+            found += [
+                (module, name, param)
+                for at, param in defaulted
+                if at >= positions and param not in keywords and None not in keywords
+            ]
+    return found
+
+
+def test_no_parameter_is_set_only_by_tests():
+    package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    callers = [p.read_text(encoding="utf-8") for p in BENCH.glob("*.py")]
+    found = parameters_only_tests_set(package, callers)
+    # Both ways: a new test-only parameter fails, and so does a stale exemption.
+    assert sorted(set(found) ^ SET_BY_TESTS_ON_PURPOSE) == []
+
+
+def test_scan_finds_a_parameter_only_tests_set():
+    package = {
+        "a.py": (
+            "def f(a, by_position=1, by_keyword=2, unset=3, *, flag=False, key=None): pass\n"
+            "def spread(a, b=1): pass\n"
+            "def uncalled(a, b=1): pass\n"
+            "class C:\n"
+            "    def __init__(self, size=1): pass\n"
+            "    def m(self, first=1, second=2): pass\n"
+            "    @staticmethod\n"
+            "    def s(first=1, second=2): pass\n"
+        ),
+        "b.py": (
+            "from a import C, f, spread\n"
+            "f(0, 1)\n"
+            "f(0, by_keyword=2, key=1)\n"
+            "spread(*args)\n"
+            "C().m(1)\n"
+            "C.s(1)\n"
+        ),
+    }
+    callers = ["from a import spread\nspread(0, **options)\n"]
+    assert parameters_only_tests_set(package, callers) == [
+        ("a.py", "f", "unset"),
+        ("a.py", "f", "flag"),
+        ("a.py", "C.m", "second"),
+        ("a.py", "C.s", "second"),
+    ]
 
 
 #: (module, function or Class.method) that only the tests call, on purpose

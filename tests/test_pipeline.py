@@ -1706,6 +1706,42 @@ class TestCheckpointResume:
         assert output_digest(config) == TestGoldenOutput.GOLDEN["plain"]
 
 
+def sent_pairs(backends) -> list[tuple[str, str]]:
+    return sorted((call.tag, call.prompt) for call in backends.gateway.transport.calls)
+
+
+class TestWideResume:
+    """A 1-worker run stopped after each committed stage and resumed at
+    four workers sends what the straight run sends and the stopped run did
+    not, and leaves the straight run's outputs: each committed stage's
+    output reaches the stages after it, code analysis' overviews the
+    drafting prompts too."""
+
+    @pytest.fixture(scope="class")
+    def straight(self, tmp_path_factory) -> Counter:
+        root = tmp_path_factory.mktemp("straight")
+        config = enable_code_analysis(make_config(root), root)
+        config.stage_workers = 1
+        backends = build_backends(config)
+        run_pipeline(config, backends=backends)
+        return Counter(sent_pairs(backends))
+
+    @pytest.mark.parametrize(
+        "stop_after", ["retrieval", "understanding", "analysis", "code_analysis", "writing"]
+    )
+    def test_the_resume_sends_the_rest_of_the_straight_run(self, tmp_path, straight, stop_after):
+        config = enable_code_analysis(make_config(tmp_path), tmp_path)
+        config.stage_workers = 1
+        stopped = build_backends(config)
+        run_pipeline(config, backends=stopped, stop_after=stop_after)
+        assert committed_stages(config)[-1] == stop_after
+        config.stage_workers = 4
+        resumed = build_backends(config)
+        run_pipeline(config, backends=resumed, resume=True)
+        assert sent_pairs(resumed) == sorted((straight - Counter(sent_pairs(stopped))).elements())
+        assert output_digest(config) == TestGoldenOutput.GOLDEN["code_analysis"]
+
+
 class TestFinishedResume:
     """A resume of a finished run whose record vouches for its survey
     decodes no substrate file and assembles nothing."""

@@ -10,6 +10,7 @@ import requests
 
 from litsurvey.caching import DiskCache
 from litsurvey.errors import BackendError, JudgeError, RetrievalError, SourceUnavailableError
+from litsurvey.fanout import Feed
 from litsurvey.gateway import TransportResponse, cosine
 from litsurvey.model import PaperRecord
 from litsurvey.retrieval import (
@@ -304,7 +305,9 @@ class TestParallelExpansion:
             source = CachedSource(graph, gateway, "academic-graph http://graph")
             runlog = RunLog()
             cfg = RetrievalConfig(expansion_depth=2, coarse_similarity_threshold=-1.0)
-            papers = run_retrieval("topic", cfg, source, gateway, runlog=runlog, workers=workers)
+            papers = run_retrieval(
+                "topic", cfg, source, gateway, Feed(), runlog=runlog, workers=workers
+            )
             return [p.to_dict() for p in papers], runlog.of_kind("neighbor_fetch_refused"), requested
 
         serial_papers, serial_refused, serial_requested = run(1)
@@ -412,7 +415,7 @@ class TestOneWorkerErrors:
         gw = scripted_gateway(judge, embedder=embedder, embed_batch_size=2)
         cfg = RetrievalConfig(coarse_similarity_threshold=-1.0, judge_batch_size=2)
         with pytest.raises(BackendError, match="status 400"):
-            run_retrieval("topic", cfg, source, gw, workers=workers)
+            run_retrieval("topic", cfg, source, gw, Feed(), workers=workers)
 
 
 class TestStreamedRetrieval:
@@ -465,7 +468,7 @@ class TestStreamedRetrieval:
         gw = scripted_gateway(judge, embedder=embedder, cache_dir=cache_dir, embed_batch_size=3)
         runlog = RunLog()
         cfg = self._cfg(depth)
-        papers = run_retrieval("topic", cfg, source, gw, runlog=runlog, workers=workers)
+        papers = run_retrieval("topic", cfg, source, gw, Feed(), runlog=runlog, workers=workers)
         return [p.to_dict() for p in papers], runlog.events, judge.calls, embedder, cached
 
     def _expected(self, depth: int) -> tuple[list[PaperRecord], list[PaperRecord]]:
@@ -578,7 +581,7 @@ class TestFullStage:
 
         def run_once():
             gw = scripted_gateway(accept_all_judge())
-            return run_retrieval("topic", cfg, source, gw)
+            return run_retrieval("topic", cfg, source, gw, Feed())
 
         first = [p.to_dict() for p in run_once()]
         second = [p.to_dict() for p in run_once()]
@@ -604,7 +607,7 @@ class TestFullStage:
         gw = scripted_gateway(
             accept_all_judge(), embedder=embedder, cache_dir=str(tmp_path), embed_batch_size=2
         )
-        out = run_retrieval("topic", cfg, source, gw, workers=workers)
+        out = run_retrieval("topic", cfg, source, gw, Feed(), workers=workers)
         assert len(out) == len(papers)
         # The topic and each paper's text are sent once, and no key is
         # read from the disk cache twice.
@@ -618,7 +621,7 @@ class TestFullStage:
         cfg = RetrievalConfig(coarse_similarity_threshold=-1.0)
         runlog = RunLog()
         gw = scripted_gateway(accept_all_judge())
-        out = run_retrieval("topic", cfg, primary, gw, fallback, runlog)
+        out = run_retrieval("topic", cfg, primary, gw, Feed(), fallback, runlog)
         assert [p.id.canonical for p in out] == ["p1", "p2"]
         assert primary.calls == ["search"]
         assert runlog.of_kind("fallback_source_used") and runlog.of_kind("expansion_skipped")
@@ -628,5 +631,5 @@ class TestFullStage:
         fallback = FixtureSource(list(papers.values()), search_results={"topic": ["p2"]})
         cfg = RetrievalConfig(coarse_similarity_threshold=-1.0)
         gw = scripted_gateway(accept_all_judge())
-        out = run_retrieval("topic", cfg, primary, gw, fallback)
+        out = run_retrieval("topic", cfg, primary, gw, Feed(), fallback)
         assert [p.id.canonical for p in out] == ["p2", "p4"]

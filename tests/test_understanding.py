@@ -146,6 +146,14 @@ class TestFallbackKeynote:
             fallback_keynote(record)
 
 
+def closed_feed(papers: dict) -> Feed:
+    """A committed evidence set as retrieval's feed: one batch, closed."""
+    feed = Feed()
+    feed.put(0, list(papers.values()))
+    feed.close()
+    return feed
+
+
 class TestRunUnderstanding:
     def test_every_paper_gets_keynote_or_skip_event(self):
         papers = {
@@ -154,7 +162,9 @@ class TestRunUnderstanding:
             "p3": make_paper("p3", abstract="", tldr="t3"),
         }
         runlog = RunLog()
-        keynotes = run_understanding(papers, lambda record: None, scripted_gateway(), runlog)
+        keynotes = run_understanding(
+            closed_feed(papers), lambda record: None, scripted_gateway(), Feed(), runlog
+        )
         skips = runlog.of_kind("paper_skipped")
         assert set(keynotes) == {"p1", "p3"}
         assert [e["paper"] for e in skips] == ["p2"]
@@ -167,7 +177,8 @@ class TestRunUnderstanding:
         docs = {"p1": doc("p1")}
         transport = ScriptedTransport().add("structured keynote", json.dumps(FULL_KEYNOTE))
         keynotes = run_understanding(
-            papers, lambda record: docs.get(record.id.canonical), scripted_gateway(transport), RunLog()
+            closed_feed(papers), lambda record: docs.get(record.id.canonical),
+            scripted_gateway(transport), Feed(), RunLog(),
         )
         assert keynotes["p1"].provenance is Provenance.FULL_TEXT
 
@@ -180,8 +191,8 @@ class TestRunUnderstanding:
         )
         with pytest.raises(BackendError, match="status 400"):
             run_understanding(
-                papers, lambda record: doc(record.id.canonical), scripted_gateway(transport),
-                RunLog(), 2,
+                closed_feed(papers), lambda record: doc(record.id.canonical),
+                scripted_gateway(transport), Feed(), RunLog(), 2,
             )
         sent = {c.prompt.split("paper id ")[1].split(".")[0] for c in transport.calls}
         assert "p1" in sent and sent <= {"p1", "p2"}
@@ -202,7 +213,7 @@ class TestUnderstandingFromAFeed:
             transport = ScriptedTransport().add("structured keynote", json.dumps(FULL_KEYNOTE))
             handed = Feed()
             keynotes = run_understanding(
-                papers, self.find, scripted_gateway(transport), RunLog(), workers, handed
+                papers, self.find, scripted_gateway(transport), handed, RunLog(), workers
             )
             handed.close()
             return keynotes, list(handed)
@@ -211,7 +222,7 @@ class TestUnderstandingFromAFeed:
         arrivals.put(1, [self.records["p2"], self.records["p1"]])
         arrivals.put(0, [self.records["p4"], self.records["p3"]])
         arrivals.close()
-        assert run(arrivals, 2) == run(self.records, 1)
+        assert run(arrivals, 2) == run(closed_feed(self.records), 1)
 
     def test_a_failure_raises_the_first_failing_paper_in_paper_id_order(self):
         # p3 fails first; p1, which comes before it in paper-id order and
@@ -225,7 +236,10 @@ class TestUnderstandingFromAFeed:
             )
 
         with pytest.raises(BackendError) as serial:
-            run_understanding(self.records, self.find, scripted_gateway(transport()), RunLog())
+            run_understanding(
+                closed_feed(self.records), self.find, scripted_gateway(transport()), Feed(),
+                RunLog(),
+            )
         arrivals = Feed()
         arrivals.put(0, [self.records["p3"], self.records["p4"]])
         streamed = transport()
@@ -241,7 +255,7 @@ class TestUnderstandingFromAFeed:
 
         streamed.send = send_then_arrive
         with pytest.raises(BackendError) as parallel:
-            run_understanding(arrivals, self.find, scripted_gateway(streamed), RunLog(), 2)
+            run_understanding(arrivals, self.find, scripted_gateway(streamed), Feed(), RunLog(), 2)
         assert "status 401" in str(serial.value)
         assert str(parallel.value) == str(serial.value)
 
@@ -265,7 +279,7 @@ class TestUnderstandingFromAFeed:
             handed = Feed()
             keynotes = run_understanding(
                 papers, lambda record: doc(record.id.canonical), scripted_gateway(transport),
-                RunLog(), workers, handed,
+                handed, RunLog(), workers,
             )
             handed.close()
             sent = [c.prompt.split("paper id ")[1].split(".")[0] for c in transport.calls]
@@ -285,7 +299,7 @@ class TestUnderstandingFromAFeed:
             sys.setswitchinterval(interval)
         if workers == 1:
             assert sent == ["p3", "p1", "p2", "p4"]
-        serial_keynotes, serial_handed, _ = run(self.records, 1)
+        serial_keynotes, serial_handed, _ = run(closed_feed(self.records), 1)
         assert (keynotes, handed) == (serial_keynotes, serial_handed)
 
     def test_keynotes_made_before_the_close_go_on_at_the_close(self):
@@ -311,7 +325,7 @@ class TestUnderstandingFromAFeed:
         made: list = []
         runner = threading.Thread(target=lambda: made.append(run_understanding(
             arrivals, lambda record: doc(record.id.canonical), scripted_gateway(transport),
-            RunLog(), 2, handed,
+            handed, RunLog(), 2,
         )))
         runner.start()
         try:
