@@ -9,12 +9,12 @@ logs any reference to a paper outside the owning cluster or substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import InvalidInputError, MalformedOutputError
+from .fanout import Feed, merge_tree
 from .gateway import (
     Gateway,
-    batched,
     extract_json_payload,
     nearest,
     request_validated,
@@ -83,32 +83,41 @@ def _parse_proposal(reply: str) -> ClusterProposal:
 
 
 def design_clusters(
-    keynotes: Iterable[Keynote],
+    keynotes: Feed,
+    papers: int,
     gateway: Gateway,
+    feed: Feed,
     cfg: Optional[AnalysisConfig] = None,
+    workers: int = 1,
 ) -> ClusterProposal:
-    """Fold keynote batches into an evolving cluster proposal.
+    """Merge keynote batches into one cluster proposal.
 
-    ``keynotes`` come in paper-id order, in batches of
-    ``design_batch_size``; the agent may merge, split or add clusters at
-    each step, starting from an empty proposal. Each step is sent as soon
-    as its batch is complete, so the keynotes may be an iterator that
-    understanding is still filling (see ``pipeline``). A step retries with
-    the error memory of its own rejected replies only.
+    ``keynotes`` is understanding's feed: the keynote of each of the
+    ``papers`` evidence papers under its place in paper-id order, None for
+    a skipped paper. Batch j holds the keynotes at places [jS, (j + 1)S)
+    for S = ``design_batch_size``, and is one call, sent once its keynotes
+    are in and those of the calls it merges have returned (see
+    :func:`merge_tree`, which ``feed``, analysis' own feed, stops once it is
+    aborted). The call lists every distinct cluster those earlier calls
+    proposed as the existing clusters, none for a leaf, and the agent may
+    merge, split or add clusters; a batch with no keynote and nothing to
+    merge proposes nothing and sends nothing. A call retries with the error
+    memory of its own rejected replies only.
     """
     cfg = cfg or AnalysisConfig()
-    proposal = ClusterProposal()
-    for batch in batched(keynotes, cfg.design_batch_size):
+
+    def design(batch: list[Optional[Keynote]], merged: list[ClusterProposal]) -> ClusterProposal:
         listing = "\n".join(
-            f"- {k.paper_id.canonical}: {_keynote_digest(k)}" for k in batch
+            f"- {k.paper_id.canonical}: {_keynote_digest(k)}" for k in batch if k is not None
         )
-        existing = (
-            "\n".join(f"- {c['name']}: {c['summary']}" for c in proposal.clusters)
-            or "(none yet)"
+        existing = "\n".join(
+            dict.fromkeys(f"- {c['name']}: {c['summary']}" for p in merged for c in p.clusters)
         )
+        if not listing and not existing:
+            return ClusterProposal()
         prompt = (
             "Curate thematic clusters for a literature survey.\n"
-            + f"Existing clusters:\n{existing}\n\n"
+            + f"Existing clusters:\n{existing or '(none yet)'}\n\n"
             + f"New batch of paper keynotes:\n{listing}\n\n"
             + "Update the cluster list (merge, split or add as needed; create "
             + "from scratch when none exist) so every new paper fits at least "
@@ -116,8 +125,9 @@ def design_clusters(
             + 'as a JSON list: [{"cluster_name": "...", "summary": "..."}]. '
             + "Do not mention specific papers."
         )
-        proposal = request_validated(gateway, prompt, _parse_proposal, tag="analysis.design")
-    return proposal
+        return request_validated(gateway, prompt, _parse_proposal, tag="analysis.design")
+
+    return merge_tree(design, keynotes, papers, cfg.design_batch_size, workers, feed)
 
 
 def _parse_assignment(reply: str, valid_names: list[str]) -> dict[str, list[str]]:

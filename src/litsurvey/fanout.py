@@ -1,7 +1,8 @@
 """Fan-out: the one scheduler of each stage's per-item work.
 
 A :class:`Pull` runs ranked items, some made ready as it runs;
-:func:`map_bounded` is a Pull over a sequence, ranked by read index; a
+:func:`map_bounded` is a Pull over a sequence, ranked by read index, and
+:func:`merge_tree` one over batches merged in a tree, ranked by batch; a
 :class:`Feed` hands one stage's results to the next stage while the first
 one is still producing them. A fan-out of width w runs on the calling
 thread and w - 1 helper threads, each taking its own next item as it frees.
@@ -85,6 +86,10 @@ class Feed:
             self._arrived.append((index, item))
             self._cond.notify_all()
 
+    @property
+    def aborted(self) -> bool:
+        return self._state == "aborted"
+
     def close(self) -> None:
         self._end("closed")
 
@@ -110,16 +115,27 @@ class Feed:
             elif self._state == "closed":
                 fn([item for _, item in sorted(self._arrived, key=lambda pair: pair[0])])
 
-    def arrivals(self, seen: int = 0, wait: bool = True) -> list[tuple[int, Any]]:
+    def arrivals(
+        self, seen: int = 0, wait: bool = True, until: Optional[Callable[[], bool]] = None
+    ) -> list[tuple[int, Any]]:
         """The (index, item) pairs put after the first ``seen``: if ``wait``,
         once there is one, and empty only once the feed is closed and all
-        are seen; else at once, perhaps empty."""
+        are seen, or once ``until()``, asked at each put and :meth:`wake`
+        under the feed's lock, is true; else at once, perhaps empty."""
         with self._cond:
             if wait:
-                self._cond.wait_for(lambda: len(self._arrived) > seen or self._state != "open")
+                self._cond.wait_for(
+                    lambda: len(self._arrived) > seen or self._state != "open"
+                    or until is not None and until()
+                )
             if self._state == "aborted":
                 raise FeedAborted()
             return self._arrived[seen:]
+
+    def wake(self) -> None:
+        """Have each reader waiting in :meth:`arrivals` ask its ``until``."""
+        with self._cond:
+            self._cond.notify_all()
 
     def wait_closed(self) -> None:
         """Wait until the feed is closed; raises FeedAborted once it is aborted."""
@@ -187,14 +203,20 @@ class Pull:
     starts; and once the running ones finish, the error of the lowest-ranked
     failure, a KeyboardInterrupt or SystemExit too, is raised. Nothing
     starts after such an interrupt, or once reading ``arrivals`` raises
-    (say, FeedAborted), whose error is raised if no item failed. With
-    ``key`` the identity, ranks are the order a 1-worker run starts items in.
+    (say, FeedAborted), whose error is raised if no item failed; nor once
+    ``feed``, if given, is aborted, the feed of the stage the fan-out runs
+    in, which an interrupt to another stage aborts: the next item to start
+    ends the fan-out with FeedAborted instead. With ``key`` the identity,
+    ranks are the order a 1-worker run starts items in.
     """
 
-    def __init__(self, fn: Callable, ready: Iterable[tuple], key: Callable, arrivals=None):
+    def __init__(
+        self, fn: Callable, ready: Iterable[tuple], key: Callable, arrivals=None,
+        feed: Optional[Feed] = None,
+    ):
         self._fn, self._key = fn, key
         self._ready = sorted((key(rank), rank, item) for rank, item in ready)  # a heap
-        self._arrivals = arrivals
+        self._arrivals, self._feed = arrivals, feed
         self._cond = threading.Condition()
         self._reading = threading.Lock()  # held by the one worker taking its next item
         self._workers = self._started = self._running = 0
@@ -251,6 +273,9 @@ class Pull:
                         return None
                     if self._ready:
                         _, rank, item = heapq.heappop(self._ready)
+                        if self._feed is not None and self._feed.aborted:
+                            self._halted = FeedAborted()
+                            return None
                         if self._starts(rank):
                             self._started += 1
                             self._running += 1
@@ -279,3 +304,108 @@ class Pull:
             if error is not None and not isinstance(error, Exception):
                 self._halted = error
             self._cond.notify()
+
+
+#: How many earlier batches' results one batch's call takes in
+#: :func:`merge_tree`: three levels of calls merge up to 73 batches.
+FAN_IN = 8
+
+
+def tree_children(batch: int, batches: int) -> range:
+    """The batches whose results batch ``batch`` of ``batches`` merges in
+    :func:`merge_tree`. The batches are a heap in batch order, rooted at
+    the last one: heap place p = ``batches`` - 1 - ``batch`` has the
+    FAN_IN places from FAN_IN × p + 1 on as its children, so every child
+    is an earlier batch."""
+    first = (batches - 1 - batch) * FAN_IN + 1
+    return range(max(batches - first - FAN_IN, 0), max(batches - first, 0))
+
+
+def merge_tree(
+    step: Callable[[list, list], Any], items: Feed, count: int, size: int, workers: int,
+    feed: Feed,
+) -> Any:
+    """Merge the ``count`` items of ``items`` in batches of ``size``, one
+    empty batch if there are none: ``step(batch, merged)`` takes a batch's
+    items in index order and the results of its :func:`tree_children` in
+    batch order, and the last batch's result is returned.
+
+    The steps are one :class:`Pull` of at most ``workers``, ranked by batch
+    index, so a 1-worker run takes the batches in order, and a wider one
+    raises its error. A step is ready once its items have arrived on
+    ``items`` and its children's steps have returned: a leaf starts as soon
+    as its items are in, and the root, the last batch, ends the merge after
+    three steps in a row for up to 73 batches. A worker waiting for items
+    wakes as a step makes its parent ready, and stops waiting once a step
+    has failed and no batch ranked before it waits for an item. ``feed`` is
+    the feed of the stage that merges (see :class:`Pull`); an aborted
+    ``items`` raises FeedAborted.
+    """
+    batches = max(1, -(-count // size))
+    lock = threading.Lock()
+    held: dict[int, Any] = {}  # the items arrived, by index
+    merged: dict[int, Any] = {}  # the steps' results, by batch
+    due = [len(range(b * size, min(count, b * size + size))) for b in range(batches)]
+    # Per batch, its items not yet arrived and its children not yet merged.
+    waiting = [due[b] + len(tree_children(b, batches)) for b in range(batches)]
+    seen = 0
+    first_due = 0  # the first batch with an item not yet arrived
+    failed = batches  # the first batch whose step failed, else past the last
+    pushes = 0
+
+    def settled(batch: int) -> bool:
+        """One of the batch's waits is over; under the lock."""
+        waiting[batch] -= 1
+        return not waiting[batch]
+
+    def done() -> bool:
+        return seen == count or first_due >= failed
+
+    def arrivals(wait: bool) -> Optional[list]:
+        nonlocal seen, first_due
+        if done():
+            return None if wait else []
+        now = pushes
+        fresh = items.arrivals(seen, wait, lambda: pushes != now or done())
+        if wait and not fresh:
+            return [] if pushes != now or done() else None  # else closed short of ``count``
+        with lock:
+            seen += len(fresh)
+            held.update(fresh)
+            ready = []
+            for index, _ in fresh:
+                due[index // size] -= 1
+                if settled(index // size):
+                    ready.append((index // size, None))
+            while first_due < batches and not due[first_due]:
+                first_due += 1
+            return ready
+
+    def merge(batch: int, _) -> Any:
+        nonlocal failed, pushes
+        first = batch * size
+        try:
+            result = step(
+                [held[i] for i in range(first, min(count, first + size))],
+                [merged[child] for child in tree_children(batch, batches)],
+            )
+        except BaseException:
+            with lock:
+                failed = min(failed, batch)
+            items.wake()
+            raise
+        place = batches - 1 - batch
+        with lock:
+            merged[batch] = result
+            parent = batches - 1 - (place - 1) // FAN_IN
+            pushed = place and settled(parent)
+            if pushed:
+                pulled.push(parent, None)
+                pushes += 1
+        if pushed:
+            items.wake()
+        return result
+
+    ready = [(b, None) for b in range(batches) if not waiting[b]]
+    pulled = Pull(merge, ready, lambda rank: rank, arrivals, feed)
+    return pulled.run(min(workers, batches))[batches - 1]

@@ -256,11 +256,14 @@ def _stage_understanding(config, substrate, backends, runlog, feeds):
 
 def _stage_analysis(config, substrate, backends, runlog, feeds):
     # From understanding's feed, the keynotes come as understanding makes
-    # them, with None for a skipped paper; the rest of analysis reads them
-    # once the feed is closed, when understanding has committed.
+    # them, each under its paper's place, with None for a skipped paper;
+    # retrieval has committed by then, so the places are counted. The rest
+    # of analysis reads the keynotes once understanding has committed.
     proposal = analysis_mod.design_clusters(
-        filter(None, feeds["understanding"]), backends.gateway, config.analysis
+        feeds["understanding"], sum(map(len, feeds["retrieval"])), backends.gateway,
+        feeds["analysis"], config.analysis, call_slots(config.stage_workers),
     )
+    feeds["understanding"].wait_closed()
     clusters = analysis_mod.assign_papers(proposal, substrate.keynotes, backends.gateway, runlog)
     clusters = analysis_mod.verify_and_repair(
         clusters, substrate.keynotes, backends.gateway, config.analysis, runlog=runlog
@@ -330,7 +333,7 @@ def _stage_code_analysis(config, substrate, backends, runlog, feeds):
 
 
 def _stage_writing(config, substrate, backends, runlog, feeds):
-    # The outline fold and the citation assignment read only the clusters
+    # The outline and the citation assignment read only the clusters
     # and their Q&A, which analysis hands over before its graphs and
     # tables. Drafting reads code analysis' overviews from its feed, so it
     # waits for analysis and code analysis to commit, and only then sets a
@@ -346,7 +349,9 @@ def _stage_writing(config, substrate, backends, runlog, feeds):
         gateway=backends.gateway,
         runlog=runlog,
     )
-    outline = writing_mod.draft_outline(ctx, config.topic)
+    outline = writing_mod.draft_outline(
+        ctx, config.topic, feeds["writing"], call_slots(config.stage_workers)
+    )
     writing_mod.apply_assignment(outline, writing_mod.assign_citations(ctx, outline))
     handoff.wait_closed()
     for code_overview, environment_overview in overviews:
@@ -421,11 +426,13 @@ COMMITTED, FED = "committed", "fed"
 #: keynotes the papers each batch keeps as soon as it is judged, the lowest
 #: paper id over every batch judged by then first, and hands each keynote
 #: on once retrieval has committed and the keynote's place in paper-id
-#: order is known. The cluster-design fold takes the keynotes as
-#: understanding hands them on, so it starts when retrieval commits; the
-#: lowest ids going first keeps it from waiting for a keynote after that.
-#: Code analysis reads only the papers, but starts once understanding has
-#: committed, beside analysis. Writing's outline fold and citation
+#: order is known. The cluster design takes the keynotes as understanding
+#: hands them on, so it starts when retrieval commits: each batch's call
+#: goes out once its keynotes are in and the earlier calls it merges have
+#: returned (see ``fanout.merge_tree``), the lowest ids going first so that
+#: the leaves' batches fill first. Code analysis reads only the papers, but
+#: starts once understanding has committed, beside analysis. Writing's
+#: outline merge, whose leaves all go out at once, and its citation
 #: assignment start from the clusters and their Q&A, which analysis hands
 #: over before its graphs and tables; drafting then waits for analysis to
 #: commit, and takes code analysis' overviews from its feed, which ends at
@@ -443,11 +450,12 @@ _INPUTS = {
 
 #: stage -> its Feed's (index, item) pairs once it has committed, from the
 #: substrate, for a stage an earlier run committed: as the running stage's
-#: feed, less what no reader reads (the None of a skipped paper's keynote)
-#: or with more (the full analyses, of which writing reads only the Q&A).
+#: feed, with the None of a skipped paper's keynote, so that the design's
+#: batches are the same, or with more (the full analyses, of which writing
+#: reads only the Q&A).
 _REPLAY = {
     "retrieval": lambda s: [(0, [s.papers[k] for k in sorted(s.papers)])],
-    "understanding": lambda s: enumerate(s.keynotes[k] for k in sorted(s.keynotes)),
+    "understanding": lambda s: enumerate(s.keynotes.get(k) for k in sorted(s.papers)),
     "analysis": lambda s: [(0, (s.clusters, s.analyses))],
     "code_analysis": lambda s: [(0, (s.code_overview, s.environment_overview))],
     "writing": lambda s: enumerate(s.drafts),

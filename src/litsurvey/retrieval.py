@@ -202,7 +202,8 @@ def expand_graph(
     and its references unasked, logged as ``neighbor_fetch_refused`` in
     frontier order, since asking again would not help.
     """
-    return _Expansion(seeds, cfg, source, runlog or RunLog(), workers, cfg.expansion_depth).run()
+    runlog = runlog or RunLog()
+    return _Expansion(seeds, cfg, source, runlog, workers, cfg.expansion_depth, Feed()).run()
 
 
 def _canonical(record: PaperRecord) -> str:
@@ -225,17 +226,20 @@ class _Expansion:
       paper ``at`` of hop ``hop``'s frontier;
     - ``(hop, at, 2, -1)``: the merge of that paper's neighbors; the seeds
       join as the merge of paper -1 of hop 0.
+
+    No call starts once ``feed``, the feed the stage fills, is aborted.
     """
 
     def __init__(
-        self, seeds, cfg: RetrievalConfig, source, runlog: RunLog, workers: int, depth: int
+        self, seeds, cfg: RetrievalConfig, source, runlog: RunLog, workers: int, depth: int,
+        feed: Feed,
     ):
         self.cfg, self.source, self.runlog = cfg, source, runlog
-        self.workers, self.depth = workers, depth
+        self.workers, self.depth, self.feed = workers, depth, feed
         self.found = list(seeds)  # the seeds, then each hop's new papers in id order
         self.collected = {p.id.canonical for p in seeds}
         self.lock = threading.Lock()  # held by each merge, and the hooks it calls
-        self.pull = Pull(lambda rank, call: call(), (), self._key)
+        self.pull = Pull(lambda rank, call: call(), (), self._key, feed=feed)
 
     def _key(self, rank: tuple) -> tuple:
         """The order calls go out in: a fetch by its paper's place in the
@@ -390,8 +394,8 @@ class _Streamed(_Expansion):
     """
 
     def __init__(self, seeds, cfg, source, runlog, workers, depth, topic, topic_vec, gateway, feed):
-        super().__init__(seeds, cfg, source, runlog, workers, depth)
-        self.topic, self.topic_vec, self.gateway, self.feed = topic, topic_vec, gateway, feed
+        super().__init__(seeds, cfg, source, runlog, workers, depth, feed)
+        self.topic, self.topic_vec, self.gateway = topic, topic_vec, gateway
         self.stream: list[PaperRecord] = []
         self.filtered: list[Optional[tuple]] = []  # by stream place: (passed, rank filtered by)
         self.missing: list[int] = []  # the places of uncached texts in no batch yet

@@ -188,14 +188,14 @@ def run_understanding(
     or of a committed evidence set, closed. The papers are one :class:`Pull`
     ranked by canonical id: as one of ``workers`` slots frees, it takes in
     every batch put on the feed by then, in any batch order, and the lowest
-    id not yet started goes first, so that the keynotes the design fold
-    reads first come first; it waits for the feed only when no paper is
+    id not yet started goes first, so that the keynotes the design's first
+    batches read come first; it waits for the feed only when no paper is
     left. A failure raises the 1-worker run's error, that of the first
-    failing paper in paper-id order. Each paper's keynote, or None for
-    a skipped paper, is put on ``feed`` under the paper's place in paper-id
-    order once it is made and that place is known: once ``papers`` is
-    closed (retrieval has committed), when the keynotes made by then go on
-    at once.
+    failing paper in paper-id order, and no paper starts once ``feed`` is
+    aborted. Each paper's keynote, or None for a skipped paper, is put on
+    ``feed`` under the paper's place in paper-id order once it is made and
+    that place is known: once ``papers`` is closed (retrieval has
+    committed), when the keynotes made by then go on at once.
     """
     runlog = runlog or RunLog()
     place: dict[str, int] = {}  # paper-id order, once every paper is in
@@ -230,5 +230,5 @@ def run_understanding(
         papers.when_closed(lambda _: feed.put(place[canonical], keynote))
         return keynote
 
-    made = Pull(keynote_of, (), lambda rank: rank, arrivals).run(workers)
+    made = Pull(keynote_of, (), lambda rank: rank, arrivals, feed).run(workers)
     return {c: made[c] for c in sorted(made) if made[c] is not None}

@@ -16,8 +16,8 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import AssemblyError, DraftingError, InvalidInputError
-from .fanout import Feed, map_bounded
-from .gateway import Gateway, batched, extract_json_payload, nearest, request_validated
+from .fanout import Feed, map_bounded, merge_tree
+from .gateway import Gateway, extract_json_payload, nearest, request_validated
 from .marks import (
     CitationVerdict,
     rewrite_to_numeric,
@@ -143,25 +143,34 @@ def _parse_outline(reply: str, topic: str) -> OutlineNode:
     return root
 
 
-def draft_outline(ctx: WritingContext, topic: str) -> OutlineNode:
-    """Generate the outline from the cluster structure, then refine it
-    against keynote batches. Structural requirements (conclusion section,
-    future-work node, per-node descriptions, depth cap) are enforced and
-    echoed into error memory on retry; each step starts from its clean
-    prompt, with no memory of an earlier step's rejected replies."""
+def draft_outline(ctx: WritingContext, topic: str, feed: Feed, workers: int = 1) -> OutlineNode:
+    """Draft the outline from the cluster structure over keynote batches.
+
+    The keynotes, in paper-id order, are cut into batches of
+    ``outline_batch_size``, and each batch is one call, merged in a tree
+    (see :func:`merge_tree`, which ``feed``, writing's own feed, stops once
+    it is aborted): a call builds on every distinct outline of the earlier
+    calls it merges, a leaf on none. Structural requirements (conclusion
+    section, future-work node, per-node descriptions, depth cap) are
+    enforced and echoed into error memory on retry; each call starts from
+    its clean prompt, with no memory of another call's rejected replies."""
     cfg = ctx.cfg
-    current: Optional[OutlineNode] = None
-    keys = sorted(ctx.keynotes)
-    batches = list(batched(keys, cfg.outline_batch_size)) or [[]]
-    for batch in batches:
-        current_json = json.dumps(current.to_dict(), ensure_ascii=False) if current else "(empty)"
+    keys = Feed()
+    for place, key in enumerate(sorted(ctx.keynotes)):
+        keys.put(place, key)
+    keys.close()
+
+    def outline(batch: list[str], merged: list[OutlineNode]) -> OutlineNode:
+        current_json = "\n".join(
+            dict.fromkeys(json.dumps(o.to_dict(), ensure_ascii=False) for o in merged)
+        )
         prompt = (
             f"Draft or update the outline of a survey on '{topic}'.\n"
             + "Requirements: multiple sections with described subsections, a "
             + "Conclusion section, a Future Work section or subsection, tight "
             + "topical scope, balanced structure, depth capped at "
             + "section/subsection. Build on the current outline when present.\n"
-            + f"Current outline: {current_json}\n\n"
+            + f"Current outline: {current_json or '(empty)'}\n\n"
             + "Reply strictly as JSON: {\"title\": str, \"sections\": "
             + "[{\"title\": str, \"description\": str, \"subsections\": "
             + "[{\"title\": str, \"description\": str}]}]}.\n"
@@ -170,7 +179,7 @@ def draft_outline(ctx: WritingContext, topic: str) -> OutlineNode:
             f"Cluster landscape:\n{ctx.analyses_digest}\n\n"
             + f"Paper keynotes:\n{ctx.keynote_lines(set(batch))}\n"
         )
-        current = request_validated(
+        return request_validated(
             ctx.gateway,
             prompt,
             lambda reply: _parse_outline(reply, topic),
@@ -180,7 +189,8 @@ def draft_outline(ctx: WritingContext, topic: str) -> OutlineNode:
             temperature=cfg.outline_temperature,
             max_retries=cfg.max_citation_retries,
         )
-    return current
+
+    return merge_tree(outline, keys, len(ctx.keynotes), cfg.outline_batch_size, workers, feed)
 
 
 # -- citation assignment ---------------------------------------------------

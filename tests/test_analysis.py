@@ -19,6 +19,7 @@ from litsurvey.analysis import (
     verify_and_repair,
 )
 from litsurvey.errors import InvalidInputError
+from litsurvey.fanout import Feed
 from litsurvey.model import Cluster
 from litsurvey.runlog import RunLog
 from litsurvey.scripted import ScriptedTransport
@@ -39,21 +40,27 @@ def assignment_json(mapping: dict[str, list[str]]):
     )
 
 
-def in_id_order(keynotes: dict) -> list:
-    return [keynotes[k] for k in sorted(keynotes)]
+def designed(keynotes: dict, gateway, cfg=None, workers: int = 1):
+    """The cluster design over ``keynotes`` as understanding hands them on:
+    each under its place in paper-id order, closed."""
+    feed = Feed()
+    for place, key in enumerate(sorted(keynotes)):
+        feed.put(place, keynotes[key])
+    feed.close()
+    return design_clusters(feed, len(keynotes), gateway, Feed(), cfg, workers)
 
 
 class TestDesignClusters:
     def test_empty_prior_one_batch_creates_proposal(self, keynotes):
         transport = ScriptedTransport().add("thematic clusters", proposal_json("Methods", "Systems"))
-        proposal = design_clusters(in_id_order(keynotes), scripted_gateway(transport))
+        proposal = designed(keynotes, scripted_gateway(transport))
         assert proposal.names() == ["Methods", "Systems"]
         assert len(transport.calls) == 1
 
     def test_twelve_cluster_case(self, keynotes):
         names = [f"Theme {i}" for i in range(1, 13)]
         transport = ScriptedTransport().add("thematic clusters", proposal_json(*names))
-        proposal = design_clusters(in_id_order(keynotes), scripted_gateway(transport))
+        proposal = designed(keynotes, scripted_gateway(transport))
         assert len(proposal.clusters) == 12
 
     def test_duplicate_names_trigger_retry(self, keynotes):
@@ -62,7 +69,7 @@ class TestDesignClusters:
             proposal_json("Same", "Same"),
             proposal_json("Same", "Other"),
         )
-        proposal = design_clusters(in_id_order(keynotes), scripted_gateway(transport))
+        proposal = designed(keynotes, scripted_gateway(transport))
         assert proposal.names() == ["Same", "Other"]
         assert len(transport.calls) == 2
 
@@ -70,7 +77,7 @@ class TestDesignClusters:
         # batch size 2 over 6 keynotes -> 3 design calls
         transport = ScriptedTransport().add("thematic clusters", proposal_json("A", "B"))
         cfg = AnalysisConfig(design_batch_size=2)
-        design_clusters(in_id_order(keynotes), scripted_gateway(transport), cfg)
+        designed(keynotes, scripted_gateway(transport), cfg)
         assert len(transport.calls) == 3
 
     def test_a_rejected_step_leaves_no_memory_to_the_next(self, keynotes):
@@ -78,7 +85,7 @@ class TestDesignClusters:
             "thematic clusters", "not json", proposal_json("A", "B")
         )
         cfg = AnalysisConfig(design_batch_size=2)
-        proposal = design_clusters(in_id_order(keynotes), scripted_gateway(transport), cfg)
+        proposal = designed(keynotes, scripted_gateway(transport), cfg)
         assert proposal.names() == ["A", "B"]
         # step 1, its retry, then steps 2 and 3 from their clean prompts
         prompts = [c.prompt for c in transport.calls]

@@ -1,4 +1,4 @@
-"""The fan-out core: map_bounded, Pull, Feed and the run's CallBudget."""
+"""The fan-out core: map_bounded, Pull, merge_tree, Feed and the run's CallBudget."""
 
 from __future__ import annotations
 
@@ -11,7 +11,17 @@ from collections import Counter
 import pytest
 
 import litsurvey.gateway
-from litsurvey.fanout import CallBudget, Feed, FeedAborted, Pull, call_slots, map_bounded
+from litsurvey.fanout import (
+    FAN_IN,
+    CallBudget,
+    Feed,
+    FeedAborted,
+    Pull,
+    call_slots,
+    map_bounded,
+    merge_tree,
+    tree_children,
+)
 from litsurvey.gateway import CompletionRequest, Gateway, TransportResponse
 from litsurvey.sources import CachedSource, FixtureSource
 
@@ -263,6 +273,164 @@ class TestPull:
         with pytest.raises(ValueError if failing else FeedAborted):
             pulled.run(1)
         assert started == [0]
+
+
+    def test_an_aborted_feed_of_its_own_stops_every_start(self):
+        # Rank 0 aborts the feed the fan-out fills, as an interrupt to
+        # another stage does; rank 1, ready by then, never starts.
+        own, started = Feed(), []
+
+        def fn(rank, item):
+            started.append(rank)
+            own.abort()
+            return item
+
+        pulled = Pull(fn, [(0, "a"), (1, "b")], lambda rank: rank, feed=own)
+        with pytest.raises(FeedAborted):
+            pulled.run(1)
+        assert started == [0]
+
+
+def closed(items: list) -> Feed:
+    feed = Feed()
+    for index, item in enumerate(items):
+        feed.put(index, item)
+    feed.close()
+    return feed
+
+
+def depth(batch: int, batches: int) -> int:
+    """The longest chain of calls that ends at ``batch``'s."""
+    return 1 + max((depth(child, batches) for child in tree_children(batch, batches)), default=0)
+
+
+class TestMergeTree:
+    @pytest.mark.parametrize("batches", range(1, 61))
+    def test_the_shape_is_a_heap_rooted_at_the_last_batch(self, batches):
+        parents = Counter(
+            child for batch in range(batches) for child in tree_children(batch, batches)
+        )
+        # Every batch but the root is the child of exactly one later batch.
+        assert parents == Counter(range(batches - 1))
+        for batch in range(batches):
+            children = tree_children(batch, batches)
+            assert len(children) <= FAN_IN
+            assert all(child < batch for child in children)
+        assert depth(batches - 1, batches) <= 3
+
+    def test_three_calls_in_a_row_merge_up_to_73_batches(self):
+        assert FAN_IN == 8
+        assert depth(72, 73) == 3 and depth(73, 74) == 4
+        assert [depth(b - 1, b) for b in (1, 2, 9, 10, 50)] == [1, 2, 2, 3, 3]
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_each_batch_is_one_step_over_its_items_and_children(self, workers):
+        steps = []
+
+        def step(batch, merged):
+            steps.append(batch)
+            return sorted(batch + [item for result in merged for item in result])
+
+        items = list(range(23))
+        assert merge_tree(step, closed(items), 23, 2, workers, Feed()) == items
+        assert sorted(map(tuple, steps)) == [tuple(items[i:i + 2]) for i in range(0, 23, 2)]
+        if workers == 1:
+            assert steps == [items[i:i + 2] for i in range(0, 23, 2)]
+
+    def test_many_workers_merge_items_put_in_any_order_once(self):
+        # 200 batches of one item, four levels deep, put in a shuffled order
+        # while 16 workers on a short switch interval merge them: each batch
+        # is one step, and the root holds every item once.
+        items, steps = Feed(), Counter()
+        lock = threading.Lock()
+
+        def step(batch, merged):
+            with lock:
+                steps[batch[0]] += 1
+            return batch + [item for result in merged for item in result]
+
+        def put():
+            for index in random.Random(7).sample(range(200), 200):
+                items.put(index, index)
+            items.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            producer = in_thread(put)
+            result = merge_tree(step, items, 200, 1, 16, Feed())
+        finally:
+            sys.setswitchinterval(interval)
+        producer.join(timeout=5)
+        assert not producer.is_alive()
+        assert sorted(result) == list(range(200))
+        assert steps == Counter(range(200))
+
+    def test_no_items_are_one_empty_batch(self):
+        assert merge_tree(lambda batch, merged: (batch, merged), closed([]), 0, 4, 2, Feed()) == (
+            [], []
+        )
+
+    def test_a_finished_step_wakes_a_worker_waiting_for_items(self):
+        # One item a batch, ten batches: batch 8 merges batch 0 alone. With
+        # items 0 and 8 in, a worker waits for the rest while batch 0 runs;
+        # batch 8 must start before any other item is put.
+        items, started = Feed(), threading.Event()
+
+        def step(batch, merged):
+            if batch == [0]:
+                time.sleep(0.1)  # the other worker waits for items by now
+            elif batch == [8]:
+                started.set()
+            return batch + [item for result in merged for item in result]
+
+        def rest():
+            woken = started.wait(timeout=2)
+            for index in (1, 2, 3, 4, 5, 6, 7, 9):
+                items.put(index, index)
+            items.close()
+            return woken
+
+        items.put(0, 0)
+        items.put(8, 8)
+        waiter = []
+        helper = in_thread(lambda: waiter.append(rest()))
+        result = merge_tree(step, items, 10, 1, 2, Feed())
+        helper.join(timeout=5)
+        assert not helper.is_alive()
+        assert waiter == [True], "batch 8 waited for an item it does not read"
+        assert sorted(result) == list(range(10))
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_a_failed_step_stops_the_wait_for_later_items(self, workers):
+        # Batch 0 fails, once the other workers wait for items, while
+        # batch 2's never come: the merge raises batch 0's error instead of
+        # waiting for them.
+        items, raised = Feed(), []
+        for index in range(4):
+            items.put(index, index)
+
+        def step(batch, merged):
+            if batch == [0, 1]:
+                time.sleep(0.1)
+                raise ValueError("batch 0")
+            return batch
+
+        def merge():
+            with pytest.raises(ValueError, match="batch 0"):
+                merge_tree(step, items, 6, 2, workers, Feed())
+            raised.append(True)
+
+        merging = in_thread(merge)
+        merging.join(timeout=5)
+        assert raised == [True], "the merge waited for items after a failure"
+
+    def test_an_aborted_feed_of_items_raises(self):
+        items = Feed()
+        items.put(0, "a")
+        items.abort()
+        with pytest.raises(FeedAborted):
+            merge_tree(lambda batch, merged: batch, items, 4, 1, 2, Feed())
 
 
 class TestFeed:

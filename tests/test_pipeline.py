@@ -693,15 +693,22 @@ class TestOverlappedStep:
     def test_an_interrupt_inside_a_stage_stops_the_run_and_resumes(
         self, tmp_path, monkeypatch, workers
     ):
+        # Above one worker, code analysis raises once analysis' one design
+        # call has gone out: that merge would start no call after the
+        # abort, and analysis would not commit.
+        config = self._config(tmp_path, workers)
+        backends = build_backends(config)
+        designed = gate(backends.gateway.transport, "(?!)", "analysis.design")
+
         def interrupted(*args):
+            assert designed.wait(timeout=10), "analysis sent no design call"
             raise KeyboardInterrupt
 
-        config = self._config(tmp_path, workers)
         threads = set(threading.enumerate())
         with monkeypatch.context() as patch:
             patch.setitem(pipeline_mod._STAGE_FUNCTIONS, "code_analysis", interrupted)
             with pytest.raises(KeyboardInterrupt):
-                run_pipeline(config, backends=build_backends(config))
+                run_pipeline(config, backends=backends)
         assert set(threading.enumerate()) <= threads
         assert committed_stages(config) == ["retrieval", "understanding", "analysis"]
         run_pipeline(config, backends=build_backends(config), resume=True)
@@ -876,7 +883,7 @@ class TestOverlappedStep:
         backends = build_backends(config)
         run_pipeline(config, backends=backends, resume=True)
         sent = [c.tag for c in backends.gateway.transport.calls]
-        assert 1 <= sent.count("analysis.design") <= 5  # of 6 fold steps
+        assert 1 <= sent.count("analysis.design") <= 5  # of 6 design calls, one a batch
 
     def test_a_garbled_draft_commits_neither_and_raises_the_serial_error(self, tmp_path):
         def failure(workers: int) -> tuple[PipelineConfig, StageError]:
@@ -1125,6 +1132,82 @@ class TestStageInputs:
         assert manifest["failed_stage"] == "analysis"
 
 
+def paired(transport, tags: tuple[str, ...]) -> set[str]:
+    """Hold each request tagged one of ``tags`` until another of its tag is
+    in flight beside it, for at most a second; returns the tags seen with
+    two requests in flight at once."""
+    send, cond, in_flight, paired_tags = transport.send, threading.Condition(), Counter(), set()
+
+    def held_send(request):
+        tag = request.tag
+        if tag not in tags:
+            return send(request)
+        with cond:
+            in_flight[tag] += 1
+            if in_flight[tag] >= 2:
+                paired_tags.add(tag)
+                cond.notify_all()
+            cond.wait_for(lambda: tag in paired_tags, timeout=1)
+        try:
+            return send(request)
+        finally:
+            with cond:
+                in_flight[tag] -= 1
+
+    transport.send = held_send
+    return paired_tags
+
+
+#: The requests of design batch 1 and of outline batch 1, of six each.
+DESIGN_BATCH_1 = r"New batch of paper keynotes:\n- 2406\.10003: "
+OUTLINE_BATCH_1 = r"outline of a survey.*Paper keynotes:\n- 2406\.10003 \|"
+
+
+class TestTreeMerges:
+    """With two keynotes a batch, the fixture's 12 papers make six design
+    and six outline calls each: five leaves, which go out side by side,
+    and the root, the last batch, which merges them."""
+
+    @staticmethod
+    def _config(root: Path, workers: int, *rules: dict) -> PipelineConfig:
+        config = prepend_rules(make_config(root), *rules)
+        config.analysis.design_batch_size = config.writing.outline_batch_size = 2
+        config.stage_workers = workers
+        return config
+
+    def test_leaves_go_out_together_and_outputs_match_the_serial_run(self, tmp_path):
+        digests = {}
+        for workers in (1, 8):
+            config = self._config(tmp_path / f"workers{workers}", workers)
+            backends = build_backends(config)
+            transport = backends.gateway.transport
+            if workers > 1:
+                paired_tags = paired(transport, ("analysis.design", "writing.outline"))
+            run_pipeline(config, backends=backends)
+            digests[workers] = output_digest(config)
+            sent = Counter(c.tag for c in transport.calls)
+            assert sent["analysis.design"] == sent["writing.outline"] == 6
+        assert paired_tags == {"analysis.design", "writing.outline"}
+        assert digests[1] == digests[8]
+
+    @pytest.mark.parametrize("stage, pattern", [
+        ("analysis", DESIGN_BATCH_1), ("writing", OUTLINE_BATCH_1),
+    ])
+    def test_a_refused_leaf_raises_the_serial_error(self, tmp_path, stage, pattern):
+        refuse = {"pattern": pattern, "replies": [{"text": "no", "status": 400}]}
+
+        def failure(workers: int) -> StageError:
+            config = self._config(tmp_path / f"workers{workers}", workers, refuse)
+            with pytest.raises(StageError) as err:
+                run_pipeline(config, backends=build_backends(config))
+            return err.value
+
+        serial, parallel = failure(1), failure(4)
+        assert parallel.stage == serial.stage == stage
+        assert "status 400" in str(serial)
+        assert str(parallel) == str(serial)
+
+
 #: The first attempt of the last of six rerank batches, two papers each.
 LAST_RERANK = r"\(rerank\)\.\nPapers:\n- id: 2406\.10011 "
 FIRST_KEYNOTE = "keynote for paper id 2406.10001."
@@ -1245,6 +1328,41 @@ class TestRetrievalHandOff:
         run_pipeline(config, backends=backends, resume=True)
         assert not backends.gateway.transport.calls_matching(FIRST_KEYNOTE)
         assert output_digest(config) == TestGoldenOutput.GOLDEN["plain"]
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+    def test_an_interrupt_stops_retrieval_at_its_next_source_call(self, tmp_path, monkeypatch):
+        # The first seed's citations are held while the signal reaches the
+        # calling thread, which need not be retrieval's: once the abort is
+        # in and the fetch returns, retrieval starts no source call, among
+        # them that seed's references, and does not commit.
+        config = self._config(tmp_path, 2)
+        backends = build_backends(config)
+        source, aborted = backends.source, watch_aborts(monkeypatch)
+        held, released, late = threading.Event(), threading.Event(), []
+        threads = set(threading.enumerate())
+
+        def watched(fetch):
+            def run(paper_id, limit):
+                late.append(released.is_set())
+                if paper_id.canonical == SEEDS[0] and not held.is_set():
+                    held.set()
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                    assert aborted.wait(timeout=10), "the interrupt aborted no feed"
+                    time.sleep(0.05)
+                    released.set()
+                return fetch(paper_id, limit)
+
+            return run
+
+        source.citations, source.references = watched(source.citations), watched(source.references)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(config, backends=backends)
+        for thread in set(threading.enumerate()) - threads:
+            thread.join(timeout=10)
+        assert held.is_set() and released.is_set()
+        assert late and not any(late), "a source call started after the abort"
+        assert committed_stages(config) == []
+        assert set(threading.enumerate()) <= threads
 
     @pytest.mark.parametrize("workers", [2, 4, 8])
     def test_retrieval_calls_in_flight_stay_within_the_call_budget(self, tmp_path, workers):

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from litsurvey.errors import BackendError, KeynoteError, PaperSkipped
-from litsurvey.fanout import Feed
+from litsurvey.fanout import Feed, FeedAborted
 from litsurvey.gateway import BackendProfile
 from litsurvey.model import Provenance
 from litsurvey.runlog import RunLog
@@ -196,6 +196,22 @@ class TestRunUnderstanding:
             )
         sent = {c.prompt.split("paper id ")[1].split(".")[0] for c in transport.calls}
         assert "p1" in sent and sent <= {"p1", "p2"}
+
+
+    def test_no_paper_starts_once_its_own_feed_is_aborted(self):
+        # An interrupt to another stage aborts understanding's own feed
+        # while the first paper is keynoted: the later papers never start.
+        papers = {k: make_paper(k, abstract=f"abstract of {k}") for k in ("p1", "p2", "p3")}
+        own, found = Feed(), []
+
+        def find(record):
+            found.append(record.id.canonical)
+            own.abort()
+            return None
+
+        with pytest.raises(FeedAborted):
+            run_understanding(closed_feed(papers), find, scripted_gateway(), own, RunLog())
+        assert found == ["p1"]
 
 
 class TestUnderstandingFromAFeed:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from litsurvey.errors import DraftingError, InvalidInputError
+from litsurvey.fanout import Feed
 from litsurvey.gateway import BackendProfile
 from litsurvey.model import CitationStyle, DraftUnit, Granularity, OutlineNode
 from litsurvey.runlog import RunLog
@@ -76,7 +77,7 @@ class TestDraftOutline:
     def test_skeleton_with_eight_sections_parses(self, papers, keynotes):
         transport = ScriptedTransport().add("outline of a survey", json.dumps(SKELETON))
         ctx = context(papers, keynotes, transport)
-        outline = draft_outline(ctx, "alpha methods")
+        outline = draft_outline(ctx, "alpha methods", Feed())
         assert len(outline.children) == 8
         assert all(s.description for s in outline.children)
         assert outline.title == "A Survey of Alpha Methods"
@@ -93,7 +94,7 @@ class TestDraftOutline:
             "outline of a survey", json.dumps(broken), json.dumps(SKELETON)
         )
         ctx = context(papers, keynotes, transport)
-        outline = draft_outline(ctx, "alpha methods")
+        outline = draft_outline(ctx, "alpha methods", Feed())
         assert len(transport.calls) == 2
         retry_prompt = transport.calls[1].prompt
         assert "conclusion" in retry_prompt.lower()
@@ -107,7 +108,7 @@ class TestDraftOutline:
             keynote = big_keynotes[key]
             keynote.sections["tldr"] = "long " * 200
         ctx = context(papers, big_keynotes, transport, profile=profile)
-        outline = draft_outline(ctx, "alpha methods")
+        outline = draft_outline(ctx, "alpha methods", Feed())
         assert outline is not None
         assert ctx.runlog.of_kind("context_compressed")
 
@@ -134,7 +135,7 @@ class TestDraftOutline:
             "outline of a survey", json.dumps(too_deep), json.dumps(SKELETON)
         )
         ctx = context(papers, keynotes, transport)
-        draft_outline(ctx, "alpha methods")
+        draft_outline(ctx, "alpha methods", Feed())
         assert len(transport.calls) == 2
 
 
